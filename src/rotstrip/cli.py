@@ -79,6 +79,19 @@ def parse_trace(table: dict, side: int) -> BoundaryTrace:
     return BoundaryTrace(side, out)
 
 
+PARAM_KEYS = {"epsilon", "nu", "beta", "N", "M0"}
+
+#: config keys each subcommand reads (sweep is checked by ExperimentSpec)
+CONFIG_KEYS = {
+    "modes": PARAM_KEYS | {"kmax", "modes"},
+    "bl": PARAM_KEYS | {"delta0", "delta1", "t"},
+    "envelope": PARAM_KEYS | {"gamma", "t_end", "nt"},
+    "direct": PARAM_KEYS | {"gamma", "sigma", "t_end", "dt_factor", "Nz", "save_every"},
+    "compare": PARAM_KEYS | {"case", "gamma", "sigma", "full_sum", "t_end", "dt_factor",
+                             "Nz", "save_every", "nt"},
+}
+
+
 def params_from(cfg: dict) -> Params:
     return Params(
         epsilon=float(cfg.get("epsilon", 1e-3)),
@@ -256,6 +269,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     cfg = load_config(args.config) if args.config else {}
+    if args.command in CONFIG_KEYS:
+        unknown = sorted(set(cfg) - CONFIG_KEYS[args.command])
+        if unknown:
+            parser.error(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
     os.makedirs(args.out, exist_ok=True)
 
     with seedless_guard(args.seedless):

@@ -7,9 +7,16 @@ stretching toward both walls, enforced to put at least eight nodes inside the
 Ekman scale), pressure on a staggered cell grid with the discrete gradient
 chosen adjoint to the divergence (pressure then does no work discretely),
 trapezoidal time stepping (A-stable and free of numerical damping, so any
-measured decay is physical), and a monolithic sparse LU of the saddle system
-factorised once per run.  Splitting the pressure would be fatal here: the
-1/eps Coriolis-pressure balance amplifies any projection error.
+measured decay is physical), and a banded LU (LAPACK zgbtrf/zgbtrs) of the
+monolithic saddle system, factorised once per column.  The unknowns are
+interleaved node by node, [u1_i, u2_i, u3_i, p_i] with p_i on the cell
+[z_i, z_{i+1}]: every stencil (second differences, the two-node divergence of
+a cell, the adjoint gradient, the one-sided stress derivative at the top)
+then couples unknowns at most two nodes apart, so the band has the same width
+(kl = 8, ku = 4) at every Nz.  With the pressure block after the velocities,
+the divergence rows would reach O(Nz) columns back.  Splitting the pressure
+would be fatal here: the 1/eps Coriolis-pressure balance amplifies any
+projection error.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .params import Params
 from .spectral import SpectralField, basis_profile, semigroup
@@ -135,7 +142,12 @@ def l2_difference(u: np.ndarray, analytic: np.ndarray, weights: np.ndarray) -> f
 
 
 class _ModeSystem:
-    """CN-discretised DAE for one k_h != 0 (full) or k_h = 0 (reduced)."""
+    """CN-discretised DAE for one k_h != 0 (full) or k_h = 0 (reduced).
+
+    Unknowns are interleaved node by node: [u1_i, u2_i, u3_i, p_i] with p_i
+    on the cell [z_i, z_{i+1}] (the top node has no cell), and [u1_i, u2_i]
+    on the reduced column.  The saddle matrix is then banded with a width
+    independent of Nz and is factorised once with LAPACK zgbtrf."""
 
     def __init__(self, k_h, params: Params, z: np.ndarray, dt: float,
                  diffusion: bool = True):
@@ -147,151 +159,148 @@ class _ModeSystem:
         self.Nz = len(z) - 1
         self.wn = node_weights(z)
         self.reduced = self.k_h == (0, 0)
+        self.ncomp = 2 if self.reduced else 3
+        self.stride = 2 if self.reduced else 4
+        self.n = self.stride * (self.Nz + 1) - (self.stride - self.ncomp)
+        # (Nz+1, ncomp) positions of the velocity entries
+        self.u_index = self._iu(np.arange(self.Nz + 1)[:, None], np.arange(self.ncomp))
         self._assemble()
 
-    # unknown layout: u-major [u1_i, u2_i, (u3_i)] then cells of p
     def _iu(self, i, c):
-        return (2 if self.reduced else 3) * i + c
+        return self.stride * i + c
 
     def _assemble(self):
         k1, k2 = self.k_h
         kh2 = k1 * k1 + k2 * k2
-        Nz = self.Nz
-        z = self.z
+        Nz, n, dt, iu = self.Nz, self.n, self.dt, self._iu
         eps, nu = self.params.epsilon, self.params.nu
-        ncomp = 2 if self.reduced else 3
-        nu_unk = ncomp * (Nz + 1)
-        np_unk = 0 if self.reduced else Nz
-        n = nu_unk + np_unk
-        ip = lambda j: nu_unk + j
-
-        h = np.diff(z)
-        wc = h  # cell measures
+        h = np.diff(self.z)
         wn = self.wn
+        lhs, rhs = [], []  # COO triplets (rows, cols, values)
 
-        lhs = sp.lil_matrix((n, n), dtype=complex)
-        rhs = sp.lil_matrix((n, n), dtype=complex)
-        self.stress_rows = []  # (row, component)
+        def cn(r, c, v):
+            """Trapezoidal pair: v at the new level, -v at the old one."""
+            lhs.append(np.broadcast_arrays(r, c, v))
+            rhs.append(np.broadcast_arrays(r, c, -v))
 
-        def lap_row(i):
-            hm, hp = h[i - 1], h[i]
-            return (2.0 / (hm * (hm + hp)), -2.0 / (hm * hp), 2.0 / (hp * (hm + hp)))
-
-        # divergence operator D: cells x unknowns (for the full system)
-        D = None
-        if not self.reduced:
-            D = sp.lil_matrix((Nz, n), dtype=complex)
-            for j in range(Nz):
-                D[j, self._iu(j, 0)] += 0.5j * k1
-                D[j, self._iu(j + 1, 0)] += 0.5j * k1
-                D[j, self._iu(j, 1)] += 0.5j * k2
-                D[j, self._iu(j + 1, 1)] += 0.5j * k2
-                D[j, self._iu(j, 2)] += -1.0 / h[j]
-                D[j, self._iu(j + 1, 2)] += 1.0 / h[j]
-            D = D.tocsr()
-
-        def add_diff_row(row, i, c, visc: bool):
-            """Mass + CN spatial terms for component c at node i."""
-            lhs[row, row] += 1.0 / self.dt
-            rhs[row, row] += 1.0 / self.dt
-            if visc and self.diffusion:
-                lhs[row, self._iu(i, c)] += 0.5 * kh2
-                rhs[row, self._iu(i, c)] -= 0.5 * kh2
-                cm, c0, cp = lap_row(i)
-                for off, coef in ((-1, cm), (0, c0), (1, cp)):
-                    lhs[row, self._iu(i + off, c)] += -0.5 * nu * coef
-                    rhs[row, self._iu(i + off, c)] -= -0.5 * nu * coef
+        j = np.arange(Nz)  # cells
+        inner = np.arange(1, Nz)
+        # rows holding a momentum equation, per component (no-slip is not
+        # imposed without viscosity)
+        h_nodes = inner if self.diffusion else np.arange(Nz + 1)
+        momentum = [(0, h_nodes), (1, h_nodes)] + ([] if self.reduced else [(2, inner)])
+        for c, i in momentum:
+            r = iu(i, c)
+            lhs.append(np.broadcast_arrays(r, r, 1.0 / dt))
+            rhs.append(np.broadcast_arrays(r, r, 1.0 / dt))
+            if self.diffusion:
+                hm, hp = h[i - 1], h[i]
+                cn(r, r, 0.5 * kh2)
+                lap = (2.0 / (hm * (hm + hp)), -2.0 / (hm * hp), 2.0 / (hp * (hm + hp)))
+                for off, coef in zip((-1, 0, 1), lap):
+                    cn(r, iu(i + off, c), -0.5 * nu * coef)
             # Coriolis: e3 ^ u = (-u2, u1, 0)
             if c == 0:
-                lhs[row, self._iu(i, 1)] += -0.5 / eps
-                rhs[row, self._iu(i, 1)] -= -0.5 / eps
+                cn(r, iu(i, 1), -0.5 / eps)
             elif c == 1:
-                lhs[row, self._iu(i, 0)] += 0.5 / eps
-                rhs[row, self._iu(i, 0)] -= 0.5 / eps
+                cn(r, iu(i, 0), 0.5 / eps)
 
-        interior = range(1, Nz)
-        if self.diffusion:
-            h_nodes = interior
-        else:
-            h_nodes = range(0, Nz + 1)  # no-slip not imposed without viscosity
-
-        for i in h_nodes:
-            for c in (0, 1):
-                add_diff_row(self._iu(i, c), i, c, visc=(1 <= i <= Nz - 1))
+        D = None
         if not self.reduced:
-            for i in interior:
-                add_diff_row(self._iu(i, 2), i, 2, visc=True)
-
-        # pressure gradient (fully implicit) adjoint to the divergence:
-        # G = -W_n^{-1} D^H W_c, so the pressure does no work discretely
-        if not self.reduced:
-            Gmat = -(D.conj().T).multiply(wc).tocsr()
-            scale = sp.diags(np.concatenate([np.repeat(1.0 / wn, ncomp), np.zeros(np_unk)]))
-            Gmat = scale.dot(Gmat)
-            rows_used = set()
-            for i in h_nodes:
-                rows_used.add(self._iu(i, 0))
-                rows_used.add(self._iu(i, 1))
-            for i in interior:
-                rows_used.add(self._iu(i, 2))
-            Gc = Gmat.tocoo()
-            for r, cell, v in zip(Gc.row, Gc.col, Gc.data):
-                if r in rows_used:
-                    lhs[r, nu_unk + cell] += v
+            # divergence D: cells x unknowns, the average of u_h and the
+            # difference of u3 over each cell
+            d_cells = np.tile(j, 6)
+            d_cols = np.concatenate([iu(j, 0), iu(j + 1, 0), iu(j, 1), iu(j + 1, 1),
+                                     iu(j, 2), iu(j + 1, 2)])
+            d_vals = np.concatenate([np.full(2 * Nz, 0.5j * k1), np.full(2 * Nz, 0.5j * k2),
+                                     -1.0 / h, 1.0 / h])
+            D = sp.csr_matrix((d_vals, (d_cells, d_cols)), shape=(Nz, n))
+            # pressure gradient (fully implicit) adjoint to the divergence:
+            # G = -W_n^{-1} D^H W_c, so the pressure does no work discretely;
+            # it enters the momentum rows only
+            is_momentum = np.zeros(n, dtype=bool)
+            for c, i in momentum:
+                is_momentum[iu(i, c)] = True
+            keep = is_momentum[d_cols]
+            g_vals = -np.conj(d_vals) * h[d_cells] / wn[d_cols // self.stride]
+            lhs.append((d_cols[keep], iu(d_cells[keep], 3), g_vals[keep]))
+            lhs.append((iu(d_cells, 3), d_cols, d_vals))
 
         # algebraic rows
         if self.diffusion:
-            for c in range(ncomp):  # no-slip bottom
-                lhs[self._iu(0, c), self._iu(0, c)] = 1.0
-            # top: u3 = 0 and CN-averaged stress on u_h
-            if not self.reduced:
-                lhs[self._iu(Nz, 2), self._iu(Nz, 2)] = 1.0
+            bottom = iu(0, np.arange(self.ncomp))  # no-slip bottom
+            lhs.append((bottom, bottom, np.ones(self.ncomp)))
+            if not self.reduced:  # top: u3 = 0
+                lhs.append(np.broadcast_arrays(iu(Nz, 2), iu(Nz, 2), 1.0))
+            # top: CN-averaged stress on u_h, by the one-sided second-order
+            # derivative at z = 1
             hm, hp = h[-2], h[-1]
-            # one-sided second-order derivative at z = 1
-            d0 = (2 * hp + hm) / (hp * (hp + hm))
-            d1 = -(hp + hm) / (hp * hm)
-            d2 = hp / (hm * (hp + hm))
-            for c in (0, 1):
-                row = self._iu(Nz, c)
-                for off, coef in ((0, d0), (-1, d1), (-2, d2)):
-                    lhs[row, self._iu(Nz + off, c)] += 0.5 * coef
-                    rhs[row, self._iu(Nz + off, c)] -= 0.5 * coef
-                self.stress_rows.append((row, c))
+            top = iu(Nz, np.arange(2))
+            d = ((2 * hp + hm) / (hp * (hp + hm)), -(hp + hm) / (hp * hm), hp / (hm * (hp + hm)))
+            for off, coef in zip((0, -1, -2), d):
+                cn(top, top + off * self.stride, 0.5 * coef)
+            self.stress_rows = slice(top[0], top[0] + 2)
         else:
             if not self.reduced:
-                lhs[self._iu(0, 2), self._iu(0, 2)] = 1.0
-                lhs[self._iu(Nz, 2), self._iu(Nz, 2)] = 1.0
+                walls = iu(np.array([0, Nz]), 2)
+                lhs.append((walls, walls, np.ones(2)))
+            self.stress_rows = None
 
-        if not self.reduced:
-            lc = D.tocoo()
-            for j, cidx, v in zip(lc.row, lc.col, lc.data):
-                lhs[ip(j), cidx] += v
+        def to_csr(triplets):
+            r, c, v = (np.concatenate([np.ravel(t) for t in a]) for a in zip(*triplets))
+            return sp.csr_matrix((v.astype(complex), (r, c)), shape=(n, n))
 
-        self.n = n
-        self.nu_unk = nu_unk
-        try:
-            self.lu = spla.splu(lhs.tocsc())
-        except RuntimeError as exc:  # singular saddle system: should not occur for nu > 0
+        # scale each row by a power of two (exact) to bring its largest entry
+        # into [0.5, 1): momentum rows carry 1/dt, divergence rows 1/h, and
+        # partial pivoting within the band needs comparable rows, else the
+        # pressure loses about four digits at small dt
+        A = to_csr(lhs)
+        row_scale = sp.diags(np.ldexp(1.0, -np.frexp(abs(A).max(axis=1).toarray().ravel())[1]))
+        A = (row_scale @ A).tocoo()
+        self.kl = int(np.max(A.row - A.col))
+        self.ku = int(np.max(A.col - A.row))
+        ab = np.zeros((2 * self.kl + self.ku + 1, n), dtype=complex)
+        ab[self.kl + self.ku + A.row - A.col, A.col] = A.data
+        self.lu, self.piv, info = zgbtrf(ab, self.kl, self.ku, overwrite_ab=1)
+        if info != 0:  # singular saddle system: should not occur for nu > 0
+            detail = ("Factor is exactly singular" if info > 0
+                      else f"illegal value in argument {-info} of zgbtrf")
             raise RuntimeError(
                 f"saddle system factorisation failed for k_h={self.k_h} "
                 f"(Nz={self.Nz}, dt={self.dt}, eps={self.params.epsilon}, "
-                f"nu={self.params.nu}, diffusion={self.diffusion}): {exc}"
-            ) from exc
-        self.rhs_mat = rhs.tocsr()
-        self.D = D if not self.reduced else None
+                f"nu={self.params.nu}, diffusion={self.diffusion}): {detail}")
+        self.rhs_mat = (row_scale @ to_csr(rhs)).tocsr()
+        if self.stress_rows is not None:
+            self.stress_scale = row_scale.diagonal()[self.stress_rows]
+        self.D = D
+
+        # quadratic forms of the diagnostics on the full state (zero on p):
+        # energy = x^H diag(energy_weights) x and
+        # dissipation = m^H Q m with Q = 4 pi^2 (kh2 W + nu Dz^H H Dz)
+        w_full = np.zeros(n)
+        w_full[self.u_index] = wn[:, None]
+        self.energy_weights = 2.0 * math.pi ** 2 * w_full
+        self.Q = None
+        if self.diffusion:
+            rows = np.arange(self.ncomp * Nz)
+            lo = self.u_index[:-1].ravel()
+            dz_vals = np.repeat(1.0 / h, self.ncomp)
+            Dz = sp.csr_matrix((np.concatenate([-dz_vals, dz_vals]),
+                                (np.concatenate([rows, rows]),
+                                 np.concatenate([lo, lo + self.stride]))),
+                               shape=(len(rows), n))
+            H = sp.diags(np.repeat(h, self.ncomp))
+            Q = kh2 * sp.diags(w_full) + nu * (Dz.T @ H @ Dz)
+            self.Q = (4.0 * math.pi ** 2 * Q).astype(complex).tocsr()
 
     def initial_state(self, gamma: SpectralField) -> np.ndarray:
         x = np.zeros(self.n, dtype=complex)
         prof = gamma.profile(self.k_h, self.z)  # (3, Nz+1)
-        ncomp = 2 if self.reduced else 3
-        idx = np.arange(self.Nz + 1) * ncomp
-        for c in range(ncomp):
-            x[idx + c] = prof[c]
+        x[self.u_index] = prof[: self.ncomp].T
         return x
 
     def velocity(self, x: np.ndarray) -> np.ndarray:
-        ncomp = 2 if self.reduced else 3
-        u = x[: self.nu_unk].reshape(self.Nz + 1, ncomp)
+        u = x[self.u_index]
         if self.reduced:
             u = np.column_stack([u, np.zeros(self.Nz + 1, dtype=complex)])
         return u
@@ -299,18 +308,35 @@ class _ModeSystem:
     def pressure(self, x: np.ndarray) -> np.ndarray:
         if self.reduced:
             return np.zeros(self.Nz, dtype=complex)
-        return x[self.nu_unk:]
+        return x[3::4].copy()
 
-    def step(self, x: np.ndarray, g_half: np.ndarray) -> np.ndarray:
+    def step(self, x: np.ndarray, g_half: np.ndarray | None) -> np.ndarray:
         b = self.rhs_mat.dot(x)
-        for (row, c) in self.stress_rows:
-            b[row] += g_half[c]
-        return self.lu.solve(b)
+        if g_half is not None and self.stress_rows is not None:
+            b[self.stress_rows] += self.stress_scale * g_half
+        x_new, _ = zgbtrs(self.lu, self.kl, self.ku, b, self.piv, overwrite_b=1)
+        return x_new
+
+    def energy(self, x: np.ndarray) -> float:
+        return float(np.vdot(x, self.energy_weights * x).real)
+
+    def dissipation(self, m: np.ndarray) -> float:
+        """Viscous dissipation of the midpoint state m (0 without viscosity)."""
+        if self.Q is None:
+            return 0.0
+        return float(np.vdot(m, self.Q.dot(m)).real)
+
+    def work(self, m: np.ndarray, g_half: np.ndarray | None) -> float:
+        """Rate of work of the surface stress g_half on the midpoint state m."""
+        if g_half is None or self.stress_rows is None:
+            return 0.0
+        return 4.0 * math.pi ** 2 * self.params.nu * float(
+            np.vdot(m[self.stress_rows], g_half).real)
 
     def divergence_residual(self, x: np.ndarray) -> float:
         if self.reduced:
             return 0.0
-        scale = max(1.0, float(np.max(np.abs(x[: self.nu_unk]))))
+        scale = max(1.0, float(np.max(np.abs(x[self.u_index]))))
         return float(np.max(np.abs(self.D.dot(x)))) / scale
 
 
@@ -328,7 +354,8 @@ def solve_direct(gamma: SpectralField, sigma, params: Params, t_end: float,
     gamma supplies the initial data (finite eigenmode sum), sigma the surface
     stress table (side-1 BoundaryTrace or None).  Resolution preconditions
     are enforced up front: dt <= eps/10 and a grid with min_wall_nodes nodes
-    inside sqrt(eps nu) of each wall.
+    inside sqrt(eps nu) of each wall.  A t_end that is not a whole number of
+    steps is reached exactly by shortening dt to t_end / ceil(t_end / dt).
     """
     if dt is None:
         dt = params.epsilon / 10.0
@@ -336,6 +363,10 @@ def solve_direct(gamma: SpectralField, sigma, params: Params, t_end: float,
         raise ValueError(
             f"dt={dt} too coarse for the rotation period: need dt <= eps/10 = "
             f"{params.epsilon / 10.0:.3e}")
+    nsteps = int(round(t_end / dt))
+    if abs(nsteps * dt - t_end) > 1e-9 * dt:
+        nsteps = int(math.ceil(t_end / dt))
+        dt = t_end / nsteps
     if grading is None:
         grading = graded_nodes(Nz, params.layer_scale if diffusion else 1.0,
                                min_wall_nodes=min_wall_nodes)
@@ -353,64 +384,46 @@ def solve_direct(gamma: SpectralField, sigma, params: Params, t_end: float,
             stress_table.setdefault(tuple(k_h), []).append((float(mu), np.asarray(v, dtype=complex)))
 
     columns = sorted(set(gamma.horizontal_modes()) | set(stress_table))
-    nsteps = int(round(t_end / dt))
     out = {}
     for k_h in columns:
         sys_ = _ModeSystem(k_h, params, z, dt, diffusion=diffusion)
         x = sys_.initial_state(gamma)
         traj = ModeTrajectory(k_h=k_h, z=z)
-        w = traj.weights
-        beta = params.beta
+        stress = stress_table.get(k_h, [])
+        mus = np.array([mu for mu, _ in stress])
+        amps = np.array([params.beta * v for _, v in stress])
 
-        def g_at(t):
-            g = np.zeros(2, dtype=complex)
-            for (mu, v) in stress_table.get(k_h, []):
-                g += beta * v * np.exp(1j * mu * t / params.epsilon)
-            return g
-
-        def record(i, t, x, extra):
-            u = sys_.velocity(x)
+        def record(t, x, energy, extra):
             traj.times.append(t)
-            traj.snapshots.append((u, sys_.pressure(x).copy()))
+            traj.snapshots.append((sys_.velocity(x), sys_.pressure(x)))
             traj.diagnostics.append({
                 "t": t,
-                "energy": 0.5 * l2_norm(u, w) ** 2,
+                "energy": energy,
                 "divergence_residual": sys_.divergence_residual(x),
                 **extra,
             })
 
-        record(0, 0.0, x, {"energy_balance_residual": 0.0,
-                           "dissipation": 0.0, "cumulative_energy_residual": 0.0})
-        kh2 = k_h[0] ** 2 + k_h[1] ** 2
-        hcell = np.diff(z)
+        E_old = sys_.energy(x)
+        record(0.0, x, E_old, {"energy_balance_residual": 0.0,
+                               "dissipation": 0.0, "cumulative_energy_residual": 0.0})
         cum_residual = 0.0
         for nstep in range(1, nsteps + 1):
-            t_half = (nstep - 0.5) * dt
-            g_half = g_at(t_half)
+            g_half = None
+            if stress:
+                g_half = np.exp(1j * mus * ((nstep - 0.5) * dt) / params.epsilon) @ amps
             x_new = sys_.step(x, g_half)
             # energy balance across the step, using the midpoint state
-            u_old = sys_.velocity(x)
-            u_new = sys_.velocity(x_new)
-            u_mid = 0.5 * (u_old + u_new)
-            E_old = 0.5 * l2_norm(u_old, w) ** 2
-            E_new = 0.5 * l2_norm(u_new, w) ** 2
-            if diffusion:
-                dzu = np.diff(u_mid, axis=0) / hcell[:, None]
-                diss = 4.0 * math.pi ** 2 * (
-                    kh2 * float(np.sum(w * np.sum(np.abs(u_mid) ** 2, axis=1)))
-                    + params.nu * float(np.sum(hcell * np.sum(np.abs(dzu) ** 2, axis=1))))
-                work = 4.0 * math.pi ** 2 * params.nu * float(
-                    np.real(np.vdot(u_mid[-1, :2], g_half)))
-            else:
-                diss, work = 0.0, 0.0
-            resid = (E_new - E_old) / dt + diss - work
+            E_new = sys_.energy(x_new)
+            m = 0.5 * (x + x_new)
+            diss = sys_.dissipation(m)
+            resid = (E_new - E_old) / dt + diss - sys_.work(m, g_half)
             cum_residual += resid * dt
             if nstep % save_every == 0 or nstep == nsteps:
-                record(nstep, nstep * dt, x_new,
+                record(nstep * dt, x_new, E_new,
                        {"energy_balance_residual": resid,
                         "dissipation": diss,
                         "cumulative_energy_residual": cum_residual})
-            x = x_new
+            x, E_old = x_new, E_new
         out[k_h] = traj
     return out
 

@@ -10,6 +10,7 @@ from rotstrip.spectral import SpectralField, basis_profile
 from rotstrip.layers import BoundaryTrace, filter_resonant
 from rotstrip.direct import (
     DecayFit,
+    _ModeSystem,
     ModeTrajectory,
     diagnostics_csv,
     fit_decay,
@@ -83,6 +84,22 @@ class TestSolveDirect:
         with pytest.raises(ValueError, match="dt"):
             solve_direct(SpectralField({(1, 0, 1): 1.0}), None, p,
                          t_end=0.1, dt=p.epsilon, Nz=64)
+
+    def test_t_end_off_the_step_grid_is_reached(self):
+        # 0.01 / 1.02e-4 = 98.04 steps: take 99 shorter steps, end at t_end
+        p = Params(1e-2, 1e-2)
+        g = SpectralField({(1, 0, 1): 1.0})
+        out = solve_direct(g, None, p, t_end=0.01, dt=1.02e-4, Nz=96, save_every=1)
+        times = np.array(out[(1, 0)].times)
+        assert len(times) == 1 + 99
+        assert times[-1] == pytest.approx(0.01, rel=1e-12)
+        assert np.allclose(np.diff(times), 0.01 / 99, rtol=1e-12, atol=0.0)
+
+    def test_t_end_on_the_step_grid_keeps_dt(self):
+        p = Params(1e-2, 1e-2)
+        out = solve_direct(SpectralField({(1, 0, 1): 1.0}), None, p, t_end=0.05,
+                           dt=1e-3, Nz=96, save_every=1)
+        assert out[(1, 0)].times == [n * 1e-3 for n in range(51)]
 
     def test_energy_nonincreasing_without_stress(self):
         p = Params(1e-2, 1e-2)
@@ -180,6 +197,86 @@ class TestSolveDirect:
         resid = np.abs(dv_dt[:, interior] - p.nu * d2)
         scale = np.max(np.abs(p.nu * d2)) + 1e-30
         assert np.max(resid) / scale < 0.15
+
+
+def _nodal_balance(traj, params, dt, stress, diffusion=True):
+    """Per-step energy, dissipation and energy-balance residual from the
+    nodal formulas on the saved velocity (every step saved): trapezoid
+    energy, kh2 |u|^2 plus nu |dz u|^2 per cell on the midpoint state, and
+    the stress work on its top node."""
+    z, w = traj.z, traj.weights
+    hcell = np.diff(z)
+    kh2 = traj.k_h[0] ** 2 + traj.k_h[1] ** 2
+    us = [u for u, _ in traj.snapshots]
+    energy = [0.5 * l2_norm(u, w) ** 2 for u in us]
+    diss, resid, scale = [0.0], [0.0], max(energy)
+    for n in range(1, len(us)):
+        u_mid = 0.5 * (us[n - 1] + us[n])
+        g = np.zeros(2, dtype=complex)
+        for mu, v in stress:
+            g += params.beta * v * np.exp(1j * mu * (n - 0.5) * dt / params.epsilon)
+        d = work = 0.0
+        if diffusion:
+            dzu = np.diff(u_mid, axis=0) / hcell[:, None]
+            d = 4.0 * math.pi ** 2 * (
+                kh2 * float(np.sum(w * np.sum(np.abs(u_mid) ** 2, axis=1)))
+                + params.nu * float(np.sum(hcell * np.sum(np.abs(dzu) ** 2, axis=1))))
+            work = 4.0 * math.pi ** 2 * params.nu * float(np.real(np.vdot(u_mid[-1, :2], g)))
+        diss.append(d)
+        resid.append((energy[n] - energy[n - 1]) / dt + d - work)
+        scale = max(scale, abs(energy[n] - energy[n - 1]) / dt, abs(d), abs(work))
+    # scale: the largest energy or balance term, against which the residual
+    # (a difference of nearly equal terms) is measured
+    return np.array(energy), np.array(diss), np.array(resid), scale
+
+
+class TestStepDiagnostics:
+    """The quadratic-form diagnostics of the step loop against the nodal
+    formulas, on a forced, an unforced, the reduced resonant and an inviscid
+    column."""
+
+    def _check(self, out, params, dt, stress_table, diffusion=True):
+        for k_h, traj in out.items():
+            energy, diss, resid, scale = _nodal_balance(
+                traj, params, dt, stress_table.get(k_h, []), diffusion=diffusion)
+            d = traj.diagnostics
+            assert len(d) == len(energy) > 20
+            e_scale = 1e-10 * np.max(energy)
+            np.testing.assert_allclose([r["energy"] for r in d], energy,
+                                       rtol=1e-10, atol=e_scale)
+            np.testing.assert_allclose([r["dissipation"] for r in d], diss,
+                                       rtol=1e-10, atol=1e-10 * np.max(np.abs(diss)))
+            np.testing.assert_allclose([r["energy_balance_residual"] for r in d], resid,
+                                       rtol=0.0, atol=1e-10 * scale)
+
+    def test_forced_unforced_and_resonant_columns(self):
+        p = Params(1e-2, 1e-2, beta=1.0)
+        stress = {(1, 1): [(0.5, np.array([1.0, 0.5j]))],
+                  (0, 0): [(1.0, np.array([1.0, 1j]))]}
+        sigma = BoundaryTrace(1, {(mu, k_h): v for k_h, entries in stress.items()
+                                  for mu, v in entries})
+        g = SpectralField({(1, 0, 1): 1.0, (1, 1, 1): 0.5})
+        dt = p.epsilon / 10
+        out = solve_direct(g, sigma, p, t_end=40 * dt, dt=dt, Nz=96, save_every=1)
+        assert set(out) == {(0, 0), (1, 0), (1, 1)}
+        self._check(out, p, dt, stress)
+
+    def test_inviscid_column(self):
+        p = Params(1e-2, 1e-2)
+        dt = p.epsilon / 50
+        out = solve_direct(SpectralField({(1, 0, 1): 1.0, (1, 0, -2): 0.5j}), None, p,
+                           t_end=40 * dt, dt=dt, Nz=96, save_every=1, diffusion=False)
+        self._check(out, p, dt, {}, diffusion=False)
+
+
+def test_band_width_independent_of_nz():
+    # interleaving keeps the saddle matrix banded; a layout that coupled
+    # node i to an O(Nz)-distant unknown would widen the band with Nz
+    p = Params(1e-2, 1e-2)
+    for k_h in ((1, 0), (0, 0)):
+        widths = [_ModeSystem(k_h, p, graded_nodes(Nz, p.layer_scale), p.epsilon / 10)
+                  for Nz in (128, 512)]
+        assert widths[0].kl + widths[0].ku == widths[1].kl + widths[1].ku
 
 
 class TestFitDecay:

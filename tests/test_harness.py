@@ -249,6 +249,14 @@ class TestCLI:
         assert (out / "mode_1_0_snapshots.csv").exists()
         assert (out / "mode_1_0_diagnostics.csv").exists()
 
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 1e-2, "nu": 1e-2, "t_ned": 0.3}))
+        with pytest.raises(SystemExit) as exc:
+            main(["direct", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert exc.value.code != 0
+        assert "t_ned" in capsys.readouterr().err
+
     def test_compare_command(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"case": "dirichlet", "epsilon": 1e-2, "nu": 1e-2,
