@@ -21,12 +21,12 @@ from .params import Params
 from .spectral import SpectralField
 from .layers import BoundaryTrace, build_B, trace_residuals
 from .harness import (
+    EnvelopeOnly,
     ExperimentSpec,
     compare,
     envelope_csv,
     run,
     write_damping_csv,
-    _EnvelopeOnly,
     _write_csv,
 )
 from .correctors import assemble_dirichlet_approx, assemble_wind_approx
@@ -223,7 +223,7 @@ def cmd_compare(cfg, outdir):
                               dt=p.epsilon / float(cfg.get("dt_factor", 10.0)),
                               Nz=Nz, save_every=int(cfg.get("save_every", 10)))
         approx = assemble_dirichlet_approx(gamma, p)
-        target = approx if cfg.get("full_sum") else _EnvelopeOnly(approx)
+        target = approx if cfg.get("full_sum") else EnvelopeOnly(approx)
     elif case == "wind":
         sigma = parse_trace(cfg.get("sigma", {"0.0,1,0": [1.0, 0.0]}), 1)
         direct = solve_direct(SpectralField({}), sigma, p, t_end=t_end,

@@ -8,7 +8,12 @@ Ekman scale), pressure on a staggered cell grid with the discrete gradient
 chosen adjoint to the divergence (pressure then does no work discretely),
 trapezoidal time stepping (A-stable and free of numerical damping, so any
 measured decay is physical), and a banded LU (LAPACK zgbtrf/zgbtrs) of the
-monolithic saddle system, factorised once per column.  The unknowns are
+monolithic saddle system, factorised once per |k_h|^2 shell.  Coriolis
+(e3 ^ u), the Laplacian and the divergence commute with horizontal
+rotations, so with u_h written in the frame (k_h/|k_h|, k_h^perp/|k_h|) a
+column's system depends on k_h only through |k_h|: the columns of a shell
+share the system assembled at k_h = (|k_h|, 0), and step together as the
+columns of one block (one zgbtrs call per step).  The unknowns are
 interleaved node by node, [u1_i, u2_i, u3_i, p_i] with p_i on the cell
 [z_i, z_{i+1}]: every stencil (second differences, the two-node divergence of
 a cell, the adjoint gradient, the one-sided stress derivative at the top)
@@ -142,23 +147,26 @@ def l2_difference(u: np.ndarray, analytic: np.ndarray, weights: np.ndarray) -> f
 
 
 class _ModeSystem:
-    """CN-discretised DAE for one k_h != 0 (full) or k_h = 0 (reduced).
+    """CN-discretised DAE for one real k_h != 0 (full) or k_h = 0 (reduced).
 
     Unknowns are interleaved node by node: [u1_i, u2_i, u3_i, p_i] with p_i
     on the cell [z_i, z_{i+1}] (the top node has no cell), and [u1_i, u2_i]
     on the reduced column.  The saddle matrix is then banded with a width
-    independent of Nz and is factorised once with LAPACK zgbtrf."""
+    independent of Nz and is factorised once with LAPACK zgbtrf.  States
+    are (n, ncol) blocks, one column per horizontal mode stepped with this
+    system; every diagnostic returns one value per column."""
 
     def __init__(self, k_h, params: Params, z: np.ndarray, dt: float,
                  diffusion: bool = True):
-        self.k_h = (int(k_h[0]), int(k_h[1]))
+        self.k_h = (float(k_h[0]), float(k_h[1]))
+        self.kh2 = self.k_h[0] * self.k_h[0] + self.k_h[1] * self.k_h[1]
         self.params = params
         self.z = z
         self.dt = dt
         self.diffusion = diffusion
         self.Nz = len(z) - 1
         self.wn = node_weights(z)
-        self.reduced = self.k_h == (0, 0)
+        self.reduced = self.kh2 == 0.0
         self.ncomp = 2 if self.reduced else 3
         self.stride = 2 if self.reduced else 4
         self.n = self.stride * (self.Nz + 1) - (self.stride - self.ncomp)
@@ -171,7 +179,7 @@ class _ModeSystem:
 
     def _assemble(self):
         k1, k2 = self.k_h
-        kh2 = k1 * k1 + k2 * k2
+        kh2 = self.kh2
         Nz, n, dt, iu = self.Nz, self.n, self.dt, self._iu
         eps, nu = self.params.epsilon, self.params.nu
         h = np.diff(self.z)
@@ -271,7 +279,7 @@ class _ModeSystem:
                 f"nu={self.params.nu}, diffusion={self.diffusion}): {detail}")
         self.rhs_mat = (row_scale @ to_csr(rhs)).tocsr()
         if self.stress_rows is not None:
-            self.stress_scale = row_scale.diagonal()[self.stress_rows]
+            self.stress_scale = row_scale.diagonal()[self.stress_rows][:, None]
         self.D = D
 
         # quadratic forms of the diagnostics on the full state (zero on p):
@@ -279,7 +287,7 @@ class _ModeSystem:
         # dissipation = m^H Q m with Q = 4 pi^2 (kh2 W + nu Dz^H H Dz)
         w_full = np.zeros(n)
         w_full[self.u_index] = wn[:, None]
-        self.energy_weights = 2.0 * math.pi ** 2 * w_full
+        self.energy_weights = 2.0 * math.pi ** 2 * w_full[:, None]
         self.Q = None
         if self.diffusion:
             rows = np.arange(self.ncomp * Nz)
@@ -293,51 +301,59 @@ class _ModeSystem:
             Q = kh2 * sp.diags(w_full) + nu * (Dz.T @ H @ Dz)
             self.Q = (4.0 * math.pi ** 2 * Q).astype(complex).tocsr()
 
-    def initial_state(self, gamma: SpectralField) -> np.ndarray:
-        x = np.zeros(self.n, dtype=complex)
-        prof = gamma.profile(self.k_h, self.z)  # (3, Nz+1)
-        x[self.u_index] = prof[: self.ncomp].T
+    def state(self, u: np.ndarray) -> np.ndarray:
+        """Block of the velocities u (ncol, Nz+1, 3) with zero pressure."""
+        x = np.zeros((self.n, len(u)), dtype=complex, order="F")
+        x.T[:, self.u_index] = u[:, :, : self.ncomp]
         return x
 
     def velocity(self, x: np.ndarray) -> np.ndarray:
-        u = x[self.u_index]
+        """(ncol, Nz+1, 3) velocities of a block."""
+        u = np.take(x.T, self.u_index, axis=1)
         if self.reduced:
-            u = np.column_stack([u, np.zeros(self.Nz + 1, dtype=complex)])
+            u = np.concatenate([u, np.zeros_like(u[:, :, :1])], axis=2)
         return u
 
     def pressure(self, x: np.ndarray) -> np.ndarray:
+        """(ncol, Nz) cell pressures of a block."""
         if self.reduced:
-            return np.zeros(self.Nz, dtype=complex)
-        return x[3::4].copy()
+            return np.zeros((x.shape[1], self.Nz), dtype=complex)
+        return x.T[:, 3::4].copy()
 
     def step(self, x: np.ndarray, g_half: np.ndarray | None) -> np.ndarray:
-        b = self.rhs_mat.dot(x)
+        """One CN step of the block x under the midpoint stress g_half
+        (2, ncol), or none."""
+        b = self.rhs_mat @ x
         if g_half is not None and self.stress_rows is not None:
             b[self.stress_rows] += self.stress_scale * g_half
         x_new, _ = zgbtrs(self.lu, self.kl, self.ku, b, self.piv, overwrite_b=1)
         return x_new
 
-    def energy(self, x: np.ndarray) -> float:
-        return float(np.vdot(x, self.energy_weights * x).real)
+    # The diagnostics reduce over axis 0 with np.vecdot, which conjugates its
+    # first argument: on a one-column block it costs what np.vdot does.
 
-    def dissipation(self, m: np.ndarray) -> float:
+    def energy(self, x: np.ndarray) -> np.ndarray:
+        """Kinetic energy of the block x."""
+        return np.vecdot(x, self.energy_weights * x, axis=0).real
+
+    def dissipation(self, m: np.ndarray) -> np.ndarray:
         """Viscous dissipation of the midpoint state m (0 without viscosity)."""
         if self.Q is None:
-            return 0.0
-        return float(np.vdot(m, self.Q.dot(m)).real)
+            return np.zeros(m.shape[1])
+        return np.vecdot(m, self.Q @ m, axis=0).real
 
-    def work(self, m: np.ndarray, g_half: np.ndarray | None) -> float:
+    def work(self, m: np.ndarray, g_half: np.ndarray | None) -> np.ndarray:
         """Rate of work of the surface stress g_half on the midpoint state m."""
         if g_half is None or self.stress_rows is None:
-            return 0.0
-        return 4.0 * math.pi ** 2 * self.params.nu * float(
-            np.vdot(m[self.stress_rows], g_half).real)
+            return np.zeros(m.shape[1])
+        return (4.0 * math.pi ** 2 * self.params.nu) * np.vecdot(
+            m[self.stress_rows], g_half, axis=0).real
 
-    def divergence_residual(self, x: np.ndarray) -> float:
+    def divergence(self, x: np.ndarray) -> np.ndarray:
+        """max |div u| over the cells, per column."""
         if self.reduced:
-            return 0.0
-        scale = max(1.0, float(np.max(np.abs(x[self.u_index]))))
-        return float(np.max(np.abs(self.D.dot(x)))) / scale
+            return np.zeros(x.shape[1])
+        return np.max(np.abs(self.D @ x), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -352,17 +368,22 @@ def solve_direct(gamma: SpectralField, sigma, params: Params, t_end: float,
     """Integrate the full linear system; returns {k_h: ModeTrajectory}.
 
     gamma supplies the initial data (finite eigenmode sum), sigma the surface
-    stress table (side-1 BoundaryTrace or None).  Resolution preconditions
-    are enforced up front: dt <= eps/10 and a grid with min_wall_nodes nodes
-    inside sqrt(eps nu) of each wall.  A t_end that is not a whole number of
+    stress table (side-1 BoundaryTrace or None; it needs diffusion, which
+    carries the stress condition).  Resolution preconditions are enforced up
+    front: 0 < dt <= eps/10 and a grid with min_wall_nodes nodes inside
+    sqrt(eps nu) of each wall.  A t_end >= 0 that is not a whole number of
     steps is reached exactly by shortening dt to t_end / ceil(t_end / dt).
     """
     if dt is None:
         dt = params.epsilon / 10.0
+    if not dt > 0.0:
+        raise ValueError(f"dt={dt} must be positive")
     if dt > params.epsilon / 10.0 + 1e-15:
         raise ValueError(
             f"dt={dt} too coarse for the rotation period: need dt <= eps/10 = "
             f"{params.epsilon / 10.0:.3e}")
+    if not t_end >= 0.0:
+        raise ValueError(f"t_end={t_end} must be >= 0")
     nsteps = int(round(t_end / dt))
     if abs(nsteps * dt - t_end) > 1e-9 * dt:
         nsteps = int(math.ceil(t_end / dt))
@@ -382,50 +403,103 @@ def solve_direct(gamma: SpectralField, sigma, params: Params, t_end: float,
             items = sorted(sigma.items())
         for (mu, k_h), v in items:
             stress_table.setdefault(tuple(k_h), []).append((float(mu), np.asarray(v, dtype=complex)))
+    if stress_table and not diffusion:
+        raise ValueError(
+            f"surface stress on {len(stress_table)} column(s) needs diffusion=True: "
+            "without viscosity there is no stress condition to carry it")
 
     columns = sorted(set(gamma.horizontal_modes()) | set(stress_table))
-    out = {}
+    out = {k_h: ModeTrajectory(k_h=k_h, z=z) for k_h in columns}
+    shells = {}
     for k_h in columns:
-        sys_ = _ModeSystem(k_h, params, z, dt, diffusion=diffusion)
-        x = sys_.initial_state(gamma)
-        traj = ModeTrajectory(k_h=k_h, z=z)
-        stress = stress_table.get(k_h, [])
-        mus = np.array([mu for mu, _ in stress])
-        amps = np.array([params.beta * v for _, v in stress])
+        shells.setdefault(k_h[0] * k_h[0] + k_h[1] * k_h[1], []).append(k_h)
+    for kh2, cols in shells.items():
+        _solve_shell(kh2, cols, [out[k] for k in cols], gamma, stress_table,
+                     params, z, dt, nsteps, save_every, diffusion)
+    return out
 
-        def record(t, x, energy, extra):
+
+def _solve_shell(kh2, cols, trajs, gamma, stress_table, params, z, dt, nsteps,
+                 save_every, diffusion):
+    """Step the columns of one |k_h|^2 shell as one block in the frame
+    (k_h/|k_h|, k_h^perp/|k_h|), in which they share one system."""
+    r = math.sqrt(kh2)
+    sys_ = _ModeSystem((r, 0.0), params, z, dt, diffusion=diffusion)
+    ncol = len(cols)
+    # R[j] takes column j's frame coordinates to its physical ones
+    R = np.zeros((ncol, 3, 3))
+    R[:, 2, 2] = 1.0
+    R[:, :2, :2] = (np.array([[[k[0], -k[1]], [k[1], k[0]]] for k in cols]) / r if r
+                    else np.eye(2))
+
+    def on_floats(A):
+        """A (ncol, 3, 3) acting alike on the real and imaginary parts: for
+        a stack u (ncol, Nz+1, 3), u @ A is (u.view(float) @ on_floats(A))
+        .view(complex), a real product; a complex matmul with so small a
+        factor costs several times more."""
+        M = np.zeros((ncol, 3, 2, 3, 2))
+        M[:, :, 0, :, 0] = M[:, :, 1, :, 1] = A
+        return M.reshape(ncol, 6, 6)
+
+    # a stack turns row by row: u @ R to the frame, u @ R^T back
+    to_frame, to_physical = on_floats(R), on_floats(R.transpose(0, 2, 1))
+    u0 = np.ascontiguousarray([gamma.profile(k, z).T for k in cols], dtype=complex)
+    x = sys_.state((u0.view(float) @ to_frame).view(complex))
+
+    # the stress in the frame, summed per frequency: g_half = phases @ amps
+    entries = [(mu, j, v) for j, k in enumerate(cols) for mu, v in stress_table.get(k, [])]
+    mus = np.array(sorted({mu for mu, _, _ in entries}))
+    amps = None
+    if entries:
+        amps = np.zeros((len(mus), 2, ncol), dtype=complex)
+        for mu, j, v in entries:
+            amps[np.searchsorted(mus, mu), :, j] += params.beta * (R[j, :2, :2].T @ v)
+        amps = amps.reshape(len(mus), 2 * ncol)
+
+    def record(t, x, energy, energy_before, diss, work, net):
+        """Save the block x at time t; energy_before is the energy one step
+        earlier, diss and work are the step's, net the running sum of
+        diss - work."""
+        u = (sys_.velocity(x).view(float) @ to_physical).view(complex)
+        p = sys_.pressure(x)
+        # the scale is the physical velocity's: |u_h| components are not
+        # invariant under the rotation
+        scales = np.abs(u.reshape(ncol, -1)).max(axis=1)
+        columns = zip(trajs, u, p, sys_.divergence(x).tolist(), scales.tolist(),
+                      *(a.tolist() for a in (energy, energy_before, E0, diss, work, net)))
+        for traj, u_j, p_j, div, scale, e, e_before, e0, d, w, nt in columns:
             traj.times.append(t)
-            traj.snapshots.append((sys_.velocity(x), sys_.pressure(x)))
+            traj.snapshots.append((u_j, p_j))
+            # the cumulative residual, the sum over the steps of
+            # (E_n - E_{n-1}) + dt (diss_n - work_n), telescopes
             traj.diagnostics.append({
                 "t": t,
-                "energy": energy,
-                "divergence_residual": sys_.divergence_residual(x),
-                **extra,
+                "energy": e,
+                "divergence_residual": div / max(1.0, scale),
+                "energy_balance_residual": (e - e_before) / dt + d - w,
+                "dissipation": d,
+                "cumulative_energy_residual": e - e0 + dt * nt,
             })
 
-        E_old = sys_.energy(x)
-        record(0.0, x, E_old, {"energy_balance_residual": 0.0,
-                               "dissipation": 0.0, "cumulative_energy_residual": 0.0})
-        cum_residual = 0.0
-        for nstep in range(1, nsteps + 1):
-            g_half = None
-            if stress:
-                g_half = np.exp(1j * mus * ((nstep - 0.5) * dt) / params.epsilon) @ amps
-            x_new = sys_.step(x, g_half)
-            # energy balance across the step, using the midpoint state
-            E_new = sys_.energy(x_new)
-            m = 0.5 * (x + x_new)
-            diss = sys_.dissipation(m)
-            resid = (E_new - E_old) / dt + diss - sys_.work(m, g_half)
-            cum_residual += resid * dt
-            if nstep % save_every == 0 or nstep == nsteps:
-                record(nstep * dt, x_new, E_new,
-                       {"energy_balance_residual": resid,
-                        "dissipation": diss,
-                        "cumulative_energy_residual": cum_residual})
-            x, E_old = x_new, E_new
-        out[k_h] = traj
-    return out
+    E0 = sys_.energy(x)
+    net = np.zeros(ncol)  # sum over the steps of dissipation minus work
+    record(0.0, x, E0, E0, net, net, net)
+    for nstep in range(1, nsteps + 1):
+        g_half = None
+        if amps is not None:
+            g_half = (np.exp(1j * mus * ((nstep - 0.5) * dt) / params.epsilon)
+                      @ amps).reshape(2, ncol)
+        x_new = sys_.step(x, g_half)
+        # energy balance across the step, using the midpoint state; the
+        # energy itself is needed only at the saves
+        m = x + x_new
+        m *= 0.5
+        diss = sys_.dissipation(m)
+        work = sys_.work(m, g_half)
+        net += diss - work
+        if nstep % save_every == 0 or nstep == nsteps:
+            record(nstep * dt, x_new, sys_.energy(x_new), sys_.energy(x), diss, work, net)
+        x = x_new
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ DEFAULT_TOLERANCES = {
     "ekman_rate_rel": 0.10,
     "dirichlet_final_rel": 0.10,
     "wind_direct_factor": 5.0,
+    "wind_norm_slope": 0.05,
 }
 
 
@@ -109,6 +110,10 @@ class ExperimentSpec:
             raise ValueError("beta grid must match epsilon grid")
         self.mode = tuple(int(c) for c in self.mode)
         self.k_h = tuple(int(c) for c in self.k_h)
+        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
+        if unknown:
+            raise ValueError(f"unknown tolerance key(s) {unknown}; "
+                             f"choose from {sorted(DEFAULT_TOLERANCES)}")
         tol = dict(DEFAULT_TOLERANCES)
         tol.update(self.tolerances)
         self.tolerances = tol
@@ -187,7 +192,7 @@ def compare(direct: dict, approx, times, attribution_tol: float = 1e-3):
     }
 
 
-class _EnvelopeOnly:
+class EnvelopeOnly:
     """Adapter: the filtered interior alone (rotation group times envelope),
     the object the convergence statement compares against."""
 
@@ -320,7 +325,7 @@ def _dirichlet_point(job):
                        Nz=spec.Nz, save_every=spec.save_every)
     approx = assemble_dirichlet_approx(gamma, p)
     times = np.linspace(0.0, spec.t_end, 11)
-    res = compare(out, _EnvelopeOnly(approx), times)
+    res = compare(out, EnvelopeOnly(approx), times)
     _write_csv(os.path.join(pointdir, "error_curve.csv"), ["t", "error"],
                list(zip(res["times"], res["errors"])))
     return {"epsilon": eps, "nu": nu, "sup_error": res["sup_error"],
@@ -399,8 +404,8 @@ def _exp_wind_convergence(spec: ExperimentSpec, outdir, parallel=1):
                      factor < tol["wind_direct_factor"])
     if len(good) >= 3:
         reg = regress_loglog([(r["epsilon"] * r["nu"], r["sup_approx"]) for r in good])
-        yield _check("wind_norm_slope", reg.slope, "0.75+-0.05",
-                     abs(reg.slope - 0.75) <= 0.05)
+        yield _check("wind_norm_slope", reg.slope, f"0.75+-{tol['wind_norm_slope']}",
+                     abs(reg.slope - 0.75) <= tol["wind_norm_slope"])
 
 
 def _exp_destabilization(spec: ExperimentSpec, outdir):

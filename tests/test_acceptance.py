@@ -210,7 +210,7 @@ def test_criterion_6_convergence_at_desk_scale():
     t0 = time.time()
     gamma = SpectralField({(1, 0, 1): 1.0})
     from rotstrip.correctors import assemble_dirichlet_approx
-    from rotstrip.harness import _EnvelopeOnly, compare
+    from rotstrip.harness import EnvelopeOnly, compare
 
     sups = []
     for eps in (1e-2, 3e-3, 1e-3):
@@ -221,7 +221,7 @@ def test_criterion_6_convergence_at_desk_scale():
         out = solve_direct(gamma, None, p, t_end=0.5, dt=eps / 50.0, Nz=512,
                            save_every=50)
         approx = assemble_dirichlet_approx(gamma, p)
-        res = compare(out, _EnvelopeOnly(approx), np.linspace(0.0, 0.5, 11))
+        res = compare(out, EnvelopeOnly(approx), np.linspace(0.0, 0.5, 11))
         sups.append(res["sup_error"])
     elapsed = time.time() - t0
     decreasing = all(sups[i + 1] < sups[i] for i in range(len(sups) - 1))

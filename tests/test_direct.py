@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import rotstrip.direct as direct
 from rotstrip.params import Params
 from rotstrip.spectral import SpectralField, basis_profile
 from rotstrip.layers import BoundaryTrace, filter_resonant
@@ -84,6 +85,25 @@ class TestSolveDirect:
         with pytest.raises(ValueError, match="dt"):
             solve_direct(SpectralField({(1, 0, 1): 1.0}), None, p,
                          t_end=0.1, dt=p.epsilon, Nz=64)
+
+    def test_rejects_negative_t_end(self):
+        p = Params(1e-2, 1e-2)
+        with pytest.raises(ValueError, match=r"t_end=-0\.05"):
+            solve_direct(SpectralField({(1, 0, 1): 1.0}), None, p, t_end=-0.05, Nz=64)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3])
+    def test_rejects_nonpositive_dt(self, dt):
+        p = Params(1e-2, 1e-2)
+        with pytest.raises(ValueError, match=f"dt={dt}"):
+            solve_direct(SpectralField({(1, 0, 1): 1.0}), None, p, t_end=0.05, dt=dt, Nz=64)
+
+    def test_rejects_stress_without_diffusion(self):
+        # the stress condition is a viscous one: dropping it would return a
+        # zero trajectory for a forced column
+        p = Params(1e-2, 1e-2, beta=1.0)
+        sigma = BoundaryTrace(1, {(0.0, (1, 0)): np.array([1.0, 0.0])})
+        with pytest.raises(ValueError, match="diffusion"):
+            solve_direct(SpectralField({}), sigma, p, t_end=0.05, Nz=64, diffusion=False)
 
     def test_t_end_off_the_step_grid_is_reached(self):
         # 0.01 / 1.02e-4 = 98.04 steps: take 99 shorter steps, end at t_end
@@ -261,12 +281,108 @@ class TestStepDiagnostics:
         assert set(out) == {(0, 0), (1, 0), (1, 1)}
         self._check(out, p, dt, stress)
 
+    def test_cumulative_residual_is_the_running_sum(self):
+        p = Params(1e-2, 1e-2, beta=1.0)
+        stress = {(1, 1): [(0.5, np.array([1.0, 0.5j]))]}
+        sigma = BoundaryTrace(1, {(0.5, (1, 1)): stress[(1, 1)][0][1]})
+        dt = p.epsilon / 10
+        out = solve_direct(SpectralField({(1, 0, 1): 1.0}), sigma, p, t_end=40 * dt, dt=dt,
+                           Nz=96, save_every=1)
+        for k_h, traj in out.items():
+            _, _, resid, scale = _nodal_balance(traj, p, dt, stress.get(k_h, []))
+            cum = [r["cumulative_energy_residual"] for r in traj.diagnostics]
+            np.testing.assert_allclose(cum, np.cumsum(resid) * dt, rtol=0.0,
+                                       atol=1e-10 * scale * dt * len(cum))
+
     def test_inviscid_column(self):
         p = Params(1e-2, 1e-2)
         dt = p.epsilon / 50
         out = solve_direct(SpectralField({(1, 0, 1): 1.0, (1, 0, -2): 0.5j}), None, p,
                            t_end=40 * dt, dt=dt, Nz=96, save_every=1, diffusion=False)
         self._check(out, p, dt, {}, diffusion=False)
+
+
+def _rotation(k, ref):
+    theta = math.atan2(k[1], k[0]) - math.atan2(ref[1], ref[0])
+    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
+def _sup_rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestShellBatching:
+    """solve_direct steps all columns of a |k_h|^2 shell as one block, with
+    u_h written in the frame (k_h/|k_h|, k_h^perp/|k_h|)."""
+
+    def test_columns_match_physical_frame_systems(self):
+        # one shell (|k_h|^2 = 5): stress at two frequencies on one column,
+        # one more on another, initial data on the third
+        p = Params(1e-2, 1e-2, beta=1.0)
+        dt, nsteps, Nz = p.epsilon / 10, 30, 96
+        stress = {(1, 2): [(0.0, np.array([1.0, 0.5j])), (0.5, np.array([-0.3, 0.8]))],
+                  (2, 1): [(0.5, np.array([0.2j, 1.0]))]}
+        sigma = BoundaryTrace(1, {(mu, k): v for k, e in stress.items() for mu, v in e})
+        gamma = SpectralField({(-2, 1, 1): 1.0, (-2, 1, -2): 0.3j})
+        out = solve_direct(gamma, sigma, p, t_end=nsteps * dt, dt=dt, Nz=Nz, save_every=1)
+        assert set(out) == {(1, 2), (2, 1), (-2, 1)}
+        for k_h, traj in out.items():
+            ref = _ModeSystem(k_h, p, traj.z, dt)
+            x = ref.state(gamma.profile(k_h, traj.z).T[None])
+            for n, (u, pr) in enumerate(traj.snapshots):
+                if n > 0:
+                    g = sum(p.beta * v * np.exp(1j * mu * (n - 0.5) * dt / p.epsilon)
+                            for mu, v in stress.get(k_h, []))
+                    x = ref.step(x, None if k_h not in stress else g[:, None])
+                if n == 0 and k_h in stress:  # zero initial data
+                    assert not np.any(u) and not np.any(pr)
+                    continue
+                u_ref = ref.velocity(x)[0]
+                assert _sup_rel(u, u_ref) < 1e-12, (k_h, n)
+                if n > 0:
+                    assert _sup_rel(pr, ref.pressure(x)[0]) < 1e-10, (k_h, n)
+                assert traj.diagnostics[n]["energy"] == pytest.approx(
+                    ref.energy(x)[0], rel=1e-12)
+
+    def test_one_factorisation_per_shell(self, monkeypatch):
+        calls = []
+        zgbtrf = direct.zgbtrf
+
+        def counting_zgbtrf(*args, **kwargs):
+            calls.append(args[0].shape)
+            return zgbtrf(*args, **kwargs)
+
+        monkeypatch.setattr(direct, "zgbtrf", counting_zgbtrf)
+        p = Params(1e-2, 1e-2, beta=1.0)
+        columns = [(k1, k2) for k1 in range(-2, 3) for k2 in range(-2, 3)]
+        sigma = BoundaryTrace(1, {(0.0, k): np.array([1.0, 0.5j]) for k in columns})
+        out = solve_direct(SpectralField({}), sigma, p, t_end=p.epsilon / 10, Nz=64)
+        assert len(out) == 25
+        assert len(calls) == 6  # |k_h|^2 in {0, 1, 2, 4, 5, 8}
+
+    def test_rotated_columns_agree(self):
+        # a stress turned with k_h drives a turned trajectory
+        p = Params(1e-2, 1e-2, beta=1.0)
+        dt = p.epsilon / 10
+        v = np.array([0.7 - 0.2j, 0.4j])
+        for shell in ([(2, 1), (1, 2), (-1, 2), (-2, -1), (1, -2)],
+                      [(1, 0), (0, 1), (-1, 0), (0, -1)]):
+            ref = shell[0]
+            sigma = BoundaryTrace(1, {(0.5, k): _rotation(k, ref) @ v for k in shell})
+            out = solve_direct(SpectralField({}), sigma, p, t_end=20 * dt, dt=dt, Nz=96,
+                               save_every=4)
+            for k in shell[1:]:
+                R = _rotation(k, ref)
+                for n, ((u_ref, p_ref), (u, pr)) in enumerate(
+                        zip(out[ref].snapshots, out[k].snapshots)):
+                    if n == 0:
+                        continue  # zero initial data
+                    turned = u_ref.copy()
+                    turned[:, :2] = u_ref[:, :2] @ R.T
+                    assert _sup_rel(u, turned) < 1e-12, (k, n)
+                    assert _sup_rel(pr, p_ref) < 1e-12, (k, n)
+                    assert out[k].diagnostics[n]["energy"] == pytest.approx(
+                        out[ref].diagnostics[n]["energy"], rel=1e-12)
 
 
 def test_band_width_independent_of_nz():

@@ -13,8 +13,9 @@ from rotstrip.layers import BoundaryTrace
 from rotstrip.correctors import assemble_dirichlet_approx
 from rotstrip.direct import solve_direct
 from rotstrip.harness import (
+    DEFAULT_TOLERANCES,
+    EnvelopeOnly,
     ExperimentSpec,
-    _EnvelopeOnly,
     compare,
     regress_loglog,
     run,
@@ -57,6 +58,34 @@ class TestSpecValidation:
     def test_mismatched_grids_rejected(self):
         with pytest.raises(ValueError, match="nu grid"):
             ExperimentSpec(kind="bl_scaling", epsilon=[1e-3, 1e-4], nu=[1e-3])
+
+    def test_unknown_tolerance_key_rejected(self):
+        # a misspelled key must not leave the default in force
+        with pytest.raises(ValueError, match="ekman_rate_rell"):
+            ExperimentSpec(kind="ekman_rate", epsilon=[1e-2],
+                           tolerances={"ekman_rate_rell": 0.5})
+
+    def test_known_tolerance_key_overrides_default(self):
+        spec = ExperimentSpec(kind="ekman_rate", epsilon=[1e-2],
+                              tolerances={"ekman_rate_rel": 0.5})
+        assert spec.tolerances["ekman_rate_rel"] == 0.5
+        assert set(spec.tolerances) == set(DEFAULT_TOLERANCES)
+
+
+def test_wind_norm_slope_tolerance_read_from_spec(tmp_path):
+    assert DEFAULT_TOLERANCES["wind_norm_slope"] == 0.05
+    checks = {}
+    for tag, tolerances in (("default", {}), ("zero", {"wind_norm_slope": 0.0})):
+        spec = ExperimentSpec(kind="wind_convergence", epsilon=[1e-2, 5e-3, 2.5e-3],
+                              beta=[1.0], t_end=0.02, Nz=128, save_every=5,
+                              out=str(tmp_path / tag), tolerances=tolerances)
+        checks[tag] = {c["name"]: c for c in run(spec)["checks"]}["wind_norm_slope"]
+    assert checks["default"]["tolerance"] == "0.75+-0.05"
+    assert checks["default"]["passed"]
+    # the same slope, now held to a zero tolerance
+    assert checks["zero"]["value"] == checks["default"]["value"] != 0.75
+    assert checks["zero"]["tolerance"] == "0.75+-0.0"
+    assert not checks["zero"]["passed"]
 
 
 class TestRun:
@@ -194,7 +223,7 @@ class TestCompare:
         gamma = SpectralField({(1, 0, 1): 1.0})
         out = solve_direct(gamma, None, p, t_end=0.2, Nz=192, save_every=10)
         approx = assemble_dirichlet_approx(gamma, p)
-        res = compare(out, _EnvelopeOnly(approx), np.linspace(0.0, 0.2, 6))
+        res = compare(out, EnvelopeOnly(approx), np.linspace(0.0, 0.2, 6))
         assert res["sup_error"] < 0.5 * gamma.norm()
         assert not res["attribution_flags"]
 
