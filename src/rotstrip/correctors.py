@@ -22,7 +22,6 @@ from .params import Params
 from .spectral import (
     SpectralField,
     basis_normal,
-    basis_profile,
     eigenvalue,
     euclidean_norm,
     weighted_norm,
@@ -455,7 +454,7 @@ def scaling_check(params: Params, C: float = 1.0, alpha0: float = 0.55):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class ExpAmplitude:
     s0: complex
     rate: complex = 0j  # Re >= 0
@@ -468,7 +467,11 @@ class ExpAmplitude:
 
 
 class OscillatingPoly:
-    """Sum of polynomial lift fields with phases e^{i mu t/eps} e^{-rate t}."""
+    """Sum of polynomial lift fields with phases e^{i mu t/eps} e^{-rate t}.
+
+    A column is evaluated from one coefficient array: the entries' phased
+    power-series coefficients (Polynomials on the default domain and window)
+    are summed and evaluated once through a Vandermonde matrix."""
 
     def __init__(self, params: Params, entries=None):
         self.params = params
@@ -480,11 +483,20 @@ class OscillatingPoly:
 
     def hat_profile(self, k_h, t, z):
         z = np.asarray(z, dtype=float)
-        out = np.zeros((3,) + z.shape, dtype=complex)
+        k_h = _kh_tuple(k_h)
+        terms = []
         for f, mu, rate in self.entries:
-            phase = np.exp(1j * mu * t / self.params.epsilon - rate * t)
-            out += f.hat_profile(k_h, z) * phase
-        return out
+            polys = f.modes.get(k_h)
+            if polys is not None:
+                phase = np.exp(1j * mu * t / self.params.epsilon - rate * t)
+                terms.extend((c, phase * p.coef) for c, p in enumerate(polys))
+        if not terms:
+            return np.zeros((3,) + z.shape, dtype=complex)
+        combined = np.zeros((3, max(len(coef) for _, coef in terms)), dtype=complex)
+        for c, coef in terms:
+            combined[c, :len(coef)] += coef
+        values = combined @ np.vander(z.ravel(), combined.shape[1], increasing=True).T
+        return values.reshape((3,) + z.shape)
 
     def horizontal_modes(self):
         ks = set()
@@ -493,47 +505,77 @@ class OscillatingPoly:
         return sorted(ks)
 
     def l2_norm(self, t: float) -> float:
+        xg, wg = _GAUSS_Z
+        z = 0.5 * (xg + 1.0)
         total = 0.0
         for k_h in self.horizontal_modes():
-            combined = [Polynomial([0.0]) for _ in range(3)]
-            for f, mu, rate in self.entries:
-                polys = f.modes.get(k_h)
-                if polys is None:
-                    continue
-                phase = np.exp(1j * mu * t / self.params.epsilon - rate * t)
-                for c in range(3):
-                    combined[c] = combined[c] + phase * polys[c]
-            total += sum(_poly_l2_sq(p) for p in combined)
+            values = self.hat_profile(k_h, t, z)
+            total += float(np.sum(0.5 * wg * np.abs(values) ** 2))
         return 2.0 * math.pi * math.sqrt(total)
 
 
 class SpectralPart:
-    """Interior eigenmode sum: sum_l amp_l(t) e^{-i lambda_l t / eps} N_l."""
+    """Interior eigenmode sum: sum_l amp_l(t) e^{-i lambda_l t / eps} N_l.
+
+    The modes are kept grouped by column k_h together with pi l3, lambda_l
+    and n(l), so hat_profile evaluates a column in blocks of CHUNK modes:
+    one cos/sin block and one real matrix product per block.  The block size
+    bounds the trig arrays (CHUNK x len(z)) whatever the number of modes.
+    """
+
+    CHUNK = 64
 
     def __init__(self, params: Params, amplitudes=None):
         self.params = params
-        self.amplitudes = dict(amplitudes) if amplitudes else {}  # mode -> [amps]
+        self.amplitudes = {}  # mode -> [amps]
+        self._columns = {}  # k_h -> [modes] in order of addition
+        self._arrays = {}  # k_h -> (modes, pi l3, lambda_l, n(l)); dropped when a mode joins
+        for mode, amps in (amplitudes or {}).items():
+            for a in amps:
+                self.add(mode, a)
 
     def add(self, mode, amplitude):
-        self.amplitudes.setdefault(tuple(int(c) for c in mode), []).append(amplitude)
+        mode = tuple(int(c) for c in mode)
+        if mode not in self.amplitudes:
+            self.amplitudes[mode] = []
+            self._columns.setdefault(mode[:2], []).append(mode)
+            self._arrays.pop(mode[:2], None)
+        self.amplitudes[mode].append(amplitude)
 
     def coefficient(self, mode, t):
         return sum(a(t) for a in self.amplitudes.get(mode, []))
 
+    def _column(self, k_h):
+        arrays = self._arrays.get(k_h)
+        if arrays is None and k_h in self._columns:
+            modes = self._columns[k_h]
+            arrays = (modes, np.array([math.pi * m[2] for m in modes]),
+                      np.array([eigenvalue(m) for m in modes]),
+                      np.array([basis_normal(m) for m in modes]))
+            self._arrays[k_h] = arrays
+        return arrays
+
     def hat_profile(self, k_h, t, z):
         z = np.asarray(z, dtype=float)
-        out = np.zeros((3,) + z.shape, dtype=complex)
-        k_h = _kh_tuple(k_h)
-        for mode in sorted(self.amplitudes):
-            if (mode[0], mode[1]) != k_h:
-                continue
-            c = self.coefficient(mode, t)
-            phase = np.exp(-1j * eigenvalue(mode) * t / self.params.epsilon)
-            out += c * phase * basis_profile(mode, z)
-        return out
+        column = self._column(_kh_tuple(k_h))
+        if column is None:
+            return np.zeros((3,) + z.shape, dtype=complex)
+        modes, wave, lam, normals = column
+        coef = np.array([self.coefficient(m, t) for m in modes], dtype=complex)
+        coef *= np.exp(-1j * lam * t / self.params.epsilon)
+        # rows (Re u1, Im u1, Re u2, Im u2, Re u3, Im u3) of each mode
+        amp = (coef[:, None] * normals).view(float)
+        zf = z.ravel()
+        acc = np.zeros((6, zf.size))
+        for s in range(0, len(modes), self.CHUNK):
+            arg = np.multiply.outer(wave[s:s + self.CHUNK], zf)
+            block = amp[s:s + self.CHUNK]
+            acc[:4] += block[:, :4].T @ np.cos(arg)
+            acc[4:] += block[:, 4:].T @ np.sin(arg)
+        return (acc[0::2] + 1j * acc[1::2]).reshape((3,) + z.shape)
 
     def horizontal_modes(self):
-        return sorted({(m[0], m[1]) for m in self.amplitudes})
+        return sorted(self._columns)
 
     def field_at(self, t) -> SpectralField:
         return SpectralField({m: self.coefficient(m, t) for m in self.amplitudes})
@@ -552,24 +594,29 @@ class ModulatedBL:
 
     def __init__(self, params: Params, entries=None):
         self.params = params
-        self.entries = list(entries) if entries else []  # (BoundaryLayerSolution, rate)
+        self.entries = []  # (BoundaryLayerSolution, rate)
+        self._columns = {}  # k_h -> the entries with a profile on k_h, in order
+        for sol, rate in entries or ():
+            self._append(sol, rate)
 
     def add(self, sol, rate=0j):
         if sol.groups() or sol.resonant:
-            self.entries.append((sol, complex(rate)))
+            self._append(sol, complex(rate))
+
+    def _append(self, sol, rate):
+        self.entries.append((sol, rate))
+        for k_h in sol.horizontal_modes():
+            self._columns.setdefault(k_h, []).append((sol, rate))
 
     def hat_profile(self, k_h, t, z):
         z = np.asarray(z, dtype=float)
         out = np.zeros((3,) + z.shape, dtype=complex)
-        for sol, rate in self.entries:
+        for sol, rate in self._columns.get(_kh_tuple(k_h), ()):
             out += sol.hat_profile(k_h, t, z) * np.exp(-rate * t)
         return out
 
     def horizontal_modes(self):
-        ks = set()
-        for sol, _ in self.entries:
-            ks.update(sol.horizontal_modes())
-        return sorted(ks)
+        return sorted(self._columns)
 
     def l2_norm(self, t: float) -> float:
         total = 0.0
@@ -918,7 +965,7 @@ def assemble_wind_approx(sigma: BoundaryTrace, params: Params, s0: float = 2.0,
     return sol
 
 
-@dataclass
+@dataclass(slots=True)
 class _PhasedExp:
     """Amplitude s0 e^{i phi t/eps} e^{-rate t} relative to the e^{-i lambda_l t/eps}
     carrier: used to express the inhomogeneous Duhamel piece as an amplitude."""

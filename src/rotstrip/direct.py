@@ -51,21 +51,23 @@ def graded_nodes(Nz: int, delta: float, min_wall_nodes: int = 8,
     if Nz < 4 * min_wall_nodes:
         raise ValueError(f"Nz={Nz} too small: need at least {4 * min_wall_nodes} nodes")
     xi = np.linspace(0.0, 1.0, Nz + 1)
+    # the bisection only compares node min_wall_nodes: map that node alone
+    probe = xi[min_wall_nodes:min_wall_nodes + 1]
 
-    def nodes(s):
-        return 0.5 * (1.0 + np.tanh(s * (2.0 * xi - 1.0)) / math.tanh(s))
+    def nodes(s, x=xi):
+        return 0.5 * (1.0 + np.tanh(s * (2.0 * x - 1.0)) / math.tanh(s))
 
     if delta >= min_wall_nodes / Nz:
         return xi  # uniform grid already resolves the layer
     lo, hi = 1e-3, max_strength
-    if nodes(hi)[min_wall_nodes] > delta:
+    if nodes(hi, probe)[0] > delta:
         raise ValueError(
             f"cannot place {min_wall_nodes} nodes within delta={delta:.3e} of the wall "
             f"with Nz={Nz}: increase Nz (roughly Nz >= {int(min_wall_nodes / delta ** 0.5)})"
         )
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if nodes(mid)[min_wall_nodes] > delta:
+        if nodes(mid, probe)[0] > delta:
             lo = mid
         else:
             hi = mid

@@ -98,8 +98,11 @@ def ekman_limit_coefficient(k) -> tuple:
 def damping_rate(k, params: Params) -> complex:
     """Full linear rate of c_k: |k_h|^2 + nu'*k3^2 + sqrt(nu/eps)*A_k."""
     k = tuple(int(c) for c in k)
+    return _damping_from(k, ekman_coefficient(k, params).A, params)
+
+
+def _damping_from(k, A: complex, params: Params) -> complex:
     kh2 = k[0] ** 2 + k[1] ** 2
-    A = ekman_coefficient(k, params).A
     return kh2 + params.nu_prime * k[2] ** 2 + math.sqrt(params.nu / params.epsilon) * A
 
 
@@ -183,11 +186,13 @@ def trace_s_norm(values: dict, s: float) -> float:
 
 
 def damping_table(modes, params: Params):
-    """Rows (k, lambda_k, A_k, R_k, I_k) for the per-mode damping CSV."""
+    """Rows (k, lambda_k, A_k, R_k, I_k) for the per-mode damping CSV; A_k is
+    computed once per row and the damping rate formed from it."""
     rows = []
     for k in sorted(tuple(int(c) for c in m) for m in modes):
         lam = eigenvalue(k)
         A = ekman_coefficient(k, params).A
+        damping = _damping_from(k, A, params)
         if k[0] == 0 and k[1] == 0:
             R = I = float("nan")
         else:
@@ -197,8 +202,8 @@ def damping_table(modes, params: Params):
             "lambda": lam,
             "A_real": A.real, "A_imag": A.imag,
             "R": R, "I": I,
-            "damping_real": damping_rate(k, params).real,
-            "damping_imag": damping_rate(k, params).imag,
+            "damping_real": damping.real,
+            "damping_imag": damping.imag,
             "euclidean_norm": euclidean_norm(k),
         })
     return rows

@@ -380,16 +380,16 @@ class ModeProfileGroup:
         return np.exp(1j * self.mu * t / self.params.epsilon)
 
     def hat_profile(self, z) -> np.ndarray:
-        """Hat coefficient of e^{i k_h.x_h}, shape (3,) + shape(z), no phase."""
+        """Hat coefficient of e^{i k_h.x_h}, shape (3,) + shape(z), no phase.
+
+        One exponential per component serves all three velocity components:
+        the (3, ncomp) amplitude table times exp(-outer(q, zeta))."""
         zeta = self._zeta(z)
-        out = np.zeros((3,) + zeta.shape, dtype=complex)
-        for (amp, q) in self.horizontal_amplitudes():
-            e = np.exp(-q * zeta)
-            out[0] += amp[0] * e
-            out[1] += amp[1] * e
-        for (amp, q) in self.vertical_amplitudes():
-            out[2] += amp * np.exp(-q * zeta)
-        return out
+        horizontal = self.horizontal_amplitudes()
+        q = np.array([q for _, q in horizontal])
+        amps = np.array([[h[0], h[1], v] for (h, _), (v, _) in
+                         zip(horizontal, self.vertical_amplitudes())])
+        return np.tensordot(amps.T, np.exp(-np.multiply.outer(q, zeta)), axes=1)
 
     def evaluate(self, t: float, x) -> np.ndarray:
         x1, x2, z = (np.asarray(c) for c in x)

@@ -232,6 +232,44 @@ def test_criterion_6_convergence_at_desk_scale():
     assert passed
 
 
+def test_full_dirichlet_hierarchy_against_direct():
+    """The whole assembled approximation, not only its envelope: after the
+    initial layer its error falls with eps and stays below the envelope's,
+    and at t = 0 it equals the ledger's recorded initial mismatch."""
+    t0 = time.time()
+    gamma = SpectralField({(1, 0, 1): 1.0})
+    from rotstrip.correctors import assemble_dirichlet_approx
+    from rotstrip.harness import EnvelopeOnly, compare
+
+    full_errs, env_errs, start_ratios, flags = [], [], [], 0
+    for eps in (1e-2, 3e-3):
+        p = Params(eps, eps)
+        out = solve_direct(gamma, None, p, t_end=0.5, dt=eps / 50.0, Nz=512,
+                           save_every=50)
+        approx = assemble_dirichlet_approx(gamma, p)
+        times = np.linspace(0.0, 0.5, 11)
+        full = compare(out, approx, times)
+        envelope = compare(out, EnvelopeOnly(approx), times)
+        late = [i for i, t in enumerate(full["times"]) if 0.1 <= t <= 0.5]
+        full_errs.append(max(full["errors"][i] for i in late))
+        env_errs.append(max(envelope["errors"][i] for i in late))
+        assert full["times"][0] == 0.0
+        start_ratios.append(full["errors"][0] / approx.residuals["initial_mismatch"])
+        flags += len(full["attribution_flags"])
+    elapsed = time.time() - t0
+    decreasing = full_errs[1] < full_errs[0]
+    below_envelope = all(f < e for f, e in zip(full_errs, env_errs))
+    ledger_ok = all(abs(r - 1.0) <= 0.01 for r in start_ratios)
+    passed = decreasing and below_envelope and ledger_ok and flags == 0
+    record_acceptance("full Dirichlet hierarchy", passed,
+                      f"max error on [0.1, 0.5] {[f'{e:.4f}' for e in full_errs]} strictly "
+                      f"decreasing: {decreasing}, below envelope "
+                      f"{[f'{e:.4f}' for e in env_errs]}: {below_envelope}; t=0 error / "
+                      f"initial_mismatch {[f'{r:.4f}' for r in start_ratios]}; "
+                      f"{flags} attribution flags, {elapsed:.0f}s")
+    assert passed
+
+
 def test_criterion_7_ekman_pumping_rate():
     t0 = time.time()
     p = Params(1e-3, 1e-3)

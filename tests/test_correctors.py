@@ -6,17 +6,27 @@ import numpy as np
 import pytest
 
 from rotstrip.params import Params
+from numpy.polynomial import Polynomial
+
 from rotstrip.spectral import (
     SpectralField,
     StripQuadrature,
     basis_normal,
+    basis_profile,
     eigenvalue,
     euclidean_norm,
 )
-from rotstrip.layers import BoundaryTrace
+from rotstrip.layers import BoundaryTrace, build_B, empty_trace
 from rotstrip.correctors import (
+    ExpAmplitude,
     ExpSource,
+    ModulatedBL,
+    OscillatingPoly,
     SourceTable,
+    SpectralPart,
+    _PhasedExp,
+    _norm_grid,
+    _poly_l2_sq,
     assemble_dirichlet_approx,
     assemble_wind_approx,
     divisor_bounds,
@@ -540,3 +550,122 @@ class TestDirichletAssembly:
                 assert norms[n] < prev[n] + 1e-12
                 prev[n] = norms[n]
             assert norms["interior_envelope"] > 0.5
+
+
+# -- column-wise evaluation against the per-mode and per-entry formulas -------
+
+
+def spectral_reference(part, k_h, t, z):
+    """sum_l c_l(t) e^{-i lambda_l t/eps} basis_profile(l, z), one mode at a time."""
+    out = np.zeros((3,) + z.shape, dtype=complex)
+    for mode in sorted(part.amplitudes):
+        if mode[:2] == tuple(k_h):
+            phase = np.exp(-1j * eigenvalue(mode) * t / part.params.epsilon)
+            out += part.coefficient(mode, t) * phase * basis_profile(mode, z)
+    return out
+
+
+def poly_reference_l2(osc, t):
+    """The Polynomial sum per column plus _poly_l2_sq."""
+    total = 0.0
+    for k_h in osc.horizontal_modes():
+        combined = [Polynomial([0.0]) for _ in range(3)]
+        for f, mu, rate in osc.entries:
+            polys = f.modes.get(k_h)
+            if polys is not None:
+                phase = np.exp(1j * mu * t / osc.params.epsilon - rate * t)
+                combined = [combined[c] + phase * polys[c] for c in range(3)]
+        total += sum(_poly_l2_sq(p) for p in combined)
+    return 2.0 * math.pi * math.sqrt(total)
+
+
+def assert_column_close(got, ref, rel=1e-10):
+    scale = max(float(np.max(np.abs(ref))), 1e-300)
+    assert float(np.max(np.abs(got - ref))) <= rel * scale
+
+
+class TestColumnEvaluation:
+    def spectral_part(self, p, k_h, l3s, seed):
+        rng = np.random.default_rng(seed)
+        part = SpectralPart(p)
+        for l3 in l3s:
+            mode = (k_h[0], k_h[1], l3)
+            s0 = complex(rng.standard_normal(), rng.standard_normal())
+            part.add(mode, ExpAmplitude(s0, rng.uniform(0.0, 3.0)))
+            if l3 % 3 == 0:
+                part.add(mode, _PhasedExp(0.5 * s0, rng.uniform(-1.0, 1.0), p.epsilon, 1.0))
+        return part
+
+    def test_spectral_column_matches_per_mode_sum(self):
+        p = Params(1e-3, 1e-3)
+        l3s = [l3 for l3 in range(-80, 81) if l3 != 0]
+        assert len(l3s) > 2 * SpectralPart.CHUNK + 1  # several blocks and a partial tail
+        part = self.spectral_part(p, (1, 0), l3s, seed=3)
+        z = _norm_grid(p, 800)
+        for t in (0.0, 0.137, 0.5):
+            assert_column_close(part.hat_profile((1, 0), t, z),
+                                spectral_reference(part, (1, 0), t, z))
+        assert not np.any(part.hat_profile((0, 1), 0.2, z))
+
+    def test_spectral_column_added_after_evaluation(self):
+        p = Params(1e-2, 1e-2)
+        part = self.spectral_part(p, (1, 2), range(1, 5), seed=4)
+        z = np.linspace(0.0, 1.0, 301)
+        t = 0.31
+        part.hat_profile((1, 2), t, z)
+        # a new column, and new modes on the column evaluated already
+        part.add((2, -1, 3), ExpAmplitude(1.0 - 2j, 0.4))
+        part.add((1, 2, -7), ExpAmplitude(0.3j, 0.1))
+        part.add((1, 2, 2), ExpAmplitude(0.2, 0.0))
+        assert part.horizontal_modes() == [(1, 2), (2, -1)]
+        for k_h in part.horizontal_modes():
+            assert_column_close(part.hat_profile(k_h, t, z),
+                                spectral_reference(part, k_h, t, z))
+
+    def test_assembled_spectral_parts_match_per_mode_sum(self):
+        p = Params(1e-4, 1e-4)
+        sol = assemble_dirichlet_approx(
+            SpectralField({(1, 0, 1): 1.0, (0, 1, -1): 0.7j, (1, 1, 2): 0.5}), p)
+        z = _norm_grid(p, 800)
+        for name in ("interior_envelope", "oscillating_corrector"):
+            part = sol.parts[name]
+            for k_h in part.horizontal_modes():
+                assert_column_close(part.hat_profile(k_h, 0.3, z),
+                                    spectral_reference(part, k_h, 0.3, z))
+
+    def test_oscillating_poly_matches_polynomial_sum(self):
+        p = Params(1e-3, 1e-3)
+        osc = OscillatingPoly(p)
+        # mixed degrees on one column: 2-, 4- and 5-term coefficient arrays
+        osc.add(lift_interior_vint1({(1, 0): 0.3 - 0.2j, (0, 2): 1.0}), 0.4, 0.2)
+        osc.add(stopping_lift({(1, 0): (np.array([1.0, 2j]), 0.5)},
+                              {(1, 0): (np.array([0.1, 0.0]), -0.25j)}), -0.7, 1.5)
+        osc.add(lift_interior_vint0({(1, 0): 0.2j}, {(1, 0): 0.1}, p), 0.0)
+        z = np.linspace(0.0, 1.0, 201)
+        for t in (0.0, 0.05, 0.3):
+            assert osc.l2_norm(t) == pytest.approx(poly_reference_l2(osc, t), rel=1e-12)
+            for k_h in osc.horizontal_modes():
+                ref = sum(f.hat_profile(k_h, z) * np.exp(1j * mu * t / p.epsilon - rate * t)
+                          for f, mu, rate in osc.entries)
+                assert_column_close(osc.hat_profile(k_h, t, z), ref, rel=1e-13)
+
+    def test_modulated_layers_match_sum_over_entries(self):
+        p = Params(1e-3, 1e-3)
+        sol = assemble_dirichlet_approx(
+            SpectralField({(1, 0, 1): 1.0, (1, 0, 2): 0.5j, (0, 1, 2): 0.3}), p)
+        z = _norm_grid(p, 400)
+        for name in ("bottom_layer", "secondary_layer"):
+            part = sol.parts[name]
+            assert isinstance(part, ModulatedBL)
+            # several entries share a column
+            assert (sum(len(s.horizontal_modes()) for s, _ in part.entries)
+                    > len(part.horizontal_modes()))
+            for k_h in part.horizontal_modes() + [(3, 3)]:
+                ref = sum(s.hat_profile(k_h, 0.2, z) * np.exp(-rate * 0.2)
+                          for s, rate in part.entries)
+                assert np.array_equal(part.hat_profile(k_h, 0.2, z), ref)
+        layer = build_B(BoundaryTrace(0, {(0.3, (1, 1)): [1.0, 0.5j]}), empty_trace(1), p)
+        part = ModulatedBL(p, [(layer, 0.7)])
+        assert part.horizontal_modes() == [(1, 1)]
+        assert np.array_equal(part.hat_profile((1, 1), 0.2, z),
+                              layer.hat_profile((1, 1), 0.2, z) * np.exp(-0.7 * 0.2))

@@ -43,6 +43,43 @@ class TestGrid:
         with pytest.raises(ValueError, match="too small"):
             graded_nodes(16, 1e-3)
 
+    def test_bisection_on_one_node_matches_full_grid(self):
+        def full_grid_reference(Nz, delta, m=8, max_strength=30.0):
+            """The bisection evaluating the tanh map on the whole grid each step."""
+            xi = np.linspace(0.0, 1.0, Nz + 1)
+
+            def nodes(s):
+                return 0.5 * (1.0 + np.tanh(s * (2.0 * xi - 1.0)) / math.tanh(s))
+
+            if delta >= m / Nz:
+                return xi
+            lo, hi = 1e-3, max_strength
+            if nodes(hi)[m] > delta:
+                return None
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if nodes(mid)[m] > delta:
+                    lo = mid
+                else:
+                    hi = mid
+            return nodes(hi)
+
+        checked = 0
+        for Nz in (32, 48, 100, 128, 256, 512, 1024):
+            for delta in np.geomspace(1e-5, 0.5, 40):
+                ref = full_grid_reference(Nz, float(delta))
+                if ref is None:
+                    with pytest.raises(ValueError, match="increase Nz"):
+                        graded_nodes(Nz, float(delta))
+                    continue
+                if np.max(np.diff(ref)) > 0.05:
+                    with pytest.raises(ValueError, match="core spacing"):
+                        graded_nodes(Nz, float(delta))
+                    continue
+                assert np.array_equal(graded_nodes(Nz, float(delta)), ref)
+                checked += 1
+        assert checked > 100
+
     def test_weights_sum_to_one(self):
         z = graded_nodes(128, 1e-3)
         assert np.sum(node_weights(z)) == pytest.approx(1.0, abs=1e-14)

@@ -216,3 +216,19 @@ def test_damping_table_rows():
     assert by_mode[(1, 0, 1)]["lambda"] == pytest.approx(eigenvalue((1, 0, 1)))
     assert math.isnan(by_mode[(0, 0, 1)]["R"])
     assert by_mode[(1, 0, 1)]["A_real"] > 0
+
+
+def test_damping_table_rows_equal_damping_rate():
+    p = Params(1e-3, 2e-3)
+    modes = [(a, b, c) for a in range(-2, 3) for b in range(-1, 2) for c in range(-2, 3)
+             if (a, b, c) != (0, 0, 0)]
+    for row in damping_table(modes, p):
+        k = (row["k1"], row["k2"], row["k3"])
+        rate = damping_rate(k, p)
+        A = ekman_coefficient(k, p).A
+        assert (row["damping_real"], row["damping_imag"]) == (rate.real, rate.imag)
+        assert (row["A_real"], row["A_imag"]) == (A.real, A.imag)
+        if k[:2] == (0, 0):
+            assert math.isnan(row["R"]) and math.isnan(row["I"])
+        else:
+            assert (row["R"], row["I"]) == ekman_limit_coefficient(k)

@@ -294,6 +294,25 @@ class TestProfiles:
             ratio = g.l2_norm_3() / g.l2_norm_h()
             assert ratio < 10.0 * math.sqrt(p.eps_nu)
 
+    def test_hat_profile_matches_per_component_loop(self):
+        p = Params(1e-3, 1e-3)
+        z = np.linspace(0.0, 1.0, 257)
+        for side, mu, k_h in [(0, 0.3, (1, -2)), (1, 0.5, (2, 1)), (0, 1.0, (1, 1)),
+                              (1, -1.0, (0, 1)), (0, 2.0, (0, 0))]:
+            sol = single_mode_solution(side, mu, k_h, np.array([1.0 - 0.5j, 0.3j]), p)
+            for g in sol.groups():
+                zeta = z if side == 0 else 1.0 - z
+                ref = np.zeros((3,) + z.shape, dtype=complex)
+                for amp, q in g.horizontal_amplitudes():
+                    ref[:2] += np.multiply.outer(amp, np.exp(-q * zeta))
+                for amp, q in g.vertical_amplitudes():
+                    ref[2] += amp * np.exp(-q * zeta)
+                got = g.hat_profile(z)
+                assert got.shape == ref.shape
+                for c in range(3):
+                    scale = max(float(np.max(np.abs(ref[c]))), 1e-300)
+                    assert float(np.max(np.abs(got[c] - ref[c]))) <= 1e-14 * scale
+
 
 class TestProfileW:
     def test_bottom_trace_and_vlambda_prefactors(self):
