@@ -11,7 +11,7 @@ initially wall-trapped response occupies the full depth.
 import numpy as np
 
 from rotstrip import BoundaryTrace, Params, SpectralField, build_B, empty_trace, solve_direct
-from rotstrip.correctors import StressColumnResponse
+from rotstrip.correctors import HeatColumn
 from rotstrip.direct import l2_norm
 
 print(__doc__)
@@ -28,7 +28,7 @@ traj = out[(0, 0)]
 
 bl = build_B(empty_trace(0), sigma.scaled(p.beta), p)
 (layer,) = bl.resonant
-strip = StressColumnResponse.from_resonant_layer(layer, p)
+strip = HeatColumn.from_resonant_layer(layer, p)
 
 print("\n   t      nu*t   ||u_direct||   rel.err vs self-similar   rel.err vs strip")
 for i, t in enumerate(traj.times):

@@ -41,8 +41,8 @@ from .envelope import (
 )
 from .correctors import (
     ExpSource,
+    HeatColumn,
     SourceTable,
-    StressColumnResponse,
     assemble_dirichlet_approx,
     assemble_wind_approx,
     divisor_bounds,

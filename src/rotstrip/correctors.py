@@ -26,7 +26,7 @@ from .spectral import (
     euclidean_norm,
     weighted_norm,
 )
-from .layers import BoundaryTrace, build_B, empty_trace
+from .layers import BoundaryTrace, _amplitude_l2, build_B, empty_trace
 from .envelope import ekman_coefficient, suction_coefficient
 
 _GAUSS_Z = np.polynomial.legendre.leggauss(24)
@@ -104,18 +104,6 @@ class ZPolyField:
     def dz_horizontal_trace(self, wall: int) -> dict:
         return {k_h: np.array([polys[0].deriv()(float(wall)), polys[1].deriv()(float(wall))])
                 for k_h, polys in self.items()}
-
-    def scaled(self, factor: complex) -> "ZPolyField":
-        return ZPolyField({k: tuple(factor * p for p in polys) for k, polys in self.items()})
-
-    def __add__(self, other: "ZPolyField") -> "ZPolyField":
-        out = {k: tuple(polys) for k, polys in self.items()}
-        for k, polys in other.items():
-            if k in out:
-                out[k] = tuple(out[k][c] + polys[c] for c in range(3))
-            else:
-                out[k] = tuple(polys)
-        return ZPolyField(out)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +450,19 @@ class ExpAmplitude:
     def __call__(self, t):
         return self.s0 * np.exp(-self.rate * t)
 
-    def derivative_bound(self) -> float:
-        return abs(self.s0) * abs(self.rate)
+
+@dataclass(slots=True)
+class _PhasedExp:
+    """Amplitude s0 e^{i phi t/eps} e^{-rate t} relative to the e^{-i lambda_l t/eps}
+    carrier: used to express the inhomogeneous Duhamel piece as an amplitude."""
+
+    s0: complex
+    phi: float
+    eps: float
+    rate: complex = 0j
+
+    def __call__(self, t):
+        return self.s0 * np.exp(1j * self.phi * t / self.eps - self.rate * t)
 
 
 class OscillatingPoly:
@@ -473,9 +472,9 @@ class OscillatingPoly:
     power-series coefficients (Polynomials on the default domain and window)
     are summed and evaluated once through a Vandermonde matrix."""
 
-    def __init__(self, params: Params, entries=None):
+    def __init__(self, params: Params):
         self.params = params
-        self.entries = list(entries) if entries else []  # (ZPolyField, mu, rate)
+        self.entries = []  # (ZPolyField, mu, rate)
 
     def add(self, field_, mu, rate=0j):
         if field_.modes:
@@ -525,14 +524,11 @@ class SpectralPart:
 
     CHUNK = 64
 
-    def __init__(self, params: Params, amplitudes=None):
+    def __init__(self, params: Params):
         self.params = params
         self.amplitudes = {}  # mode -> [amps]
         self._columns = {}  # k_h -> [modes] in order of addition
         self._arrays = {}  # k_h -> (modes, pi l3, lambda_l, n(l)); dropped when a mode joins
-        for mode, amps in (amplitudes or {}).items():
-            for a in amps:
-                self.add(mode, a)
 
     def add(self, mode, amplitude):
         mode = tuple(int(c) for c in mode)
@@ -577,20 +573,13 @@ class SpectralPart:
     def horizontal_modes(self):
         return sorted(self._columns)
 
-    def field_at(self, t) -> SpectralField:
-        return SpectralField({m: self.coefficient(m, t) for m in self.amplitudes})
-
     def l2_norm(self, t: float) -> float:
         return math.sqrt(sum(abs(self.coefficient(m, t)) ** 2 for m in self.amplitudes))
 
-    def derivative_bound(self) -> float:
-        """sum_l |dt amp_l| majorant (for frozen-coefficient errors)."""
-        return sum(a.derivative_bound() for amps in self.amplitudes.values() for a in amps
-                   if isinstance(a, ExpAmplitude))
-
 
 class ModulatedBL:
-    """Boundary layer solutions with slow exponential amplitude modulation."""
+    """Boundary layer solutions with slow exponential amplitude modulation:
+    the sum over entries (layer, rate) of layer(t) e^{-rate t}."""
 
     def __init__(self, params: Params, entries=None):
         self.params = params
@@ -619,59 +608,82 @@ class ModulatedBL:
         return sorted(self._columns)
 
     def l2_norm(self, t: float) -> float:
+        """Exact L2 norm at time t.  On each column the exponential components
+        of every entry, times e^{-rate t} and their phase, enter one
+        closed-form Gram sum, so cross terms between entries count; this needs
+        the column's layers on one wall.  The resonant k_h = 0 layers are
+        added in quadrature: the classical remainder sharing their column
+        carries the orthogonal circular polarisation."""
         total = 0.0
+        for k_h, entries in self._columns.items():
+            amps, rates, sides = [], [], set()
+            for sol, rate in entries:
+                damp = np.exp(-rate * t)
+                for g in sol.groups():
+                    if g.k_h == k_h:
+                        a, q = g.amplitude_table()
+                        amps.append(a * (damp * g.phase(t)))
+                        rates.append(q)
+                        sides.add(g.side)
+            if len(sides) > 1:
+                raise ValueError(f"column {k_h} holds layers of both walls; "
+                                 "a modulated layer lives on one wall")
+            if amps:
+                total += _amplitude_l2(np.concatenate(amps), np.concatenate(rates)) ** 2
         for sol, rate in self.entries:
-            damp = abs(np.exp(-rate * t)) ** 2
-            for part in ("classical", "quasi_resonant"):
-                total += damp * (sol.part_norm_h(part, t) ** 2 + sol.part_norm_3(part, t) ** 2)
-            total += damp * sol.part_norm_h("resonant", t) ** 2
+            total += abs(np.exp(-rate * t)) ** 2 * sol.part_norm_h("resonant", t) ** 2
         return math.sqrt(total)
 
-    def vertical_wall_traces(self):
-        """[(mu, k_h, rate, value_at_z0, value_at_z1)] over all groups."""
-        rows = []
-        for sol, rate in self.entries:
-            for g in sol.groups():
-                v0 = g.vertical_trace(0)
-                v1 = g.vertical_trace(1)
-                rows.append((g.mu, g.k_h, rate, v0, v1))
-        return rows
+    def frozen_dt_bound(self) -> float:
+        """Majorant of the equation defect from slowly modulating layers built
+        for frozen amplitudes: sum over entries of |rate| times the layer's
+        norm (root-sum-square over its groups)."""
+        return sum(abs(rate) * math.sqrt(sum(g.l2_norm_h() ** 2 + g.l2_norm_3() ** 2
+                                             for g in sol.groups()))
+                   for sol, rate in self.entries)
 
     def horizontal_wall_trace_norm(self, wall: int) -> float:
-        total = 0.0
-        for sol, _ in self.entries:
-            for g in sol.groups():
-                total += float(np.sum(np.abs(g.horizontal_trace(wall)) ** 2))
-        return math.sqrt(total)
+        return self._trace_norm(lambda g: g.horizontal_trace(wall))
 
     def dz_horizontal_trace_norm(self, wall: int) -> float:
-        total = 0.0
-        for sol, _ in self.entries:
-            for g in sol.groups():
-                total += float(np.sum(np.abs(g.dz_horizontal_trace(wall)) ** 2))
-        return math.sqrt(total)
+        return self._trace_norm(lambda g: g.dz_horizontal_trace(wall))
+
+    def _trace_norm(self, trace) -> float:
+        return math.sqrt(sum(float(np.sum(np.abs(trace(g)) ** 2))
+                             for sol, _ in self.entries for g in sol.groups()))
 
 
-class ResonantColumnPart:
-    """Resonant k_h = 0 response of the Dirichlet problem on the strip.
+class HeatColumn:
+    """Resonant k_h = 0 response of the strip to one constant filtered wall
+    datum g: the filtered column solves the heat equation with conductivity
+    nu.  Side 0: value g at the bottom, stress-free top; side 1: stress g at
+    the top, no-slip bottom.  With w_m = (m+1/2) pi,
 
-    The filtered column satisfies the heat equation with Dirichlet data at
-    z = 0 and a stress-free top; expanding over sin((m+1/2) pi z) gives, for
-    a constant filtered boundary value g,
-        v(t, z) = g [1 - sum_m b_m e^{-nu ((m+1/2)pi)^2 t} sin((m+1/2)pi z)],
-    b_m = 2/((m+1/2)pi).  Bounded by |g| uniformly in time; for nu t << 1 it
-    agrees with the half-space self-similar profile up to exponentially small
-    terms.
+        side 0:  v(t, z) = g [1 - sum_m 2/w_m e^{-nu w_m^2 t} sin(w_m z)],
+        side 1:  v(t, z) = g [z - sum_m 2(-1)^m/w_m^2 e^{-nu w_m^2 t} sin(w_m z)],
+
+    exact at both walls at every t (sin(0) = cos(w_m) = 0).  Side 0 stays
+    bounded by |g| uniformly in time; side 1 grows from 0 toward the linear
+    shear g z on the 1/nu time scale, the destabilization of the whole
+    column.  For nu t << 1 each matches its wall's half-space self-similar
+    profile up to exponentially small terms.
     """
 
     M_MODES = 400
 
-    def __init__(self, params: Params, entries=None):
+    def __init__(self, params: Params, side: int, entries=None):
+        if side not in (0, 1):
+            raise ValueError("side must be 0 (bottom value) or 1 (top stress)")
         self.params = params
+        self.side = side
         self.entries = list(entries) if entries else []  # (m=+-1, amplitude g)
         m = np.arange(self.M_MODES)
         self._freqs = (m + 0.5) * math.pi
-        self._coeffs = 2.0 / self._freqs
+        self._coeffs = 2.0 / self._freqs if side == 0 else 2.0 * (-1.0) ** m / self._freqs ** 2
+
+    @classmethod
+    def from_resonant_layer(cls, layer, params: Params):
+        return cls(params, layer.side, [(e.mu, e.amplitude) for e in layer.entries])
 
     def add(self, mu_sign: float, amplitude: complex):
         if amplitude != 0:
@@ -681,66 +693,7 @@ class ResonantColumnPart:
         z = np.asarray(z, dtype=float)
         decay = np.exp(-self.params.nu * self._freqs ** 2 * t)
         theta = np.tensordot(self._coeffs * decay, np.sin(np.outer(self._freqs, z)), axes=(0, 0))
-        return 1.0 - theta
-
-    def hat_profile(self, k_h, t, z):
-        z = np.asarray(z, dtype=float)
-        out = np.zeros((3,) + z.shape, dtype=complex)
-        if _kh_tuple(k_h) != (0, 0):
-            return out
-        shape = self._shape(t, z)
-        for m, g in self.entries:
-            pol = np.array([1.0, 1j * m, 0.0])
-            phase = np.exp(1j * m * t / self.params.epsilon)
-            out += np.multiply.outer(g * phase * pol, shape)
-        return out
-
-    def horizontal_modes(self):
-        return [(0, 0)] if self.entries else []
-
-    def l2_norm(self, t: float) -> float:
-        xg, wg = _GAUSS_Z
-        z = 0.5 * (xg + 1.0)
-        shape_sq = float(np.sum(0.5 * wg * self._shape(t, z) ** 2))
-        total = sum(2.0 * abs(g) ** 2 * shape_sq for _, g in self.entries)
-        return 2.0 * math.pi * math.sqrt(total)
-
-
-class StressColumnResponse:
-    """Resonant k_h = 0 response of the stress-forced strip: the filtered
-    column satisfies the heat equation with no-slip bottom and constant
-    filtered stress g at the top,
-
-        v(t, z) = g [z - sum_m 2(-1)^m/w_m^2 e^{-nu w_m^2 t} sin(w_m z)],
-
-    w_m = (m+1/2) pi.  The top flux is exact at every t (cos(w_m) = 0), the
-    bottom value is exactly zero, and v grows from 0 toward the linear-shear
-    steady state g z on the 1/nu time scale: the destabilization of the whole
-    column.  For nu t << 1 it matches the half-space self-similar profile up
-    to exponentially small terms.
-    """
-
-    M_MODES = 400
-
-    def __init__(self, params: Params, entries=None):
-        self.params = params
-        self.entries = list(entries) if entries else []  # (m=+-1, amplitude g)
-        m = np.arange(self.M_MODES)
-        self._freqs = (m + 0.5) * math.pi
-        self._coeffs = 2.0 * (-1.0) ** m / self._freqs ** 2
-
-    @classmethod
-    def from_resonant_layer(cls, layer, params: Params):
-        if layer.side != 1:
-            raise ValueError("stress response is built from a top-side resonant layer")
-        return cls(params, [(e.mu, e.amplitude) for e in layer.entries])
-
-    def _shape(self, t, z):
-        z = np.asarray(z, dtype=float)
-        decay = np.exp(-self.params.nu * self._freqs ** 2 * t)
-        theta = np.tensordot(self._coeffs * decay,
-                             np.sin(np.outer(self._freqs, z)), axes=(0, 0))
-        return z - theta
+        return (1.0 if self.side == 0 else z) - theta
 
     def hat_profile(self, k_h, t, z):
         z = np.asarray(z, dtype=float)
@@ -799,12 +752,13 @@ class ApproxSolution:
     def part_norms(self, t: float) -> dict:
         return {name: p.l2_norm(t) for name, p in self.parts.items()}
 
-    def total_norm(self, t: float, nz: int = 800) -> float:
-        """L2 norm of the full sum on a wall-refined grid."""
+    def total_norm(self, t: float, nz: int = 800, include=None) -> float:
+        """L2 norm of the sum of the parts named in `include` (all parts when
+        None) on a wall-refined grid."""
         z = _norm_grid(self.params, nz)
         total = 0.0
         for k_h in self.horizontal_modes():
-            prof = self.hat_profile(k_h, t, z)
+            prof = self.hat_profile(k_h, t, z, include)
             dens = np.sum(np.abs(prof) ** 2, axis=0)
             total += np.trapezoid(dens, z)
         return 2.0 * math.pi * math.sqrt(total)
@@ -827,200 +781,54 @@ def _norm_grid(params: Params, nz: int) -> np.ndarray:
     return np.unique(np.concatenate([[0.0], lower, core, 1.0 - lower[::-1], [1.0]]))
 
 
-# -- wind-driven assembly ----------------------------------------------------
+# -- stages shared by the assemblies -----------------------------------------
 
 
-def assemble_wind_approx(sigma: BoundaryTrace, params: Params, s0: float = 2.0,
-                         check_scaling: bool = True) -> ApproxSolution:
-    """Approximate solution of the wind-forced problem (zero initial data).
+def _bottom_layer(table: dict, params: Params):
+    """The layer operator on a bottom Dirichlet trace {(mu, k_h): 2-vector}."""
+    return build_B(BoundaryTrace(0, table), empty_trace(1), params)
 
-    Parts: the surface layer B(0, beta sigma); the flux corrector v_int
-    restoring zero flux at z = 1 under the quasi-resonant layer; the
-    truncated oscillating interior corrector absorbing the flux corrector's
-    fast defect; the secondary bottom layer cancelling the horizontal traces
-    those correctors leave at z = 0; and the final divergence-free stopping
-    lift for the remaining (compatible) vertical traces.
-    """
-    if sigma.side != 1:
-        raise ValueError("wind stress acts on the surface (side 1)")
-    eps, nu, beta = params.epsilon, params.nu, params.beta
-    meta = {}
-    if check_scaling:
-        ok, diag = scaling_check(params)
-        meta["scaling_ok"] = ok
-        meta["scaling"] = diag
-        if not ok:
-            warnings.warn("stress amplitude violates the smallness scaling; "
-                          "assembly proceeds but convergence is not guaranteed",
-                          stacklevel=2)
 
-    surface_layer = build_B(empty_trace(0), sigma.scaled(beta), params)
-    regime = "wind_small_nu" if nu <= eps else "wind_large_nu"
-    K = truncation_choice(params, regime, s0=s0)
-    meta["K"] = K
-    residuals = {}
+def _truncate(k_h, K: int, source):
+    """Source values s(l) over the column's modes l = (k_h, l3), |l3| <= 4 max(K, 1):
+    the kept (l, s) pairs with |l| <= K, and sum |s|^2 over the dropped tail.
+    Zero sources are skipped."""
+    kept, tail_sq = [], 0.0
+    n = 4 * max(K, 1)
+    for l3 in range(-n, n + 1):
+        l = (k_h[0], k_h[1], l3)
+        s = source(l)
+        if s == 0:
+            continue
+        if euclidean_norm(l) > K:
+            tail_sq += abs(s) ** 2
+        else:
+            kept.append((l, s))
+    return kept, tail_sq
 
-    # flux corrector for the quasi-resonant vertical trace at z = 1
-    flux_traces = {}
-    for g in surface_layer.quasi_resonant:
-        tau = g.vertical_trace(1)
-        if tau != 0:
-            flux_traces.setdefault((g.mu, g.k_h), 0j)
-            flux_traces[(g.mu, g.k_h)] += tau
-    v_int = OscillatingPoly(params)
-    for (mu, k_h), tau in sorted(flux_traces.items()):
-        v_int.add(lift_interior_vint1({k_h: tau}), mu)
 
-    # oscillating interior corrector: absorb the fast defect of v_int
-    osc = SpectralPart(params)
-    tail_source_sq = 0.0
-    tail_response_sq = 0.0
-    bottom_trace_constant = {}  # (mu, k_h) -> accumulated horizontal 2-vector
-    bottom_trace_decaying = []  # (mode l, ExpAmplitude on n_h(l))
-    for (mu, k_h), tau in sorted(flux_traces.items()):
-        kh2 = k_h[0] ** 2 + k_h[1] ** 2
-        delta3 = -tau
-        q = delta3 * (1.0 + 1j * mu / (eps * kh2))
-        r = delta3 / (eps * kh2)
-        for l3 in range(-max(K, 1) * 4, max(K, 1) * 4 + 1):
-            l = (k_h[0], k_h[1], l3)
-            F1, F2 = scalar_product_forms(l)
-            s_val = -(q * F1 + r * F2)
-            if s_val == 0:
-                continue
-            if euclidean_norm(l) > K:
-                tail_source_sq += abs(s_val) ** 2
-                tail_response_sq += abs(s_val * eps) ** 2
-                continue
-            lam_l = eigenvalue(l)
-            kappa = mode_decay_constant(l, params)
-            delta = 1j * (lam_l + mu) / eps + kappa
-            # zero-initial-data Duhamel: s/delta (e^{i(lam+mu)t/eps} - e^{-kappa t})
-            osc.add(l, _PhasedExp(s_val / delta, mu - (-lam_l), eps, 0j))
-            osc.add(l, ExpAmplitude(-s_val / delta, kappa))
-            nh = basis_normal(l)[:2]
-            key = (mu, k_h)
-            bottom_trace_constant.setdefault(key, np.zeros(2, dtype=complex))
-            bottom_trace_constant[key] += (s_val / delta) * nh
-            bottom_trace_decaying.append((l, s_val / delta, kappa, nh))
-    residuals["truncated_source_norm"] = math.sqrt(tail_source_sq)
-    residuals["truncated_response_norm"] = math.sqrt(tail_response_sq)
-    residuals["frozen_coefficient_dt"] = _frozen_dt_bound(bottom_trace_decaying, params)
+def _vertical_wall_traces(layer: ModulatedBL, walls) -> list:
+    """[(mu, rate, k_h, wall, vertical value)] of every group of the layer."""
+    return [(g.mu, rate, g.k_h, wall, g.vertical_trace(wall))
+            for sol, rate in layer.entries for g in sol.groups() for wall in walls]
 
-    # secondary bottom layer: cancel horizontal traces of v_int and osc at z=0
-    secondary = ModulatedBL(params)
-    steady_table = {}
-    for (mu, k_h), tau in sorted(flux_traces.items()):
-        kh2 = k_h[0] ** 2 + k_h[1] ** 2
-        vh = -1j * np.array(k_h) * tau / kh2
-        steady_table[(mu, k_h)] = -vh
-    for key, vec in bottom_trace_constant.items():
-        steady_table.setdefault(key, np.zeros(2, dtype=complex))
-        steady_table[key] -= vec
-    if steady_table:
-        secondary.add(build_B(BoundaryTrace(0, steady_table), empty_trace(1), params), 0j)
-    for (l, coeff, kappa, nh) in bottom_trace_decaying:
-        table = {(-eigenvalue(l), (l[0], l[1])): coeff * nh}  # minus the -e^{-kappa t} piece
-        secondary.add(build_B(BoundaryTrace(0, table), empty_trace(1), params), kappa)
 
-    # stopping lift: remaining vertical traces, grouped by phase family
-    lift = OscillatingPoly(params)
-    lift_rows = {}
-
-    def _push(mu, rate, k_h, side, value):
+def _stopping_lifts(params: Params, rows) -> OscillatingPoly:
+    """Stopping lifts cancelling the vertical wall values of `rows`
+    (mu, rate, k_h, wall, value): one lift per (mu, rate) family, in order
+    of mu and Re(rate)."""
+    families = {}
+    for mu, rate, k_h, wall, value in rows:
         if value == 0:
-            return
-        key = (mu, complex(rate))
-        lift_rows.setdefault(key, {0: {}, 1: {}})
-        lift_rows[key][side][k_h] = lift_rows[key][side].get(k_h, 0j) + value
-
-    for g in surface_layer.classical:
-        _push(g.mu, 0j, g.k_h, 0, -g.vertical_trace(0))
-        _push(g.mu, 0j, g.k_h, 1, -g.vertical_trace(1))
-    for g in surface_layer.quasi_resonant:
-        _push(g.mu, 0j, g.k_h, 0, -g.vertical_trace(0))
-        # z=1 flux handled exactly by v_int
-    for (mu, k_h, rate, v0, v1) in secondary.vertical_wall_traces():
-        _push(mu, rate, k_h, 0, -v0)
-        _push(mu, rate, k_h, 1, -v1)
-    for (mu, rate), sides in sorted(lift_rows.items(), key=lambda kv: (kv[0][0], kv[0][1].real)):
-        d0 = {k: (np.zeros(2, dtype=complex), v) for k, v in sides[0].items()}
-        d1 = {k: (np.zeros(2, dtype=complex), v) for k, v in sides[1].items()}
-        w = stopping_lift(d0, d1)
-        lift.add(w, mu, rate)
-
-    parts = {
-        "surface_layer": _BLPartAdapter(surface_layer),
-        "flux_corrector": v_int,
-        "oscillating_corrector": osc,
-        "secondary_layer": secondary,
-        "stopping_lift": lift,
-    }
-    residuals["stopping_lift_equation"] = _lift_equation_bound(lift, params)
-    residuals["bottom_horizontal_trace"] = _bl_wall_trace_norm(surface_layer, wall=0)
-    residuals["secondary_top_traces"] = (
-        secondary.horizontal_wall_trace_norm(1) + secondary.dz_horizontal_trace_norm(1))
-    sol = ApproxSolution(params=params, parts=parts, residuals=residuals, meta=meta)
-    residuals["initial_mismatch"] = sol.total_norm(0.0)
-    return sol
-
-
-@dataclass(slots=True)
-class _PhasedExp:
-    """Amplitude s0 e^{i phi t/eps} e^{-rate t} relative to the e^{-i lambda_l t/eps}
-    carrier: used to express the inhomogeneous Duhamel piece as an amplitude."""
-
-    s0: complex
-    phi: float
-    eps: float
-    rate: complex = 0j
-
-    def __call__(self, t):
-        return self.s0 * np.exp(1j * self.phi * t / self.eps - self.rate * t)
-
-    def derivative_bound(self) -> float:
-        return abs(self.s0) * (abs(self.phi) / self.eps + abs(self.rate))
-
-
-class _BLPartAdapter:
-    """Expose a BoundaryLayerSolution with the part interface."""
-
-    def __init__(self, sol):
-        self.sol = sol
-
-    def hat_profile(self, k_h, t, z):
-        return self.sol.hat_profile(k_h, t, z)
-
-    def horizontal_modes(self):
-        return self.sol.horizontal_modes()
-
-    def l2_norm(self, t):
-        total = 0.0
-        for part in ("classical", "quasi_resonant", "resonant"):
-            total += self.sol.part_norm_h(part, t) ** 2 + self.sol.part_norm_3(part, t) ** 2
-        return math.sqrt(total)
-
-
-def _bl_wall_trace_norm(sol, wall: int) -> float:
-    total = 0.0
-    for g in sol.groups():
-        if g.side != wall:
-            total += float(np.sum(np.abs(g.horizontal_trace(wall)) ** 2))
-    return math.sqrt(total)
-
-
-def _frozen_dt_bound(rows, params: Params) -> float:
-    """Majorant of the equation defect from slowly modulating a layer built
-    for frozen amplitudes: sum_l |rate| * |w_l| * ||unit-trace layer||."""
-    total = 0.0
-    for (l, coeff, kappa, nh) in rows:
-        mu = -eigenvalue(l)
-        table = {(mu, (l[0], l[1])): nh}
-        probe = build_B(BoundaryTrace(0, table), empty_trace(1), params)
-        w = math.sqrt(probe.part_norm_h("classical") ** 2 + probe.part_norm_3("classical") ** 2
-                      + probe.part_norm_h("quasi_resonant") ** 2)
-        total += abs(kappa) * abs(coeff) * w
-    return total
+            continue
+        sides = families.setdefault((mu, complex(rate)), ({}, {}))
+        sides[wall][k_h] = sides[wall].get(k_h, 0j) - value
+    lift = OscillatingPoly(params)
+    zero2 = np.zeros(2, dtype=complex)
+    for (mu, rate), sides in sorted(families.items(), key=lambda kv: (kv[0][0], kv[0][1].real)):
+        d0, d1 = ({k: (zero2, v) for k, v in side.items()} for side in sides)
+        lift.add(stopping_lift(d0, d1), mu, rate)
+    return lift
 
 
 def _lift_equation_bound(lift: OscillatingPoly, params: Params) -> float:
@@ -1039,11 +847,113 @@ def _lift_equation_bound(lift: OscillatingPoly, params: Params) -> float:
     return total
 
 
+# -- wind-driven assembly ----------------------------------------------------
+
+
+def assemble_wind_approx(sigma: BoundaryTrace, params: Params) -> ApproxSolution:
+    """Approximate solution of the wind-forced problem (zero initial data).
+
+    Parts: the surface layer B(0, beta sigma); the flux corrector v_int
+    restoring zero flux at z = 1 under the quasi-resonant layer; the
+    truncated oscillating interior corrector absorbing the flux corrector's
+    fast defect; the secondary bottom layer cancelling the horizontal traces
+    those correctors leave at z = 0; and the final divergence-free stopping
+    lift for the remaining (compatible) vertical traces.  The stress
+    amplitude is checked against the smallness scaling (meta["scaling"]).
+    """
+    if sigma.side != 1:
+        raise ValueError("wind stress acts on the surface (side 1)")
+    eps, nu = params.epsilon, params.nu
+    ok, diag = scaling_check(params)
+    if not ok:
+        warnings.warn("stress amplitude violates the smallness scaling; "
+                      "assembly proceeds but convergence is not guaranteed",
+                      stacklevel=2)
+    K = truncation_choice(params, "wind_small_nu" if nu <= eps else "wind_large_nu")
+    meta = {"scaling_ok": ok, "scaling": diag, "K": K}
+
+    layer = build_B(empty_trace(0), sigma.scaled(params.beta), params)
+    surface = ModulatedBL(params, [(layer, 0j)])
+
+    # flux corrector for the quasi-resonant vertical trace at z = 1
+    flux = {}
+    for g in layer.quasi_resonant:
+        tau = g.vertical_trace(1)
+        if tau != 0:
+            flux[(g.mu, g.k_h)] = flux.get((g.mu, g.k_h), 0j) + tau
+    flux = dict(sorted(flux.items()))
+    v_int = OscillatingPoly(params)
+    for (mu, k_h), tau in flux.items():
+        v_int.add(lift_interior_vint1({k_h: tau}), mu)
+
+    # oscillating interior corrector for v_int's fast defect, from zero
+    # initial data; its bottom trace is steady per (mu, k_h), where it joins
+    # v_int's own, plus one piece per mode decaying at the mode's rate
+    osc = SpectralPart(params)
+    tail_sq = 0.0
+    steady = {}
+    decaying = []  # (trace table, rate)
+    for (mu, k_h), tau in flux.items():
+        kh2 = k_h[0] ** 2 + k_h[1] ** 2
+        q = -tau * (1.0 + 1j * mu / (eps * kh2))
+        r = -tau / (eps * kh2)
+
+        def source(l):
+            F1, F2 = scalar_product_forms(l)
+            return -(q * F1 + r * F2)
+
+        kept, tail = _truncate(k_h, K, source)
+        tail_sq += tail
+        steady[(mu, k_h)] = 1j * np.array(k_h) * tau / kh2  # minus v_int's value
+        for l, s in kept:
+            lam_l = eigenvalue(l)
+            kappa = mode_decay_constant(l, params)
+            w = s / (1j * (lam_l + mu) / eps + kappa)
+            # zero-initial-data Duhamel: w (e^{i(lam+mu)t/eps} - e^{-kappa t})
+            osc.add(l, _PhasedExp(w, mu + lam_l, eps))
+            osc.add(l, ExpAmplitude(-w, kappa))
+            trace = w * basis_normal(l)[:2]
+            steady[(mu, k_h)] -= trace
+            decaying.append(({(-lam_l, k_h): trace}, kappa))
+
+    # secondary bottom layer: cancel horizontal traces of v_int and osc at z=0
+    secondary = ModulatedBL(params)
+    if steady:
+        secondary.add(_bottom_layer(steady, params))
+    for table, kappa in decaying:
+        secondary.add(_bottom_layer(table, params), kappa)
+
+    # stopping lift for the remaining vertical traces; v_int carries the
+    # quasi-resonant flux at z = 1
+    rows = [r for r in _vertical_wall_traces(surface, (0, 1))
+            if r[3] == 0 or (r[0], r[2]) not in flux]
+    lift = _stopping_lifts(params, rows + _vertical_wall_traces(secondary, (0, 1)))
+
+    parts = {
+        "surface_layer": surface,
+        "flux_corrector": v_int,
+        "oscillating_corrector": osc,
+        "secondary_layer": secondary,
+        "stopping_lift": lift,
+    }
+    residuals = {
+        "truncated_source_norm": math.sqrt(tail_sq),
+        "truncated_response_norm": eps * math.sqrt(tail_sq),
+        "frozen_coefficient_dt": secondary.frozen_dt_bound(),
+        "stopping_lift_equation": _lift_equation_bound(lift, params),
+        "bottom_horizontal_trace": surface.horizontal_wall_trace_norm(0),
+        "secondary_top_traces": (secondary.horizontal_wall_trace_norm(1)
+                                 + secondary.dz_horizontal_trace_norm(1)),
+    }
+    sol = ApproxSolution(params=params, parts=parts, residuals=residuals, meta=meta)
+    residuals["initial_mismatch"] = sol.total_norm(0.0)
+    return sol
+
+
 # -- Dirichlet (initial value) assembly --------------------------------------
 
 
 def assemble_dirichlet_approx(gamma: SpectralField, params: Params,
-                              K: int | None = None,
                               corrector_variant: str = "special") -> ApproxSolution:
     """Approximate solution of the initial-value problem with homogeneous
     boundary conditions, built around the damped envelope.
@@ -1065,134 +975,90 @@ def assemble_dirichlet_approx(gamma: SpectralField, params: Params,
     if corrector_variant not in ("special", "zero_ic"):
         raise ValueError(f"unknown corrector_variant {corrector_variant!r}")
     eps, nu = params.epsilon, params.nu
-    if K is None:
-        K = truncation_choice(params, "dirichlet")
-    residuals = {}
+    K = truncation_choice(params, "dirichlet")
     meta = {"K": K, "corrector_variant": corrector_variant}
 
     modes = gamma.modes()
-    rates = {}
-    for k in modes:
-        kh2 = k[0] ** 2 + k[1] ** 2
-        A = ekman_coefficient(k, params).A
-        rates[k] = kh2 + math.sqrt(nu / eps) * A
-
+    rates = {k: k[0] ** 2 + k[1] ** 2 + math.sqrt(nu / eps) * ekman_coefficient(k, params).A
+             for k in modes}
     interior = SpectralPart(params)
     for k in modes:
         interior.add(k, ExpAmplitude(gamma[k], rates[k]))
 
-    # bottom layer from the interior's horizontal trace at z = 0
+    # bottom layer from the interior's horizontal trace at z = 0; the fully
+    # resonant k_h = 0 trace drives the strip heat column instead
     bottom = ModulatedBL(params)
-    resonant_col = ResonantColumnPart(params)
+    resonant_col = HeatColumn(params, 0)
     suction = {}
     for k in modes:
-        k_h = (k[0], k[1])
         mu = -eigenvalue(k)
-        nh = basis_normal(k)[:2]
-        if k_h == (0, 0):
-            # fully resonant trace: strip heat response with Dirichlet data
+        trace = -gamma[k] * basis_normal(k)[:2]
+        if k[:2] == (0, 0):
             m = math.copysign(1.0, mu)
-            pol = np.array([1.0, 1j * m])
-            amp = 0.5 * complex(np.vdot(pol, -gamma[k] * nh))
-            resonant_col.add(m, amp)
-            continue
-        table = {(mu, k_h): -gamma[k] * nh}
-        bottom.add(build_B(BoundaryTrace(0, table), empty_trace(1), params), rates[k])
-        suction[k] = gamma[k] * suction_coefficient(k, params)  # delta3_hat amplitude
+            resonant_col.add(m, 0.5 * complex(np.vdot(np.array([1.0, 1j * m]), trace)))
+        else:
+            bottom.add(_bottom_layer({(mu, k[:2]): trace}, params), rates[k])
+            suction[k] = gamma[k] * suction_coefficient(k, params)  # delta3_hat amplitude
 
     # interior flux lift v_int0 for the Ekman suction (delta1_3 = 0)
     v_int0 = OscillatingPoly(params)
     for k in sorted(suction):
-        k_h = (k[0], k[1])
-        mu = -eigenvalue(k)
-        f = lift_interior_vint0({k_h: suction[k]}, {}, params)
-        v_int0.add(f, mu, rates[k])
+        v_int0.add(lift_interior_vint0({k[:2]: suction[k]}, {}, params), -eigenvalue(k), rates[k])
 
-    # oscillating interior corrector for v_int0's off-diagonal fast defect
+    # oscillating interior corrector for v_int0's off-diagonal fast defect;
+    # rows collect the horizontal bottom traces per (mu, k_h, rate)
     osc = SpectralPart(params)
-    tail_source_sq = 0.0
-    tail_response_sq = 0.0
-    eta0_rows = {}  # (mu_source, k_h, rate) -> horizontal 2-vector amplitude
+    tail_sq = 0.0
+    rows = {}
 
-    def _eta0_add(mu, k_h, rate, vec):
+    def add_row(mu, k_h, rate, vec):
         key = (mu, k_h, complex(rate))
-        eta0_rows.setdefault(key, np.zeros(2, dtype=complex))
-        eta0_rows[key] += vec
+        rows[key] = rows.get(key, 0) + vec
 
     for k in sorted(suction):
-        k_h = (k[0], k[1])
+        k_h = k[:2]
         kh2 = k_h[0] ** 2 + k_h[1] ** 2
         mu = -eigenvalue(k)
         a_k = rates[k]
-        E0 = suction[k]
-        c0 = -1j * params.layer_scale * E0 / kh2
-        # v_int0's own horizontal wall value feeds the secondary layer
-        _eta0_add(mu, k_h, a_k, -(-1j * params.layer_scale * np.array(k_h) * E0 / kh2))
-        for l3 in range(-4 * max(K, 1), 4 * max(K, 1) + 1):
-            l = (k_h[0], k_h[1], l3)
-            if l == k or l == (0, 0, 0):
-                continue
-            if abs(mu + eigenvalue(l)) < 1e-12:
-                continue  # diagonal term already in the envelope equation
+        c0 = -1j * params.layer_scale * suction[k] / kh2
+        add_row(mu, k_h, a_k, -c0 * np.array(k_h))  # minus v_int0's own wall value
+
+        def source(l):
+            if l == k or abs(mu + eigenvalue(l)) < 1e-12:
+                return 0j  # diagonal term already in the envelope equation
             F1, F2 = scalar_product_forms(l)
-            G = vertical_unit_product(l)
-            F1G = F1 - kh2 * G
-            s_val = -c0 * ((1j * (a_k - kh2) + mu / eps) * F1G - 1j * F2 / eps)
-            if s_val == 0:
-                continue
-            if euclidean_norm(l) > K or abs(l3) > K:
-                tail_source_sq += abs(s_val) ** 2
-                tail_response_sq += abs(s_val * eps) ** 2
-                continue
+            F1G = F1 - kh2 * vertical_unit_product(l)
+            return -c0 * ((1j * (a_k - kh2) + mu / eps) * F1G - 1j * F2 / eps)
+
+        kept, tail = _truncate(k_h, K, source)
+        tail_sq += tail
+        for l, s in kept:
             lam_l = eigenvalue(l)
             kappa = mode_decay_constant(l, params)
-            delta = 1j * (lam_l + mu) / eps - a_k + kappa
+            w = s / (1j * (lam_l + mu) / eps - a_k + kappa)
             # decay-preserving special solution (keeps the envelope's decay)
-            osc.add(l, _PhasedExp(s_val / delta, mu + lam_l, eps, a_k))
-            nh_l = basis_normal(l)[:2]
-            _eta0_add(mu, k_h, a_k, -(s_val / delta) * nh_l)
+            osc.add(l, _PhasedExp(w, mu + lam_l, eps, a_k))
+            trace = w * basis_normal(l)[:2]
+            add_row(mu, k_h, a_k, -trace)
             if corrector_variant == "zero_ic":
                 # subtract the homogeneous transient so the corrector starts
                 # from zero; its trace decays at the mode's own rate
-                osc.add(l, ExpAmplitude(-s_val / delta, kappa))
-                _eta0_add(-lam_l, k_h, kappa, (s_val / delta) * nh_l)
-    residuals["truncated_source_norm"] = math.sqrt(tail_source_sq)
-    residuals["truncated_response_norm"] = math.sqrt(tail_response_sq)
+                osc.add(l, ExpAmplitude(-w, kappa))
+                add_row(-lam_l, k_h, kappa, trace)
 
-    # secondary bottom layer for eta0_h
-    secondary = ModulatedBL(params)
+    # secondary bottom layer for those traces, one layer per rate
     by_rate = {}
-    for (mu, k_h, rate), vec in sorted(eta0_rows.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        by_rate.setdefault(rate, {})
-        key = (mu, k_h)
-        by_rate[rate].setdefault(key, np.zeros(2, dtype=complex))
-        by_rate[rate][key] += vec
+    for (mu, k_h, rate), vec in sorted(rows.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+        by_rate.setdefault(rate, {})[(mu, k_h)] = vec
+    secondary = ModulatedBL(params)
     for rate, table in sorted(by_rate.items(), key=lambda kv: (kv[0].real, kv[0].imag)):
-        secondary.add(build_B(BoundaryTrace(0, table), empty_trace(1), params), rate)
+        secondary.add(_bottom_layer(table, params), rate)
 
-    # final stopping lift for remaining vertical traces
-    lift = OscillatingPoly(params)
-    lift_rows = {}
-
-    def _push(mu, rate, k_h, side, value):
-        if value == 0:
-            return
-        key = (mu, complex(rate))
-        lift_rows.setdefault(key, {0: {}, 1: {}})
-        lift_rows[key][side][k_h] = lift_rows[key][side].get(k_h, 0j) + value
-
-    # bottom-layer suction at z=0 is cancelled by v_int0 by construction;
-    # remaining: opposite-wall traces of both layers
-    for sol_, rate in bottom.entries + secondary.entries:
-        for g in sol_.groups():
-            _push(g.mu, rate, g.k_h, 1, -g.vertical_trace(1))
-    for sol_, rate in secondary.entries:
-        for g in sol_.groups():
-            _push(g.mu, rate, g.k_h, 0, -g.vertical_trace(0))
-    for (mu, rate), sides in sorted(lift_rows.items(), key=lambda kv: (kv[0][0], kv[0][1].real)):
-        d0 = {k: (np.zeros(2, dtype=complex), v) for k, v in sides[0].items()}
-        d1 = {k: (np.zeros(2, dtype=complex), v) for k, v in sides[1].items()}
-        lift.add(stopping_lift(d0, d1), mu, rate)
+    # stopping lift for the opposite-wall vertical traces of both layers and
+    # the secondary layer's own; v_int0 cancels the bottom layer's suction
+    lift = _stopping_lifts(params, _vertical_wall_traces(bottom, (1,))
+                           + _vertical_wall_traces(secondary, (1,))
+                           + _vertical_wall_traces(secondary, (0,)))
 
     parts = {
         "interior_envelope": interior,
@@ -1203,26 +1069,16 @@ def assemble_dirichlet_approx(gamma: SpectralField, params: Params,
         "secondary_layer": secondary,
         "stopping_lift": lift,
     }
-    residuals["eta0_vertical"] = 0.0  # exact: no top trace data was used
-    residuals["eta1_stress_trace"] = math.sqrt(sum(
-        float(np.sum(np.abs(g.dz_horizontal_trace(1)) ** 2))
-        for sol_, _ in bottom.entries + secondary.entries for g in sol_.groups()))
-    residuals["stopping_lift_equation"] = _lift_equation_bound(lift, params)
-    frozen = 0.0
-    for sol_, rate in bottom.entries + secondary.entries:
-        size = math.sqrt(sum(
-            sol_.part_norm_h(part) ** 2 + sol_.part_norm_3(part) ** 2
-            for part in ("classical", "quasi_resonant")))
-        frozen += abs(rate) * size
-    residuals["frozen_coefficient_dt"] = frozen
+    residuals = {
+        "truncated_source_norm": math.sqrt(tail_sq),
+        "truncated_response_norm": eps * math.sqrt(tail_sq),
+        "eta0_vertical": 0.0,  # exact: no top trace data was used
+        "eta1_stress_trace": math.hypot(bottom.dz_horizontal_trace_norm(1),
+                                        secondary.dz_horizontal_trace_norm(1)),
+        "stopping_lift_equation": _lift_equation_bound(lift, params),
+        "frozen_coefficient_dt": bottom.frozen_dt_bound() + secondary.frozen_dt_bound(),
+    }
     sol = ApproxSolution(params=params, parts=parts, residuals=residuals, meta=meta)
-    mismatch_parts = [p for name, p in parts.items() if name != "interior_envelope"]
-    z = _norm_grid(params, 600)
-    total = 0.0
-    for k_h in sol.horizontal_modes():
-        prof = np.zeros((3,) + z.shape, dtype=complex)
-        for p in mismatch_parts:
-            prof += p.hat_profile(k_h, 0.0, z)
-        total += np.trapezoid(np.sum(np.abs(prof) ** 2, axis=0), z)
-    residuals["initial_mismatch"] = 2.0 * math.pi * math.sqrt(total)
+    residuals["initial_mismatch"] = sol.total_norm(
+        0.0, 600, include=[name for name in parts if name != "interior_envelope"])
     return sol

@@ -20,7 +20,7 @@ from .params import Params
 from .spectral import SpectralField
 from .layers import BoundaryTrace, build_B, empty_trace
 from .envelope import damping_rate, damping_table, evolve_c
-from .correctors import assemble_dirichlet_approx, assemble_wind_approx
+from .correctors import HeatColumn, assemble_dirichlet_approx, assemble_wind_approx
 from .direct import fit_decay, l2_norm, solve_direct
 
 KINDS = ("bl_scaling", "resonant_growth", "wind_convergence",
@@ -143,40 +143,42 @@ def compare(direct: dict, approx, times, attribution_tol: float = 1e-3):
     """Sup-over-times L2 differences between a direct solve and an assembled
     approximation, with per-part attribution.
 
-    direct: {k_h: ModeTrajectory}; approx must expose hat_profile(k_h, t, z)
-    and (for attribution) a parts dict.  Returns a dict with the error curve,
-    per-part norms, and an attribution-completeness flag: dropping one part
-    must not change the error by more than that part's norm (triangle
-    inequality); violations beyond the quadrature-vs-Parseval metric slack
-    indicate an evaluation bug and are flagged.
+    direct: {k_h: ModeTrajectory}; approx exposes hat_profile(k_h, t, z) and
+    a parts dict whose profiles sum to it.  Each part is evaluated once per
+    column and time; a target with no parts is evaluated through its own
+    hat_profile.  Returns a dict with the error curve, per-part norms, and
+    an attribution-completeness flag: dropping one part must not change the
+    error by more than that part's norm (triangle inequality); violations
+    beyond the quadrature-vs-Parseval metric slack indicate an evaluation
+    bug and are flagged.
     """
     times = list(times)
     some = next(iter(direct.values()))
     saved = np.asarray(some.times)
-    parts = getattr(approx, "parts", {})
-    names = list(parts)
+    parts = approx.parts
     curve = []
-    part_norms = {n: [] for n in names}
+    part_norms = {n: [] for n in parts}
     flags = []
     for t in times:
         idx = int(np.argmin(np.abs(saved - t)))
         t_actual = float(saved[idx])
         err_sq = 0.0
-        err_wo = {n: 0.0 for n in names}
+        err_wo = {n: 0.0 for n in parts}
         for k_h, traj in sorted(direct.items()):
             u = traj.snapshots[idx][0]  # (Nz+1, 3)
             w = traj.weights
-            prof = approx.hat_profile(k_h, t_actual, traj.z)
+            profs = {n: p.hat_profile(k_h, t_actual, traj.z) for n, p in parts.items()}
+            prof = (sum(profs.values(), np.zeros(u.T.shape, dtype=complex)) if profs
+                    else approx.hat_profile(k_h, t_actual, traj.z))
             diff = u.T - prof
             err_sq += float(np.sum(w * np.sum(np.abs(diff) ** 2, axis=0)))
-            for n in names:
-                pn = parts[n].hat_profile(k_h, t_actual, traj.z)
+            for n, pn in profs.items():
                 d2 = diff + pn  # dropping part n
                 err_wo[n] += float(np.sum(w * np.sum(np.abs(d2) ** 2, axis=0)))
         err = 2.0 * math.pi * math.sqrt(err_sq)
         curve.append((t_actual, err))
-        for n in names:
-            norm_n = parts[n].l2_norm(t_actual)
+        for n, p in parts.items():
+            norm_n = p.l2_norm(t_actual)
             part_norms[n].append(norm_n)
             err_n = 2.0 * math.pi * math.sqrt(err_wo[n])
             slack = attribution_tol * (1.0 + norm_n + err)
@@ -209,7 +211,7 @@ class EnvelopeOnly:
 # ---------------------------------------------------------------------------
 
 
-def _exp_bl_scaling(spec: ExperimentSpec, outdir):
+def _exp_bl_scaling(spec: ExperimentSpec, outdir, parallel):
     tol = spec.tolerances
     rows = []
     for j, side in ((0, 0), (1, 1)):
@@ -237,7 +239,7 @@ def _exp_bl_scaling(spec: ExperimentSpec, outdir):
                ["kind", "side", "epsilon", "nu", "x", "norm_h"], rows)
 
 
-def _exp_resonant_growth(spec: ExperimentSpec, outdir):
+def _exp_resonant_growth(spec: ExperimentSpec, outdir, parallel):
     tol = spec.tolerances
     eps, nu, _ = spec.grid()[0]
     p = Params(eps, nu)
@@ -300,7 +302,7 @@ def _ekman_point(job):
             "rel_error": abs(fit.rate.real - pred.real) / pred.real}
 
 
-def _exp_ekman_rate(spec: ExperimentSpec, outdir, parallel=1):
+def _exp_ekman_rate(spec: ExperimentSpec, outdir, parallel):
     tol = spec.tolerances
     jobs = [(asdict(spec), pt, _point_dir(outdir, i)) for i, pt in enumerate(spec.grid())]
     results = _map_points(_ekman_point, jobs, parallel)
@@ -332,7 +334,7 @@ def _dirichlet_point(job):
             "times": res["times"], "errors": res["errors"]}
 
 
-def _exp_dirichlet_convergence(spec: ExperimentSpec, outdir, parallel=1):
+def _exp_dirichlet_convergence(spec: ExperimentSpec, outdir, parallel):
     tol = spec.tolerances
     gamma_norm = 1.0  # single unit mode
     jobs = [(asdict(spec), pt, _point_dir(outdir, i)) for i, pt in enumerate(spec.grid())]
@@ -380,7 +382,7 @@ def _wind_point(job):
             "sup_approx": sup_app, "sup_direct": sup_direct}
 
 
-def _exp_wind_convergence(spec: ExperimentSpec, outdir, parallel=1):
+def _exp_wind_convergence(spec: ExperimentSpec, outdir, parallel):
     tol = spec.tolerances
     grid = spec.grid()
     i_direct = int(np.argmin([eps for eps, _, _ in grid]))
@@ -408,19 +410,17 @@ def _exp_wind_convergence(spec: ExperimentSpec, outdir, parallel=1):
                      abs(reg.slope - 0.75) <= tol["wind_norm_slope"])
 
 
-def _exp_destabilization(spec: ExperimentSpec, outdir):
+def _exp_destabilization(spec: ExperimentSpec, outdir, parallel):
     """Resonant k_h = 0 stress run toward nu*t = O(1): the response fills the
     column.  Two references: the half-space self-similar profile (valid while
     the layer is clear of the bottom, nu*t <~ 0.1) and the strip heat response
     with no-slip bottom, valid on the whole window."""
-    from .correctors import StressColumnResponse
-
     eps, nu, beta = spec.grid()[0]
     p = Params(eps, nu, beta=beta if beta else 1.0)
     sigma = BoundaryTrace(1, {(1.0, (0, 0)): np.array([1.0, 1j])})
     bl = build_B(empty_trace(0), sigma.scaled(p.beta), p)
     (layer,) = bl.resonant
-    strip = StressColumnResponse.from_resonant_layer(layer, p)
+    strip = HeatColumn.from_resonant_layer(layer, p)
     Nz = spec.Nz
     out = solve_direct(SpectralField({}), sigma, p, t_end=spec.t_end,
                        dt=eps / spec.dt_factor, Nz=Nz, save_every=spec.save_every,
@@ -459,6 +459,8 @@ def _exp_destabilization(spec: ExperimentSpec, outdir):
                  frac >= spec.tolerances["interior_fraction_min"])
 
 
+#: each experiment is a generator of checks taking (spec, outdir, parallel);
+#: the single-point ones ignore parallel
 _EXPERIMENTS = {
     "bl_scaling": _exp_bl_scaling,
     "resonant_growth": _exp_resonant_growth,
@@ -478,15 +480,8 @@ def run(spec: ExperimentSpec, parallel: int = 1) -> dict:
     os.makedirs(outdir, exist_ok=True)
     checks = []
     errors = []
-    fn = _EXPERIMENTS[spec.kind]
     try:
-        import inspect
-
-        if "parallel" in inspect.signature(fn).parameters:
-            gen = fn(spec, outdir, parallel=parallel)
-        else:
-            gen = fn(spec, outdir)
-        for check in gen:
+        for check in _EXPERIMENTS[spec.kind](spec, outdir, parallel):
             checks.append(check)
     except Exception as exc:  # partial failures are recorded, not fatal
         errors.append(f"{type(exc).__name__}: {exc}")

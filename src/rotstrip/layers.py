@@ -370,6 +370,15 @@ class ModeProfileGroup:
             out.append((amp, q))
         return out
 
+    def amplitude_table(self):
+        """(amps, q): the (ncomp, 3) amplitudes of (u1, u2, u3) and the
+        decay rates, the profile being sum_m amps[m] exp(-q_m zeta)."""
+        horizontal = self.horizontal_amplitudes()
+        q = np.array([q for _, q in horizontal])
+        amps = np.array([[h[0], h[1], v] for (h, _), (v, _) in
+                         zip(horizontal, self.vertical_amplitudes())])
+        return amps, q
+
     def _zeta(self, z):
         z = np.asarray(z, dtype=float)
         return z if self.side == 0 else 1.0 - z
@@ -384,12 +393,8 @@ class ModeProfileGroup:
 
         One exponential per component serves all three velocity components:
         the (3, ncomp) amplitude table times exp(-outer(q, zeta))."""
-        zeta = self._zeta(z)
-        horizontal = self.horizontal_amplitudes()
-        q = np.array([q for _, q in horizontal])
-        amps = np.array([[h[0], h[1], v] for (h, _), (v, _) in
-                         zip(horizontal, self.vertical_amplitudes())])
-        return np.tensordot(amps.T, np.exp(-np.multiply.outer(q, zeta)), axes=1)
+        amps, q = self.amplitude_table()
+        return np.tensordot(amps.T, np.exp(-np.multiply.outer(q, self._zeta(z))), axes=1)
 
     def evaluate(self, t: float, x) -> np.ndarray:
         x1, x2, z = (np.asarray(c) for c in x)
@@ -421,10 +426,12 @@ class ModeProfileGroup:
     # -- norms ----------------------------------------------------------------
 
     def l2_norm_h(self) -> float:
-        return _amplitude_l2(self.horizontal_amplitudes())
+        amps, q = self.amplitude_table()
+        return _amplitude_l2(amps[:, :2], q)
 
     def l2_norm_3(self) -> float:
-        return _amplitude_l2([(np.array([a]), q) for (a, q) in self.vertical_amplitudes()])
+        amps, q = self.amplitude_table()
+        return _amplitude_l2(amps[:, 2:], q)
 
 
 def profile_W(side: int, lam: complex, w, mu: float, k_h, params: Params,
@@ -444,18 +451,15 @@ def profile_W(side: int, lam: complex, w, mu: float, k_h, params: Params,
                             components=[comp], params=params)
 
 
-def _amplitude_l2(amps) -> float:
-    """L2(omega) norm of sum_m amp_m exp(-q_m zeta) e^{i k_h x}, closed form."""
-    total = 0j
-    for (am, qm) in amps:
-        for (an, qn) in amps:
-            Q = qm + np.conj(qn)
-            if abs(Q) < 1e-14:
-                I = 1.0
-            else:
-                I = (1.0 - np.exp(-Q)) / Q
-            total += np.vdot(an, am) * I
-    return math.sqrt(max(total.real, 0.0)) * 2.0 * math.pi
+def _amplitude_l2(amps, q) -> float:
+    """L2(omega) norm of sum_m amps[m] exp(-q_m zeta) e^{i k_h x}, closed form:
+    the Gram sum over pairs of components of <amps[n], amps[m]> times
+    int_0^1 exp(-(q_m + conj q_n) zeta) d zeta.  amps is (ncomp, ncomponents)."""
+    Q = np.add.outer(q, np.conj(q))
+    flat = np.abs(Q) < 1e-14
+    integral = np.where(flat, 1.0, (1.0 - np.exp(-Q)) / np.where(flat, 1.0, Q))
+    total = np.sum((amps @ amps.conj().T) * integral).real
+    return math.sqrt(max(total, 0.0)) * 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------

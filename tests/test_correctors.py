@@ -417,12 +417,12 @@ class TestWindAssembly:
 class TestStressColumnResponse:
     def _response(self, p):
         from rotstrip.layers import build_B, empty_trace
-        from rotstrip.correctors import StressColumnResponse
+        from rotstrip.correctors import HeatColumn
 
         sigma = BoundaryTrace(1, {(1.0, (0, 0)): np.array([1.0, 1j])})
         bl = build_B(empty_trace(0), sigma, p)
         (layer,) = bl.resonant
-        return StressColumnResponse.from_resonant_layer(layer, p), layer
+        return HeatColumn.from_resonant_layer(layer, p), layer
 
     def test_exact_boundary_data(self):
         p = Params(1e-2, 1e-2)
@@ -452,6 +452,41 @@ class TestStressColumnResponse:
         prof = resp.hat_profile((0, 0), t, z)
         target = np.exp(1j * t / p.epsilon) * z
         assert np.allclose(prof[0], target, atol=1e-8)
+
+
+class TestValueColumnResponse:
+    def _response(self, p):
+        from rotstrip.correctors import HeatColumn
+
+        trace = BoundaryTrace(0, {(1.0, (0, 0)): np.array([1.0, 1j])})
+        (layer,) = build_B(trace, empty_trace(1), p).resonant
+        return HeatColumn.from_resonant_layer(layer, p), layer
+
+    def test_exact_boundary_data(self):
+        p = Params(1e-2, 1e-2)
+        resp, _ = self._response(p)
+        t = 7.3
+        z = np.array([0.0, 1.0 - 1e-6, 1.0])
+        prof = resp.hat_profile((0, 0), t, z)
+        # bottom value = filtered amplitude, exactly
+        assert np.array_equal(prof[:, 0], np.exp(1j * t / p.epsilon) * np.array([1.0, 1j, 0.0]))
+        dz = (prof[:2, 2] - prof[:2, 1]) / 1e-6  # stress-free top
+        assert np.all(np.abs(dz) < 1e-5)
+
+    def test_matches_selfsimilar_early(self):
+        p = Params(1e-2, 1e-2)
+        resp, layer = self._response(p)
+        t = 1e-3 / p.nu  # nu t = 1e-3: layer far from the top
+        z = np.linspace(0.0, 0.7, 200)
+        a = resp.hat_profile((0, 0), t, z)
+        b = layer.value(t, z)
+        assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
+
+    def test_side_is_a_wall(self):
+        from rotstrip.correctors import HeatColumn
+
+        with pytest.raises(ValueError, match="side"):
+            HeatColumn(Params(1e-2, 1e-2), 2)
 
 
 class TestDirichletAssembly:
@@ -669,3 +704,11 @@ class TestColumnEvaluation:
         assert part.horizontal_modes() == [(1, 1)]
         assert np.array_equal(part.hat_profile((1, 1), 0.2, z),
                               layer.hat_profile((1, 1), 0.2, z) * np.exp(-0.7 * 0.2))
+
+    def test_modulated_layer_norm_needs_one_wall(self):
+        p = Params(1e-2, 1e-2)
+        table = {(0.3, (1, 1)): np.array([1.0, 0.5j])}
+        bottom = build_B(BoundaryTrace(0, table), empty_trace(1), p)
+        top = build_B(empty_trace(0), BoundaryTrace(1, table), p)
+        with pytest.raises(ValueError, match="both walls"):
+            ModulatedBL(p, [(bottom, 0.0), (top, 0.5)]).l2_norm(0.1)

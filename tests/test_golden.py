@@ -1,0 +1,169 @@
+"""Assembled approximations against frozen values.
+
+`data/golden_correctors.json` holds, for eight inputs (the 25-column shell
+stress, a quasi-resonant stress, and a four-mode Dirichlet datum with a
+k_h = 0 mode in both corrector variants, each at eps = nu = 1e-2 and 1e-3):
+part norms, total norms at t in {0, 0.1, 0.3}, every residual-ledger entry,
+and each part's column profile at 9 heights on up to 6 columns.  It was
+written by this file's `main` from the code as it stood before the wind and
+Dirichlet assemblers were merged into one pipeline.  The layer parts'
+norms are not frozen: `ModulatedBL.l2_norm` became the exact norm then.
+
+Regenerate only from code whose answers are known good:
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import math
+import os
+import sys
+
+import numpy as np
+import pytest
+
+from rotstrip.correctors import (_norm_grid, assemble_dirichlet_approx,
+                                 assemble_wind_approx)
+from rotstrip.layers import BoundaryTrace
+from rotstrip.params import Params
+from rotstrip.spectral import SpectralField
+
+DATA = os.path.join(os.path.dirname(__file__), "data", "golden_correctors.json")
+EPSILONS = (1e-2, 1e-3)
+NORM_TIMES = (0.0, 0.1, 0.3)
+PROFILE_TIMES = (0.0, 0.1)
+Z = (0.0, 1e-3, 1e-2, 0.05, 0.2, 0.5, 0.8, 0.99, 1.0)
+LAYER_PARTS = ("surface_layer", "bottom_layer", "secondary_layer")
+MAX_COLUMNS = 6
+TOL = 1e-12
+
+#: frequency of each |k_h|^2 shell of the shell stress
+SHELL_MU = {0: 1.0, 1: 1.0, 2: 0.0, 4: 0.5, 5: 0.0, 8: 0.5}
+
+
+def shell_stress(seed=1, kmax=2):
+    """{(mu, k_h): stress}: rotated copies of one seeded vector per shell."""
+    rng = np.random.default_rng(seed)
+    shells = {}
+    for k1 in range(-kmax, kmax + 1):
+        for k2 in range(-kmax, kmax + 1):
+            shells.setdefault(k1 * k1 + k2 * k2, []).append((k1, k2))
+    table = {}
+    for r2, cols in sorted(shells.items()):
+        cols = sorted(cols, key=lambda k: (-k[0], -k[1]))
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        v *= rng.uniform(0.5, 1.5) / np.linalg.norm(v)
+        for k in cols:
+            theta = math.atan2(k[1], k[0]) - math.atan2(cols[0][1], cols[0][0])
+            c, s = math.cos(theta), math.sin(theta)
+            table[(SHELL_MU[r2], k)] = np.array([[c, -s], [s, c]]) @ v
+    return table
+
+
+GAMMA = {(1, 0, 1): 1.0, (0, 1, -1): 0.7j, (1, 1, 2): 0.5 - 0.2j, (0, 0, 1): 0.8}
+
+
+def build(case, eps):
+    """The approximation of one named input at eps = nu = `eps`."""
+    if case == "wind_shells":
+        return assemble_wind_approx(BoundaryTrace(1, shell_stress()), Params(eps, eps, beta=1.0))
+    if case == "wind_quasi":
+        sigma = BoundaryTrace(1, {(1.0, (1, 0)): np.array([1.0, 0.5j])})
+        return assemble_wind_approx(sigma, Params(eps, eps, beta=1.0))
+    variant = {"dirichlet_special": "special", "dirichlet_zero_ic": "zero_ic"}[case]
+    return assemble_dirichlet_approx(SpectralField(GAMMA), Params(eps, eps),
+                                     corrector_variant=variant)
+
+
+CASES = [(case, eps) for case in ("wind_shells", "wind_quasi", "dirichlet_special",
+                                  "dirichlet_zero_ic") for eps in EPSILONS]
+
+
+def _columns(approx):
+    """Up to MAX_COLUMNS columns, at most one per |k_h|^2 shell."""
+    seen, out = set(), []
+    for k in approx.horizontal_modes():
+        r2 = k[0] ** 2 + k[1] ** 2
+        if r2 not in seen and len(out) < MAX_COLUMNS:
+            seen.add(r2)
+            out.append(k)
+    return out
+
+
+def measure(approx) -> dict:
+    z = np.array(Z)
+    profiles = {}
+    for name, part in approx.parts.items():
+        for k in _columns(approx):
+            for t in PROFILE_TIMES:
+                prof = part.hat_profile(k, t, z)
+                profiles[f"{name}|{k[0]},{k[1]}|{t}"] = [prof.real.tolist(), prof.imag.tolist()]
+    return {
+        "part_names": list(approx.parts),
+        "part_norms": {name: [part.l2_norm(t) for t in NORM_TIMES]
+                       for name, part in approx.parts.items() if name not in LAYER_PARTS},
+        "total_norm": [approx.total_norm(t) for t in NORM_TIMES],
+        "residuals": {k: float(v) for k, v in approx.residuals.items()},
+        "profiles": profiles,
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(DATA) as f:
+        return json.load(f)
+
+
+def _close(got, want):
+    return abs(got - want) <= TOL * max(abs(want), 1e-300)
+
+
+@pytest.mark.parametrize("case,eps", CASES)
+def test_matches_frozen_values(golden, case, eps):
+    want = golden[f"{case}@{eps:g}"]
+    approx = build(case, eps)
+    got = measure(approx)
+    assert set(got["residuals"]) == set(want["residuals"])
+    bad = [(k, got["residuals"][k], v) for k, v in want["residuals"].items()
+           if not _close(got["residuals"][k], v)]
+    assert not bad, bad
+    assert list(approx.parts) == want["part_names"]
+    for name, norms in want["part_norms"].items():
+        assert all(_close(g, w) for g, w in zip(got["part_norms"][name], norms)), name
+    assert all(_close(g, w) for g, w in zip(got["total_norm"], want["total_norm"]))
+    assert set(got["profiles"]) == set(want["profiles"])
+    for key, (re, im) in want["profiles"].items():
+        ref = np.array(re) + 1j * np.array(im)
+        new = np.array(got["profiles"][key][0]) + 1j * np.array(got["profiles"][key][1])
+        scale = max(float(np.max(np.abs(ref))), 1e-300)
+        assert float(np.max(np.abs(new - ref))) <= TOL * scale, key
+
+
+def quadrature_norm(part, params, t):
+    """L2 norm of a part from its column profiles on a 4000-point grid."""
+    z = _norm_grid(params, 4000)
+    total = sum(np.trapezoid(np.sum(np.abs(part.hat_profile(k, t, z)) ** 2, axis=0), z)
+                for k in part.horizontal_modes())
+    return 2.0 * math.pi * math.sqrt(total)
+
+
+@pytest.mark.parametrize("case,eps", CASES)
+def test_layer_norms_match_quadrature(case, eps):
+    approx = build(case, eps)
+    for name in LAYER_PARTS:
+        if name in approx.parts:
+            part = approx.parts[name]
+            for t in (0.0, 0.1):
+                assert part.l2_norm(t) == pytest.approx(
+                    quadrature_norm(part, approx.params, t), rel=1e-3), (name, t)
+
+
+def main():
+    out = {f"{case}@{eps:g}": measure(build(case, eps)) for case, eps in CASES}
+    os.makedirs(os.path.dirname(DATA), exist_ok=True)
+    with open(DATA, "w") as f:
+        json.dump(out, f, separators=(",", ":"))
+    print(f"wrote {DATA}: {os.path.getsize(DATA)} bytes", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

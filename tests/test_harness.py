@@ -10,7 +10,7 @@ import pytest
 from rotstrip.params import Params
 from rotstrip.spectral import SpectralField
 from rotstrip.layers import BoundaryTrace
-from rotstrip.correctors import assemble_dirichlet_approx
+from rotstrip.correctors import ApproxSolution, assemble_dirichlet_approx
 from rotstrip.direct import solve_direct
 from rotstrip.harness import (
     DEFAULT_TOLERANCES,
@@ -170,6 +170,38 @@ class TestCompare:
         res = compare(out, Sampler(), [0.0, 0.02, 0.05])
         assert res["sup_error"] == 0.0
         assert not res["attribution_flags"]
+
+    def test_each_part_evaluated_once(self):
+        # one hat_profile per part, column and time; the error curve is the
+        # one of the summed approximation, bit for bit
+        p = Params(1e-2, 1e-2)
+        gamma = SpectralField({(1, 0, 1): 1.0, (0, 0, 1): 0.5})
+        out = solve_direct(gamma, None, p, t_end=0.05, Nz=96, save_every=10)
+        approx = assemble_dirichlet_approx(gamma, p)
+        calls = {name: 0 for name in approx.parts}
+
+        class Counted:
+            def __init__(self, name):
+                self.name, self.part = name, approx.parts[name]
+
+            def hat_profile(self, k_h, t, z):
+                calls[self.name] += 1
+                return self.part.hat_profile(k_h, t, z)
+
+            def l2_norm(self, t):
+                return self.part.l2_norm(t)
+
+        counted = ApproxSolution(p, {name: Counted(name) for name in approx.parts})
+        res = compare(out, counted, np.linspace(0.0, 0.05, 6))
+        assert calls == {name: 2 * 6 for name in approx.parts}  # 2 columns x 6 times
+        assert not res["attribution_flags"]
+        for i, (t, err) in enumerate(zip(res["times"], res["errors"])):
+            err_sq = 0.0
+            for k_h, traj in sorted(out.items()):
+                idx = int(np.argmin(np.abs(np.asarray(traj.times) - t)))
+                diff = traj.snapshots[idx][0].T - approx.hat_profile(k_h, t, traj.z)
+                err_sq += float(np.sum(traj.weights * np.sum(np.abs(diff) ** 2, axis=0)))
+            assert err == 2.0 * math.pi * math.sqrt(err_sq)
 
     def test_wind_approximation_explains_direct_solution(self):
         # full assembled sum vs the reference solver, non-resonant stress:
