@@ -79,7 +79,7 @@ def parse_trace(table: dict, side: int) -> BoundaryTrace:
     return BoundaryTrace(side, out)
 
 
-PARAM_KEYS = {"epsilon", "nu", "beta", "N", "M0"}
+PARAM_KEYS = {"epsilon", "nu", "beta"}
 
 #: config keys each subcommand reads (sweep is checked by ExperimentSpec)
 CONFIG_KEYS = {
@@ -97,8 +97,6 @@ def params_from(cfg: dict) -> Params:
         epsilon=float(cfg.get("epsilon", 1e-3)),
         nu=float(cfg.get("nu", 1e-3)),
         beta=float(cfg.get("beta", 0.0)),
-        N=int(cfg.get("N", 4)),
-        M0=tuple(cfg.get("M0", ())),
     )
 
 

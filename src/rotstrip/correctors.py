@@ -27,7 +27,7 @@ from .spectral import (
     weighted_norm,
 )
 from .layers import BoundaryTrace, _amplitude_l2, build_B, empty_trace
-from .envelope import ekman_coefficient, suction_coefficient
+from .envelope import envelope_rate
 
 _GAUSS_Z = np.polynomial.legendre.leggauss(24)
 
@@ -621,9 +621,8 @@ class ModulatedBL:
                 damp = np.exp(-rate * t)
                 for g in sol.groups():
                     if g.k_h == k_h:
-                        a, q = g.amplitude_table()
-                        amps.append(a * (damp * g.phase(t)))
-                        rates.append(q)
+                        amps.append(g.amps * (damp * g.phase(t)))
+                        rates.append(g.q)
                         sides.add(g.side)
             if len(sides) > 1:
                 raise ValueError(f"column {k_h} holds layers of both walls; "
@@ -832,16 +831,27 @@ def _stopping_lifts(params: Params, rows) -> OscillatingPoly:
 
 
 def _lift_equation_bound(lift: OscillatingPoly, params: Params) -> float:
-    """(1/eps)||w|| + ||Lap_h w|| + nu ||dzz w|| + |rate| ||w|| over entries."""
+    """(1/eps)||w|| + ||Lap_h w|| + nu ||dzz w|| + |rate| ||w|| over entries.
+
+    Each entry's columns form one (ncol, 3, degree+1) coefficient array; it
+    and its second derivative are evaluated through one Vandermonde matrix on
+    the Gauss nodes."""
+    xg, wg = _GAUSS_Z
     total = 0.0
     for f, mu, rate in lift.entries:
-        norm = f.l2_norm()
-        lap = 0.0
-        dzz = 0.0
-        for k_h, polys in f.items():
-            kh2 = k_h[0] ** 2 + k_h[1] ** 2
-            lap += sum(kh2 ** 2 * _poly_l2_sq(p) for p in polys)
-            dzz += sum(_poly_l2_sq(p.deriv(2)) for p in polys)
+        columns = list(f.items())
+        coef = np.zeros((len(columns), 3, max(len(p.coef) for _, polys in columns
+                                              for p in polys)), dtype=complex)
+        for i, (_, polys) in enumerate(columns):
+            for c, p in enumerate(polys):
+                coef[i, c, :len(p.coef)] = p.coef
+        V = np.vander(0.5 * (xg + 1.0), coef.shape[2], increasing=True)
+        dzz_coef = np.polynomial.polynomial.polyder(coef, 2, axis=2)
+        col_sq = (np.abs(coef @ V.T) ** 2 @ (0.5 * wg)).sum(axis=1)
+        dzz = float(np.sum(np.abs(dzz_coef @ V[:, :dzz_coef.shape[2]].T) ** 2 @ (0.5 * wg)))
+        kh2 = np.array([k_h[0] ** 2 + k_h[1] ** 2 for k_h, _ in columns], dtype=float)
+        norm = 2.0 * math.pi * math.sqrt(float(col_sq.sum()))
+        lap = float(kh2 ** 2 @ col_sq)
         total += norm / params.epsilon + 2.0 * math.pi * math.sqrt(lap) \
             + params.nu * 2.0 * math.pi * math.sqrt(dzz) + abs(rate) * norm
     return total
@@ -974,13 +984,12 @@ def assemble_dirichlet_approx(gamma: SpectralField, params: Params,
     """
     if corrector_variant not in ("special", "zero_ic"):
         raise ValueError(f"unknown corrector_variant {corrector_variant!r}")
-    eps, nu = params.epsilon, params.nu
+    eps = params.epsilon
     K = truncation_choice(params, "dirichlet")
     meta = {"K": K, "corrector_variant": corrector_variant}
 
     modes = gamma.modes()
-    rates = {k: k[0] ** 2 + k[1] ** 2 + math.sqrt(nu / eps) * ekman_coefficient(k, params).A
-             for k in modes}
+    rates = {k: envelope_rate(k, params) for k in modes}
     interior = SpectralPart(params)
     for k in modes:
         interior.add(k, ExpAmplitude(gamma[k], rates[k]))
@@ -997,8 +1006,11 @@ def assemble_dirichlet_approx(gamma: SpectralField, params: Params,
             m = math.copysign(1.0, mu)
             resonant_col.add(m, 0.5 * complex(np.vdot(np.array([1.0, 1j * m]), trace)))
         else:
-            bottom.add(_bottom_layer({(mu, k[:2]): trace}, params), rates[k])
-            suction[k] = gamma[k] * suction_coefficient(k, params)  # delta3_hat amplitude
+            # the Ekman suction gamma_k S_k (delta3_hat amplitude) is what the
+            # layer leaves at z = 0, read off its vertical trace there
+            layer = _bottom_layer({(mu, k[:2]): trace}, params)
+            bottom.add(layer, rates[k])
+            suction[k] = -sum(g.vertical_trace(0) for g in layer.groups()) / params.layer_scale
 
     # interior flux lift v_int0 for the Ekman suction (delta1_3 = 0)
     v_int0 = OscillatingPoly(params)

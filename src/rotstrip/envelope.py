@@ -30,7 +30,7 @@ from .spectral import (
     euclidean_norm,
     weighted_norm,
 )
-from .layers import decay_rates, transition_matrix
+from .layers import decay_rates, transition_step
 
 
 @dataclass
@@ -41,27 +41,18 @@ class EkmanCoefficient:
     k: tuple
 
 
-def _pumping_ingredients(k, params: Params):
-    """Decay rates, kernel vectors and P^{-1} n_h(k) at mu = -lambda_k."""
-    mu = -eigenvalue(k)
-    k_h = (k[0], k[1])
-    rates = decay_rates(mu, k_h, params)
-    P, wm, wp = transition_matrix(rates, params)
-    n = basis_normal(k)
-    nm, npl = np.linalg.solve(P, n[:2])
-    return rates, (wm, wp), (nm, npl)
-
-
 def suction_coefficient(k, params: Params) -> complex:
     """Factor S_k mapping the filtered amplitude c_k to the vertical trace
     the bottom layer leaves at z = 0: delta3_hat = c_k * S_k.
 
-    S_k = sum_sigma (n_sigma / lambda^sigma) * i k_h . w_sigma.
+    S_k = sum_sigma (n_sigma / lambda^sigma) * i k_h . w_sigma, with
+    (n_-, n_+) = P^{-1} n_h(k) from the layer step at mu = -lambda_k.
     """
     k = tuple(int(c) for c in k)
     if k[0] == 0 and k[1] == 0:
         return 0j
-    rates, (wm, wp), (nm, npl) = _pumping_ingredients(k, params)
+    rates = decay_rates(-eigenvalue(k), (k[0], k[1]), params)
+    (nm, npl), (wm, wp) = transition_step(basis_normal(k)[:2], rates, params)
     k1, k2 = k[0], k[1]
     out = (nm / rates.lambda_minus) * 1j * (k1 * wm[0] + k2 * wm[1])
     out += (npl / rates.lambda_plus) * 1j * (k1 * wp[0] + k2 * wp[1])

@@ -293,20 +293,27 @@ def transition_matrix(rates: DecayRates, params: Params):
     return np.column_stack([wm, wp]), wm, wp
 
 
-def transition_coeffs(delta_hat, mu: float, k_h, params: Params,
-                      rates: DecayRates | None = None):
-    """Decompose a trace coefficient on the kernel-vector basis:
-    (alpha_minus, alpha_plus) = P^{-1} delta_hat."""
-    if rates is None:
-        rates = decay_rates(mu, k_h, params)
-    P, _, _ = transition_matrix(rates, params)
+def transition_step(delta_hat, rates: DecayRates, params: Params):
+    """The one per-entry layer step: (alpha, (w_minus, w_plus)), the kernel
+    vectors of the two rates and the amplitudes alpha = P^{-1} delta_hat on
+    P = [w_minus | w_plus]."""
+    P, wm, wp = transition_matrix(rates, params)
     det = P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]
     if abs(det) < 1e-6:
         raise ValueError(
             f"transition matrix nearly singular (|det|={abs(det):.3e} < 1e-6); "
             "kernel vectors failed to span C^2"
         )
-    alpha = np.linalg.solve(P, np.asarray(delta_hat, dtype=complex))
+    return np.linalg.solve(P, np.asarray(delta_hat, dtype=complex)), (wm, wp)
+
+
+def transition_coeffs(delta_hat, mu: float, k_h, params: Params,
+                      rates: DecayRates | None = None):
+    """Decompose a trace coefficient on the kernel-vector basis:
+    (alpha_minus, alpha_plus) = P^{-1} delta_hat."""
+    if rates is None:
+        rates = decay_rates(mu, k_h, params)
+    alpha, _ = transition_step(delta_hat, rates, params)
     return alpha[0], alpha[1]
 
 
@@ -332,7 +339,10 @@ class ModeProfileGroup:
     side 0 profiles decay in z from the bottom and realise the Dirichlet
     trace v_h(z=0) exactly; side 1 profiles decay in 1-z and realise the
     stress trace dz v_h(z=1) exactly.  The vertical component is fixed by
-    incompressibility.
+    incompressibility.  The amplitude table is fixed at construction: the
+    profile is sum_m amps[m] exp(-q[m] zeta), amps (ncomp, 3) the amplitudes
+    of (u1, u2, u3), q = lambda/sqrt(eps nu) and zeta the distance to the
+    owning wall.
     """
 
     side: int
@@ -341,43 +351,23 @@ class ModeProfileGroup:
     components: list
     params: Params
     kind: str = "classical"
+    amps: np.ndarray = field(init=False, repr=False)
+    q: np.ndarray = field(init=False, repr=False)
 
-    # -- raw amplitude tables ------------------------------------------------
-
-    def horizontal_amplitudes(self):
-        """[(vector amplitude (2,), decay rate q)] with profile amp*exp(-q*zeta),
-        zeta the distance to the owning wall, q = lambda/sqrt(eps nu)."""
+    def __post_init__(self):
         scale = self.params.layer_scale
-        out = []
-        for c in self.components:
-            q = c.lam / scale
-            amp = c.alpha * c.w if self.side == 0 else c.alpha * (scale / c.lam) * c.w
-            out.append((amp, q))
-        return out
-
-    def vertical_amplitudes(self):
-        """[(scalar amplitude, decay rate q)] for the third component."""
-        scale = self.params.layer_scale
-        k1, k2 = self.k_h
-        out = []
-        for c in self.components:
-            q = c.lam / scale
-            ikw = 1j * (k1 * c.w[0] + k2 * c.w[1])
-            if self.side == 0:
-                amp = c.alpha * (scale / c.lam) * ikw
-            else:
-                amp = -c.alpha * (scale ** 2 / c.lam ** 2) * ikw
-            out.append((amp, q))
-        return out
-
-    def amplitude_table(self):
-        """(amps, q): the (ncomp, 3) amplitudes of (u1, u2, u3) and the
-        decay rates, the profile being sum_m amps[m] exp(-q_m zeta)."""
-        horizontal = self.horizontal_amplitudes()
-        q = np.array([q for _, q in horizontal])
-        amps = np.array([[h[0], h[1], v] for (h, _), (v, _) in
-                         zip(horizontal, self.vertical_amplitudes())])
-        return amps, q
+        lam = np.array([c.lam for c in self.components], dtype=complex)
+        w = np.array([c.w for c in self.components], dtype=complex)
+        alpha = np.array([c.alpha for c in self.components], dtype=complex)
+        ikw = 1j * (self.k_h[0] * w[:, 0] + self.k_h[1] * w[:, 1])
+        if self.side == 0:
+            horizontal = alpha[:, None] * w
+            vertical = alpha * (scale / lam) * ikw
+        else:
+            horizontal = (alpha * (scale / lam))[:, None] * w
+            vertical = -alpha * (scale ** 2 / lam ** 2) * ikw
+        self.q = lam / scale
+        self.amps = np.column_stack([horizontal, vertical])
 
     def _zeta(self, z):
         z = np.asarray(z, dtype=float)
@@ -393,8 +383,8 @@ class ModeProfileGroup:
 
         One exponential per component serves all three velocity components:
         the (3, ncomp) amplitude table times exp(-outer(q, zeta))."""
-        amps, q = self.amplitude_table()
-        return np.tensordot(amps.T, np.exp(-np.multiply.outer(q, self._zeta(z))), axes=1)
+        return np.tensordot(self.amps.T, np.exp(-np.multiply.outer(self.q, self._zeta(z))),
+                            axes=1)
 
     def evaluate(self, t: float, x) -> np.ndarray:
         x1, x2, z = (np.asarray(c) for c in x)
@@ -403,35 +393,28 @@ class ModeProfileGroup:
 
     # -- traces ---------------------------------------------------------------
 
+    def _wall_decay(self, wall: int) -> np.ndarray:
+        """exp(-q zeta) at z = wall (0 or 1), one value per component."""
+        return np.exp(-self.q * float(self._zeta(float(wall))))
+
     def horizontal_trace(self, wall: int) -> np.ndarray:
         """Hat value of the horizontal part at z = wall (0 or 1)."""
-        zeta = float(wall) if self.side == 0 else 1.0 - float(wall)
-        out = np.zeros(2, dtype=complex)
-        for (amp, q) in self.horizontal_amplitudes():
-            out += amp * np.exp(-q * zeta)
-        return out
+        return self._wall_decay(wall) @ self.amps[:, :2]
 
     def vertical_trace(self, wall: int) -> complex:
-        zeta = float(wall) if self.side == 0 else 1.0 - float(wall)
-        return sum(amp * np.exp(-q * zeta) for (amp, q) in self.vertical_amplitudes())
+        return self._wall_decay(wall) @ self.amps[:, 2]
 
     def dz_horizontal_trace(self, wall: int) -> np.ndarray:
-        zeta = float(wall) if self.side == 0 else 1.0 - float(wall)
         dzeta_dz = 1.0 if self.side == 0 else -1.0
-        out = np.zeros(2, dtype=complex)
-        for (amp, q) in self.horizontal_amplitudes():
-            out += (-q) * dzeta_dz * amp * np.exp(-q * zeta)
-        return out
+        return (-dzeta_dz * self.q * self._wall_decay(wall)) @ self.amps[:, :2]
 
     # -- norms ----------------------------------------------------------------
 
     def l2_norm_h(self) -> float:
-        amps, q = self.amplitude_table()
-        return _amplitude_l2(amps[:, :2], q)
+        return _amplitude_l2(self.amps[:, :2], self.q)
 
     def l2_norm_3(self) -> float:
-        amps, q = self.amplitude_table()
-        return _amplitude_l2(amps[:, 2:], q)
+        return _amplitude_l2(self.amps[:, 2:], self.q)
 
 
 def profile_W(side: int, lam: complex, w, mu: float, k_h, params: Params,
@@ -610,17 +593,6 @@ class BoundaryTrace:
         insensitive to the choice and we expose the square-rooted quantity."""
         return math.sqrt(sum(float(np.sum(np.abs(v) ** 2)) for _, v in self.entries()))
 
-    def resonant_coefficients(self):
-        """Projection of the k_h = 0, mu = +-1 entries on the circular
-        polarisations: list of (mu, amplitude, remainder_coefficient)."""
-        out = []
-        for (mu, k_h), v in self.entries():
-            if k_h == (0, 0) and is_resonant_frequency(mu):
-                pol = np.array([1.0, 1j * math.copysign(1.0, mu)])
-                amp = 0.5 * complex(np.vdot(pol, v))
-                out.append((mu, amp, v - amp * pol))
-        return out
-
     def scaled(self, factor: complex) -> "BoundaryTrace":
         return BoundaryTrace(self.side, {k: factor * v for k, v in self.table.items()})
 
@@ -682,12 +654,6 @@ class BoundaryLayerSolution:
         groups = self.classical if part == "classical" else self.quasi_resonant
         return math.sqrt(sum(g.l2_norm_h() ** 2 for g in groups))
 
-    def part_norm_3(self, part: str, t: float = 0.0) -> float:
-        if part == "resonant":
-            return 0.0  # resonant vertical component vanishes identically
-        groups = self.classical if part == "classical" else self.quasi_resonant
-        return math.sqrt(sum(g.l2_norm_3() ** 2 for g in groups))
-
 
 def build_B(delta0: BoundaryTrace, delta1: BoundaryTrace, params: Params) -> BoundaryLayerSolution:
     """The layer operator: route every trace entry to its profile family.
@@ -717,24 +683,20 @@ def build_B(delta0: BoundaryTrace, delta1: BoundaryTrace, params: Params) -> Bou
                                       polarization=np.array([1.0, 1j * math.copysign(1.0, mu), 0.0]))
                     )
                 remainder = delta_hat - amp * pol
-                group = _build_group(trace.side, mu, k_h, remainder, params)
+                group = _build_group(trace.side, mu, k_h, remainder, params, "classical")
                 if group is not None:
                     classical.append(group)
             else:
-                group = _build_group(trace.side, mu, k_h, delta_hat, params)
-                if group is None:
-                    continue
-                if is_resonant_frequency(mu):
-                    group.kind = "quasi_resonant"
-                    quasi.append(group)
-                else:
-                    classical.append(group)
+                kind = "quasi_resonant" if is_resonant_frequency(mu) else "classical"
+                group = _build_group(trace.side, mu, k_h, delta_hat, params, kind)
+                if group is not None:
+                    (quasi if kind == "quasi_resonant" else classical).append(group)
         if res_layer.entries:
             resonant.append(res_layer)
     return BoundaryLayerSolution(classical, quasi, resonant, params)
 
 
-def _build_group(side, mu, k_h, delta_hat, params) -> ModeProfileGroup | None:
+def _build_group(side, mu, k_h, delta_hat, params, kind) -> ModeProfileGroup | None:
     rates = decay_rates(mu, k_h, params)
     if rates.ambiguous:
         warnings.warn(
@@ -742,24 +704,23 @@ def _build_group(side, mu, k_h, delta_hat, params) -> ModeProfileGroup | None:
             f"candidates {rates.plus_candidates}",
             AmbiguousSelectionWarning, stacklevel=2,
         )
-    am, ap = transition_coeffs(delta_hat, mu, k_h, params, rates=rates)
+    alpha, ws = transition_step(delta_hat, rates, params)
     comps = []
-    for sigma, lam, alpha in ((-1, rates.lambda_minus, am), (1, rates.lambda_plus, ap)):
+    for sigma, lam, a, w in zip((-1, 1), (rates.lambda_minus, rates.lambda_plus), alpha, ws):
         if lam.real < RESONANT_TOL:
-            if abs(alpha) > 1e-10 * max(1.0, float(np.max(np.abs(delta_hat)))):
+            if abs(a) > 1e-10 * max(1.0, float(np.max(np.abs(delta_hat)))):
                 raise ValueError(
                     f"non-decaying component with nonzero amplitude at (mu={mu}, k_h={k_h}); "
                     "resonant content must be removed before profile construction"
                 )
             continue
-        if alpha == 0:
+        if a == 0:
             continue
-        w = kernel_vector(lam, mu, k_h, params).w
-        comps.append(LayerComponent(sigma=sigma, lam=lam, w=w, alpha=alpha))
+        comps.append(LayerComponent(sigma=sigma, lam=lam, w=w, alpha=a))
     if not comps:
         return None
     return ModeProfileGroup(side=side, mu=float(mu), k_h=_kh_tuple(k_h),
-                            components=comps, params=params)
+                            components=comps, params=params, kind=kind)
 
 
 # ---------------------------------------------------------------------------

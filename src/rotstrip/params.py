@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -12,15 +12,11 @@ class Params:
     epsilon : Rossby number, in (0, 1].
     nu      : vertical viscosity, in (0, 1].
     beta    : surface stress amplitude, >= 0.
-    N       : horizontal wavenumber cutoff, >= 1.
-    M0      : finite set of forcing frequencies mu.
     """
 
     epsilon: float
     nu: float
     beta: float = 0.0
-    N: int = 4
-    M0: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         if not (0.0 < self.epsilon <= 1.0):
@@ -29,9 +25,6 @@ class Params:
             raise ValueError(f"nu must lie in (0, 1], got {self.nu}")
         if self.beta < 0.0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
-        object.__setattr__(self, "M0", tuple(float(m) for m in self.M0))
 
     @property
     def eps_nu(self) -> float:

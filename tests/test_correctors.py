@@ -495,6 +495,23 @@ class TestDirichletAssembly:
         sol = assemble_dirichlet_approx(SpectralField({}), p)
         assert sol.total_norm(0.1) == 0.0
 
+    def test_one_layer_solve_per_layer_entry(self, monkeypatch):
+        # the pumping rate, the bottom layer (whose vertical trace gives the
+        # suction) and the secondary layer: one decay-rate solve each
+        from rotstrip import envelope, layers
+
+        calls = []
+        original = layers.decay_rates
+
+        def counting(*args, **kwargs):
+            calls.append(args[:2])
+            return original(*args, **kwargs)
+
+        for module in (layers, envelope):
+            monkeypatch.setattr(module, "decay_rates", counting)
+        assemble_dirichlet_approx(SpectralField({(1, 0, 1): 1.0}), Params(1e-2, 1e-2))
+        assert len(calls) == 3
+
     def test_single_mode_layer_scaling(self):
         norms, ens = [], []
         for eps in [1e-2, 1e-3, 1e-4]:

@@ -9,10 +9,17 @@ written by this file's `main` from the code as it stood before the wind and
 Dirichlet assemblers were merged into one pipeline.  The layer parts'
 norms are not frozen: `ModulatedBL.l2_norm` became the exact norm then.
 
-Regenerate only from code whose answers are known good:
-    PYTHONPATH=src python tests/test_golden.py
+`data/golden_pumping.json` holds the Ekman pumping answers for the 124
+modes with |k_i| <= 2 at eps = nu in {1e-2, 1e-3, 1e-4, 1e-5}: every
+`damping_table` row and every `suction_coefficient`.  It was written from
+the code as it stood before the layer operator and the pumping shared one
+transition step.
+
+Regenerate a data set only from code whose answers are known good:
+    PYTHONPATH=src python tests/test_golden.py [correctors] [pumping]
 """
 
+import itertools
 import json
 import math
 import os
@@ -23,11 +30,13 @@ import pytest
 
 from rotstrip.correctors import (_norm_grid, assemble_dirichlet_approx,
                                  assemble_wind_approx)
+from rotstrip.envelope import damping_table, suction_coefficient
 from rotstrip.layers import BoundaryTrace
 from rotstrip.params import Params
 from rotstrip.spectral import SpectralField
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "golden_correctors.json")
+PUMPING_DATA = os.path.join(os.path.dirname(__file__), "data", "golden_pumping.json")
 EPSILONS = (1e-2, 1e-3)
 NORM_TIMES = (0.0, 0.1, 0.3)
 PROFILE_TIMES = (0.0, 0.1)
@@ -157,13 +166,72 @@ def test_layer_norms_match_quadrature(case, eps):
                     quadrature_norm(part, approx.params, t), rel=1e-3), (name, t)
 
 
-def main():
-    out = {f"{case}@{eps:g}": measure(build(case, eps)) for case, eps in CASES}
-    os.makedirs(os.path.dirname(DATA), exist_ok=True)
-    with open(DATA, "w") as f:
-        json.dump(out, f, separators=(",", ":"))
-    print(f"wrote {DATA}: {os.path.getsize(DATA)} bytes", file=sys.stderr)
+PUMPING_EPSILONS = (1e-2, 1e-3, 1e-4, 1e-5)
+PUMPING_MODES = [k for k in itertools.product(range(-2, 3), repeat=3) if k != (0, 0, 0)]
+PUMPING_TOL = 1e-14
+
+
+def measure_pumping(eps) -> dict:
+    """`damping_table` rows (one value list per mode, in `fields` order) and
+    the suction coefficients [re, im] of PUMPING_MODES at eps = nu = `eps`."""
+    params = Params(eps, eps)
+    rows = damping_table(PUMPING_MODES, params)
+    suction = [suction_coefficient(k, params) for k in PUMPING_MODES]
+    return {
+        "fields": list(rows[0]),
+        "damping_table": [list(row.values()) for row in rows],
+        "suction": [[s.real, s.imag] for s in suction],
+    }
+
+
+@pytest.fixture(scope="module")
+def golden_pumping():
+    with open(PUMPING_DATA) as f:
+        return json.load(f)
+
+
+def _within(got, want, scale):
+    if math.isnan(want):
+        return math.isnan(got)
+    return abs(got - want) <= PUMPING_TOL * scale
+
+
+@pytest.mark.parametrize("eps", PUMPING_EPSILONS)
+def test_pumping_matches_frozen_values(golden_pumping, eps):
+    """Every real field within 1e-14 of its row's scale: max(|A|, |damping|)
+    for a damping-table row, |S| for a suction coefficient."""
+    want = golden_pumping[f"{eps:g}"]
+    got = measure_pumping(eps)
+    assert got["fields"] == want["fields"]
+    assert len(got["damping_table"]) == len(want["damping_table"]) == len(PUMPING_MODES)
+    for new, ref in zip(got["damping_table"], want["damping_table"]):
+        row = dict(zip(want["fields"], ref))
+        scale = max(abs(complex(row["A_real"], row["A_imag"])),
+                    abs(complex(row["damping_real"], row["damping_imag"])))
+        bad = [(f, g, w) for f, g, w in zip(want["fields"], new, ref) if not _within(g, w, scale)]
+        assert not bad, (ref[:3], bad)
+    for k, new, ref in zip(PUMPING_MODES, got["suction"], want["suction"]):
+        scale = abs(complex(*ref))
+        assert all(_within(g, w, scale) for g, w in zip(new, ref)), (k, new, ref)
+
+
+def main(names):
+    """Write the named data sets, `correctors` and/or `pumping` (both when
+    none is named)."""
+    data_sets = {
+        "correctors": (DATA, lambda: {f"{case}@{eps:g}": measure(build(case, eps))
+                                      for case, eps in CASES}),
+        "pumping": (PUMPING_DATA, lambda: {f"{eps:g}": measure_pumping(eps)
+                                           for eps in PUMPING_EPSILONS}),
+    }
+    for name in names or data_sets:
+        path, make = data_sets[name]
+        out = make()
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as f:
+            json.dump(out, f, separators=(",", ":"))
+        print(f"wrote {path}: {os.path.getsize(path)} bytes", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

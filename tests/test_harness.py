@@ -311,12 +311,14 @@ class TestCLI:
         assert (out / "mode_1_0_diagnostics.csv").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epsilon": 1e-2, "nu": 1e-2, "t_ned": 0.3}))
-        with pytest.raises(SystemExit) as exc:
-            main(["direct", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert exc.value.code != 0
-        assert "t_ned" in capsys.readouterr().err
+        # a misspelled key, and N: a key that was once read but never used
+        for command, key in (("direct", "t_ned"), ("modes", "N")):
+            cfg = tmp_path / f"{command}.json"
+            cfg.write_text(json.dumps({"epsilon": 1e-2, "nu": 1e-2, key: 4 if key == "N" else 0.3}))
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+            assert exc.value.code == 2
+            assert key in capsys.readouterr().err
 
     def test_compare_command(self, tmp_path):
         cfg = tmp_path / "cfg.json"

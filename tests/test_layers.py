@@ -194,6 +194,21 @@ class TestTransitionCoeffs:
         assert ratios.max() < 100.0  # |det P - 2i| = O(eps + sqrt(eps nu))
         assert devs[-1] < devs[0]
 
+    def test_layer_operator_builds_each_kernel_vector_once(self, monkeypatch):
+        calls = []
+        original = L.kernel_vector
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(L, "kernel_vector", counting)
+        trace = BoundaryTrace(0, {(0.3, (1, -2)): np.array([1.0, 0.5j])})
+        sol = build_B(trace, empty_trace(1), Params(1e-3, 1e-3))
+        (g,) = sol.groups()
+        assert len(g.components) == 2
+        assert len(calls) == 2
+
 
 def single_mode_solution(side, mu, k_h, delta_hat, params):
     table = {(mu, k_h): delta_hat}
@@ -296,22 +311,40 @@ class TestProfiles:
 
     def test_hat_profile_matches_per_component_loop(self):
         p = Params(1e-3, 1e-3)
+        scale = p.layer_scale
         z = np.linspace(0.0, 1.0, 257)
         for side, mu, k_h in [(0, 0.3, (1, -2)), (1, 0.5, (2, 1)), (0, 1.0, (1, 1)),
                               (1, -1.0, (0, 1)), (0, 2.0, (0, 0))]:
             sol = single_mode_solution(side, mu, k_h, np.array([1.0 - 0.5j, 0.3j]), p)
             for g in sol.groups():
                 zeta = z if side == 0 else 1.0 - z
+                dzeta_dz = 1.0 if side == 0 else -1.0
                 ref = np.zeros((3,) + z.shape, dtype=complex)
-                for amp, q in g.horizontal_amplitudes():
-                    ref[:2] += np.multiply.outer(amp, np.exp(-q * zeta))
-                for amp, q in g.vertical_amplitudes():
-                    ref[2] += amp * np.exp(-q * zeta)
+                ref_dz = np.zeros((2,) + z.shape, dtype=complex)
+                for c in g.components:
+                    q = c.lam / scale
+                    ikw = 1j * (k_h[0] * c.w[0] + k_h[1] * c.w[1])
+                    if side == 0:
+                        h, v = c.alpha * c.w, c.alpha * (scale / c.lam) * ikw
+                    else:
+                        h = c.alpha * (scale / c.lam) * c.w
+                        v = -c.alpha * (scale / c.lam) ** 2 * ikw
+                    decay = np.exp(-q * zeta)
+                    ref[:2] += np.multiply.outer(h, decay)
+                    ref[2] += v * decay
+                    ref_dz += np.multiply.outer(-q * dzeta_dz * h, decay)
                 got = g.hat_profile(z)
                 assert got.shape == ref.shape
+                sups = [max(float(np.max(np.abs(r))), 1e-300) for r in (*ref, *ref_dz)]
                 for c in range(3):
-                    scale = max(float(np.max(np.abs(ref[c]))), 1e-300)
-                    assert float(np.max(np.abs(got[c] - ref[c]))) <= 1e-14 * scale
+                    assert float(np.max(np.abs(got[c] - ref[c]))) <= 1e-14 * sups[c]
+                for wall, i in ((0, 0), (1, -1)):
+                    h, v, dzh = (g.horizontal_trace(wall), g.vertical_trace(wall),
+                                 g.dz_horizontal_trace(wall))
+                    for c in range(2):
+                        assert abs(h[c] - ref[c, i]) <= 1e-14 * sups[c]
+                        assert abs(dzh[c] - ref_dz[c, i]) <= 1e-14 * sups[3 + c]
+                    assert abs(v - ref[2, i]) <= 1e-14 * sups[2]
 
 
 class TestProfileW:

@@ -224,12 +224,11 @@ def test_params_validation():
         Params(1e-3, 2.0)
     with pytest.raises(ValueError, match="beta"):
         Params(1e-3, 1e-3, beta=-1.0)
-    with pytest.raises(ValueError, match="N"):
-        Params(1e-3, 1e-3, N=0)
-    p = Params(1e-3, 4e-3, M0=[0.0, 1.0])
+    with pytest.raises(TypeError):
+        Params(1e-3, 1e-3, N=4)
+    p = Params(1e-3, 4e-3)
     assert p.layer_scale == pytest.approx(2e-3)
     assert p.nu_prime == pytest.approx(4e-3 * np.pi ** 2)
-    assert p.M0 == (0.0, 1.0)
 
 
 def test_weighted_norm_matches_eigenvalue_formula():
