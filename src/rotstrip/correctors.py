@@ -26,8 +26,8 @@ from .spectral import (
     euclidean_norm,
     weighted_norm,
 )
-from .layers import BoundaryTrace, _amplitude_l2, build_B, empty_trace
-from .envelope import envelope_rate
+from .layers import BoundaryTrace, _amplitude_l2, build_B, build_layers, empty_trace, wall_layers
+from .envelope import pumping
 
 _GAUSS_Z = np.polynomial.legendre.leggauss(24)
 
@@ -783,9 +783,10 @@ def _norm_grid(params: Params, nz: int) -> np.ndarray:
 # -- stages shared by the assemblies -----------------------------------------
 
 
-def _bottom_layer(table: dict, params: Params):
-    """The layer operator on a bottom Dirichlet trace {(mu, k_h): 2-vector}."""
-    return build_B(BoundaryTrace(0, table), empty_trace(1), params)
+def _bottom_layers(tables, params: Params) -> list:
+    """The layer operator on bottom Dirichlet traces {(mu, k_h): 2-vector},
+    all tables in one batched layer step."""
+    return build_layers([(BoundaryTrace(0, t), empty_trace(1)) for t in tables], params)
 
 
 def _truncate(k_h, K: int, source):
@@ -928,10 +929,9 @@ def assemble_wind_approx(sigma: BoundaryTrace, params: Params) -> ApproxSolution
 
     # secondary bottom layer: cancel horizontal traces of v_int and osc at z=0
     secondary = ModulatedBL(params)
-    if steady:
-        secondary.add(_bottom_layer(steady, params))
-    for table, kappa in decaying:
-        secondary.add(_bottom_layer(table, params), kappa)
+    tables = ([(steady, 0j)] if steady else []) + decaying
+    for layer, (_, kappa) in zip(_bottom_layers([t for t, _ in tables], params), tables):
+        secondary.add(layer, kappa)
 
     # stopping lift for the remaining vertical traces; v_int carries the
     # quasi-resonant flux at z = 1
@@ -988,8 +988,11 @@ def assemble_dirichlet_approx(gamma: SpectralField, params: Params,
     K = truncation_choice(params, "dirichlet")
     meta = {"K": K, "corrector_variant": corrector_variant}
 
+    # the pumping's layer step at mu = -lambda_k gives the envelope rates and,
+    # with the trace -gamma_k n_h(k), the bottom layer
     modes = gamma.modes()
-    rates = {k: envelope_rate(k, params) for k in modes}
+    pump = pumping(modes, params)
+    rates = {k: complex(r) for k, r in zip(modes, pump.envelope_rates())}
     interior = SpectralPart(params)
     for k in modes:
         interior.add(k, ExpAmplitude(gamma[k], rates[k]))
@@ -998,19 +1001,19 @@ def assemble_dirichlet_approx(gamma: SpectralField, params: Params,
     # resonant k_h = 0 trace drives the strip heat column instead
     bottom = ModulatedBL(params)
     resonant_col = HeatColumn(params, 0)
-    suction = {}
     for k in modes:
-        mu = -eigenvalue(k)
-        trace = -gamma[k] * basis_normal(k)[:2]
         if k[:2] == (0, 0):
-            m = math.copysign(1.0, mu)
+            m = math.copysign(1.0, -eigenvalue(k))
+            trace = -gamma[k] * basis_normal(k)[:2]
             resonant_col.add(m, 0.5 * complex(np.vdot(np.array([1.0, 1j * m]), trace)))
-        else:
-            # the Ekman suction gamma_k S_k (delta3_hat amplitude) is what the
-            # layer leaves at z = 0, read off its vertical trace there
-            layer = _bottom_layer({(mu, k[:2]): trace}, params)
-            bottom.add(layer, rates[k])
-            suction[k] = -sum(g.vertical_trace(0) for g in layer.groups()) / params.layer_scale
+    # the Ekman suction gamma_k S_k (delta3_hat amplitude) is what the layer
+    # leaves at z = 0, read off its vertical trace there
+    layered = [modes[i] for i in pump.layered]
+    traces = [-gamma[k] * basis_normal(k)[:2] for k in layered]
+    suction = {}
+    for k, layer in zip(layered, wall_layers(0, pump.basis, traces, params)):
+        bottom.add(layer, rates[k])
+        suction[k] = -sum(g.vertical_trace(0) for g in layer.groups()) / params.layer_scale
 
     # interior flux lift v_int0 for the Ekman suction (delta1_3 = 0)
     v_int0 = OscillatingPoly(params)
@@ -1063,8 +1066,9 @@ def assemble_dirichlet_approx(gamma: SpectralField, params: Params,
     for (mu, k_h, rate), vec in sorted(rows.items(), key=lambda kv: (kv[0][0], kv[0][1])):
         by_rate.setdefault(rate, {})[(mu, k_h)] = vec
     secondary = ModulatedBL(params)
-    for rate, table in sorted(by_rate.items(), key=lambda kv: (kv[0].real, kv[0].imag)):
-        secondary.add(_bottom_layer(table, params), rate)
+    by_rate = sorted(by_rate.items(), key=lambda kv: (kv[0].real, kv[0].imag))
+    for layer, (rate, _) in zip(_bottom_layers([t for _, t in by_rate], params), by_rate):
+        secondary.add(layer, rate)
 
     # stopping lift for the opposite-wall vertical traces of both layers and
     # the secondary layer's own; v_int0 cancels the bottom layer's suction

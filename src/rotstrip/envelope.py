@@ -28,9 +28,8 @@ from .spectral import (
     basis_normal,
     eigenvalue,
     euclidean_norm,
-    weighted_norm,
 )
-from .layers import decay_rates, transition_step
+from .layers import LayerBasis, layer_basis, rate_batch
 
 
 @dataclass
@@ -41,33 +40,61 @@ class EkmanCoefficient:
     k: tuple
 
 
-def suction_coefficient(k, params: Params) -> complex:
-    """Factor S_k mapping the filtered amplitude c_k to the vertical trace
-    the bottom layer leaves at z = 0: delta3_hat = c_k * S_k.
+@dataclass
+class Pumping:
+    """The Ekman pumping of n modes from one batched layer step.
 
-    S_k = sum_sigma (n_sigma / lambda^sigma) * i k_h . w_sigma, with
-    (n_-, n_+) = P^{-1} n_h(k) from the layer step at mu = -lambda_k.
+    basis holds the bottom layer's rates and kernel vectors at mu = -lambda_k
+    of the modes with k_h != 0 (modes[layered[i]] is its row i).  S (n,) is
+    the suction factor mapping the filtered amplitude c_k to the vertical
+    trace the bottom layer leaves at z = 0, delta3_hat = c_k * S_k:
+    S_k = sum_sigma (n_sigma / lambda^sigma) * i k_h . w_sigma with
+    (n_-, n_+) = P^{-1} n_h(k).  A (n,) is the pumping coefficient
+    A_k = 2 pi |k_h| / (|k_h|^2 + pi^2 k3^2) * S_k.  Both are zero at k_h = 0.
     """
-    k = tuple(int(c) for c in k)
-    if k[0] == 0 and k[1] == 0:
-        return 0j
-    rates = decay_rates(-eigenvalue(k), (k[0], k[1]), params)
-    (nm, npl), (wm, wp) = transition_step(basis_normal(k)[:2], rates, params)
-    k1, k2 = k[0], k[1]
-    out = (nm / rates.lambda_minus) * 1j * (k1 * wm[0] + k2 * wm[1])
-    out += (npl / rates.lambda_plus) * 1j * (k1 * wp[0] + k2 * wp[1])
-    return complex(out)
+
+    modes: list
+    layered: np.ndarray
+    basis: LayerBasis
+    S: np.ndarray
+    A: np.ndarray
+    params: Params
+
+    def envelope_rates(self) -> np.ndarray:
+        """|k_h|^2 + sqrt(nu/eps) A_k per mode, the rates of the envelope."""
+        return _envelope_rates(self.modes, self.A, self.params, False)
+
+
+def pumping(modes, params: Params) -> Pumping:
+    """Ekman pumping of every mode at finite (eps, nu), all modes in one
+    rate_batch, one layer_basis and one stacked solve."""
+    modes = [tuple(int(c) for c in k) for k in modes]
+    layered = np.array([i for i, k in enumerate(modes) if k[0] or k[1]], dtype=int)
+    k = np.array([modes[i] for i in layered], dtype=int).reshape(-1, 3)
+    mu = np.array([-eigenvalue(m) for m in k])
+    basis = layer_basis(rate_batch(mu, k[:, :2], params), params)
+    S = np.zeros(len(modes), dtype=complex)
+    A = np.zeros(len(modes), dtype=complex)
+    if len(k):
+        alpha = basis.solve(np.array([basis_normal(m)[:2] for m in k]))
+        w = basis.w
+        terms = alpha / basis.rates.lam * 1j * (k[:, :1] * w[:, :, 0] + k[:, 1:2] * w[:, :, 1])
+        S[layered] = terms[:, 0] + terms[:, 1]
+        kh2 = k[:, 0] ** 2 + k[:, 1] ** 2
+        D = np.sqrt(kh2 + (math.pi * k[:, 2]) ** 2) ** 2
+        A[layered] = 2.0 * math.pi * np.sqrt(kh2) / D * S[layered]
+    return Pumping(modes, layered, basis, S, A, params)
+
+
+def suction_coefficient(k, params: Params) -> complex:
+    """S_k of one mode (see Pumping)."""
+    return complex(pumping([k], params).S[0])
 
 
 def ekman_coefficient(k, params: Params) -> EkmanCoefficient:
     """Exact pumping coefficient A_k at finite (eps, nu); zero when k_h = 0."""
     k = tuple(int(c) for c in k)
-    kh = math.sqrt(k[0] ** 2 + k[1] ** 2)
-    if kh == 0.0:
-        return EkmanCoefficient(A=0j, k=k)
-    D = weighted_norm(k) ** 2
-    A = 2.0 * math.pi * kh / D * suction_coefficient(k, params)
-    return EkmanCoefficient(A=complex(A), k=k)
+    return EkmanCoefficient(A=complex(pumping([k], params).A[0]), k=k)
 
 
 def ekman_limit_coefficient(k) -> tuple:
@@ -88,13 +115,13 @@ def ekman_limit_coefficient(k) -> tuple:
 
 def damping_rate(k, params: Params) -> complex:
     """Full linear rate of c_k: |k_h|^2 + nu'*k3^2 + sqrt(nu/eps)*A_k."""
-    k = tuple(int(c) for c in k)
-    return _damping_from(k, ekman_coefficient(k, params).A, params)
+    return complex(_damping([k], pumping([k], params).A, params)[0])
 
 
-def _damping_from(k, A: complex, params: Params) -> complex:
-    kh2 = k[0] ** 2 + k[1] ** 2
-    return kh2 + params.nu_prime * k[2] ** 2 + math.sqrt(params.nu / params.epsilon) * A
+def _damping(modes, A, params: Params) -> np.ndarray:
+    k = np.array(modes, dtype=int).reshape(-1, 3)
+    kh2 = k[:, 0] ** 2 + k[:, 1] ** 2
+    return kh2 + params.nu_prime * k[:, 2] ** 2 + math.sqrt(params.nu / params.epsilon) * A
 
 
 def evolve_c(gamma_hat: SpectralField, params: Params, t: float,
@@ -106,27 +133,44 @@ def evolve_c(gamma_hat: SpectralField, params: Params, t: float,
     restores it.  limit_coefficients=True replaces A_k by its eps,nu -> 0
     limit R_k + i I_k.
     """
-    if t < 0.0:
+    return envelope_trajectory(gamma_hat, params, [t], include_vertical, limit_coefficients)[0]
+
+
+def envelope_trajectory(gamma_hat: SpectralField, params: Params, times,
+                        include_vertical: bool = False,
+                        limit_coefficients: bool = False) -> list:
+    """evolve_c at each of `times`, with the rates computed once."""
+    times = [float(t) for t in times]
+    if any(t < 0.0 for t in times):
         raise ValueError("evolve_c expects t >= 0")
-    rates = {k: envelope_rate(k, params, include_vertical, limit_coefficients)
-             for k in gamma_hat.modes()}
-    return gamma_hat.map(lambda k, c: c * np.exp(-rates[k] * t))
+    modes = gamma_hat.modes()
+    rates = dict(zip(modes, envelope_rates(modes, params, include_vertical, limit_coefficients)))
+    return [gamma_hat.map(lambda k, c: c * np.exp(-rates[k] * t)) for t in times]
+
+
+def envelope_rates(modes, params: Params, include_vertical: bool = False,
+                   limit_coefficients: bool = False) -> np.ndarray:
+    """Rates |k_h|^2 + sqrt(nu/eps) A_k of the envelope, per mode; A_k from
+    one batched pumping call, or its limit with limit_coefficients."""
+    modes = [tuple(int(c) for c in k) for k in modes]
+    if limit_coefficients:
+        A = np.array([0j if k[0] == 0 and k[1] == 0 else complex(*ekman_limit_coefficient(k))
+                      for k in modes], dtype=complex)
+    else:
+        A = pumping(modes, params).A
+    return _envelope_rates(modes, A, params, include_vertical)
 
 
 def envelope_rate(k, params: Params, include_vertical: bool = False,
                   limit_coefficients: bool = False) -> complex:
-    kh2 = k[0] ** 2 + k[1] ** 2
-    if limit_coefficients:
-        if kh2 == 0:
-            A = 0j
-        else:
-            R, I = ekman_limit_coefficient(k)
-            A = R + 1j * I
-    else:
-        A = ekman_coefficient(k, params).A
-    rate = kh2 + math.sqrt(params.nu / params.epsilon) * A
+    return complex(envelope_rates([k], params, include_vertical, limit_coefficients)[0])
+
+
+def _envelope_rates(modes, A, params: Params, include_vertical: bool) -> np.ndarray:
+    k = np.array(modes, dtype=int).reshape(-1, 3)
+    rate = k[:, 0] ** 2 + k[:, 1] ** 2 + math.sqrt(params.nu / params.epsilon) * A
     if include_vertical:
-        rate = rate + params.nu_prime * k[2] ** 2
+        rate = rate + params.nu_prime * k[:, 2] ** 2
     return rate
 
 
@@ -144,8 +188,7 @@ def envelope_solve(gamma: SpectralField, params: Params, times,
     if times[0] < 0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be nonnegative and strictly increasing")
     modes = gamma.modes()
-    rates = np.array([envelope_rate(k, params, include_vertical, limit_coefficients)
-                      for k in modes])
+    rates = envelope_rates(modes, params, include_vertical, limit_coefficients)
     y0 = np.array([gamma[k] for k in modes])
 
     def rhs(_, y):
@@ -177,24 +220,24 @@ def trace_s_norm(values: dict, s: float) -> float:
 
 
 def damping_table(modes, params: Params):
-    """Rows (k, lambda_k, A_k, R_k, I_k) for the per-mode damping CSV; A_k is
-    computed once per row and the damping rate formed from it."""
+    """Rows (k, lambda_k, A_k, R_k, I_k) for the per-mode damping CSV; A_k of
+    all modes comes from one pumping call and the damping rates from it."""
+    modes = sorted(tuple(int(c) for c in m) for m in modes)
+    A = pumping(modes, params).A
+    damping = _damping(modes, A, params)
     rows = []
-    for k in sorted(tuple(int(c) for c in m) for m in modes):
-        lam = eigenvalue(k)
-        A = ekman_coefficient(k, params).A
-        damping = _damping_from(k, A, params)
+    for k, a, d in zip(modes, A, damping):
         if k[0] == 0 and k[1] == 0:
             R = I = float("nan")
         else:
             R, I = ekman_limit_coefficient(k)
         rows.append({
             "k1": k[0], "k2": k[1], "k3": k[2],
-            "lambda": lam,
-            "A_real": A.real, "A_imag": A.imag,
+            "lambda": eigenvalue(k),
+            "A_real": float(a.real), "A_imag": float(a.imag),
             "R": R, "I": I,
-            "damping_real": damping.real,
-            "damping_imag": damping.imag,
+            "damping_real": float(d.real),
+            "damping_imag": float(d.imag),
             "euclidean_norm": euclidean_norm(k),
         })
     return rows

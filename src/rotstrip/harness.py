@@ -19,7 +19,7 @@ import numpy as np
 from .params import Params
 from .spectral import SpectralField
 from .layers import BoundaryTrace, build_B, empty_trace
-from .envelope import damping_rate, damping_table, evolve_c
+from .envelope import damping_rate, damping_table, envelope_trajectory
 from .correctors import HeatColumn, assemble_dirichlet_approx, assemble_wind_approx
 from .direct import fit_decay, l2_norm, solve_direct
 
@@ -507,8 +507,7 @@ def envelope_csv(gamma: SpectralField, params: Params, times, path):
     header = ["t"] + [f"re_c_{k[0]}_{k[1]}_{k[2]}" for k in gamma.modes()] \
         + [f"im_c_{k[0]}_{k[1]}_{k[2]}" for k in gamma.modes()]
     rows = []
-    for t in times:
-        c = evolve_c(gamma, params, float(t))
+    for t, c in zip(times, envelope_trajectory(gamma, params, times)):
         rows.append([float(t)] + [c[k].real for k in gamma.modes()]
                     + [c[k].imag for k in gamma.modes()])
     _write_csv(path, header, rows)

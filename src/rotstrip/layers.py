@@ -44,8 +44,69 @@ def is_resonant_frequency(mu: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# decay rates
+# the wall symbol
 # ---------------------------------------------------------------------------
+#
+# Every function below works on n entries (mu, k_h) at once, one array row
+# per entry; the scalar functions are views of one-row batches.
+
+
+def _square(z):
+    """z * z for a complex array, rounded as Python's complex product rounds
+    it.  numpy's array product may use a fused multiply-add, which moves the
+    cubic's crowded |mu| = 1 roots by up to ~1e-15 relative."""
+    out = np.empty(z.shape, dtype=complex)
+    out.real = z.real * z.real - z.imag * z.imag
+    out.imag = z.real * z.imag + z.imag * z.real
+    return out
+
+
+def _entries(mu, k_h):
+    """(mu (n,) float, k_h (n, 2) int) as arrays."""
+    return (np.asarray(mu, dtype=float).reshape(-1),
+            np.asarray(k_h, dtype=int).reshape(-1, 2))
+
+
+def _symbol(lam, mu, k_h, params: Params):
+    """A_lambda of n entries, (n, 2, 2), and the mask of the entries at its
+    pole lambda^2 = eps*nu*|k_h|^2 (their off-diagonal coupling is left out)."""
+    lam = np.asarray(lam, dtype=complex).reshape(-1)
+    mu, k_h = _entries(mu, k_h)
+    k1, k2 = k_h[:, 0], k_h[:, 1]
+    kh2 = k1 * k1 + k2 * k2
+    en = params.eps_nu
+    lam2 = _square(lam)
+    denom = lam2 - en * kh2
+    pole = (kh2 > 0) & (np.abs(denom) < 1e-14 * np.maximum(
+        np.maximum(np.abs(lam2), en * kh2), 1e-300))
+    off = np.zeros(len(lam), dtype=complex)
+    np.divide(en, denom, out=off, where=(kh2 > 0) & ~pole)
+    diag = 1j * mu - lam2 + params.epsilon * kh2
+    A = np.empty((len(lam), 2, 2), dtype=complex)
+    A[:, 0, 0] = diag + off * k1 * k2
+    A[:, 0, 1] = -1.0 - off * k1 * k1
+    A[:, 1, 0] = 1.0 + off * k2 * k2
+    A[:, 1, 1] = diag - off * k1 * k2
+    return A, pole
+
+
+def _checked_symbol(lam, mu, k_h, params: Params) -> np.ndarray:
+    """A_lambda of n entries; an entry at the pole raises ZeroDivisionError."""
+    A, pole = _symbol(lam, mu, k_h, params)
+    if pole.any():
+        i = int(np.argmax(pole))
+        lam2 = complex(np.asarray(lam, dtype=complex).reshape(-1)[i]) ** 2
+        kh2 = int(np.sum(np.asarray(k_h).reshape(-1, 2)[i] ** 2))
+        raise ZeroDivisionError(
+            f"a_lambda_matrix evaluated at its pole lambda^2 = eps*nu*|k_h|^2 "
+            f"(lambda^2={lam2}, eps*nu*|k_h|^2={params.eps_nu * kh2})"
+        )
+    return A
+
+
+def _det_residual(A: np.ndarray) -> np.ndarray:
+    """|det A| / max(1, max|A|^2) per 2x2 matrix of the stack."""
+    return np.abs(np.linalg.det(A)) / np.maximum(1.0, np.abs(A).max(axis=(1, 2)) ** 2)
 
 
 def a_lambda_matrix(lam: complex, mu: float, k_h, params: Params) -> np.ndarray:
@@ -54,41 +115,7 @@ def a_lambda_matrix(lam: complex, mu: float, k_h, params: Params) -> np.ndarray:
     Singular (pole) at lambda^2 = eps*nu*|k_h|^2; that value is rejected
     explicitly rather than returned as garbage.
     """
-    k1, k2 = _kh_tuple(k_h)
-    kh2 = k1 * k1 + k2 * k2
-    en = params.eps_nu
-    lam2 = lam * lam
-    denom = lam2 - en * kh2
-    if kh2 > 0 and abs(denom) < 1e-14 * max(abs(lam2), en * kh2, 1e-300):
-        raise ZeroDivisionError(
-            f"a_lambda_matrix evaluated at its pole lambda^2 = eps*nu*|k_h|^2 "
-            f"(lambda^2={lam2}, eps*nu*|k_h|^2={en * kh2})"
-        )
-    diag = 1j * mu - lam2 + params.epsilon * kh2
-    if kh2 > 0:
-        off = en / denom
-        return np.array(
-            [
-                [diag + off * k1 * k2, -1.0 - off * k1 * k1],
-                [1.0 + off * k2 * k2, diag - off * k1 * k2],
-            ]
-        )
-    return np.array([[diag, -1.0], [1.0, diag]])
-
-
-def decay_cubic_coefficients(mu: float, k_h, params: Params) -> np.ndarray:
-    """Coefficients (descending) of the pole-cleared cubic in s = lambda^2:
-
-        (s - eps*nu*|k_h|^2) * [(i mu - s + eps*|k_h|^2)^2 + 1] + eps*nu*|k_h|^2 = 0.
-    """
-    kh2 = float(horizontal_sq(k_h))
-    a = params.epsilon * kh2
-    b = params.eps_nu * kh2
-    A = a + 1j * mu
-    return np.array(
-        [1.0, -(2.0 * A + b), A * A + 1.0 + 2.0 * b * A, -b * (A * A + 1.0) + b],
-        dtype=complex,
-    )
+    return _checked_symbol([lam], [mu], [_kh_tuple(k_h)], params)[0]
 
 
 def horizontal_sq(k_h) -> int:
@@ -96,11 +123,41 @@ def horizontal_sq(k_h) -> int:
     return k1 * k1 + k2 * k2
 
 
-def _sqrt_nonneg_real(s: complex) -> complex:
-    lam = np.sqrt(complex(s))
-    if lam.real < 0.0:
-        lam = -lam
-    return lam
+def _cubic(mu, kh2, params: Params) -> np.ndarray:
+    """Coefficients (n, 4), descending, of the pole-cleared cubic in s = lambda^2:
+
+        (s - eps*nu*|k_h|^2) * [(i mu - s + eps*|k_h|^2)^2 + 1] + eps*nu*|k_h|^2 = 0.
+    """
+    a = params.epsilon * kh2
+    b = params.eps_nu * kh2
+    A = a + 1j * mu
+    AA1 = _square(A) + 1.0
+    p = np.empty((len(A), 4), dtype=complex)
+    p[:, 0] = 1.0
+    p[:, 1] = -(2.0 * A + b)
+    p[:, 2] = AA1 + 2.0 * b * A
+    p[:, 3] = -b * AA1 + b
+    return p
+
+
+def decay_cubic_coefficients(mu: float, k_h, params: Params) -> np.ndarray:
+    """Coefficients (descending) of the pole-cleared cubic of one entry."""
+    return _cubic(np.array([float(mu)]), np.array([horizontal_sq(k_h)]), params)[0]
+
+
+def _cubic_roots(mu, kh2, params: Params) -> np.ndarray:
+    """Roots (n, 3) of the cubics: one eigvals call on the stacked 3x3
+    companion matrices, the matrices np.roots builds."""
+    p = _cubic(mu, kh2, params)
+    C = np.zeros((len(p), 3, 3), dtype=complex)
+    C[:, 0, :] = -p[:, 1:] / p[:, :1]
+    C[:, 1, 0] = C[:, 2, 1] = 1.0
+    return np.linalg.eigvals(C)
+
+
+def _sqrt_nonneg_real(s):
+    """The square root with nonnegative real part: numpy's principal branch."""
+    return np.sqrt(np.asarray(s, dtype=complex))
 
 
 @dataclass
@@ -129,133 +186,172 @@ class DecayRates:
 
     def det_residual(self, params: Params) -> float:
         """Max relative |det A_lambda| over the two returned rates."""
-        res = 0.0
-        for lam in (self.lambda_minus, self.lambda_plus):
-            A = a_lambda_matrix(lam, self.mu, self.k_h, params)
-            scale = max(1.0, float(np.abs(A).max()) ** 2)
-            res = max(res, abs(np.linalg.det(A)) / scale)
-        return res
+        A = _checked_symbol([self.lambda_minus, self.lambda_plus], [self.mu] * 2,
+                            [self.k_h] * 2, params)
+        return float(_det_residual(A).max())
 
 
-def _kernel_alignment(s: complex, mu: float, k_h, params: Params) -> float:
-    """|<(1, i mu), w(s)>| / (sqrt(2) |w|): closeness of the kernel vector to
-    the resonant circular polarisation.  Used only to tie-break the |mu| = 1
-    root selection."""
-    try:
-        A = a_lambda_matrix(_sqrt_nonneg_real(s), mu, k_h, params)
-    except ZeroDivisionError:
-        return -1.0
-    w = _null_vector(A)
-    target = np.array([1.0, 1j * math.copysign(1.0, mu)])
-    return abs(np.vdot(target, w)) / (math.sqrt(2.0) * np.linalg.norm(w))
+@dataclass
+class RateBatch:
+    """The decay rates of n entries (mu, k_h), one row per entry: row i holds
+    what DecayRates holds for entry i.  s is (n, 3): s_minus, s_plus and the
+    third root; lam is (n, 2): lambda_minus, lambda_plus; candidates (n, 2)
+    holds the two |mu| = 1 candidates of the ambiguous rows."""
+
+    mu: np.ndarray
+    k_h: np.ndarray
+    s: np.ndarray
+    lam: np.ndarray
+    degenerate: np.ndarray
+    ambiguous: np.ndarray
+    candidates: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.mu)
+
+    def row(self, i: int) -> DecayRates:
+        s_minus, s_plus, third = (complex(v) for v in self.s[i])
+        return DecayRates(
+            mu=float(self.mu[i]),
+            k_h=_kh_tuple(self.k_h[i]),
+            lambda_minus=complex(self.lam[i, 0]),
+            lambda_plus=complex(self.lam[i, 1]),
+            s_minus=s_minus,
+            s_plus=s_plus,
+            third_root_s=third,
+            degenerate_zero=bool(self.degenerate[i]),
+            ambiguous=bool(self.ambiguous[i]),
+            plus_candidates=(tuple(complex(c) for c in self.candidates[i])
+                             if self.ambiguous[i] else ()),
+        )
+
+    @classmethod
+    def of(cls, rows) -> "RateBatch":
+        """The batch holding the given DecayRates as its rows."""
+        return cls(
+            mu=np.array([r.mu for r in rows], dtype=float),
+            k_h=np.array([r.k_h for r in rows], dtype=int).reshape(-1, 2),
+            s=np.array([[r.s_minus, r.s_plus, r.third_root_s] for r in rows],
+                       dtype=complex).reshape(-1, 3),
+            lam=np.array([[r.lambda_minus, r.lambda_plus] for r in rows],
+                         dtype=complex).reshape(-1, 2),
+            degenerate=np.array([r.degenerate_zero for r in rows], dtype=bool),
+            ambiguous=np.array([r.ambiguous for r in rows], dtype=bool),
+            candidates=np.array([r.plus_candidates or (0j, 0j) for r in rows],
+                                dtype=complex).reshape(-1, 2),
+        )
 
 
-def _pick_physical_near_zero(cand, mu, k_h, b, params):
-    """Among the two roots crowding s = 0 at |mu| = 1, identify the physical
-    slow rate.  The companion root continues the pole of the symbol at s = b;
-    when the two are not cleanly separated from the pole, tie-break by
-    kernel-vector alignment with the resonant polarisation, then by the
-    larger Re(lambda).  Returns (physical, companion, ambiguous)."""
-    d_pole = [abs(s - b) for s in cand]
-    ratio = min(d_pole) / max(max(d_pole), 1e-300)
-    if ratio < AMBIGUITY_RATIO:
-        order = int(np.argmax(d_pole))  # farther from the pole = physical
-        return cand[order], cand[1 - order], False
-    align = [_kernel_alignment(s, mu, k_h, params) for s in cand]
-    if abs(align[0] - align[1]) > 1e-3:
-        order = int(np.argmax(align))
-    else:
-        order = int(np.argmax([_sqrt_nonneg_real(s).real for s in cand]))
-    return cand[order], cand[1 - order], True
+# the other two root indices, in order, once one of three is taken
+_OTHERS = np.array([[1, 2], [0, 2], [0, 1]])
+
+
+def _null_vectors(A: np.ndarray) -> np.ndarray:
+    """Null vectors (n, 2) of (numerically) singular 2x2 matrices: the
+    longer of (A01, -A00) and (A11, -A10)."""
+    W = A[:, :, ::-1] * np.array([1.0, -1.0])
+    norms = np.linalg.norm(W, axis=2)
+    return W[np.arange(len(W)), (norms[:, 0] < norms[:, 1]).astype(int)]
+
+
+def _tie_break(cand, mu, k_h, params: Params) -> np.ndarray:
+    """Per row of ambiguous |mu| = 1 candidates (m, 2): the index of the
+    physical one.  Kernel-vector alignment with the resonant circular
+    polarisation, |<(1, i mu), w>| / (sqrt(2) |w|), decides when the two
+    alignments differ by more than 1e-3 (a candidate at the pole counts -1);
+    otherwise the larger Re(lambda)."""
+    lam = _sqrt_nonneg_real(cand)
+    A, pole = _symbol(lam.reshape(-1), np.repeat(mu, 2), np.repeat(k_h, 2, axis=0), params)
+    w = _null_vectors(A)
+    sign = np.repeat(np.copysign(1.0, mu), 2)
+    align = np.abs(w[:, 0] - 1j * sign * w[:, 1]) / (math.sqrt(2.0) * np.linalg.norm(w, axis=1))
+    align = np.where(pole, -1.0, align).reshape(-1, 2)
+    by_align = np.abs(align[:, 0] - align[:, 1]) > 1e-3
+    return np.where(by_align, np.argmax(align, axis=1), np.argmax(lam.real, axis=1))
+
+
+def rate_batch(mu, k_h, params: Params, prev: RateBatch | None = None) -> RateBatch:
+    """Solve the pole-cleared cubics of n entries and select their two
+    physical rates, all rows at once.
+
+    k_h = 0 rows take the closed form s = i(mu +- 1).  Otherwise the rates are
+    the roots nearest to the leading-order targets i(mu +- 1) + eps|k_h|^2, or
+    to the rates of `prev` (a batch of the same entries at a neighbouring
+    parameter point, for continuity tracking along sweeps).  At |mu| = 1,
+    k_h != 0 (without prev) one root is the clean O(1) rate and two crowd
+    s = 0: the one farther from the pole s = eps nu |k_h|^2 continuing the
+    symbol's pole is the physical slow rate.  When the two are not cleanly
+    separated from the pole (distance ratio at least AMBIGUITY_RATIO), the
+    tie is broken by kernel-vector alignment with the resonant polarisation,
+    then by the larger real part of lambda, and the row is reported (never
+    silently) as ambiguous, with both candidates.
+    """
+    mu, k_h = _entries(mu, k_h)
+    n = len(mu)
+    kh2 = k_h[:, 0] ** 2 + k_h[:, 1] ** 2
+    a = params.epsilon * kh2
+    s = np.zeros((n, 3), dtype=complex)
+    s[:, 0] = 1j * (mu + 1.0) + a  # the leading-order targets; the rates at k_h = 0
+    s[:, 1] = 1j * (mu - 1.0) + a
+    degenerate = (kh2 == 0) & (np.abs(s[:, :2]).min(axis=1) < RESONANT_TOL)
+    ambiguous = np.zeros(n, dtype=bool)
+    candidates = np.zeros((n, 2), dtype=complex)
+
+    h = np.flatnonzero(kh2)
+    if len(h):
+        m, kh2_h = mu[h], kh2[h]
+        roots = _cubic_roots(m, kh2_h, params)
+        t_minus, t_plus = s[h, 0], s[h, 1]
+        if prev is not None:
+            t_minus, t_plus = prev.s[h, 0], prev.s[h, 1]
+        rows = np.arange(len(h))
+        i_minus = np.abs(roots - t_minus[:, None]).argmin(axis=1)
+        d = np.abs(roots - t_plus[:, None])
+        d[rows, i_minus] = np.inf  # the nearest root not already taken
+        i_plus = d.argmin(axis=1)
+        i_third = 3 - i_minus - i_plus
+
+        res = np.flatnonzero(np.abs(np.abs(m) - 1.0) < RESONANT_TOL)
+        if prev is None and len(res):
+            # one clean O(1) rate and a degenerate pair near s = 0
+            up = m[res] > 0
+            clean_target = np.where(up, t_minus[res], t_plus[res])
+            i_clean = np.abs(roots[res] - clean_target[:, None]).argmin(axis=1)
+            pair = _OTHERS[i_clean]
+            cand = roots[res[:, None], pair]
+            d_pole = np.abs(cand - params.eps_nu * kh2_h[res, None])
+            tied = ~(d_pole.min(axis=1) / np.maximum(d_pole.max(axis=1), 1e-300)
+                     < AMBIGUITY_RATIO)
+            order = d_pole.argmax(axis=1)  # farther from the pole = physical
+            if tied.any():
+                order[tied] = _tie_break(cand[tied], m[res[tied]], k_h[h[res[tied]]], params)
+            q = np.arange(len(res))
+            slow, companion = pair[q, order], pair[q, 1 - order]
+            i_minus[res] = np.where(up, i_clean, slow)
+            i_plus[res] = np.where(up, slow, i_clean)
+            i_third[res] = companion
+            ambiguous[h[res]] = tied
+            candidates[h[res[tied]], 0] = cand[q, order][tied]
+            candidates[h[res[tied]], 1] = cand[q, 1 - order][tied]
+        s[h, 0] = roots[rows, i_minus]
+        s[h, 1] = roots[rows, i_plus]
+        s[h, 2] = roots[rows, i_third]
+
+    return RateBatch(mu=mu, k_h=k_h, s=s, lam=_sqrt_nonneg_real(s[:, :2]),
+                     degenerate=degenerate, ambiguous=ambiguous, candidates=candidates)
 
 
 def decay_rates(mu: float, k_h, params: Params, prev: DecayRates | None = None) -> DecayRates:
-    """Solve the pole-cleared cubic and select the two physical rates.
-
-    Selection is by closeness to the leading-order targets i(mu +- 1) (shifted
-    by eps|k_h|^2), after excluding the root that continues the pole of the
-    symbol.  For |mu| = 1, k_h != 0 the excluded root and the anomalously slow
-    physical rate can be comparable; the tie is then broken by kernel-vector
-    alignment with the resonant polarisation, then by the larger real part of
-    lambda, and the outcome is reported (never silently) via `ambiguous`.
-    Passing the result of a neighbouring parameter point as `prev` switches to
-    continuity tracking along sweeps.
-    """
-    k_h = _kh_tuple(k_h)
-    kh2 = horizontal_sq(k_h)
-    mu = float(mu)
-
-    if kh2 == 0:
-        s_minus = 1j * (mu + 1.0)
-        s_plus = 1j * (mu - 1.0)
-        degenerate = abs(s_minus) < RESONANT_TOL or abs(s_plus) < RESONANT_TOL
-        return DecayRates(
-            mu=mu,
-            k_h=k_h,
-            lambda_minus=_sqrt_nonneg_real(s_minus),
-            lambda_plus=_sqrt_nonneg_real(s_plus),
-            s_minus=s_minus,
-            s_plus=s_plus,
-            third_root_s=0j,
-            degenerate_zero=degenerate,
-        )
-
-    roots = list(np.roots(decay_cubic_coefficients(mu, k_h, params)))
-    a = params.epsilon * kh2
-    b = params.eps_nu * kh2
-    t_minus = 1j * (mu + 1.0) + a
-    t_plus = 1j * (mu - 1.0) + a
-    ambiguous, candidates = False, ()
-
-    if prev is not None:
-        i_minus = int(np.argmin([abs(s - prev.s_minus) for s in roots]))
-        s_minus = roots.pop(i_minus)
-        i_plus = int(np.argmin([abs(s - prev.s_plus) for s in roots]))
-        s_plus = roots.pop(i_plus)
-        s_third = roots[0]
-    elif not is_resonant_frequency(mu):
-        i_minus = int(np.argmin([abs(s - t_minus) for s in roots]))
-        s_minus = roots.pop(i_minus)
-        i_plus = int(np.argmin([abs(s - t_plus) for s in roots]))
-        s_plus = roots.pop(i_plus)
-        s_third = roots[0]
-    else:
-        # one clean O(1) rate and a degenerate pair near s = 0
-        clean_target = t_minus if mu > 0 else t_plus
-        i_clean = int(np.argmin([abs(s - clean_target) for s in roots]))
-        s_clean = roots.pop(i_clean)
-        s_slow, s_third, ambiguous = _pick_physical_near_zero(roots, mu, k_h, b, params)
-        if ambiguous:
-            candidates = (s_slow, s_third)
-        if mu > 0:
-            s_minus, s_plus = s_clean, s_slow
-        else:
-            s_minus, s_plus = s_slow, s_clean
-
-    return DecayRates(
-        mu=mu,
-        k_h=k_h,
-        lambda_minus=_sqrt_nonneg_real(s_minus),
-        lambda_plus=_sqrt_nonneg_real(s_plus),
-        s_minus=s_minus,
-        s_plus=s_plus,
-        third_root_s=s_third,
-        degenerate_zero=False,
-        ambiguous=ambiguous,
-        plus_candidates=candidates,
-    )
+    """The decay rates of one entry: row 0 of a one-row rate_batch (see
+    there for the selection rule); prev is the DecayRates of a neighbouring
+    parameter point."""
+    return rate_batch([mu], [_kh_tuple(k_h)], params,
+                      None if prev is None else RateBatch.of([prev])).row(0)
 
 
 # ---------------------------------------------------------------------------
 # kernel vectors and transition coefficients
 # ---------------------------------------------------------------------------
-
-
-def _null_vector(A: np.ndarray) -> np.ndarray:
-    """Null vector of a (numerically) singular 2x2 matrix."""
-    w1 = np.array([A[0, 1], -A[0, 0]])
-    w2 = np.array([A[1, 1], -A[1, 0]])
-    return w1 if np.linalg.norm(w1) >= np.linalg.norm(w2) else w2
 
 
 @dataclass
@@ -271,40 +367,72 @@ class KernelVector:
         return iter(self.w)
 
 
-def kernel_vector(lam: complex, mu: float, k_h, params: Params) -> KernelVector:
-    A = a_lambda_matrix(lam, mu, k_h, params)
-    scale = max(1.0, float(np.abs(A).max()) ** 2)
-    residual = abs(np.linalg.det(A)) / scale
-    if residual > 1e-8:
+def kernel_vectors(lam, mu, k_h, params: Params):
+    """Kernel vectors of A_lambda for n entries: (w (n, 2), first (n,)),
+    each w normalised to first component one where |w_0| > 1e-8 |w| (first),
+    else to second component one.  An entry at the pole raises
+    ZeroDivisionError, one off the det A_lambda = 0 variety ValueError."""
+    A = _checked_symbol(lam, mu, k_h, params)
+    residual = _det_residual(A)
+    if np.any(residual > 1e-8):
+        i = int(np.argmax(residual > 1e-8))
         raise ValueError(
-            f"lambda={lam} is not on the det A_lambda = 0 variety "
-            f"(relative residual {residual:.3e} > 1e-8)"
+            f"lambda={np.asarray(lam).reshape(-1)[i]} is not on the det A_lambda = 0 variety "
+            f"(relative residual {residual[i]:.3e} > 1e-8)"
         )
-    w = _null_vector(A)
-    if abs(w[0]) > 1e-8 * np.linalg.norm(w):
-        return KernelVector(w / w[0], "first")
-    return KernelVector(w / w[1], "second")
+    w = _null_vectors(A)
+    first = np.abs(w[:, 0]) > 1e-8 * np.linalg.norm(w, axis=1)
+    return w / np.where(first, w[:, 0], w[:, 1])[:, None], first
+
+
+def kernel_vector(lam: complex, mu: float, k_h, params: Params) -> KernelVector:
+    w, first = kernel_vectors([lam], [mu], [_kh_tuple(k_h)], params)
+    return KernelVector(w[0], "first" if first[0] else "second")
+
+
+@dataclass
+class LayerBasis:
+    """The kernel vectors of both rates of n entries: w (n, 2, 2) with
+    w[i, 0] = w_minus and w[i, 1] = w_plus, so P_i = [w_minus | w_plus] = w[i].T."""
+
+    rates: RateBatch
+    w: np.ndarray
+
+    def solve(self, delta) -> np.ndarray:
+        """The amplitudes alpha = P^{-1} delta (n, 2) of trace rows delta (n, 2),
+        one stacked solve; a nearly singular P (|det P| < 1e-6) raises."""
+        P = np.swapaxes(self.w, 1, 2)
+        det = P[:, 0, 0] * P[:, 1, 1] - P[:, 0, 1] * P[:, 1, 0]
+        if np.any(np.abs(det) < 1e-6):
+            raise ValueError(
+                f"transition matrix nearly singular (|det|={np.abs(det).min():.3e} < 1e-6); "
+                "kernel vectors failed to span C^2"
+            )
+        delta = np.asarray(delta, dtype=complex).reshape(-1, 2)
+        return np.linalg.solve(P, delta[:, :, None])[:, :, 0]
+
+
+def layer_basis(rates: RateBatch, params: Params) -> LayerBasis:
+    """The layer step's kernel vectors: one kernel_vectors call on the 2n
+    rates of the batch."""
+    w, _ = kernel_vectors(rates.lam.reshape(-1), np.repeat(rates.mu, 2),
+                          np.repeat(rates.k_h, 2, axis=0), params)
+    return LayerBasis(rates, w.reshape(-1, 2, 2))
 
 
 def transition_matrix(rates: DecayRates, params: Params):
     """(P, w_minus, w_plus) with P = [w_minus | w_plus]."""
-    wm = kernel_vector(rates.lambda_minus, rates.mu, rates.k_h, params).w
-    wp = kernel_vector(rates.lambda_plus, rates.mu, rates.k_h, params).w
+    wm, wp = layer_basis(RateBatch.of([rates]), params).w[0]
     return np.column_stack([wm, wp]), wm, wp
 
 
 def transition_step(delta_hat, rates: DecayRates, params: Params):
-    """The one per-entry layer step: (alpha, (w_minus, w_plus)), the kernel
+    """The layer step of one entry: (alpha, (w_minus, w_plus)), the kernel
     vectors of the two rates and the amplitudes alpha = P^{-1} delta_hat on
-    P = [w_minus | w_plus]."""
-    P, wm, wp = transition_matrix(rates, params)
-    det = P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]
-    if abs(det) < 1e-6:
-        raise ValueError(
-            f"transition matrix nearly singular (|det|={abs(det):.3e} < 1e-6); "
-            "kernel vectors failed to span C^2"
-        )
-    return np.linalg.solve(P, np.asarray(delta_hat, dtype=complex)), (wm, wp)
+    P = [w_minus | w_plus]; a one-row LayerBasis."""
+    basis = layer_basis(RateBatch.of([rates]), params)
+    wm, wp = basis.w[0]
+    return basis.solve(delta_hat)[0], (wm, wp)
 
 
 def transition_coeffs(delta_hat, mu: float, k_h, params: Params,
@@ -664,63 +792,103 @@ def build_B(delta0: BoundaryTrace, delta1: BoundaryTrace, params: Params) -> Bou
                                 self-similar heat profile; the orthogonal
                                 remainder only excites the O(1) rate and joins
                                 the classical family.
-    Linear in (delta0, delta1) by construction.
+    Linear in (delta0, delta1) by construction.  All entries of both traces
+    go through one batched layer step.
     """
-    if delta0.side != 0 or delta1.side != 1:
-        raise ValueError("build_B expects (bottom trace, top trace)")
-    classical, quasi, resonant = [], [], []
-    for trace in (delta0, delta1):
-        res_layer = ResonantLayer(side=trace.side, nu=params.nu, epsilon=params.epsilon)
-        for (mu, k_h), delta_hat in trace.entries():
-            if not np.any(delta_hat):
-                continue
-            if k_h == (0, 0) and is_resonant_frequency(mu):
-                pol = np.array([1.0, 1j * math.copysign(1.0, mu)])
-                amp = 0.5 * complex(np.vdot(pol, delta_hat))
-                if amp != 0:
-                    res_layer.entries.append(
-                        ResonantEntry(mu=math.copysign(1.0, mu), amplitude=amp,
-                                      polarization=np.array([1.0, 1j * math.copysign(1.0, mu), 0.0]))
-                    )
-                remainder = delta_hat - amp * pol
-                group = _build_group(trace.side, mu, k_h, remainder, params, "classical")
-                if group is not None:
-                    classical.append(group)
-            else:
+    return build_layers([(delta0, delta1)], params)[0]
+
+
+def build_layers(traces, params: Params) -> list:
+    """The layer operator on several (bottom trace, top trace) pairs: one
+    BoundaryLayerSolution per pair, as build_B builds it, with the entries of
+    all pairs solved in one rate_batch and one layer_basis."""
+    rows, resonant = [], []  # rows: (pair, side, mu, k_h, delta, kind)
+    for pair, (delta0, delta1) in enumerate(traces):
+        if delta0.side != 0 or delta1.side != 1:
+            raise ValueError("build_B expects (bottom trace, top trace)")
+        resonant.append([])
+        for trace in (delta0, delta1):
+            res_layer = ResonantLayer(side=trace.side, nu=params.nu, epsilon=params.epsilon)
+            for (mu, k_h), delta_hat in trace.entries():
+                if not np.any(delta_hat):
+                    continue
                 kind = "quasi_resonant" if is_resonant_frequency(mu) else "classical"
-                group = _build_group(trace.side, mu, k_h, delta_hat, params, kind)
-                if group is not None:
-                    (quasi if kind == "quasi_resonant" else classical).append(group)
-        if res_layer.entries:
-            resonant.append(res_layer)
-    return BoundaryLayerSolution(classical, quasi, resonant, params)
+                if k_h == (0, 0) and is_resonant_frequency(mu):
+                    pol = np.array([1.0, 1j * math.copysign(1.0, mu)])
+                    amp = 0.5 * complex(np.vdot(pol, delta_hat))
+                    if amp != 0:
+                        res_layer.entries.append(
+                            ResonantEntry(mu=math.copysign(1.0, mu), amplitude=amp,
+                                          polarization=np.array([1.0, 1j * math.copysign(1.0, mu), 0.0]))
+                        )
+                    delta_hat, kind = delta_hat - amp * pol, "classical"
+                rows.append((pair, trace.side, mu, k_h, delta_hat, kind))
+            if res_layer.entries:
+                resonant[pair].append(res_layer)
+    out = [BoundaryLayerSolution([], [], layers, params) for layers in resonant]
+    if not rows:
+        return out
+    pairs, sides, mu, k_h, delta, kinds = zip(*rows)
+    basis = layer_basis(rate_batch(mu, k_h, params), params)
+    return _add_groups(out, pairs, _groups(sides, kinds, basis, np.array(delta), params))
 
 
-def _build_group(side, mu, k_h, delta_hat, params, kind) -> ModeProfileGroup | None:
-    rates = decay_rates(mu, k_h, params)
-    if rates.ambiguous:
+def wall_layers(side: int, basis: LayerBasis, delta, params: Params) -> list:
+    """The layer operator on n one-entry traces of one wall whose rates and
+    kernel vectors are already solved: row i of `basis` carries the trace
+    delta[i] (2-vector) on wall `side`.  One BoundaryLayerSolution per row.
+    A row with resonant content (k_h = 0, |mu| = 1) raises: that part needs
+    build_B."""
+    rates = basis.rates
+    quasi = (np.abs(np.abs(rates.mu) - 1.0) < RESONANT_TOL) & rates.k_h.any(axis=1)
+    kinds = np.where(quasi, "quasi_resonant", "classical")
+    delta = np.asarray(delta, dtype=complex).reshape(-1, 2)
+    out = [BoundaryLayerSolution([], [], [], params) for _ in range(len(rates))]
+    return _add_groups(out, range(len(rates)), _groups([side] * len(rates), kinds, basis,
+                                                        delta, params))
+
+
+def _add_groups(solutions, owners, groups) -> list:
+    """Append each group to the classical or quasi-resonant list of the
+    solution owning its row; None (no component) is skipped."""
+    for owner, g in zip(owners, groups):
+        if g is not None:
+            sol = solutions[owner]
+            (sol.quasi_resonant if g.kind == "quasi_resonant" else sol.classical).append(g)
+    return solutions
+
+
+def _groups(sides, kinds, basis: LayerBasis, delta, params: Params) -> list:
+    """One profile group, or None when no component has an amplitude, per
+    row of a solved basis: alpha = P^{-1} delta in one stacked solve, and
+    every component whose rate decays.  Warns once per ambiguous row."""
+    rates = basis.rates
+    for i in np.flatnonzero(rates.ambiguous):
         warnings.warn(
-            f"decay-rate selection ambiguous at (mu={mu}, k_h={k_h}); "
-            f"candidates {rates.plus_candidates}",
-            AmbiguousSelectionWarning, stacklevel=2,
+            f"decay-rate selection ambiguous at (mu={rates.mu[i]}, k_h={_kh_tuple(rates.k_h[i])}); "
+            f"candidates {rates.row(i).plus_candidates}",
+            AmbiguousSelectionWarning, stacklevel=3,
         )
-    alpha, ws = transition_step(delta_hat, rates, params)
-    comps = []
-    for sigma, lam, a, w in zip((-1, 1), (rates.lambda_minus, rates.lambda_plus), alpha, ws):
-        if lam.real < RESONANT_TOL:
-            if abs(a) > 1e-10 * max(1.0, float(np.max(np.abs(delta_hat)))):
-                raise ValueError(
-                    f"non-decaying component with nonzero amplitude at (mu={mu}, k_h={k_h}); "
-                    "resonant content must be removed before profile construction"
-                )
-            continue
-        if a == 0:
-            continue
-        comps.append(LayerComponent(sigma=sigma, lam=lam, w=w, alpha=a))
-    if not comps:
-        return None
-    return ModeProfileGroup(side=side, mu=float(mu), k_h=_kh_tuple(k_h),
-                            components=comps, params=params, kind=kind)
+    alpha = basis.solve(delta)
+    lam = rates.lam
+    flat = lam.real < RESONANT_TOL
+    stray = flat & (np.abs(alpha) > 1e-10 * np.maximum(1.0, np.abs(delta).max(axis=1))[:, None])
+    if stray.any():
+        i = int(np.argmax(stray.any(axis=1)))
+        raise ValueError(
+            f"non-decaying component with nonzero amplitude at (mu={rates.mu[i]}, "
+            f"k_h={_kh_tuple(rates.k_h[i])}); "
+            "resonant content must be removed before profile construction"
+        )
+    keep = ~flat & (alpha != 0)
+    groups = []
+    for i, (side, kind) in enumerate(zip(sides, kinds)):
+        comps = [LayerComponent(sigma=sigma, lam=lam[i, j], w=basis.w[i, j], alpha=alpha[i, j])
+                 for j, sigma in enumerate((-1, 1)) if keep[i, j]]
+        groups.append(ModeProfileGroup(side=side, mu=float(rates.mu[i]),
+                                       k_h=_kh_tuple(rates.k_h[i]), components=comps,
+                                       params=params, kind=str(kind)) if comps else None)
+    return groups
 
 
 # ---------------------------------------------------------------------------

@@ -496,21 +496,22 @@ class TestDirichletAssembly:
         assert sol.total_norm(0.1) == 0.0
 
     def test_one_layer_solve_per_layer_entry(self, monkeypatch):
-        # the pumping rate, the bottom layer (whose vertical trace gives the
-        # suction) and the secondary layer: one decay-rate solve each
+        # rows solved through the rate batch: one shared by the pumping rate
+        # and the bottom layer (whose vertical trace gives the suction), one
+        # for the secondary layer
         from rotstrip import envelope, layers
 
-        calls = []
-        original = layers.decay_rates
+        rows = []
+        original = layers.rate_batch
 
-        def counting(*args, **kwargs):
-            calls.append(args[:2])
-            return original(*args, **kwargs)
+        def counting(mu, *args, **kwargs):
+            rows.append(len(np.asarray(mu).reshape(-1)))
+            return original(mu, *args, **kwargs)
 
         for module in (layers, envelope):
-            monkeypatch.setattr(module, "decay_rates", counting)
+            monkeypatch.setattr(module, "rate_batch", counting)
         assemble_dirichlet_approx(SpectralField({(1, 0, 1): 1.0}), Params(1e-2, 1e-2))
-        assert len(calls) == 3
+        assert sum(rows) == 2
 
     def test_single_mode_layer_scaling(self):
         norms, ens = [], []

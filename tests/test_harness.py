@@ -352,3 +352,35 @@ def test_parse_helpers():
     tr = parse_trace({"1.0,1,0": [[1.0, 0.0], [0.0, 1.0]]}, 1)
     assert tr.side == 1
     assert tr.table[(1.0, (1, 0))][1] == 1j
+
+
+def test_envelope_csv_solves_the_pumping_once(tmp_path, monkeypatch):
+    # a T-time envelope CSV makes one batched pumping call, not one per time,
+    # and writes what per-time evolve_c calls give
+    from rotstrip import envelope
+    from rotstrip.harness import envelope_csv, _write_csv
+
+    calls = []
+    original = envelope.pumping
+
+    def counting(modes, params):
+        calls.append(len(modes))
+        return original(modes, params)
+
+    gamma = SpectralField({(1, 0, 1): 1.0, (0, 1, -1): 0.3 - 0.7j, (0, 0, 1): 0.8,
+                           (2, -1, 3): 0.1 + 0.9j})
+    p = Params(1e-3, 2e-3)
+    times = np.linspace(0.0, 3.0, 50)
+    monkeypatch.setattr(envelope, "pumping", counting)
+    envelope_csv(gamma, p, times, tmp_path / "envelope.csv")
+    assert calls == [4]
+    monkeypatch.setattr(envelope, "pumping", original)
+
+    header = (tmp_path / "envelope.csv").read_text().splitlines()[0].split(",")
+    rows = []
+    for t in times:
+        c = envelope.evolve_c(gamma, p, float(t))
+        rows.append([float(t)] + [c[k].real for k in gamma.modes()]
+                    + [c[k].imag for k in gamma.modes()])
+    _write_csv(tmp_path / "per_time.csv", header, rows)
+    assert (tmp_path / "envelope.csv").read_bytes() == (tmp_path / "per_time.csv").read_bytes()

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotstrip.params import Params
 from rotstrip import layers as L
@@ -195,19 +197,76 @@ class TestTransitionCoeffs:
         assert devs[-1] < devs[0]
 
     def test_layer_operator_builds_each_kernel_vector_once(self, monkeypatch):
-        calls = []
-        original = L.kernel_vector
+        # kernel-vector rows built through the batch: one per rate
+        rows = []
+        original = L.kernel_vectors
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(lam, *args):
+            rows.append(len(np.asarray(lam).reshape(-1)))
+            return original(lam, *args)
 
-        monkeypatch.setattr(L, "kernel_vector", counting)
+        monkeypatch.setattr(L, "kernel_vectors", counting)
         trace = BoundaryTrace(0, {(0.3, (1, -2)): np.array([1.0, 0.5j])})
         sol = build_B(trace, empty_trace(1), Params(1e-3, 1e-3))
         (g,) = sol.groups()
         assert len(g.components) == 2
-        assert len(calls) == 2
+        assert sum(rows) == 2
+
+
+
+def _rows_equal(a, b):
+    """Two DecayRates agree bit for bit (NaN-free fields)."""
+    return (a.mu == b.mu and a.k_h == b.k_h
+            and (a.s_minus, a.s_plus, a.third_root_s) == (b.s_minus, b.s_plus, b.third_root_s)
+            and (a.lambda_minus, a.lambda_plus) == (b.lambda_minus, b.lambda_plus)
+            and a.degenerate_zero == b.degenerate_zero and a.ambiguous == b.ambiguous
+            and a.plus_candidates == b.plus_candidates)
+
+
+_MU = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, -1.0, 2.0, -0.3]),
+    st.floats(-2.5, 2.5),
+    st.sampled_from([1.0, -1.0]).flatmap(
+        lambda m: st.floats(-1e-6, 1e-6).map(lambda d: m + d)),  # |mu| = 1 neighbourhoods
+)
+_ENTRY = st.tuples(_MU, st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+
+
+class TestRateBatch:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(log_eps=st.floats(-7, -1), log_nu=st.floats(-7, -1),
+           entries=st.lists(_ENTRY, min_size=1, max_size=12),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_of_a_shuffled_batch_equal_batches_of_one(self, log_eps, log_nu, entries, seed):
+        p = Params(10.0 ** log_eps, 10.0 ** log_nu)
+        entries = entries + [(1.0, (0, 0)), (-1.0, (0, 0)), (1.0, (1, 0))]
+        order = np.random.default_rng(seed).permutation(len(entries))
+        mu = [entries[i][0] for i in order]
+        k_h = [entries[i][1] for i in order]
+        batch = L.rate_batch(mu, k_h, p)
+        again = L.rate_batch(mu, k_h, p, prev=batch)
+        for i in range(len(order)):
+            row = batch.row(i)
+            single = decay_rates(mu[i], k_h[i], p)
+            assert _rows_equal(row, single)
+            assert row.lambda_minus.real >= 0.0 and row.lambda_plus.real >= 0.0
+            assert row.det_residual(p) <= 1e-10
+            # continuation from the batch itself keeps its rates, and the
+            # one-entry continuation is the batch's row
+            cont = again.row(i)
+            assert (cont.s_minus, cont.s_plus) == (row.s_minus, row.s_plus)
+            assert _rows_equal(cont, decay_rates(mu[i], k_h[i], p, prev=single))
+
+    def test_one_warning_per_ambiguous_entry(self):
+        columns = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+        trace = BoundaryTrace(0, {(1.0, k): np.array([1.0, 0.5j]) for k in columns})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build_B(trace, empty_trace(1), Params(1e-2, 1e-2))
+        ambiguous = [str(w.message) for w in caught
+                     if issubclass(w.category, L.AmbiguousSelectionWarning)]
+        assert len(ambiguous) == 4
+        assert all(any(f"k_h={k}" in m for m in ambiguous) for k in columns)
 
 
 def single_mode_solution(side, mu, k_h, delta_hat, params):
