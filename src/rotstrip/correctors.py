@@ -36,13 +36,6 @@ def _kh_tuple(k_h):
     return (int(k_h[0]), int(k_h[1]))
 
 
-def _poly_l2_sq(p: Polynomial) -> float:
-    """int_0^1 |p(z)|^2 dz, exact for the degrees used here."""
-    xg, wg = _GAUSS_Z
-    z = 0.5 * (xg + 1.0)
-    return float(np.sum(0.5 * wg * np.abs(p(z)) ** 2))
-
-
 # ---------------------------------------------------------------------------
 # polynomial-in-z mode fields (lifts)
 # ---------------------------------------------------------------------------
@@ -56,8 +49,35 @@ class ZPolyField:
         # modes: {k_h: (P1, P2, P3)} with Pi numpy Polynomials
         self.modes = dict(modes) if modes else {}
 
+    @classmethod
+    def of(cls, keys, coef):
+        """The field whose column keys[i] has the power-series coefficients
+        coef[i], a (3, ndeg) array: one Polynomial per row."""
+        return cls({k_h: tuple(Polynomial(row) for row in c) for k_h, c in zip(keys, coef)})
+
     def items(self):
         return ((k, self.modes[k]) for k in sorted(self.modes))
+
+    def coefficients(self):
+        """(sorted keys, their zero-padded (ncol, 3, ndeg) coefficient array)."""
+        keys = sorted(self.modes)
+        ndeg = max((len(p.coef) for k in keys for p in self.modes[k]), default=1)
+        coef = np.zeros((len(keys), 3, ndeg), dtype=complex)
+        for i, k in enumerate(keys):
+            for c, p in enumerate(self.modes[k]):
+                coef[i, c, :len(p.coef)] = p.coef
+        return keys, coef
+
+    def column_sq(self, order: int = 0) -> np.ndarray:
+        """int_0^1 |dz^order w|^2 dz per column, in sorted key order (Gauss
+        quadrature, exact for the degrees used here)."""
+        xg, wg = _GAUSS_Z
+        coef = np.polynomial.polynomial.polyder(self.coefficients()[1], order, axis=2)
+        V = np.vander(0.5 * (xg + 1.0), coef.shape[2], increasing=True)
+        return (np.abs(coef @ V.T) ** 2 @ (0.5 * wg)).sum(axis=1)
+
+    def _kh2(self) -> np.ndarray:
+        return np.array([k[0] ** 2 + k[1] ** 2 for k in sorted(self.modes)], dtype=float)
 
     def hat_profile(self, k_h, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -69,24 +89,15 @@ class ZPolyField:
         return out
 
     def l2_norm(self) -> float:
-        total = sum(_poly_l2_sq(p) for _, polys in self.items() for p in polys)
-        return 2.0 * math.pi * math.sqrt(total)
+        return 2.0 * math.pi * math.sqrt(float(self.column_sq().sum()))
 
     def h2_norm(self) -> float:
         """H^2(omega) norm: all derivatives up to second order."""
-        total = 0.0
-        for k_h, polys in self.items():
-            kh2 = k_h[0] ** 2 + k_h[1] ** 2
-            for p in polys:
-                dp = p.deriv()
-                ddp = p.deriv(2)
-                a0 = _poly_l2_sq(p)
-                a1 = _poly_l2_sq(dp)
-                a2 = _poly_l2_sq(ddp)
-                # x-derivatives multiply by ik components
-                total += (1.0 + 2.0 * kh2 + kh2 ** 2) * a0
-                total += (1.0 + kh2) * 2.0 * a1 + a2
-        return 2.0 * math.pi * math.sqrt(total)
+        kh2 = self._kh2()
+        # x-derivatives multiply by ik components
+        total = (1.0 + 2.0 * kh2 + kh2 ** 2) @ self.column_sq() \
+            + 2.0 * (1.0 + kh2) @ self.column_sq(1) + self.column_sq(2).sum()
+        return 2.0 * math.pi * math.sqrt(float(total))
 
     def divergence_residual(self) -> float:
         worst = 0.0
@@ -110,6 +121,17 @@ class ZPolyField:
 # stopping lift
 # ---------------------------------------------------------------------------
 
+_BUMP = np.array([0.0, 1.0, -2.0, 1.0])  # z(1-z)^2
+
+
+def _trace_table(delta: dict, keys) -> np.ndarray:
+    """(n, 3) array of (delta_h, delta_3) over keys, zero where delta has no entry."""
+    out = np.zeros((len(keys), 3), dtype=complex)
+    for i, k in enumerate(keys):
+        if k in delta:
+            out[i, :2], out[i, 2] = delta[k]
+    return out
+
 
 def stopping_lift(delta0: dict, delta1: dict) -> ZPolyField:
     """Divergence-free lift with exact traces:
@@ -122,49 +144,56 @@ def stopping_lift(delta0: dict, delta1: dict) -> ZPolyField:
         (1/12) Lap_h phi = -div_h delta0_h - (1/2) div_h delta1_h - delta1_3 + delta0_3,
     and the vertical part integrates the divergence from delta0_3.  The
     k_h = 0 mode requires the compatibility integral delta1_3 - delta0_3 = 0
-    (tolerance 1e-12 relative); phi's k_h = 0 gauge is zero.
+    (tolerance 1e-12 relative); phi's k_h = 0 gauge is zero.  All columns
+    are formed at once as one (ncol, 3, 5) coefficient array.
     """
     keys = sorted(set(delta0) | set(delta1))
-    zero2 = np.zeros(2, dtype=complex)
-    modes = {}
-    scale = 0.0
-    for k_h in keys:
-        d0h, d03 = delta0.get(k_h, (zero2, 0j))
-        d1h, d13 = delta1.get(k_h, (zero2, 0j))
-        scale = max(scale, np.max(np.abs(d0h)), abs(d03), np.max(np.abs(d1h)), abs(d13))
-    for k_h in keys:
-        k_h = _kh_tuple(k_h)
-        d0h, d03 = delta0.get(k_h, (zero2, 0j))
-        d1h, d13 = delta1.get(k_h, (zero2, 0j))
-        d0h = np.asarray(d0h, dtype=complex)
-        d1h = np.asarray(d1h, dtype=complex)
-        d03 = complex(d03)
-        d13 = complex(d13)
-        kh2 = k_h[0] ** 2 + k_h[1] ** 2
-        ikd0 = 1j * (k_h[0] * d0h[0] + k_h[1] * d0h[1])
-        ikd1 = 1j * (k_h[0] * d1h[0] + k_h[1] * d1h[1])
-        if kh2 == 0:
-            if abs(d13 - d03) > 1e-12 * max(scale, 1e-300):
-                raise ValueError(
-                    "stopping lift requires the mean of delta1_3 - delta0_3 to vanish "
-                    f"(got {d13 - d03})"
-                )
-            phi = 0j  # gauge
-        else:
-            phi = 12.0 * (ikd0 + 0.5 * ikd1 + d13 - d03) / kh2
-        bump = Polynomial([0.0, 1.0, -2.0, 1.0])  # z(1-z)^2
-        p1 = Polynomial([d0h[0], d1h[0]]) + (1j * k_h[0] * phi) * bump
-        p2 = Polynomial([d0h[1], d1h[1]]) + (1j * k_h[1] * phi) * bump
-        # w3(z) = d03 - int_0^z div_h w_h
-        div_wh = 1j * k_h[0] * p1 + 1j * k_h[1] * p2
-        p3 = Polynomial([d03]) - div_wh.integ(lbnd=0.0)
-        modes[k_h] = (p1, p2, p3)
-    return ZPolyField(modes)
+    d0, d1 = _trace_table(delta0, keys), _trace_table(delta1, keys)
+    keys = [_kh_tuple(k) for k in keys]
+    k = np.array(keys, dtype=float).reshape(-1, 2)
+    kh2 = k[:, 0] ** 2 + k[:, 1] ** 2
+    mean = kh2 == 0
+    gap = d1[:, 2] - d0[:, 2]
+    scale = max(float(np.max(np.abs(d0), initial=0.0)), float(np.max(np.abs(d1), initial=0.0)))
+    if np.any(np.abs(gap[mean]) > 1e-12 * max(scale, 1e-300)):
+        raise ValueError("stopping lift requires the mean of delta1_3 - delta0_3 to vanish "
+                         f"(got {gap[mean][0]})")
+    ikd0 = 1j * (k[:, 0] * d0[:, 0] + k[:, 1] * d0[:, 1])
+    ikd1 = 1j * (k[:, 0] * d1[:, 0] + k[:, 1] * d1[:, 1])
+    phi = np.where(mean, 0j, 12.0 * (ikd0 + 0.5 * ikd1 + d1[:, 2] - d0[:, 2])
+                   / np.where(mean, 1.0, kh2))
+    coef = np.zeros((len(keys), 3, 5), dtype=complex)
+    coef[:, :2, 0] = d0[:, :2]
+    coef[:, :2, 1] = d1[:, :2]
+    coef[:, :2, :4] += (1j * k * phi[:, None])[:, :, None] * _BUMP
+    # w3(z) = d03 - int_0^z div_h w_h
+    div_wh = 1j * k[:, :1] * coef[:, 0, :4] + 1j * k[:, 1:] * coef[:, 1, :4]
+    coef[:, 2, 0] = d0[:, 2]
+    coef[:, 2, 1:] = -(div_wh / np.arange(1.0, 5.0))
+    return ZPolyField.of(keys, coef)
 
 
 # ---------------------------------------------------------------------------
 # interior flux lifts
 # ---------------------------------------------------------------------------
+
+
+def _flux_lift(keys, d0, d1, root: float, mean_error: str) -> ZPolyField:
+    """v3 = root [d1 z + d0 (1-z)], v_h = root grad_h Lap_h^{-1} (d0 - d1) on
+    columns keys with vertical traces d0, d1 (arrays); a k_h = 0 column is
+    dropped when its traces vanish and rejected otherwise."""
+    keys = [_kh_tuple(k) for k in keys]
+    k = np.array(keys, dtype=float).reshape(-1, 2)
+    kh2 = k[:, 0] ** 2 + k[:, 1] ** 2
+    mean = kh2 == 0
+    if np.any(d0[mean] != 0) or np.any(d1[mean] != 0):
+        raise ValueError(mean_error)
+    k, kh2, d0, d1 = k[~mean], kh2[~mean], d0[~mean], d1[~mean]
+    coef = np.zeros((len(k), 3, 2), dtype=complex)
+    coef[:, :2, 0] = -1j * root * k * (d0 - d1)[:, None] / kh2[:, None]
+    coef[:, 2, 0] = root * d0
+    coef[:, 2, 1] = root * (d1 - d0)
+    return ZPolyField.of([key for key, m in zip(keys, mean) if not m], coef)
 
 
 def lift_interior_vint0(delta0_3: dict, delta1_3: dict, params: Params) -> ZPolyField:
@@ -177,39 +206,20 @@ def lift_interior_vint0(delta0_3: dict, delta1_3: dict, params: Params) -> ZPoly
     rejected since Lap_h cannot be inverted on means.
     """
     keys = sorted(set(delta0_3) | set(delta1_3))
-    root = params.layer_scale
-    modes = {}
-    for k_h in keys:
-        k_h = _kh_tuple(k_h)
-        d0 = complex(delta0_3.get(k_h, 0j))
-        d1 = complex(delta1_3.get(k_h, 0j))
-        kh2 = k_h[0] ** 2 + k_h[1] ** 2
-        if kh2 == 0:
-            if abs(d0) > 0 or abs(d1) > 0:
-                raise ValueError("interior flux lift cannot carry a mean vertical trace")
-            continue
-        vh = -1j * root * np.array(k_h) * (d0 - d1) / kh2
-        p3 = Polynomial([root * d0, root * (d1 - d0)])
-        modes[k_h] = (Polynomial([vh[0]]), Polynomial([vh[1]]), p3)
-    return ZPolyField(modes)
+    d0, d1 = (np.array([complex(d.get(k, 0j)) for k in keys], dtype=complex)
+              for d in (delta0_3, delta1_3))
+    return _flux_lift(keys, d0, d1, params.layer_scale,
+                      "interior flux lift cannot carry a mean vertical trace")
 
 
 def lift_interior_vint1(trace: dict) -> ZPolyField:
     """Corrector restoring the zero-flux condition at the surface:
     v3 = -trace * z and v_h = grad_h Lap_h^{-1} trace.  A nonzero mean
     (k_h = 0 entry) is rejected; the lift is identically zero there."""
-    modes = {}
-    for k_h in sorted(trace):
-        k_h = _kh_tuple(k_h)
-        tau = complex(trace[k_h])
-        kh2 = k_h[0] ** 2 + k_h[1] ** 2
-        if kh2 == 0:
-            if abs(tau) > 0:
-                raise ValueError("surface flux corrector requires a mean-zero trace")
-            continue
-        vh = -1j * np.array(k_h) * tau / kh2
-        modes[k_h] = (Polynomial([vh[0]]), Polynomial([vh[1]]), Polynomial([0.0, -tau]))
-    return ZPolyField(modes)
+    keys = sorted(trace)
+    tau = np.array([complex(trace[k]) for k in keys], dtype=complex)
+    return _flux_lift(keys, np.zeros_like(tau), -tau, 1.0,
+                      "surface flux corrector requires a mean-zero trace")
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +376,6 @@ def small_divisor_corrector(source: SourceTable, K: int, params: Params, t: floa
         lam_l = eigenvalue(l)
         omega = (lam_l + mu) / eps
         kappa = mode_decay_constant(l, params)
-        if abs(lam_l + mu) < 1e-14 / max(eps, 1e-300) * eps:
-            warnings.warn(f"tiny divisor at (mu={mu}, l={l}): |lambda_l+mu|={abs(lam_l + mu):.3e}",
-                          stacklevel=2)
         if method == "closed":
             if not isinstance(s, ExpSource):
                 raise ValueError("closed form requires exponential sources")
@@ -442,29 +449,6 @@ def scaling_check(params: Params, C: float = 1.0, alpha0: float = 0.55):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class ExpAmplitude:
-    s0: complex
-    rate: complex = 0j  # Re >= 0
-
-    def __call__(self, t):
-        return self.s0 * np.exp(-self.rate * t)
-
-
-@dataclass(slots=True)
-class _PhasedExp:
-    """Amplitude s0 e^{i phi t/eps} e^{-rate t} relative to the e^{-i lambda_l t/eps}
-    carrier: used to express the inhomogeneous Duhamel piece as an amplitude."""
-
-    s0: complex
-    phi: float
-    eps: float
-    rate: complex = 0j
-
-    def __call__(self, t):
-        return self.s0 * np.exp(1j * self.phi * t / self.eps - self.rate * t)
-
-
 class OscillatingPoly:
     """Sum of polynomial lift fields with phases e^{i mu t/eps} e^{-rate t}.
 
@@ -514,11 +498,14 @@ class OscillatingPoly:
 
 
 class SpectralPart:
-    """Interior eigenmode sum: sum_l amp_l(t) e^{-i lambda_l t / eps} N_l.
+    """Interior eigenmode sum: sum_l c_l(t) e^{-i lambda_l t / eps} N_l, each
+    coefficient c_l(t) a sum of amplitude rows s0 e^{i phi t/eps - rate t}.
 
-    The modes are kept grouped by column k_h together with pi l3, lambda_l
-    and n(l), so hat_profile evaluates a column in blocks of CHUNK modes:
-    one cos/sin block and one real matrix product per block.  The block size
+    The rows are kept grouped by column k_h, each with the index of its mode,
+    and the column's modes with pi l3, lambda_l and n(l): a column's
+    coefficients take one exp over its rows, summed into the modes in row
+    order, and hat_profile evaluates the modes in blocks of CHUNK: one
+    cos/sin block and one real matrix product per block.  The block size
     bounds the trig arrays (CHUNK x len(z)) whatever the number of modes.
     """
 
@@ -526,44 +513,57 @@ class SpectralPart:
 
     def __init__(self, params: Params):
         self.params = params
-        self.amplitudes = {}  # mode -> [amps]
-        self._columns = {}  # k_h -> [modes] in order of addition
-        self._arrays = {}  # k_h -> (modes, pi l3, lambda_l, n(l)); dropped when a mode joins
+        self._columns = {}  # k_h -> ({mode: index}, [(index, s0, phi, rate)]), in order added
+        self._arrays = {}  # k_h -> column arrays; dropped when a row joins
 
-    def add(self, mode, amplitude):
+    def add(self, mode, s0, phi=0.0, rate=0j):
         mode = tuple(int(c) for c in mode)
-        if mode not in self.amplitudes:
-            self.amplitudes[mode] = []
-            self._columns.setdefault(mode[:2], []).append(mode)
-            self._arrays.pop(mode[:2], None)
-        self.amplitudes[mode].append(amplitude)
+        index, rows = self._columns.setdefault(mode[:2], ({}, []))
+        rows.append((index.setdefault(mode, len(index)), complex(s0), float(phi), complex(rate)))
+        self._arrays.pop(mode[:2], None)
 
-    def coefficient(self, mode, t):
-        return sum(a(t) for a in self.amplitudes.get(mode, []))
+    def modes(self):
+        return sorted(m for index, _ in self._columns.values() for m in index)
 
     def _column(self, k_h):
+        """({mode: index}, pi l3, lambda_l, n(l), and the rows' mode index, s0,
+        phi and rate as arrays) of column k_h, or None."""
         arrays = self._arrays.get(k_h)
         if arrays is None and k_h in self._columns:
-            modes = self._columns[k_h]
-            arrays = (modes, np.array([math.pi * m[2] for m in modes]),
-                      np.array([eigenvalue(m) for m in modes]),
-                      np.array([basis_normal(m) for m in modes]))
+            index, rows = self._columns[k_h]
+            row_mode, s0, phi, rate = (np.array(v) for v in zip(*rows))
+            arrays = (index, np.array([math.pi * m[2] for m in index]),
+                      np.array([eigenvalue(m) for m in index]),
+                      np.array([basis_normal(m) for m in index]), row_mode, s0, phi, rate)
             self._arrays[k_h] = arrays
         return arrays
 
+    def _coefficients(self, arrays, t) -> np.ndarray:
+        index, _, _, _, row_mode, s0, phi, rate = arrays
+        coef = np.zeros(len(index), dtype=complex)
+        # phi t / eps in real arithmetic, rounded as the one-row formula rounds it
+        np.add.at(coef, row_mode, s0 * np.exp(1j * (phi * t / self.params.epsilon) - rate * t))
+        return coef
+
+    def coefficient(self, mode, t):
+        mode = tuple(int(c) for c in mode)
+        arrays = self._column(mode[:2])
+        if arrays is None or mode not in arrays[0]:
+            return 0
+        return self._coefficients(arrays, t)[arrays[0][mode]]
+
     def hat_profile(self, k_h, t, z):
         z = np.asarray(z, dtype=float)
-        column = self._column(_kh_tuple(k_h))
-        if column is None:
+        arrays = self._column(_kh_tuple(k_h))
+        if arrays is None:
             return np.zeros((3,) + z.shape, dtype=complex)
-        modes, wave, lam, normals = column
-        coef = np.array([self.coefficient(m, t) for m in modes], dtype=complex)
-        coef *= np.exp(-1j * lam * t / self.params.epsilon)
+        _, wave, lam, normals = arrays[:4]
+        coef = self._coefficients(arrays, t) * np.exp(-1j * lam * t / self.params.epsilon)
         # rows (Re u1, Im u1, Re u2, Im u2, Re u3, Im u3) of each mode
         amp = (coef[:, None] * normals).view(float)
         zf = z.ravel()
         acc = np.zeros((6, zf.size))
-        for s in range(0, len(modes), self.CHUNK):
+        for s in range(0, len(wave), self.CHUNK):
             arg = np.multiply.outer(wave[s:s + self.CHUNK], zf)
             block = amp[s:s + self.CHUNK]
             acc[:4] += block[:, :4].T @ np.cos(arg)
@@ -574,7 +574,8 @@ class SpectralPart:
         return sorted(self._columns)
 
     def l2_norm(self, t: float) -> float:
-        return math.sqrt(sum(abs(self.coefficient(m, t)) ** 2 for m in self.amplitudes))
+        return math.sqrt(sum(float(np.sum(np.abs(self._coefficients(self._column(k_h), t)) ** 2))
+                             for k_h in self._columns))
 
 
 class ModulatedBL:
@@ -739,12 +740,20 @@ class ApproxSolution:
             ks.update(p.horizontal_modes())
         return sorted(ks)
 
+    def _selected(self, include) -> list:
+        """The parts named in `include` (all parts when None), in part order;
+        a name that is not a part is rejected."""
+        if include is None:
+            return list(self.parts.values())
+        unknown = [name for name in include if name not in self.parts]
+        if unknown:
+            raise ValueError(f"no part named {unknown[0]!r}; the parts are {list(self.parts)}")
+        return [p for name, p in self.parts.items() if name in include]
+
     def hat_profile(self, k_h, t, z, include=None):
         z = np.asarray(z, dtype=float)
         out = np.zeros((3,) + z.shape, dtype=complex)
-        for name, p in self.parts.items():
-            if include is not None and name not in include:
-                continue
+        for p in self._selected(include):
             out += p.hat_profile(k_h, t, z)
         return out
 
@@ -754,6 +763,7 @@ class ApproxSolution:
     def total_norm(self, t: float, nz: int = 800, include=None) -> float:
         """L2 norm of the sum of the parts named in `include` (all parts when
         None) on a wall-refined grid."""
+        self._selected(include)  # rejects unknown names even with no columns
         z = _norm_grid(self.params, nz)
         total = 0.0
         for k_h in self.horizontal_modes():
@@ -832,27 +842,13 @@ def _stopping_lifts(params: Params, rows) -> OscillatingPoly:
 
 
 def _lift_equation_bound(lift: OscillatingPoly, params: Params) -> float:
-    """(1/eps)||w|| + ||Lap_h w|| + nu ||dzz w|| + |rate| ||w|| over entries.
-
-    Each entry's columns form one (ncol, 3, degree+1) coefficient array; it
-    and its second derivative are evaluated through one Vandermonde matrix on
-    the Gauss nodes."""
-    xg, wg = _GAUSS_Z
+    """(1/eps)||w|| + ||Lap_h w|| + nu ||dzz w|| + |rate| ||w|| over entries."""
     total = 0.0
     for f, mu, rate in lift.entries:
-        columns = list(f.items())
-        coef = np.zeros((len(columns), 3, max(len(p.coef) for _, polys in columns
-                                              for p in polys)), dtype=complex)
-        for i, (_, polys) in enumerate(columns):
-            for c, p in enumerate(polys):
-                coef[i, c, :len(p.coef)] = p.coef
-        V = np.vander(0.5 * (xg + 1.0), coef.shape[2], increasing=True)
-        dzz_coef = np.polynomial.polynomial.polyder(coef, 2, axis=2)
-        col_sq = (np.abs(coef @ V.T) ** 2 @ (0.5 * wg)).sum(axis=1)
-        dzz = float(np.sum(np.abs(dzz_coef @ V[:, :dzz_coef.shape[2]].T) ** 2 @ (0.5 * wg)))
-        kh2 = np.array([k_h[0] ** 2 + k_h[1] ** 2 for k_h, _ in columns], dtype=float)
+        col_sq = f.column_sq()
         norm = 2.0 * math.pi * math.sqrt(float(col_sq.sum()))
-        lap = float(kh2 ** 2 @ col_sq)
+        lap = float(f._kh2() ** 2 @ col_sq)
+        dzz = float(f.column_sq(2).sum())
         total += norm / params.epsilon + 2.0 * math.pi * math.sqrt(lap) \
             + params.nu * 2.0 * math.pi * math.sqrt(dzz) + abs(rate) * norm
     return total
@@ -921,8 +917,8 @@ def assemble_wind_approx(sigma: BoundaryTrace, params: Params) -> ApproxSolution
             kappa = mode_decay_constant(l, params)
             w = s / (1j * (lam_l + mu) / eps + kappa)
             # zero-initial-data Duhamel: w (e^{i(lam+mu)t/eps} - e^{-kappa t})
-            osc.add(l, _PhasedExp(w, mu + lam_l, eps))
-            osc.add(l, ExpAmplitude(-w, kappa))
+            osc.add(l, w, mu + lam_l)
+            osc.add(l, -w, rate=kappa)
             trace = w * basis_normal(l)[:2]
             steady[(mu, k_h)] -= trace
             decaying.append(({(-lam_l, k_h): trace}, kappa))
@@ -995,7 +991,7 @@ def assemble_dirichlet_approx(gamma: SpectralField, params: Params,
     rates = {k: complex(r) for k, r in zip(modes, pump.envelope_rates())}
     interior = SpectralPart(params)
     for k in modes:
-        interior.add(k, ExpAmplitude(gamma[k], rates[k]))
+        interior.add(k, gamma[k], rate=rates[k])
 
     # bottom layer from the interior's horizontal trace at z = 0; the fully
     # resonant k_h = 0 trace drives the strip heat column instead
@@ -1052,13 +1048,13 @@ def assemble_dirichlet_approx(gamma: SpectralField, params: Params,
             kappa = mode_decay_constant(l, params)
             w = s / (1j * (lam_l + mu) / eps - a_k + kappa)
             # decay-preserving special solution (keeps the envelope's decay)
-            osc.add(l, _PhasedExp(w, mu + lam_l, eps, a_k))
+            osc.add(l, w, mu + lam_l, a_k)
             trace = w * basis_normal(l)[:2]
             add_row(mu, k_h, a_k, -trace)
             if corrector_variant == "zero_ic":
                 # subtract the homogeneous transient so the corrector starts
                 # from zero; its trace decays at the mode's own rate
-                osc.add(l, ExpAmplitude(-w, kappa))
+                osc.add(l, -w, rate=kappa)
                 add_row(-lam_l, k_h, kappa, trace)
 
     # secondary bottom layer for those traces, one layer per rate

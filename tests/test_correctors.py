@@ -17,16 +17,16 @@ from rotstrip.spectral import (
     euclidean_norm,
 )
 from rotstrip.layers import BoundaryTrace, build_B, empty_trace
+from rotstrip import correctors
 from rotstrip.correctors import (
-    ExpAmplitude,
     ExpSource,
     ModulatedBL,
     OscillatingPoly,
     SourceTable,
     SpectralPart,
-    _PhasedExp,
+    ZPolyField,
+    _lift_equation_bound,
     _norm_grid,
-    _poly_l2_sq,
     assemble_dirichlet_approx,
     assemble_wind_approx,
     divisor_bounds,
@@ -220,6 +220,11 @@ class TestSmallDivisor:
         l = (1, 0, 1)
         with pytest.raises(ValueError, match="resonant"):
             SourceTable({(-eigenvalue(l), l): ExpSource(1.0)})
+
+    def test_near_resonant_entry_rejected(self):
+        l = (1, 0, 1)
+        with pytest.raises(ValueError, match="resonant"):
+            SourceTable({(-eigenvalue(l) + 1e-13, l): ExpSource(1.0)})
 
     def test_closed_matches_quadrature(self):
         p = Params(1e-2, 1e-2)
@@ -581,6 +586,18 @@ class TestDirichletAssembly:
         with pytest.raises(ValueError, match="corrector_variant"):
             assemble_dirichlet_approx(g, p, corrector_variant="nope")
 
+    def test_unknown_part_name_rejected(self):
+        p = Params(1e-2, 1e-2)
+        sol = assemble_dirichlet_approx(SpectralField({(1, 0, 1): 1.0}), p)
+        z = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="flux_lfit"):
+            sol.hat_profile((1, 0), 0.1, z, include=["flux_lfit"])
+        with pytest.raises(ValueError, match="flux_lfit"):
+            sol.total_norm(0.1, include=["bottom_layer", "flux_lfit"])
+        with pytest.raises(ValueError, match="flux_lfit"):
+            assemble_dirichlet_approx(SpectralField({}), p).total_norm(0.1, include=["flux_lfit"])
+        assert sol.total_norm(0.1, include=[]) == 0.0
+
     def test_summary_serializes_to_json(self):
         import json
 
@@ -611,7 +628,7 @@ class TestDirichletAssembly:
 def spectral_reference(part, k_h, t, z):
     """sum_l c_l(t) e^{-i lambda_l t/eps} basis_profile(l, z), one mode at a time."""
     out = np.zeros((3,) + z.shape, dtype=complex)
-    for mode in sorted(part.amplitudes):
+    for mode in part.modes():
         if mode[:2] == tuple(k_h):
             phase = np.exp(-1j * eigenvalue(mode) * t / part.params.epsilon)
             out += part.coefficient(mode, t) * phase * basis_profile(mode, z)
@@ -619,7 +636,7 @@ def spectral_reference(part, k_h, t, z):
 
 
 def poly_reference_l2(osc, t):
-    """The Polynomial sum per column plus _poly_l2_sq."""
+    """The Polynomial sum per column plus ref_poly_l2_sq."""
     total = 0.0
     for k_h in osc.horizontal_modes():
         combined = [Polynomial([0.0]) for _ in range(3)]
@@ -628,7 +645,7 @@ def poly_reference_l2(osc, t):
             if polys is not None:
                 phase = np.exp(1j * mu * t / osc.params.epsilon - rate * t)
                 combined = [combined[c] + phase * polys[c] for c in range(3)]
-        total += sum(_poly_l2_sq(p) for p in combined)
+        total += sum(ref_poly_l2_sq(p) for p in combined)
     return 2.0 * math.pi * math.sqrt(total)
 
 
@@ -644,9 +661,9 @@ class TestColumnEvaluation:
         for l3 in l3s:
             mode = (k_h[0], k_h[1], l3)
             s0 = complex(rng.standard_normal(), rng.standard_normal())
-            part.add(mode, ExpAmplitude(s0, rng.uniform(0.0, 3.0)))
+            part.add(mode, s0, rate=rng.uniform(0.0, 3.0))
             if l3 % 3 == 0:
-                part.add(mode, _PhasedExp(0.5 * s0, rng.uniform(-1.0, 1.0), p.epsilon, 1.0))
+                part.add(mode, 0.5 * s0, rng.uniform(-1.0, 1.0), 1.0)
         return part
 
     def test_spectral_column_matches_per_mode_sum(self):
@@ -667,9 +684,9 @@ class TestColumnEvaluation:
         t = 0.31
         part.hat_profile((1, 2), t, z)
         # a new column, and new modes on the column evaluated already
-        part.add((2, -1, 3), ExpAmplitude(1.0 - 2j, 0.4))
-        part.add((1, 2, -7), ExpAmplitude(0.3j, 0.1))
-        part.add((1, 2, 2), ExpAmplitude(0.2, 0.0))
+        part.add((2, -1, 3), 1.0 - 2j, rate=0.4)
+        part.add((1, 2, -7), 0.3j, rate=0.1)
+        part.add((1, 2, 2), 0.2)
         assert part.horizontal_modes() == [(1, 2), (2, -1)]
         for k_h in part.horizontal_modes():
             assert_column_close(part.hat_profile(k_h, t, z),
@@ -730,3 +747,221 @@ class TestColumnEvaluation:
         top = build_B(empty_trace(0), BoundaryTrace(1, table), p)
         with pytest.raises(ValueError, match="both walls"):
             ModulatedBL(p, [(bottom, 0.0), (top, 0.5)]).l2_norm(0.1)
+
+
+# -- lifts as coefficient arrays against the Polynomial algebra ---------------
+# The reference functions below build the lifts with numpy Polynomial
+# arithmetic, one column and component at a time, as the module did before
+# its lifts became closed-form coefficient arrays.
+
+
+def ref_poly_l2_sq(p):
+    """int_0^1 |p(z)|^2 dz, exact for the degrees used here."""
+    xg, wg = np.polynomial.legendre.leggauss(24)
+    z = 0.5 * (xg + 1.0)
+    return float(np.sum(0.5 * wg * np.abs(p(z)) ** 2))
+
+
+def ref_stopping_lift(delta0, delta1):
+    keys = sorted(set(delta0) | set(delta1))
+    zero2 = np.zeros(2, dtype=complex)
+    modes = {}
+    for k_h in keys:
+        d0h, d03 = delta0.get(k_h, (zero2, 0j))
+        d1h, d13 = delta1.get(k_h, (zero2, 0j))
+        d0h = np.asarray(d0h, dtype=complex)
+        d1h = np.asarray(d1h, dtype=complex)
+        kh2 = k_h[0] ** 2 + k_h[1] ** 2
+        ikd0 = 1j * (k_h[0] * d0h[0] + k_h[1] * d0h[1])
+        ikd1 = 1j * (k_h[0] * d1h[0] + k_h[1] * d1h[1])
+        phi = 0j if kh2 == 0 else 12.0 * (ikd0 + 0.5 * ikd1 + d13 - d03) / kh2
+        bump = Polynomial([0.0, 1.0, -2.0, 1.0])
+        p1 = Polynomial([d0h[0], d1h[0]]) + (1j * k_h[0] * phi) * bump
+        p2 = Polynomial([d0h[1], d1h[1]]) + (1j * k_h[1] * phi) * bump
+        div_wh = 1j * k_h[0] * p1 + 1j * k_h[1] * p2
+        p3 = Polynomial([complex(d03)]) - div_wh.integ(lbnd=0.0)
+        modes[k_h] = (p1, p2, p3)
+    return modes
+
+
+def ref_vint0(delta0_3, delta1_3, params):
+    root = params.layer_scale
+    modes = {}
+    for k_h in sorted(set(delta0_3) | set(delta1_3)):
+        d0 = complex(delta0_3.get(k_h, 0j))
+        d1 = complex(delta1_3.get(k_h, 0j))
+        kh2 = k_h[0] ** 2 + k_h[1] ** 2
+        if kh2 == 0:
+            continue
+        vh = -1j * root * np.array(k_h) * (d0 - d1) / kh2
+        p3 = Polynomial([root * d0, root * (d1 - d0)])
+        modes[k_h] = (Polynomial([vh[0]]), Polynomial([vh[1]]), p3)
+    return modes
+
+
+def ref_vint1(trace):
+    modes = {}
+    for k_h in sorted(trace):
+        tau = complex(trace[k_h])
+        kh2 = k_h[0] ** 2 + k_h[1] ** 2
+        if kh2 == 0:
+            continue
+        vh = -1j * np.array(k_h) * tau / kh2
+        modes[k_h] = (Polynomial([vh[0]]), Polynomial([vh[1]]), Polynomial([0.0, -tau]))
+    return modes
+
+
+def ref_h2_norm(modes):
+    total = 0.0
+    for k_h, polys in modes.items():
+        kh2 = k_h[0] ** 2 + k_h[1] ** 2
+        for p in polys:
+            total += (1.0 + 2.0 * kh2 + kh2 ** 2) * ref_poly_l2_sq(p)
+            total += (1.0 + kh2) * 2.0 * ref_poly_l2_sq(p.deriv()) + ref_poly_l2_sq(p.deriv(2))
+    return 2.0 * math.pi * math.sqrt(total)
+
+
+def ref_lift_equation_bound(entries, params):
+    """(1/eps)||w|| + ||Lap_h w|| + nu ||dzz w|| + |rate| ||w|| over (modes, rate)."""
+    total = 0.0
+    for modes, rate in entries:
+        sq = {k_h: sum(ref_poly_l2_sq(p) for p in polys) for k_h, polys in modes.items()}
+        norm = 2.0 * math.pi * math.sqrt(sum(sq.values()))
+        lap = sum((k[0] ** 2 + k[1] ** 2) ** 2 * v for k, v in sq.items())
+        dzz = sum(ref_poly_l2_sq(p.deriv(2)) for polys in modes.values() for p in polys)
+        total += norm / params.epsilon + 2.0 * math.pi * math.sqrt(lap) \
+            + params.nu * 2.0 * math.pi * math.sqrt(dzz) + abs(rate) * norm
+    return total
+
+
+def padded(polys, ndeg=6):
+    out = np.zeros((3, ndeg), dtype=complex)
+    for c, p in enumerate(polys):
+        out[c, :len(p.coef)] = p.coef
+    return out
+
+
+def random_lift_tables(rng, vertical_only):
+    """Stopping-lift data whose delta0 and delta1 hold different columns, with a
+    compatible k_h = 0 column; vertical-only data has zero horizontal parts."""
+    def value(size):
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    d0, d1 = {}, {}
+    for table, keys in ((d0, [(1, 0), (2, -1), (0, 3)]), (d1, [(1, 0), (-1, 2), (3, 1)])):
+        for k_h in keys:
+            table[k_h] = (np.zeros(2) if vertical_only else value(2), complex(value(())))
+    mean = complex(value(()))
+    d0[(0, 0)] = (np.zeros(2) if vertical_only else value(2), mean)
+    d1[(0, 0)] = (np.zeros(2) if vertical_only else value(2), mean)
+    return d0, d1
+
+
+class TestLiftArrays:
+    P = Params(1e-3, 2e-3)
+
+    def random_lifts(self, rng):
+        """[(ZPolyField, reference modes)] of one draw of every lift."""
+        lifts = []
+        for vertical_only in (False, True):
+            d0, d1 = random_lift_tables(rng, vertical_only)
+            lifts.append((stopping_lift(d0, d1), ref_stopping_lift(d0, d1)))
+        s0 = {k: complex(rng.standard_normal(), rng.standard_normal()) for k in [(1, 0), (2, 2)]}
+        s1 = {k: complex(rng.standard_normal(), rng.standard_normal()) for k in [(2, 2), (0, -1)]}
+        s0[(0, 0)] = 0j
+        lifts.append((lift_interior_vint0(s0, s1, self.P), ref_vint0(s0, s1, self.P)))
+        tau = {**s1, (0, 0): 0.0, (3, -1): 0.5 - 2j}
+        lifts.append((lift_interior_vint1(tau), ref_vint1(tau)))
+        return lifts
+
+    def test_coefficients_match_polynomial_algebra(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            for field_, ref in self.random_lifts(rng):
+                assert sorted(field_.modes) == sorted(ref)
+                for k_h, polys in ref.items():
+                    want = padded(polys)
+                    got = padded(field_.modes[k_h])
+                    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_norms_match_polynomial_algebra(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            lifts = self.random_lifts(rng)
+            osc = OscillatingPoly(self.P)
+            entries = []
+            for i, (field_, ref) in enumerate(lifts):
+                l2 = 2.0 * math.pi * math.sqrt(sum(ref_poly_l2_sq(p) for polys in ref.values()
+                                                   for p in polys))
+                assert field_.l2_norm() == pytest.approx(l2, rel=1e-13)
+                assert field_.h2_norm() == pytest.approx(ref_h2_norm(ref), rel=1e-13)
+                rate = 0.3 * i + 0.1j
+                osc.add(field_, 0.5 * i, rate)
+                entries.append((ref, rate))
+            assert _lift_equation_bound(osc, self.P) == pytest.approx(
+                ref_lift_equation_bound(entries, self.P), rel=1e-13)
+
+    def test_stopping_lift_builds_three_polynomials_per_column(self, monkeypatch):
+        calls = {"init": 0, "arithmetic": 0}
+
+        class Counting(Polynomial):
+            def __init__(self, *args, **kwargs):
+                calls["init"] += 1
+                super().__init__(*args, **kwargs)
+
+        def counted(name):
+            def method(self, *args, **kwargs):
+                calls["arithmetic"] += 1
+                return getattr(Polynomial, name)(self, *args, **kwargs)
+            return method
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__neg__", "__pow__", "integ", "deriv"):
+            setattr(Counting, name, counted(name))
+        monkeypatch.setattr(correctors, "Polynomial", Counting)
+        d0, d1 = random_lift_tables(np.random.default_rng(13), vertical_only=False)
+        w = stopping_lift(d0, d1)
+        ncol = len(set(d0) | set(d1))
+        assert len(w.modes) == ncol
+        assert calls == {"init": 3 * ncol, "arithmetic": 0}
+        assert all(isinstance(p, Counting) for _, polys in w.items() for p in polys)
+
+    def test_of_round_trips_through_coefficients(self):
+        coef = np.arange(12.0).reshape(2, 3, 2) + 1j
+        f = ZPolyField.of([(1, 0), (0, 2)], coef)
+        keys, back = f.coefficients()
+        assert keys == [(0, 2), (1, 0)]
+        assert np.array_equal(back, coef[::-1])
+
+
+class TestSpectralPartRows:
+    P = Params(1e-3, 1e-3)
+    ROWS = [((1, 0, 2), 0.5 - 1j, 0.0, 0j), ((1, 0, -3), 2.0, 0.1, 0.0),
+            ((1, 0, 2), 0.2j, 0.7, 0.3), ((0, 2, 1), 0.3, 0.0, 0.5),
+            ((1, 0, 2), -1.0, -0.4, 1.5 + 0.2j), ((1, 0, -3), 0.1 + 0.1j, 0.0, 2.0)]
+
+    def part(self):
+        part = SpectralPart(self.P)
+        for mode, s0, phi, rate in self.ROWS:
+            part.add(mode, s0, phi, rate)
+        return part
+
+    def test_coefficient_is_the_sum_of_rows(self):
+        part = self.part()
+        assert part.modes() == [(0, 2, 1), (1, 0, -3), (1, 0, 2)]
+        for t in (0.0, 0.13, 0.7):
+            for mode in part.modes():
+                want = sum(s0 * np.exp(1j * phi * t / self.P.epsilon - rate * t)
+                           for m, s0, phi, rate in self.ROWS if m == mode)
+                assert part.coefficient(mode, t) == want
+
+    def test_missing_mode_and_column_give_zero(self):
+        part = self.part()
+        assert part.coefficient((1, 0, 5), 0.2) == 0
+        assert part.coefficient((2, 2, 1), 0.2) == 0
+
+    def test_l2_norm_is_the_coefficient_norm(self):
+        part = self.part()
+        for t in (0.0, 0.13, 0.7):
+            want = math.sqrt(sum(abs(part.coefficient(m, t)) ** 2 for m in part.modes()))
+            assert part.l2_norm(t) == pytest.approx(want, rel=1e-14)
