@@ -24,7 +24,6 @@ from .spectral import (
     basis_normal,
     eigenvalue,
     euclidean_norm,
-    weighted_norm,
 )
 from .layers import BoundaryTrace, _amplitude_l2, build_B, build_layers, empty_trace, wall_layers
 from .envelope import pumping
@@ -227,37 +226,43 @@ def lift_interior_vint1(trace: dict) -> ZPolyField:
 # ---------------------------------------------------------------------------
 
 
-def scalar_product_forms(l) -> tuple:
-    """Closed forms of the two projections driving the corrector sources:
+def column_forms(k_h, l3) -> tuple:
+    """Closed forms on the modes l = (k_h, l3) of one column, for an integer
+    array l3: the two projections driving the corrector sources
 
         F1 = <N_l | (i l1, i l2, |l_h|^2 z) e^{i l_h.x_h}>
-        F2 = <N_l | (-i l2, i l1, 0) e^{i l_h.x_h}>
+        F2 = <N_l | (-i l2, i l1, 0) e^{i l_h.x_h}>,
 
-    in plain L^2 of T^2 x [0,1] (quadrature-validated; the weighted norm
-    sqrt(|l_h|^2 + pi^2 l3^2) plays the role of |l| here).
+    the vertical companion G = <N_l | (0,0,1) e^{i l_h.x_h}> and lambda_l, in
+    plain L^2 of T^2 x [0,1] (quadrature-validated; the weighted norm
+    D = sqrt(|l_h|^2 + pi^2 l3^2) plays the role of |l| here).  Quotients
+    are taken in real arithmetic and multiplied by 1j last, as the one-mode
+    formulas round them (numpy's complex-by-real division multiplies by the
+    reciprocal instead).  F1 = G = 0 and F2 = -2 pi |l_h| at l3 = 0, where
+    F2 alone is nonzero; lambda is not defined at l = 0.
     """
-    l = tuple(int(c) for c in l)
-    l1, l2, l3 = l
-    kh = math.hypot(l1, l2)
-    D = weighted_norm(l)
-    if l3 != 0:
-        F1 = 2j * kh ** 3 * (-1.0) ** l3 / (l3 * D)
-        F2 = 0j
-    else:
-        F1 = 0j
-        F2 = -2.0 * math.pi * kh + 0j
-    return F1, F2
+    l3 = np.asarray(l3, dtype=int)
+    kh2 = int(k_h[0]) ** 2 + int(k_h[1]) ** 2
+    kh = math.hypot(k_h[0], k_h[1])
+    D = np.sqrt(kh2 + (math.pi * l3) ** 2)
+    den = np.where(l3 == 0, 1.0, l3 * D)
+    sign = np.where(l3 % 2 == 0, 1.0, -1.0)  # (-1)^l3
+    F1 = 1j * np.where(l3 == 0, 0.0, 2.0 * kh ** 3 * sign / den)
+    F2 = np.where(l3 == 0, -2.0 * math.pi * kh, 0.0) + 0j
+    G = 1j * np.where(l3 == 0, 0.0, -2.0 * kh * (1.0 - sign) / den)
+    lam = -l3 * math.pi / np.where(D == 0, 1.0, D)
+    return F1, F2, G, lam
+
+
+def scalar_product_forms(l) -> tuple:
+    """(F1, F2) of column_forms at the one mode l."""
+    F1, F2, _, _ = column_forms(l[:2], [l[2]])
+    return complex(F1[0]), complex(F2[0])
 
 
 def vertical_unit_product(l) -> complex:
-    """<N_l | (0,0,1) e^{i l_h.x_h}>, the vertical companion of F1."""
-    l = tuple(int(c) for c in l)
-    l1, l2, l3 = l
-    if l3 == 0:
-        return 0j
-    kh = math.hypot(l1, l2)
-    D = weighted_norm(l)
-    return -2j * kh * (1.0 - (-1.0) ** l3) / (l3 * D)
+    """<N_l | (0,0,1) e^{i l_h.x_h}> of column_forms at the one mode l."""
+    return complex(column_forms(l[:2], [l[2]])[2][0])
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +454,22 @@ def scaling_check(params: Params, C: float = 1.0, alpha0: float = 0.55):
 # ---------------------------------------------------------------------------
 
 
-class OscillatingPoly:
+class _Part:
+    """A part of an approximation.  profiles(t, z, columns, out) evaluates the
+    listed columns k_h together and adds them into out, an array of shape
+    (len(columns), 3) + z.shape (zeros when not given), which it returns; a
+    column the part does not hold adds nothing.  hat_profile is its
+    one-column view."""
+
+    def hat_profile(self, k_h, t, z):
+        return self.profiles(t, z, [k_h])[0]
+
+
+def _profiles_out(columns, z, out) -> np.ndarray:
+    return np.zeros((len(columns), 3) + z.shape, dtype=complex) if out is None else out
+
+
+class OscillatingPoly(_Part):
     """Sum of polynomial lift fields with phases e^{i mu t/eps} e^{-rate t}.
 
     A column is evaluated from one coefficient array: the entries' phased
@@ -464,22 +484,25 @@ class OscillatingPoly:
         if field_.modes:
             self.entries.append((field_, float(mu), complex(rate)))
 
-    def hat_profile(self, k_h, t, z):
+    def profiles(self, t, z, columns, out=None):
         z = np.asarray(z, dtype=float)
-        k_h = _kh_tuple(k_h)
-        terms = []
-        for f, mu, rate in self.entries:
-            polys = f.modes.get(k_h)
-            if polys is not None:
-                phase = np.exp(1j * mu * t / self.params.epsilon - rate * t)
-                terms.extend((c, phase * p.coef) for c, p in enumerate(polys))
-        if not terms:
-            return np.zeros((3,) + z.shape, dtype=complex)
-        combined = np.zeros((3, max(len(coef) for _, coef in terms)), dtype=complex)
-        for c, coef in terms:
-            combined[c, :len(coef)] += coef
-        values = combined @ np.vander(z.ravel(), combined.shape[1], increasing=True).T
-        return values.reshape((3,) + z.shape)
+        out = _profiles_out(columns, z, out)
+        for i, k_h in enumerate(columns):
+            k_h = _kh_tuple(k_h)
+            terms = []
+            for f, mu, rate in self.entries:
+                polys = f.modes.get(k_h)
+                if polys is not None:
+                    phase = np.exp(1j * mu * t / self.params.epsilon - rate * t)
+                    terms.extend((c, phase * p.coef) for c, p in enumerate(polys))
+            if not terms:
+                continue
+            combined = np.zeros((3, max(len(coef) for _, coef in terms)), dtype=complex)
+            for c, coef in terms:
+                combined[c, :len(coef)] += coef
+            values = combined @ np.vander(z.ravel(), combined.shape[1], increasing=True).T
+            out[i] += values.reshape((3,) + z.shape)
+        return out
 
     def horizontal_modes(self):
         ks = set()
@@ -497,16 +520,26 @@ class OscillatingPoly:
         return 2.0 * math.pi * math.sqrt(total)
 
 
-class SpectralPart:
+def _trig_block(j, z):
+    """cos(pi j z) and sin(pi j z) for the integers j and heights z, each
+    of shape (len(j), len(z))."""
+    arg = np.multiply.outer(math.pi * j, z)
+    return np.cos(arg), np.sin(arg)
+
+
+class SpectralPart(_Part):
     """Interior eigenmode sum: sum_l c_l(t) e^{-i lambda_l t / eps} N_l, each
     coefficient c_l(t) a sum of amplitude rows s0 e^{i phi t/eps - rate t}.
 
     The rows are kept grouped by column k_h, each with the index of its mode,
-    and the column's modes with pi l3, lambda_l and n(l): a column's
+    and the column's modes with |l3|, lambda_l and n(l) folded onto |l3|
+    (cos is even and sin odd, so the u3 row takes sign(l3)).  A column's
     coefficients take one exp over its rows, summed into the modes in row
-    order, and hat_profile evaluates the modes in blocks of CHUNK: one
-    cos/sin block and one real matrix product per block.  The block size
-    bounds the trig arrays (CHUNK x len(z)) whatever the number of modes.
+    order.  profiles sums the listed columns' folded amplitudes per |l3| and
+    evaluates them in one pass over j = |l3| in blocks of CHUNK: one
+    cos/sin(pi j z) block shared by every column and one real matrix
+    product per block, so the trig arrays stay CHUNK x len(z) whatever the
+    number of modes and columns.
     """
 
     CHUNK = 64
@@ -526,15 +559,18 @@ class SpectralPart:
         return sorted(m for index, _ in self._columns.values() for m in index)
 
     def _column(self, k_h):
-        """({mode: index}, pi l3, lambda_l, n(l), and the rows' mode index, s0,
-        phi and rate as arrays) of column k_h, or None."""
+        """({mode: index}, |l3|, lambda_l, n(l) with its u3 entry times
+        sign(l3), and the rows' mode index, s0, phi and rate as arrays) of
+        column k_h, or None."""
         arrays = self._arrays.get(k_h)
         if arrays is None and k_h in self._columns:
             index, rows = self._columns[k_h]
             row_mode, s0, phi, rate = (np.array(v) for v in zip(*rows))
-            arrays = (index, np.array([math.pi * m[2] for m in index]),
-                      np.array([eigenvalue(m) for m in index]),
-                      np.array([basis_normal(m) for m in index]), row_mode, s0, phi, rate)
+            l3 = np.array([m[2] for m in index])
+            folded = np.array([basis_normal(m) for m in index])
+            folded[:, 2] *= np.sign(l3)
+            arrays = (index, np.abs(l3), np.array([eigenvalue(m) for m in index]), folded,
+                      row_mode, s0, phi, rate)
             self._arrays[k_h] = arrays
         return arrays
 
@@ -552,23 +588,40 @@ class SpectralPart:
             return 0
         return self._coefficients(arrays, t)[arrays[0][mode]]
 
-    def hat_profile(self, k_h, t, z):
+    def profiles(self, t, z, columns, out=None):
         z = np.asarray(z, dtype=float)
-        arrays = self._column(_kh_tuple(k_h))
-        if arrays is None:
-            return np.zeros((3,) + z.shape, dtype=complex)
-        _, wave, lam, normals = arrays[:4]
-        coef = self._coefficients(arrays, t) * np.exp(-1j * lam * t / self.params.epsilon)
-        # rows (Re u1, Im u1, Re u2, Im u2, Re u3, Im u3) of each mode
-        amp = (coef[:, None] * normals).view(float)
+        out = _profiles_out(columns, z, out)
+        held = []  # (row of out, column arrays)
+        for i, k_h in enumerate(columns):
+            arrays = self._column(_kh_tuple(k_h))
+            if arrays is not None:
+                held.append((i, arrays))
+        if not held:
+            return out
+        n = 1 + max(int(a[1].max()) for _, a in held)
+        amp = np.zeros((len(held), n, 3), dtype=complex)
+        for c, (_, arrays) in enumerate(held):
+            _, j, lam, folded = arrays[:4]
+            coef = self._coefficients(arrays, t) * np.exp(-1j * lam * t / self.params.epsilon)
+            np.add.at(amp[c], j, coef[:, None] * folded)
+        # rows (Re u1, Im u1, Re u2, Im u2) and (Re u3, Im u3) of every column
+        amp = amp.view(float).transpose(0, 2, 1)
         zf = z.ravel()
-        acc = np.zeros((6, zf.size))
-        for s in range(0, len(wave), self.CHUNK):
-            arg = np.multiply.outer(wave[s:s + self.CHUNK], zf)
-            block = amp[s:s + self.CHUNK]
-            acc[:4] += block[:, :4].T @ np.cos(arg)
-            acc[4:] += block[:, 4:].T @ np.sin(arg)
-        return (acc[0::2] + 1j * acc[1::2]).reshape((3,) + z.shape)
+        even, odd = amp[:, :4].reshape(-1, n), amp[:, 4:].reshape(-1, n)
+        acc_even, acc_odd = np.zeros((len(even), zf.size)), np.zeros((len(odd), zf.size))
+        for s in range(0, n, self.CHUNK):
+            cos, sin = _trig_block(np.arange(s, min(s + self.CHUNK, n)), zf)
+            acc_even += even[:, s:s + self.CHUNK] @ cos
+            acc_odd += odd[:, s:s + self.CHUNK] @ sin
+        acc_even = acc_even.reshape((-1, 2, 2) + z.shape)
+        acc_odd = acc_odd.reshape((-1, 2) + z.shape)
+        for c, (i, _) in enumerate(held):
+            col = out[i]
+            col.real[:2] += acc_even[c, :, 0]
+            col.imag[:2] += acc_even[c, :, 1]
+            col.real[2] += acc_odd[c, 0]
+            col.imag[2] += acc_odd[c, 1]
+        return out
 
     def horizontal_modes(self):
         return sorted(self._columns)
@@ -578,7 +631,7 @@ class SpectralPart:
                              for k_h in self._columns))
 
 
-class ModulatedBL:
+class ModulatedBL(_Part):
     """Boundary layer solutions with slow exponential amplitude modulation:
     the sum over entries (layer, rate) of layer(t) e^{-rate t}."""
 
@@ -598,11 +651,12 @@ class ModulatedBL:
         for k_h in sol.horizontal_modes():
             self._columns.setdefault(k_h, []).append((sol, rate))
 
-    def hat_profile(self, k_h, t, z):
+    def profiles(self, t, z, columns, out=None):
         z = np.asarray(z, dtype=float)
-        out = np.zeros((3,) + z.shape, dtype=complex)
-        for sol, rate in self._columns.get(_kh_tuple(k_h), ()):
-            out += sol.hat_profile(k_h, t, z) * np.exp(-rate * t)
+        out = _profiles_out(columns, z, out)
+        for i, k_h in enumerate(columns):
+            for sol, rate in self._columns.get(_kh_tuple(k_h), ()):
+                out[i] += sol.hat_profile(k_h, t, z) * np.exp(-rate * t)
         return out
 
     def horizontal_modes(self):
@@ -653,7 +707,7 @@ class ModulatedBL:
                              for sol, _ in self.entries for g in sol.groups()))
 
 
-class HeatColumn:
+class HeatColumn(_Part):
     """Resonant k_h = 0 response of the strip to one constant filtered wall
     datum g: the filtered column solves the heat equation with conductivity
     nu.  Side 0: value g at the bottom, stress-free top; side 1: stress g at
@@ -695,16 +749,20 @@ class HeatColumn:
         theta = np.tensordot(self._coeffs * decay, np.sin(np.outer(self._freqs, z)), axes=(0, 0))
         return (1.0 if self.side == 0 else z) - theta
 
-    def hat_profile(self, k_h, t, z):
+    def profiles(self, t, z, columns, out=None):
         z = np.asarray(z, dtype=float)
-        out = np.zeros((3,) + z.shape, dtype=complex)
-        if _kh_tuple(k_h) != (0, 0):
+        out = _profiles_out(columns, z, out)
+        mean = [i for i, k_h in enumerate(columns) if _kh_tuple(k_h) == (0, 0)]
+        if not mean:
             return out
         shape = self._shape(t, z)
+        col = np.zeros((3,) + z.shape, dtype=complex)
         for m, g in self.entries:
             pol = np.array([1.0, 1j * m, 0.0])
             phase = np.exp(1j * m * t / self.params.epsilon)
-            out += np.multiply.outer(g * phase * pol, shape)
+            col += np.multiply.outer(g * phase * pol, shape)
+        for i in mean:
+            out[i] += col
         return out
 
     def horizontal_modes(self):
@@ -722,11 +780,11 @@ class HeatColumn:
 class ApproxSolution:
     """Named parts of an assembled approximation plus its bookkeeping.
 
-    parts: {name: part object} where each part exposes hat_profile(k_h, t, z),
-    l2_norm(t) and horizontal_modes().  residuals: {name: magnitude} of
-    recorded equation/boundary defects.  The sum satisfies the intended
-    boundary conditions up to the recorded residual traces and is
-    divergence-free up to the recorded lift residuals.
+    parts: {name: part object} where each part exposes profiles(t, z,
+    columns), hat_profile(k_h, t, z), l2_norm(t) and horizontal_modes().
+    residuals: {name: magnitude} of recorded equation/boundary defects.  The
+    sum satisfies the intended boundary conditions up to the recorded
+    residual traces and is divergence-free up to the recorded lift residuals.
     """
 
     params: Params
@@ -762,14 +820,15 @@ class ApproxSolution:
 
     def total_norm(self, t: float, nz: int = 800, include=None) -> float:
         """L2 norm of the sum of the parts named in `include` (all parts when
-        None) on a wall-refined grid."""
-        self._selected(include)  # rejects unknown names even with no columns
+        None) on a wall-refined grid of nz points; each part adds all its
+        columns into one array in one profiles call."""
+        parts = self._selected(include)
         z = _norm_grid(self.params, nz)
-        total = 0.0
-        for k_h in self.horizontal_modes():
-            prof = self.hat_profile(k_h, t, z, include)
-            dens = np.sum(np.abs(prof) ** 2, axis=0)
-            total += np.trapezoid(dens, z)
+        columns = sorted({k for p in parts for k in p.horizontal_modes()})
+        prof = np.zeros((len(columns), 3, len(z)), dtype=complex)
+        for p in parts:
+            p.profiles(t, z, columns, prof)
+        total = sum(np.trapezoid(np.sum(np.abs(col) ** 2, axis=0), z) for col in prof)
         return 2.0 * math.pi * math.sqrt(total)
 
     def summary(self, t: float) -> dict:
@@ -782,7 +841,10 @@ class ApproxSolution:
 
 
 def _norm_grid(params: Params, nz: int) -> np.ndarray:
-    """z grid clustered at both walls down to below the layer scale."""
+    """z grid clustered at both walls down to below the layer scale: nz must
+    be an integer >= 6, so that each wall gets at least two geometric points."""
+    if isinstance(nz, bool) or not isinstance(nz, (int, np.integer)) or nz < 6:
+        raise ValueError(f"nz must be an integer >= 6, got {nz!r}")
     delta = max(params.layer_scale * 1e-3, 1e-14)
     m = nz // 3
     lower = np.geomspace(delta, 0.45, m)
@@ -800,21 +862,27 @@ def _bottom_layers(tables, params: Params) -> list:
 
 
 def _truncate(k_h, K: int, source):
-    """Source values s(l) over the column's modes l = (k_h, l3), |l3| <= 4 max(K, 1):
-    the kept (l, s) pairs with |l| <= K, and sum |s|^2 over the dropped tail.
-    Zero sources are skipped."""
-    kept, tail_sq = [], 0.0
+    """Source values over the column's modes l = (k_h, l3), |l3| <= 4 max(K, 1),
+    from one call source(l3) on that l3 array: the kept (l, s) pairs with
+    |l| <= K, in l3 order, and sum |s|^2 over the dropped tail, accumulated in
+    l3 order.  Zero sources are skipped."""
     n = 4 * max(K, 1)
-    for l3 in range(-n, n + 1):
-        l = (k_h[0], k_h[1], l3)
-        s = source(l)
-        if s == 0:
-            continue
-        if euclidean_norm(l) > K:
-            tail_sq += abs(s) ** 2
-        else:
-            kept.append((l, s))
+    l3 = np.arange(-n, n + 1)
+    s = source(l3)
+    nonzero = s != 0
+    tail = nonzero & (k_h[0] ** 2 + k_h[1] ** 2 + l3 ** 2 > K ** 2)
+    keep = nonzero & ~tail
+    kept = [((k_h[0], k_h[1], j), v) for j, v in zip(l3[keep].tolist(), s[keep])]
+    tail_sq = float(np.cumsum(np.abs(s[tail]) ** 2)[-1]) if tail.any() else 0.0
     return kept, tail_sq
+
+
+def _complex_product(a, x):
+    """a x for a complex scalar a and array x, rounded as a scalar complex
+    product rounds it: numpy's complex multiply on arrays may fuse its
+    multiply-adds and then differs in the last bit."""
+    a = complex(a)
+    return (a.real * x.real - a.imag * x.imag) + 1j * (a.real * x.imag + a.imag * x.real)
 
 
 def _vertical_wall_traces(layer: ModulatedBL, walls) -> list:
@@ -905,8 +973,8 @@ def assemble_wind_approx(sigma: BoundaryTrace, params: Params) -> ApproxSolution
         q = -tau * (1.0 + 1j * mu / (eps * kh2))
         r = -tau / (eps * kh2)
 
-        def source(l):
-            F1, F2 = scalar_product_forms(l)
+        def source(l3):
+            F1, F2, _, _ = column_forms(k_h, l3)
             return -(q * F1 + r * F2)
 
         kept, tail = _truncate(k_h, K, source)
@@ -1034,12 +1102,12 @@ def assemble_dirichlet_approx(gamma: SpectralField, params: Params,
         c0 = -1j * params.layer_scale * suction[k] / kh2
         add_row(mu, k_h, a_k, -c0 * np.array(k_h))  # minus v_int0's own wall value
 
-        def source(l):
-            if l == k or abs(mu + eigenvalue(l)) < 1e-12:
-                return 0j  # diagonal term already in the envelope equation
-            F1, F2 = scalar_product_forms(l)
-            F1G = F1 - kh2 * vertical_unit_product(l)
-            return -c0 * ((1j * (a_k - kh2) + mu / eps) * F1G - 1j * F2 / eps)
+        def source(l3):
+            F1, F2, G, lam = column_forms(k_h, l3)
+            s = _complex_product(-c0, (1j * (a_k - kh2) + mu / eps) * (F1 - kh2 * G)
+                                 - 1j * (F2.real / eps))
+            # the diagonal term is already in the envelope equation
+            return np.where((l3 == k[2]) | (np.abs(mu + lam) < 1e-12), 0j, s)
 
         kept, tail = _truncate(k_h, K, source)
         tail_sq += tail

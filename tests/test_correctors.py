@@ -1,5 +1,6 @@
 """Lifts, small-divisor correctors and assembled approximations."""
 
+import inspect
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from rotstrip.correctors import (
     _norm_grid,
     assemble_dirichlet_approx,
     assemble_wind_approx,
+    column_forms,
     divisor_bounds,
     divisor_case_bound,
     lift_interior_vint0,
@@ -965,3 +967,242 @@ class TestSpectralPartRows:
         for t in (0.0, 0.13, 0.7):
             want = math.sqrt(sum(abs(part.coefficient(m, t)) ** 2 for m in part.modes()))
             assert part.l2_norm(t) == pytest.approx(want, rel=1e-14)
+
+
+# -- eigenmode sums over whole columns against the one-mode formulas ----------
+# The reference functions below are the scalar closed forms, the per-column
+# CHUNK evaluation of an eigenmode sum and the one-mode truncation loop as the
+# module had them before they were formed over whole l3 ranges and columns.
+
+
+def ref_scalar_product_forms(l):
+    l1, l2, l3 = l
+    kh = math.hypot(l1, l2)
+    D = math.sqrt(l1 ** 2 + l2 ** 2 + (math.pi * l3) ** 2)
+    if l3 != 0:
+        return 2j * kh ** 3 * (-1.0) ** l3 / (l3 * D), 0j
+    return 0j, -2.0 * math.pi * kh + 0j
+
+
+def ref_vertical_unit_product(l):
+    l1, l2, l3 = l
+    if l3 == 0:
+        return 0j
+    kh = math.hypot(l1, l2)
+    D = math.sqrt(l1 ** 2 + l2 ** 2 + (math.pi * l3) ** 2)
+    return -2j * kh * (1.0 - (-1.0) ** l3) / (l3 * D)
+
+
+def ref_chunked_column(part, k_h, t, z):
+    """One column's modes in blocks of CHUNK, one cos/sin block each."""
+    z = np.asarray(z, dtype=float)
+    modes = [m for m in part.modes() if m[:2] == tuple(k_h)]
+    if not modes:
+        return np.zeros((3,) + z.shape, dtype=complex)
+    wave = np.array([math.pi * m[2] for m in modes])
+    lam = np.array([eigenvalue(m) for m in modes])
+    normals = np.array([basis_normal(m) for m in modes])
+    coef = np.array([part.coefficient(m, t) for m in modes])
+    coef = coef * np.exp(-1j * lam * t / part.params.epsilon)
+    amp = (coef[:, None] * normals).view(float)
+    zf = z.ravel()
+    acc = np.zeros((6, zf.size))
+    for s in range(0, len(wave), part.CHUNK):
+        arg = np.multiply.outer(wave[s:s + part.CHUNK], zf)
+        block = amp[s:s + part.CHUNK]
+        acc[:4] += block[:, :4].T @ np.cos(arg)
+        acc[4:] += block[:, 4:].T @ np.sin(arg)
+    return (acc[0::2] + 1j * acc[1::2]).reshape((3,) + z.shape)
+
+
+def ref_truncate(k_h, K, source):
+    kept, tail_sq = [], 0.0
+    n = 4 * max(K, 1)
+    for l3 in range(-n, n + 1):
+        l = (k_h[0], k_h[1], l3)
+        s = source(l)
+        if s == 0:
+            continue
+        if euclidean_norm(l) > K:
+            tail_sq += abs(s) ** 2
+        else:
+            kept.append((l, s))
+    return kept, tail_sq
+
+
+def ref_wind_source(q, r):
+    def source(l):
+        F1, F2 = ref_scalar_product_forms(l)
+        return -(q * F1 + r * F2)
+    return source
+
+
+def ref_dirichlet_source(k, mu, a_k, kh2, c0, eps):
+    def source(l):
+        if l == k or abs(mu + eigenvalue(l)) < 1e-12:
+            return 0j
+        F1, F2 = ref_scalar_product_forms(l)
+        F1G = F1 - kh2 * ref_vertical_unit_product(l)
+        return -c0 * ((1j * (a_k - kh2) + mu / eps) * F1G - 1j * F2 / eps)
+    return source
+
+
+class TestColumnForms:
+    L3 = np.arange(-1300, 1301)
+    COLUMNS = [(1, 0), (0, 1), (1, 1), (2, -1), (-3, 2), (5, 7)]
+
+    def test_match_the_one_mode_formulas_bit_for_bit(self):
+        for k_h in self.COLUMNS:
+            F1, F2, G, lam = column_forms(k_h, self.L3)
+            for i, l3 in enumerate(self.L3.tolist()):
+                l = (k_h[0], k_h[1], l3)
+                f1, f2 = ref_scalar_product_forms(l)
+                assert (F1[i], F2[i]) == (f1, f2), l
+                assert G[i] == ref_vertical_unit_product(l), l
+                assert lam[i] == eigenvalue(l), l
+
+    def test_one_mode_views_are_rows(self):
+        for k_h in self.COLUMNS[:3]:
+            F1, F2, G, _ = column_forms(k_h, self.L3[::97])
+            for i, l3 in enumerate(self.L3[::97].tolist()):
+                l = (k_h[0], k_h[1], l3)
+                assert scalar_product_forms(l) == (F1[i], F2[i])
+                assert vertical_unit_product(l) == G[i]
+        # the mean column, where l = 0 is not a mode
+        F1, F2, G, _ = column_forms((0, 0), [-2, 0, 3])
+        assert not np.any(F1) and not np.any(F2) and not np.any(G)
+        assert scalar_product_forms((0, 0, 0)) == (0j, 0j)
+
+
+class TestNormGrid:
+    def test_bad_sizes_rejected(self):
+        p = Params(1e-2, 1e-2)
+        sol = assemble_dirichlet_approx(SpectralField({(1, 0, 1): 1.0}), p)
+        for nz in (0, 2, 5, -800, 800.0, "800", True):
+            with pytest.raises(ValueError, match="nz"):
+                _norm_grid(p, nz)
+            with pytest.raises(ValueError, match="nz"):
+                sol.total_norm(0.1, nz)
+        z = _norm_grid(p, 6)  # the walls, and two geometric points at each
+        assert len(z) == 6 and z[1] < 1e-3 < 1.0 - 1e-3 < z[-2]
+        assert sol.total_norm(0.1, np.int64(800)) == sol.total_norm(0.1)
+
+
+class TestBatchedProfiles:
+    P = Params(1e-3, 1e-3)
+
+    def part(self):
+        rng = np.random.default_rng(11)
+        part = SpectralPart(self.P)
+        l3s = {(1, 0): range(-70, 71),  # more than CHUNK modes, l3 = 0 included
+               (2, 1): (-4, -3, 0, 5),  # odd and even negative l3
+               (0, 1): (-1,)}  # one mode
+        for k_h, column in l3s.items():
+            for l3 in column:
+                s0 = complex(rng.standard_normal(), rng.standard_normal())
+                part.add((k_h[0], k_h[1], l3), s0, rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0))
+        assert 141 > SpectralPart.CHUNK
+        return part
+
+    def test_columns_match_the_chunked_reference(self):
+        part = self.part()
+        columns = [(2, 1), (3, 3), (1, 0), (0, 1)]  # (3, 3) is not held
+        for z in (_norm_grid(self.P, 800), np.linspace(0.0, 1.0, 120).reshape(8, 15)):
+            for t in (0.0, 0.137):
+                got = part.profiles(t, z, columns)
+                assert got.shape == (4, 3) + z.shape
+                assert not np.any(got[1])
+                for k_h, row in zip(columns, got):
+                    if k_h == (3, 3):
+                        continue
+                    ref = ref_chunked_column(part, k_h, t, z)
+                    assert_column_close(row, ref, rel=1e-14)
+                    assert_column_close(part.hat_profile(k_h, t, z), ref, rel=1e-14)
+
+    def test_every_part_adds_into_out(self):
+        p = Params(1e-3, 1e-3, beta=1.0)
+        sols = [assemble_wind_approx(BoundaryTrace(1, {(1.0, (1, 0)): np.array([1.0, 0.5j]),
+                                                       (0.0, (0, 2)): np.array([0.2, 0.1])}), p),
+                assemble_dirichlet_approx(SpectralField({(1, 0, 1): 1.0, (0, 0, 1): 0.5j}), p)]
+        z = np.linspace(0.0, 1.0, 50)
+        for sol in sols:
+            columns = sol.horizontal_modes() + [(4, 4)]
+            for part in sol.parts.values():
+                base = np.ones((len(columns), 3, len(z)), dtype=complex)
+                got = part.profiles(0.2, z, columns, base)
+                assert got is base
+                want = 1.0 + np.array([part.hat_profile(k, 0.2, z) for k in columns])
+                assert_column_close(got, want, rel=1e-15)
+            # the per-column sum of the parts, integrated column by column
+            zn = _norm_grid(p, 800)
+            want = 2.0 * math.pi * math.sqrt(sum(
+                np.trapezoid(np.sum(np.abs(sol.hat_profile(k, 0.2, zn)) ** 2, axis=0), zn)
+                for k in sol.horizontal_modes()))
+            assert sol.total_norm(0.2) == pytest.approx(want, rel=1e-14)
+
+    def test_one_trig_pass_per_part_per_total_norm(self, monkeypatch):
+        p = Params(1e-4, 1e-4)
+        sol = assemble_dirichlet_approx(
+            SpectralField({(1, 0, 1): 1.0, (0, 1, -1): 0.7j, (1, 1, 2): 0.5}), p)
+        spectral = [part for part in sol.parts.values() if isinstance(part, SpectralPart)]
+        assert max(len(part.horizontal_modes()) for part in spectral) > 1
+        want = sum(math.ceil((max(abs(m[2]) for m in part.modes()) + 1) / SpectralPart.CHUNK)
+                   for part in spectral)
+        assert want > len(spectral)
+        blocks = []
+        trig_block = correctors._trig_block
+
+        def counted(j, z):
+            blocks.append(len(j))
+            return trig_block(j, z)
+
+        monkeypatch.setattr(correctors, "_trig_block", counted)
+        sol.total_norm(0.1)
+        assert len(blocks) == want
+        assert max(blocks) == SpectralPart.CHUNK
+
+
+class TestTruncation:
+    def assert_matches_reference(self, monkeypatch, build, reference_source):
+        """Every _truncate call made by build() against the one-mode loop on
+        the reference source of the closure's parameters at the time of the
+        call."""
+        calls = []
+        truncate = correctors._truncate
+
+        def spy(k_h, K, source):
+            kept, tail_sq = truncate(k_h, K, source)
+            ref_kept, ref_tail = ref_truncate(k_h, K, reference_source(
+                inspect.getclosurevars(source).nonlocals))
+            assert [l for l, _ in kept] == [l for l, _ in ref_kept]
+            assert all(s == r for (_, s), (_, r) in zip(kept, ref_kept))
+            assert tail_sq == pytest.approx(ref_tail, rel=1e-15, abs=0.0)
+            calls.append(len(kept))
+            return kept, tail_sq
+
+        monkeypatch.setattr(correctors, "_truncate", spy)
+        build()
+        return calls
+
+    def test_wind_sources(self, monkeypatch):
+        # |l| = K falls on modes of the (6, 0) column: l3 = 0 at K = 6 (eps
+        # 1e-3) and l3 = +-8 at K = 10 (eps 1e-4)
+        sigma = BoundaryTrace(1, {(1.0, (1, 0)): np.array([1.0, 0.5j]),
+                                  (1.0, (6, 0)): np.array([0.3, -0.2j])})
+        for eps in (1e-3, 1e-4, 1e-5):
+            p = Params(eps, eps, beta=1.0)
+            calls = self.assert_matches_reference(
+                monkeypatch, lambda: assemble_wind_approx(sigma, p),
+                lambda v: ref_wind_source(v["q"], v["r"]))
+            assert len(calls) == 2 and min(calls) > 0
+
+    def test_dirichlet_sources(self, monkeypatch):
+        gamma = SpectralField({(1, 0, 1): 1.0, (0, 1, -1): 0.7j, (1, 1, 2): 0.5 - 0.2j,
+                               (0, 0, 1): 0.8})
+        for eps in (1e-4, 1e-5):
+            p = Params(eps, eps)
+            calls = self.assert_matches_reference(
+                monkeypatch, lambda: assemble_dirichlet_approx(gamma, p),
+                lambda v: ref_dirichlet_source(v["k"], v["mu"], v["a_k"], v["kh2"], v["c0"],
+                                               v["eps"]))
+            assert len(calls) == 3 and min(calls) > 0
