@@ -61,21 +61,29 @@ def _as_complex(v) -> complex:
 
 
 def parse_gamma(table: dict) -> SpectralField:
-    """{"k1,k2,k3": amplitude} with amplitude a number or [re, im]."""
+    """{"k1,k2,k3": amplitude} with amplitude a number or [re, im]; two keys
+    naming one mode are rejected."""
     coeffs = {}
     for key, v in table.items():
         k = tuple(int(c) for c in str(key).split(","))
+        if k in coeffs:
+            raise ValueError(f"gamma key {key!r} names mode {k} again")
         coeffs[k] = _as_complex(v)
     return SpectralField(coeffs)
 
 
 def parse_trace(table: dict, side: int) -> BoundaryTrace:
-    """{"mu,k1,k2": [v1, v2]} with entries numbers or [re, im] pairs."""
+    """{"mu,k1,k2": [v1, v2]} with entries numbers or [re, im] pairs; a value
+    that is not two entries, and two keys naming one entry, are rejected."""
     out = {}
     for key, v in table.items():
         mu_s, k1, k2 = str(key).split(",")
-        out[(float(mu_s), (int(k1), int(k2)))] = np.array(
-            [_as_complex(v[0]), _as_complex(v[1])])
+        entry = (float(mu_s), (int(k1), int(k2)))
+        if entry in out:
+            raise ValueError(f"trace key {key!r} names entry {entry} again")
+        if not isinstance(v, (list, tuple)) or len(v) != 2:
+            raise ValueError(f"trace value of key {key!r} must be two entries [v1, v2], got {v!r}")
+        out[entry] = np.array([_as_complex(v[0]), _as_complex(v[1])])
     return BoundaryTrace(side, out)
 
 
@@ -151,12 +159,14 @@ def cmd_bl(cfg, outdir):
     delta0 = parse_trace(cfg.get("delta0", {}), 0)
     delta1 = parse_trace(cfg.get("delta1", {}), 1)
     sol = build_B(delta0, delta1, p)
+    tab = sol.table
     rows = []
-    for kind, groups in (("classical", sol.classical), ("quasi_resonant", sol.quasi_resonant)):
-        for g in groups:
-            for c in g.components:
-                rows.append((kind, g.side, g.mu, g.k_h[0], g.k_h[1], c.sigma,
-                             c.lam.real, c.lam.imag, c.alpha.real, c.alpha.imag))
+    for kind, quasi in (("classical", False), ("quasi_resonant", True)):
+        for i, j in zip(*np.nonzero(tab.keep & (tab.quasi == quasi)[:, None])):
+            lam, alpha = tab.q[i, j] * p.layer_scale, tab.alpha[i, j]
+            rows.append((kind, int(tab.side[i]), float(tab.mu[i]), int(tab.k_h[i, 0]),
+                         int(tab.k_h[i, 1]), 2 * int(j) - 1, lam.real, lam.imag,
+                         alpha.real, alpha.imag))
     for layer in sol.resonant:
         for e in layer.entries:
             rows.append(("resonant", layer.side, e.mu, 0, 0, 0,

@@ -25,7 +25,8 @@ from .spectral import (
     eigenvalue,
     euclidean_norm,
 )
-from .layers import BoundaryTrace, _amplitude_l2, build_B, build_layers, empty_trace, wall_layers
+from .layers import (BoundaryTrace, LayerTable, _amplitude_l2, build_B, build_layers,
+                     empty_trace, wall_layers)
 from .envelope import pumping
 
 _GAUSS_Z = np.polynomial.legendre.leggauss(24)
@@ -632,79 +633,81 @@ class SpectralPart(_Part):
 
 
 class ModulatedBL(_Part):
-    """Boundary layer solutions with slow exponential amplitude modulation:
-    the sum over entries (layer, rate) of layer(t) e^{-rate t}."""
+    """Wall layers with slow exponential amplitude modulation: the rows of a
+    layer table, row i times e^{-rates[i] t}, plus resonant layers (layer,
+    rate) on k_h = 0.  The rows of each column are indexed once, at
+    construction."""
 
-    def __init__(self, params: Params, entries=None):
+    def __init__(self, params: Params, table: LayerTable, rates=0j, resonant=()):
         self.params = params
-        self.entries = []  # (BoundaryLayerSolution, rate)
-        self._columns = {}  # k_h -> the entries with a profile on k_h, in order
-        for sol, rate in entries or ():
-            self._append(sol, rate)
+        self.table = table
+        self.rates = np.broadcast_to(np.asarray(rates, dtype=complex), (len(table),))
+        self.resonant = [(layer, complex(rate)) for layer, rate in resonant]
+        columns = {}
+        for i, k_h in enumerate(table.columns()):
+            columns.setdefault(k_h, []).append(i)
+        self._columns = {k_h: np.array(rows) for k_h, rows in columns.items()}
 
-    def add(self, sol, rate=0j):
-        if sol.groups() or sol.resonant:
-            self._append(sol, complex(rate))
-
-    def _append(self, sol, rate):
-        self.entries.append((sol, rate))
-        for k_h in sol.horizontal_modes():
-            self._columns.setdefault(k_h, []).append((sol, rate))
+    def _weights(self, t) -> np.ndarray:
+        """e^{i mu t/eps} e^{-rate t} of every row."""
+        return self.table.phases(t, self.params.epsilon) * np.exp(-self.rates * t)
 
     def profiles(self, t, z, columns, out=None):
+        """Each listed column's rows from one exp(-q zeta) block."""
         z = np.asarray(z, dtype=float)
         out = _profiles_out(columns, z, out)
+        weights = self._weights(t)
         for i, k_h in enumerate(columns):
-            for sol, rate in self._columns.get(_kh_tuple(k_h), ()):
-                out[i] += sol.hat_profile(k_h, t, z) * np.exp(-rate * t)
+            k_h = _kh_tuple(k_h)
+            rows = self._columns.get(k_h)
+            if rows is not None:
+                out[i] += self.table.profile(rows, weights[rows], z)
+            if k_h == (0, 0):
+                for layer, rate in self.resonant:
+                    out[i] += layer.value(t, z) * np.exp(-rate * t)
         return out
 
     def horizontal_modes(self):
-        return sorted(self._columns)
+        ks = set(self._columns)
+        if self.resonant:
+            ks.add((0, 0))
+        return sorted(ks)
 
     def l2_norm(self, t: float) -> float:
-        """Exact L2 norm at time t.  On each column the exponential components
-        of every entry, times e^{-rate t} and their phase, enter one
-        closed-form Gram sum, so cross terms between entries count; this needs
-        the column's layers on one wall.  The resonant k_h = 0 layers are
-        added in quadrature: the classical remainder sharing their column
-        carries the orthogonal circular polarisation."""
+        """Exact L2 norm at time t.  On each column the kept rates of every
+        row, times their row's weight, enter one closed-form Gram sum, so
+        cross terms between rows count; this needs the column's layers on one
+        wall.  The resonant k_h = 0 layers are added in quadrature: the
+        classical remainder sharing their column carries the orthogonal
+        circular polarisation."""
+        tab = self.table
+        weights = self._weights(t)
         total = 0.0
-        for k_h, entries in self._columns.items():
-            amps, rates, sides = [], [], set()
-            for sol, rate in entries:
-                damp = np.exp(-rate * t)
-                for g in sol.groups():
-                    if g.k_h == k_h:
-                        amps.append(g.amps * (damp * g.phase(t)))
-                        rates.append(g.q)
-                        sides.add(g.side)
-            if len(sides) > 1:
+        for k_h, rows in self._columns.items():
+            if len(set(tab.side[rows].tolist())) > 1:
                 raise ValueError(f"column {k_h} holds layers of both walls; "
                                  "a modulated layer lives on one wall")
-            if amps:
-                total += _amplitude_l2(np.concatenate(amps), np.concatenate(rates)) ** 2
-        for sol, rate in self.entries:
-            total += abs(np.exp(-rate * t)) ** 2 * sol.part_norm_h("resonant", t) ** 2
+            keep = tab.keep[rows]
+            amps = (tab.amps[rows] * weights[rows, None, None])[keep]
+            total += float(_amplitude_l2(amps, tab.q[rows][keep])) ** 2
+        for layer, rate in self.resonant:
+            total += abs(np.exp(-rate * t)) ** 2 * layer.l2_norm_h(t) ** 2
         return math.sqrt(total)
 
     def frozen_dt_bound(self) -> float:
         """Majorant of the equation defect from slowly modulating layers built
-        for frozen amplitudes: sum over entries of |rate| times the layer's
-        norm (root-sum-square over its groups)."""
-        return sum(abs(rate) * math.sqrt(sum(g.l2_norm_h() ** 2 + g.l2_norm_3() ** 2
-                                             for g in sol.groups()))
-                   for sol, rate in self.entries)
+        for frozen amplitudes: sum over the traces the rows came from (their
+        pair) of the root-sum-square over the trace's rows of |rate| times
+        the row's norm, that is |rate| times the trace's layer norm."""
+        norm_h, norm_3 = self.table.norms()
+        sq = np.abs(self.rates) ** 2 * (norm_h ** 2 + norm_3 ** 2)
+        return float(np.sum(np.sqrt(np.bincount(self.table.pair, weights=sq))))
 
     def horizontal_wall_trace_norm(self, wall: int) -> float:
-        return self._trace_norm(lambda g: g.horizontal_trace(wall))
+        return math.sqrt(float(np.sum(np.abs(self.table.wall_traces(wall)[0]) ** 2)))
 
     def dz_horizontal_trace_norm(self, wall: int) -> float:
-        return self._trace_norm(lambda g: g.dz_horizontal_trace(wall))
-
-    def _trace_norm(self, trace) -> float:
-        return math.sqrt(sum(float(np.sum(np.abs(trace(g)) ** 2))
-                             for sol, _ in self.entries for g in sol.groups()))
+        return math.sqrt(float(np.sum(np.abs(self.table.wall_traces(wall)[2]) ** 2)))
 
 
 class HeatColumn(_Part):
@@ -855,10 +858,14 @@ def _norm_grid(params: Params, nz: int) -> np.ndarray:
 # -- stages shared by the assemblies -----------------------------------------
 
 
-def _bottom_layers(tables, params: Params) -> list:
+def _bottom_layers(tables, rates, params: Params) -> ModulatedBL:
     """The layer operator on bottom Dirichlet traces {(mu, k_h): 2-vector},
-    all tables in one batched layer step."""
-    return build_layers([(BoundaryTrace(0, t), empty_trace(1)) for t in tables], params)
+    all tables in one batched layer step, the rows of tables[i] modulated at
+    rates[i].  Resonant content (|mu| = 1, k_h = 0) is rejected."""
+    table, resonant = build_layers([(BoundaryTrace(0, t), empty_trace(1)) for t in tables], params)
+    if any(resonant):
+        raise ValueError("a secondary-layer trace has resonant content (|mu| = 1, k_h = 0)")
+    return ModulatedBL(params, table, np.array(rates, dtype=complex)[table.pair])
 
 
 def _truncate(k_h, K: int, source):
@@ -886,9 +893,11 @@ def _complex_product(a, x):
 
 
 def _vertical_wall_traces(layer: ModulatedBL, walls) -> list:
-    """[(mu, rate, k_h, wall, vertical value)] of every group of the layer."""
-    return [(g.mu, rate, g.k_h, wall, g.vertical_trace(wall))
-            for sol, rate in layer.entries for g in sol.groups() for wall in walls]
+    """[(mu, rate, k_h, wall, vertical value)] of every row of the layer."""
+    tab = layer.table
+    values = {wall: tab.wall_traces(wall)[1] for wall in walls}
+    return [(float(tab.mu[i]), complex(layer.rates[i]), k_h, wall, values[wall][i])
+            for i, k_h in enumerate(tab.columns()) for wall in walls]
 
 
 def _stopping_lifts(params: Params, rows) -> OscillatingPoly:
@@ -948,15 +957,13 @@ def assemble_wind_approx(sigma: BoundaryTrace, params: Params) -> ApproxSolution
     meta = {"scaling_ok": ok, "scaling": diag, "K": K}
 
     layer = build_B(empty_trace(0), sigma.scaled(params.beta), params)
-    surface = ModulatedBL(params, [(layer, 0j)])
+    surface = ModulatedBL(params, layer.table, 0j, [(r, 0j) for r in layer.resonant])
 
     # flux corrector for the quasi-resonant vertical trace at z = 1
-    flux = {}
-    for g in layer.quasi_resonant:
-        tau = g.vertical_trace(1)
-        if tau != 0:
-            flux[(g.mu, g.k_h)] = flux.get((g.mu, g.k_h), 0j) + tau
-    flux = dict(sorted(flux.items()))
+    tab = layer.table
+    top = tab.wall_traces(1)[1]
+    flux = dict(sorted(((float(tab.mu[i]), _kh_tuple(tab.k_h[i])), top[i])
+                       for i in np.flatnonzero(tab.quasi & (top != 0))))
     v_int = OscillatingPoly(params)
     for (mu, k_h), tau in flux.items():
         v_int.add(lift_interior_vint1({k_h: tau}), mu)
@@ -992,10 +999,8 @@ def assemble_wind_approx(sigma: BoundaryTrace, params: Params) -> ApproxSolution
             decaying.append(({(-lam_l, k_h): trace}, kappa))
 
     # secondary bottom layer: cancel horizontal traces of v_int and osc at z=0
-    secondary = ModulatedBL(params)
     tables = ([(steady, 0j)] if steady else []) + decaying
-    for layer, (_, kappa) in zip(_bottom_layers([t for t, _ in tables], params), tables):
-        secondary.add(layer, kappa)
+    secondary = _bottom_layers([t for t, _ in tables], [r for _, r in tables], params)
 
     # stopping lift for the remaining vertical traces; v_int carries the
     # quasi-resonant flux at z = 1
@@ -1063,7 +1068,6 @@ def assemble_dirichlet_approx(gamma: SpectralField, params: Params,
 
     # bottom layer from the interior's horizontal trace at z = 0; the fully
     # resonant k_h = 0 trace drives the strip heat column instead
-    bottom = ModulatedBL(params)
     resonant_col = HeatColumn(params, 0)
     for k in modes:
         if k[:2] == (0, 0):
@@ -1073,11 +1077,12 @@ def assemble_dirichlet_approx(gamma: SpectralField, params: Params,
     # the Ekman suction gamma_k S_k (delta3_hat amplitude) is what the layer
     # leaves at z = 0, read off its vertical trace there
     layered = [modes[i] for i in pump.layered]
-    traces = [-gamma[k] * basis_normal(k)[:2] for k in layered]
-    suction = {}
-    for k, layer in zip(layered, wall_layers(0, pump.basis, traces, params)):
-        bottom.add(layer, rates[k])
-        suction[k] = -sum(g.vertical_trace(0) for g in layer.groups()) / params.layer_scale
+    table = wall_layers(0, pump.basis, [-gamma[k] * basis_normal(k)[:2] for k in layered], params)
+    bottom = ModulatedBL(params, table,
+                         np.array([rates[k] for k in layered], dtype=complex)[table.pair])
+    wall_value = np.zeros(len(layered), dtype=complex)
+    wall_value[table.pair] = table.wall_traces(0)[1]
+    suction = {k: -v / params.layer_scale for k, v in zip(layered, wall_value.tolist())}
 
     # interior flux lift v_int0 for the Ekman suction (delta1_3 = 0)
     v_int0 = OscillatingPoly(params)
@@ -1129,10 +1134,8 @@ def assemble_dirichlet_approx(gamma: SpectralField, params: Params,
     by_rate = {}
     for (mu, k_h, rate), vec in sorted(rows.items(), key=lambda kv: (kv[0][0], kv[0][1])):
         by_rate.setdefault(rate, {})[(mu, k_h)] = vec
-    secondary = ModulatedBL(params)
     by_rate = sorted(by_rate.items(), key=lambda kv: (kv[0].real, kv[0].imag))
-    for layer, (rate, _) in zip(_bottom_layers([t for _, t in by_rate], params), by_rate):
-        secondary.add(layer, rate)
+    secondary = _bottom_layers([t for _, t in by_rate], [r for r, _ in by_rate], params)
 
     # stopping lift for the opposite-wall vertical traces of both layers and
     # the secondary layer's own; v_int0 cancels the bottom layer's suction

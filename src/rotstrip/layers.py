@@ -420,134 +420,118 @@ def layer_basis(rates: RateBatch, params: Params) -> LayerBasis:
     return LayerBasis(rates, w.reshape(-1, 2, 2))
 
 
-def transition_matrix(rates: DecayRates, params: Params):
-    """(P, w_minus, w_plus) with P = [w_minus | w_plus]."""
-    wm, wp = layer_basis(RateBatch.of([rates]), params).w[0]
-    return np.column_stack([wm, wp]), wm, wp
-
-
-def transition_step(delta_hat, rates: DecayRates, params: Params):
-    """The layer step of one entry: (alpha, (w_minus, w_plus)), the kernel
-    vectors of the two rates and the amplitudes alpha = P^{-1} delta_hat on
-    P = [w_minus | w_plus]; a one-row LayerBasis."""
-    basis = layer_basis(RateBatch.of([rates]), params)
-    wm, wp = basis.w[0]
-    return basis.solve(delta_hat)[0], (wm, wp)
-
-
 def transition_coeffs(delta_hat, mu: float, k_h, params: Params,
                       rates: DecayRates | None = None):
     """Decompose a trace coefficient on the kernel-vector basis:
-    (alpha_minus, alpha_plus) = P^{-1} delta_hat."""
+    (alpha_minus, alpha_plus) = P^{-1} delta_hat, a one-row LayerBasis."""
     if rates is None:
         rates = decay_rates(mu, k_h, params)
-    alpha, _ = transition_step(delta_hat, rates, params)
+    alpha = layer_basis(RateBatch.of([rates]), params).solve(delta_hat)[0]
     return alpha[0], alpha[1]
 
 
 # ---------------------------------------------------------------------------
-# exponential mode profiles
+# the layer table: exponential wall profiles
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class LayerComponent:
-    """One (sigma, lambda) piece of a wall profile, amplitude included."""
+class LayerTable:
+    """The wall layers of n trace entries (side, mu, k_h), one row each.
 
-    sigma: int  # -1 or +1
-    lam: complex
-    w: np.ndarray  # kernel vector, shape (2,)
-    alpha: complex
-
-
-@dataclass
-class ModeProfileGroup:
-    """All exponential components attached to one (side, mu, k_h) trace entry.
-
-    side 0 profiles decay in z from the bottom and realise the Dirichlet
-    trace v_h(z=0) exactly; side 1 profiles decay in 1-z and realise the
-    stress trace dz v_h(z=1) exactly.  The vertical component is fixed by
-    incompressibility.  The amplitude table is fixed at construction: the
-    profile is sum_m amps[m] exp(-q[m] zeta), amps (ncomp, 3) the amplitudes
-    of (u1, u2, u3), q = lambda/sqrt(eps nu) and zeta the distance to the
-    owning wall.
+    Row i is the coefficient of e^{i k_h.x_h} e^{i mu t/eps}:
+    sum_j amps[i, j] exp(-q[i, j] zeta) over its two rates j (lambda_minus,
+    lambda_plus), amps (n, 2, 3) the (u1, u2, u3) amplitudes, zero where
+    keep (n, 2) is False, q = lambda/sqrt(eps nu) (n, 2) and zeta the
+    distance to the row's wall.  Side 0 rows decay from the bottom and
+    realise the Dirichlet trace v_h(z=0) exactly; side 1 rows decay from the
+    top and realise the stress trace dz v_h(z=1) exactly; the vertical
+    component is fixed by incompressibility.  quasi marks the quasi-resonant
+    rows (|mu| = 1, k_h != 0), alpha (n, 2) holds the trace amplitudes
+    P^{-1} delta and pair the index of the trace (pair) each row came from.
     """
 
-    side: int
-    mu: float
-    k_h: tuple
-    components: list
-    params: Params
-    kind: str = "classical"
-    amps: np.ndarray = field(init=False, repr=False)
-    q: np.ndarray = field(init=False, repr=False)
+    side: np.ndarray
+    mu: np.ndarray
+    k_h: np.ndarray
+    quasi: np.ndarray
+    q: np.ndarray
+    amps: np.ndarray
+    keep: np.ndarray
+    alpha: np.ndarray
+    pair: np.ndarray
 
-    def __post_init__(self):
-        scale = self.params.layer_scale
-        lam = np.array([c.lam for c in self.components], dtype=complex)
-        w = np.array([c.w for c in self.components], dtype=complex)
-        alpha = np.array([c.alpha for c in self.components], dtype=complex)
-        ikw = 1j * (self.k_h[0] * w[:, 0] + self.k_h[1] * w[:, 1])
-        if self.side == 0:
-            horizontal = alpha[:, None] * w
-            vertical = alpha * (scale / lam) * ikw
-        else:
-            horizontal = (alpha * (scale / lam))[:, None] * w
-            vertical = -alpha * (scale ** 2 / lam ** 2) * ikw
-        self.q = lam / scale
-        self.amps = np.column_stack([horizontal, vertical])
+    def __len__(self) -> int:
+        return len(self.side)
 
-    def _zeta(self, z):
-        z = np.asarray(z, dtype=float)
-        return z if self.side == 0 else 1.0 - z
+    def columns(self) -> list:
+        return [_kh_tuple(k) for k in self.k_h]
 
-    # -- evaluation ----------------------------------------------------------
+    def phases(self, t: float, epsilon: float) -> np.ndarray:
+        """e^{i mu t/eps} of every row, mu t/eps in real arithmetic as the
+        scalar formula rounds it."""
+        return np.exp(1j * (self.mu * t / epsilon))
 
-    def phase(self, t: float) -> complex:
-        return np.exp(1j * self.mu * t / self.params.epsilon)
+    def profile(self, rows, weights, z) -> np.ndarray:
+        """sum_i weights[i] times the profile of row rows[i] on the heights z,
+        shape (3,) + z.shape: one exp(-q zeta) block over the rows' kept
+        rates and one matrix product."""
+        keep = self.keep[rows]
+        row = np.nonzero(keep)[0]
+        amps = self.amps[rows][keep] * weights[row, None]
+        block = _exp_block(self.q[rows][keep], self.side[rows][row], z)
+        return (amps.T @ block).reshape((3,) + np.shape(z))
 
-    def hat_profile(self, z) -> np.ndarray:
-        """Hat coefficient of e^{i k_h.x_h}, shape (3,) + shape(z), no phase.
+    def wall_traces(self, wall):
+        """(horizontal (n, 2), vertical (n,), dz horizontal (n, 2)) of every
+        row at z = wall: 0 or 1, or one wall per row."""
+        zeta = np.where(self.side == 0, wall, 1.0 - np.asarray(wall, dtype=float))
+        decay = np.exp(-self.q * zeta[:, None])
+        dz = np.where(self.side == 0, -1.0, 1.0)[:, None] * self.q * decay
+        value = np.einsum("nj,njc->nc", decay, self.amps)
+        return value[:, :2], value[:, 2], np.einsum("nj,njc->nc", dz, self.amps[:, :, :2])
 
-        One exponential per component serves all three velocity components:
-        the (3, ncomp) amplitude table times exp(-outer(q, zeta))."""
-        return np.tensordot(self.amps.T, np.exp(-np.multiply.outer(self.q, self._zeta(z))),
-                            axes=1)
+    def norms(self):
+        """The L2(omega) norms (n,) of every row's horizontal and vertical
+        components."""
+        return (_amplitude_l2(self.amps[:, :, :2], self.q),
+                _amplitude_l2(self.amps[:, :, 2:], self.q))
 
-    def evaluate(self, t: float, x) -> np.ndarray:
-        x1, x2, z = (np.asarray(c) for c in x)
-        ph = np.exp(1j * (self.k_h[0] * x1 + self.k_h[1] * x2)) * self.phase(t)
-        return self.hat_profile(z) * ph
 
-    # -- traces ---------------------------------------------------------------
+def _exp_block(q, side, z) -> np.ndarray:
+    """exp(-q_m zeta_m) of shape (len(q), z.size): zeta_m the distance of the
+    heights z to the wall side_m."""
+    z = np.asarray(z, dtype=float).ravel()
+    block = -q[:, None] * np.stack([z, 1.0 - z])[side]
+    return np.exp(block, out=block)
 
-    def _wall_decay(self, wall: int) -> np.ndarray:
-        """exp(-q zeta) at z = wall (0 or 1), one value per component."""
-        return np.exp(-self.q * float(self._zeta(float(wall))))
 
-    def horizontal_trace(self, wall: int) -> np.ndarray:
-        """Hat value of the horizontal part at z = wall (0 or 1)."""
-        return self._wall_decay(wall) @ self.amps[:, :2]
-
-    def vertical_trace(self, wall: int) -> complex:
-        return self._wall_decay(wall) @ self.amps[:, 2]
-
-    def dz_horizontal_trace(self, wall: int) -> np.ndarray:
-        dzeta_dz = 1.0 if self.side == 0 else -1.0
-        return (-dzeta_dz * self.q * self._wall_decay(wall)) @ self.amps[:, :2]
-
-    # -- norms ----------------------------------------------------------------
-
-    def l2_norm_h(self) -> float:
-        return _amplitude_l2(self.amps[:, :2], self.q)
-
-    def l2_norm_3(self) -> float:
-        return _amplitude_l2(self.amps[:, 2:], self.q)
+def _layer_table(side, mu, k_h, lam, w, alpha, keep, pair, params: Params) -> LayerTable:
+    """The table of the rows with a kept rate, from n entries (side, mu,
+    k_h), their rates lam (n, 2), kernel vectors w (n, 2, 2) (w[i, j] that
+    of rate j) and trace amplitudes alpha (n, 2), zeroed where keep is False."""
+    side, pair = np.asarray(side, dtype=int), np.asarray(pair, dtype=int)
+    mu, k_h = _entries(mu, k_h)
+    scale = params.layer_scale
+    alpha = np.where(keep, alpha, 0j)
+    ratio = np.divide(scale, lam, out=np.zeros(lam.shape, dtype=complex), where=keep)
+    ratio_sq = np.divide(scale ** 2, lam ** 2, out=np.zeros(lam.shape, dtype=complex), where=keep)
+    k1, k2 = k_h[:, :1], k_h[:, 1:]
+    ikw = 1j * (k1 * w[:, :, 0] + k2 * w[:, :, 1])
+    bottom = (side == 0)[:, None]
+    amps = np.empty(lam.shape + (3,), dtype=complex)
+    amps[:, :, :2] = np.where(bottom, alpha, alpha * ratio)[:, :, None] * w
+    amps[:, :, 2] = np.where(bottom, alpha * ratio * ikw, -alpha * ratio_sq * ikw)
+    quasi = (np.abs(np.abs(mu) - 1.0) < RESONANT_TOL) & k_h.any(axis=1)
+    rows = keep.any(axis=1)
+    return LayerTable(side=side[rows], mu=mu[rows], k_h=k_h[rows],
+                      quasi=quasi[rows], q=(lam / scale)[rows], amps=amps[rows],
+                      keep=keep[rows], alpha=alpha[rows], pair=pair[rows])
 
 
 def profile_W(side: int, lam: complex, w, mu: float, k_h, params: Params,
-              alpha: complex = 1.0) -> ModeProfileGroup:
-    """Single wall profile W^j_lambda as an evaluable group.
+              alpha: complex = 1.0) -> LayerTable:
+    """Single wall profile W^j_lambda as a one-row table (its rate in column 0).
 
     side 0 realises the horizontal Dirichlet trace alpha * w at z = 0; side 1
     the horizontal stress trace alpha * w at z = 1; the sqrt(eps nu)/lambda
@@ -556,21 +540,23 @@ def profile_W(side: int, lam: complex, w, mu: float, k_h, params: Params,
     """
     if complex(lam).real <= 0.0:
         raise ValueError(f"wall profile requires Re(lambda) > 0, got {lam}")
-    comp = LayerComponent(sigma=0, lam=complex(lam),
-                          w=np.asarray(w, dtype=complex), alpha=complex(alpha))
-    return ModeProfileGroup(side=side, mu=float(mu), k_h=_kh_tuple(k_h),
-                            components=[comp], params=params)
+    w2 = np.zeros((1, 2, 2), dtype=complex)
+    w2[0, 0] = w
+    return _layer_table([side], [mu], [_kh_tuple(k_h)], np.array([[lam, 0j]]), w2,
+                        np.array([[alpha, 0j]]), np.array([[True, False]]), [0], params)
 
 
-def _amplitude_l2(amps, q) -> float:
+def _amplitude_l2(amps, q):
     """L2(omega) norm of sum_m amps[m] exp(-q_m zeta) e^{i k_h x}, closed form:
     the Gram sum over pairs of components of <amps[n], amps[m]> times
-    int_0^1 exp(-(q_m + conj q_n) zeta) d zeta.  amps is (ncomp, ncomponents)."""
-    Q = np.add.outer(q, np.conj(q))
+    int_0^1 exp(-(q_m + conj q_n) zeta) d zeta.  amps is (..., ncomp,
+    ncomponents) and q (..., ncomp): one norm per leading index."""
+    Q = q[..., :, None] + np.conj(q[..., None, :])
     flat = np.abs(Q) < 1e-14
     integral = np.where(flat, 1.0, (1.0 - np.exp(-Q)) / np.where(flat, 1.0, Q))
-    total = np.sum((amps @ amps.conj().T) * integral).real
-    return math.sqrt(max(total, 0.0)) * 2.0 * math.pi
+    gram = amps @ np.conj(np.swapaxes(amps, -1, -2))
+    total = np.sum(gram * integral, axis=(-2, -1)).real
+    return np.sqrt(np.maximum(total, 0.0)) * 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -651,19 +637,11 @@ class ResonantLayer:
     entries: list = field(default_factory=list)
 
     def value(self, t: float, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        out = np.zeros((3,) + z.shape, dtype=complex)
+        """The entries' phased polarisations times the one profile they share."""
+        coef = np.zeros(3, dtype=complex)
         for e in self.entries:
-            base = resonant_profile(self.side, 1.0 + 0j, self.nu, t, z)
-            phase = np.exp(1j * e.mu * t / self.epsilon)
-            out += np.multiply.outer(e.amplitude * phase * e.polarization, base)
-        return out
-
-    def hat_profile(self, k_h, t, z):
-        """Coefficient of e^{i k_h.x_h}; the resonant part lives on k_h = 0."""
-        if _kh_tuple(k_h) != (0, 0):
-            return np.zeros((3,) + np.asarray(z).shape, dtype=complex)
-        return self.value(t, z)
+            coef += e.amplitude * np.exp(1j * e.mu * t / self.epsilon) * e.polarization
+        return np.multiply.outer(coef, resonant_profile(self.side, 1.0 + 0j, self.nu, t, z))
 
     def l2_norm_h(self, t: float) -> float:
         """Exact: circular polarisations at distinct mu are pointwise orthogonal."""
@@ -731,56 +709,42 @@ def empty_trace(side: int) -> BoundaryTrace:
 
 @dataclass
 class BoundaryLayerSolution:
-    """Output of the layer operator: classical Ekman profiles, quasi-resonant
-    thick-layer profiles (|mu| = 1, k_h != 0) and resonant self-similar parts
-    (|mu| = 1, k_h = 0), all evaluable at (t, x)."""
+    """Output of the layer operator: the table of classical Ekman and
+    quasi-resonant thick-layer profiles (|mu| = 1, k_h != 0; table.quasi)
+    and the resonant self-similar parts (|mu| = 1, k_h = 0), one
+    ResonantLayer per wall with resonant content."""
 
-    classical: list
-    quasi_resonant: list
+    table: LayerTable
     resonant: list
     params: Params
-
-    def groups(self):
-        return list(self.classical) + list(self.quasi_resonant)
-
-    def evaluate(self, t: float, x) -> np.ndarray:
-        x1 = np.asarray(x[0])
-        out = np.zeros((3,) + np.broadcast(x1, np.asarray(x[2])).shape, dtype=complex)
-        for g in self.groups():
-            out += g.evaluate(t, x)
-        for r in self.resonant:
-            out += r.value(t, np.asarray(x[2], dtype=float))
-        return out
 
     def hat_profile(self, k_h, t: float, z) -> np.ndarray:
         """Coefficient of e^{i k_h.x_h} at time t on the z samples."""
         k_h = _kh_tuple(k_h)
         z = np.asarray(z, dtype=float)
-        out = np.zeros((3,) + z.shape, dtype=complex)
-        for g in self.groups():
-            if g.k_h == k_h:
-                out += g.hat_profile(z) * g.phase(t)
+        tab = self.table
+        rows = np.flatnonzero((tab.k_h == k_h).all(axis=1))
+        out = tab.profile(rows, tab.phases(t, self.params.epsilon)[rows], z)
         if k_h == (0, 0):
             for r in self.resonant:
                 out += r.value(t, z)
         return out
 
-    def horizontal_modes(self):
-        ks = {g.k_h for g in self.groups()}
-        if self.resonant:
-            ks.add((0, 0))
-        return sorted(ks)
-
     def part_norm_h(self, part: str, t: float = 0.0) -> float:
-        """L2(omega) norm of the horizontal components of one part.
+        """L2(omega) norm of the horizontal components of one part:
+        'classical', 'quasi_resonant' or 'resonant'.
 
         Exact for single-(mu,k_h) parts; for several frequencies on one k_h
-        this is the root-sum-square over groups (cross terms time-average to
+        this is the root-sum-square over rows (cross terms time-average to
         zero)."""
         if part == "resonant":
             return math.sqrt(sum(r.l2_norm_h(t) ** 2 for r in self.resonant))
-        groups = self.classical if part == "classical" else self.quasi_resonant
-        return math.sqrt(sum(g.l2_norm_h() ** 2 for g in groups))
+        if part not in ("classical", "quasi_resonant"):
+            raise ValueError(f"no layer part named {part!r}; the parts are "
+                             "'classical', 'quasi_resonant' and 'resonant'")
+        norms, _ = self.table.norms()
+        chosen = norms[self.table.quasi == (part == "quasi_resonant")]
+        return math.sqrt(sum((chosen ** 2).tolist()))
 
 
 def build_B(delta0: BoundaryTrace, delta1: BoundaryTrace, params: Params) -> BoundaryLayerSolution:
@@ -795,14 +759,16 @@ def build_B(delta0: BoundaryTrace, delta1: BoundaryTrace, params: Params) -> Bou
     Linear in (delta0, delta1) by construction.  All entries of both traces
     go through one batched layer step.
     """
-    return build_layers([(delta0, delta1)], params)[0]
+    table, (resonant,) = build_layers([(delta0, delta1)], params)
+    return BoundaryLayerSolution(table, resonant, params)
 
 
-def build_layers(traces, params: Params) -> list:
-    """The layer operator on several (bottom trace, top trace) pairs: one
-    BoundaryLayerSolution per pair, as build_B builds it, with the entries of
-    all pairs solved in one rate_batch and one layer_basis."""
-    rows, resonant = [], []  # rows: (pair, side, mu, k_h, delta, kind)
+def build_layers(traces, params: Params):
+    """The layer operator on several (bottom trace, top trace) pairs, the
+    entries of all pairs solved in one rate_batch and one layer_basis:
+    (table, resonant), one LayerTable whose rows carry the index of their
+    pair in `pair`, and per pair the list of its ResonantLayers."""
+    rows, resonant = [], []  # rows: (pair, side, mu, k_h, delta)
     for pair, (delta0, delta1) in enumerate(traces):
         if delta0.side != 0 or delta1.side != 1:
             raise ValueError("build_B expects (bottom trace, top trace)")
@@ -812,7 +778,6 @@ def build_layers(traces, params: Params) -> list:
             for (mu, k_h), delta_hat in trace.entries():
                 if not np.any(delta_hat):
                     continue
-                kind = "quasi_resonant" if is_resonant_frequency(mu) else "classical"
                 if k_h == (0, 0) and is_resonant_frequency(mu):
                     pol = np.array([1.0, 1j * math.copysign(1.0, mu)])
                     amp = 0.5 * complex(np.vdot(pol, delta_hat))
@@ -821,47 +786,29 @@ def build_layers(traces, params: Params) -> list:
                             ResonantEntry(mu=math.copysign(1.0, mu), amplitude=amp,
                                           polarization=np.array([1.0, 1j * math.copysign(1.0, mu), 0.0]))
                         )
-                    delta_hat, kind = delta_hat - amp * pol, "classical"
-                rows.append((pair, trace.side, mu, k_h, delta_hat, kind))
+                    delta_hat = delta_hat - amp * pol
+                rows.append((pair, trace.side, mu, k_h, delta_hat))
             if res_layer.entries:
                 resonant[pair].append(res_layer)
-    out = [BoundaryLayerSolution([], [], layers, params) for layers in resonant]
-    if not rows:
-        return out
-    pairs, sides, mu, k_h, delta, kinds = zip(*rows)
+    pairs, sides, mu, k_h, delta = zip(*rows) if rows else ((), (), (), (), ())
     basis = layer_basis(rate_batch(mu, k_h, params), params)
-    return _add_groups(out, pairs, _groups(sides, kinds, basis, np.array(delta), params))
+    return _table(sides, pairs, basis, np.reshape(delta, (-1, 2)), params), resonant
 
 
-def wall_layers(side: int, basis: LayerBasis, delta, params: Params) -> list:
+def wall_layers(side: int, basis: LayerBasis, delta, params: Params) -> LayerTable:
     """The layer operator on n one-entry traces of one wall whose rates and
     kernel vectors are already solved: row i of `basis` carries the trace
-    delta[i] (2-vector) on wall `side`.  One BoundaryLayerSolution per row.
-    A row with resonant content (k_h = 0, |mu| = 1) raises: that part needs
+    delta[i] (2-vector) on wall `side`, and its table row has pair i.  A row
+    with resonant content (k_h = 0, |mu| = 1) raises: that part needs
     build_B."""
-    rates = basis.rates
-    quasi = (np.abs(np.abs(rates.mu) - 1.0) < RESONANT_TOL) & rates.k_h.any(axis=1)
-    kinds = np.where(quasi, "quasi_resonant", "classical")
-    delta = np.asarray(delta, dtype=complex).reshape(-1, 2)
-    out = [BoundaryLayerSolution([], [], [], params) for _ in range(len(rates))]
-    return _add_groups(out, range(len(rates)), _groups([side] * len(rates), kinds, basis,
-                                                        delta, params))
+    n = len(basis.rates)
+    return _table(np.full(n, side), np.arange(n), basis, np.reshape(delta, (-1, 2)), params)
 
 
-def _add_groups(solutions, owners, groups) -> list:
-    """Append each group to the classical or quasi-resonant list of the
-    solution owning its row; None (no component) is skipped."""
-    for owner, g in zip(owners, groups):
-        if g is not None:
-            sol = solutions[owner]
-            (sol.quasi_resonant if g.kind == "quasi_resonant" else sol.classical).append(g)
-    return solutions
-
-
-def _groups(sides, kinds, basis: LayerBasis, delta, params: Params) -> list:
-    """One profile group, or None when no component has an amplitude, per
-    row of a solved basis: alpha = P^{-1} delta in one stacked solve, and
-    every component whose rate decays.  Warns once per ambiguous row."""
+def _table(sides, pairs, basis: LayerBasis, delta, params: Params) -> LayerTable:
+    """The table of a solved basis carrying the traces delta (n, 2):
+    alpha = P^{-1} delta in one stacked solve, and every rate that decays
+    and has an amplitude kept.  Warns once per ambiguous row."""
     rates = basis.rates
     for i in np.flatnonzero(rates.ambiguous):
         warnings.warn(
@@ -880,15 +827,8 @@ def _groups(sides, kinds, basis: LayerBasis, delta, params: Params) -> list:
             f"k_h={_kh_tuple(rates.k_h[i])}); "
             "resonant content must be removed before profile construction"
         )
-    keep = ~flat & (alpha != 0)
-    groups = []
-    for i, (side, kind) in enumerate(zip(sides, kinds)):
-        comps = [LayerComponent(sigma=sigma, lam=lam[i, j], w=basis.w[i, j], alpha=alpha[i, j])
-                 for j, sigma in enumerate((-1, 1)) if keep[i, j]]
-        groups.append(ModeProfileGroup(side=side, mu=float(rates.mu[i]),
-                                       k_h=_kh_tuple(rates.k_h[i]), components=comps,
-                                       params=params, kind=str(kind)) if comps else None)
-    return groups
+    return _layer_table(sides, rates.mu, rates.k_h, lam, basis.w, alpha, ~flat & (alpha != 0),
+                        pairs, params)
 
 
 # ---------------------------------------------------------------------------
@@ -912,21 +852,15 @@ class TraceResiduals:
 
 
 def trace_residuals(sol: BoundaryLayerSolution, params: Params, t: float = 0.0) -> TraceResiduals:
-    buckets = {
-        ("classical", 0): [],
-        ("classical", 1): [],
-        ("quasi_resonant", 0): [],
-        ("quasi_resonant", 1): [],
-    }
-    for g in sol.groups():
-        wall = 1 - g.side
-        h = g.horizontal_trace(wall)
-        v = g.vertical_trace(wall)
-        dzh = g.dz_horizontal_trace(wall)
-        buckets[(g.kind, g.side)].append({
-            "mu": g.mu, "k_h": g.k_h, "wall": wall,
-            "horizontal": h, "vertical": v, "dz_horizontal": dzh,
-            "magnitude": float(max(np.max(np.abs(h)), abs(v))),
+    tab = sol.table
+    walls = 1 - tab.side
+    h, v, dzh = tab.wall_traces(walls)
+    buckets = {(quasi, side): [] for quasi in (False, True) for side in (0, 1)}
+    for i in range(len(tab)):
+        buckets[(bool(tab.quasi[i]), int(tab.side[i]))].append({
+            "mu": float(tab.mu[i]), "k_h": _kh_tuple(tab.k_h[i]), "wall": int(walls[i]),
+            "horizontal": h[i], "vertical": v[i], "dz_horizontal": dzh[i],
+            "magnitude": float(max(np.max(np.abs(h[i])), abs(v[i]))),
         })
     res_rows = []
     for r in sol.resonant:
@@ -936,10 +870,10 @@ def trace_residuals(sol: BoundaryLayerSolution, params: Params, t: float = 0.0) 
             "magnitude": float(np.max(np.abs(tr))),
         })
     return TraceResiduals(
-        classical_bottom_at_top=buckets[("classical", 0)],
-        classical_top_at_bottom=buckets[("classical", 1)],
-        quasi_bottom_at_top=buckets[("quasi_resonant", 0)],
-        quasi_top_at_bottom=buckets[("quasi_resonant", 1)],
+        classical_bottom_at_top=buckets[(False, 0)],
+        classical_top_at_bottom=buckets[(False, 1)],
+        quasi_bottom_at_top=buckets[(True, 0)],
+        quasi_top_at_bottom=buckets[(True, 1)],
         resonant_traces=res_rows,
     )
 

@@ -17,7 +17,7 @@ from rotstrip.spectral import (
     eigenvalue,
     euclidean_norm,
 )
-from rotstrip.layers import BoundaryTrace, build_B, empty_trace
+from rotstrip.layers import BoundaryTrace, build_B, build_layers, empty_trace
 from rotstrip import correctors
 from rotstrip.correctors import (
     ExpSource,
@@ -729,26 +729,173 @@ class TestColumnEvaluation:
         for name in ("bottom_layer", "secondary_layer"):
             part = sol.parts[name]
             assert isinstance(part, ModulatedBL)
-            # several entries share a column
-            assert (sum(len(s.horizontal_modes()) for s, _ in part.entries)
-                    > len(part.horizontal_modes()))
+            # several rows share a column
+            assert len(part.table) > len(part.horizontal_modes())
             for k_h in part.horizontal_modes() + [(3, 3)]:
-                ref = sum(s.hat_profile(k_h, 0.2, z) * np.exp(-rate * 0.2)
-                          for s, rate in part.entries)
-                assert np.array_equal(part.hat_profile(k_h, 0.2, z), ref)
+                ref = ref_modulated_column(part, k_h, 0.2, z)
+                assert_column_close(part.hat_profile(k_h, 0.2, z), ref, rel=1e-14)
         layer = build_B(BoundaryTrace(0, {(0.3, (1, 1)): [1.0, 0.5j]}), empty_trace(1), p)
-        part = ModulatedBL(p, [(layer, 0.7)])
+        part = ModulatedBL(p, layer.table, 0.7)
         assert part.horizontal_modes() == [(1, 1)]
-        assert np.array_equal(part.hat_profile((1, 1), 0.2, z),
-                              layer.hat_profile((1, 1), 0.2, z) * np.exp(-0.7 * 0.2))
+        assert_column_close(part.hat_profile((1, 1), 0.2, z),
+                            layer.hat_profile((1, 1), 0.2, z) * np.exp(-0.7 * 0.2), rel=1e-15)
 
     def test_modulated_layer_norm_needs_one_wall(self):
         p = Params(1e-2, 1e-2)
         table = {(0.3, (1, 1)): np.array([1.0, 0.5j])}
-        bottom = build_B(BoundaryTrace(0, table), empty_trace(1), p)
-        top = build_B(empty_trace(0), BoundaryTrace(1, table), p)
+        both = build_B(BoundaryTrace(0, table), BoundaryTrace(1, table), p).table
+        assert both.side.tolist() == [0, 1]
         with pytest.raises(ValueError, match="both walls"):
-            ModulatedBL(p, [(bottom, 0.0), (top, 0.5)]).l2_norm(0.1)
+            ModulatedBL(p, both, [0.0, 0.5]).l2_norm(0.1)
+
+
+def ref_modulated_column(part, k_h, t, z):
+    """Column k_h of a ModulatedBL, one kept rate of one row at a time."""
+    tab, eps = part.table, part.params.epsilon
+    out = np.zeros((3,) + np.shape(z), dtype=complex)
+    for i in range(len(tab)):
+        if tuple(int(k) for k in tab.k_h[i]) != tuple(k_h):
+            continue
+        zeta = z if tab.side[i] == 0 else 1.0 - z
+        weight = np.exp(1j * (float(tab.mu[i]) * t / eps)) * np.exp(-part.rates[i] * t)
+        for j in (0, 1):
+            if tab.keep[i, j]:
+                out += np.multiply.outer(weight * tab.amps[i, j], np.exp(-tab.q[i, j] * zeta))
+    if tuple(k_h) == (0, 0):
+        for layer, rate in part.resonant:
+            out += layer.value(t, z) * np.exp(-rate * t)
+    return out
+
+
+def ref_modulated_l2(part, t):
+    """l2_norm of a ModulatedBL from the closed-form Gram sum over pairs of
+    kept rates of each column, one pair at a time."""
+    tab, eps = part.table, part.params.epsilon
+    total = 0.0
+    for k_h in part.horizontal_modes():
+        comps = []
+        for i in range(len(tab)):
+            if tuple(int(k) for k in tab.k_h[i]) == k_h:
+                weight = np.exp(1j * (float(tab.mu[i]) * t / eps)) * np.exp(-part.rates[i] * t)
+                comps += [(weight * tab.amps[i, j], tab.q[i, j]) for j in (0, 1) if tab.keep[i, j]]
+        for a, qa in comps:
+            for b, qb in comps:
+                Q = qa + np.conj(qb)
+                integral = 1.0 if abs(Q) < 1e-14 else (1.0 - np.exp(-Q)) / Q
+                total += (np.vdot(b, a) * integral).real
+    total *= (2.0 * math.pi) ** 2
+    for layer, rate in part.resonant:
+        total += abs(np.exp(-rate * t)) ** 2 * layer.l2_norm_h(t) ** 2
+    return math.sqrt(total)
+
+
+class TestModulatedProfiles:
+    P = Params(1e-3, 2e-3)
+
+    def part(self, seed=3, wide=75):
+        """A bottom layer on mixed columns: classical, quasi-resonant and
+        k_h = 0 rows from several traces with their own rates, resonant
+        layers on k_h = 0, and `wide` one-entry traces on column (2, -1)."""
+        rng = np.random.default_rng(seed)
+
+        def vec():
+            return rng.standard_normal(2) + 1j * rng.standard_normal(2)
+
+        tables = [{(0.0, (1, 0)): vec(), (1.0, (1, 0)): vec(), (0.5, (0, 1)): vec()},
+                  {(0.3, (1, 0)): vec(), (-1.0, (0, 1)): vec(), (2.0, (0, 0)): vec()},
+                  {(1.0, (0, 0)): vec(), (-0.4, (1, 1)): vec()}]
+        tables += [{(mu, (2, -1)): vec()} for mu in np.linspace(-3.0, 3.0, wide)]
+        table, resonant = build_layers([(BoundaryTrace(0, t), empty_trace(1)) for t in tables],
+                                       self.P)
+        rates = rng.uniform(0.0, 2.0, len(tables)) + 1j * rng.uniform(-1.0, 1.0, len(tables))
+        layers = [(layer, rates[i]) for i, pair in enumerate(resonant) for layer in pair]
+        assert layers
+        return ModulatedBL(self.P, table, rates[table.pair], layers)
+
+    def test_columns_match_the_per_component_loop(self):
+        part = self.part()
+        assert part.table.quasi.any() and not part.table.quasi.all()
+        assert np.sum((part.table.k_h == (2, -1)).all(axis=1)) >= 70
+        columns = [(0, 1), (3, 3), (2, -1), (0, 0), (1, 0), (1, 1)]  # (3, 3) is not held
+        for z in (_norm_grid(self.P, 800), np.linspace(0.0, 1.0, 120).reshape(8, 15)):
+            for t in (0.0, 0.137):
+                got = part.profiles(t, z, columns)
+                assert got.shape == (len(columns), 3) + z.shape
+                assert not np.any(got[1])
+                for k_h, col in zip(columns, got):
+                    ref = ref_modulated_column(part, k_h, t, z)
+                    assert_column_close(col, ref, rel=1e-14)
+                    assert_column_close(part.hat_profile(k_h, t, z), ref, rel=1e-14)
+                base = np.full(got.shape, 1.0 - 2.0j)
+                assert part.profiles(t, z, columns, base) is base
+                assert_column_close(base, got + (1.0 - 2.0j), rel=1e-15)
+
+    def test_walls_on_different_columns(self):
+        p = self.P
+        sol = build_B(BoundaryTrace(0, {(0.0, (1, 0)): np.array([1.0, 0.5j]),
+                                        (1.0, (1, 0)): np.array([0.2, 1.0])}),
+                      BoundaryTrace(1, {(0.5, (0, 1)): np.array([1.0, -1.0]),
+                                        (-1.0, (0, 1)): np.array([0.3j, 1.0])}), p)
+        part = ModulatedBL(p, sol.table, [0.1, 0.2, 0.3 + 1j, 0.4])
+        z = np.linspace(0.0, 1.0, 301)
+        for t in (0.0, 0.2):
+            for k_h in ((1, 0), (0, 1)):
+                assert_column_close(part.hat_profile(k_h, t, z),
+                                    ref_modulated_column(part, k_h, t, z), rel=1e-14)
+            assert part.l2_norm(t) == pytest.approx(ref_modulated_l2(part, t), rel=1e-13)
+        # the top layer is the one near z = 1
+        top = np.abs(part.hat_profile((0, 1), 0.0, z))
+        assert top[:, -1].max() > 1e6 * top[:, 0].max()
+
+    def test_norms_match_the_pairwise_references(self):
+        part = self.part(wide=5)
+        for t in (0.0, 0.3):
+            assert part.l2_norm(t) == pytest.approx(ref_modulated_l2(part, t), rel=1e-13)
+        # frozen bound: |rate| times the root-sum-square norm of each trace's rows
+        tab = part.table
+        norm_h, norm_3 = tab.norms()
+        want = 0.0
+        for pair in sorted(set(tab.pair.tolist())):
+            rows = np.flatnonzero(tab.pair == pair)
+            assert len(set(part.rates[rows].tolist())) == 1
+            want += abs(part.rates[rows[0]]) * math.sqrt(
+                sum(norm_h[i] ** 2 + norm_3[i] ** 2 for i in rows))
+        assert part.frozen_dt_bound() == pytest.approx(want, rel=1e-14)
+
+    def test_one_exp_block_per_part_and_column(self, monkeypatch):
+        from rotstrip import layers
+
+        p = Params(1e-4, 1e-4, beta=1.0)
+        sols = [assemble_wind_approx(BoundaryTrace(1, {(1.0, (1, 0)): np.array([1.0, 0.5j]),
+                                                       (0.0, (0, 2)): np.array([0.2, 0.1]),
+                                                       (1.0, (0, 0)): np.array([1.0, 0.0])}), p),
+                assemble_dirichlet_approx(SpectralField({(1, 0, 1): 1.0, (0, 1, 2): 0.5j,
+                                                         (0, 0, 1): 0.3}), p)]
+        blocks = []
+        exp_block = layers._exp_block
+
+        def counted(q, side, z):
+            blocks.append((len(q), np.size(z)))
+            return exp_block(q, side, z)
+
+        monkeypatch.setattr(layers, "_exp_block", counted)
+        widest = 0
+        for sol in sols:
+            parts = [part for part in sol.parts.values() if isinstance(part, ModulatedBL)]
+            want = [(int(part.table.keep[rows].sum()), 800)
+                    for part in parts for rows in part._columns.values()]
+            assert len(want) > len(parts)
+            widest = max([widest] + [n for n, _ in want])
+            blocks.clear()
+            sol.total_norm(0.1)
+            assert sorted(blocks) == sorted(want)
+            # a profiles call over some columns: one block per held column
+            part = parts[0]
+            columns = part.horizontal_modes()[:2] + [(5, 5)]
+            blocks.clear()
+            part.profiles(0.1, np.linspace(0.0, 1.0, 7), columns)
+            assert len(blocks) == sum(k in part._columns for k in columns)
+        assert widest > 2  # a block spans several rows
 
 
 # -- lifts as coefficient arrays against the Polynomial algebra ---------------
@@ -1120,7 +1267,7 @@ class TestBatchedProfiles:
                     assert_column_close(part.hat_profile(k_h, t, z), ref, rel=1e-14)
 
     def test_every_part_adds_into_out(self):
-        p = Params(1e-3, 1e-3, beta=1.0)
+        p = Params(1e-4, 1e-4, beta=1.0)
         sols = [assemble_wind_approx(BoundaryTrace(1, {(1.0, (1, 0)): np.array([1.0, 0.5j]),
                                                        (0.0, (0, 2)): np.array([0.2, 0.1])}), p),
                 assemble_dirichlet_approx(SpectralField({(1, 0, 1): 1.0, (0, 0, 1): 0.5j}), p)]

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -260,6 +261,29 @@ class TestCompare:
         assert not res["attribution_flags"]
 
 
+DATA = pathlib.Path(__file__).parent / "data"
+
+#: the configuration of the frozen `rotstrip bl` outputs in tests/data
+BL_FROZEN_CONFIG = {
+    "epsilon": 1e-2, "nu": 5e-3, "t": 1.0,
+    "delta0": {
+        "0.0,1,0": [[1.0, 0.5], [0.0, -0.3]],
+        "0.5,1,-2": [0.7, [0.0, 1.0]],
+        "1.0,1,1": [[1.0, 0.0], [0.2, 0.3]],
+        "-1.0,0,1": [0.4, 0.0],
+        "1.0,0,0": [[1.0, 0.0], [0.3, 1.0]],
+        "2.0,0,0": [[0.0, 1.0], 0.5],
+    },
+    "delta1": {
+        "0.0,1,0": [1.0, 0.0],
+        "-0.3,2,1": [[0.5, -0.5], 1.0],
+        "-1.0,1,0": [[0.0, 1.0], [1.0, 0.0]],
+        "1.0,0,0": [[1.0, 0.0], [0.0, 1.0]],
+        "-1.0,0,0": [1.0, [0.0, 0.5]],
+    },
+}
+
+
 class TestCLI:
     def test_modes_command(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -291,6 +315,20 @@ class TestCLI:
         lines = (out / "bl_modes.csv").read_text().splitlines()
         kinds = {line.split(",")[0] for line in lines[1:]}
         assert "classical" in kinds and "resonant" in kinds
+
+    def test_bl_command_output_frozen(self, tmp_path):
+        # classical, quasi-resonant and resonant entries on both walls; the
+        # three files are compared byte for byte with tests/data
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(BL_FROZEN_CONFIG))
+        out = tmp_path / "out"
+        assert main(["bl", "--config", str(cfg), "--out", str(out)]) == 0
+        kinds = {tuple(line.split(",")[:2])
+                 for line in (out / "bl_modes.csv").read_text().splitlines()[1:]}
+        assert kinds == {(k, s) for k in ("classical", "quasi_resonant", "resonant")
+                         for s in "01"}
+        for name in ("bl_modes.csv", "bl_traces.csv", "bl_summary.json"):
+            assert (out / name).read_bytes() == (DATA / name).read_bytes(), name
 
     def test_envelope_command(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -352,6 +390,22 @@ def test_parse_helpers():
     tr = parse_trace({"1.0,1,0": [[1.0, 0.0], [0.0, 1.0]]}, 1)
     assert tr.side == 1
     assert tr.table[(1.0, (1, 0))][1] == 1j
+
+
+def test_parse_trace_rejects_values_that_are_not_two_entries():
+    for value in ([1.0, 0.0, 5.0], [1.0], 1.0, "1,0"):
+        with pytest.raises(ValueError, match="0.5,1,0"):
+            parse_trace({"0.5,1,0": value}, 0)
+
+
+def test_parse_rejects_keys_naming_one_entry():
+    with pytest.raises(ValueError, match="1.0,0,0"):
+        parse_trace({"1,0,0": [1.0, 0.0], "1.0,0,0": [0.0, 1.0]}, 1)
+    with pytest.raises(ValueError, match="1,0,01"):
+        parse_gamma({"1,0,1": 1.0, "1,0,01": 2.0})
+    # distinct entries still parse
+    assert len(parse_trace({"1,0,0": [1.0, 0.0], "-1,0,0": [0.0, 1.0]}, 1).table) == 2
+    assert parse_gamma({"1,0,1": 1.0, "1,0,-1": 2.0}).modes() == [(1, 0, -1), (1, 0, 1)]
 
 
 def test_envelope_csv_solves_the_pumping_once(tmp_path, monkeypatch):

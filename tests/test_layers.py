@@ -17,12 +17,13 @@ from rotstrip.layers import (
     decay_rates,
     empty_trace,
     filter_resonant,
+    RateBatch,
     kernel_vector,
+    layer_basis,
     profile_W,
     resonant_profile,
     trace_residuals,
     transition_coeffs,
-    transition_matrix,
 )
 
 
@@ -135,7 +136,7 @@ class TestDecayRates:
         r = decay_rates(0.5, (1, 0), p)
         assert r.third_root_s not in (r.s_minus, r.s_plus)
         # it is also a genuine root of the cleared cubic
-        c = L.decay_cubic_coefficients(0.5, (1, 0), p)
+        c = L._cubic(np.array([0.5]), np.array([1]), p)[0]
         assert abs(np.polyval(c, r.third_root_s)) < 1e-10
 
 
@@ -174,7 +175,7 @@ class TestTransitionCoeffs:
     def test_basis_decomposition(self):
         p = Params(1e-4, 1e-4)
         r = decay_rates(0.0, (1, 0), p)
-        _, wm, wp = transition_matrix(r, p)
+        wm, wp = layer_basis(RateBatch.of([r]), p).w[0]
         am, ap = transition_coeffs(wm, 0.0, (1, 0), p, rates=r)
         assert abs(am - 1.0) < 1e-12 and abs(ap) < 1e-12
 
@@ -188,7 +189,7 @@ class TestTransitionCoeffs:
         for eps in [1e-2, 1e-3, 1e-4, 1e-5]:
             p = Params(eps, eps)
             r = decay_rates(0.0, (1, 0), p)
-            P, _, _ = transition_matrix(r, p)
+            P = layer_basis(RateBatch.of([r]), p).w[0].T  # [w_minus | w_plus]
             det = P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]
             devs.append(abs(det - 2j))
             scales.append(eps + math.sqrt(eps * eps))
@@ -208,8 +209,7 @@ class TestTransitionCoeffs:
         monkeypatch.setattr(L, "kernel_vectors", counting)
         trace = BoundaryTrace(0, {(0.3, (1, -2)): np.array([1.0, 0.5j])})
         sol = build_B(trace, empty_trace(1), Params(1e-3, 1e-3))
-        (g,) = sol.groups()
-        assert len(g.components) == 2
+        assert len(sol.table) == 1 and sol.table.keep.sum() == 2
         assert sum(rows) == 2
 
 
@@ -276,28 +276,31 @@ def single_mode_solution(side, mu, k_h, delta_hat, params):
     return build_B(empty_trace(0), BoundaryTrace(1, table), params)
 
 
-def equation_residual(group, z, t=0.123):
-    """Independent oracle: substitute the profile (with its companion
-    pressure from the vertical momentum balance) into the evolution operator
-    and return the relative residual of the horizontal momentum rows."""
-    p = group.params
-    eps, nu = p.epsilon, p.nu
-    k1, k2 = group.k_h
+def only_row(sol, quasi=False):
+    """The table of a solution holding one row, of the given kind."""
+    assert len(sol.table) == 1 and sol.table.quasi[0] == quasi
+    return sol.table
+
+
+def row_profile(table, i, z):
+    """Profile of row i alone, without its phase."""
+    return table.profile(np.array([i]), np.ones(1), z)
+
+
+def equation_residual(table, i, params):
+    """Independent oracle: substitute each kept rate of row i (with its
+    companion pressure from the vertical momentum balance) into the evolution
+    operator and return the relative residual of the horizontal momentum
+    rows."""
+    eps, nu = params.epsilon, params.nu
+    k1, k2 = (int(k) for k in table.k_h[i])
     kh2 = k1 * k1 + k2 * k2
-    mu = group.mu
-    scale = math.sqrt(eps * nu)
+    mu = float(table.mu[i])
     worst = 0.0
-    for comp in group.components:
-        lam = comp.lam
-        # amplitude of this component alone
-        if group.side == 0:
-            vh = comp.alpha * comp.w
-            v3 = comp.alpha * (scale / lam) * 1j * (k1 * comp.w[0] + k2 * comp.w[1])
-            dz_sign = -lam / scale
-        else:
-            vh = comp.alpha * (scale / lam) * comp.w
-            v3 = -comp.alpha * (scale ** 2 / lam ** 2) * 1j * (k1 * comp.w[0] + k2 * comp.w[1])
-            dz_sign = lam / scale
+    for j in np.flatnonzero(table.keep[i]):
+        q = table.q[i, j]
+        vh, v3 = table.amps[i, j, :2], table.amps[i, j, 2]
+        dz_sign = -q if table.side[i] == 0 else q
         coef = (1j * mu / eps) + kh2 - nu * dz_sign ** 2
         # vertical momentum fixes the pressure amplitude: coef*v3 + dz_sign*p = 0
         phat = -coef * v3 / dz_sign
@@ -312,37 +315,34 @@ class TestProfiles:
     def test_bottom_trace_exact(self):
         p = Params(1e-3, 2e-3)
         delta = np.array([0.3 - 0.2j, 1.1j])
-        sol = single_mode_solution(0, 0.5, (1, -2), delta, p)
-        (g,) = sol.classical
-        assert np.allclose(g.horizontal_trace(0), delta, atol=1e-12)
+        tab = only_row(single_mode_solution(0, 0.5, (1, -2), delta, p))
+        assert np.allclose(tab.wall_traces(0)[0][0], delta, atol=1e-12)
 
     def test_top_stress_trace_exact(self):
         p = Params(1e-3, 2e-3)
         delta = np.array([1.0, 0.5 + 0.5j])
-        sol = single_mode_solution(1, 2.0, (2, 1), delta, p)
-        (g,) = sol.classical
-        assert np.allclose(g.dz_horizontal_trace(1), delta, atol=1e-12)
+        tab = only_row(single_mode_solution(1, 2.0, (2, 1), delta, p))
+        assert np.allclose(tab.wall_traces(1)[2][0], delta, atol=1e-12)
 
     def test_exact_solution_residual(self):
         p = Params(1e-3, 1e-3)
         for side, mu, k_h in [(0, 0.0, (1, 0)), (1, 0.5, (2, -1)), (0, 2.0, (0, 0)),
                               (1, 1.0, (1, 1))]:
             sol = single_mode_solution(side, mu, k_h, np.array([1.0, 0.3j]), p)
-            for g in sol.groups():
-                assert equation_residual(g, None) < 1e-8
+            for i in range(len(sol.table)):
+                assert equation_residual(sol.table, i, p) < 1e-8
 
     def test_divergence_free_on_grid(self):
         p = Params(1e-2, 1e-2)
-        sol = single_mode_solution(0, 0.5, (2, 1), np.array([1.0, -1j]), p)
-        (g,) = sol.classical
+        tab = only_row(single_mode_solution(0, 0.5, (2, 1), np.array([1.0, -1j]), p))
         z = np.linspace(0.05, 0.95, 7)
         h = 1e-4
         for zz in z:
-            prof_p = g.hat_profile(np.array([zz + h]))[:, 0]
-            prof_m = g.hat_profile(np.array([zz - h]))[:, 0]
-            prof_pp = g.hat_profile(np.array([zz + 2 * h]))[:, 0]
-            prof_mm = g.hat_profile(np.array([zz - 2 * h]))[:, 0]
-            prof = g.hat_profile(np.array([zz]))[:, 0]
+            prof_p = row_profile(tab, 0, np.array([zz + h]))[:, 0]
+            prof_m = row_profile(tab, 0, np.array([zz - h]))[:, 0]
+            prof_pp = row_profile(tab, 0, np.array([zz + 2 * h]))[:, 0]
+            prof_mm = row_profile(tab, 0, np.array([zz - 2 * h]))[:, 0]
+            prof = row_profile(tab, 0, np.array([zz]))[:, 0]
             dz3 = (-prof_pp[2] + 8 * prof_p[2] - 8 * prof_m[2] + prof_mm[2]) / (12 * h)
             div = 1j * 2 * prof[0] + 1j * 1 * prof[1] + dz3
             assert abs(div) < 1e-9 * max(1.0, np.abs(prof).max())
@@ -354,8 +354,7 @@ class TestProfiles:
             for eps in [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]:
                 p = Params(eps, eps)
                 sol = single_mode_solution(side, 0.0, (1, 0), np.array([1.0, 0.0]), p)
-                (g,) = sol.classical
-                norms.append(g.l2_norm_h())
+                norms.append(only_row(sol).norms()[0][0])
                 scales.append(p.eps_nu)
             slope = loglog_slope(scales, norms)
             assert slope == pytest.approx((1 + 2 * side) / 4.0, abs=0.03)
@@ -364,46 +363,56 @@ class TestProfiles:
         for eps in [1e-3, 1e-5]:
             p = Params(eps, eps)
             sol = single_mode_solution(0, 0.0, (1, 0), np.array([1.0, 0.0]), p)
-            (g,) = sol.classical
-            ratio = g.l2_norm_3() / g.l2_norm_h()
+            norm_h, norm_3 = only_row(sol).norms()
+            ratio = norm_3[0] / norm_h[0]
             assert ratio < 10.0 * math.sqrt(p.eps_nu)
 
     def test_hat_profile_matches_per_component_loop(self):
+        # the reference takes each decaying rate with its own one-row kernel
+        # vector and transition coefficient
         p = Params(1e-3, 1e-3)
         scale = p.layer_scale
         z = np.linspace(0.0, 1.0, 257)
         for side, mu, k_h in [(0, 0.3, (1, -2)), (1, 0.5, (2, 1)), (0, 1.0, (1, 1)),
                               (1, -1.0, (0, 1)), (0, 2.0, (0, 0))]:
-            sol = single_mode_solution(side, mu, k_h, np.array([1.0 - 0.5j, 0.3j]), p)
-            for g in sol.groups():
-                zeta = z if side == 0 else 1.0 - z
-                dzeta_dz = 1.0 if side == 0 else -1.0
-                ref = np.zeros((3,) + z.shape, dtype=complex)
-                ref_dz = np.zeros((2,) + z.shape, dtype=complex)
-                for c in g.components:
-                    q = c.lam / scale
-                    ikw = 1j * (k_h[0] * c.w[0] + k_h[1] * c.w[1])
-                    if side == 0:
-                        h, v = c.alpha * c.w, c.alpha * (scale / c.lam) * ikw
-                    else:
-                        h = c.alpha * (scale / c.lam) * c.w
-                        v = -c.alpha * (scale / c.lam) ** 2 * ikw
-                    decay = np.exp(-q * zeta)
-                    ref[:2] += np.multiply.outer(h, decay)
-                    ref[2] += v * decay
-                    ref_dz += np.multiply.outer(-q * dzeta_dz * h, decay)
-                got = g.hat_profile(z)
-                assert got.shape == ref.shape
-                sups = [max(float(np.max(np.abs(r))), 1e-300) for r in (*ref, *ref_dz)]
-                for c in range(3):
-                    assert float(np.max(np.abs(got[c] - ref[c]))) <= 1e-14 * sups[c]
-                for wall, i in ((0, 0), (1, -1)):
-                    h, v, dzh = (g.horizontal_trace(wall), g.vertical_trace(wall),
-                                 g.dz_horizontal_trace(wall))
-                    for c in range(2):
-                        assert abs(h[c] - ref[c, i]) <= 1e-14 * sups[c]
-                        assert abs(dzh[c] - ref_dz[c, i]) <= 1e-14 * sups[3 + c]
-                    assert abs(v - ref[2, i]) <= 1e-14 * sups[2]
+            delta = np.array([1.0 - 0.5j, 0.3j])
+            sol = single_mode_solution(side, mu, k_h, delta, p)
+            tab = sol.table
+            assert len(tab) == 1 and tab.quasi[0] == (abs(mu) == 1.0 and k_h != (0, 0))
+            r = decay_rates(mu, k_h, p)
+            alphas = transition_coeffs(delta, mu, k_h, p, rates=r)
+            zeta = z if side == 0 else 1.0 - z
+            dzeta_dz = 1.0 if side == 0 else -1.0
+            ref = np.zeros((3,) + z.shape, dtype=complex)
+            ref_dz = np.zeros((2,) + z.shape, dtype=complex)
+            for j, (lam, alpha) in enumerate(zip((r.lambda_minus, r.lambda_plus), alphas)):
+                assert tab.keep[0, j] == (lam.real > 0 and alpha != 0)
+                if not tab.keep[0, j]:
+                    continue
+                assert tab.q[0, j] == pytest.approx(lam / scale, rel=1e-15)
+                w = kernel_vector(lam, mu, k_h, p).w
+                q = lam / scale
+                ikw = 1j * (k_h[0] * w[0] + k_h[1] * w[1])
+                if side == 0:
+                    h, v = alpha * w, alpha * (scale / lam) * ikw
+                else:
+                    h = alpha * (scale / lam) * w
+                    v = -alpha * (scale / lam) ** 2 * ikw
+                decay = np.exp(-q * zeta)
+                ref[:2] += np.multiply.outer(h, decay)
+                ref[2] += v * decay
+                ref_dz += np.multiply.outer(-q * dzeta_dz * h, decay)
+            got = row_profile(tab, 0, z)
+            assert got.shape == ref.shape
+            sups = [max(float(np.max(np.abs(r))), 1e-300) for r in (*ref, *ref_dz)]
+            for c in range(3):
+                assert float(np.max(np.abs(got[c] - ref[c]))) <= 1e-14 * sups[c]
+            for wall, i in ((0, 0), (1, -1)):
+                h, v, dzh = (a[0] for a in tab.wall_traces(wall))
+                for c in range(2):
+                    assert abs(h[c] - ref[c, i]) <= 1e-14 * sups[c]
+                    assert abs(dzh[c] - ref_dz[c, i]) <= 1e-14 * sups[3 + c]
+                assert abs(v - ref[2, i]) <= 1e-14 * sups[2]
 
 
 class TestProfileW:
@@ -412,9 +421,10 @@ class TestProfileW:
         r = decay_rates(0.5, (2, 1), p)
         w = kernel_vector(r.lambda_minus, 0.5, (2, 1), p).w
         W0 = profile_W(0, r.lambda_minus, w, 0.5, (2, 1), p)
-        assert np.allclose(W0.horizontal_trace(0), w, atol=1e-14)
+        assert len(W0) == 1
+        assert np.allclose(W0.wall_traces(0)[0][0], w, atol=1e-14)
         z = np.array([0.0])
-        prof = W0.hat_profile(z)[:, 0]
+        prof = row_profile(W0, 0, z)[:, 0]
         scale = p.layer_scale
         expect_v3 = (scale / r.lambda_minus) * 1j * (2 * w[0] + 1 * w[1])
         assert prof[2] == pytest.approx(expect_v3, abs=1e-15)
@@ -424,7 +434,7 @@ class TestProfileW:
         r = decay_rates(0.0, (1, 0), p)
         w = kernel_vector(r.lambda_plus, 0.0, (1, 0), p).w
         W1 = profile_W(1, r.lambda_plus, w, 0.0, (1, 0), p, alpha=2.0 - 1j)
-        assert np.allclose(W1.dz_horizontal_trace(1), (2.0 - 1j) * w, atol=1e-13)
+        assert np.allclose(W1.wall_traces(1)[2][0], (2.0 - 1j) * w, atol=1e-13)
 
     def test_rejects_nondecaying_rate(self):
         p = Params(1e-3, 1e-3)
@@ -472,14 +482,17 @@ class TestBuildB:
     def test_zero_traces_give_zero(self):
         p = Params(1e-3, 1e-3)
         sol = build_B(empty_trace(0), empty_trace(1), p)
-        assert not sol.groups() and not sol.resonant
-        x = (np.array(0.1), np.array(0.2), np.array(0.5))
-        assert np.allclose(sol.evaluate(0.0, x), 0.0)
+        assert len(sol.table) == 0 and not sol.resonant
+        z = np.linspace(0.0, 1.0, 5)
+        for k_h in ((0, 0), (1, 0)):
+            assert np.array_equal(sol.hat_profile(k_h, 0.3, z), np.zeros((3, 5)))
+        assert all(sol.part_norm_h(part, 0.3) == 0.0
+                   for part in ("classical", "quasi_resonant", "resonant"))
 
     def test_top_only_trace_leaves_bottom_empty(self):
         p = Params(1e-3, 1e-3)
         sol = single_mode_solution(1, 0.0, (1, 0), np.array([1.0, 0.0]), p)
-        assert all(g.side == 1 for g in sol.groups())
+        assert np.all(sol.table.side == 1)
         assert sol.part_norm_h("quasi_resonant") == 0.0
 
     def test_top_nonresonant_norm_scaling(self):
@@ -497,16 +510,17 @@ class TestBuildB:
         assert len(sol.resonant) == 1
         (entry,) = sol.resonant[0].entries
         assert entry.amplitude == pytest.approx(1.0, abs=1e-14)
-        assert not sol.classical  # orthogonal remainder vanishes
+        assert len(sol.table) == 0  # orthogonal remainder vanishes
 
     def test_resonant_projection_kills_orthogonal_part(self):
         p = Params(1e-3, 1e-3)
         sol = single_mode_solution(0, 1.0, (0, 0), np.array([1.0, -1j]), p)
         assert not sol.resonant
         # remainder excites only the O(1)-rate profile
-        (g,) = sol.classical
-        assert len(g.components) == 1
-        assert abs(g.components[0].lam) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        tab = only_row(sol)
+        assert tab.keep[0].sum() == 1
+        lam = tab.q[0][tab.keep[0]][0] * p.layer_scale
+        assert abs(lam) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_linearity_coefficientwise(self):
         p = Params(1e-3, 2e-3)
@@ -520,6 +534,33 @@ class TestBuildB:
         combo = a * sol1.hat_profile((1, 0), 0.3, z) + b * sol2.hat_profile((1, 0), 0.3, z)
         assert np.allclose(sol.hat_profile((1, 0), 0.3, z), combo, atol=1e-12)
 
+    def test_part_norm_h_rejects_unknown_part(self):
+        p = Params(1e-3, 1e-3)
+        trace = BoundaryTrace(0, {(0.0, (1, 0)): np.array([1.0, 0.0]),
+                                  (1.0, (1, 0)): np.array([1.0, 0.0])})
+        sol = build_B(trace, empty_trace(1), p)
+        classical, quasi = sol.part_norm_h("classical"), sol.part_norm_h("quasi_resonant")
+        assert 0.0 < classical < quasi
+        for name in ("Classical", "ekman", "quasi", ""):
+            with pytest.raises(ValueError, match="classical.*quasi_resonant.*resonant"):
+                sol.part_norm_h(name)
+
+    def test_layers_of_several_pairs_tag_their_rows(self):
+        p = Params(1e-3, 2e-3)
+        pairs = [(BoundaryTrace(0, {(0.0, (1, 0)): np.array([1.0, 0.5j])}),
+                  BoundaryTrace(1, {(1.0, (0, 1)): np.array([0.3, 1.0])})),
+                 (empty_trace(0), empty_trace(1)),
+                 (BoundaryTrace(0, {(1.0, (0, 0)): np.array([1.0, 0.0]),
+                                    (0.5, (2, 1)): np.array([0.0, 1.0])}), empty_trace(1))]
+        table, resonant = L.build_layers(pairs, p)
+        assert table.pair.tolist() == [0, 0, 2, 2]
+        assert [len(r) for r in resonant] == [0, 0, 1]
+        for pair, (d0, d1) in enumerate(pairs):
+            one = build_B(d0, d1, p).table
+            rows = table.pair == pair
+            for name in ("side", "mu", "k_h", "quasi", "q", "amps", "keep", "alpha"):
+                assert np.array_equal(getattr(table, name)[rows], getattr(one, name)), name
+
     def test_resonant_norm_growth_slope(self):
         p = Params(1e-3, 1e-3)
         sol = single_mode_solution(0, 1.0, (0, 0), np.array([1.0, 1j]), p)
@@ -527,6 +568,31 @@ class TestBuildB:
         ts = np.array([1e-4, 1e-3, 1e-2, 1e-1]) / p.nu
         norms = [layer.l2_norm_h(t) for t in ts]
         assert loglog_slope(p.nu * ts, norms) == pytest.approx(0.25, abs=0.05)
+
+
+class TestResonantLayer:
+    def test_value_makes_one_profile_per_call(self, monkeypatch):
+        p = Params(1e-3, 2e-3)
+        trace = BoundaryTrace(1, {(1.0, (0, 0)): np.array([1.0, 0.3j]),
+                                  (-1.0, (0, 0)): np.array([0.5, 1.0])})
+        (layer,) = build_B(empty_trace(0), trace, p).resonant
+        assert len(layer.entries) == 2
+        z = np.linspace(0.0, 1.0, 41)
+        t = 0.37
+        calls = []
+        profile = L.resonant_profile
+
+        def counting(*args):
+            calls.append(args)
+            return profile(*args)
+
+        monkeypatch.setattr(L, "resonant_profile", counting)
+        got = layer.value(t, z)
+        assert len(calls) == 1
+        base = profile(1, 1.0 + 0j, p.nu, t, z)
+        ref = sum(np.multiply.outer(e.amplitude * np.exp(1j * e.mu * t / p.epsilon)
+                                    * e.polarization, base) for e in layer.entries)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 class TestTraceResiduals:
