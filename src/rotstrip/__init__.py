@@ -19,11 +19,10 @@ from .spectral import (
     project_V0,
     semigroup,
 )
+from .traces import BoundaryTrace, empty_trace
 from .layers import (
-    BoundaryTrace,
     build_B,
     decay_rates,
-    empty_trace,
     filter_resonant,
     kernel_vector,
     profile_W,

@@ -22,7 +22,9 @@ from .params import Params
 from .spectral import (
     SpectralField,
     basis_normal,
+    basis_normals,
     eigenvalue,
+    eigenvalues,
     euclidean_norm,
 )
 from .layers import (BoundaryTrace, LayerTable, _amplitude_l2, build_B, build_layers,
@@ -353,9 +355,11 @@ def eigenvalue_divisor_bound(l, k) -> float:
     return euclidean_norm(k) ** 3 / kh2
 
 
-def mode_decay_constant(l, params: Params) -> float:
-    """kappa_l = |l_h|^2 + pi^2 nu l3^2."""
-    return l[0] ** 2 + l[1] ** 2 + params.nu_prime * l[2] ** 2
+def mode_decay_constant(l, params: Params):
+    """kappa_l = |l_h|^2 + pi^2 nu l3^2 of a mode l, or of each row of an
+    (n, 3) integer array of modes."""
+    l = np.asarray(l)
+    return l[..., 0] ** 2 + l[..., 1] ** 2 + params.nu_prime * l[..., 2] ** 2
 
 
 def small_divisor_corrector(source: SourceTable, K: int, params: Params, t: float,
@@ -532,52 +536,69 @@ class SpectralPart(_Part):
     """Interior eigenmode sum: sum_l c_l(t) e^{-i lambda_l t / eps} N_l, each
     coefficient c_l(t) a sum of amplitude rows s0 e^{i phi t/eps - rate t}.
 
-    The rows are kept grouped by column k_h, each with the index of its mode,
-    and the column's modes with |l3|, lambda_l and n(l) folded onto |l3|
-    (cos is even and sin odd, so the u3 row takes sign(l3)).  A column's
-    coefficients take one exp over its rows, summed into the modes in row
-    order.  profiles sums the listed columns' folded amplitudes per |l3| and
-    evaluates them in one pass over j = |l3| in blocks of CHUNK: one
-    cos/sin(pi j z) block shared by every column and one real matrix
-    product per block, so the trig arrays stay CHUNK x len(z) whatever the
-    number of modes and columns.
+    The rows are kept grouped by column k_h as the array chunks they were
+    added in; a column's arrays are formed once it is evaluated: its modes
+    in order of first appearance with |l3|, lambda_l and n(l) folded onto
+    |l3| (cos is even and sin odd, so the u3 row takes sign(l3)), and each
+    row's mode index.  A column's coefficients take one exp over its rows,
+    summed into the modes in row order.  profiles sums the listed columns'
+    folded amplitudes per |l3| and evaluates them in one pass over j = |l3|
+    in blocks of CHUNK: one cos/sin(pi j z) block shared by every column and
+    one real matrix product per block, so the trig arrays stay CHUNK x
+    len(z) whatever the number of modes and columns.
     """
 
     CHUNK = 64
 
     def __init__(self, params: Params):
         self.params = params
-        self._columns = {}  # k_h -> ({mode: index}, [(index, s0, phi, rate)]), in order added
-        self._arrays = {}  # k_h -> column arrays; dropped when a row joins
+        self._rows = {}  # k_h -> [(l3, s0, phi, rate) arrays], in order added
+        self._arrays = {}  # k_h -> column arrays; dropped when rows join
+
+    def add_rows(self, modes, s0, phi=0.0, rate=0j):
+        """Add the rows s0[i] e^{i phi[i] t/eps - rate[i] t} to the
+        coefficients of modes[i], an (n, 3) integer array; s0, phi and rate
+        broadcast to n."""
+        modes = np.asarray(modes, dtype=int).reshape(-1, 3)
+        n = len(modes)
+        s0, phi, rate = (np.broadcast_to(np.asarray(v, dtype=d), (n,))
+                         for v, d in ((s0, complex), (phi, float), (rate, complex)))
+        keys = [tuple(k) for k in modes[:, :2].tolist()]
+        for k_h in dict.fromkeys(keys):
+            sel = np.array([k == k_h for k in keys])
+            self._rows.setdefault(k_h, []).append(
+                (modes[sel, 2], s0[sel], phi[sel], rate[sel]))
+            self._arrays.pop(k_h, None)
 
     def add(self, mode, s0, phi=0.0, rate=0j):
-        mode = tuple(int(c) for c in mode)
-        index, rows = self._columns.setdefault(mode[:2], ({}, []))
-        rows.append((index.setdefault(mode, len(index)), complex(s0), float(phi), complex(rate)))
-        self._arrays.pop(mode[:2], None)
+        self.add_rows([mode], s0, phi, rate)
 
     def modes(self):
-        return sorted(m for index, _ in self._columns.values() for m in index)
+        return sorted((k_h[0], k_h[1], l3) for k_h in self._rows
+                      for l3 in self._column(k_h)[0].tolist())
 
     def _column(self, k_h):
-        """({mode: index}, |l3|, lambda_l, n(l) with its u3 entry times
-        sign(l3), and the rows' mode index, s0, phi and rate as arrays) of
-        column k_h, or None."""
+        """(l3 of the modes, |l3|, lambda_l, n(l) with its u3 entry times
+        sign(l3), and the rows' mode index, s0, phi and rate) of column k_h,
+        or None."""
         arrays = self._arrays.get(k_h)
-        if arrays is None and k_h in self._columns:
-            index, rows = self._columns[k_h]
-            row_mode, s0, phi, rate = (np.array(v) for v in zip(*rows))
-            l3 = np.array([m[2] for m in index])
-            folded = np.array([basis_normal(m) for m in index])
+        if arrays is None and k_h in self._rows:
+            row_l3, s0, phi, rate = (np.concatenate(v) for v in zip(*self._rows[k_h]))
+            l3, first, row_mode = np.unique(row_l3, return_index=True, return_inverse=True)
+            order = np.argsort(first)  # the modes in order of first appearance
+            rank = np.empty(len(order), dtype=int)
+            rank[order] = np.arange(len(order))
+            l3 = l3[order]
+            modes = np.column_stack([np.broadcast_to(k_h, (len(l3), 2)), l3])
+            folded = basis_normals(modes)
             folded[:, 2] *= np.sign(l3)
-            arrays = (index, np.abs(l3), np.array([eigenvalue(m) for m in index]), folded,
-                      row_mode, s0, phi, rate)
+            arrays = (l3, np.abs(l3), eigenvalues(modes), folded, rank[row_mode], s0, phi, rate)
             self._arrays[k_h] = arrays
         return arrays
 
     def _coefficients(self, arrays, t) -> np.ndarray:
-        index, _, _, _, row_mode, s0, phi, rate = arrays
-        coef = np.zeros(len(index), dtype=complex)
+        l3, _, _, _, row_mode, s0, phi, rate = arrays
+        coef = np.zeros(len(l3), dtype=complex)
         # phi t / eps in real arithmetic, rounded as the one-row formula rounds it
         np.add.at(coef, row_mode, s0 * np.exp(1j * (phi * t / self.params.epsilon) - rate * t))
         return coef
@@ -585,9 +606,10 @@ class SpectralPart(_Part):
     def coefficient(self, mode, t):
         mode = tuple(int(c) for c in mode)
         arrays = self._column(mode[:2])
-        if arrays is None or mode not in arrays[0]:
+        hit = [] if arrays is None else np.flatnonzero(arrays[0] == mode[2])
+        if not len(hit):
             return 0
-        return self._coefficients(arrays, t)[arrays[0][mode]]
+        return self._coefficients(arrays, t)[hit[0]]
 
     def profiles(self, t, z, columns, out=None):
         z = np.asarray(z, dtype=float)
@@ -625,11 +647,11 @@ class SpectralPart(_Part):
         return out
 
     def horizontal_modes(self):
-        return sorted(self._columns)
+        return sorted(self._rows)
 
     def l2_norm(self, t: float) -> float:
         return math.sqrt(sum(float(np.sum(np.abs(self._coefficients(self._column(k_h), t)) ** 2))
-                             for k_h in self._columns))
+                             for k_h in self._rows))
 
 
 class ModulatedBL(_Part):
@@ -653,18 +675,18 @@ class ModulatedBL(_Part):
         return self.table.phases(t, self.params.epsilon) * np.exp(-self.rates * t)
 
     def profiles(self, t, z, columns, out=None):
-        """Each listed column's rows from one exp(-q zeta) block."""
+        """The rows of all listed columns from one exp(-q zeta) block."""
         z = np.asarray(z, dtype=float)
         out = _profiles_out(columns, z, out)
-        weights = self._weights(t)
-        for i, k_h in enumerate(columns):
-            k_h = _kh_tuple(k_h)
-            rows = self._columns.get(k_h)
-            if rows is not None:
-                out[i] += self.table.profile(rows, weights[rows], z)
-            if k_h == (0, 0):
-                for layer, rate in self.resonant:
-                    out[i] += layer.value(t, z) * np.exp(-rate * t)
+        columns = [_kh_tuple(k_h) for k_h in columns]
+        held = [(i, self._columns[k_h]) for i, k_h in enumerate(columns) if k_h in self._columns]
+        if held:
+            rows = np.concatenate([r for _, r in held])
+            column = np.concatenate([np.full(len(r), i) for i, r in held])
+            self.table.profiles(rows, self._weights(t)[rows], column, z, out)
+        for i in (i for i, k_h in enumerate(columns) if k_h == (0, 0)):
+            for layer, rate in self.resonant:
+                out[i] += layer.value(t, z) * np.exp(-rate * t)
         return out
 
     def horizontal_modes(self):
@@ -727,6 +749,7 @@ class HeatColumn(_Part):
     """
 
     M_MODES = 400
+    BLOCK = 20  # the series runs over m = BLOCK j + i, i < BLOCK
 
     def __init__(self, params: Params, side: int, entries=None):
         if side not in (0, 1):
@@ -747,10 +770,18 @@ class HeatColumn(_Part):
             self.entries.append((math.copysign(1.0, mu_sign), complex(amplitude)))
 
     def _shape(self, t, z):
+        """The series at time t on the heights z, factorised: w_m = B pi j +
+        w_i for m = B j + i, so sin(w_m z) = sin(B pi j z) cos(w_i z) +
+        cos(B pi j z) sin(w_i z), and the sum is two (M/B, B) @ (B, len(z))
+        products over 2 (M/B + B) trig rows instead of M sine rows."""
         z = np.asarray(z, dtype=float)
-        decay = np.exp(-self.params.nu * self._freqs ** 2 * t)
-        theta = np.tensordot(self._coeffs * decay, np.sin(np.outer(self._freqs, z)), axes=(0, 0))
-        return (1.0 if self.side == 0 else z) - theta
+        B = self.BLOCK
+        a = (self._coeffs * np.exp(-self.params.nu * self._freqs ** 2 * t)).reshape(-1, B)
+        inner = np.multiply.outer(self._freqs[:B], z.ravel())
+        outer = np.multiply.outer(B * math.pi * np.arange(len(a)), z.ravel())
+        theta = np.einsum("jz,jz->z", np.sin(outer), a @ np.cos(inner)) \
+            + np.einsum("jz,jz->z", np.cos(outer), a @ np.sin(inner))
+        return (1.0 if self.side == 0 else z) - theta.reshape(z.shape)
 
     def profiles(self, t, z, columns, out=None):
         z = np.asarray(z, dtype=float)
@@ -870,18 +901,29 @@ def _bottom_layers(tables, rates, params: Params) -> ModulatedBL:
 
 def _truncate(k_h, K: int, source):
     """Source values over the column's modes l = (k_h, l3), |l3| <= 4 max(K, 1),
-    from one call source(l3) on that l3 array: the kept (l, s) pairs with
-    |l| <= K, in l3 order, and sum |s|^2 over the dropped tail, accumulated in
-    l3 order.  Zero sources are skipped."""
+    from one call source(l3) on that l3 array: the kept modes l (n, 3) with
+    |l| <= K and their values s (n,), in l3 order, and sum |s|^2 over the
+    dropped tail, accumulated in l3 order.  Zero sources are skipped."""
     n = 4 * max(K, 1)
     l3 = np.arange(-n, n + 1)
     s = source(l3)
     nonzero = s != 0
     tail = nonzero & (k_h[0] ** 2 + k_h[1] ** 2 + l3 ** 2 > K ** 2)
     keep = nonzero & ~tail
-    kept = [((k_h[0], k_h[1], j), v) for j, v in zip(l3[keep].tolist(), s[keep])]
+    kept = np.column_stack([np.broadcast_to(k_h, (int(keep.sum()), 2)), l3[keep]])
     tail_sq = float(np.cumsum(np.abs(s[tail]) ** 2)[-1]) if tail.any() else 0.0
-    return kept, tail_sq
+    return kept, s[keep], tail_sq
+
+
+def _running_sum(first, rows) -> np.ndarray:
+    """first plus the rows (n, ...) one at a time, in row order, as a loop
+    of in-place additions rounds it."""
+    return np.cumsum(np.concatenate([[first], rows]), axis=0)[-1]
+
+
+def _pairs(a, b) -> np.ndarray:
+    """a[0], b[0], a[1], b[1], ...: two rows per mode, in the order they join."""
+    return np.column_stack(np.broadcast_arrays(a, b)).ravel()
 
 
 def _complex_product(a, x):
@@ -984,19 +1026,19 @@ def assemble_wind_approx(sigma: BoundaryTrace, params: Params) -> ApproxSolution
             F1, F2, _, _ = column_forms(k_h, l3)
             return -(q * F1 + r * F2)
 
-        kept, tail = _truncate(k_h, K, source)
+        l, s, tail = _truncate(k_h, K, source)
         tail_sq += tail
-        steady[(mu, k_h)] = 1j * np.array(k_h) * tau / kh2  # minus v_int's value
-        for l, s in kept:
-            lam_l = eigenvalue(l)
-            kappa = mode_decay_constant(l, params)
-            w = s / (1j * (lam_l + mu) / eps + kappa)
-            # zero-initial-data Duhamel: w (e^{i(lam+mu)t/eps} - e^{-kappa t})
-            osc.add(l, w, mu + lam_l)
-            osc.add(l, -w, rate=kappa)
-            trace = w * basis_normal(l)[:2]
-            steady[(mu, k_h)] -= trace
-            decaying.append(({(-lam_l, k_h): trace}, kappa))
+        lam = eigenvalues(l)
+        kappa = mode_decay_constant(l, params)
+        w = s / (kappa + 1j * ((lam + mu) / eps))
+        # zero-initial-data Duhamel: w (e^{i(lam+mu)t/eps} - e^{-kappa t})
+        osc.add_rows(np.repeat(l, 2, axis=0), _pairs(w, -w), _pairs(mu + lam, 0.0),
+                     _pairs(0j, kappa))
+        trace = w[:, None] * basis_normals(l)[:, :2]
+        # minus v_int's value and the modes' traces
+        steady[(mu, k_h)] = _running_sum(1j * np.array(k_h) * tau / kh2, -trace)
+        decaying += [({(-lam_l, k_h): tr}, kap)
+                     for lam_l, tr, kap in zip(lam.tolist(), trace, kappa.tolist())]
 
     # secondary bottom layer: cancel horizontal traces of v_int and osc at z=0
     tables = ([(steady, 0j)] if steady else []) + decaying
@@ -1063,8 +1105,7 @@ def assemble_dirichlet_approx(gamma: SpectralField, params: Params,
     pump = pumping(modes, params)
     rates = {k: complex(r) for k, r in zip(modes, pump.envelope_rates())}
     interior = SpectralPart(params)
-    for k in modes:
-        interior.add(k, gamma[k], rate=rates[k])
+    interior.add_rows(modes, [gamma[k] for k in modes], rate=[rates[k] for k in modes])
 
     # bottom layer from the interior's horizontal trace at z = 0; the fully
     # resonant k_h = 0 trace drives the strip heat column instead
@@ -1077,7 +1118,8 @@ def assemble_dirichlet_approx(gamma: SpectralField, params: Params,
     # the Ekman suction gamma_k S_k (delta3_hat amplitude) is what the layer
     # leaves at z = 0, read off its vertical trace there
     layered = [modes[i] for i in pump.layered]
-    table = wall_layers(0, pump.basis, [-gamma[k] * basis_normal(k)[:2] for k in layered], params)
+    amplitude = np.array([gamma[k] for k in layered], dtype=complex)
+    table = wall_layers(0, pump.basis, -amplitude[:, None] * basis_normals(layered)[:, :2], params)
     bottom = ModulatedBL(params, table,
                          np.array([rates[k] for k in layered], dtype=complex)[table.pair])
     wall_value = np.zeros(len(layered), dtype=complex)
@@ -1094,18 +1136,12 @@ def assemble_dirichlet_approx(gamma: SpectralField, params: Params,
     osc = SpectralPart(params)
     tail_sq = 0.0
     rows = {}
-
-    def add_row(mu, k_h, rate, vec):
-        key = (mu, k_h, complex(rate))
-        rows[key] = rows.get(key, 0) + vec
-
     for k in sorted(suction):
         k_h = k[:2]
         kh2 = k_h[0] ** 2 + k_h[1] ** 2
         mu = -eigenvalue(k)
         a_k = rates[k]
         c0 = -1j * params.layer_scale * suction[k] / kh2
-        add_row(mu, k_h, a_k, -c0 * np.array(k_h))  # minus v_int0's own wall value
 
         def source(l3):
             F1, F2, G, lam = column_forms(k_h, l3)
@@ -1114,21 +1150,26 @@ def assemble_dirichlet_approx(gamma: SpectralField, params: Params,
             # the diagonal term is already in the envelope equation
             return np.where((l3 == k[2]) | (np.abs(mu + lam) < 1e-12), 0j, s)
 
-        kept, tail = _truncate(k_h, K, source)
+        l, s, tail = _truncate(k_h, K, source)
         tail_sq += tail
-        for l, s in kept:
-            lam_l = eigenvalue(l)
-            kappa = mode_decay_constant(l, params)
-            w = s / (1j * (lam_l + mu) / eps - a_k + kappa)
+        lam = eigenvalues(l)
+        kappa = mode_decay_constant(l, params)
+        w = s / ((kappa - a_k.real) + 1j * ((lam + mu) / eps - a_k.imag))
+        trace = w[:, None] * basis_normals(l)[:, :2]
+        # minus v_int0's own wall value and the modes' traces
+        key = (mu, k_h, a_k)
+        rows[key] = _running_sum(rows.get(key, 0) + -c0 * np.array(k_h), -trace)
+        if corrector_variant == "special":
             # decay-preserving special solution (keeps the envelope's decay)
-            osc.add(l, w, mu + lam_l, a_k)
-            trace = w * basis_normal(l)[:2]
-            add_row(mu, k_h, a_k, -trace)
-            if corrector_variant == "zero_ic":
-                # subtract the homogeneous transient so the corrector starts
-                # from zero; its trace decays at the mode's own rate
-                osc.add(l, -w, rate=kappa)
-                add_row(-lam_l, k_h, kappa, trace)
+            osc.add_rows(l, w, mu + lam, a_k)
+        else:
+            # minus the homogeneous transient, so the corrector starts from
+            # zero; its trace decays at the mode's own rate
+            osc.add_rows(np.repeat(l, 2, axis=0), _pairs(w, -w), _pairs(mu + lam, 0.0),
+                         _pairs(a_k, kappa))
+            for lam_l, tr, kap in zip(lam.tolist(), trace, kappa.tolist()):
+                key = (-lam_l, k_h, complex(kap))
+                rows[key] = rows.get(key, 0) + tr
 
     # secondary bottom layer for those traces, one layer per rate
     by_rate = {}

@@ -34,8 +34,8 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .params import Params
-from .spectral import SpectralField, basis_profile, semigroup
-from .layers import BoundaryTrace
+from .spectral import SpectralField, basis_profile
+from .traces import BoundaryTrace
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +132,6 @@ class ModeTrajectory:
 def l2_norm(u: np.ndarray, weights: np.ndarray) -> float:
     """L2(omega) norm of one mode's nodal profile (Parseval in x_h)."""
     return 2.0 * math.pi * math.sqrt(float(np.sum(weights * np.sum(np.abs(u) ** 2, axis=1))))
-
-
-def l2_difference(u: np.ndarray, analytic: np.ndarray, weights: np.ndarray) -> float:
-    """Weighted mismatch between a nodal state (Nz+1, 3) and analytic samples
-    of the same shape (or (3, Nz+1))."""
-    a = np.asarray(analytic)
-    if a.shape != u.shape:
-        a = a.T
-    return l2_norm(u - a, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -576,11 +567,3 @@ def diagnostics_csv(traj: ModeTrajectory, path):
         f.write(",".join(keys) + "\n")
         for row in traj.diagnostics:
             f.write(",".join(f"{row.get(k, 0.0):.12g}" for k in keys) + "\n")
-
-
-def semigroup_samples(gamma: SpectralField, params: Params, t: float, k_h,
-                      z: np.ndarray) -> np.ndarray:
-    """Nodal samples of exp(-(t/eps) L) gamma on column k_h: the
-    penalisation-only reference trajectory."""
-    rotated = semigroup(t / params.epsilon, gamma)
-    return rotated.profile(k_h, z)

@@ -25,8 +25,9 @@ import numpy as np
 from .params import Params
 from .spectral import (
     SpectralField,
-    basis_normal,
+    basis_normals,
     eigenvalue,
+    eigenvalues,
     euclidean_norm,
 )
 from .layers import LayerBasis, layer_basis, rate_batch
@@ -71,12 +72,11 @@ def pumping(modes, params: Params) -> Pumping:
     modes = [tuple(int(c) for c in k) for k in modes]
     layered = np.array([i for i, k in enumerate(modes) if k[0] or k[1]], dtype=int)
     k = np.array([modes[i] for i in layered], dtype=int).reshape(-1, 3)
-    mu = np.array([-eigenvalue(m) for m in k])
-    basis = layer_basis(rate_batch(mu, k[:, :2], params), params)
+    basis = layer_basis(rate_batch(-eigenvalues(k), k[:, :2], params), params)
     S = np.zeros(len(modes), dtype=complex)
     A = np.zeros(len(modes), dtype=complex)
     if len(k):
-        alpha = basis.solve(np.array([basis_normal(m)[:2] for m in k]))
+        alpha = basis.solve(basis_normals(k)[:, :2])
         w = basis.w
         terms = alpha / basis.rates.lam * 1j * (k[:, :1] * w[:, :, 0] + k[:, 1:2] * w[:, :, 1])
         S[layered] = terms[:, 0] + terms[:, 1]
@@ -107,9 +107,15 @@ def ekman_limit_coefficient(k) -> tuple:
     lam = eigenvalue(k)
     if abs(abs(lam) - 1.0) < 1e-14 or abs(lam) >= 1.0:
         raise ValueError(f"limit pumping undefined at |lambda_k| = 1 (k={k})")
+    R, I = _limit_pair(np.array([lam]))
+    return float(R[0]), float(I[0])
+
+
+def _limit_pair(lam) -> tuple:
+    """(R, I) of ekman_limit_coefficient for an array of lambda in (-1, 1)."""
     pref = (1.0 - lam * lam) / (2.0 * math.sqrt(2.0))
-    term_m = (1.0 + lam) / math.sqrt(1.0 - lam)
-    term_p = (1.0 - lam) / math.sqrt(1.0 + lam)
+    term_m = (1.0 + lam) / np.sqrt(1.0 - lam)
+    term_p = (1.0 - lam) / np.sqrt(1.0 + lam)
     return pref * (term_m + term_p), pref * (term_m - term_p)
 
 
@@ -159,11 +165,6 @@ def envelope_rates(modes, params: Params, include_vertical: bool = False,
     else:
         A = pumping(modes, params).A
     return _envelope_rates(modes, A, params, include_vertical)
-
-
-def envelope_rate(k, params: Params, include_vertical: bool = False,
-                  limit_coefficients: bool = False) -> complex:
-    return complex(envelope_rates([k], params, include_vertical, limit_coefficients)[0])
 
 
 def _envelope_rates(modes, A, params: Params, include_vertical: bool) -> np.ndarray:
@@ -225,17 +226,17 @@ def damping_table(modes, params: Params):
     modes = sorted(tuple(int(c) for c in m) for m in modes)
     A = pumping(modes, params).A
     damping = _damping(modes, A, params)
+    lam = eigenvalues(modes)
+    mean = np.array([k[0] == 0 and k[1] == 0 for k in modes], dtype=bool)
+    R, I = _limit_pair(np.where(mean, 0.0, lam))
+    R[mean] = I[mean] = np.nan
     rows = []
-    for k, a, d in zip(modes, A, damping):
-        if k[0] == 0 and k[1] == 0:
-            R = I = float("nan")
-        else:
-            R, I = ekman_limit_coefficient(k)
+    for k, lam_k, a, d, r, i in zip(modes, lam.tolist(), A, damping, R.tolist(), I.tolist()):
         rows.append({
             "k1": k[0], "k2": k[1], "k3": k[2],
-            "lambda": eigenvalue(k),
+            "lambda": lam_k,
             "A_real": float(a.real), "A_imag": float(a.imag),
-            "R": R, "I": I,
+            "R": r, "I": i,
             "damping_real": float(d.real),
             "damping_imag": float(d.imag),
             "euclidean_norm": euclidean_norm(k),

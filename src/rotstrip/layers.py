@@ -13,6 +13,7 @@ width sqrt(nu t).
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .params import Params
+from .traces import BoundaryTrace, empty_trace  # re-exported: callers import them from here
 
 RESONANT_TOL = 1e-12
 
@@ -118,11 +120,6 @@ def a_lambda_matrix(lam: complex, mu: float, k_h, params: Params) -> np.ndarray:
     return _checked_symbol([lam], [mu], [_kh_tuple(k_h)], params)[0]
 
 
-def horizontal_sq(k_h) -> int:
-    k1, k2 = _kh_tuple(k_h)
-    return k1 * k1 + k2 * k2
-
-
 def _cubic(mu, kh2, params: Params) -> np.ndarray:
     """Coefficients (n, 4), descending, of the pole-cleared cubic in s = lambda^2:
 
@@ -138,11 +135,6 @@ def _cubic(mu, kh2, params: Params) -> np.ndarray:
     p[:, 2] = AA1 + 2.0 * b * A
     p[:, 3] = -b * AA1 + b
     return p
-
-
-def decay_cubic_coefficients(mu: float, k_h, params: Params) -> np.ndarray:
-    """Coefficients (descending) of the pole-cleared cubic of one entry."""
-    return _cubic(np.array([float(mu)]), np.array([horizontal_sq(k_h)]), params)[0]
 
 
 def _cubic_roots(mu, kh2, params: Params) -> np.ndarray:
@@ -474,13 +466,49 @@ class LayerTable:
 
     def profile(self, rows, weights, z) -> np.ndarray:
         """sum_i weights[i] times the profile of row rows[i] on the heights z,
-        shape (3,) + z.shape: one exp(-q zeta) block over the rows' kept
-        rates and one matrix product."""
-        keep = self.keep[rows]
-        row = np.nonzero(keep)[0]
-        amps = self.amps[rows][keep] * weights[row, None]
-        block = _exp_block(self.q[rows][keep], self.side[rows][row], z)
-        return (amps.T @ block).reshape((3,) + np.shape(z))
+        shape (3,) + z.shape: the one-column view of profiles."""
+        z = np.asarray(z, dtype=float)
+        out = np.zeros((1, 3) + z.shape, dtype=complex)
+        rows = np.asarray(rows, dtype=int)
+        return self.profiles(rows, np.asarray(weights), np.zeros(len(rows), dtype=int), z, out)[0]
+
+    def profiles(self, rows, weights, column, z, out) -> np.ndarray:
+        """Add weights[i] times the profile of row rows[i] on the heights z
+        into out[column[i]], out of shape (ncol, 3) + z.shape, and return
+        out; column must be nondecreasing.  The kept rates of consecutive
+        columns share one exp(-q zeta) block, a new block starting at the
+        first column past each LAYER_BLOCK entries; on a 1-D ascending z,
+        each column's rates are evaluated only on the heights where one of
+        them still exceeds e^-LAYER_CUT (see _height_windows).  One matrix
+        product per column sums its rates."""
+        z = np.asarray(z, dtype=float)
+        r, j = self.keep[rows].nonzero()
+        if not r.size:
+            return out
+        at = rows[r]
+        q, side = self.q[at, j], self.side[at]
+        amps = self.amps[at, j] * weights[r, None]
+        count = np.bincount(column[r])
+        held = count.nonzero()[0]
+        start = (count.cumsum() - count)[held]
+        lo, hi = _height_windows(q, side, z)
+        lo, hi = np.minimum.reduceat(lo, start), np.maximum.reduceat(hi, start)
+        size = count[held] * (hi - lo)
+        segments = zip(held.tolist(), start.tolist(), count[held].tolist(), lo.tolist(),
+                       hi.tolist(), ((size.cumsum() - size) // LAYER_BLOCK).tolist())
+        for _, piece in itertools.groupby(segments, key=lambda s: s[-1]):
+            piece = list(piece)
+            block = None  # the previous piece's block is freed first
+            block = _exp_block(q, side, z.ravel(), [s[1:5] for s in piece])
+            off = 0
+            for c, a, n, l, h, _ in piece:
+                value = amps[a:a + n].T @ block[off:off + n * (h - l)].reshape(n, h - l)
+                off += n * (h - l)
+                if z.ndim == 1:
+                    out[c][:, l:h] += value
+                else:
+                    out[c] += value.reshape((3,) + z.shape)
+        return out
 
     def wall_traces(self, wall):
         """(horizontal (n, 2), vertical (n,), dz horizontal (n, 2)) of every
@@ -498,11 +526,39 @@ class LayerTable:
                 _amplitude_l2(self.amps[:, :, 2:], self.q))
 
 
-def _exp_block(q, side, z) -> np.ndarray:
-    """exp(-q_m zeta_m) of shape (len(q), z.size): zeta_m the distance of the
-    heights z to the wall side_m."""
-    z = np.asarray(z, dtype=float).ravel()
-    block = -q[:, None] * np.stack([z, 1.0 - z])[side]
+#: exp(-q zeta) is dropped where Re(q) zeta > LAYER_CUT: below e^-40 ~ 4e-18
+#: of the rate's amplitude
+LAYER_CUT = 40.0
+#: entries (64 KiB) of one exp(-q zeta) block of LayerTable.profiles, which
+#: splits a call's columns into blocks of about this size: one block for all
+#: the columns of a large call is a temporary many times a column's, and it
+#: raised the peak RSS of the benchmark's wind_shells workload by 0.8 MiB
+LAYER_BLOCK = 4096
+
+
+def _height_windows(q, side, z):
+    """Index windows [lo, hi) (each (n,)) of the heights z on which
+    Re(q_m) zeta <= LAYER_CUT, zeta the distance to the wall side_m: a
+    prefix of the heights for a bottom rate, a suffix for a top rate.  The
+    whole grid unless z is 1-D and ascending."""
+    if z.ndim != 1 or (z[1:] < z[:-1]).any():
+        return np.zeros(len(q), dtype=int), np.full(len(q), z.size)
+    reach = LAYER_CUT / q.real
+    top = side == 1
+    return z.searchsorted(1.0 - reach) * top, np.where(top, z.size, z.searchsorted(reach, "right"))
+
+
+def _exp_block(q, side, z, segments) -> np.ndarray:
+    """exp(-q_m zeta) of the rates m of each segment (a, n, l, h), rates a
+    to a + n - 1 on the heights z[l:h], concatenated segment by segment in
+    row-major (rate, height) order: zeta the distance to the wall side_m."""
+    zeta = np.array([z, 1.0 - z])
+    block = np.empty(sum(n * (h - l) for _, n, l, h in segments), dtype=complex)
+    off = 0
+    for a, n, l, h in segments:
+        np.multiply(-q[a:a + n, None], zeta[side[a:a + n], l:h],
+                    out=block[off:off + n * (h - l)].reshape(n, h - l))
+        off += n * (h - l)
     return np.exp(block, out=block)
 
 
@@ -667,44 +723,8 @@ class ResonantLayer:
 
 
 # ---------------------------------------------------------------------------
-# boundary traces and the layer operator
+# the layer operator
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class BoundaryTrace:
-    """Finite table of trace coefficients: (mu, k_h) -> C^2.
-
-    side 0 prescribes the horizontal Dirichlet value at z = 0, side 1 the
-    horizontal stress dz v_h at z = 1.
-    """
-
-    side: int
-    table: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.side not in (0, 1):
-            raise ValueError("side must be 0 (bottom) or 1 (top)")
-        clean = {}
-        for (mu, k_h), v in self.table.items():
-            clean[(float(mu), _kh_tuple(k_h))] = np.asarray(v, dtype=complex).reshape(2)
-        self.table = clean
-
-    def entries(self):
-        return ((key, self.table[key]) for key in sorted(self.table))
-
-    def norm(self) -> float:
-        """sqrt(sum |delta_hat|^2). The squared sum (no root) is sometimes
-        used as a 'norm' in the continuity estimates; scaling regressions are
-        insensitive to the choice and we expose the square-rooted quantity."""
-        return math.sqrt(sum(float(np.sum(np.abs(v) ** 2)) for _, v in self.entries()))
-
-    def scaled(self, factor: complex) -> "BoundaryTrace":
-        return BoundaryTrace(self.side, {k: factor * v for k, v in self.table.items()})
-
-
-def empty_trace(side: int) -> BoundaryTrace:
-    return BoundaryTrace(side, {})
 
 
 @dataclass

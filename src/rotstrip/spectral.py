@@ -33,8 +33,11 @@ def horizontal_norm2(k) -> int:
 
 
 def weighted_norm(k) -> float:
-    """sqrt(|k_h|^2 + (pi k3)^2), the norm appearing in the eigenvalue formula."""
-    return math.sqrt(horizontal_norm2(k) + (math.pi * k[2]) ** 2)
+    """sqrt(|k_h|^2 + (pi k3)^2), the norm appearing in the eigenvalue formula.
+    The square is a product, rounded as numpy squares an array (a float's
+    ** 2 is libm pow, which differs in the last bit at k3 = 2207, for one)."""
+    x = math.pi * k[2]
+    return math.sqrt(horizontal_norm2(k) + x * x)
 
 
 def euclidean_norm(k) -> float:
@@ -47,25 +50,56 @@ def eigenvalue(k) -> float:
     return -k[2] * math.pi / weighted_norm(k)
 
 
+def _mode_rows(k) -> np.ndarray:
+    """Mode indices as an (n, 3) integer array; (0, 0, 0) is rejected."""
+    k = np.asarray(k, dtype=int).reshape(-1, 3)
+    if not k.any(axis=1).all():
+        raise ValueError("mode index (0,0,0) is not part of the eigenbasis")
+    return k
+
+
+def _weighted_norms(k) -> np.ndarray:
+    """weighted_norm of each row of an (n, 3) integer array."""
+    return np.sqrt((k[:, 0] ** 2 + k[:, 1] ** 2) + (math.pi * k[:, 2]) ** 2)
+
+
+def eigenvalues(k) -> np.ndarray:
+    """eigenvalue of each row of an (n, 3) integer array of modes."""
+    k = _mode_rows(k)
+    return -k[:, 2] * math.pi / _weighted_norms(k)
+
+
+def basis_normals(k) -> np.ndarray:
+    """basis_normal of each row of an (n, 3) integer array of modes, (n, 3).
+
+    The real and imaginary parts are formed apart, as the one-mode complex
+    arithmetic rounds them (a quotient by a real divides each part by it).
+    """
+    k = _mode_rows(k)
+    k1, k2, k3 = k.T
+    kh = np.sqrt(k1 ** 2 + k2 ** 2)
+    W = _weighted_norms(k)
+    lam = -k3 * math.pi / W
+    mean = kh == 0
+    d = 2.0 * math.pi * np.where(mean, 1.0, kh)
+    n = np.empty((len(k), 3), dtype=complex)
+    n.real[:, 0], n.imag[:, 0] = k1 * lam / d, k2 / d
+    n.real[:, 1], n.imag[:, 1] = k2 * lam / d, -k1 / d
+    n.real[:, 2], n.imag[:, 2] = 0.0, kh / (2.0 * math.pi * W)
+    if mean.any():  # k_h = 0: the circular polarisation of sign(k3)
+        n[mean, 0] = np.copysign(1.0, k3[mean]) / (2.0 * math.pi)
+        n[mean, 1] = 1j / (2.0 * math.pi)
+    return n
+
+
 def basis_normal(k) -> np.ndarray:
-    """Polarisation vector n(k) of the eigenmode N_k.
+    """Polarisation vector n(k) of the eigenmode N_k: the one-mode view of
+    basis_normals.
 
     The 1/(2pi) factors make N_k unit-norm in L^2(T^2 x [0,1]) with the
     plain Lebesgue measure (checked by quadrature in the test suite).
     """
-    k = _check_mode(k)
-    k1, k2, k3 = k
-    kh = math.sqrt(horizontal_norm2(k))
-    if kh > 0:
-        lam = eigenvalue(k)
-        n1 = (1j * k2 + k1 * lam) / (2.0 * math.pi * kh)
-        n2 = (-1j * k1 + k2 * lam) / (2.0 * math.pi * kh)
-        n3 = 1j * kh / (2.0 * math.pi * weighted_norm(k))
-    else:
-        n1 = math.copysign(1.0, k3) / (2.0 * math.pi) + 0j
-        n2 = 1j / (2.0 * math.pi)
-        n3 = 0j
-    return np.array([n1, n2, n3])
+    return basis_normals([_check_mode(k)])[0]
 
 
 def basis_profile(k, z):

@@ -496,6 +496,46 @@ class TestValueColumnResponse:
             HeatColumn(Params(1e-2, 1e-2), 2)
 
 
+class TestHeatColumnSeries:
+    """The strip series against the half-space closed form of its wall
+    (layers.resonant_profile): while nu t is small enough for the far wall
+    not to matter and large enough for the 400 terms to converge, the two
+    agree to rounding."""
+
+    P = Params(1e-3, 1e-3)
+    NU_T = (3e-5, 1e-4, 1e-3, 3e-3)
+
+    def test_matches_the_half_space_profile(self):
+        from rotstrip.correctors import HeatColumn
+        from rotstrip.layers import resonant_profile
+
+        z = _norm_grid(self.P, 800)
+        for side in (0, 1):
+            col = HeatColumn(self.P, side)
+            for nu_t in self.NU_T:
+                t = nu_t / self.P.nu
+                want = resonant_profile(side, 1.0, self.P.nu, t, z)
+                got = col._shape(t, z)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (side, nu_t)
+
+    def test_wall_conditions(self):
+        """Side 0: value 1 at the bottom and no stress at the top; side 1: no
+        slip at the bottom and unit stress at the top (second-order one-sided
+        differences of step h)."""
+        from rotstrip.correctors import HeatColumn
+
+        h = 1e-6
+        top = np.array([1.0 - 2.0 * h, 1.0 - h, 1.0])
+        for side in (0, 1):
+            col = HeatColumn(self.P, side)
+            for nu_t in self.NU_T + (0.1, 1.0):
+                t = nu_t / self.P.nu
+                assert col._shape(t, np.array([0.0]))[0] == (1.0 if side == 0 else 0.0)
+                f = col._shape(t, top)
+                stress = (f[0] - 4.0 * f[1] + 3.0 * f[2]) / (2.0 * h)
+                assert stress == pytest.approx(float(side), abs=1e-6), (side, nu_t)
+
+
 class TestDirichletAssembly:
     def test_zero_data(self):
         p = Params(1e-3, 1e-3)
@@ -862,7 +902,7 @@ class TestModulatedProfiles:
                 sum(norm_h[i] ** 2 + norm_3[i] ** 2 for i in rows))
         assert part.frozen_dt_bound() == pytest.approx(want, rel=1e-14)
 
-    def test_one_exp_block_per_part_and_column(self, monkeypatch):
+    def test_exp_blocks_span_columns(self, monkeypatch):
         from rotstrip import layers
 
         p = Params(1e-4, 1e-4, beta=1.0)
@@ -874,28 +914,53 @@ class TestModulatedProfiles:
         blocks = []
         exp_block = layers._exp_block
 
-        def counted(q, side, z):
-            blocks.append((len(q), np.size(z)))
-            return exp_block(q, side, z)
+        def counted(q, side, z, segments):
+            blocks.append([(n, n * (h - l)) for _, n, l, h in segments])
+            return exp_block(q, side, z, segments)
 
         monkeypatch.setattr(layers, "_exp_block", counted)
-        widest = 0
         for sol in sols:
             parts = [part for part in sol.parts.values() if isinstance(part, ModulatedBL)]
-            want = [(int(part.table.keep[rows].sum()), 800)
-                    for part in parts for rows in part._columns.values()]
-            assert len(want) > len(parts)
-            widest = max([widest] + [n for n, _ in want])
+            rates = sum(int(part.table.keep.sum()) for part in parts)
             blocks.clear()
-            sol.total_norm(0.1)
-            assert sorted(blocks) == sorted(want)
-            # a profiles call over some columns: one block per held column
+            norm = sol.total_norm(0.1)
+            # every kept rate once, blocks spanning columns, a new block only
+            # past LAYER_BLOCK entries, the heights past the cut skipped
+            assert sum(n for block in blocks for n, _ in block) == rates
+            assert len(blocks) < sum(len(part._columns) for part in parts)
+            assert all(sum(size for _, size in block[:-1]) < layers.LAYER_BLOCK
+                       for block in blocks)
+            assert sum(size for block in blocks for _, size in block) < 800 * rates
+            # with a one-entry cap every column is a block of its own
+            cap = layers.LAYER_BLOCK
+            monkeypatch.setattr(layers, "LAYER_BLOCK", 1)
+            blocks.clear()
+            assert sol.total_norm(0.1) == pytest.approx(norm, rel=1e-15)
+            assert len(blocks) == sum(len(part._columns) for part in parts)
+            monkeypatch.setattr(layers, "LAYER_BLOCK", cap)
+            # a profiles call over some columns: one block for all of them
             part = parts[0]
             columns = part.horizontal_modes()[:2] + [(5, 5)]
             blocks.clear()
             part.profiles(0.1, np.linspace(0.0, 1.0, 7), columns)
-            assert len(blocks) == sum(k in part._columns for k in columns)
-        assert widest > 2  # a block spans several rows
+            assert len(blocks) == 1
+
+    def test_skipped_heights_are_below_the_cut(self):
+        """Against the full block, which an unsorted grid gets: each dropped
+        exp(-q zeta) is below e^-40 ~ 4.2e-18, so a column moves by at most
+        that times its summed amplitudes."""
+        part = self.part()
+        z = _norm_grid(self.P, 800)
+        columns = part.horizontal_modes()
+        got = part.profiles(0.137, z, columns)
+        shuffled = np.random.default_rng(0).permutation(len(z))
+        full = part.profiles(0.137, z[shuffled], columns)
+        tab, weights = part.table, part._weights(0.137)
+        for c, k_h in enumerate(columns):
+            rows = part._columns.get(k_h, [])
+            amp = np.sum(np.abs(tab.amps[rows] * weights[rows, None, None]))
+            assert np.abs(got[c][:, shuffled] - full[c]).max() <= (
+                4.3e-18 * amp + 1e-15 * np.abs(full[c]).max())
 
 
 # -- lifts as coefficient arrays against the Polynomial algebra ---------------
@@ -1103,6 +1168,19 @@ class TestSpectralPartRows:
                 want = sum(s0 * np.exp(1j * phi * t / self.P.epsilon - rate * t)
                            for m, s0, phi, rate in self.ROWS if m == mode)
                 assert part.coefficient(mode, t) == want
+
+    def test_array_rows_equal_rows_added_one_at_a_time(self):
+        one = self.part()
+        rows = SpectralPart(self.P)
+        modes, s0, phi, rate = (list(v) for v in zip(*self.ROWS))
+        rows.add_rows(modes[:2], s0[:2], phi[:2], rate[:2])
+        rows.add_rows(modes[2:], s0[2:], phi[2:], rate[2:])
+        z = np.linspace(0.0, 1.0, 9)
+        assert rows.modes() == one.modes()
+        for t in (0.0, 0.13):
+            assert rows.l2_norm(t) == one.l2_norm(t)
+            assert np.array_equal(rows.profiles(t, z, [(1, 0), (0, 2)]),
+                                  one.profiles(t, z, [(1, 0), (0, 2)]))
 
     def test_missing_mode_and_column_give_zero(self):
         part = self.part()
@@ -1318,14 +1396,14 @@ class TestTruncation:
         truncate = correctors._truncate
 
         def spy(k_h, K, source):
-            kept, tail_sq = truncate(k_h, K, source)
+            modes, values, tail_sq = truncate(k_h, K, source)
             ref_kept, ref_tail = ref_truncate(k_h, K, reference_source(
                 inspect.getclosurevars(source).nonlocals))
-            assert [l for l, _ in kept] == [l for l, _ in ref_kept]
-            assert all(s == r for (_, s), (_, r) in zip(kept, ref_kept))
+            assert [tuple(l) for l in modes.tolist()] == [l for l, _ in ref_kept]
+            assert all(s == r for s, (_, r) in zip(values, ref_kept))
             assert tail_sq == pytest.approx(ref_tail, rel=1e-15, abs=0.0)
-            calls.append(len(kept))
-            return kept, tail_sq
+            calls.append(len(modes))
+            return modes, values, tail_sq
 
         monkeypatch.setattr(correctors, "_truncate", spy)
         build()

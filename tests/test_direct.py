@@ -1,13 +1,15 @@
 """Direct solver: scheme fidelity, constraints, decay fitting, dumps."""
 
+import ast
 import math
+import os
 
 import numpy as np
 import pytest
 
 import rotstrip.direct as direct
 from rotstrip.params import Params
-from rotstrip.spectral import SpectralField, basis_profile
+from rotstrip.spectral import SpectralField, basis_profile, semigroup
 from rotstrip.layers import BoundaryTrace, filter_resonant
 from rotstrip.direct import (
     DecayFit,
@@ -16,13 +18,52 @@ from rotstrip.direct import (
     diagnostics_csv,
     fit_decay,
     graded_nodes,
-    l2_difference,
     l2_norm,
     node_weights,
-    semigroup_samples,
     snapshot_csv,
     solve_direct,
 )
+
+
+def l2_difference(u: np.ndarray, analytic: np.ndarray, weights: np.ndarray) -> float:
+    """Weighted mismatch between a nodal state (Nz+1, 3) and analytic samples
+    of the same shape (or (3, Nz+1))."""
+    a = np.asarray(analytic)
+    if a.shape != u.shape:
+        a = a.T
+    return l2_norm(u - a, weights)
+
+
+def semigroup_samples(gamma: SpectralField, params: Params, t: float, k_h,
+                      z: np.ndarray) -> np.ndarray:
+    """Nodal samples of exp(-(t/eps) L) gamma on column k_h: the
+    penalisation-only reference trajectory."""
+    rotated = semigroup(t / params.epsilon, gamma)
+    return rotated.profile(k_h, z)
+
+
+def test_oracle_imports_no_asymptotic_module():
+    """The direct solver checks the asymptotic half, so it shares none of its
+    code: its source imports nothing from layers, envelope, correctors or
+    harness.  What it shares is params, spectral (the eigenbasis of the
+    initial data) and traces.  Read with ast: importing rotstrip.direct runs
+    the package __init__, which imports every module."""
+    with open(os.path.join(os.path.dirname(direct.__file__), "direct.py")) as f:
+        tree = ast.parse(f.read())
+    imported = set()  # the package modules named by the imports
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            if node.level == 0 and module[0] != "rotstrip":
+                continue
+            path = module[1:] if node.level == 0 else module
+            imported.update(path[:1] if path and path[0] else
+                            [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[1] for alias in node.names
+                            if alias.name.startswith("rotstrip."))
+    assert {"params", "spectral", "traces"} <= imported
+    assert not imported & {"layers", "envelope", "correctors", "harness"}
 
 
 class TestGrid:

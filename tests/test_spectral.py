@@ -12,8 +12,10 @@ from rotstrip.spectral import (
     basis_profile,
     basis_vector,
     basis_normal,
+    basis_normals,
     coriolis_apply,
     eigenvalue,
+    eigenvalues,
     project_V0,
     semigroup,
     weighted_norm,
@@ -110,6 +112,41 @@ class TestBasisVectors:
             for z in (0.0, 1.0):
                 v = basis_profile(k, z)
                 assert abs(v[2]) < 1e-15
+
+
+def ref_basis_normal(k):
+    """n(k) by one-mode complex arithmetic, as basis_normal had it before it
+    became a row of basis_normals."""
+    k1, k2, k3 = k
+    kh = math.sqrt(k1 * k1 + k2 * k2)
+    if kh > 0:
+        lam = eigenvalue(k)
+        return np.array([(1j * k2 + k1 * lam) / (2.0 * math.pi * kh),
+                         (-1j * k1 + k2 * lam) / (2.0 * math.pi * kh),
+                         1j * kh / (2.0 * math.pi * weighted_norm(k))])
+    return np.array([math.copysign(1.0, k3) / (2.0 * math.pi) + 0j, 1j / (2.0 * math.pi), 0j])
+
+
+class TestModeArrays:
+    # k3 = +-2207 is where a float's ** 2 (libm pow) and a product round
+    # (pi k3)^2 differently
+    MODES = [(k1, k2, k3) for k1 in (-3, 0, 2) for k2 in (-1, 0, 4)
+             for k3 in (-2207, -40, -3, 0, 1, 2, 17, 2207) if (k1, k2, k3) != (0, 0, 0)]
+
+    def test_rows_equal_the_one_mode_arithmetic(self):
+        lam, n = eigenvalues(self.MODES), basis_normals(self.MODES)
+        assert n.shape == (len(self.MODES), 3)
+        for i, k in enumerate(self.MODES):
+            assert lam[i] == eigenvalue(k), k
+            assert np.array_equal(n[i], ref_basis_normal(k)), k
+            assert np.array_equal(basis_normal(k), n[i]), k
+
+    def test_zero_mode_rejected(self):
+        with pytest.raises(ValueError, match="0,0,0"):
+            basis_normals([(1, 0, 1), (0, 0, 0)])
+        with pytest.raises(ValueError, match="0,0,0"):
+            eigenvalues([(0, 0, 0)])
+        assert basis_normals(np.zeros((0, 3), dtype=int)).shape == (0, 3)
 
 
 class TestProjection:
