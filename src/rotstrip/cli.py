@@ -270,11 +270,15 @@ def main(argv=None) -> int:
                                             "compare", "sweep"])
     parser.add_argument("--config", help="JSON or key=value parameter file")
     parser.add_argument("--out", default="rotstrip_out", help="output directory")
-    parser.add_argument("--parallel", type=int, default=1,
-                        help="grid points to run concurrently (sweep only)")
+    parser.add_argument("--parallel", type=int, default=1, metavar="N",
+                        help="grid points to run concurrently, N >= 1 (sweep only)")
     parser.add_argument("--seedless", action="store_true",
                         help="assert that no randomness is consumed")
     args = parser.parse_args(argv)
+    if args.parallel < 1:
+        parser.error(f"--parallel must be at least 1, got {args.parallel}")
+    if args.parallel != 1 and args.command != "sweep":
+        parser.error(f"--parallel {args.parallel} applies to sweep only, not {args.command}")
 
     cfg = load_config(args.config) if args.config else {}
     if args.command in CONFIG_KEYS:

@@ -26,16 +26,39 @@ projection error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import Any, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .params import Params
 from .spectral import SpectralField, basis_profile
 from .traces import BoundaryTrace
+
+
+class SolverModules(NamedTuple):
+    """The scipy pieces the solver uses: scipy.sparse for the assembly and
+    LAPACK's banded LU pair for the factorisation and the steps."""
+
+    sparse: Any
+    zgbtrf: Any
+    zgbtrs: Any
+
+
+@functools.cache
+def solver_modules() -> SolverModules:
+    """Import the solver's scipy modules on the first call.
+
+    scipy is the slowest import of the package, and only the direct solver
+    needs it, so `import rotstrip` and the asymptotic half run without it.
+    The first _ModeSystem pays for the import; a parent that forks workers
+    calls this first, so that they inherit the modules."""
+    import scipy.sparse
+    from scipy.linalg.lapack import zgbtrf, zgbtrs
+
+    return SolverModules(scipy.sparse, zgbtrf, zgbtrs)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +188,7 @@ class _ModeSystem:
         self.n = self.stride * (self.Nz + 1) - (self.stride - self.ncomp)
         # (Nz+1, ncomp) positions of the velocity entries
         self.u_index = self._iu(np.arange(self.Nz + 1)[:, None], np.arange(self.ncomp))
+        self._lib = solver_modules()
         self._assemble()
 
     def _iu(self, i, c):
@@ -175,6 +199,7 @@ class _ModeSystem:
         kh2 = self.kh2
         Nz, n, dt, iu = self.Nz, self.n, self.dt, self._iu
         eps, nu = self.params.epsilon, self.params.nu
+        sp = self._lib.sparse
         h = np.diff(self.z)
         wn = self.wn
         lhs, rhs = [], []  # COO triplets (rows, cols, values)
@@ -262,7 +287,7 @@ class _ModeSystem:
         self.ku = int(np.max(A.col - A.row))
         ab = np.zeros((2 * self.kl + self.ku + 1, n), dtype=complex)
         ab[self.kl + self.ku + A.row - A.col, A.col] = A.data
-        self.lu, self.piv, info = zgbtrf(ab, self.kl, self.ku, overwrite_ab=1)
+        self.lu, self.piv, info = self._lib.zgbtrf(ab, self.kl, self.ku, overwrite_ab=1)
         if info != 0:  # singular saddle system: should not occur for nu > 0
             detail = ("Factor is exactly singular" if info > 0
                       else f"illegal value in argument {-info} of zgbtrf")
@@ -319,7 +344,7 @@ class _ModeSystem:
         b = self.rhs_mat @ x
         if g_half is not None and self.stress_rows is not None:
             b[self.stress_rows] += self.stress_scale * g_half
-        x_new, _ = zgbtrs(self.lu, self.kl, self.ku, b, self.piv, overwrite_b=1)
+        x_new, _ = self._lib.zgbtrs(self.lu, self.kl, self.ku, b, self.piv, overwrite_b=1)
         return x_new
 
     # The diagnostics reduce over axis 0 with np.vecdot, which conjugates its

@@ -21,7 +21,7 @@ from .spectral import SpectralField
 from .layers import BoundaryTrace, build_B, empty_trace
 from .envelope import damping_rate, damping_table, envelope_trajectory
 from .correctors import HeatColumn, assemble_dirichlet_approx, assemble_wind_approx
-from .direct import fit_decay, l2_norm, solve_direct
+from .direct import diagnostics_csv, fit_decay, l2_norm, solve_direct, solver_modules
 
 KINDS = ("bl_scaling", "resonant_growth", "wind_convergence",
          "dirichlet_convergence", "ekman_rate", "destabilization")
@@ -273,14 +273,26 @@ def _safe_call(worker, job):
 def _map_points(worker, jobs, parallel: int):
     """Run per-grid-point jobs, optionally in parallel; results come back in
     grid order regardless of scheduling.  A failing point is recorded as
-    {"error": ...} and the remaining points still run."""
-    if parallel <= 1 or len(jobs) <= 1:
+    {"error": ...} and the remaining points still run.
+
+    Each job carries its grid point (eps, nu, beta) second.  A pool gets
+    the points longest first, in order of increasing eps (at fixed Nz, t_end
+    and dt_factor a point's step count scales as 1/eps), so that the slowest
+    point starts at once instead of queueing behind the others."""
+    if parallel == 1 or len(jobs) <= 1:
         return [_safe_call(worker, job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=parallel) as pool:
-        futures = [pool.submit(_safe_call, worker, job) for job in jobs]
-        return [f.result() for f in futures]
+    # load scipy here, once: forked workers inherit it instead of each
+    # importing it again
+    solver_modules()
+    order = sorted(range(len(jobs)), key=lambda i: jobs[i][1][0])
+    results = [None] * len(jobs)
+    with ProcessPoolExecutor(max_workers=min(parallel, len(jobs))) as pool:
+        futures = [(i, pool.submit(_safe_call, worker, jobs[i])) for i in order]
+        for i, f in futures:
+            results[i] = f.result()
+    return results
 
 
 def _ekman_point(job):
@@ -292,8 +304,6 @@ def _ekman_point(job):
                        dt=eps / spec.dt_factor, Nz=spec.Nz,
                        save_every=spec.save_every)
     traj = out[(spec.mode[0], spec.mode[1])]
-    from .direct import diagnostics_csv
-
     diagnostics_csv(traj, os.path.join(pointdir, "diagnostics.csv"))
     fit = fit_decay(traj, (0.2 * spec.t_end, spec.t_end), spec.mode)
     pred = damping_rate(spec.mode, p)
@@ -476,6 +486,8 @@ def run(spec: ExperimentSpec, parallel: int = 1) -> dict:
 
     Grid points run in independent output directories (in parallel when
     parallel > 1); point failures are recorded and the run continues."""
+    if parallel < 1:
+        raise ValueError(f"parallel={parallel} must be at least 1")
     outdir = spec.out
     os.makedirs(outdir, exist_ok=True)
     checks = []

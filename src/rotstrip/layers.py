@@ -13,13 +13,13 @@ width sqrt(nu t).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
 
 from .params import Params
 from .traces import BoundaryTrace, empty_trace  # re-exported: callers import them from here
@@ -620,6 +620,12 @@ def _amplitude_l2(amps, q):
 # ---------------------------------------------------------------------------
 
 
+#: erfc elementwise from the standard library: the module then imports without
+#: scipy, and the resonant profiles evaluate it on a few thousand values per
+#: call, where the per-value call costs well under a millisecond
+erfc = np.vectorize(math.erfc, otypes=[float])
+
+
 def _ierfc(x):
     """Integral of erfc from x to infinity: exp(-x^2)/sqrt(pi) - x*erfc(x)."""
     x = np.asarray(x, dtype=float)
@@ -655,7 +661,11 @@ def resonant_profile(side: int, delta_res, nu: float, t: float, z):
     return np.multiply.outer(delta, base) if delta.ndim else delta * base
 
 
-_ERFC_SQ_NODES = np.polynomial.legendre.leggauss(200)
+@functools.cache
+def _erfc_sq_nodes():
+    """The 200-node Gauss-Legendre rule of _profile_sq_integral, built on
+    first use rather than at import."""
+    return np.polynomial.legendre.leggauss(200)
 
 
 def _profile_sq_integral(side: int, nu: float, t: float) -> float:
@@ -664,7 +674,7 @@ def _profile_sq_integral(side: int, nu: float, t: float) -> float:
         return 0.0
     w = math.sqrt(nu * t)
     X = min(1.0 / (2.0 * w), 10.0)
-    xg, wg = _ERFC_SQ_NODES
+    xg, wg = _erfc_sq_nodes()
     u = 0.5 * X * (xg + 1.0)
     du = 0.5 * X * wg
     if side == 0:

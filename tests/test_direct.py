@@ -424,13 +424,15 @@ class TestShellBatching:
 
     def test_one_factorisation_per_shell(self, monkeypatch):
         calls = []
-        zgbtrf = direct.zgbtrf
+        lib = direct.solver_modules()
 
         def counting_zgbtrf(*args, **kwargs):
             calls.append(args[0].shape)
-            return zgbtrf(*args, **kwargs)
+            return lib.zgbtrf(*args, **kwargs)
 
-        monkeypatch.setattr(direct, "zgbtrf", counting_zgbtrf)
+        # every _ModeSystem looks its LAPACK routines up here
+        monkeypatch.setattr(direct, "solver_modules",
+                            lambda: lib._replace(zgbtrf=counting_zgbtrf))
         p = Params(1e-2, 1e-2, beta=1.0)
         columns = [(k1, k2) for k1 in range(-2, 3) for k2 in range(-2, 3)]
         sigma = BoundaryTrace(1, {(0.0, k): np.array([1.0, 0.5j]) for k in columns})

@@ -130,9 +130,11 @@ class TestRun:
 
 class TestParallelExecution:
     def test_parallel_matches_serial(self, tmp_path):
+        # the grid is in neither cost order, so the pool (longest point
+        # first) runs the points out of grid order; the files must not show it
         sums = {}
         for tag, par in (("serial", 1), ("parallel", 2)):
-            spec = ExperimentSpec(kind="ekman_rate", epsilon=[1e-2, 8e-3],
+            spec = ExperimentSpec(kind="ekman_rate", epsilon=[8e-3, 1e-2, 6e-3],
                                   Nz=128, t_end=0.3, save_every=20,
                                   out=str(tmp_path / tag))
             sums[tag] = run(spec, parallel=par)
@@ -140,6 +142,49 @@ class TestParallelExecution:
         b = [c["value"] for c in sums["parallel"]["checks"]]
         assert a == b
         assert sums["parallel"]["all_passed"]
+        names = ["ekman_rate.csv"] + [f"point_{i:03d}/diagnostics.csv" for i in range(3)]
+        for name in names:
+            serial = (tmp_path / "serial" / name).read_bytes()
+            assert serial == (tmp_path / "parallel" / name).read_bytes(), name
+        rows = (tmp_path / "parallel" / "ekman_rate.csv").read_text().splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [8e-3, 1e-2, 6e-3]
+
+    def test_pool_gets_points_longest_first(self, monkeypatch):
+        # a pool of min(parallel, points) workers, smallest eps submitted first
+        import concurrent.futures
+
+        from rotstrip import harness
+
+        seen = {"order": []}
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen["workers"] = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, worker, job):
+                seen["order"].append(job[1][0])
+                future = concurrent.futures.Future()
+                future.set_result(fn(worker, job))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        jobs = [({}, (eps, eps, 0.0)) for eps in (8e-3, 1e-2, 6e-3)]
+        results = harness._map_points(lambda job: job[1][0], jobs, parallel=4)
+        assert results == [8e-3, 1e-2, 6e-3]
+        assert seen == {"workers": 3, "order": [6e-3, 8e-3, 1e-2]}
+
+    def test_parallel_below_one_rejected(self, tmp_path):
+        spec = ExperimentSpec(kind="bl_scaling", epsilon=[1e-2, 1e-3, 1e-4],
+                              out=str(tmp_path / "out"))
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="parallel"):
+                run(spec, parallel=bad)
 
 
 class TestDestabilizationExperiment:
@@ -373,6 +418,19 @@ class TestCLI:
                                    "epsilon": [1e-2, 1e-3, 1e-4]}))
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+
+    def test_bad_parallel_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 1e-3, "nu": 1e-3, "kmax": 1}))
+        for command, value, message in (("sweep", "-3", "at least 1"),
+                                        ("sweep", "0", "at least 1"),
+                                        ("sweep", "two", "invalid int"),
+                                        ("modes", "2", "sweep only")):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                      "--parallel", value])
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
 
     def test_seedless_guard_trips_on_randomness(self):
         from rotstrip.cli import seedless_guard

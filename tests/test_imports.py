@@ -1,0 +1,59 @@
+"""The asymptotic half runs without scipy; the direct solver loads it on use."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+
+ASYMPTOTIC_RUN = """
+import sys
+import numpy as np
+import rotstrip
+from rotstrip import BoundaryTrace, Params, build_B, empty_trace, resonant_profile
+from rotstrip import assemble_wind_approx
+
+p = Params(1e-2, 1e-2, beta=1.0)
+z = np.linspace(0.0, 1.0, 65)
+trace = BoundaryTrace(1, {(1.0, (0, 0)): np.array([1.0, 1j]),
+                          (0.5, (1, 0)): np.array([1.0, 0.0])})
+sol = build_B(empty_trace(0), trace, p)
+assert sol.resonant and sol.part_norm_h("resonant", 0.3) > 0.0
+for side in (0, 1):
+    assert np.all(np.isfinite(resonant_profile(side, 1.0, p.nu, 0.3, z)))
+approx = assemble_wind_approx(trace, p)
+assert approx.total_norm(0.3) > 0.0
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_asymptotic_half_loads_no_scipy():
+    # a fresh interpreter: this test process has scipy loaded already
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    run = subprocess.run([sys.executable, "-c", ASYMPTOTIC_RUN], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.strip() == "", f"scipy modules loaded: {run.stdout.strip()}"
+
+
+def test_erfc_matches_scipy():
+    from scipy.special import erfc as scipy_erfc
+
+    from rotstrip.layers import erfc
+
+    x = np.linspace(0.0, 10.0, 20001)
+    assert np.max(np.abs(erfc(x) - scipy_erfc(x)) / scipy_erfc(x)) < 1e-14
+
+
+def test_direct_solver_modules_load_once():
+    from rotstrip.direct import solver_modules
+
+    lib = solver_modules()
+    assert solver_modules() is lib
+    assert lib.sparse.__name__ == "scipy.sparse"
+    assert callable(lib.zgbtrf) and callable(lib.zgbtrs)
