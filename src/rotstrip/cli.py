@@ -210,7 +210,7 @@ def cmd_direct(cfg, outdir):
         t_end=float(cfg.get("t_end", 0.1)),
         dt=p.epsilon / float(cfg.get("dt_factor", 10.0)),
         Nz=int(cfg.get("Nz", 256)),
-        save_every=int(cfg.get("save_every", 10)),
+        save_every=cfg.get("save_every", 10),
     )
     for k_h, traj in sorted(out.items()):
         stem = f"mode_{k_h[0]}_{k_h[1]}"
@@ -229,14 +229,14 @@ def cmd_compare(cfg, outdir):
         gamma = parse_gamma(cfg.get("gamma", {"1,0,1": 1.0}))
         direct = solve_direct(gamma, None, p, t_end=t_end,
                               dt=p.epsilon / float(cfg.get("dt_factor", 10.0)),
-                              Nz=Nz, save_every=int(cfg.get("save_every", 10)))
+                              Nz=Nz, save_every=cfg.get("save_every", 10))
         approx = assemble_dirichlet_approx(gamma, p)
         target = approx if cfg.get("full_sum") else EnvelopeOnly(approx)
     elif case == "wind":
         sigma = parse_trace(cfg.get("sigma", {"0.0,1,0": [1.0, 0.0]}), 1)
         direct = solve_direct(SpectralField({}), sigma, p, t_end=t_end,
                               dt=p.epsilon / float(cfg.get("dt_factor", 10.0)),
-                              Nz=Nz, save_every=int(cfg.get("save_every", 10)))
+                              Nz=Nz, save_every=cfg.get("save_every", 10))
         target = assemble_wind_approx(sigma, p)
     else:
         raise ValueError(f"unknown compare case {case!r}")
@@ -289,7 +289,10 @@ def main(argv=None) -> int:
 
     with seedless_guard(args.seedless):
         if args.command == "sweep":
-            checks = cmd_sweep(cfg, args.out, parallel=args.parallel)
+            try:
+                checks = cmd_sweep(cfg, args.out, parallel=args.parallel)
+            except ValueError as exc:  # a spec or option the sweep cannot honour
+                parser.error(str(exc))
         else:
             checks = {
                 "modes": cmd_modes,

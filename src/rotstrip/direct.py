@@ -8,7 +8,15 @@ Ekman scale), pressure on a staggered cell grid with the discrete gradient
 chosen adjoint to the divergence (pressure then does no work discretely),
 trapezoidal time stepping (A-stable and free of numerical damping, so any
 measured decay is physical), and a banded LU (LAPACK zgbtrf/zgbtrs) of the
-monolithic saddle system, factorised once per |k_h|^2 shell.  Coriolis
+monolithic saddle system, factorised once per |k_h|^2 shell.  zgbtrf stores
+U with kl + ku superdiagonals to leave room for the pivoting fill; on this
+system the fill reaches superdiagonal 7 (8 at some grids) of those 12, so
+only the rows from the kl-th superdiagonal down (8 of the 12) are kept and
+passed to zgbtrs, and every solve is the same as on the full factor.  A step
+makes one sparse product: one CSR stacks the CN right-hand-side operator
+over the dissipation form Q, so the product of the new state gives the next
+step's right-hand side and Q x_{n+1}, and the midpoint dissipation
+(q_n + q_{n+1} + 2 Re x_n^H Q x_{n+1}) / 4 comes from cached terms.  Coriolis
 (e3 ^ u), the Laplacian and the divergence commute with horizontal
 rotations, so with u_h written in the frame (k_h/|k_h|, k_h^perp/|k_h|) a
 column's system depends on k_h only through |k_h|: the columns of a shell
@@ -283,11 +291,11 @@ class _ModeSystem:
         A = to_csr(lhs)
         row_scale = sp.diags(np.ldexp(1.0, -np.frexp(abs(A).max(axis=1).toarray().ravel())[1]))
         A = (row_scale @ A).tocoo()
-        self.kl = int(np.max(A.row - A.col))
-        self.ku = int(np.max(A.col - A.row))
-        ab = np.zeros((2 * self.kl + self.ku + 1, n), dtype=complex)
-        ab[self.kl + self.ku + A.row - A.col, A.col] = A.data
-        self.lu, self.piv, info = self._lib.zgbtrf(ab, self.kl, self.ku, overwrite_ab=1)
+        kl = self.kl = int(np.max(A.row - A.col))
+        ku = self.ku = int(np.max(A.col - A.row))
+        ab = np.zeros((2 * kl + ku + 1, n), dtype=complex)
+        ab[kl + ku + A.row - A.col, A.col] = A.data
+        lu, self.piv, info = self._lib.zgbtrf(ab, kl, ku, overwrite_ab=1)
         if info != 0:  # singular saddle system: should not occur for nu > 0
             detail = ("Factor is exactly singular" if info > 0
                       else f"illegal value in argument {-info} of zgbtrf")
@@ -295,7 +303,17 @@ class _ModeSystem:
                 f"saddle system factorisation failed for k_h={self.k_h} "
                 f"(Nz={self.Nz}, dt={self.dt}, eps={self.params.epsilon}, "
                 f"nu={self.params.nu}, diffusion={self.diffusion}): {detail}")
-        self.rhs_mat = (row_scale @ to_csr(rhs)).tocsr()
+        # zgbtrf stores U with kl + ku superdiagonals (row kl + ku - d holds
+        # superdiagonal d) to leave room for the pivoting fill, but on this
+        # system the fill stops short of that.  zgbtrs reads kl + ku_s
+        # superdiagonals above the diagonal and the kl multipliers of L
+        # below it, so keep the rows from the highest filled superdiagonal
+        # (or the kl-th, whichever is higher) down.  The rows dropped are
+        # exact zeros: every solve equals the one on the full factor.
+        filled = np.flatnonzero(np.any(lu[:kl + ku] != 0, axis=1))
+        fill = kl + ku - int(filled[0]) if len(filled) else 0
+        self.ku_s = max(0, fill - kl)
+        self.lu = np.asfortranarray(lu[ku - self.ku_s:])
         if self.stress_rows is not None:
             self.stress_scale = row_scale.diagonal()[self.stress_rows][:, None]
         self.D = D
@@ -306,7 +324,9 @@ class _ModeSystem:
         w_full = np.zeros(n)
         w_full[self.u_index] = wn[:, None]
         self.energy_weights = 2.0 * math.pi ** 2 * w_full[:, None]
-        self.Q = None
+        # one CSR holds the step's two products: rows [0, n) give the CN
+        # right-hand side, rows [n, 2n) (with viscosity) Q times the state
+        blocks = [(row_scale @ to_csr(rhs)).tocsr()]
         if self.diffusion:
             rows = np.arange(self.ncomp * Nz)
             lo = self.u_index[:-1].ravel()
@@ -317,7 +337,8 @@ class _ModeSystem:
                                shape=(len(rows), n))
             H = sp.diags(np.repeat(h, self.ncomp))
             Q = kh2 * sp.diags(w_full) + nu * (Dz.T @ H @ Dz)
-            self.Q = (4.0 * math.pi ** 2 * Q).astype(complex).tocsr()
+            blocks.append((4.0 * math.pi ** 2 * Q).astype(complex).tocsr())
+        self.forward = sp.vstack(blocks, format="csr")
 
     def state(self, u: np.ndarray) -> np.ndarray:
         """Block of the velocities u (ncol, Nz+1, 3) with zero pressure."""
@@ -338,14 +359,24 @@ class _ModeSystem:
             return np.zeros((x.shape[1], self.Nz), dtype=complex)
         return x.T[:, 3::4].copy()
 
+    def product(self, x: np.ndarray) -> tuple:
+        """The one sparse product of a step from the block x: the CN
+        right-hand side b and Q x (None without viscosity)."""
+        y = self.forward @ x
+        return y[:self.n], (y[self.n:] if self.diffusion else None)
+
+    def solve(self, b: np.ndarray, g_half: np.ndarray | None) -> np.ndarray:
+        """The new block from the right-hand side b of product() under the
+        midpoint stress g_half (2, ncol), or none; b is overwritten."""
+        if g_half is not None and self.stress_rows is not None:
+            b[self.stress_rows] += self.stress_scale * g_half
+        x_new, _ = self._lib.zgbtrs(self.lu, self.kl, self.ku_s, b, self.piv, overwrite_b=1)
+        return x_new
+
     def step(self, x: np.ndarray, g_half: np.ndarray | None) -> np.ndarray:
         """One CN step of the block x under the midpoint stress g_half
         (2, ncol), or none."""
-        b = self.rhs_mat @ x
-        if g_half is not None and self.stress_rows is not None:
-            b[self.stress_rows] += self.stress_scale * g_half
-        x_new, _ = self._lib.zgbtrs(self.lu, self.kl, self.ku, b, self.piv, overwrite_b=1)
-        return x_new
+        return self.solve(self.product(x)[0], g_half)
 
     # The diagnostics reduce over axis 0 with np.vecdot, which conjugates its
     # first argument: on a one-column block it costs what np.vdot does.
@@ -354,18 +385,26 @@ class _ModeSystem:
         """Kinetic energy of the block x."""
         return np.vecdot(x, self.energy_weights * x, axis=0).real
 
-    def dissipation(self, m: np.ndarray) -> np.ndarray:
-        """Viscous dissipation of the midpoint state m (0 without viscosity)."""
-        if self.Q is None:
-            return np.zeros(m.shape[1])
-        return np.vecdot(m, self.Q @ m, axis=0).real
+    def step_dissipation(self, x, x_new, q, qx_new) -> tuple:
+        """Viscous dissipation m^H Q m of the midpoint m = (x + x_new)/2 of a
+        step, and q_new = x_new^H Q x_new, from q = x^H Q x and
+        qx_new = Q x_new.  Q is real symmetric, so
+        m^H Q m = (q + q_new + 2 Re x^H Q x_new) / 4.  Without viscosity
+        (qx_new None) the dissipation is 0 and q_new None."""
+        if qx_new is None:
+            return np.zeros(x.shape[1]), None
+        q_new = np.vecdot(x_new, qx_new, axis=0).real
+        cross = np.vecdot(x, qx_new, axis=0).real
+        return 0.25 * (q + q_new + 2.0 * cross), q_new
 
-    def work(self, m: np.ndarray, g_half: np.ndarray | None) -> np.ndarray:
-        """Rate of work of the surface stress g_half on the midpoint state m."""
+    def work(self, x, x_new, g_half: np.ndarray | None) -> np.ndarray:
+        """Rate of work of the surface stress g_half on the midpoint of the
+        step from x to x_new."""
         if g_half is None or self.stress_rows is None:
-            return np.zeros(m.shape[1])
+            return np.zeros(x.shape[1])
+        rows = self.stress_rows
         return (4.0 * math.pi ** 2 * self.params.nu) * np.vecdot(
-            m[self.stress_rows], g_half, axis=0).real
+            0.5 * (x[rows] + x_new[rows]), g_half, axis=0).real
 
     def divergence(self, x: np.ndarray) -> np.ndarray:
         """max |div u| over the cells, per column."""
@@ -377,6 +416,15 @@ class _ModeSystem:
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
+
+
+def check_save_every(save_every) -> None:
+    """Reject a save interval that is not a positive integer (a bool is not
+    one): 0 would divide by zero, and a negative or fractional interval
+    would save only the last step, silently."""
+    if (isinstance(save_every, bool) or not isinstance(save_every, (int, np.integer))
+            or save_every < 1):
+        raise ValueError(f"save_every={save_every!r} must be a positive integer")
 
 
 def solve_direct(gamma: SpectralField, sigma, params: Params, t_end: float,
@@ -391,7 +439,10 @@ def solve_direct(gamma: SpectralField, sigma, params: Params, t_end: float,
     front: 0 < dt <= eps/10 and a grid with min_wall_nodes nodes inside
     sqrt(eps nu) of each wall.  A t_end >= 0 that is not a whole number of
     steps is reached exactly by shortening dt to t_end / ceil(t_end / dt).
+    Every save_every-th step is saved, and the last one; save_every must be
+    a positive integer.
     """
+    check_save_every(save_every)
     if dt is None:
         dt = params.epsilon / 10.0
     if not dt > 0.0:
@@ -502,18 +553,20 @@ def _solve_shell(kh2, cols, trajs, gamma, stress_table, params, z, dt, nsteps,
     E0 = sys_.energy(x)
     net = np.zeros(ncol)  # sum over the steps of dissipation minus work
     record(0.0, x, E0, E0, net, net, net)
+    b, qx = sys_.product(x)
+    q = None if qx is None else np.vecdot(x, qx, axis=0).real
     for nstep in range(1, nsteps + 1):
         g_half = None
         if amps is not None:
             g_half = (np.exp(1j * mus * ((nstep - 0.5) * dt) / params.epsilon)
                       @ amps).reshape(2, ncol)
-        x_new = sys_.step(x, g_half)
-        # energy balance across the step, using the midpoint state; the
+        x_new = sys_.solve(b, g_half)
+        # one product gives the next step's right-hand side and Q x_new;
+        # the energy balance across the step uses the midpoint state, the
         # energy itself is needed only at the saves
-        m = x + x_new
-        m *= 0.5
-        diss = sys_.dissipation(m)
-        work = sys_.work(m, g_half)
+        b, qx = sys_.product(x_new)
+        diss, q = sys_.step_dissipation(x, x_new, q, qx)
+        work = sys_.work(x, x_new, g_half)
         net += diss - work
         if nstep % save_every == 0 or nstep == nsteps:
             record(nstep * dt, x_new, sys_.energy(x_new), sys_.energy(x), diss, work, net)

@@ -21,10 +21,16 @@ from .spectral import SpectralField
 from .layers import BoundaryTrace, build_B, empty_trace
 from .envelope import damping_rate, damping_table, envelope_trajectory
 from .correctors import HeatColumn, assemble_dirichlet_approx, assemble_wind_approx
-from .direct import diagnostics_csv, fit_decay, l2_norm, solve_direct, solver_modules
+from .direct import (check_save_every, diagnostics_csv, fit_decay, l2_norm, solve_direct,
+                     solver_modules)
 
 KINDS = ("bl_scaling", "resonant_growth", "wind_convergence",
          "dirichlet_convergence", "ekman_rate", "destabilization")
+#: the kinds that run their grid points through a pool when parallel > 1;
+#: the others run in the calling process
+POOLED_KINDS = ("wind_convergence", "dirichlet_convergence", "ekman_rate")
+#: the kinds that run one grid point
+SINGLE_POINT_KINDS = ("resonant_growth", "destabilization")
 
 #: default tolerances, mirroring the acceptance thresholds
 DEFAULT_TOLERANCES = {
@@ -110,6 +116,7 @@ class ExperimentSpec:
             raise ValueError("beta grid must match epsilon grid")
         self.mode = tuple(int(c) for c in self.mode)
         self.k_h = tuple(int(c) for c in self.k_h)
+        check_save_every(self.save_every)
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ValueError(f"unknown tolerance key(s) {unknown}; "
@@ -470,7 +477,7 @@ def _exp_destabilization(spec: ExperimentSpec, outdir, parallel):
 
 
 #: each experiment is a generator of checks taking (spec, outdir, parallel);
-#: the single-point ones ignore parallel
+#: only the POOLED_KINDS read parallel
 _EXPERIMENTS = {
     "bl_scaling": _exp_bl_scaling,
     "resonant_growth": _exp_resonant_growth,
@@ -485,9 +492,20 @@ def run(spec: ExperimentSpec, parallel: int = 1) -> dict:
     """Execute one experiment spec; returns (and writes) the summary.
 
     Grid points run in independent output directories (in parallel when
-    parallel > 1); point failures are recorded and the run continues."""
+    parallel > 1); point failures are recorded and the run continues.
+    parallel > 1 on a kind that runs in the calling process, or a grid of
+    more than one point on a single-point kind, is rejected: neither would
+    be honoured."""
     if parallel < 1:
         raise ValueError(f"parallel={parallel} must be at least 1")
+    if parallel != 1 and spec.kind not in POOLED_KINDS:
+        raise ValueError(
+            f"parallel={parallel}: {spec.kind} runs in the calling process; only "
+            f"{', '.join(POOLED_KINDS)} run their grid points in a pool")
+    if spec.kind in SINGLE_POINT_KINDS and len(spec.epsilon) != 1:
+        raise ValueError(
+            f"{spec.kind} runs one grid point, got {len(spec.epsilon)} "
+            f"(epsilon={spec.epsilon})")
     outdir = spec.out
     os.makedirs(outdir, exist_ok=True)
     checks = []

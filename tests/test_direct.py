@@ -175,6 +175,14 @@ class TestSolveDirect:
         with pytest.raises(ValueError, match=f"dt={dt}"):
             solve_direct(SpectralField({(1, 0, 1): 1.0}), None, p, t_end=0.05, dt=dt, Nz=64)
 
+    @pytest.mark.parametrize("save_every", [0, -5, 2.5, True])
+    def test_rejects_save_every_not_a_positive_integer(self, save_every):
+        # 0 used to divide by zero; -5, 2.5 and True ran, saving only the end
+        p = Params(1e-2, 1e-2)
+        with pytest.raises(ValueError, match=f"save_every={save_every!r}"):
+            solve_direct(SpectralField({(1, 0, 1): 1.0}), None, p, t_end=0.01, Nz=64,
+                         save_every=save_every)
+
     def test_rejects_stress_without_diffusion(self):
         # the stress condition is a viscous one: dropping it would return a
         # zero trajectory for a forced column
@@ -372,6 +380,31 @@ class TestStepDiagnostics:
             np.testing.assert_allclose(cum, np.cumsum(resid) * dt, rtol=0.0,
                                        atol=1e-10 * scale * dt * len(cum))
 
+    def test_long_forced_run_with_an_alternating_component(self):
+        # zero data under a stress that is nonzero at t = 0 is inconsistent
+        # with the stress rows, and CN (R(inf) = -1) never damps the
+        # difference: the surface derivative alternates about the stress at
+        # every step.  The midpoint dissipation from cached terms,
+        # (q_n + q_{n+1} + 2 Re x_n^H Q x_{n+1}) / 4, must still match the
+        # nodal midpoint formula over thousands of steps.
+        p = Params(1e-2, 1e-2, beta=1.0)
+        stress = {(1, 1): [(0.5, np.array([1.0, 0.5j]))],
+                  (0, 0): [(1.0, np.array([1.0, 1j]))]}
+        sigma = BoundaryTrace(1, {(mu, k_h): v for k_h, entries in stress.items()
+                                  for mu, v in entries})
+        dt = p.epsilon / 10
+        nsteps = 2000
+        out = solve_direct(SpectralField({(1, 0, 1): 1.0}), sigma, p, t_end=nsteps * dt,
+                           dt=dt, Nz=96, save_every=1)
+        self._check(out, p, dt, stress)
+        for k_h in stress:
+            traj = out[k_h]
+            assert len(traj.times) == nsteps + 1
+            # the alternating component is still there at the end
+            top = np.array([u[-1, :2] for u, _ in traj.snapshots[-100:]])
+            second = np.abs(top[2:] - 2 * top[1:-1] + top[:-2]).max()
+            assert second > 1e-3 * np.abs(top).max(), k_h
+
     def test_inviscid_column(self):
         p = Params(1e-2, 1e-2)
         dt = p.epsilon / 50
@@ -463,6 +496,87 @@ class TestShellBatching:
                     assert _sup_rel(pr, p_ref) < 1e-12, (k, n)
                     assert out[k].diagnostics[n]["energy"] == pytest.approx(
                         out[ref].diagnostics[n]["energy"], rel=1e-12)
+
+
+class TestTrimmedBand:
+    """_ModeSystem keeps only the rows of zgbtrf's band factor from the
+    highest superdiagonal that the pivoting fill reaches, and solves with
+    that band: the solves must equal those on the full factor bit for bit."""
+
+    SHELLS = (0, 1, 2, 4, 5, 8)  # |k_h|^2 of the columns |k1|, |k2| <= 2
+
+    # U's fill reaches superdiagonal 7 of the kl + ku = 12 stored, and 8 at
+    # eps = 1e-3, Nz = 256, dt = eps/10 (the reduced column: 2 and 4 of 6)
+    @pytest.mark.parametrize("Nz, eps", [(64, 1e-2), (256, 1e-2), (256, 1e-3)])
+    @pytest.mark.parametrize("dt_factor", [10, 50])
+    def test_trimmed_solve_equals_full_factor_solve(self, monkeypatch, Nz, eps, dt_factor):
+        lib = direct.solver_modules()
+        factors = []  # a copy of each full band factor, in build order
+
+        def capturing_zgbtrf(*args, **kwargs):
+            out = lib.zgbtrf(*args, **kwargs)
+            factors.append(out[0].copy(order="F"))
+            return out
+
+        monkeypatch.setattr(direct, "solver_modules",
+                            lambda: lib._replace(zgbtrf=capturing_zgbtrf))
+        p = Params(eps, eps)
+        z = graded_nodes(Nz, p.layer_scale)
+        rng = np.random.default_rng(Nz + dt_factor)
+        for kh2 in self.SHELLS:
+            sys_ = _ModeSystem((math.sqrt(kh2), 0.0), p, z, p.epsilon / dt_factor)
+            full = factors[-1]
+            kl, ku, ku_s = sys_.kl, sys_.ku, sys_.ku_s
+            assert full.shape == (2 * kl + ku + 1, sys_.n)
+            assert sys_.lu.shape == (2 * kl + ku_s + 1, sys_.n)
+            assert sys_.lu.flags.f_contiguous
+            # row kl + ku - d of the band holds superdiagonal d of U
+            filled = [kl + ku - r for r in range(kl + ku) if np.any(full[r])]
+            assert ku_s == max(0, max(filled) - kl) < ku
+            # what is dropped is exactly zero, what is kept is the factor
+            assert not np.any(full[:ku - ku_s])
+            assert np.array_equal(sys_.lu, full[ku - ku_s:])
+            for nrhs in (1, 4):
+                b = (rng.standard_normal((sys_.n, nrhs))
+                     + 1j * rng.standard_normal((sys_.n, nrhs)))
+                x_full, info = lib.zgbtrs(full, kl, ku, np.asfortranarray(b), sys_.piv)
+                assert info == 0
+                x_trim, info = lib.zgbtrs(sys_.lu, kl, ku_s, np.asfortranarray(b), sys_.piv)
+                assert info == 0
+                assert np.array_equal(x_trim, x_full), (kh2, nrhs)
+                # the step's own solve, with a stress on the stress rows
+                g = rng.standard_normal((2, nrhs)) + 0j
+                b_stress = b.copy()
+                b_stress[sys_.stress_rows] += sys_.stress_scale * g
+                x_ref, _ = lib.zgbtrs(full, kl, ku, np.asfortranarray(b_stress), sys_.piv)
+                assert np.array_equal(sys_.solve(b.copy(), g), x_ref), (kh2, nrhs)
+
+    def test_one_trimmed_solve_per_step_per_shell(self, monkeypatch):
+        lib = direct.solver_modules()
+        calls = []
+
+        def counting_zgbtrs(ab, kl, ku, b, *args, **kwargs):
+            calls.append((ab.shape[0], kl, ku, b.shape[1]))
+            return lib.zgbtrs(ab, kl, ku, b, *args, **kwargs)
+
+        monkeypatch.setattr(direct, "solver_modules",
+                            lambda: lib._replace(zgbtrs=counting_zgbtrs))
+        p = Params(1e-2, 1e-2, beta=1.0)
+        columns = [(k1, k2) for k1 in range(-2, 3) for k2 in range(-2, 3)]
+        sigma = BoundaryTrace(1, {(0.0, k): np.array([1.0, 0.5j]) for k in columns})
+        nsteps = 7
+        out = solve_direct(SpectralField({}), sigma, p, t_end=nsteps * p.epsilon / 10,
+                           Nz=64, save_every=3)
+        assert len(out) == 25
+        # columns per shell: |k_h|^2 = 0, 1, 2, 4, 5, 8
+        assert sorted(c[3] for c in calls) == sorted(
+            ncol for ncol in (1, 4, 4, 4, 8, 4) for _ in range(nsteps))
+        for rows, kl, ku, _ in calls:
+            assert rows == 2 * kl + ku + 1  # the band passed is the trimmed one
+        # the reduced (k_h = 0) and the full system
+        systems = [_ModeSystem((r, 0.0), p, out[(1, 0)].z, p.epsilon / 10) for r in (0.0, 1.0)]
+        assert {ku for _, _, ku, _ in calls} == {s.ku_s for s in systems}
+        assert all(s.ku_s < s.ku for s in systems)
 
 
 def test_band_width_independent_of_nz():

@@ -66,6 +66,11 @@ class TestSpecValidation:
             ExperimentSpec(kind="ekman_rate", epsilon=[1e-2],
                            tolerances={"ekman_rate_rell": 0.5})
 
+    @pytest.mark.parametrize("save_every", [0, -5, 2.5, True])
+    def test_save_every_not_a_positive_integer_rejected(self, save_every):
+        with pytest.raises(ValueError, match=f"save_every={save_every!r}"):
+            ExperimentSpec(kind="ekman_rate", epsilon=[1e-2], save_every=save_every)
+
     def test_known_tolerance_key_overrides_default(self):
         spec = ExperimentSpec(kind="ekman_rate", epsilon=[1e-2],
                               tolerances={"ekman_rate_rel": 0.5})
@@ -185,6 +190,25 @@ class TestParallelExecution:
         for bad in (0, -3):
             with pytest.raises(ValueError, match="parallel"):
                 run(spec, parallel=bad)
+
+
+    @pytest.mark.parametrize("kind, epsilon", [("bl_scaling", [1e-2, 1e-3, 1e-4]),
+                                               ("resonant_growth", [1e-3]),
+                                               ("destabilization", [3e-2])])
+    def test_parallel_on_a_kind_without_a_pool_rejected(self, tmp_path, kind, epsilon):
+        # these kinds run in the calling process: a pool size would be ignored
+        spec = ExperimentSpec(kind=kind, epsilon=epsilon, out=str(tmp_path / "out"))
+        with pytest.raises(ValueError, match=f"parallel=2: {kind} runs in the calling"):
+            run(spec, parallel=2)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["resonant_growth", "destabilization"])
+    def test_more_than_one_point_on_a_single_point_kind_rejected(self, tmp_path, kind):
+        # only the first point would run
+        spec = ExperimentSpec(kind=kind, epsilon=[3e-2, 1e-2], out=str(tmp_path / "out"))
+        with pytest.raises(ValueError, match=f"{kind} runs one grid point, got 2"):
+            run(spec)
+        assert not (tmp_path / "out").exists()
 
 
 class TestDestabilizationExperiment:
@@ -393,6 +417,16 @@ class TestCLI:
         assert (out / "mode_1_0_snapshots.csv").exists()
         assert (out / "mode_1_0_diagnostics.csv").exists()
 
+    def test_direct_command_passes_save_every_unconverted(self, tmp_path):
+        # int() would turn 2.5 into 2 and true into 1, and the run would save
+        # at an interval the config does not state
+        cfg = tmp_path / "cfg.json"
+        for value in (2.5, True):
+            cfg.write_text(json.dumps({"epsilon": 1e-2, "nu": 1e-2, "gamma": {"1,0,1": 1.0},
+                                       "t_end": 0.01, "Nz": 64, "save_every": value}))
+            with pytest.raises(ValueError, match=f"save_every={value!r}"):
+                main(["direct", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         # a misspelled key, and N: a key that was once read but never used
         for command, key in (("direct", "t_ned"), ("modes", "N")):
@@ -431,6 +465,22 @@ class TestCLI:
                       "--parallel", value])
             assert exc.value.code == 2
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, parallel, message", [
+        ({"kind": "bl_scaling", "epsilon": [1e-2, 1e-3, 1e-4]}, "2",
+         "bl_scaling runs in the calling process"),
+        ({"kind": "resonant_growth", "epsilon": [1e-3, 1e-4]}, "1",
+         "resonant_growth runs one grid point, got 2"),
+    ])
+    def test_sweep_the_run_cannot_honour_rejected(self, tmp_path, capsys, spec,
+                                                  parallel, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(spec))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                  "--parallel", parallel])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_seedless_guard_trips_on_randomness(self):
         from rotstrip.cli import seedless_guard
