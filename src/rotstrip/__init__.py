@@ -24,15 +24,11 @@ from .layers import (
     build_B,
     decay_rates,
     filter_resonant,
-    kernel_vector,
-    profile_W,
     resonant_profile,
     trace_residuals,
-    transition_coeffs,
 )
 from .envelope import (
     damping_rate,
-    ekman_coefficient,
     ekman_limit_coefficient,
     envelope_solve,
     evolve_c,

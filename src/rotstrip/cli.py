@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -89,7 +90,7 @@ def parse_trace(table: dict, side: int) -> BoundaryTrace:
 
 PARAM_KEYS = {"epsilon", "nu", "beta"}
 
-#: config keys each subcommand reads (sweep is checked by ExperimentSpec)
+#: config keys each subcommand reads
 CONFIG_KEYS = {
     "modes": PARAM_KEYS | {"kmax", "modes"},
     "bl": PARAM_KEYS | {"delta0", "delta1", "t"},
@@ -97,7 +98,12 @@ CONFIG_KEYS = {
     "direct": PARAM_KEYS | {"gamma", "sigma", "t_end", "dt_factor", "Nz", "save_every"},
     "compare": PARAM_KEYS | {"case", "gamma", "sigma", "full_sum", "t_end", "dt_factor",
                              "Nz", "save_every", "nt"},
+    "sweep": {f.name for f in dataclasses.fields(ExperimentSpec)},
 }
+#: config keys a subcommand cannot run without: ExperimentSpec's fields without a default
+REQUIRED_KEYS = {"sweep": {f.name for f in dataclasses.fields(ExperimentSpec)
+                           if f.default is dataclasses.MISSING
+                           and f.default_factory is dataclasses.MISSING}}
 
 
 def params_from(cfg: dict) -> Params:
@@ -168,9 +174,9 @@ def cmd_bl(cfg, outdir):
                          int(tab.k_h[i, 1]), 2 * int(j) - 1, lam.real, lam.imag,
                          alpha.real, alpha.imag))
     for layer in sol.resonant:
-        for e in layer.entries:
-            rows.append(("resonant", layer.side, e.mu, 0, 0, 0,
-                         0.0, 0.0, e.amplitude.real, e.amplitude.imag))
+        for mu, amplitude in layer.entries:
+            rows.append(("resonant", layer.side, mu, 0, 0, 0,
+                         0.0, 0.0, amplitude.real, amplitude.imag))
     _write_csv(os.path.join(outdir, "bl_modes.csv"),
                ["kind", "side", "mu", "k1", "k2", "sigma",
                 "re_lambda", "im_lambda", "re_alpha", "im_alpha"], rows)
@@ -201,17 +207,18 @@ def cmd_envelope(cfg, outdir):
     return []
 
 
+def _solve(cfg, p, gamma, sigma, t_end):
+    """solve_direct with the config's dt = epsilon / dt_factor, Nz and save_every."""
+    return solve_direct(gamma, sigma, p, t_end=t_end,
+                        dt=p.epsilon / float(cfg.get("dt_factor", 10.0)),
+                        Nz=int(cfg.get("Nz", 256)), save_every=cfg.get("save_every", 10))
+
+
 def cmd_direct(cfg, outdir):
     p = params_from(cfg)
     gamma = parse_gamma(cfg.get("gamma", {}))
     sigma = parse_trace(cfg.get("sigma", {}), 1) if cfg.get("sigma") else None
-    out = solve_direct(
-        gamma, sigma, p,
-        t_end=float(cfg.get("t_end", 0.1)),
-        dt=p.epsilon / float(cfg.get("dt_factor", 10.0)),
-        Nz=int(cfg.get("Nz", 256)),
-        save_every=cfg.get("save_every", 10),
-    )
+    out = _solve(cfg, p, gamma, sigma, float(cfg.get("t_end", 0.1)))
     for k_h, traj in sorted(out.items()):
         stem = f"mode_{k_h[0]}_{k_h[1]}"
         snapshot_csv(traj, os.path.join(outdir, f"{stem}_snapshots.csv"))
@@ -223,20 +230,15 @@ def cmd_compare(cfg, outdir):
     p = params_from(cfg)
     case = cfg.get("case", "dirichlet")
     t_end = float(cfg.get("t_end", 0.2))
-    Nz = int(cfg.get("Nz", 256))
     nt = int(cfg.get("nt", 9))
     if case == "dirichlet":
         gamma = parse_gamma(cfg.get("gamma", {"1,0,1": 1.0}))
-        direct = solve_direct(gamma, None, p, t_end=t_end,
-                              dt=p.epsilon / float(cfg.get("dt_factor", 10.0)),
-                              Nz=Nz, save_every=cfg.get("save_every", 10))
+        direct = _solve(cfg, p, gamma, None, t_end)
         approx = assemble_dirichlet_approx(gamma, p)
         target = approx if cfg.get("full_sum") else EnvelopeOnly(approx)
     elif case == "wind":
         sigma = parse_trace(cfg.get("sigma", {"0.0,1,0": [1.0, 0.0]}), 1)
-        direct = solve_direct(SpectralField({}), sigma, p, t_end=t_end,
-                              dt=p.epsilon / float(cfg.get("dt_factor", 10.0)),
-                              Nz=Nz, save_every=cfg.get("save_every", 10))
+        direct = _solve(cfg, p, SpectralField({}), sigma, t_end)
         target = assemble_wind_approx(sigma, p)
     else:
         raise ValueError(f"unknown compare case {case!r}")
@@ -281,26 +283,22 @@ def main(argv=None) -> int:
         parser.error(f"--parallel {args.parallel} applies to sweep only, not {args.command}")
 
     cfg = load_config(args.config) if args.config else {}
-    if args.command in CONFIG_KEYS:
-        unknown = sorted(set(cfg) - CONFIG_KEYS[args.command])
-        if unknown:
-            parser.error(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
+    unknown = sorted(set(cfg) - CONFIG_KEYS[args.command])
+    if unknown:
+        parser.error(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
+    missing = sorted(REQUIRED_KEYS.get(args.command, set()) - set(cfg))
+    if missing:
+        parser.error(f"missing config key(s) for {args.command}: {', '.join(missing)}")
     os.makedirs(args.out, exist_ok=True)
 
+    commands = {"modes": cmd_modes, "bl": cmd_bl, "envelope": cmd_envelope,
+                "direct": cmd_direct, "compare": cmd_compare,
+                "sweep": lambda cfg, out: cmd_sweep(cfg, out, parallel=args.parallel)}
     with seedless_guard(args.seedless):
-        if args.command == "sweep":
-            try:
-                checks = cmd_sweep(cfg, args.out, parallel=args.parallel)
-            except ValueError as exc:  # a spec or option the sweep cannot honour
-                parser.error(str(exc))
-        else:
-            checks = {
-                "modes": cmd_modes,
-                "bl": cmd_bl,
-                "envelope": cmd_envelope,
-                "direct": cmd_direct,
-                "compare": cmd_compare,
-            }[args.command](cfg, args.out)
+        try:
+            checks = commands[args.command](cfg, args.out)
+        except ValueError as exc:  # input the command cannot honour
+            parser.error(str(exc))
 
     summary = {"command": args.command, "out": args.out,
                "seedless": bool(args.seedless), "checks": checks,

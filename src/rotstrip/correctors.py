@@ -27,15 +27,11 @@ from .spectral import (
     eigenvalues,
     euclidean_norm,
 )
-from .layers import (BoundaryTrace, LayerTable, _amplitude_l2, build_B, build_layers,
-                     empty_trace, wall_layers)
+from .layers import (BoundaryTrace, LayerTable, _amplitude_l2, _kh_tuple, build_B,
+                     build_layers, empty_trace, wall_layers)
 from .envelope import pumping
 
 _GAUSS_Z = np.polynomial.legendre.leggauss(24)
-
-
-def _kh_tuple(k_h):
-    return (int(k_h[0]), int(k_h[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +358,16 @@ def mode_decay_constant(l, params: Params):
     return l[..., 0] ** 2 + l[..., 1] ** 2 + params.nu_prime * l[..., 2] ** 2
 
 
+def _duhamel(l, s, mu: float, rate, params: Params):
+    """(lambda_l, kappa_l, w) of the modes l (n, 3): w e^{i(lambda_l + mu)t/eps - rate t}
+    solves the mode ODE of SourceTable driven by s e^{i(lambda_l + mu)t/eps - rate t},
+    w = s / (kappa_l - rate + i(lambda_l + mu)/eps)."""
+    lam = eigenvalues(l)
+    kappa = mode_decay_constant(l, params)
+    w = s / ((kappa - rate.real) + 1j * ((lam + mu) / params.epsilon - rate.imag))
+    return lam, kappa, w
+
+
 def small_divisor_corrector(source: SourceTable, K: int, params: Params, t: float,
                             variant: str = "special", method: str = "closed") -> SpectralField:
     """Envelope coefficients w_l(t) of the corrector driven by `source`,
@@ -383,19 +389,18 @@ def small_divisor_corrector(source: SourceTable, K: int, params: Params, t: floa
     for (mu, l), s in source.items():
         if euclidean_norm(l) > K:
             continue
-        lam_l = eigenvalue(l)
-        omega = (lam_l + mu) / eps
-        kappa = mode_decay_constant(l, params)
         if method == "closed":
             if not isinstance(s, ExpSource):
                 raise ValueError("closed form requires exponential sources")
-            delta = 1j * omega - s.c + kappa
-            w = s.s0 * np.exp((1j * omega - s.c) * t) / delta
+            (lam_l,), (kappa,), (w0,) = _duhamel([l], s.s0, mu, s.c, params)
+            w = w0 * np.exp((1j * ((lam_l + mu) / eps) - s.c) * t)
             if variant == "zero_ic":
-                w = w - s.s0 * np.exp(-kappa * t) / delta
+                w = w - w0 * np.exp(-kappa * t)
         elif method == "quadrature":
             from scipy.integrate import quad
 
+            omega = (eigenvalue(l) + mu) / eps
+            kappa = mode_decay_constant(l, params)
             fn = s if callable(s) else (lambda u: s.s0 * np.exp(-s.c * u))
             def integrand(u, part):
                 val = fn(u) * np.exp(1j * omega * u) * np.exp(-kappa * (t - u))
@@ -570,9 +575,6 @@ class SpectralPart(_Part):
                 (modes[sel, 2], s0[sel], phi[sel], rate[sel]))
             self._arrays.pop(k_h, None)
 
-    def add(self, mode, s0, phi=0.0, rate=0j):
-        self.add_rows([mode], s0, phi, rate)
-
     def modes(self):
         return sorted((k_h[0], k_h[1], l3) for k_h in self._rows
                       for l3 in self._column(k_h)[0].tolist())
@@ -671,8 +673,9 @@ class ModulatedBL(_Part):
         self._columns = {k_h: np.array(rows) for k_h, rows in columns.items()}
 
     def _weights(self, t) -> np.ndarray:
-        """e^{i mu t/eps} e^{-rate t} of every row."""
-        return self.table.phases(t, self.params.epsilon) * np.exp(-self.rates * t)
+        """e^{i mu t/eps} e^{-rate t} of every row, mu t/eps in real
+        arithmetic as the scalar formula rounds it."""
+        return np.exp(1j * (self.table.mu * t / self.params.epsilon)) * np.exp(-self.rates * t)
 
     def profiles(self, t, z, columns, out=None):
         """The rows of all listed columns from one exp(-q zeta) block."""
@@ -763,7 +766,7 @@ class HeatColumn(_Part):
 
     @classmethod
     def from_resonant_layer(cls, layer, params: Params):
-        return cls(params, layer.side, [(e.mu, e.amplitude) for e in layer.entries])
+        return cls(params, layer.side, layer.entries)
 
     def add(self, mu_sign: float, amplitude: complex):
         if amplitude != 0:
@@ -1028,9 +1031,7 @@ def assemble_wind_approx(sigma: BoundaryTrace, params: Params) -> ApproxSolution
 
         l, s, tail = _truncate(k_h, K, source)
         tail_sq += tail
-        lam = eigenvalues(l)
-        kappa = mode_decay_constant(l, params)
-        w = s / (kappa + 1j * ((lam + mu) / eps))
+        lam, kappa, w = _duhamel(l, s, mu, 0j, params)
         # zero-initial-data Duhamel: w (e^{i(lam+mu)t/eps} - e^{-kappa t})
         osc.add_rows(np.repeat(l, 2, axis=0), _pairs(w, -w), _pairs(mu + lam, 0.0),
                      _pairs(0j, kappa))
@@ -1152,9 +1153,7 @@ def assemble_dirichlet_approx(gamma: SpectralField, params: Params,
 
         l, s, tail = _truncate(k_h, K, source)
         tail_sq += tail
-        lam = eigenvalues(l)
-        kappa = mode_decay_constant(l, params)
-        w = s / ((kappa - a_k.real) + 1j * ((lam + mu) / eps - a_k.imag))
+        lam, kappa, w = _duhamel(l, s, mu, a_k, params)
         trace = w[:, None] * basis_normals(l)[:, :2]
         # minus v_int0's own wall value and the modes' traces
         key = (mu, k_h, a_k)

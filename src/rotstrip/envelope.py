@@ -34,14 +34,6 @@ from .layers import LayerBasis, layer_basis, rate_batch
 
 
 @dataclass
-class EkmanCoefficient:
-    """Dimensionless pumping coefficient of one mode: damping sqrt(nu/eps)*A."""
-
-    A: complex
-    k: tuple
-
-
-@dataclass
 class Pumping:
     """The Ekman pumping of n modes from one batched layer step.
 
@@ -86,17 +78,6 @@ def pumping(modes, params: Params) -> Pumping:
     return Pumping(modes, layered, basis, S, A, params)
 
 
-def suction_coefficient(k, params: Params) -> complex:
-    """S_k of one mode (see Pumping)."""
-    return complex(pumping([k], params).S[0])
-
-
-def ekman_coefficient(k, params: Params) -> EkmanCoefficient:
-    """Exact pumping coefficient A_k at finite (eps, nu); zero when k_h = 0."""
-    k = tuple(int(c) for c in k)
-    return EkmanCoefficient(A=complex(pumping([k], params).A[0]), k=k)
-
-
 def ekman_limit_coefficient(k) -> tuple:
     """Limit (R, I) of A_k as eps, nu -> 0, closed form in lambda_k.
 
@@ -121,13 +102,7 @@ def _limit_pair(lam) -> tuple:
 
 def damping_rate(k, params: Params) -> complex:
     """Full linear rate of c_k: |k_h|^2 + nu'*k3^2 + sqrt(nu/eps)*A_k."""
-    return complex(_damping([k], pumping([k], params).A, params)[0])
-
-
-def _damping(modes, A, params: Params) -> np.ndarray:
-    k = np.array(modes, dtype=int).reshape(-1, 3)
-    kh2 = k[:, 0] ** 2 + k[:, 1] ** 2
-    return kh2 + params.nu_prime * k[:, 2] ** 2 + math.sqrt(params.nu / params.epsilon) * A
+    return complex(_envelope_rates([k], pumping([k], params).A, params, True)[0])
 
 
 def evolve_c(gamma_hat: SpectralField, params: Params, t: float,
@@ -168,11 +143,12 @@ def envelope_rates(modes, params: Params, include_vertical: bool = False,
 
 
 def _envelope_rates(modes, A, params: Params, include_vertical: bool) -> np.ndarray:
+    """|k_h|^2 (+ nu' k3^2 with include_vertical) + sqrt(nu/eps) A_k per mode."""
     k = np.array(modes, dtype=int).reshape(-1, 3)
-    rate = k[:, 0] ** 2 + k[:, 1] ** 2 + math.sqrt(params.nu / params.epsilon) * A
+    rate = k[:, 0] ** 2 + k[:, 1] ** 2
     if include_vertical:
         rate = rate + params.nu_prime * k[:, 2] ** 2
-    return rate
+    return rate + math.sqrt(params.nu / params.epsilon) * A
 
 
 def envelope_solve(gamma: SpectralField, params: Params, times,
@@ -225,7 +201,7 @@ def damping_table(modes, params: Params):
     all modes comes from one pumping call and the damping rates from it."""
     modes = sorted(tuple(int(c) for c in m) for m in modes)
     A = pumping(modes, params).A
-    damping = _damping(modes, A, params)
+    damping = _envelope_rates(modes, A, params, True)
     lam = eigenvalues(modes)
     mean = np.array([k[0] == 0 and k[1] == 0 for k in modes], dtype=bool)
     R, I = _limit_pair(np.where(mean, 0.0, lam))

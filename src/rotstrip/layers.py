@@ -41,16 +41,12 @@ def _kh_tuple(k_h):
     return (int(k_h[0]), int(k_h[1]))
 
 
-def is_resonant_frequency(mu: float) -> bool:
-    return abs(abs(mu) - 1.0) < RESONANT_TOL
-
-
 # ---------------------------------------------------------------------------
 # the wall symbol
 # ---------------------------------------------------------------------------
 #
 # Every function below works on n entries (mu, k_h) at once, one array row
-# per entry; the scalar functions are views of one-row batches.
+# per entry.
 
 
 def _square(z):
@@ -100,7 +96,7 @@ def _checked_symbol(lam, mu, k_h, params: Params) -> np.ndarray:
         lam2 = complex(np.asarray(lam, dtype=complex).reshape(-1)[i]) ** 2
         kh2 = int(np.sum(np.asarray(k_h).reshape(-1, 2)[i] ** 2))
         raise ZeroDivisionError(
-            f"a_lambda_matrix evaluated at its pole lambda^2 = eps*nu*|k_h|^2 "
+            f"A_lambda evaluated at its pole lambda^2 = eps*nu*|k_h|^2 "
             f"(lambda^2={lam2}, eps*nu*|k_h|^2={params.eps_nu * kh2})"
         )
     return A
@@ -109,15 +105,6 @@ def _checked_symbol(lam, mu, k_h, params: Params) -> np.ndarray:
 def _det_residual(A: np.ndarray) -> np.ndarray:
     """|det A| / max(1, max|A|^2) per 2x2 matrix of the stack."""
     return np.abs(np.linalg.det(A)) / np.maximum(1.0, np.abs(A).max(axis=(1, 2)) ** 2)
-
-
-def a_lambda_matrix(lam: complex, mu: float, k_h, params: Params) -> np.ndarray:
-    """The 2x2 symbol whose kernel carries the layer polarisation.
-
-    Singular (pole) at lambda^2 = eps*nu*|k_h|^2; that value is rejected
-    explicitly rather than returned as garbage.
-    """
-    return _checked_symbol([lam], [mu], [_kh_tuple(k_h)], params)[0]
 
 
 def _cubic(mu, kh2, params: Params) -> np.ndarray:
@@ -346,19 +333,6 @@ def decay_rates(mu: float, k_h, params: Params, prev: DecayRates | None = None) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class KernelVector:
-    """Null vector of A_lambda, normalised to first component one when
-    possible (normalization == 'first'); falls back to the second component,
-    flagged, if the first vanishes."""
-
-    w: np.ndarray
-    normalization: str = "first"
-
-    def __iter__(self):
-        return iter(self.w)
-
-
 def kernel_vectors(lam, mu, k_h, params: Params):
     """Kernel vectors of A_lambda for n entries: (w (n, 2), first (n,)),
     each w normalised to first component one where |w_0| > 1e-8 |w| (first),
@@ -375,11 +349,6 @@ def kernel_vectors(lam, mu, k_h, params: Params):
     w = _null_vectors(A)
     first = np.abs(w[:, 0]) > 1e-8 * np.linalg.norm(w, axis=1)
     return w / np.where(first, w[:, 0], w[:, 1])[:, None], first
-
-
-def kernel_vector(lam: complex, mu: float, k_h, params: Params) -> KernelVector:
-    w, first = kernel_vectors([lam], [mu], [_kh_tuple(k_h)], params)
-    return KernelVector(w[0], "first" if first[0] else "second")
 
 
 @dataclass
@@ -410,16 +379,6 @@ def layer_basis(rates: RateBatch, params: Params) -> LayerBasis:
     w, _ = kernel_vectors(rates.lam.reshape(-1), np.repeat(rates.mu, 2),
                           np.repeat(rates.k_h, 2, axis=0), params)
     return LayerBasis(rates, w.reshape(-1, 2, 2))
-
-
-def transition_coeffs(delta_hat, mu: float, k_h, params: Params,
-                      rates: DecayRates | None = None):
-    """Decompose a trace coefficient on the kernel-vector basis:
-    (alpha_minus, alpha_plus) = P^{-1} delta_hat, a one-row LayerBasis."""
-    if rates is None:
-        rates = decay_rates(mu, k_h, params)
-    alpha = layer_basis(RateBatch.of([rates]), params).solve(delta_hat)[0]
-    return alpha[0], alpha[1]
 
 
 # ---------------------------------------------------------------------------
@@ -458,19 +417,6 @@ class LayerTable:
 
     def columns(self) -> list:
         return [_kh_tuple(k) for k in self.k_h]
-
-    def phases(self, t: float, epsilon: float) -> np.ndarray:
-        """e^{i mu t/eps} of every row, mu t/eps in real arithmetic as the
-        scalar formula rounds it."""
-        return np.exp(1j * (self.mu * t / epsilon))
-
-    def profile(self, rows, weights, z) -> np.ndarray:
-        """sum_i weights[i] times the profile of row rows[i] on the heights z,
-        shape (3,) + z.shape: the one-column view of profiles."""
-        z = np.asarray(z, dtype=float)
-        out = np.zeros((1, 3) + z.shape, dtype=complex)
-        rows = np.asarray(rows, dtype=int)
-        return self.profiles(rows, np.asarray(weights), np.zeros(len(rows), dtype=int), z, out)[0]
 
     def profiles(self, rows, weights, column, z, out) -> np.ndarray:
         """Add weights[i] times the profile of row rows[i] on the heights z
@@ -585,23 +531,6 @@ def _layer_table(side, mu, k_h, lam, w, alpha, keep, pair, params: Params) -> La
                       keep=keep[rows], alpha=alpha[rows], pair=pair[rows])
 
 
-def profile_W(side: int, lam: complex, w, mu: float, k_h, params: Params,
-              alpha: complex = 1.0) -> LayerTable:
-    """Single wall profile W^j_lambda as a one-row table (its rate in column 0).
-
-    side 0 realises the horizontal Dirichlet trace alpha * w at z = 0; side 1
-    the horizontal stress trace alpha * w at z = 1; the sqrt(eps nu)/lambda
-    and eps nu/lambda^2 prefactors and the divergence-closing third component
-    are built in.  Requires Re(lambda) > 0.
-    """
-    if complex(lam).real <= 0.0:
-        raise ValueError(f"wall profile requires Re(lambda) > 0, got {lam}")
-    w2 = np.zeros((1, 2, 2), dtype=complex)
-    w2[0, 0] = w
-    return _layer_table([side], [mu], [_kh_tuple(k_h)], np.array([[lam, 0j]]), w2,
-                        np.array([[alpha, 0j]]), np.array([[True, False]]), [0], params)
-
-
 def _amplitude_l2(amps, q):
     """L2(omega) norm of sum_m amps[m] exp(-q_m zeta) e^{i k_h x}, closed form:
     the Gram sum over pairs of components of <amps[n], amps[m]> times
@@ -686,16 +615,11 @@ def _profile_sq_integral(side: int, nu: float, t: float) -> float:
 
 
 @dataclass
-class ResonantEntry:
-    mu: float  # +1 or -1
-    amplitude: complex  # scalar coefficient on the circular polarisation
-    polarization: np.ndarray  # (1, i mu, 0)
-
-
-@dataclass
 class ResonantLayer:
     """Resonant (|mu| = 1, k_h = 0) part of a wall response: a growing layer
-    of width sqrt(nu t), never stationary, with zero vertical component."""
+    of width sqrt(nu t), never stationary, with zero vertical component.
+    entries are (mu, amplitude) pairs, mu = +1 or -1 and amplitude the
+    coefficient on the circular polarisation (1, i mu, 0)."""
 
     side: int
     nu: float
@@ -705,19 +629,15 @@ class ResonantLayer:
     def value(self, t: float, z) -> np.ndarray:
         """The entries' phased polarisations times the one profile they share."""
         coef = np.zeros(3, dtype=complex)
-        for e in self.entries:
-            coef += e.amplitude * np.exp(1j * e.mu * t / self.epsilon) * e.polarization
+        for mu, amplitude in self.entries:
+            coef += amplitude * np.exp(1j * mu * t / self.epsilon) * np.array([1.0, 1j * mu, 0.0])
         return np.multiply.outer(coef, resonant_profile(self.side, 1.0 + 0j, self.nu, t, z))
 
     def l2_norm_h(self, t: float) -> float:
         """Exact: circular polarisations at distinct mu are pointwise orthogonal."""
         s = _profile_sq_integral(self.side, self.nu, t)
-        total = sum(2.0 * abs(e.amplitude) ** 2 * s for e in self.entries)
+        total = sum(2.0 * abs(amplitude) ** 2 * s for _, amplitude in self.entries)
         return 2.0 * math.pi * math.sqrt(total)
-
-    def opposite_wall_trace(self, t: float) -> np.ndarray:
-        zi = np.array([1.0 if self.side == 0 else 0.0])
-        return self.value(t, zi)[:, 0]
 
     def interior_mass_fraction(self, t: float, split: float = 0.5) -> float:
         """Fraction of squared L2 mass beyond `split` from the owning wall."""
@@ -742,23 +662,12 @@ class BoundaryLayerSolution:
     """Output of the layer operator: the table of classical Ekman and
     quasi-resonant thick-layer profiles (|mu| = 1, k_h != 0; table.quasi)
     and the resonant self-similar parts (|mu| = 1, k_h = 0), one
-    ResonantLayer per wall with resonant content."""
+    ResonantLayer per wall with resonant content.  Its profiles are those of
+    correctors.ModulatedBL(params, table, 0j, [(r, 0j) for r in resonant])."""
 
     table: LayerTable
     resonant: list
     params: Params
-
-    def hat_profile(self, k_h, t: float, z) -> np.ndarray:
-        """Coefficient of e^{i k_h.x_h} at time t on the z samples."""
-        k_h = _kh_tuple(k_h)
-        z = np.asarray(z, dtype=float)
-        tab = self.table
-        rows = np.flatnonzero((tab.k_h == k_h).all(axis=1))
-        out = tab.profile(rows, tab.phases(t, self.params.epsilon)[rows], z)
-        if k_h == (0, 0):
-            for r in self.resonant:
-                out += r.value(t, z)
-        return out
 
     def part_norm_h(self, part: str, t: float = 0.0) -> float:
         """L2(omega) norm of the horizontal components of one part:
@@ -808,14 +717,11 @@ def build_layers(traces, params: Params):
             for (mu, k_h), delta_hat in trace.entries():
                 if not np.any(delta_hat):
                     continue
-                if k_h == (0, 0) and is_resonant_frequency(mu):
+                if k_h == (0, 0) and abs(abs(mu) - 1.0) < RESONANT_TOL:
                     pol = np.array([1.0, 1j * math.copysign(1.0, mu)])
                     amp = 0.5 * complex(np.vdot(pol, delta_hat))
                     if amp != 0:
-                        res_layer.entries.append(
-                            ResonantEntry(mu=math.copysign(1.0, mu), amplitude=amp,
-                                          polarization=np.array([1.0, 1j * math.copysign(1.0, mu), 0.0]))
-                        )
+                        res_layer.entries.append((math.copysign(1.0, mu), amp))
                     delta_hat = delta_hat - amp * pol
                 rows.append((pair, trace.side, mu, k_h, delta_hat))
             if res_layer.entries:
@@ -894,7 +800,7 @@ def trace_residuals(sol: BoundaryLayerSolution, params: Params, t: float = 0.0) 
         })
     res_rows = []
     for r in sol.resonant:
-        tr = r.opposite_wall_trace(t)
+        tr = r.value(t, np.array([1.0 - r.side]))[:, 0]  # at the opposite wall
         res_rows.append({
             "side": r.side, "wall": 1 - r.side, "value": tr,
             "magnitude": float(np.max(np.abs(tr))),

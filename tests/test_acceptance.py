@@ -155,6 +155,7 @@ def test_criterion_3_quasi_resonant_rate_scaling():
     assert passed
 
 
+@pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
 def test_criterion_4_boundary_layer_norm_scalings():
     t0 = time.time()
     results = {}

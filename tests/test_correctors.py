@@ -257,6 +257,52 @@ class TestSmallDivisor:
         assert (1, 0, 9) not in out.coeffs and (1, 0, 1) in out.coeffs
 
 
+class TestDuhamelKernel:
+    """One kernel, _duhamel, forms the Duhamel amplitudes of both assemblies
+    and of the closed-form small-divisor corrector."""
+
+    def counted(self, monkeypatch):
+        calls = []  # rows per call
+        duhamel = correctors._duhamel
+
+        def counting(l, s, mu, rate, params):
+            calls.append(len(np.reshape(l, (-1, 3))))
+            return duhamel(l, s, mu, rate, params)
+
+        monkeypatch.setattr(correctors, "_duhamel", counting)
+        return calls
+
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
+    def test_one_call_per_flux_entry_of_the_wind_assembly(self, monkeypatch):
+        # two quasi-resonant entries carry a flux; the classical one does not
+        sigma = BoundaryTrace(1, {(1.0, (1, 0)): np.array([1.0, 0.5j]),
+                                  (-1.0, (0, 2)): np.array([0.3, -0.2j]),
+                                  (0.5, (1, 1)): np.array([0.2, 0.1])})
+        calls = self.counted(monkeypatch)
+        sol = assemble_wind_approx(sigma, Params(1e-3, 1e-3, beta=1.0))
+        assert len(calls) == 2
+        assert sum(calls) == len(sol.parts["oscillating_corrector"].modes())
+
+    @pytest.mark.parametrize("variant", ["special", "zero_ic"])
+    def test_one_call_per_suction_mode_of_the_dirichlet_assembly(self, monkeypatch, variant):
+        gamma = SpectralField({(1, 0, 1): 1.0, (0, 1, -1): 0.7j, (1, 1, 2): 0.5 - 0.2j,
+                               (0, 0, 1): 0.8})
+        calls = self.counted(monkeypatch)
+        sol = assemble_dirichlet_approx(gamma, Params(1e-4, 1e-4), corrector_variant=variant)
+        assert len(calls) == 3  # the modes with k_h != 0
+        assert sum(calls) == len(sol.parts["oscillating_corrector"].modes())
+
+    def test_one_call_per_closed_form_entry(self, monkeypatch):
+        src = SourceTable({(1.0, (1, 0, 1)): ExpSource(0.7 - 0.2j, 0.5 + 0.1j),
+                           (2.0, (1, 0, 1)): ExpSource(1.0),
+                           (0.5, (0, 2, -1)): ExpSource(0.3j, 0.2)})
+        calls = self.counted(monkeypatch)
+        for variant in ("special", "zero_ic"):
+            calls.clear()
+            small_divisor_corrector(src, 5, Params(1e-2, 1e-2), 0.8, variant=variant)
+            assert calls == [1, 1, 1]
+
+
 class TestDivisorBounds:
     def test_far_frequency_bounded(self):
         assert divisor_bounds((5, 2, -7), 2.0) <= 1.0
@@ -362,6 +408,7 @@ class TestWindAssembly:
             ens.append(p.eps_nu)
         assert loglog_slope(ens, norms) == pytest.approx(0.75, abs=0.05)
 
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_quasi_resonant_populates_all_parts(self):
         p = Params(1e-3, 1e-3, beta=1.0)
         sigma = BoundaryTrace(1, {(1.0, (1, 0)): np.array([1.0, 0.5j])})
@@ -373,6 +420,7 @@ class TestWindAssembly:
         # every corrector is subordinate to the layer it corrects
         assert norms["flux_corrector"] < norms["surface_layer"]
 
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_flux_corrector_scales_like_beta_nu(self):
         norms, nus = [], []
         for eps in [1e-2, 1e-3, 1e-4, 1e-5]:
@@ -383,6 +431,7 @@ class TestWindAssembly:
             nus.append(eps)
         assert loglog_slope(nus, norms) == pytest.approx(1.0, abs=0.1)
 
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_quasi_resonant_norm_vanishes_along_sweep(self):
         totals = []
         for eps in [1e-2, 1e-3, 1e-4, 1e-5]:
@@ -392,6 +441,7 @@ class TestWindAssembly:
             totals.append(sol.total_norm(0.1))
         assert all(totals[i + 1] < totals[i] for i in range(len(totals) - 1))
 
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_large_nu_regime_assembles(self):
         # nu >> eps: the quasi-resonant rate selection is genuinely ambiguous
         # (recorded), the truncation switches branch, and the assembly still
@@ -406,6 +456,7 @@ class TestWindAssembly:
             assert abs(prof[2, 0]) < 1e-9 and abs(prof[2, 1]) < 1e-9
             assert np.all(np.abs(prof[:2, 0]) < 1e-5)
 
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_boundary_conditions_of_total(self):
         # horizontal Dirichlet at z=0 and vertical flux at both walls are met
         # to the recorded residual sizes
@@ -703,9 +754,9 @@ class TestColumnEvaluation:
         for l3 in l3s:
             mode = (k_h[0], k_h[1], l3)
             s0 = complex(rng.standard_normal(), rng.standard_normal())
-            part.add(mode, s0, rate=rng.uniform(0.0, 3.0))
+            part.add_rows([mode], s0, rate=rng.uniform(0.0, 3.0))
             if l3 % 3 == 0:
-                part.add(mode, 0.5 * s0, rng.uniform(-1.0, 1.0), 1.0)
+                part.add_rows([mode], 0.5 * s0, rng.uniform(-1.0, 1.0), 1.0)
         return part
 
     def test_spectral_column_matches_per_mode_sum(self):
@@ -726,9 +777,9 @@ class TestColumnEvaluation:
         t = 0.31
         part.hat_profile((1, 2), t, z)
         # a new column, and new modes on the column evaluated already
-        part.add((2, -1, 3), 1.0 - 2j, rate=0.4)
-        part.add((1, 2, -7), 0.3j, rate=0.1)
-        part.add((1, 2, 2), 0.2)
+        part.add_rows([(2, -1, 3)], 1.0 - 2j, rate=0.4)
+        part.add_rows([(1, 2, -7)], 0.3j, rate=0.1)
+        part.add_rows([(1, 2, 2)], 0.2)
         assert part.horizontal_modes() == [(1, 2), (2, -1)]
         for k_h in part.horizontal_modes():
             assert_column_close(part.hat_profile(k_h, t, z),
@@ -778,7 +829,8 @@ class TestColumnEvaluation:
         part = ModulatedBL(p, layer.table, 0.7)
         assert part.horizontal_modes() == [(1, 1)]
         assert_column_close(part.hat_profile((1, 1), 0.2, z),
-                            layer.hat_profile((1, 1), 0.2, z) * np.exp(-0.7 * 0.2), rel=1e-15)
+                            ModulatedBL(p, layer.table).hat_profile((1, 1), 0.2, z)
+                            * np.exp(-0.7 * 0.2), rel=1e-15)
 
     def test_modulated_layer_norm_needs_one_wall(self):
         p = Params(1e-2, 1e-2)
@@ -852,6 +904,7 @@ class TestModulatedProfiles:
         assert layers
         return ModulatedBL(self.P, table, rates[table.pair], layers)
 
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_columns_match_the_per_component_loop(self):
         part = self.part()
         assert part.table.quasi.any() and not part.table.quasi.all()
@@ -870,6 +923,7 @@ class TestModulatedProfiles:
                 assert part.profiles(t, z, columns, base) is base
                 assert_column_close(base, got + (1.0 - 2.0j), rel=1e-15)
 
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_walls_on_different_columns(self):
         p = self.P
         sol = build_B(BoundaryTrace(0, {(0.0, (1, 0)): np.array([1.0, 0.5j]),
@@ -887,6 +941,7 @@ class TestModulatedProfiles:
         top = np.abs(part.hat_profile((0, 1), 0.0, z))
         assert top[:, -1].max() > 1e6 * top[:, 0].max()
 
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_norms_match_the_pairwise_references(self):
         part = self.part(wide=5)
         for t in (0.0, 0.3):
@@ -902,6 +957,7 @@ class TestModulatedProfiles:
                 sum(norm_h[i] ** 2 + norm_3[i] ** 2 for i in rows))
         assert part.frozen_dt_bound() == pytest.approx(want, rel=1e-14)
 
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_exp_blocks_span_columns(self, monkeypatch):
         from rotstrip import layers
 
@@ -945,6 +1001,7 @@ class TestModulatedProfiles:
             part.profiles(0.1, np.linspace(0.0, 1.0, 7), columns)
             assert len(blocks) == 1
 
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_skipped_heights_are_below_the_cut(self):
         """Against the full block, which an unsorted grid gets: each dropped
         exp(-q zeta) is below e^-40 ~ 4.2e-18, so a column moves by at most
@@ -1157,7 +1214,7 @@ class TestSpectralPartRows:
     def part(self):
         part = SpectralPart(self.P)
         for mode, s0, phi, rate in self.ROWS:
-            part.add(mode, s0, phi, rate)
+            part.add_rows([mode], s0, phi, rate)
         return part
 
     def test_coefficient_is_the_sum_of_rows(self):
@@ -1325,7 +1382,8 @@ class TestBatchedProfiles:
         for k_h, column in l3s.items():
             for l3 in column:
                 s0 = complex(rng.standard_normal(), rng.standard_normal())
-                part.add((k_h[0], k_h[1], l3), s0, rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0))
+                part.add_rows([(k_h[0], k_h[1], l3)], s0, rng.uniform(-1.0, 1.0),
+                              rng.uniform(0.0, 2.0))
         assert 141 > SpectralPart.CHUNK
         return part
 
@@ -1344,6 +1402,7 @@ class TestBatchedProfiles:
                     assert_column_close(row, ref, rel=1e-14)
                     assert_column_close(part.hat_profile(k_h, t, z), ref, rel=1e-14)
 
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_every_part_adds_into_out(self):
         p = Params(1e-4, 1e-4, beta=1.0)
         sols = [assemble_wind_approx(BoundaryTrace(1, {(1.0, (1, 0)): np.array([1.0, 0.5j]),
@@ -1409,6 +1468,7 @@ class TestTruncation:
         build()
         return calls
 
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_wind_sources(self, monkeypatch):
         # |l| = K falls on modes of the (6, 0) column: l3 = 0 at K = 6 (eps
         # 1e-3) and l3 = +-8 at K = 10 (eps 1e-4)

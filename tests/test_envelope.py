@@ -10,31 +10,30 @@ from rotstrip.spectral import SpectralField, eigenvalue, euclidean_norm
 from rotstrip.envelope import (
     damping_rate,
     damping_table,
-    ekman_coefficient,
     ekman_limit_coefficient,
     envelope_solve,
     evolve_c,
+    pumping,
     trace_bounds,
     trace_s_norm,
-    suction_coefficient,
 )
 
 
 class TestEkmanCoefficient:
     def test_vertical_modes_carry_no_pumping(self):
         p = Params(1e-4, 1e-4)
-        assert ekman_coefficient((0, 0, 3), p).A == 0j
+        assert pumping([(0, 0, 3)], p).A[0] == 0j
 
     def test_positive_real_part(self):
         p = Params(1e-6, 1e-6)
         for k in [(1, 0, 1), (2, -1, 3), (1, 1, 0), (0, 2, -2)]:
-            assert ekman_coefficient(k, p).A.real > 0.0
+            assert pumping([k], p).A[0].real > 0.0
 
     def test_positivity_across_regimes(self):
         for expo in range(2, 9):
             p = Params(10.0 ** -expo, 10.0 ** -expo)
             for k in [(1, 0, 1), (3, 2, -1), (1, 1, 5)]:
-                assert ekman_coefficient(k, p).A.real > 0.0
+                assert pumping([k], p).A[0].real > 0.0
 
     def test_limit_consistency_monotone(self):
         k = (1, 0, 1)
@@ -42,7 +41,7 @@ class TestEkmanCoefficient:
         devs = []
         for expo in [2, 3, 4, 5, 6]:
             p = Params(10.0 ** -expo, 10.0 ** -expo)
-            devs.append(abs(ekman_coefficient(k, p).A - (R + 1j * I)))
+            devs.append(abs(pumping([k], p).A[0] - (R + 1j * I)))
         assert all(devs[i + 1] < devs[i] for i in range(len(devs) - 1))
         assert devs[-1] < 1e-2
 
@@ -57,7 +56,7 @@ class TestEkmanCoefficient:
                     if k == (0, 0, 0) or (k1 == 0 and k2 == 0):
                         continue
                     aspect = math.hypot(k1, k2) / euclidean_norm(k)
-                    ratios.append(ekman_coefficient(k, p).A.real / aspect)
+                    ratios.append(pumping([k], p).A[0].real / aspect)
         C = min(ratios)
         assert C > 0.0
 
@@ -108,7 +107,7 @@ class TestDampingRate:
     def test_horizontal_mode_rate(self):
         p = Params(1e-4, 1e-4)  # nu/eps = 1
         r = damping_rate((1, 0, 0), p)
-        A = ekman_coefficient((1, 0, 0), p).A
+        A = pumping([(1, 0, 0)], p).A[0]
         assert r == pytest.approx(1.0 + A, abs=1e-14)
 
     def test_strictly_damped_when_kh_nonzero(self):
@@ -132,7 +131,7 @@ class TestEvolveC:
             out = evolve_c(g, p, t)
             for k in g.modes():
                 kh2 = k[0] ** 2 + k[1] ** 2
-                A = ekman_coefficient(k, p).A
+                A = pumping([k], p).A[0]
                 bound = math.exp(-t * (kh2 + math.sqrt(p.nu / p.epsilon) * A.real))
                 assert abs(out[k]) <= bound * abs(g[k]) * (1 + 1e-12)
 
@@ -203,7 +202,7 @@ class TestTraceBounds:
         for t in (0.0, 0.2, 1.0, 4.0):
             c = evolve_c(g, p, t)
             dh = {k: np.linalg.norm(c[k] * basis_normal(k)[:2]) for k in g.modes()}
-            d3 = {k: c[k] * suction_coefficient(k, p) for k in g.modes()}
+            d3 = {k: c[k] * pumping([k], p).S[0] for k in g.modes()}
             assert trace_s_norm(dh, s) <= bh
             assert trace_s_norm(d3, s) <= b3
 
@@ -225,7 +224,7 @@ def test_damping_table_rows_equal_damping_rate():
     for row in damping_table(modes, p):
         k = (row["k1"], row["k2"], row["k3"])
         rate = damping_rate(k, p)
-        A = ekman_coefficient(k, p).A
+        A = pumping([k], p).A[0]
         assert (row["damping_real"], row["damping_imag"]) == (rate.real, rate.imag)
         assert (row["A_real"], row["A_imag"]) == (A.real, A.imag)
         if k[:2] == (0, 0):

@@ -11,9 +11,9 @@ norms are not frozen: `ModulatedBL.l2_norm` became the exact norm then.
 
 `data/golden_pumping.json` holds the Ekman pumping answers for the 124
 modes with |k_i| <= 2 at eps = nu in {1e-2, 1e-3, 1e-4, 1e-5}: every
-`damping_table` row and every `suction_coefficient`.  It was written from
-the code as it stood before the layer operator and the pumping shared one
-transition step.
+`damping_table` row and every suction factor `pumping(modes).S`.  It was
+written from the code as it stood before the layer operator and the pumping
+shared one transition step.
 
 Regenerate a data set only from code whose answers are known good:
     PYTHONPATH=src python tests/test_golden.py [correctors] [pumping]
@@ -30,7 +30,7 @@ import pytest
 
 from rotstrip.correctors import (_norm_grid, assemble_dirichlet_approx,
                                  assemble_wind_approx)
-from rotstrip.envelope import damping_table, suction_coefficient
+from rotstrip.envelope import damping_table, pumping
 from rotstrip.layers import BoundaryTrace
 from rotstrip.params import Params
 from rotstrip.spectral import SpectralField
@@ -85,6 +85,10 @@ def build(case, eps):
 
 CASES = [(case, eps) for case in ("wind_shells", "wind_quasi", "dirichlet_special",
                                   "dirichlet_zero_ic") for eps in EPSILONS]
+#: CASES as test parameters: the wind cases select ambiguous |mu| = 1 rates
+CASE_PARAMS = [pytest.param(*c, marks=pytest.mark.filterwarnings(
+    "ignore::rotstrip.layers.AmbiguousSelectionWarning")) if c[0].startswith("wind") else c
+    for c in CASES]
 
 
 def _columns(approx):
@@ -126,7 +130,7 @@ def _close(got, want):
     return abs(got - want) <= TOL * max(abs(want), 1e-300)
 
 
-@pytest.mark.parametrize("case,eps", CASES)
+@pytest.mark.parametrize("case,eps", CASE_PARAMS)
 def test_matches_frozen_values(golden, case, eps):
     want = golden[f"{case}@{eps:g}"]
     approx = build(case, eps)
@@ -155,7 +159,7 @@ def quadrature_norm(part, params, t):
     return 2.0 * math.pi * math.sqrt(total)
 
 
-@pytest.mark.parametrize("case,eps", CASES)
+@pytest.mark.parametrize("case,eps", CASE_PARAMS)
 def test_layer_norms_match_quadrature(case, eps):
     approx = build(case, eps)
     for name in LAYER_PARTS:
@@ -176,7 +180,7 @@ def measure_pumping(eps) -> dict:
     the suction coefficients [re, im] of PUMPING_MODES at eps = nu = `eps`."""
     params = Params(eps, eps)
     rows = damping_table(PUMPING_MODES, params)
-    suction = [suction_coefficient(k, params) for k in PUMPING_MODES]
+    suction = pumping(PUMPING_MODES, params).S
     return {
         "fields": list(rows[0]),
         "damping_table": [list(row.values()) for row in rows],

@@ -95,6 +95,7 @@ def test_wind_norm_slope_tolerance_read_from_spec(tmp_path):
 
 
 class TestRun:
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_bl_scaling_passes_and_writes(self, tmp_path):
         spec = ExperimentSpec(kind="bl_scaling",
                               epsilon=[1e-2, 1e-3, 1e-4, 1e-5],
@@ -110,6 +111,7 @@ class TestRun:
         summary = run(spec)
         assert summary["all_passed"], summary
 
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_rerun_byte_identical(self, tmp_path):
         for sub in ("a", "b"):
             spec = ExperimentSpec(kind="bl_scaling",
@@ -289,6 +291,7 @@ class TestCompare:
         assert res["sup_error"] < 0.25 * bound
         assert not res["attribution_flags"]
 
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_quasi_resonant_hierarchy_improves_and_converges(self):
         # the oscillating corrector strictly improves on the bare surface
         # layer, and the absolute direct-vs-approximation error vanishes
@@ -417,15 +420,51 @@ class TestCLI:
         assert (out / "mode_1_0_snapshots.csv").exists()
         assert (out / "mode_1_0_diagnostics.csv").exists()
 
-    def test_direct_command_passes_save_every_unconverted(self, tmp_path):
+    def test_direct_command_passes_save_every_unconverted(self, tmp_path, capsys):
         # int() would turn 2.5 into 2 and true into 1, and the run would save
         # at an interval the config does not state
         cfg = tmp_path / "cfg.json"
         for value in (2.5, True):
             cfg.write_text(json.dumps({"epsilon": 1e-2, "nu": 1e-2, "gamma": {"1,0,1": 1.0},
                                        "t_end": 0.01, "Nz": 64, "save_every": value}))
-            with pytest.raises(ValueError, match=f"save_every={value!r}"):
+            with pytest.raises(SystemExit) as exc:
                 main(["direct", "--config", str(cfg), "--out", str(tmp_path / "out")])
+            assert exc.value.code == 2
+            assert f"save_every={value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, entries, message", [
+        ("direct", {"dt_factor": 5}, "too coarse"),
+        ("direct", {"gamma": {"1,0": 1.0}}, "three components"),
+        ("compare", {"case": "spindown"}, "unknown compare case 'spindown'"),
+    ])
+    def test_bad_input_exits_2_on_every_command(self, tmp_path, capsys, command, entries,
+                                                message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 1e-2, "nu": 1e-2, "gamma": {"1,0,1": 1.0},
+                                   "t_end": 0.01, "Nz": 64, **entries}))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "bl_scaling", "epsilon": [1e-2], "t_ned": 0.3},
+         "unknown config key(s) for sweep: t_ned"),
+        ({"epsilon": [1e-2]}, "missing config key(s) for sweep: kind"),
+        ({"kind": "bl_scaling"}, "missing config key(s) for sweep: epsilon"),
+    ])
+    def test_sweep_keys_checked(self, tmp_path, capsys, spec, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(spec))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_sweep_keys_are_the_spec_fields(self):
+        from rotstrip.cli import CONFIG_KEYS
+
+        assert CONFIG_KEYS["sweep"] == set(ExperimentSpec.__dataclass_fields__)
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         # a misspelled key, and N: a key that was once read but never used
@@ -446,6 +485,7 @@ class TestCLI:
         assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "error_curve.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_sweep_command_exit_codes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "bl_scaling",

@@ -10,20 +10,17 @@ from hypothesis import strategies as st
 
 from rotstrip.params import Params
 from rotstrip import layers as L
+from rotstrip.correctors import ModulatedBL
 from rotstrip.layers import (
     BoundaryTrace,
-    a_lambda_matrix,
     build_B,
     decay_rates,
     empty_trace,
     filter_resonant,
     RateBatch,
-    kernel_vector,
     layer_basis,
-    profile_W,
     resonant_profile,
     trace_residuals,
-    transition_coeffs,
 )
 
 
@@ -33,10 +30,22 @@ def loglog_slope(x, y):
     return np.polyfit(x, y, 1)[0]
 
 
+def symbol(lam, mu, k_h, params):
+    """A_lambda of one entry."""
+    return L._checked_symbol([lam], [mu], [k_h], params)[0]
+
+
+def kernel_vector(lam, mu, k_h, params):
+    """The kernel vector of one entry and whether it is normalised to its
+    first component."""
+    w, first = L.kernel_vectors([lam], [mu], [k_h], params)
+    return w[0], first[0]
+
+
 class TestALambdaMatrix:
     def test_kh_zero_form(self):
         p = Params(1e-3, 1e-3)
-        A = a_lambda_matrix(0.5 + 0.5j, 0.7, (0, 0), p)
+        A = symbol(0.5 + 0.5j, 0.7, (0, 0), p)
         lam2 = (0.5 + 0.5j) ** 2
         expect = np.array([[1j * 0.7 - lam2, -1.0], [1.0, 1j * 0.7 - lam2]])
         assert np.allclose(A, expect, atol=1e-15)
@@ -45,12 +54,12 @@ class TestALambdaMatrix:
         # mu = 0, lambda^2 = i: det = (-i)^2 + 1 = 0 exactly at k_h = 0
         p = Params(1e-3, 1e-3)
         lam = np.sqrt(1j)
-        A = a_lambda_matrix(lam, 0.0, (0, 0), p)
+        A = symbol(lam, 0.0, (0, 0), p)
         assert abs(np.linalg.det(A)) < 1e-14
 
     def test_finite_away_from_variety(self):
         p = Params(1e-3, 1e-3)
-        A = a_lambda_matrix(1.0, 1.0, (1, 0), p)
+        A = symbol(1.0, 1.0, (1, 0), p)
         assert np.all(np.isfinite(A))
         assert abs(np.linalg.det(A)) > 1e-3
 
@@ -58,7 +67,7 @@ class TestALambdaMatrix:
         p = Params(1e-2, 1e-2)
         lam_pole = math.sqrt(p.eps_nu)  # lambda^2 = eps nu |k_h|^2 with |k_h| = 1
         with pytest.raises(ZeroDivisionError):
-            a_lambda_matrix(lam_pole, 0.0, (1, 0), p)
+            symbol(lam_pole, 0.0, (1, 0), p)
 
 
 class TestDecayRates:
@@ -144,25 +153,25 @@ class TestKernelVectors:
     def test_classical_polarisations(self):
         p = Params(1e-8, 1e-8)
         r = decay_rates(0.0, (1, 0), p)
-        wm = kernel_vector(r.lambda_minus, 0.0, (1, 0), p)
-        wp = kernel_vector(r.lambda_plus, 0.0, (1, 0), p)
-        assert np.allclose(wm.w, [1.0, -1j], atol=1e-3)
-        assert np.allclose(wp.w, [1.0, 1j], atol=1e-3)
-        assert wm.normalization == "first"
+        wm, first = kernel_vector(r.lambda_minus, 0.0, (1, 0), p)
+        wp, _ = kernel_vector(r.lambda_plus, 0.0, (1, 0), p)
+        assert np.allclose(wm, [1.0, -1j], atol=1e-3)
+        assert np.allclose(wp, [1.0, 1j], atol=1e-3)
+        assert first
 
     def test_resonant_column_exact(self):
         p = Params(1e-3, 1e-3)
         r = decay_rates(1.0, (0, 0), p)
         lam = r.lambda_minus if abs(r.lambda_minus) > 0 else r.lambda_plus
-        w = kernel_vector(lam, 1.0, (0, 0), p)
-        assert np.allclose(w.w, [1.0, -1j], atol=1e-14)
+        w, _ = kernel_vector(lam, 1.0, (0, 0), p)
+        assert np.allclose(w, [1.0, -1j], atol=1e-14)
 
     def test_defining_property(self):
         p = Params(1e-4, 1e-5)
         r = decay_rates(0.3, (2, -1), p)
         for lam in (r.lambda_minus, r.lambda_plus):
-            w = kernel_vector(lam, 0.3, (2, -1), p).w
-            A = a_lambda_matrix(lam, 0.3, (2, -1), p)
+            w, _ = kernel_vector(lam, 0.3, (2, -1), p)
+            A = symbol(lam, 0.3, (2, -1), p)
             assert np.linalg.norm(A @ w) < 1e-10 * max(1.0, np.linalg.norm(A))
 
     def test_rejects_off_variety(self):
@@ -175,12 +184,14 @@ class TestTransitionCoeffs:
     def test_basis_decomposition(self):
         p = Params(1e-4, 1e-4)
         r = decay_rates(0.0, (1, 0), p)
-        wm, wp = layer_basis(RateBatch.of([r]), p).w[0]
-        am, ap = transition_coeffs(wm, 0.0, (1, 0), p, rates=r)
+        basis = layer_basis(RateBatch.of([r]), p)
+        wm, wp = basis.w[0]
+        am, ap = basis.solve(wm)[0]
         assert abs(am - 1.0) < 1e-12 and abs(ap) < 1e-12
 
     def test_circular_trace_limits(self):
-        am, ap = transition_coeffs(np.array([1.0, 1j]), 0.0, (1, 0), Params(1e-8, 1e-8))
+        p = Params(1e-8, 1e-8)
+        am, ap = layer_basis(L.rate_batch([0.0], [(1, 0)], p), p).solve(np.array([1.0, 1j]))[0]
         assert abs(am) < 1e-3
         assert abs(ap - 1.0) < 1e-3
 
@@ -284,7 +295,25 @@ def only_row(sol, quasi=False):
 
 def row_profile(table, i, z):
     """Profile of row i alone, without its phase."""
-    return table.profile(np.array([i]), np.ones(1), z)
+    z = np.asarray(z, dtype=float)
+    out = np.zeros((1, 3) + z.shape, dtype=complex)
+    return table.profiles(np.array([i]), np.ones(1), np.zeros(1, dtype=int), z, out)[0]
+
+
+def one_rate_table(side, lam, w, mu, k_h, params, alpha=1.0):
+    """The one-row table of the single wall profile alpha W^j_lambda, its
+    rate in column 0: kernel vector w, amplitude alpha."""
+    w2 = np.zeros((1, 2, 2), dtype=complex)
+    w2[0, 0] = w
+    return L._layer_table([side], [mu], [k_h], np.array([[lam, 0j]]), w2,
+                          np.array([[alpha, 0j]]), np.array([[True, False]]), [0], params)
+
+
+def layer_profile(sol, k_h, t, z):
+    """Coefficient of e^{i k_h.x_h} of a layer solution at time t: its
+    table and resonant layers as one unmodulated ModulatedBL."""
+    part = ModulatedBL(sol.params, sol.table, 0j, [(r, 0j) for r in sol.resonant])
+    return part.hat_profile(k_h, t, z)
 
 
 def equation_residual(table, i, params):
@@ -367,9 +396,10 @@ class TestProfiles:
             ratio = norm_3[0] / norm_h[0]
             assert ratio < 10.0 * math.sqrt(p.eps_nu)
 
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_hat_profile_matches_per_component_loop(self):
         # the reference takes each decaying rate with its own one-row kernel
-        # vector and transition coefficient
+        # vector, and the transition coefficients of a one-row basis
         p = Params(1e-3, 1e-3)
         scale = p.layer_scale
         z = np.linspace(0.0, 1.0, 257)
@@ -380,7 +410,7 @@ class TestProfiles:
             tab = sol.table
             assert len(tab) == 1 and tab.quasi[0] == (abs(mu) == 1.0 and k_h != (0, 0))
             r = decay_rates(mu, k_h, p)
-            alphas = transition_coeffs(delta, mu, k_h, p, rates=r)
+            alphas = layer_basis(RateBatch.of([r]), p).solve(delta)[0]
             zeta = z if side == 0 else 1.0 - z
             dzeta_dz = 1.0 if side == 0 else -1.0
             ref = np.zeros((3,) + z.shape, dtype=complex)
@@ -390,7 +420,7 @@ class TestProfiles:
                 if not tab.keep[0, j]:
                     continue
                 assert tab.q[0, j] == pytest.approx(lam / scale, rel=1e-15)
-                w = kernel_vector(lam, mu, k_h, p).w
+                w, _ = kernel_vector(lam, mu, k_h, p)
                 q = lam / scale
                 ikw = 1j * (k_h[0] * w[0] + k_h[1] * w[1])
                 if side == 0:
@@ -419,8 +449,8 @@ class TestProfileW:
     def test_bottom_trace_and_vlambda_prefactors(self):
         p = Params(1e-3, 2e-3)
         r = decay_rates(0.5, (2, 1), p)
-        w = kernel_vector(r.lambda_minus, 0.5, (2, 1), p).w
-        W0 = profile_W(0, r.lambda_minus, w, 0.5, (2, 1), p)
+        w, _ = kernel_vector(r.lambda_minus, 0.5, (2, 1), p)
+        W0 = one_rate_table(0, r.lambda_minus, w, 0.5, (2, 1), p)
         assert len(W0) == 1
         assert np.allclose(W0.wall_traces(0)[0][0], w, atol=1e-14)
         z = np.array([0.0])
@@ -432,14 +462,17 @@ class TestProfileW:
     def test_top_stress_trace(self):
         p = Params(1e-3, 1e-3)
         r = decay_rates(0.0, (1, 0), p)
-        w = kernel_vector(r.lambda_plus, 0.0, (1, 0), p).w
-        W1 = profile_W(1, r.lambda_plus, w, 0.0, (1, 0), p, alpha=2.0 - 1j)
+        w, _ = kernel_vector(r.lambda_plus, 0.0, (1, 0), p)
+        W1 = one_rate_table(1, r.lambda_plus, w, 0.0, (1, 0), p, alpha=2.0 - 1j)
         assert np.allclose(W1.wall_traces(1)[2][0], (2.0 - 1j) * w, atol=1e-13)
 
     def test_rejects_nondecaying_rate(self):
+        # the trace (1, i) at mu = 1, k_h = 0 lies on the kernel vector of
+        # the rate lambda = 0
         p = Params(1e-3, 1e-3)
-        with pytest.raises(ValueError, match="Re"):
-            profile_W(0, 1j, np.array([1.0, 1j]), 1.0, (0, 0), p)
+        basis = layer_basis(L.rate_batch([1.0], [(0, 0)], p), p)
+        with pytest.raises(ValueError, match="non-decaying"):
+            L.wall_layers(0, basis, np.array([1.0, 1j]), p)
 
 
 class TestResonantProfile:
@@ -485,7 +518,7 @@ class TestBuildB:
         assert len(sol.table) == 0 and not sol.resonant
         z = np.linspace(0.0, 1.0, 5)
         for k_h in ((0, 0), (1, 0)):
-            assert np.array_equal(sol.hat_profile(k_h, 0.3, z), np.zeros((3, 5)))
+            assert np.array_equal(layer_profile(sol, k_h, 0.3, z), np.zeros((3, 5)))
         assert all(sol.part_norm_h(part, 0.3) == 0.0
                    for part in ("classical", "quasi_resonant", "resonant"))
 
@@ -508,8 +541,8 @@ class TestBuildB:
         p = Params(1e-3, 1e-3)
         sol = single_mode_solution(0, 1.0, (0, 0), np.array([1.0, 1j]), p)
         assert len(sol.resonant) == 1
-        (entry,) = sol.resonant[0].entries
-        assert entry.amplitude == pytest.approx(1.0, abs=1e-14)
+        ((mu, amplitude),) = sol.resonant[0].entries
+        assert mu == 1.0 and amplitude == pytest.approx(1.0, abs=1e-14)
         assert len(sol.table) == 0  # orthogonal remainder vanishes
 
     def test_resonant_projection_kills_orthogonal_part(self):
@@ -531,9 +564,10 @@ class TestBuildB:
         sol2 = single_mode_solution(0, 0.5, (1, 0), d2, p)
         sol = single_mode_solution(0, 0.5, (1, 0), a * d1 + b * d2, p)
         z = np.linspace(0, 1, 11)
-        combo = a * sol1.hat_profile((1, 0), 0.3, z) + b * sol2.hat_profile((1, 0), 0.3, z)
-        assert np.allclose(sol.hat_profile((1, 0), 0.3, z), combo, atol=1e-12)
+        combo = a * layer_profile(sol1, (1, 0), 0.3, z) + b * layer_profile(sol2, (1, 0), 0.3, z)
+        assert np.allclose(layer_profile(sol, (1, 0), 0.3, z), combo, atol=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_part_norm_h_rejects_unknown_part(self):
         p = Params(1e-3, 1e-3)
         trace = BoundaryTrace(0, {(0.0, (1, 0)): np.array([1.0, 0.0]),
@@ -545,6 +579,7 @@ class TestBuildB:
             with pytest.raises(ValueError, match="classical.*quasi_resonant.*resonant"):
                 sol.part_norm_h(name)
 
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_layers_of_several_pairs_tag_their_rows(self):
         p = Params(1e-3, 2e-3)
         pairs = [(BoundaryTrace(0, {(0.0, (1, 0)): np.array([1.0, 0.5j])}),
@@ -590,8 +625,9 @@ class TestResonantLayer:
         got = layer.value(t, z)
         assert len(calls) == 1
         base = profile(1, 1.0 + 0j, p.nu, t, z)
-        ref = sum(np.multiply.outer(e.amplitude * np.exp(1j * e.mu * t / p.epsilon)
-                                    * e.polarization, base) for e in layer.entries)
+        ref = sum(np.multiply.outer(amplitude * np.exp(1j * mu * t / p.epsilon)
+                                    * np.array([1.0, 1j * mu, 0.0]), base)
+                  for mu, amplitude in layer.entries)
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
