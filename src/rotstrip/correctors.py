@@ -11,6 +11,7 @@ problems.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -31,7 +32,21 @@ from .layers import (BoundaryTrace, LayerTable, _amplitude_l2, _kh_tuple, build_
                      build_layers, empty_trace, wall_layers)
 from .envelope import pumping
 
-_GAUSS_Z = np.polynomial.legendre.leggauss(24)
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
+_GAUSS_Z = 0.5 * (_GAUSS_X + 1.0), 0.5 * _GAUSS_W  # nodes and weights on [0, 1]
+
+
+def _polyval(coef, z) -> np.ndarray:
+    """The power series coef (..., ndeg) on the heights z, of shape (...) +
+    z.shape, through one Vandermonde matrix."""
+    z = np.asarray(z, dtype=float)
+    V = np.vander(z.ravel(), coef.shape[-1], increasing=True)
+    return (coef @ V.T).reshape(coef.shape[:-1] + z.shape)
+
+
+def _dz(coef) -> np.ndarray:
+    """The power series coef (..., ndeg) differentiated once."""
+    return coef[..., 1:] * np.arange(1, coef.shape[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +56,8 @@ _GAUSS_Z = np.polynomial.legendre.leggauss(24)
 
 class ZPolyField:
     """Vector field with finitely many horizontal modes and polynomial
-    vertical profiles: u = sum_kh (p1(z), p2(z), p3(z)) e^{i k_h . x_h}."""
+    vertical profiles: u = sum_kh (p1(z), p2(z), p3(z)) e^{i k_h . x_h}.
+    Every evaluation reads the coefficients of modes when it is called."""
 
     def __init__(self, modes=None):
         # modes: {k_h: (P1, P2, P3)} with Pi numpy Polynomials
@@ -56,35 +72,31 @@ class ZPolyField:
     def items(self):
         return ((k, self.modes[k]) for k in sorted(self.modes))
 
-    def coefficients(self):
-        """(sorted keys, their zero-padded (ncol, 3, ndeg) coefficient array)."""
-        keys = sorted(self.modes)
-        ndeg = max((len(p.coef) for k in keys for p in self.modes[k]), default=1)
+    def coefficients(self, columns=None):
+        """(keys, their zero-padded (len(keys), 3, ndeg) coefficient array):
+        the listed columns k_h, zero where the field has none, or all the
+        field's columns, sorted, when columns is None."""
+        keys = sorted(self.modes) if columns is None else [_kh_tuple(k) for k in columns]
+        polys = [self.modes.get(k, ()) for k in keys]
+        ndeg = max((len(p.coef) for ps in polys for p in ps), default=1)
         coef = np.zeros((len(keys), 3, ndeg), dtype=complex)
-        for i, k in enumerate(keys):
-            for c, p in enumerate(self.modes[k]):
+        for i, ps in enumerate(polys):
+            for c, p in enumerate(ps):
                 coef[i, c, :len(p.coef)] = p.coef
         return keys, coef
 
     def column_sq(self, order: int = 0) -> np.ndarray:
         """int_0^1 |dz^order w|^2 dz per column, in sorted key order (Gauss
         quadrature, exact for the degrees used here)."""
-        xg, wg = _GAUSS_Z
+        z, w = _GAUSS_Z
         coef = np.polynomial.polynomial.polyder(self.coefficients()[1], order, axis=2)
-        V = np.vander(0.5 * (xg + 1.0), coef.shape[2], increasing=True)
-        return (np.abs(coef @ V.T) ** 2 @ (0.5 * wg)).sum(axis=1)
+        return (np.abs(_polyval(coef, z)) ** 2 @ w).sum(axis=1)
 
     def _kh2(self) -> np.ndarray:
         return np.array([k[0] ** 2 + k[1] ** 2 for k in sorted(self.modes)], dtype=float)
 
     def hat_profile(self, k_h, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        out = np.zeros((3,) + z.shape, dtype=complex)
-        polys = self.modes.get(_kh_tuple(k_h))
-        if polys is not None:
-            for c in range(3):
-                out[c] = polys[c](z)
-        return out
+        return _polyval(self.coefficients([k_h])[1][0], z)
 
     def l2_norm(self) -> float:
         return 2.0 * math.pi * math.sqrt(float(self.column_sq().sum()))
@@ -98,21 +110,19 @@ class ZPolyField:
         return 2.0 * math.pi * math.sqrt(float(total))
 
     def divergence_residual(self) -> float:
-        worst = 0.0
-        xg, _ = _GAUSS_Z
-        z = 0.5 * (xg + 1.0)
-        for k_h, polys in self.items():
-            div = 1j * k_h[0] * polys[0] + 1j * k_h[1] * polys[1] + polys[2].deriv()
-            worst = max(worst, float(np.max(np.abs(div(z)))))
-        return worst
+        keys, coef = self.coefficients()
+        k = np.array(keys, dtype=float).reshape(-1, 2)
+        div = 1j * k[:, :1] * coef[:, 0] + 1j * k[:, 1:] * coef[:, 1]
+        div[:, :-1] += _dz(coef[:, 2])
+        return float(np.max(np.abs(_polyval(div, _GAUSS_Z[0])), initial=0.0))
 
     def trace(self, wall: int) -> dict:
-        return {k_h: np.array([p(float(wall)) for p in polys])
-                for k_h, polys in self.items()}
+        keys, coef = self.coefficients()
+        return dict(zip(keys, _polyval(coef, float(wall))))
 
     def dz_horizontal_trace(self, wall: int) -> dict:
-        return {k_h: np.array([polys[0].deriv()(float(wall)), polys[1].deriv()(float(wall))])
-                for k_h, polys in self.items()}
+        keys, coef = self.coefficients()
+        return dict(zip(keys, _polyval(_dz(coef[:, :2]), float(wall))))
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +411,10 @@ def small_divisor_corrector(source: SourceTable, K: int, params: Params, t: floa
 
             omega = (eigenvalue(l) + mu) / eps
             kappa = mode_decay_constant(l, params)
-            fn = s if callable(s) else (lambda u: s.s0 * np.exp(-s.c * u))
             def integrand(u, part):
-                val = fn(u) * np.exp(1j * omega * u) * np.exp(-kappa * (t - u))
+                val = s(u) * np.exp(1j * omega * u) * np.exp(-kappa * (t - u))
                 return val.real if part == 0 else val.imag
-            cycles = abs(omega) * t / (2.0 * math.pi)
-            lim = int(max(200, 40 * cycles))
+            lim = int(max(200, 40 * abs(omega) * t / (2.0 * math.pi)))  # 40 per cycle
             re, _ = quad(integrand, 0.0, t, args=(0,), limit=lim, epsabs=1e-13, epsrel=1e-12)
             im, _ = quad(integrand, 0.0, t, args=(1,), limit=lim, epsabs=1e-13, epsrel=1e-12)
             w = re + 1j * im
@@ -468,23 +476,49 @@ class _Part:
     """A part of an approximation.  profiles(t, z, columns, out) evaluates the
     listed columns k_h together and adds them into out, an array of shape
     (len(columns), 3) + z.shape (zeros when not given), which it returns; a
-    column the part does not hold adds nothing.  hat_profile is its
-    one-column view."""
+    column the part does not hold adds nothing.  Each part adds its columns
+    in _add(t, z, columns, out), z an array; hat_profile is the one-column
+    view."""
+
+    def profiles(self, t, z, columns, out=None):
+        z = np.asarray(z, dtype=float)
+        if out is None:
+            out = np.zeros((len(columns), 3) + z.shape, dtype=complex)
+        self._add(t, z, columns, out)
+        return out
 
     def hat_profile(self, k_h, t, z):
         return self.profiles(t, z, [k_h])[0]
 
 
-def _profiles_out(columns, z, out) -> np.ndarray:
-    return np.zeros((len(columns), 3) + z.shape, dtype=complex) if out is None else out
+def _column_index(k_h):
+    """The index of a table whose rows k_h (n, 2) are sorted by column: the
+    distinct columns, a sorted list of tuples, and their first rows, then n."""
+    new = np.ones(len(k_h), dtype=bool)
+    new[1:] = np.any(k_h[1:] != k_h[:-1], axis=1)
+    first = np.flatnonzero(new).tolist()
+    return [tuple(k) for k in k_h[first].tolist()], first + [len(k_h)]
+
+
+def _slices(index, columns) -> list:
+    """(i, a, b) for each listed column columns[i] that a sorted table holds,
+    found by bisection in its index (columns, starts): its rows a .. b - 1."""
+    keys, starts = index
+    out = []
+    for i, k_h in enumerate(columns):
+        k_h = _kh_tuple(k_h)
+        j = bisect.bisect_left(keys, k_h)
+        if j < len(keys) and keys[j] == k_h:
+            out.append((i, starts[j], starts[j + 1]))
+    return out
 
 
 class OscillatingPoly(_Part):
     """Sum of polynomial lift fields with phases e^{i mu t/eps} e^{-rate t}.
 
-    A column is evaluated from one coefficient array: the entries' phased
-    power-series coefficients (Polynomials on the default domain and window)
-    are summed and evaluated once through a Vandermonde matrix."""
+    A call sums the entries' phased power-series coefficients of the listed
+    columns, in entry order, into one (len(columns), 3, ndeg) array and
+    evaluates it through one Vandermonde matrix."""
 
     def __init__(self, params: Params):
         self.params = params
@@ -494,40 +528,26 @@ class OscillatingPoly(_Part):
         if field_.modes:
             self.entries.append((field_, float(mu), complex(rate)))
 
-    def profiles(self, t, z, columns, out=None):
-        z = np.asarray(z, dtype=float)
-        out = _profiles_out(columns, z, out)
-        for i, k_h in enumerate(columns):
-            k_h = _kh_tuple(k_h)
-            terms = []
-            for f, mu, rate in self.entries:
-                polys = f.modes.get(k_h)
-                if polys is not None:
-                    phase = np.exp(1j * mu * t / self.params.epsilon - rate * t)
-                    terms.extend((c, phase * p.coef) for c, p in enumerate(polys))
-            if not terms:
-                continue
-            combined = np.zeros((3, max(len(coef) for _, coef in terms)), dtype=complex)
-            for c, coef in terms:
-                combined[c, :len(coef)] += coef
-            values = combined @ np.vander(z.ravel(), combined.shape[1], increasing=True).T
-            out[i] += values.reshape((3,) + z.shape)
-        return out
+    def _add(self, t, z, columns, out):
+        keys = [_kh_tuple(k_h) for k_h in columns]
+        terms = [(i, polys, mu, rate) for i, k_h in enumerate(keys) for f, mu, rate in self.entries
+                 if (polys := f.modes.get(k_h)) is not None]
+        if not terms:
+            return
+        ndeg = max(len(p.coef) for _, polys, _, _ in terms for p in polys)
+        coef = np.zeros((len(keys), 3, ndeg), dtype=complex)
+        for i, polys, mu, rate in terms:
+            phase = np.exp(1j * mu * t / self.params.epsilon - rate * t)
+            for c, p in enumerate(polys):
+                coef[i, c, :len(p.coef)] += phase * p.coef
+        out += _polyval(coef, z)
 
     def horizontal_modes(self):
-        ks = set()
-        for f, _, _ in self.entries:
-            ks.update(f.modes)
-        return sorted(ks)
+        return sorted({k_h for f, _, _ in self.entries for k_h in f.modes})
 
     def l2_norm(self, t: float) -> float:
-        xg, wg = _GAUSS_Z
-        z = 0.5 * (xg + 1.0)
-        total = 0.0
-        for k_h in self.horizontal_modes():
-            values = self.hat_profile(k_h, t, z)
-            total += float(np.sum(0.5 * wg * np.abs(values) ** 2))
-        return 2.0 * math.pi * math.sqrt(total)
+        values = self.profiles(t, _GAUSS_Z[0], self.horizontal_modes())
+        return 2.0 * math.pi * math.sqrt(float(np.sum(np.abs(values) ** 2 @ _GAUSS_Z[1])))
 
 
 def _trig_block(j, z):
@@ -541,94 +561,79 @@ class SpectralPart(_Part):
     """Interior eigenmode sum: sum_l c_l(t) e^{-i lambda_l t / eps} N_l, each
     coefficient c_l(t) a sum of amplitude rows s0 e^{i phi t/eps - rate t}.
 
-    The rows are kept grouped by column k_h as the array chunks they were
-    added in; a column's arrays are formed once it is evaluated: its modes
-    in order of first appearance with |l3|, lambda_l and n(l) folded onto
-    |l3| (cos is even and sin odd, so the u3 row takes sign(l3)), and each
-    row's mode index.  A column's coefficients take one exp over its rows,
-    summed into the modes in row order.  profiles sums the listed columns'
-    folded amplitudes per |l3| and evaluates them in one pass over j = |l3|
-    in blocks of CHUNK: one cos/sin(pi j z) block shared by every column and
-    one real matrix product per block, so the trig arrays stay CHUNK x
-    len(z) whatever the number of modes and columns.
+    On first evaluation the rows join into one table: the modes sorted, so
+    that a column's modes are one slice, each with lambda_l and n(l) folded
+    onto |l3| (cos is even and sin odd, so the u3 row takes sign(l3)), and
+    the rows stably sorted by mode, so that a mode's rows are one slice in
+    the order they were added.  A call takes one exp over the rows of each
+    column it lists, summed into their modes in row order, and evaluates the
+    columns' folded amplitudes in one pass over j = |l3| in blocks of CHUNK:
+    one cos/sin(pi j z) block shared by every column and one real matrix
+    product per block, so the trig arrays stay CHUNK x len(z) whatever the
+    number of modes and columns.
     """
 
     CHUNK = 64
 
     def __init__(self, params: Params):
         self.params = params
-        self._rows = {}  # k_h -> [(l3, s0, phi, rate) arrays], in order added
-        self._arrays = {}  # k_h -> column arrays; dropped when rows join
+        self._chunks = []  # (modes, s0, phi, rate) arrays, in order added
+        self.add_rows(np.zeros((0, 3)), 0j)
 
     def add_rows(self, modes, s0, phi=0.0, rate=0j):
         """Add the rows s0[i] e^{i phi[i] t/eps - rate[i] t} to the
         coefficients of modes[i], an (n, 3) integer array; s0, phi and rate
         broadcast to n."""
         modes = np.asarray(modes, dtype=int).reshape(-1, 3)
-        n = len(modes)
-        s0, phi, rate = (np.broadcast_to(np.asarray(v, dtype=d), (n,))
-                         for v, d in ((s0, complex), (phi, float), (rate, complex)))
-        keys = [tuple(k) for k in modes[:, :2].tolist()]
-        for k_h in dict.fromkeys(keys):
-            sel = np.array([k == k_h for k in keys])
-            self._rows.setdefault(k_h, []).append(
-                (modes[sel, 2], s0[sel], phi[sel], rate[sel]))
-            self._arrays.pop(k_h, None)
+        self._chunks.append((modes,) + tuple(
+            np.broadcast_to(np.asarray(v, dtype=d), len(modes))
+            for v, d in ((s0, complex), (phi, float), (rate, complex))))
+        self._modes = None  # the joined table is formed again when evaluated
 
-    def modes(self):
-        return sorted((k_h[0], k_h[1], l3) for k_h in self._rows
-                      for l3 in self._column(k_h)[0].tolist())
+    def _table(self) -> np.ndarray:
+        """The sorted modes (m, 3), joining the rows into the table first if
+        rows were added since."""
+        if self._modes is None:
+            modes, s0, phi, rate = (np.concatenate(v) for v in zip(*self._chunks))
+            self._modes, row_mode = np.unique(modes, axis=0, return_inverse=True)
+            order = np.argsort(row_mode, kind="stable")
+            self._row_mode = row_mode[order]
+            self._s0, self._phi, self._rate = s0[order], phi[order], rate[order]
+            self._start = np.searchsorted(self._row_mode, np.arange(len(self._modes) + 1)).tolist()
+            self._index, self._j = _column_index(self._modes[:, :2]), np.abs(self._modes[:, 2])
+            self._lam = eigenvalues(self._modes)
+            self._folded = basis_normals(self._modes)
+            self._folded[:, 2] *= np.sign(self._modes[:, 2])
+        return self._modes
 
-    def _column(self, k_h):
-        """(l3 of the modes, |l3|, lambda_l, n(l) with its u3 entry times
-        sign(l3), and the rows' mode index, s0, phi and rate) of column k_h,
-        or None."""
-        arrays = self._arrays.get(k_h)
-        if arrays is None and k_h in self._rows:
-            row_l3, s0, phi, rate = (np.concatenate(v) for v in zip(*self._rows[k_h]))
-            l3, first, row_mode = np.unique(row_l3, return_index=True, return_inverse=True)
-            order = np.argsort(first)  # the modes in order of first appearance
-            rank = np.empty(len(order), dtype=int)
-            rank[order] = np.arange(len(order))
-            l3 = l3[order]
-            modes = np.column_stack([np.broadcast_to(k_h, (len(l3), 2)), l3])
-            folded = basis_normals(modes)
-            folded[:, 2] *= np.sign(l3)
-            arrays = (l3, np.abs(l3), eigenvalues(modes), folded, rank[row_mode], s0, phi, rate)
-            self._arrays[k_h] = arrays
-        return arrays
-
-    def _coefficients(self, arrays, t) -> np.ndarray:
-        l3, _, _, _, row_mode, s0, phi, rate = arrays
-        coef = np.zeros(len(l3), dtype=complex)
+    def _coefficients(self, t, a, b) -> np.ndarray:
+        """c_l(t) of the table's modes a .. b - 1, from the slice of their rows."""
+        r0, r1 = self._start[a], self._start[b]
+        s0, phi, rate = self._s0[r0:r1], self._phi[r0:r1], self._rate[r0:r1]
+        coef = np.zeros(b - a, dtype=complex)
         # phi t / eps in real arithmetic, rounded as the one-row formula rounds it
-        np.add.at(coef, row_mode, s0 * np.exp(1j * (phi * t / self.params.epsilon) - rate * t))
+        np.add.at(coef, self._row_mode[r0:r1] - a,
+                  s0 * np.exp(1j * (phi * t / self.params.epsilon) - rate * t))
         return coef
 
-    def coefficient(self, mode, t):
-        mode = tuple(int(c) for c in mode)
-        arrays = self._column(mode[:2])
-        hit = [] if arrays is None else np.flatnonzero(arrays[0] == mode[2])
-        if not len(hit):
-            return 0
-        return self._coefficients(arrays, t)[hit[0]]
+    def modes(self):
+        return [tuple(m) for m in self._table().tolist()]
 
-    def profiles(self, t, z, columns, out=None):
-        z = np.asarray(z, dtype=float)
-        out = _profiles_out(columns, z, out)
-        held = []  # (row of out, column arrays)
-        for i, k_h in enumerate(columns):
-            arrays = self._column(_kh_tuple(k_h))
-            if arrays is not None:
-                held.append((i, arrays))
+    def coefficient(self, mode, t):
+        hit = np.flatnonzero((self._table() == np.asarray(mode, dtype=int)).all(axis=1))
+        return self._coefficients(t, hit[0], hit[0] + 1)[0] if len(hit) else 0
+
+    def _add(self, t, z, columns, out):
+        self._table()
+        held = _slices(self._index, columns)
         if not held:
-            return out
-        n = 1 + max(int(a[1].max()) for _, a in held)
+            return
+        n = 1 + max(int(max(self._j[a], self._j[b - 1])) for _, a, b in held)  # l3 ascends
         amp = np.zeros((len(held), n, 3), dtype=complex)
-        for c, (_, arrays) in enumerate(held):
-            _, j, lam, folded = arrays[:4]
-            coef = self._coefficients(arrays, t) * np.exp(-1j * lam * t / self.params.epsilon)
-            np.add.at(amp[c], j, coef[:, None] * folded)
+        for c, (_, a, b) in enumerate(held):
+            coef = self._coefficients(t, a, b) * np.exp(-1j * self._lam[a:b] * t
+                                                         / self.params.epsilon)
+            np.add.at(amp[c], self._j[a:b], coef[:, None] * self._folded[a:b])
         # rows (Re u1, Im u1, Re u2, Im u2) and (Re u3, Im u3) of every column
         amp = amp.view(float).transpose(0, 2, 1)
         zf = z.ravel()
@@ -640,63 +645,55 @@ class SpectralPart(_Part):
             acc_odd += odd[:, s:s + self.CHUNK] @ sin
         acc_even = acc_even.reshape((-1, 2, 2) + z.shape)
         acc_odd = acc_odd.reshape((-1, 2) + z.shape)
-        for c, (i, _) in enumerate(held):
+        for c, (i, _, _) in enumerate(held):
             col = out[i]
             col.real[:2] += acc_even[c, :, 0]
             col.imag[:2] += acc_even[c, :, 1]
             col.real[2] += acc_odd[c, 0]
             col.imag[2] += acc_odd[c, 1]
-        return out
 
     def horizontal_modes(self):
-        return sorted(self._rows)
+        self._table()
+        return list(self._index[0])
 
     def l2_norm(self, t: float) -> float:
-        return math.sqrt(sum(float(np.sum(np.abs(self._coefficients(self._column(k_h), t)) ** 2))
-                             for k_h in self._rows))
+        coef = self._coefficients(t, 0, len(self._table()))
+        return math.sqrt(float(np.sum(np.abs(coef) ** 2)))
 
 
 class ModulatedBL(_Part):
     """Wall layers with slow exponential amplitude modulation: the rows of a
-    layer table, row i times e^{-rates[i] t}, plus resonant layers (layer,
-    rate) on k_h = 0.  The rows of each column are indexed once, at
-    construction."""
+    layer table, row i times e^{-rates[i] t}, plus resonant layers on k_h =
+    0.  The table's rows are put once, at construction, in a stable order
+    of their columns, so that a column's rows are one slice."""
 
     def __init__(self, params: Params, table: LayerTable, rates=0j, resonant=()):
         self.params = params
         self.table = table
         self.rates = np.broadcast_to(np.asarray(rates, dtype=complex), (len(table),))
-        self.resonant = [(layer, complex(rate)) for layer, rate in resonant]
-        columns = {}
-        for i, k_h in enumerate(table.columns()):
-            columns.setdefault(k_h, []).append(i)
-        self._columns = {k_h: np.array(rows) for k_h, rows in columns.items()}
+        self.resonant = list(resonant)
+        self._order = np.lexsort(table.k_h.T[::-1])  # by k1, then k2; stable
+        self._index = _column_index(table.k_h[self._order])
 
-    def _weights(self, t) -> np.ndarray:
-        """e^{i mu t/eps} e^{-rate t} of every row, mu t/eps in real
+    def _weights(self, t, rows) -> np.ndarray:
+        """e^{i mu t/eps} e^{-rate t} of the rows, mu t/eps in real
         arithmetic as the scalar formula rounds it."""
-        return np.exp(1j * (self.table.mu * t / self.params.epsilon)) * np.exp(-self.rates * t)
+        return (np.exp(1j * (self.table.mu[rows] * t / self.params.epsilon))
+                * np.exp(-self.rates[rows] * t))
 
-    def profiles(self, t, z, columns, out=None):
+    def _add(self, t, z, columns, out):
         """The rows of all listed columns from one exp(-q zeta) block."""
-        z = np.asarray(z, dtype=float)
-        out = _profiles_out(columns, z, out)
-        columns = [_kh_tuple(k_h) for k_h in columns]
-        held = [(i, self._columns[k_h]) for i, k_h in enumerate(columns) if k_h in self._columns]
+        held = [(i, self._order[a:b]) for i, a, b in _slices(self._index, columns)]
         if held:
             rows = np.concatenate([r for _, r in held])
             column = np.concatenate([np.full(len(r), i) for i, r in held])
-            self.table.profiles(rows, self._weights(t)[rows], column, z, out)
-        for i in (i for i, k_h in enumerate(columns) if k_h == (0, 0)):
-            for layer, rate in self.resonant:
-                out[i] += layer.value(t, z) * np.exp(-rate * t)
-        return out
+            self.table.profiles(rows, self._weights(t, rows), column, z, out)
+        for i in [i for i, k_h in enumerate(columns) if _kh_tuple(k_h) == (0, 0)]:
+            for layer in self.resonant:
+                out[i] += layer.value(t, z)
 
     def horizontal_modes(self):
-        ks = set(self._columns)
-        if self.resonant:
-            ks.add((0, 0))
-        return sorted(ks)
+        return sorted(set(self.table.columns()) | ({(0, 0)} if self.resonant else set()))
 
     def l2_norm(self, t: float) -> float:
         """Exact L2 norm at time t.  On each column the kept rates of every
@@ -706,17 +703,16 @@ class ModulatedBL(_Part):
         classical remainder sharing their column carries the orthogonal
         circular polarisation."""
         tab = self.table
-        weights = self._weights(t)
         total = 0.0
-        for k_h, rows in self._columns.items():
+        for rows in np.split(self._order, self._index[1][1:-1]):
             if len(set(tab.side[rows].tolist())) > 1:
-                raise ValueError(f"column {k_h} holds layers of both walls; "
-                                 "a modulated layer lives on one wall")
+                raise ValueError(f"column {_kh_tuple(tab.k_h[rows[0]])} holds layers of both "
+                                 "walls; a modulated layer lives on one wall")
             keep = tab.keep[rows]
-            amps = (tab.amps[rows] * weights[rows, None, None])[keep]
+            amps = (tab.amps[rows] * self._weights(t, rows)[:, None, None])[keep]
             total += float(_amplitude_l2(amps, tab.q[rows][keep])) ** 2
-        for layer, rate in self.resonant:
-            total += abs(np.exp(-rate * t)) ** 2 * layer.l2_norm_h(t) ** 2
+        for layer in self.resonant:
+            total += layer.l2_norm_h(t) ** 2
         return math.sqrt(total)
 
     def frozen_dt_bound(self) -> float:
@@ -786,12 +782,10 @@ class HeatColumn(_Part):
             + np.einsum("jz,jz->z", np.cos(outer), a @ np.sin(inner))
         return (1.0 if self.side == 0 else z) - theta.reshape(z.shape)
 
-    def profiles(self, t, z, columns, out=None):
-        z = np.asarray(z, dtype=float)
-        out = _profiles_out(columns, z, out)
+    def _add(self, t, z, columns, out):
         mean = [i for i, k_h in enumerate(columns) if _kh_tuple(k_h) == (0, 0)]
         if not mean:
-            return out
+            return
         shape = self._shape(t, z)
         col = np.zeros((3,) + z.shape, dtype=complex)
         for m, g in self.entries:
@@ -800,15 +794,13 @@ class HeatColumn(_Part):
             col += np.multiply.outer(g * phase * pol, shape)
         for i in mean:
             out[i] += col
-        return out
 
     def horizontal_modes(self):
         return [(0, 0)] if self.entries else []
 
     def l2_norm(self, t: float) -> float:
-        xg, wg = _GAUSS_Z
-        z = 0.5 * (xg + 1.0)
-        shape_sq = float(np.sum(0.5 * wg * self._shape(t, z) ** 2))
+        z, w = _GAUSS_Z
+        shape_sq = float(np.sum(w * self._shape(t, z) ** 2))
         total = sum(2.0 * abs(g) ** 2 * shape_sq for _, g in self.entries)
         return 2.0 * math.pi * math.sqrt(total)
 
@@ -830,10 +822,7 @@ class ApproxSolution:
     meta: dict = field(default_factory=dict)
 
     def horizontal_modes(self):
-        ks = set()
-        for p in self.parts.values():
-            ks.update(p.horizontal_modes())
-        return sorted(ks)
+        return sorted({k_h for p in self.parts.values() for k_h in p.horizontal_modes()})
 
     def _selected(self, include) -> list:
         """The parts named in `include` (all parts when None), in part order;
@@ -847,10 +836,8 @@ class ApproxSolution:
 
     def hat_profile(self, k_h, t, z, include=None):
         z = np.asarray(z, dtype=float)
-        out = np.zeros((3,) + z.shape, dtype=complex)
-        for p in self._selected(include):
-            out += p.hat_profile(k_h, t, z)
-        return out
+        return sum((p.hat_profile(k_h, t, z) for p in self._selected(include)),
+                   np.zeros((3,) + z.shape, dtype=complex))
 
     def part_norms(self, t: float) -> dict:
         return {name: p.l2_norm(t) for name, p in self.parts.items()}
@@ -1002,7 +989,7 @@ def assemble_wind_approx(sigma: BoundaryTrace, params: Params) -> ApproxSolution
     meta = {"scaling_ok": ok, "scaling": diag, "K": K}
 
     layer = build_B(empty_trace(0), sigma.scaled(params.beta), params)
-    surface = ModulatedBL(params, layer.table, 0j, [(r, 0j) for r in layer.resonant])
+    surface = ModulatedBL(params, layer.table, 0j, layer.resonant)
 
     # flux corrector for the quasi-resonant vertical trace at z = 1
     tab = layer.table

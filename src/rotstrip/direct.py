@@ -74,27 +74,31 @@ def solver_modules() -> SolverModules:
 # ---------------------------------------------------------------------------
 
 
-def graded_nodes(Nz: int, delta: float, min_wall_nodes: int = 8,
-                 max_strength: float = 30.0, max_center_spacing: float = 0.05) -> np.ndarray:
-    """Nodes in [0,1], tanh-clustered so >= min_wall_nodes lie within delta
-    of each wall without starving the interior.  Rejects hopeless (Nz, delta)
-    pairs with the computed requirement instead of silently under-resolving."""
-    if Nz < 4 * min_wall_nodes:
-        raise ValueError(f"Nz={Nz} too small: need at least {4 * min_wall_nodes} nodes")
+#: graded_nodes' nodes within delta of a wall, largest tanh strength and core spacing
+MIN_WALL_NODES, MAX_STRENGTH, MAX_CENTER_SPACING = 8, 30.0, 0.05
+
+
+def graded_nodes(Nz: int, delta: float) -> np.ndarray:
+    """Nodes in [0,1], tanh-clustered so >= MIN_WALL_NODES lie within delta
+    of each wall without starving the interior; the end nodes are 0 and 1
+    exactly.  Rejects hopeless (Nz, delta) pairs with the computed
+    requirement instead of silently under-resolving."""
+    m = MIN_WALL_NODES
+    if Nz < 4 * m:
+        raise ValueError(f"Nz={Nz} too small: need at least {4 * m} nodes")
     xi = np.linspace(0.0, 1.0, Nz + 1)
-    # the bisection only compares node min_wall_nodes: map that node alone
-    probe = xi[min_wall_nodes:min_wall_nodes + 1]
+    probe = xi[m:m + 1]  # the bisection only compares node m: map that node alone
 
     def nodes(s, x=xi):
         return 0.5 * (1.0 + np.tanh(s * (2.0 * x - 1.0)) / math.tanh(s))
 
-    if delta >= min_wall_nodes / Nz:
+    if delta >= m / Nz:
         return xi  # uniform grid already resolves the layer
-    lo, hi = 1e-3, max_strength
+    lo, hi = 1e-3, MAX_STRENGTH
     if nodes(hi, probe)[0] > delta:
         raise ValueError(
-            f"cannot place {min_wall_nodes} nodes within delta={delta:.3e} of the wall "
-            f"with Nz={Nz}: increase Nz (roughly Nz >= {int(min_wall_nodes / delta ** 0.5)})"
+            f"cannot place {m} nodes within delta={delta:.3e} of the wall "
+            f"with Nz={Nz}: increase Nz (roughly Nz >= {int(m / delta ** 0.5)})"
         )
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -103,13 +107,14 @@ def graded_nodes(Nz: int, delta: float, min_wall_nodes: int = 8,
         else:
             hi = mid
     out = nodes(hi)
+    out[0], out[-1] = 0.0, 1.0  # the map may miss the walls by about 1e-16
     spacing = float(np.max(np.diff(out)))
-    if spacing > max_center_spacing:
+    if spacing > MAX_CENTER_SPACING:
         # clustering this strong leaves the core under-resolved
-        need = int(math.ceil(Nz * spacing / max_center_spacing))
+        need = int(math.ceil(Nz * spacing / MAX_CENTER_SPACING))
         raise ValueError(
             f"grading for delta={delta:.3e} leaves a core spacing of {spacing:.3e} "
-            f"(> {max_center_spacing}); increase Nz to roughly {need}"
+            f"(> {MAX_CENTER_SPACING}); increase Nz to roughly {need}"
         )
     return out
 
@@ -429,14 +434,13 @@ def check_save_every(save_every) -> None:
 
 def solve_direct(gamma: SpectralField, sigma, params: Params, t_end: float,
                  dt: float | None = None, Nz: int = 256, grading: np.ndarray | None = None,
-                 save_every: int = 10, diffusion: bool = True,
-                 min_wall_nodes: int = 8) -> dict:
+                 save_every: int = 10, diffusion: bool = True) -> dict:
     """Integrate the full linear system; returns {k_h: ModeTrajectory}.
 
     gamma supplies the initial data (finite eigenmode sum), sigma the surface
     stress table (side-1 BoundaryTrace or None; it needs diffusion, which
     carries the stress condition).  Resolution preconditions are enforced up
-    front: 0 < dt <= eps/10 and a grid with min_wall_nodes nodes inside
+    front: 0 < dt <= eps/10 and a grid with MIN_WALL_NODES nodes inside
     sqrt(eps nu) of each wall.  A t_end >= 0 that is not a whole number of
     steps is reached exactly by shortening dt to t_end / ceil(t_end / dt).
     Every save_every-th step is saved, and the last one; save_every must be
@@ -458,19 +462,16 @@ def solve_direct(gamma: SpectralField, sigma, params: Params, t_end: float,
         nsteps = int(math.ceil(t_end / dt))
         dt = t_end / nsteps
     if grading is None:
-        grading = graded_nodes(Nz, params.layer_scale if diffusion else 1.0,
-                               min_wall_nodes=min_wall_nodes)
+        grading = graded_nodes(Nz, params.layer_scale if diffusion else 1.0)
     z = np.asarray(grading, dtype=float)
 
     stress_table = {}
     if sigma is not None:
-        if isinstance(sigma, BoundaryTrace):
-            if sigma.side != 1:
-                raise ValueError("stress acts on the surface (side 1)")
-            items = sigma.entries()
-        else:
-            items = sorted(sigma.items())
-        for (mu, k_h), v in items:
+        if not isinstance(sigma, BoundaryTrace):
+            raise ValueError(f"sigma must be a BoundaryTrace or None, not {type(sigma).__name__}")
+        if sigma.side != 1:
+            raise ValueError("stress acts on the surface (side 1)")
+        for (mu, k_h), v in sigma.entries():
             stress_table.setdefault(tuple(k_h), []).append((float(mu), np.asarray(v, dtype=complex)))
     if stress_table and not diffusion:
         raise ValueError(
@@ -587,8 +588,11 @@ class DecayFit:
     npoints: int
 
 
-def fit_decay(traj: ModeTrajectory, window: tuple, mode,
-              residual_tol: float = 0.1) -> DecayFit:
+#: fit_decay flags a window whose log-amplitude misses its fitted line by more
+FIT_RESIDUAL_TOL = 0.1
+
+
+def fit_decay(traj: ModeTrajectory, window: tuple, mode) -> DecayFit:
     """Least-squares exponential fit of the projected mode amplitude.
 
     Fits log c(t) = log c0 - rate * t over the window (complex rate: decay +
@@ -610,7 +614,7 @@ def fit_decay(traj: ModeTrajectory, window: tuple, mode,
     rate = -coef[1]
     fitres = float(np.max(np.abs(A @ coef - logc)))
     reasons = []
-    if fitres > residual_tol:
+    if fitres > FIT_RESIDUAL_TOL:
         reasons.append("non-exponential window")
     if rate.real > 0 and (t1 - t0) * rate.real < 1.0:
         reasons.append("window shorter than one slow e-fold")

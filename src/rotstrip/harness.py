@@ -146,7 +146,10 @@ def _write_csv(path, header, rows):
 # ---------------------------------------------------------------------------
 
 
-def compare(direct: dict, approx, times, attribution_tol: float = 1e-3):
+ATTRIBUTION_TOL = 1e-3  # compare's metric slack, relative to 1 + part norm + error
+
+
+def compare(direct: dict, approx, times):
     """Sup-over-times L2 differences between a direct solve and an assembled
     approximation, with per-part attribution.
 
@@ -188,8 +191,7 @@ def compare(direct: dict, approx, times, attribution_tol: float = 1e-3):
             norm_n = p.l2_norm(t_actual)
             part_norms[n].append(norm_n)
             err_n = 2.0 * math.pi * math.sqrt(err_wo[n])
-            slack = attribution_tol * (1.0 + norm_n + err)
-            if abs(err_n - err) > norm_n + slack:
+            if abs(err_n - err) > norm_n + ATTRIBUTION_TOL * (1.0 + norm_n + err):
                 flags.append({"time": t_actual, "part": n,
                               "excess": abs(err_n - err) - norm_n})
     return {

@@ -663,7 +663,7 @@ class BoundaryLayerSolution:
     quasi-resonant thick-layer profiles (|mu| = 1, k_h != 0; table.quasi)
     and the resonant self-similar parts (|mu| = 1, k_h = 0), one
     ResonantLayer per wall with resonant content.  Its profiles are those of
-    correctors.ModulatedBL(params, table, 0j, [(r, 0j) for r in resonant])."""
+    correctors.ModulatedBL(params, table, 0j, resonant)."""
 
     table: LayerTable
     resonant: list

@@ -854,8 +854,8 @@ def ref_modulated_column(part, k_h, t, z):
             if tab.keep[i, j]:
                 out += np.multiply.outer(weight * tab.amps[i, j], np.exp(-tab.q[i, j] * zeta))
     if tuple(k_h) == (0, 0):
-        for layer, rate in part.resonant:
-            out += layer.value(t, z) * np.exp(-rate * t)
+        for layer in part.resonant:
+            out += layer.value(t, z)
     return out
 
 
@@ -876,8 +876,8 @@ def ref_modulated_l2(part, t):
                 integral = 1.0 if abs(Q) < 1e-14 else (1.0 - np.exp(-Q)) / Q
                 total += (np.vdot(b, a) * integral).real
     total *= (2.0 * math.pi) ** 2
-    for layer, rate in part.resonant:
-        total += abs(np.exp(-rate * t)) ** 2 * layer.l2_norm_h(t) ** 2
+    for layer in part.resonant:
+        total += layer.l2_norm_h(t) ** 2
     return math.sqrt(total)
 
 
@@ -886,8 +886,9 @@ class TestModulatedProfiles:
 
     def part(self, seed=3, wide=75):
         """A bottom layer on mixed columns: classical, quasi-resonant and
-        k_h = 0 rows from several traces with their own rates, resonant
-        layers on k_h = 0, and `wide` one-entry traces on column (2, -1)."""
+        k_h = 0 rows from several traces with their own rates, unmodulated
+        resonant layers on k_h = 0, and `wide` one-entry traces on column
+        (2, -1)."""
         rng = np.random.default_rng(seed)
 
         def vec():
@@ -900,7 +901,7 @@ class TestModulatedProfiles:
         table, resonant = build_layers([(BoundaryTrace(0, t), empty_trace(1)) for t in tables],
                                        self.P)
         rates = rng.uniform(0.0, 2.0, len(tables)) + 1j * rng.uniform(-1.0, 1.0, len(tables))
-        layers = [(layer, rates[i]) for i, pair in enumerate(resonant) for layer in pair]
+        layers = [layer for pair in resonant for layer in pair]
         assert layers
         return ModulatedBL(self.P, table, rates[table.pair], layers)
 
@@ -983,7 +984,7 @@ class TestModulatedProfiles:
             # every kept rate once, blocks spanning columns, a new block only
             # past LAYER_BLOCK entries, the heights past the cut skipped
             assert sum(n for block in blocks for n, _ in block) == rates
-            assert len(blocks) < sum(len(part._columns) for part in parts)
+            assert len(blocks) < sum(len(set(part.table.columns())) for part in parts)
             assert all(sum(size for _, size in block[:-1]) < layers.LAYER_BLOCK
                        for block in blocks)
             assert sum(size for block in blocks for _, size in block) < 800 * rates
@@ -992,7 +993,7 @@ class TestModulatedProfiles:
             monkeypatch.setattr(layers, "LAYER_BLOCK", 1)
             blocks.clear()
             assert sol.total_norm(0.1) == pytest.approx(norm, rel=1e-15)
-            assert len(blocks) == sum(len(part._columns) for part in parts)
+            assert len(blocks) == sum(len(set(part.table.columns())) for part in parts)
             monkeypatch.setattr(layers, "LAYER_BLOCK", cap)
             # a profiles call over some columns: one block for all of them
             part = parts[0]
@@ -1012,10 +1013,10 @@ class TestModulatedProfiles:
         got = part.profiles(0.137, z, columns)
         shuffled = np.random.default_rng(0).permutation(len(z))
         full = part.profiles(0.137, z[shuffled], columns)
-        tab, weights = part.table, part._weights(0.137)
+        tab = part.table
         for c, k_h in enumerate(columns):
-            rows = part._columns.get(k_h, [])
-            amp = np.sum(np.abs(tab.amps[rows] * weights[rows, None, None]))
+            rows = np.flatnonzero((tab.k_h == k_h).all(axis=1))
+            amp = np.sum(np.abs(tab.amps[rows] * part._weights(0.137, rows)[:, None, None]))
             assert np.abs(got[c][:, shuffled] - full[c]).max() <= (
                 4.3e-18 * amp + 1e-15 * np.abs(full[c]).max())
 
@@ -1491,3 +1492,110 @@ class TestTruncation:
                 lambda v: ref_dirichlet_source(v["k"], v["mu"], v["a_k"], v["kh2"], v["c0"],
                                                v["eps"]))
             assert len(calls) == 3 and min(calls) > 0
+
+
+# -- a column is one slice of a part's sorted rows ----------------------------
+
+
+class TestColumnSlices:
+    P = Params(1e-3, 1e-3, beta=1.0)
+
+    def approximations(self):
+        sigma = BoundaryTrace(1, {(1.0, (1, 0)): np.array([1.0, 0.5j]),
+                                  (0.0, (0, 2)): np.array([0.2, 0.1]),
+                                  (0.5, (1, -1)): np.array([0.3j, -0.4]),
+                                  (1.0, (0, 0)): np.array([1.0, 0.0])})
+        gamma = SpectralField({(1, 0, 1): 1.0, (0, 1, -1): 0.7j, (1, 1, 2): 0.5,
+                               (0, 0, 1): 0.3})
+        return [assemble_wind_approx(sigma, self.P),
+                assemble_dirichlet_approx(gamma, self.P, "zero_ic")]
+
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
+    def test_a_column_alone_equals_it_among_others(self):
+        kinds = (SpectralPart, ModulatedBL, OscillatingPoly)
+        z = _norm_grid(self.P, 400)
+        seen = set()
+        for sol in self.approximations():
+            columns = sol.horizontal_modes() + [(5, 5)]  # (5, 5) is not held
+            for part in sol.parts.values():
+                if not isinstance(part, kinds):
+                    continue
+                seen.add(type(part))
+                for t in (0.0, 0.137):
+                    together = part.profiles(t, z, columns)
+                    for k_h, col in zip(columns, together):
+                        assert np.array_equal(part.profiles(t, z, [k_h])[0], col)
+                    # the same columns in reverse order, one listed twice
+                    again = part.profiles(t, z, columns[::-1] + columns[:1])
+                    assert np.array_equal(again[:-1], together[::-1])
+                    assert np.array_equal(again[-1], together[0])
+        assert seen == set(kinds)
+
+    def test_spectral_rows_in_shuffled_chunk_order(self):
+        rng = np.random.default_rng(5)
+        chunks = []
+        for k_h in ((1, 0), (0, 2), (-1, 1)):
+            for l3s in ((1, -2, 3, 7), (-1, 2, -3), (-7, 4)):  # l3 and -l3 in other chunks
+                modes = np.array([(k_h[0], k_h[1], l3) for l3 in l3s for _ in range(2)])
+                n = len(modes)
+                chunks.append((modes, rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                               rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 2.0, n)))
+        z = np.linspace(0.0, 1.0, 57)
+        columns = [(1, 0), (0, 2), (-1, 1), (3, 0)]
+        want = None
+        for order in ([*range(len(chunks))], rng.permutation(len(chunks)),
+                      rng.permutation(len(chunks))):
+            part = SpectralPart(self.P)
+            for i in order:
+                part.add_rows(*chunks[i])
+            got = [part.profiles(t, z, columns) for t in (0.0, 0.21)]
+            if want is None:
+                want = got
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("ncol", [1, 3, 12])
+    def test_one_vandermonde_product_per_lift_call(self, monkeypatch, ncol):
+        osc = OscillatingPoly(self.P)
+        keys = [(1 + i % 4, i // 4) for i in range(12)]
+        rng = np.random.default_rng(ncol)
+        for mu in (0.0, 0.4, -1.3):
+            coef = rng.standard_normal((12, 3, 5)) + 1j * rng.standard_normal((12, 3, 5))
+            osc.add(ZPolyField.of(keys, coef), mu, 0.2)
+        osc.add(lift_interior_vint1({(1, 0): 0.3 - 0.2j}), 0.7)
+        z = np.linspace(0.0, 1.0, 33)
+        columns = keys[:ncol]
+        want = np.array([sum(f.hat_profile(k_h, z) * np.exp(1j * mu * 0.3 / self.P.epsilon
+                                                              - rate * 0.3)
+                             for f, mu, rate in osc.entries) for k_h in columns])
+        calls = []
+        vander = np.vander
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return vander(*args, **kwargs)
+
+        monkeypatch.setattr(np, "vander", counted)
+        got = osc.profiles(0.3, z, columns)
+        assert len(calls) == 1
+        assert_column_close(got, want, rel=1e-13)
+
+    def test_lifts_read_modes_at_call_time(self):
+        f = stopping_lift({(1, 0): (np.array([1.0, 2j]), 0.5)},
+                          {(1, 0): (np.array([0.1, 0.0]), -0.25j)})
+        osc = OscillatingPoly(self.P)
+        osc.add(f, 0.0)
+        z = np.linspace(0.0, 1.0, 9)
+        before = osc.hat_profile((1, 0), 0.0, z)
+        assert f.divergence_residual() < 1e-12
+        p1, p2, p3 = f.modes[(1, 0)]
+        f.modes[(1, 0)] = (p1, p2, p3 + Polynomial([0.0, 0.0, 1.0]))
+        # dz of z^2 on the Gauss nodes, largest at the top node
+        top = 0.5 * (np.polynomial.legendre.leggauss(24)[0].max() + 1.0)
+        assert f.divergence_residual() == pytest.approx(2.0 * top, rel=1e-12)
+        assert f.trace(1)[(1, 0)][2] == pytest.approx(p3(1.0) + 1.0, rel=1e-14)
+        assert_column_close(osc.hat_profile((1, 0), 0.0, z)[2], before[2] + z ** 2, rel=1e-14)
+        for k_h, (q1, q2, q3) in f.items():
+            assert_column_close(f.hat_profile(k_h, z), np.array([q1(z), q2(z), q3(z)]),
+                                rel=1e-14)
+            assert np.allclose(f.dz_horizontal_trace(0)[k_h],
+                               [q1.deriv()(0.0), q2.deriv()(0.0)], rtol=1e-14, atol=0.0)

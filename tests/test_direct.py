@@ -103,7 +103,9 @@ class TestGrid:
                     lo = mid
                 else:
                     hi = mid
-            return nodes(hi)
+            out = nodes(hi)
+            out[0], out[-1] = 0.0, 1.0  # graded_nodes pins the end nodes to the walls
+            return out
 
         checked = 0
         for Nz in (32, 48, 100, 128, 256, 512, 1024):
@@ -120,6 +122,14 @@ class TestGrid:
                 assert np.array_equal(graded_nodes(Nz, float(delta)), ref)
                 checked += 1
         assert checked > 100
+
+    @pytest.mark.parametrize("Nz, delta", [(64, 0.01), (96, 0.03), (256, 0.01), (256, 0.03),
+                                           (512, 0.01), (192, 1e-3)])
+    def test_end_nodes_are_the_walls(self, Nz, delta):
+        # on these grids the tanh map rounds z[0] to -1.1e-16 or 5.6e-17
+        z = graded_nodes(Nz, delta)
+        assert z[0] == 0.0 and z[-1] == 1.0
+        assert np.all(np.diff(z) > 0)
 
     def test_weights_sum_to_one(self):
         z = graded_nodes(128, 1e-3)
@@ -182,6 +192,13 @@ class TestSolveDirect:
         with pytest.raises(ValueError, match=f"save_every={save_every!r}"):
             solve_direct(SpectralField({(1, 0, 1): 1.0}), None, p, t_end=0.01, Nz=64,
                          save_every=save_every)
+
+    def test_rejects_sigma_that_is_not_a_boundary_trace(self):
+        # a {(mu, k_h): vector} dict was once taken as a stress table
+        p = Params(1e-2, 1e-2, beta=1.0)
+        with pytest.raises(ValueError, match="BoundaryTrace or None, not dict"):
+            solve_direct(SpectralField({}), {(0.0, (1, 0)): np.array([1.0, 0.0])}, p,
+                         t_end=0.01, Nz=64)
 
     def test_rejects_stress_without_diffusion(self):
         # the stress condition is a viscous one: dropping it would return a

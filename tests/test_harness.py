@@ -432,6 +432,18 @@ class TestCLI:
             assert exc.value.code == 2
             assert f"save_every={value!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("direct", "Nz", 64.9), ("compare", "Nz", True), ("compare", "nt", 9.5),
+        ("envelope", "nt", 6.0), ("modes", "kmax", 1.7)])
+    def test_integer_keys_are_not_truncated(self, tmp_path, capsys, command, key, value):
+        # int() would run "Nz": 64.9 with Nz = 64 and "kmax": 1.7 with kmax = 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 1e-2, "nu": 1e-2, key: value}))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"{key}={value!r} must be an integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, entries, message", [
         ("direct", {"dt_factor": 5}, "too coarse"),
         ("direct", {"gamma": {"1,0": 1.0}}, "three components"),

@@ -312,7 +312,7 @@ def one_rate_table(side, lam, w, mu, k_h, params, alpha=1.0):
 def layer_profile(sol, k_h, t, z):
     """Coefficient of e^{i k_h.x_h} of a layer solution at time t: its
     table and resonant layers as one unmodulated ModulatedBL."""
-    part = ModulatedBL(sol.params, sol.table, 0j, [(r, 0j) for r in sol.resonant])
+    part = ModulatedBL(sol.params, sol.table, 0j, sol.resonant)
     return part.hat_profile(k_h, t, z)
 
 
