@@ -10,8 +10,8 @@ initially wall-trapped response occupies the full depth.
 
 import numpy as np
 
-from rotstrip import BoundaryTrace, Params, SpectralField, build_B, empty_trace, solve_direct
-from rotstrip.correctors import HeatColumn
+from rotstrip import (BoundaryTrace, HeatColumn, Params, SpectralField, build_B, empty_trace,
+                      solve_direct)
 from rotstrip.direct import l2_norm
 
 print(__doc__)
@@ -28,14 +28,14 @@ traj = out[(0, 0)]
 
 bl = build_B(empty_trace(0), sigma.scaled(p.beta), p)
 (layer,) = bl.resonant
-strip = HeatColumn.from_resonant_layer(layer, p)
+strip = HeatColumn(layer.side, layer.nu, layer.epsilon, layer.entries)
 
 print("\n   t      nu*t   ||u_direct||   rel.err vs self-similar   rel.err vs strip")
 for i, t in enumerate(traj.times):
     if i % 2 or t == 0.0:
         continue
     u = traj.snapshots[i][0]
-    nrm = strip.l2_norm(t)
+    nrm = strip.l2_norm_h(t)
 
     def rel(ref):
         e = 2 * np.pi * np.sqrt(np.sum(traj.weights * np.sum(np.abs(u.T - ref) ** 2, axis=0)))
@@ -43,7 +43,7 @@ for i, t in enumerate(traj.times):
 
     print(f"  {t:6.1f}  {p.nu * t:6.3f}   {l2_norm(u, traj.weights):10.4f}"
           f"   {rel(layer.value(t, traj.z)):18.3f}"
-          f"   {rel(strip.hat_profile((0, 0), t, traj.z)):14.3f}")
+          f"   {rel(strip.value(t, traj.z)):14.3f}")
 
 print("\nThe half-space self-similar description degrades once the layer width")
 print("sqrt(nu t) reaches the bottom wall; the strip heat response (no-slip")

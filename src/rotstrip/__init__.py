@@ -21,6 +21,7 @@ from .spectral import (
 )
 from .traces import BoundaryTrace, empty_trace
 from .layers import (
+    HeatColumn,
     build_B,
     decay_rates,
     filter_resonant,
@@ -36,14 +37,12 @@ from .envelope import (
 )
 from .correctors import (
     ExpSource,
-    HeatColumn,
     SourceTable,
     assemble_dirichlet_approx,
     assemble_wind_approx,
     divisor_bounds,
     lift_interior_vint0,
     lift_interior_vint1,
-    scalar_product_forms,
     scaling_check,
     small_divisor_corrector,
     stopping_lift,

@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import os
 import sys
 
 import numpy as np
 
-from .params import Params
+from .params import Params, check_integer
 from .spectral import SpectralField
 from .layers import BoundaryTrace, build_B, trace_residuals
 from .harness import (
@@ -106,14 +107,6 @@ REQUIRED_KEYS = {"sweep": {f.name for f in dataclasses.fields(ExperimentSpec)
                            and f.default_factory is dataclasses.MISSING}}
 
 
-def _integer(cfg: dict, key: str, default: int) -> int:
-    """cfg.get(key, default), rejected, not truncated, unless an integer."""
-    value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):  # a bool is not one
-        raise ValueError(f"{key}={value!r} must be an integer")
-    return value
-
-
 def params_from(cfg: dict) -> Params:
     return Params(
         epsilon=float(cfg.get("epsilon", 1e-3)),
@@ -154,16 +147,13 @@ def seedless_guard(enabled: bool):
 
 def cmd_modes(cfg, outdir):
     p = params_from(cfg)
-    kmax = _integer(cfg, "kmax", 3)
+    kmax = check_integer("kmax", cfg.get("kmax", 3))
     modes = cfg.get("modes")
     if modes:
         modes = [tuple(int(c) for c in str(m).split(",")) for m in modes]
     else:
-        modes = [(k1, k2, k3)
-                 for k1 in range(-kmax, kmax + 1)
-                 for k2 in range(-kmax, kmax + 1)
-                 for k3 in range(-kmax, kmax + 1)
-                 if (k1, k2, k3) != (0, 0, 0)]
+        modes = [k for k in itertools.product(range(-kmax, kmax + 1), repeat=3)
+                 if k != (0, 0, 0)]
     write_damping_csv(modes, p, os.path.join(outdir, "modes.csv"))
     return []
 
@@ -209,7 +199,7 @@ def cmd_envelope(cfg, outdir):
     p = params_from(cfg)
     gamma = parse_gamma(cfg.get("gamma", {"1,0,1": 1.0}))
     t_end = float(cfg.get("t_end", 1.0))
-    nt = _integer(cfg, "nt", 21)
+    nt = check_integer("nt", cfg.get("nt", 21))
     envelope_csv(gamma, p, np.linspace(0.0, t_end, nt), os.path.join(outdir, "envelope.csv"))
     write_damping_csv(gamma.modes(), p, os.path.join(outdir, "modes.csv"))
     return []
@@ -219,7 +209,8 @@ def _solve(cfg, p, gamma, sigma, t_end):
     """solve_direct with the config's dt = epsilon / dt_factor, Nz and save_every."""
     return solve_direct(gamma, sigma, p, t_end=t_end,
                         dt=p.epsilon / float(cfg.get("dt_factor", 10.0)),
-                        Nz=_integer(cfg, "Nz", 256), save_every=cfg.get("save_every", 10))
+                        Nz=check_integer("Nz", cfg.get("Nz", 256)),
+                        save_every=cfg.get("save_every", 10))
 
 
 def cmd_direct(cfg, outdir):
@@ -238,7 +229,7 @@ def cmd_compare(cfg, outdir):
     p = params_from(cfg)
     case = cfg.get("case", "dirichlet")
     t_end = float(cfg.get("t_end", 0.2))
-    nt = _integer(cfg, "nt", 9)
+    nt = check_integer("nt", cfg.get("nt", 9))
     if case == "dirichlet":
         gamma = parse_gamma(cfg.get("gamma", {"1,0,1": 1.0}))
         direct = _solve(cfg, p, gamma, None, t_end)

@@ -11,7 +11,6 @@ problems.
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -28,12 +27,9 @@ from .spectral import (
     eigenvalues,
     euclidean_norm,
 )
-from .layers import (BoundaryTrace, LayerTable, _amplitude_l2, _kh_tuple, build_B,
-                     build_layers, empty_trace, wall_layers)
+from .layers import (_GAUSS_Z, BoundaryTrace, HeatColumn, ModulatedBL, _column_index, _kh_tuple,
+                     _Part, _slices, build_B, build_layers, empty_trace, wall_layers)
 from .envelope import pumping
-
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
-_GAUSS_Z = 0.5 * (_GAUSS_X + 1.0), 0.5 * _GAUSS_W  # nodes and weights on [0, 1]
 
 
 def _polyval(coef, z) -> np.ndarray:
@@ -263,17 +259,6 @@ def column_forms(k_h, l3) -> tuple:
     return F1, F2, G, lam
 
 
-def scalar_product_forms(l) -> tuple:
-    """(F1, F2) of column_forms at the one mode l."""
-    F1, F2, _, _ = column_forms(l[:2], [l[2]])
-    return complex(F1[0]), complex(F2[0])
-
-
-def vertical_unit_product(l) -> complex:
-    """<N_l | (0,0,1) e^{i l_h.x_h}> of column_forms at the one mode l."""
-    return complex(column_forms(l[:2], [l[2]])[2][0])
-
-
 # ---------------------------------------------------------------------------
 # small-divisor correctors
 # ---------------------------------------------------------------------------
@@ -429,14 +414,21 @@ def small_divisor_corrector(source: SourceTable, K: int, params: Params, t: floa
     return SpectralField(out)
 
 
-def truncation_choice(params: Params, regime: str, s0: float = 2.0) -> int:
-    """Truncation K balancing the corrector size against the projection tail.
+#: the regularity s0 of the stress that the wind truncations assume
+TRUNCATION_S0 = 2.0
+#: the stress smallness scaling beta <= SCALING_C nu^{-SCALING_ALPHA0} eps^{1/4}
+SCALING_C, SCALING_ALPHA0 = 1.0, 0.55
+
+
+def truncation_choice(params: Params, regime: str) -> int:
+    """Truncation K balancing the corrector size against the projection tail,
+    s0 = TRUNCATION_S0:
 
     wind_small_nu (nu <= eps): K = (eps nu)^{-1/(2(s0+2))}
     wind_large_nu (nu >= eps): K = (nu sqrt(eps))^{-1/(s0+3)}
     dirichlet:                 K = eps^{-1/2}
     """
-    eps, nu = params.epsilon, params.nu
+    eps, nu, s0 = params.epsilon, params.nu, TRUNCATION_S0
     if regime == "wind_small_nu":
         K = (eps * nu) ** (-1.0 / (2.0 * (s0 + 2.0)))
     elif regime == "wind_large_nu":
@@ -448,15 +440,15 @@ def truncation_choice(params: Params, regime: str, s0: float = 2.0) -> int:
     return int(math.ceil(K - 1e-12))
 
 
-def scaling_check(params: Params, C: float = 1.0, alpha0: float = 0.55):
+def scaling_check(params: Params):
     """Check the stress amplitude against beta <= C nu^{-alpha0} eps^{1/4}
-    (alpha0 < 7/12) and report the three downstream smallness conditions."""
-    if not (0.0 < alpha0 < 7.0 / 12.0):
-        raise ValueError("alpha0 must lie in (0, 7/12)")
+    (C = SCALING_C, alpha0 = SCALING_ALPHA0 < 7/12) and report the three
+    downstream smallness conditions."""
     eps, nu, beta = params.epsilon, params.nu, params.beta
-    ok = beta <= C * nu ** (-alpha0) * eps ** 0.25
+    bound = SCALING_C * nu ** (-SCALING_ALPHA0) * eps ** 0.25
+    ok = beta <= bound
     diagnostics = {
-        "bound": C * nu ** (-alpha0) * eps ** 0.25,
+        "bound": bound,
         "beta": beta,
         # derived smallness quantities; each must vanish as eps, nu -> 0
         "cond_surface_layer": beta * nu ** 0.75,
@@ -470,47 +462,6 @@ def scaling_check(params: Params, C: float = 1.0, alpha0: float = 0.55):
 # ---------------------------------------------------------------------------
 # assembled approximate solutions
 # ---------------------------------------------------------------------------
-
-
-class _Part:
-    """A part of an approximation.  profiles(t, z, columns, out) evaluates the
-    listed columns k_h together and adds them into out, an array of shape
-    (len(columns), 3) + z.shape (zeros when not given), which it returns; a
-    column the part does not hold adds nothing.  Each part adds its columns
-    in _add(t, z, columns, out), z an array; hat_profile is the one-column
-    view."""
-
-    def profiles(self, t, z, columns, out=None):
-        z = np.asarray(z, dtype=float)
-        if out is None:
-            out = np.zeros((len(columns), 3) + z.shape, dtype=complex)
-        self._add(t, z, columns, out)
-        return out
-
-    def hat_profile(self, k_h, t, z):
-        return self.profiles(t, z, [k_h])[0]
-
-
-def _column_index(k_h):
-    """The index of a table whose rows k_h (n, 2) are sorted by column: the
-    distinct columns, a sorted list of tuples, and their first rows, then n."""
-    new = np.ones(len(k_h), dtype=bool)
-    new[1:] = np.any(k_h[1:] != k_h[:-1], axis=1)
-    first = np.flatnonzero(new).tolist()
-    return [tuple(k) for k in k_h[first].tolist()], first + [len(k_h)]
-
-
-def _slices(index, columns) -> list:
-    """(i, a, b) for each listed column columns[i] that a sorted table holds,
-    found by bisection in its index (columns, starts): its rows a .. b - 1."""
-    keys, starts = index
-    out = []
-    for i, k_h in enumerate(columns):
-        k_h = _kh_tuple(k_h)
-        j = bisect.bisect_left(keys, k_h)
-        if j < len(keys) and keys[j] == k_h:
-            out.append((i, starts[j], starts[j + 1]))
-    return out
 
 
 class OscillatingPoly(_Part):
@@ -659,150 +610,6 @@ class SpectralPart(_Part):
     def l2_norm(self, t: float) -> float:
         coef = self._coefficients(t, 0, len(self._table()))
         return math.sqrt(float(np.sum(np.abs(coef) ** 2)))
-
-
-class ModulatedBL(_Part):
-    """Wall layers with slow exponential amplitude modulation: the rows of a
-    layer table, row i times e^{-rates[i] t}, plus resonant layers on k_h =
-    0.  The table's rows are put once, at construction, in a stable order
-    of their columns, so that a column's rows are one slice."""
-
-    def __init__(self, params: Params, table: LayerTable, rates=0j, resonant=()):
-        self.params = params
-        self.table = table
-        self.rates = np.broadcast_to(np.asarray(rates, dtype=complex), (len(table),))
-        self.resonant = list(resonant)
-        self._order = np.lexsort(table.k_h.T[::-1])  # by k1, then k2; stable
-        self._index = _column_index(table.k_h[self._order])
-
-    def _weights(self, t, rows) -> np.ndarray:
-        """e^{i mu t/eps} e^{-rate t} of the rows, mu t/eps in real
-        arithmetic as the scalar formula rounds it."""
-        return (np.exp(1j * (self.table.mu[rows] * t / self.params.epsilon))
-                * np.exp(-self.rates[rows] * t))
-
-    def _add(self, t, z, columns, out):
-        """The rows of all listed columns from one exp(-q zeta) block."""
-        held = [(i, self._order[a:b]) for i, a, b in _slices(self._index, columns)]
-        if held:
-            rows = np.concatenate([r for _, r in held])
-            column = np.concatenate([np.full(len(r), i) for i, r in held])
-            self.table.profiles(rows, self._weights(t, rows), column, z, out)
-        for i in [i for i, k_h in enumerate(columns) if _kh_tuple(k_h) == (0, 0)]:
-            for layer in self.resonant:
-                out[i] += layer.value(t, z)
-
-    def horizontal_modes(self):
-        return sorted(set(self.table.columns()) | ({(0, 0)} if self.resonant else set()))
-
-    def l2_norm(self, t: float) -> float:
-        """Exact L2 norm at time t.  On each column the kept rates of every
-        row, times their row's weight, enter one closed-form Gram sum, so
-        cross terms between rows count; this needs the column's layers on one
-        wall.  The resonant k_h = 0 layers are added in quadrature: the
-        classical remainder sharing their column carries the orthogonal
-        circular polarisation."""
-        tab = self.table
-        total = 0.0
-        for rows in np.split(self._order, self._index[1][1:-1]):
-            if len(set(tab.side[rows].tolist())) > 1:
-                raise ValueError(f"column {_kh_tuple(tab.k_h[rows[0]])} holds layers of both "
-                                 "walls; a modulated layer lives on one wall")
-            keep = tab.keep[rows]
-            amps = (tab.amps[rows] * self._weights(t, rows)[:, None, None])[keep]
-            total += float(_amplitude_l2(amps, tab.q[rows][keep])) ** 2
-        for layer in self.resonant:
-            total += layer.l2_norm_h(t) ** 2
-        return math.sqrt(total)
-
-    def frozen_dt_bound(self) -> float:
-        """Majorant of the equation defect from slowly modulating layers built
-        for frozen amplitudes: sum over the traces the rows came from (their
-        pair) of the root-sum-square over the trace's rows of |rate| times
-        the row's norm, that is |rate| times the trace's layer norm."""
-        norm_h, norm_3 = self.table.norms()
-        sq = np.abs(self.rates) ** 2 * (norm_h ** 2 + norm_3 ** 2)
-        return float(np.sum(np.sqrt(np.bincount(self.table.pair, weights=sq))))
-
-    def horizontal_wall_trace_norm(self, wall: int) -> float:
-        return math.sqrt(float(np.sum(np.abs(self.table.wall_traces(wall)[0]) ** 2)))
-
-    def dz_horizontal_trace_norm(self, wall: int) -> float:
-        return math.sqrt(float(np.sum(np.abs(self.table.wall_traces(wall)[2]) ** 2)))
-
-
-class HeatColumn(_Part):
-    """Resonant k_h = 0 response of the strip to one constant filtered wall
-    datum g: the filtered column solves the heat equation with conductivity
-    nu.  Side 0: value g at the bottom, stress-free top; side 1: stress g at
-    the top, no-slip bottom.  With w_m = (m+1/2) pi,
-
-        side 0:  v(t, z) = g [1 - sum_m 2/w_m e^{-nu w_m^2 t} sin(w_m z)],
-        side 1:  v(t, z) = g [z - sum_m 2(-1)^m/w_m^2 e^{-nu w_m^2 t} sin(w_m z)],
-
-    exact at both walls at every t (sin(0) = cos(w_m) = 0).  Side 0 stays
-    bounded by |g| uniformly in time; side 1 grows from 0 toward the linear
-    shear g z on the 1/nu time scale, the destabilization of the whole
-    column.  For nu t << 1 each matches its wall's half-space self-similar
-    profile up to exponentially small terms.
-    """
-
-    M_MODES = 400
-    BLOCK = 20  # the series runs over m = BLOCK j + i, i < BLOCK
-
-    def __init__(self, params: Params, side: int, entries=None):
-        if side not in (0, 1):
-            raise ValueError("side must be 0 (bottom value) or 1 (top stress)")
-        self.params = params
-        self.side = side
-        self.entries = list(entries) if entries else []  # (m=+-1, amplitude g)
-        m = np.arange(self.M_MODES)
-        self._freqs = (m + 0.5) * math.pi
-        self._coeffs = 2.0 / self._freqs if side == 0 else 2.0 * (-1.0) ** m / self._freqs ** 2
-
-    @classmethod
-    def from_resonant_layer(cls, layer, params: Params):
-        return cls(params, layer.side, layer.entries)
-
-    def add(self, mu_sign: float, amplitude: complex):
-        if amplitude != 0:
-            self.entries.append((math.copysign(1.0, mu_sign), complex(amplitude)))
-
-    def _shape(self, t, z):
-        """The series at time t on the heights z, factorised: w_m = B pi j +
-        w_i for m = B j + i, so sin(w_m z) = sin(B pi j z) cos(w_i z) +
-        cos(B pi j z) sin(w_i z), and the sum is two (M/B, B) @ (B, len(z))
-        products over 2 (M/B + B) trig rows instead of M sine rows."""
-        z = np.asarray(z, dtype=float)
-        B = self.BLOCK
-        a = (self._coeffs * np.exp(-self.params.nu * self._freqs ** 2 * t)).reshape(-1, B)
-        inner = np.multiply.outer(self._freqs[:B], z.ravel())
-        outer = np.multiply.outer(B * math.pi * np.arange(len(a)), z.ravel())
-        theta = np.einsum("jz,jz->z", np.sin(outer), a @ np.cos(inner)) \
-            + np.einsum("jz,jz->z", np.cos(outer), a @ np.sin(inner))
-        return (1.0 if self.side == 0 else z) - theta.reshape(z.shape)
-
-    def _add(self, t, z, columns, out):
-        mean = [i for i, k_h in enumerate(columns) if _kh_tuple(k_h) == (0, 0)]
-        if not mean:
-            return
-        shape = self._shape(t, z)
-        col = np.zeros((3,) + z.shape, dtype=complex)
-        for m, g in self.entries:
-            pol = np.array([1.0, 1j * m, 0.0])
-            phase = np.exp(1j * m * t / self.params.epsilon)
-            col += np.multiply.outer(g * phase * pol, shape)
-        for i in mean:
-            out[i] += col
-
-    def horizontal_modes(self):
-        return [(0, 0)] if self.entries else []
-
-    def l2_norm(self, t: float) -> float:
-        z, w = _GAUSS_Z
-        shape_sq = float(np.sum(w * self._shape(t, z) ** 2))
-        total = sum(2.0 * abs(g) ** 2 * shape_sq for _, g in self.entries)
-        return 2.0 * math.pi * math.sqrt(total)
 
 
 @dataclass
@@ -988,11 +795,10 @@ def assemble_wind_approx(sigma: BoundaryTrace, params: Params) -> ApproxSolution
     K = truncation_choice(params, "wind_small_nu" if nu <= eps else "wind_large_nu")
     meta = {"scaling_ok": ok, "scaling": diag, "K": K}
 
-    layer = build_B(empty_trace(0), sigma.scaled(params.beta), params)
-    surface = ModulatedBL(params, layer.table, 0j, layer.resonant)
+    surface = build_B(empty_trace(0), sigma.scaled(params.beta), params)
 
     # flux corrector for the quasi-resonant vertical trace at z = 1
-    tab = layer.table
+    tab = surface.table
     top = tab.wall_traces(1)[1]
     flux = dict(sorted(((float(tab.mu[i]), _kh_tuple(tab.k_h[i])), top[i])
                        for i in np.flatnonzero(tab.quasi & (top != 0))))
@@ -1050,9 +856,8 @@ def assemble_wind_approx(sigma: BoundaryTrace, params: Params) -> ApproxSolution
         "truncated_response_norm": eps * math.sqrt(tail_sq),
         "frozen_coefficient_dt": secondary.frozen_dt_bound(),
         "stopping_lift_equation": _lift_equation_bound(lift, params),
-        "bottom_horizontal_trace": surface.horizontal_wall_trace_norm(0),
-        "secondary_top_traces": (secondary.horizontal_wall_trace_norm(1)
-                                 + secondary.dz_horizontal_trace_norm(1)),
+        "bottom_horizontal_trace": surface.wall_trace_norms(0)[0],
+        "secondary_top_traces": sum(secondary.wall_trace_norms(1)),
     }
     sol = ApproxSolution(params=params, parts=parts, residuals=residuals, meta=meta)
     residuals["initial_mismatch"] = sol.total_norm(0.0)
@@ -1097,12 +902,12 @@ def assemble_dirichlet_approx(gamma: SpectralField, params: Params,
 
     # bottom layer from the interior's horizontal trace at z = 0; the fully
     # resonant k_h = 0 trace drives the strip heat column instead
-    resonant_col = HeatColumn(params, 0)
+    column = HeatColumn(0, params.nu, eps)
     for k in modes:
         if k[:2] == (0, 0):
-            m = math.copysign(1.0, -eigenvalue(k))
-            trace = -gamma[k] * basis_normal(k)[:2]
-            resonant_col.add(m, 0.5 * complex(np.vdot(np.array([1.0, 1j * m]), trace)))
+            column.project(-eigenvalue(k), -gamma[k] * basis_normal(k)[:2])
+    resonant_col = ModulatedBL(params, build_layers([], params)[0], 0j,
+                               [column] if column.entries else [])
     # the Ekman suction gamma_k S_k (delta3_hat amplitude) is what the layer
     # leaves at z = 0, read off its vertical trace there
     layered = [modes[i] for i in pump.layered]
@@ -1183,8 +988,8 @@ def assemble_dirichlet_approx(gamma: SpectralField, params: Params,
         "truncated_source_norm": math.sqrt(tail_sq),
         "truncated_response_norm": eps * math.sqrt(tail_sq),
         "eta0_vertical": 0.0,  # exact: no top trace data was used
-        "eta1_stress_trace": math.hypot(bottom.dz_horizontal_trace_norm(1),
-                                        secondary.dz_horizontal_trace_norm(1)),
+        "eta1_stress_trace": math.hypot(bottom.wall_trace_norms(1)[1],
+                                        secondary.wall_trace_norms(1)[1]),
         "stopping_lift_equation": _lift_equation_bound(lift, params),
         "frozen_coefficient_dt": bottom.frozen_dt_bound() + secondary.frozen_dt_bound(),
     }

@@ -41,7 +41,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .params import Params
+from .params import Params, check_integer
 from .spectral import SpectralField, basis_profile
 from .traces import BoundaryTrace
 
@@ -423,15 +423,6 @@ class _ModeSystem:
 # ---------------------------------------------------------------------------
 
 
-def check_save_every(save_every) -> None:
-    """Reject a save interval that is not a positive integer (a bool is not
-    one): 0 would divide by zero, and a negative or fractional interval
-    would save only the last step, silently."""
-    if (isinstance(save_every, bool) or not isinstance(save_every, (int, np.integer))
-            or save_every < 1):
-        raise ValueError(f"save_every={save_every!r} must be a positive integer")
-
-
 def solve_direct(gamma: SpectralField, sigma, params: Params, t_end: float,
                  dt: float | None = None, Nz: int = 256, grading: np.ndarray | None = None,
                  save_every: int = 10, diffusion: bool = True) -> dict:
@@ -444,9 +435,10 @@ def solve_direct(gamma: SpectralField, sigma, params: Params, t_end: float,
     sqrt(eps nu) of each wall.  A t_end >= 0 that is not a whole number of
     steps is reached exactly by shortening dt to t_end / ceil(t_end / dt).
     Every save_every-th step is saved, and the last one; save_every must be
-    a positive integer.
+    a positive integer: 0 would divide by zero, and a negative or fractional
+    interval would save only the last step, silently.
     """
-    check_save_every(save_every)
+    check_integer("save_every", save_every, 1)
     if dt is None:
         dt = params.epsilon / 10.0
     if not dt > 0.0:

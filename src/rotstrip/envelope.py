@@ -185,10 +185,13 @@ def envelope_solve(gamma: SpectralField, params: Params, times,
     return out
 
 
-def trace_bounds(gamma: SpectralField, s: float, C: float = 1.0) -> tuple:
+TRACE_BOUND_C = 1.0  # the constant C of trace_bounds
+
+
+def trace_bounds(gamma: SpectralField, s: float) -> tuple:
     """Majorants for the boundary-trace norms fed by gamma's envelope:
-    (C ||gamma||_{H^{s+1}}, C ||gamma||_{H^{s+2}})."""
-    return C * gamma.sobolev_norm(s + 1.0), C * gamma.sobolev_norm(s + 2.0)
+    (C ||gamma||_{H^{s+1}}, C ||gamma||_{H^{s+2}}), C = TRACE_BOUND_C."""
+    return TRACE_BOUND_C * gamma.sobolev_norm(s + 1.0), TRACE_BOUND_C * gamma.sobolev_norm(s + 2.0)
 
 
 def trace_s_norm(values: dict, s: float) -> float:

@@ -16,13 +16,12 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .params import Params
+from .params import Params, check_integer, check_integers
 from .spectral import SpectralField
-from .layers import BoundaryTrace, build_B, empty_trace
+from .layers import BoundaryTrace, HeatColumn, build_B, empty_trace
 from .envelope import damping_rate, damping_table, envelope_trajectory
-from .correctors import HeatColumn, assemble_dirichlet_approx, assemble_wind_approx
-from .direct import (check_save_every, diagnostics_csv, fit_decay, l2_norm, solve_direct,
-                     solver_modules)
+from .correctors import assemble_dirichlet_approx, assemble_wind_approx
+from .direct import diagnostics_csv, fit_decay, l2_norm, solve_direct, solver_modules
 
 KINDS = ("bl_scaling", "resonant_growth", "wind_convergence",
          "dirichlet_convergence", "ekman_rate", "destabilization")
@@ -114,9 +113,13 @@ class ExperimentSpec:
             self.beta = self.beta * len(self.epsilon)
         if len(self.beta) != len(self.epsilon):
             raise ValueError("beta grid must match epsilon grid")
-        self.mode = tuple(int(c) for c in self.mode)
-        self.k_h = tuple(int(c) for c in self.k_h)
-        check_save_every(self.save_every)
+        self.mode = check_integers("mode", self.mode, 3)
+        self.k_h = check_integers("k_h", self.k_h, 2)
+        check_integer("Nz", self.Nz)
+        check_integer("save_every", self.save_every, 1)
+        if not float(self.dt_factor) >= 10.0:
+            raise ValueError(f"dt_factor={self.dt_factor!r} must be at least 10: the direct "
+                             "solver needs dt = epsilon/dt_factor <= epsilon/10")
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ValueError(f"unknown tolerance key(s) {unknown}; "
@@ -439,7 +442,7 @@ def _exp_destabilization(spec: ExperimentSpec, outdir, parallel):
     sigma = BoundaryTrace(1, {(1.0, (0, 0)): np.array([1.0, 1j])})
     bl = build_B(empty_trace(0), sigma.scaled(p.beta), p)
     (layer,) = bl.resonant
-    strip = HeatColumn.from_resonant_layer(layer, p)
+    strip = HeatColumn(layer.side, layer.nu, layer.epsilon, layer.entries)
     Nz = spec.Nz
     out = solve_direct(SpectralField({}), sigma, p, t_end=spec.t_end,
                        dt=eps / spec.dt_factor, Nz=Nz, save_every=spec.save_every,
@@ -455,12 +458,12 @@ def _exp_destabilization(spec: ExperimentSpec, outdir, parallel):
         def rel_to(ref):
             err = 2.0 * math.pi * math.sqrt(float(np.sum(
                 traj.weights * np.sum(np.abs(u.T - ref) ** 2, axis=0))))
-            nrm = strip.l2_norm(t)
+            nrm = strip.l2_norm_h(t)
             return err / nrm if nrm > 0 else math.inf
 
         r_self = rel_to(layer.value(t, traj.z))
-        r_strip = rel_to(strip.hat_profile((0, 0), t, traj.z))
-        rows.append((t, nu * t, r_self, r_strip, strip.l2_norm(t)))
+        r_strip = rel_to(strip.value(t, traj.z))
+        rows.append((t, nu * t, r_self, r_strip, strip.l2_norm_h(t)))
         if nu * t <= 0.1:
             rel_self.append(r_self)
         rel_strip.append(r_strip)

@@ -13,6 +13,7 @@ width sqrt(nu t).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -576,42 +577,25 @@ def resonant_profile(side: int, delta_res, nu: float, t: float, z):
     if t < 0.0:
         raise ValueError("resonant profile defined for t >= 0")
     zeta = z if side == 0 else 1.0 - z
-    if t == 0.0:
-        if side == 0:
-            base = np.where(zeta <= 0.0, 1.0, 0.0)
-        else:
-            base = np.zeros_like(zeta)
-        return np.multiply.outer(delta, base) if delta.ndim else delta * base
     width = 2.0 * math.sqrt(nu * t)
-    if side == 0:
+    if t == 0.0:
+        base = np.where(zeta <= 0.0, 1.0, 0.0) if side == 0 else np.zeros_like(zeta)
+    elif side == 0:
         base = erfc(zeta / width)
     else:
-        base = 2.0 * math.sqrt(nu * t) * _ierfc(zeta / width)
+        base = width * _ierfc(zeta / width)
     return np.multiply.outer(delta, base) if delta.ndim else delta * base
 
 
 @functools.cache
 def _erfc_sq_nodes():
-    """The 200-node Gauss-Legendre rule of _profile_sq_integral, built on
+    """The 200-node Gauss-Legendre rule of ResonantLayer._shape_sq, built on
     first use rather than at import."""
     return np.polynomial.legendre.leggauss(200)
 
 
-def _profile_sq_integral(side: int, nu: float, t: float) -> float:
-    """int_0^1 base(t, zeta)^2 d zeta for the resonant profile shapes."""
-    if t <= 0.0:
-        return 0.0
-    w = math.sqrt(nu * t)
-    X = min(1.0 / (2.0 * w), 10.0)
-    xg, wg = _erfc_sq_nodes()
-    u = 0.5 * X * (xg + 1.0)
-    du = 0.5 * X * wg
-    if side == 0:
-        vals = erfc(u) ** 2
-        return 2.0 * w * float(np.sum(vals * du))
-    # side 1: profile is 2 sqrt(nu t) ierfc((1-z)/(2 sqrt(nu t)))
-    vals = _ierfc(u) ** 2
-    return 4.0 * nu * t * 2.0 * w * float(np.sum(vals * du))
+#: the resonant layers' interior mass lies beyond this distance from their wall
+INTERIOR_SPLIT = 0.5
 
 
 @dataclass
@@ -619,37 +603,115 @@ class ResonantLayer:
     """Resonant (|mu| = 1, k_h = 0) part of a wall response: a growing layer
     of width sqrt(nu t), never stationary, with zero vertical component.
     entries are (mu, amplitude) pairs, mu = +1 or -1 and amplitude the
-    coefficient on the circular polarisation (1, i mu, 0)."""
+    coefficient on the circular polarisation (1, i mu, 0); every entry has
+    the one real shape of the layer, here the half-space self-similar profile."""
 
     side: int
     nu: float
     epsilon: float
     entries: list = field(default_factory=list)
 
+    def __post_init__(self):
+        if self.side not in (0, 1):
+            raise ValueError("side must be 0 (bottom value) or 1 (top stress)")
+        self.entries = list(self.entries)
+
+    def project(self, mu: float, delta) -> np.ndarray:
+        """Add the amplitude a = <(1, i m), delta>/2 of the trace delta
+        (2-vector) on the circular polarisation of m = sign(mu) as the entry
+        (m, a), unless a is zero, and return the remainder delta - a (1, i m)."""
+        m = math.copysign(1.0, mu)
+        pol = np.array([1.0, 1j * m])
+        amp = 0.5 * complex(np.vdot(pol, delta))
+        if amp != 0:
+            self.entries.append((m, amp))
+        return delta - amp * pol
+
+    def _shape(self, t: float, z) -> np.ndarray:
+        return resonant_profile(self.side, 1.0, self.nu, t, z)
+
+    def _shape_sq(self, t: float) -> float:
+        """int_0^1 shape(t, z)^2 dz."""
+        if t <= 0.0:
+            return 0.0
+        w = math.sqrt(self.nu * t)
+        X = min(1.0 / (2.0 * w), 10.0)
+        xg, wg = _erfc_sq_nodes()
+        u = 0.5 * X * (xg + 1.0)
+        du = 0.5 * X * wg
+        if self.side == 0:
+            return 2.0 * w * float(np.sum(erfc(u) ** 2 * du))
+        # side 1: the shape is 2 sqrt(nu t) ierfc((1-z)/(2 sqrt(nu t)))
+        return 4.0 * self.nu * t * 2.0 * w * float(np.sum(_ierfc(u) ** 2 * du))
+
     def value(self, t: float, z) -> np.ndarray:
-        """The entries' phased polarisations times the one profile they share."""
-        coef = np.zeros(3, dtype=complex)
+        """The sum over entries of the phased polarisation times the shape."""
+        shape = self._shape(t, z)
+        out = np.zeros((3,) + shape.shape, dtype=complex)
         for mu, amplitude in self.entries:
-            coef += amplitude * np.exp(1j * mu * t / self.epsilon) * np.array([1.0, 1j * mu, 0.0])
-        return np.multiply.outer(coef, resonant_profile(self.side, 1.0 + 0j, self.nu, t, z))
+            pol = np.array([1.0, 1j * mu, 0.0])
+            out += np.multiply.outer(amplitude * np.exp(1j * mu * t / self.epsilon) * pol, shape)
+        return out
 
     def l2_norm_h(self, t: float) -> float:
         """Exact: circular polarisations at distinct mu are pointwise orthogonal."""
-        s = _profile_sq_integral(self.side, self.nu, t)
+        s = self._shape_sq(t)
         total = sum(2.0 * abs(amplitude) ** 2 * s for _, amplitude in self.entries)
         return 2.0 * math.pi * math.sqrt(total)
 
-    def interior_mass_fraction(self, t: float, split: float = 0.5) -> float:
-        """Fraction of squared L2 mass beyond `split` from the owning wall."""
+    def interior_mass_fraction(self, t: float) -> float:
+        """Fraction of squared L2 mass beyond INTERIOR_SPLIT from the owning wall."""
         z = np.linspace(0.0, 1.0, 4001)
-        v = self.value(t, z)
-        dens = np.sum(np.abs(v) ** 2, axis=0)
+        dens = np.sum(np.abs(self.value(t, z)) ** 2, axis=0)
         zeta = z if self.side == 0 else 1.0 - z
         total = np.trapezoid(dens, z)
-        if total == 0.0:
-            return 0.0
-        inner = np.trapezoid(np.where(zeta >= split, dens, 0.0), z)
-        return float(inner / total)
+        inner = np.trapezoid(np.where(zeta >= INTERIOR_SPLIT, dens, 0.0), z)
+        return float(inner / total) if total else 0.0
+
+
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
+_GAUSS_Z = 0.5 * (_GAUSS_X + 1.0), 0.5 * _GAUSS_W  # nodes and weights on [0, 1]
+
+
+class HeatColumn(ResonantLayer):
+    """The resonant layer of the strip rather than the half-space: for one
+    constant filtered wall datum g the filtered k_h = 0 column solves the
+    heat equation with conductivity nu.  Side 0: value g at the bottom,
+    stress-free top; side 1: stress g at the top, no-slip bottom.  With
+    w_m = (m+1/2) pi,
+
+        side 0:  v(t, z) = g [1 - sum_m 2/w_m e^{-nu w_m^2 t} sin(w_m z)],
+        side 1:  v(t, z) = g [z - sum_m 2(-1)^m/w_m^2 e^{-nu w_m^2 t} sin(w_m z)],
+
+    exact at both walls at every t (sin(0) = cos(w_m) = 0).  Side 0 stays
+    bounded by |g| uniformly in time; side 1 grows from 0 toward the linear
+    shear g z on the 1/nu time scale, the destabilization of the whole
+    column.  For nu t << 1 each matches its wall's half-space self-similar
+    profile up to exponentially small terms.
+    """
+
+    M_MODES = 400
+    BLOCK = 20  # the series runs over m = BLOCK j + i, i < BLOCK
+
+    def _shape(self, t, z):
+        """The series at time t on the heights z, factorised: w_m = B pi j +
+        w_i for m = B j + i, so sin(w_m z) = sin(B pi j z) cos(w_i z) +
+        cos(B pi j z) sin(w_i z), and the sum is two (M/B, B) @ (B, len(z))
+        products over 2 (M/B + B) trig rows instead of M sine rows."""
+        z = np.asarray(z, dtype=float)
+        B, m = self.BLOCK, np.arange(self.M_MODES)
+        freqs = (m + 0.5) * math.pi
+        coeffs = 2.0 / freqs if self.side == 0 else 2.0 * (-1.0) ** m / freqs ** 2
+        a = (coeffs * np.exp(-self.nu * freqs ** 2 * t)).reshape(-1, B)
+        inner = np.multiply.outer(freqs[:B], z.ravel())
+        outer = np.multiply.outer(B * math.pi * np.arange(len(a)), z.ravel())
+        theta = np.einsum("jz,jz->z", np.sin(outer), a @ np.cos(inner)) \
+            + np.einsum("jz,jz->z", np.cos(outer), a @ np.sin(inner))
+        return (1.0 if self.side == 0 else z) - theta.reshape(z.shape)
+
+    def _shape_sq(self, t):
+        z, w = _GAUSS_Z
+        return float(np.sum(w * self._shape(t, z) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -657,36 +719,137 @@ class ResonantLayer:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BoundaryLayerSolution:
-    """Output of the layer operator: the table of classical Ekman and
-    quasi-resonant thick-layer profiles (|mu| = 1, k_h != 0; table.quasi)
-    and the resonant self-similar parts (|mu| = 1, k_h = 0), one
-    ResonantLayer per wall with resonant content.  Its profiles are those of
-    correctors.ModulatedBL(params, table, 0j, resonant)."""
+class _Part:
+    """A part of an approximation.  profiles(t, z, columns, out) evaluates the
+    listed columns k_h together and adds them into out, an array of shape
+    (len(columns), 3) + z.shape (zeros when not given), which it returns; a
+    column the part does not hold adds nothing.  Each part adds its columns
+    in _add(t, z, columns, out), z an array; hat_profile is the one-column
+    view."""
 
-    table: LayerTable
-    resonant: list
-    params: Params
+    def profiles(self, t, z, columns, out=None):
+        z = np.asarray(z, dtype=float)
+        if out is None:
+            out = np.zeros((len(columns), 3) + z.shape, dtype=complex)
+        self._add(t, z, columns, out)
+        return out
+
+    def hat_profile(self, k_h, t, z):
+        return self.profiles(t, z, [k_h])[0]
+
+
+def _column_index(k_h):
+    """The index of a table whose rows k_h (n, 2) are sorted by column: the
+    distinct columns, a sorted list of tuples, and their first rows, then n."""
+    new = np.ones(len(k_h), dtype=bool)
+    new[1:] = np.any(k_h[1:] != k_h[:-1], axis=1)
+    first = np.flatnonzero(new).tolist()
+    return [tuple(k) for k in k_h[first].tolist()], first + [len(k_h)]
+
+
+def _slices(index, columns) -> list:
+    """(i, a, b) for each listed column columns[i] that a sorted table holds,
+    found by bisection in its index (columns, starts): its rows a .. b - 1."""
+    keys, starts = index
+    out = []
+    for i, k_h in enumerate(columns):
+        k_h = _kh_tuple(k_h)
+        j = bisect.bisect_left(keys, k_h)
+        if j < len(keys) and keys[j] == k_h:
+            out.append((i, starts[j], starts[j + 1]))
+    return out
+
+
+class ModulatedBL(_Part):
+    """Wall layers with slow exponential amplitude modulation: the rows of a
+    layer table, row i times e^{-rates[i] t}, plus resonant layers on k_h =
+    0.  The layer operator's output is one at rates 0: the table of classical
+    Ekman and quasi-resonant thick-layer profiles (|mu| = 1, k_h != 0;
+    table.quasi) and the resonant self-similar parts (|mu| = 1, k_h = 0), one
+    ResonantLayer per wall with resonant content.  The table's rows are put
+    once, at construction, in a stable order of their columns, so that a
+    column's rows are one slice."""
+
+    def __init__(self, params: Params, table: LayerTable, rates=0j, resonant=()):
+        self.params = params
+        self.table = table
+        self.rates = np.broadcast_to(np.asarray(rates, dtype=complex), (len(table),))
+        self.resonant = list(resonant)
+        self._order = np.lexsort(table.k_h.T[::-1])  # by k1, then k2; stable
+        self._index = _column_index(table.k_h[self._order])
+
+    def _weights(self, t, rows) -> np.ndarray:
+        """e^{i mu t/eps} e^{-rate t} of the rows, mu t/eps in real
+        arithmetic as the scalar formula rounds it."""
+        return (np.exp(1j * (self.table.mu[rows] * t / self.params.epsilon))
+                * np.exp(-self.rates[rows] * t))
+
+    def _add(self, t, z, columns, out):
+        """The rows of all listed columns from one exp(-q zeta) block."""
+        held = [(i, self._order[a:b]) for i, a, b in _slices(self._index, columns)]
+        if held:
+            rows = np.concatenate([r for _, r in held])
+            column = np.concatenate([np.full(len(r), i) for i, r in held])
+            self.table.profiles(rows, self._weights(t, rows), column, z, out)
+        for i in [i for i, k_h in enumerate(columns) if _kh_tuple(k_h) == (0, 0)]:
+            for layer in self.resonant:
+                out[i] += layer.value(t, z)
+
+    def horizontal_modes(self):
+        return sorted(set(self.table.columns()) | ({(0, 0)} if self.resonant else set()))
+
+    def l2_norm(self, t: float) -> float:
+        """Exact L2 norm at time t.  On each column the kept rates of every
+        row, times their row's weight, enter one closed-form Gram sum, so
+        cross terms between rows count; this needs the column's layers on one
+        wall.  The resonant k_h = 0 layers are added in quadrature: the
+        classical remainder sharing their column carries the orthogonal
+        circular polarisation."""
+        tab = self.table
+        total = 0.0
+        for rows in np.split(self._order, self._index[1][1:-1]):
+            if len(set(tab.side[rows].tolist())) > 1:
+                raise ValueError(f"column {_kh_tuple(tab.k_h[rows[0]])} holds layers of both "
+                                 "walls; a modulated layer lives on one wall")
+            keep = tab.keep[rows]
+            amps = (tab.amps[rows] * self._weights(t, rows)[:, None, None])[keep]
+            total += float(_amplitude_l2(amps, tab.q[rows][keep])) ** 2
+        for layer in self.resonant:
+            total += layer.l2_norm_h(t) ** 2
+        return math.sqrt(total)
 
     def part_norm_h(self, part: str, t: float = 0.0) -> float:
-        """L2(omega) norm of the horizontal components of one part:
-        'classical', 'quasi_resonant' or 'resonant'.
-
-        Exact for single-(mu,k_h) parts; for several frequencies on one k_h
-        this is the root-sum-square over rows (cross terms time-average to
-        zero)."""
+        """L2(omega) norm of the horizontal components of one part at time
+        t: 'classical', 'quasi_resonant' or 'resonant', each row's norm
+        times |e^{-rate t}|.  Exact for single-(mu,k_h) parts; for several
+        frequencies on one k_h this is the root-sum-square over rows (cross
+        terms time-average to zero)."""
         if part == "resonant":
             return math.sqrt(sum(r.l2_norm_h(t) ** 2 for r in self.resonant))
         if part not in ("classical", "quasi_resonant"):
             raise ValueError(f"no layer part named {part!r}; the parts are "
                              "'classical', 'quasi_resonant' and 'resonant'")
-        norms, _ = self.table.norms()
+        norms = self.table.norms()[0] * np.abs(np.exp(-self.rates * t))
         chosen = norms[self.table.quasi == (part == "quasi_resonant")]
         return math.sqrt(sum((chosen ** 2).tolist()))
 
+    def frozen_dt_bound(self) -> float:
+        """Majorant of the equation defect from slowly modulating layers built
+        for frozen amplitudes: sum over the traces the rows came from (their
+        pair) of the root-sum-square over the trace's rows of |rate| times
+        the row's norm, that is |rate| times the trace's layer norm."""
+        norm_h, norm_3 = self.table.norms()
+        sq = np.abs(self.rates) ** 2 * (norm_h ** 2 + norm_3 ** 2)
+        return float(np.sum(np.sqrt(np.bincount(self.table.pair, weights=sq))))
 
-def build_B(delta0: BoundaryTrace, delta1: BoundaryTrace, params: Params) -> BoundaryLayerSolution:
+    def wall_trace_norms(self, wall: int) -> tuple:
+        """The norms over rows of the horizontal values and of their
+        z-derivatives at z = wall."""
+        h, _, dzh = self.table.wall_traces(wall)
+        return math.sqrt(float(np.sum(np.abs(h) ** 2))), math.sqrt(float(np.sum(np.abs(dzh) ** 2)))
+
+
+def build_B(delta0: BoundaryTrace, delta1: BoundaryTrace, params: Params) -> ModulatedBL:
     """The layer operator: route every trace entry to its profile family.
 
     |mu| != 1                -> classical Ekman profiles (thickness sqrt(eps nu))
@@ -696,10 +859,10 @@ def build_B(delta0: BoundaryTrace, delta1: BoundaryTrace, params: Params) -> Bou
                                 remainder only excites the O(1) rate and joins
                                 the classical family.
     Linear in (delta0, delta1) by construction.  All entries of both traces
-    go through one batched layer step.
+    go through one batched layer step; the result is the unmodulated wall-layer part.
     """
     table, (resonant,) = build_layers([(delta0, delta1)], params)
-    return BoundaryLayerSolution(table, resonant, params)
+    return ModulatedBL(params, table, 0j, resonant)
 
 
 def build_layers(traces, params: Params):
@@ -718,11 +881,7 @@ def build_layers(traces, params: Params):
                 if not np.any(delta_hat):
                     continue
                 if k_h == (0, 0) and abs(abs(mu) - 1.0) < RESONANT_TOL:
-                    pol = np.array([1.0, 1j * math.copysign(1.0, mu)])
-                    amp = 0.5 * complex(np.vdot(pol, delta_hat))
-                    if amp != 0:
-                        res_layer.entries.append((math.copysign(1.0, mu), amp))
-                    delta_hat = delta_hat - amp * pol
+                    delta_hat = res_layer.project(mu, delta_hat)
                 rows.append((pair, trace.side, mu, k_h, delta_hat))
             if res_layer.entries:
                 resonant[pair].append(res_layer)
@@ -787,7 +946,7 @@ class TraceResiduals:
         return max((r["magnitude"] for r in rows), default=0.0)
 
 
-def trace_residuals(sol: BoundaryLayerSolution, params: Params, t: float = 0.0) -> TraceResiduals:
+def trace_residuals(sol: ModulatedBL, params: Params, t: float = 0.0) -> TraceResiduals:
     tab = sol.table
     walls = 1 - tab.side
     h, v, dzh = tab.wall_traces(walls)
@@ -827,10 +986,9 @@ def filter_resonant(u, epsilon: float, t: float) -> np.ndarray:
     plain heat equation with conductivity nu.
     """
     u = np.asarray(u, dtype=complex)
-    plus = np.array([1.0, 1j, 0.0])
-    minus = np.array([1.0, -1j, 0.0])
-    cp = 0.5 * np.tensordot(np.conj(plus), u, axes=(0, 0))
-    cm = 0.5 * np.tensordot(np.conj(minus), u, axes=(0, 0))
-    out = np.multiply.outer(plus, cp) * np.exp(-1j * t / epsilon)
-    out += np.multiply.outer(minus, cm) * np.exp(1j * t / epsilon)
+    out = 0
+    for m in (1.0, -1.0):
+        pol = np.array([1.0, 1j * m, 0.0])
+        coef = 0.5 * np.tensordot(np.conj(pol), u, axes=(0, 0))
+        out = out + np.multiply.outer(pol, coef) * np.exp(-1j * m * t / epsilon)
     return out

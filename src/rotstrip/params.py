@@ -1,8 +1,34 @@
-"""Run parameters shared by every module."""
+"""Run parameters shared by every module, and the integer checks of options."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_integer(key: str, value, least: int | None = None):
+    """value, if it is an integer (a bool is not one) of at least `least`;
+    anything else raises ValueError naming key: an integer option is
+    rejected, not truncated."""
+    if not _is_integer(value):
+        raise ValueError(f"{key}={value!r} must be an integer")
+    if least is not None and value < least:
+        raise ValueError(f"{key}={value!r} must be an integer >= {least}")
+    return value
+
+
+def check_integers(key: str, value, n: int) -> tuple:
+    """value, n integers, as a tuple of python ints; anything else raises
+    ValueError naming key."""
+    entries = tuple(value) if isinstance(value, (tuple, list, np.ndarray)) else ()
+    if len(entries) != n or not all(map(_is_integer, entries)):
+        raise ValueError(f"{key}={value!r} must be {n} integers")
+    return tuple(int(v) for v in entries)
 
 
 @dataclass(frozen=True)

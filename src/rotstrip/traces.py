@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .params import check_integers
+
 
 @dataclass
 class BoundaryTrace:
@@ -29,7 +31,7 @@ class BoundaryTrace:
             raise ValueError("side must be 0 (bottom) or 1 (top)")
         clean = {}
         for (mu, k_h), v in self.table.items():
-            key = (float(mu), (int(k_h[0]), int(k_h[1])))
+            key = (float(mu), check_integers("k_h", k_h, 2))
             clean[key] = np.asarray(v, dtype=complex).reshape(2)
         self.table = clean
 

@@ -17,11 +17,10 @@ from rotstrip.spectral import (
     eigenvalue,
     euclidean_norm,
 )
-from rotstrip.layers import BoundaryTrace, build_B, build_layers, empty_trace
+from rotstrip.layers import BoundaryTrace, ModulatedBL, build_B, build_layers, empty_trace
 from rotstrip import correctors
 from rotstrip.correctors import (
     ExpSource,
-    ModulatedBL,
     OscillatingPoly,
     SourceTable,
     SpectralPart,
@@ -35,12 +34,10 @@ from rotstrip.correctors import (
     divisor_case_bound,
     lift_interior_vint0,
     lift_interior_vint1,
-    scalar_product_forms,
     scaling_check,
     small_divisor_corrector,
     stopping_lift,
     truncation_choice,
-    vertical_unit_product,
 )
 
 
@@ -195,18 +192,17 @@ class TestScalarProductForms:
                 self.QUAD.inner(nl, G_field))
 
     def test_flat_mode_value(self):
-        F1, F2 = scalar_product_forms((2, -1, 0))
+        (F1,), (F2,), _, _ = column_forms((2, -1), [0])
         assert F1 == 0
         assert F2 == pytest.approx(-2.0 * math.pi * math.sqrt(5.0), abs=1e-12)
 
     def test_oscillating_mode_second_form_vanishes(self):
-        _, F2 = scalar_product_forms((1, 0, 3))
+        _, (F2,), _, _ = column_forms((1, 0), [3])
         assert F2 == 0
 
     def test_against_quadrature_oracle(self):
         for l in [(1, 0, 1), (1, 2, 3), (2, -1, 0), (1, 1, -2), (3, 0, 2)]:
-            F1, F2 = scalar_product_forms(l)
-            G = vertical_unit_product(l)
+            (F1,), (F2,), (G,), _ = column_forms(l[:2], [l[2]])
             qF1, qF2, qG = self._quadrature_forms(l)
             assert abs(F1 - qF1) < 1e-10
             assert abs(F2 - qF2) < 1e-10
@@ -354,7 +350,7 @@ class TestTruncationChoice:
         assert truncation_choice(Params(1e-4, 1e-4), "dirichlet") == 100
 
     def test_wind_small_nu_value(self):
-        assert truncation_choice(Params(1e-4, 1e-4), "wind_small_nu", s0=2.0) == 10
+        assert truncation_choice(Params(1e-4, 1e-4), "wind_small_nu") == 10
 
     def test_monotone_in_epsilon(self):
         for regime in ("wind_small_nu", "wind_large_nu", "dirichlet"):
@@ -371,7 +367,7 @@ class TestScalingCheck:
         nu = 1e-4
         eps = 1e-4
         beta = nu ** -0.5 * eps ** 0.25
-        ok, _ = scaling_check(Params(eps, nu, beta=beta), C=1.0, alpha0=0.55)
+        ok, _ = scaling_check(Params(eps, nu, beta=beta))
         assert ok
 
     def test_excessive_growth_fails(self):
@@ -474,20 +470,19 @@ class TestWindAssembly:
 
 class TestStressColumnResponse:
     def _response(self, p):
-        from rotstrip.layers import build_B, empty_trace
-        from rotstrip.correctors import HeatColumn
+        from rotstrip.layers import HeatColumn, build_B, empty_trace
 
         sigma = BoundaryTrace(1, {(1.0, (0, 0)): np.array([1.0, 1j])})
         bl = build_B(empty_trace(0), sigma, p)
         (layer,) = bl.resonant
-        return HeatColumn.from_resonant_layer(layer, p), layer
+        return HeatColumn(layer.side, layer.nu, layer.epsilon, layer.entries), layer
 
     def test_exact_boundary_data(self):
         p = Params(1e-2, 1e-2)
         resp, _ = self._response(p)
         t = 7.3
         z = np.array([0.0, 1.0 - 1e-6, 1.0])
-        prof = resp.hat_profile((0, 0), t, z)
+        prof = resp.value(t, z)
         assert np.allclose(prof[:, 0], 0.0, atol=1e-12)  # no-slip bottom
         dz = (prof[:2, 2] - prof[:2, 1]) / 1e-6  # top stress = filtered amplitude
         assert dz[0] == pytest.approx(np.exp(1j * t / p.epsilon), rel=1e-4)
@@ -497,7 +492,7 @@ class TestStressColumnResponse:
         resp, layer = self._response(p)
         t = 1e-3 / p.nu  # nu t = 1e-3: layer far from the bottom
         z = np.linspace(0.3, 1.0, 200)
-        a = resp.hat_profile((0, 0), t, z)
+        a = resp.value(t, z)
         b = layer.value(t, z)
         scale = np.max(np.abs(b))
         assert np.max(np.abs(a - b)) < 1e-6 * scale
@@ -507,25 +502,25 @@ class TestStressColumnResponse:
         resp, _ = self._response(p)
         t = 100.0 / p.nu
         z = np.linspace(0, 1, 50)
-        prof = resp.hat_profile((0, 0), t, z)
+        prof = resp.value(t, z)
         target = np.exp(1j * t / p.epsilon) * z
         assert np.allclose(prof[0], target, atol=1e-8)
 
 
 class TestValueColumnResponse:
     def _response(self, p):
-        from rotstrip.correctors import HeatColumn
+        from rotstrip.layers import HeatColumn
 
         trace = BoundaryTrace(0, {(1.0, (0, 0)): np.array([1.0, 1j])})
         (layer,) = build_B(trace, empty_trace(1), p).resonant
-        return HeatColumn.from_resonant_layer(layer, p), layer
+        return HeatColumn(layer.side, layer.nu, layer.epsilon, layer.entries), layer
 
     def test_exact_boundary_data(self):
         p = Params(1e-2, 1e-2)
         resp, _ = self._response(p)
         t = 7.3
         z = np.array([0.0, 1.0 - 1e-6, 1.0])
-        prof = resp.hat_profile((0, 0), t, z)
+        prof = resp.value(t, z)
         # bottom value = filtered amplitude, exactly
         assert np.array_equal(prof[:, 0], np.exp(1j * t / p.epsilon) * np.array([1.0, 1j, 0.0]))
         dz = (prof[:2, 2] - prof[:2, 1]) / 1e-6  # stress-free top
@@ -536,15 +531,15 @@ class TestValueColumnResponse:
         resp, layer = self._response(p)
         t = 1e-3 / p.nu  # nu t = 1e-3: layer far from the top
         z = np.linspace(0.0, 0.7, 200)
-        a = resp.hat_profile((0, 0), t, z)
+        a = resp.value(t, z)
         b = layer.value(t, z)
         assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
 
     def test_side_is_a_wall(self):
-        from rotstrip.correctors import HeatColumn
+        from rotstrip.layers import HeatColumn
 
         with pytest.raises(ValueError, match="side"):
-            HeatColumn(Params(1e-2, 1e-2), 2)
+            HeatColumn(2, 1e-2, 1e-2)
 
 
 class TestHeatColumnSeries:
@@ -557,12 +552,11 @@ class TestHeatColumnSeries:
     NU_T = (3e-5, 1e-4, 1e-3, 3e-3)
 
     def test_matches_the_half_space_profile(self):
-        from rotstrip.correctors import HeatColumn
-        from rotstrip.layers import resonant_profile
+        from rotstrip.layers import HeatColumn, resonant_profile
 
         z = _norm_grid(self.P, 800)
         for side in (0, 1):
-            col = HeatColumn(self.P, side)
+            col = HeatColumn(side, self.P.nu, self.P.epsilon)
             for nu_t in self.NU_T:
                 t = nu_t / self.P.nu
                 want = resonant_profile(side, 1.0, self.P.nu, t, z)
@@ -573,12 +567,12 @@ class TestHeatColumnSeries:
         """Side 0: value 1 at the bottom and no stress at the top; side 1: no
         slip at the bottom and unit stress at the top (second-order one-sided
         differences of step h)."""
-        from rotstrip.correctors import HeatColumn
+        from rotstrip.layers import HeatColumn
 
         h = 1e-6
         top = np.array([1.0 - 2.0 * h, 1.0 - h, 1.0])
         for side in (0, 1):
-            col = HeatColumn(self.P, side)
+            col = HeatColumn(side, self.P.nu, self.P.epsilon)
             for nu_t in self.NU_T + (0.1, 1.0):
                 t = nu_t / self.P.nu
                 assert col._shape(t, np.array([0.0]))[0] == (1.0 if side == 0 else 0.0)
@@ -661,6 +655,21 @@ class TestDirichletAssembly:
         col = sol.parts["resonant_column"]
         norms = [col.l2_norm(t) for t in (0.01, 0.1, 1.0, 10.0, 100.0)]
         assert max(norms) <= 2.0 * g.norm()
+
+    def test_secondary_layer_part_norms_scale_rows_by_their_rate(self):
+        p = Params(1e-3, 1e-3)
+        sol = assemble_dirichlet_approx(
+            SpectralField({(1, 0, 1): 1.0, (1, 0, 2): 0.5j, (0, 1, 2): 0.3}), p)
+        part = sol.parts["secondary_layer"]
+        assert np.all(part.rates.real > 0)
+        norm_h, _ = part.table.norms()
+        for t in (0.0, 0.1, 0.3):
+            for name, quasi in (("classical", False), ("quasi_resonant", True)):
+                want = math.sqrt(sum((norm_h[i] * abs(np.exp(-part.rates[i] * t))) ** 2
+                                     for i in range(len(part.table))
+                                     if part.table.quasi[i] == quasi))
+                assert part.part_norm_h(name, t) == pytest.approx(want, rel=1e-14)
+        assert 0.0 < part.part_norm_h("classical", 0.3) < part.part_norm_h("classical", 0.0)
 
     def test_zero_ic_variant_starts_corrector_from_zero(self):
         p = Params(1e-3, 1e-3)
@@ -1348,13 +1357,13 @@ class TestColumnForms:
         for k_h in self.COLUMNS[:3]:
             F1, F2, G, _ = column_forms(k_h, self.L3[::97])
             for i, l3 in enumerate(self.L3[::97].tolist()):
-                l = (k_h[0], k_h[1], l3)
-                assert scalar_product_forms(l) == (F1[i], F2[i])
-                assert vertical_unit_product(l) == G[i]
+                (f1,), (f2,), (g,), _ = column_forms(k_h, [l3])
+                assert (f1, f2, g) == (F1[i], F2[i], G[i])
         # the mean column, where l = 0 is not a mode
         F1, F2, G, _ = column_forms((0, 0), [-2, 0, 3])
         assert not np.any(F1) and not np.any(F2) and not np.any(G)
-        assert scalar_product_forms((0, 0, 0)) == (0j, 0j)
+        (f1,), (f2,), _, _ = column_forms((0, 0), [0])
+        assert (f1, f2) == (0j, 0j)
 
 
 class TestNormGrid:

@@ -473,6 +473,27 @@ class TestCLI:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entries, message", [
+        ({"Nz": 64.9}, "Nz=64.9 must be an integer"),
+        ({"Nz": True}, "Nz=True must be an integer"),
+        ({"dt_factor": 0}, "dt_factor=0 must be at least 10"),
+        ({"mode": [1, 0]}, "mode=[1, 0] must be 3 integers"),
+        ({"mode": [1, 0, 1.5]}, "mode=[1, 0, 1.5] must be 3 integers"),
+        ({"k_h": [1, 0, 5]}, "k_h=[1, 0, 5] must be 2 integers"),
+    ])
+    def test_bad_sweep_spec_exits_2_before_any_point(self, tmp_path, capsys, entries,
+                                                     message):
+        # these used to reach the grid points and fail there (exit 1), or,
+        # for k_h, to run its first two entries silently
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "ekman_rate", "epsilon": [1e-2], "t_end": 0.01,
+                                   "Nz": 64, **entries}))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "point_000").exists()
+
     def test_sweep_keys_are_the_spec_fields(self):
         from rotstrip.cli import CONFIG_KEYS
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from rotstrip.params import Params
 from rotstrip import layers as L
-from rotstrip.correctors import ModulatedBL
 from rotstrip.layers import (
     BoundaryTrace,
     build_B,
@@ -309,13 +308,6 @@ def one_rate_table(side, lam, w, mu, k_h, params, alpha=1.0):
                           np.array([[alpha, 0j]]), np.array([[True, False]]), [0], params)
 
 
-def layer_profile(sol, k_h, t, z):
-    """Coefficient of e^{i k_h.x_h} of a layer solution at time t: its
-    table and resonant layers as one unmodulated ModulatedBL."""
-    part = ModulatedBL(sol.params, sol.table, 0j, sol.resonant)
-    return part.hat_profile(k_h, t, z)
-
-
 def equation_residual(table, i, params):
     """Independent oracle: substitute each kept rate of row i (with its
     companion pressure from the vertical momentum balance) into the evolution
@@ -518,7 +510,7 @@ class TestBuildB:
         assert len(sol.table) == 0 and not sol.resonant
         z = np.linspace(0.0, 1.0, 5)
         for k_h in ((0, 0), (1, 0)):
-            assert np.array_equal(layer_profile(sol, k_h, 0.3, z), np.zeros((3, 5)))
+            assert np.array_equal(sol.hat_profile(k_h, 0.3, z), np.zeros((3, 5)))
         assert all(sol.part_norm_h(part, 0.3) == 0.0
                    for part in ("classical", "quasi_resonant", "resonant"))
 
@@ -564,8 +556,8 @@ class TestBuildB:
         sol2 = single_mode_solution(0, 0.5, (1, 0), d2, p)
         sol = single_mode_solution(0, 0.5, (1, 0), a * d1 + b * d2, p)
         z = np.linspace(0, 1, 11)
-        combo = a * layer_profile(sol1, (1, 0), 0.3, z) + b * layer_profile(sol2, (1, 0), 0.3, z)
-        assert np.allclose(layer_profile(sol, (1, 0), 0.3, z), combo, atol=1e-12)
+        combo = a * sol1.hat_profile((1, 0), 0.3, z) + b * sol2.hat_profile((1, 0), 0.3, z)
+        assert np.allclose(sol.hat_profile((1, 0), 0.3, z), combo, atol=1e-12)
 
     @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_part_norm_h_rejects_unknown_part(self):
@@ -631,6 +623,29 @@ class TestResonantLayer:
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
+    def test_strip_column_changes_only_the_shape(self):
+        p = Params(1e-2, 1e-2)
+        trace = BoundaryTrace(1, {(1.0, (0, 0)): np.array([1.0, 0.3j]),
+                                  (-1.0, (0, 0)): np.array([0.5, 1.0])})
+        (layer,) = build_B(empty_trace(0), trace, p).resonant
+        strip = L.HeatColumn(layer.side, layer.nu, layer.epsilon, layer.entries)
+        assert isinstance(strip, L.ResonantLayer) and not hasattr(strip, "profiles")
+        assert strip.entries == layer.entries and strip.entries is not layer.entries
+        z = np.linspace(0.0, 1.0, 20001)
+        t = 0.3 / p.nu
+        shape = strip._shape(t, z)
+        ref = sum(np.multiply.outer(amplitude * np.exp(1j * mu * t / p.epsilon)
+                                    * np.array([1.0, 1j * mu, 0.0]), shape)
+                  for mu, amplitude in strip.entries)
+        assert np.max(np.abs(strip.value(t, z) - ref)) <= 1e-15 * np.max(np.abs(ref))
+        dens = np.sum(np.abs(strip.value(t, z)) ** 2, axis=0)
+        want = 2.0 * math.pi * math.sqrt(np.trapezoid(dens, z))
+        assert strip.l2_norm_h(t) == pytest.approx(want, rel=1e-7)
+        # the top stress column tends to the linear shear g z: 1/8 of its
+        # squared mass lies more than half the depth from the top
+        assert strip.interior_mass_fraction(100.0 / p.nu) == pytest.approx(0.125, abs=1e-3)
+
+
 class TestTraceResiduals:
     def test_exponentially_small_opposite_traces(self):
         p = Params(1e-2, 1e-2)
@@ -670,6 +685,19 @@ class TestBoundaryTraceNorm:
     def test_scaling(self):
         tr = BoundaryTrace(1, {(0.5, (2, 1)): np.array([1.0, 1j])})
         assert tr.scaled(2.0).norm() == pytest.approx(2.0 * tr.norm(), rel=1e-14)
+
+
+class TestBoundaryTraceKeys:
+    @pytest.mark.parametrize("k_h", [(1, 0, 5), (1.7, 0), (1,), (True, 0), "10"])
+    def test_k_h_that_is_not_two_integers_rejected(self, k_h):
+        # int() used to drop a third entry and floor 1.7 to 1
+        with pytest.raises(ValueError, match=r"k_h=.* must be 2 integers"):
+            BoundaryTrace(0, {(0.0, k_h): np.array([1.0, 0.0])})
+
+    def test_integer_k_h_kept_as_python_ints(self):
+        tr = BoundaryTrace(0, {(0.0, (np.int64(1), -2)): np.array([1.0, 0.0])})
+        ((mu, k_h),) = tr.table
+        assert k_h == (1, -2) and all(type(k) is int for k in k_h)
 
 
 class TestFilterResonant:
