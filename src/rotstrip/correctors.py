@@ -32,12 +32,22 @@ from .layers import (_GAUSS_Z, BoundaryTrace, HeatColumn, ModulatedBL, _column_i
 from .envelope import pumping
 
 
+def _powers(z, ndeg: int) -> np.ndarray:
+    """The power rows z^0 .. z^(ndeg-1) of the heights z (1-D), (ndeg,
+    len(z)), each row the one before times z (np.vander's products, formed
+    along the long axis)."""
+    V = np.empty((ndeg, len(z)))
+    V[:1] = 1.0
+    for i in range(1, ndeg):
+        np.multiply(V[i - 1], z, out=V[i])
+    return V
+
+
 def _polyval(coef, z) -> np.ndarray:
     """The power series coef (..., ndeg) on the heights z, of shape (...) +
-    z.shape, through one Vandermonde matrix."""
+    z.shape, through one build of the power rows."""
     z = np.asarray(z, dtype=float)
-    V = np.vander(z.ravel(), coef.shape[-1], increasing=True)
-    return (coef @ V.T).reshape(coef.shape[:-1] + z.shape)
+    return (coef @ _powers(z.ravel(), coef.shape[-1])).reshape(coef.shape[:-1] + z.shape)
 
 
 def _dz(coef) -> np.ndarray:
@@ -651,8 +661,12 @@ class ApproxSolution:
 
     def total_norm(self, t: float, nz: int = 800, include=None) -> float:
         """L2 norm of the sum of the parts named in `include` (all parts when
-        None) on a wall-refined grid of nz points; each part adds all its
-        columns into one array in one profiles call."""
+        None) by the trapezoid rule on a wall-refined grid of nz points
+        (_norm_grid); each part adds all its columns into one array in one
+        profiles call.  At nz = 800 the rule is 7e-5 to 6e-4 relative off a
+        Richardson reference from the 6400- and 25600-point grids, as
+        measured on the benchmark's asymptotic_grid inputs (eps = nu from
+        1e-2 to 1e-5, both assemblies, t in {0, 0.1, 0.3})."""
         parts = self._selected(include)
         z = _norm_grid(self.params, nz)
         columns = sorted({k for p in parts for k in p.horizontal_modes()})

@@ -21,7 +21,8 @@ from .spectral import SpectralField
 from .layers import BoundaryTrace, HeatColumn, build_B, empty_trace
 from .envelope import damping_rate, damping_table, envelope_trajectory
 from .correctors import assemble_dirichlet_approx, assemble_wind_approx
-from .direct import diagnostics_csv, fit_decay, l2_norm, solve_direct, solver_modules
+from .direct import (MIN_WALL_NODES, diagnostics_csv, fit_decay, l2_norm, solve_direct,
+                     solver_modules)
 
 KINDS = ("bl_scaling", "resonant_growth", "wind_convergence",
          "dirichlet_convergence", "ekman_rate", "destabilization")
@@ -113,9 +114,13 @@ class ExperimentSpec:
             self.beta = self.beta * len(self.epsilon)
         if len(self.beta) != len(self.epsilon):
             raise ValueError("beta grid must match epsilon grid")
+        for eps, nu, beta in self.grid():
+            Params(eps, nu, beta)  # every grid point's parameters, checked up front
+        if not float(self.t_end) >= 0.0:
+            raise ValueError(f"t_end={self.t_end!r} must be >= 0")
         self.mode = check_integers("mode", self.mode, 3)
         self.k_h = check_integers("k_h", self.k_h, 2)
-        check_integer("Nz", self.Nz)
+        check_integer("Nz", self.Nz, 4 * MIN_WALL_NODES)
         check_integer("save_every", self.save_every, 1)
         if not float(self.dt_factor) >= 10.0:
             raise ValueError(f"dt_factor={self.dt_factor!r} must be at least 10: the direct "

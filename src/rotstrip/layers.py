@@ -422,12 +422,20 @@ class LayerTable:
     def profiles(self, rows, weights, column, z, out) -> np.ndarray:
         """Add weights[i] times the profile of row rows[i] on the heights z
         into out[column[i]], out of shape (ncol, 3) + z.shape, and return
-        out; column must be nondecreasing.  The kept rates of consecutive
-        columns share one exp(-q zeta) block, a new block starting at the
-        first column past each LAYER_BLOCK entries; on a 1-D ascending z,
-        each column's rates are evaluated only on the heights where one of
-        them still exceeds e^-LAYER_CUT (see _height_windows).  One matrix
-        product per column sums its rates."""
+        out; column must be nondecreasing.
+
+        exp(-q zeta) is evaluated once per distinct decay rate, not once per
+        row: the call's kept rates are matched by their exact (wall, q)
+        values (the columns of a |k_h|^2 shell share theirs), and each
+        distinct rate is evaluated over the union of the height windows of
+        the columns that use it.  A column's window [lo, hi) is, on a 1-D
+        ascending z, the heights where one of its rates still exceeds
+        e^-LAYER_CUT (see _height_windows), else the whole grid.  The
+        columns go in blocks (see _rate_blocks), so a block holds about
+        LAYER_BLOCK entries unless its columns need more.  Each column
+        gathers its rows on its own window from its block and sums them in
+        one matrix product, so its values do not depend on which columns
+        share the call."""
         z = np.asarray(z, dtype=float)
         r, j = self.keep[rows].nonzero()
         if not r.size:
@@ -440,17 +448,29 @@ class LayerTable:
         start = (count.cumsum() - count)[held]
         lo, hi = _height_windows(q, side, z)
         lo, hi = np.minimum.reduceat(lo, start), np.maximum.reduceat(hi, start)
-        size = count[held] * (hi - lo)
-        segments = zip(held.tolist(), start.tolist(), count[held].tolist(), lo.tolist(),
-                       hi.tolist(), ((size.cumsum() - size) // LAYER_BLOCK).tolist())
-        for _, piece in itertools.groupby(segments, key=lambda s: s[-1]):
-            piece = list(piece)
-            block = None  # the previous piece's block is freed first
-            block = _exp_block(q, side, z.ravel(), [s[1:5] for s in piece])
-            off = 0
-            for c, a, n, l, h, _ in piece:
-                value = amps[a:a + n].T @ block[off:off + n * (h - l)].reshape(n, h - l)
-                off += n * (h - l)
+        rate, first = _distinct_rates(q, side)
+        bounds = start.tolist() + [len(rate)]
+        columns = [(c, rate[a:b], a, b, l, h) for c, a, b, l, h in
+                   zip(held.tolist(), bounds[:-1], bounds[1:], lo.tolist(), hi.tolist())]
+        columns.sort(key=lambda col: col[1][0])  # stable: a shell's columns side by side
+        side_of = side.tolist()
+        for block, members in _rate_blocks(columns):
+            exp = None  # the previous block is freed first
+            exp = _exp_block(q, z.ravel(), [(first[u], side_of[first[u]], l, h)
+                                            for u, (l, h) in block.items()])
+            offset, at = {}, 0  # exp[offset[u] + k] is rate u at height k
+            for u, (l, h) in block.items():
+                offset[u], at = at - l, at + h - l
+            for c, mine, a, b, l, h in members:
+                w = h - l
+                if not w:
+                    continue  # every rate of the column is below the cut on z
+                pos = [offset[u] + l for u in mine]
+                if pos == list(range(pos[0], pos[0] + w * len(pos), w)):
+                    rows_c = exp[pos[0]:pos[0] + w * len(pos)].reshape(len(pos), w)
+                else:
+                    rows_c = exp[np.add.outer(pos, np.arange(w))]
+                value = amps[a:b].T @ rows_c
                 if z.ndim == 1:
                     out[c][:, l:h] += value
                 else:
@@ -483,6 +503,43 @@ LAYER_CUT = 40.0
 LAYER_BLOCK = 4096
 
 
+def _distinct_rates(q, side):
+    """The distinct (side, q) among n rates, matched by the exact bits of
+    their values: (ids, first), ids (n,) a list numbering them in order of
+    first appearance and first[u] the index of the first rate of id u."""
+    bits = q.view(np.int64).reshape(-1, 2).tolist()
+    seen, first, ids = {}, [], []
+    for m, key in enumerate(zip(side.tolist(), *zip(*bits))):
+        u = seen.setdefault(key, len(seen))
+        if u == len(first):
+            first.append(m)
+        ids.append(u)
+    return ids, first
+
+
+def _rate_blocks(columns):
+    """Split the columns (c, rate ids, a, b, lo, hi) of a profiles call, in
+    order, into blocks (block, members): block maps each distinct rate of the
+    member columns to the union [lo, hi) of the windows of the members that
+    use it, and its entries are the sum of those widths.  A column whose
+    rates the block already holds joins it; otherwise a new block starts
+    once the block holds LAYER_BLOCK entries."""
+    block, members, size = {}, [], 0
+    for col in columns:
+        _, ids, _, _, lo, hi = col
+        if size >= LAYER_BLOCK and not block.keys() >= set(ids):
+            yield block, members
+            block, members, size = {}, [], 0
+        for u in ids:
+            window = block.setdefault(u, [lo, lo])
+            size -= window[1] - window[0]
+            window[:] = min(window[0], lo), max(window[1], hi)
+            size += window[1] - window[0]
+        members.append(col)
+    if members:
+        yield block, members
+
+
 def _height_windows(q, side, z):
     """Index windows [lo, hi) (each (n,)) of the heights z on which
     Re(q_m) zeta <= LAYER_CUT, zeta the distance to the wall side_m: a
@@ -495,17 +552,18 @@ def _height_windows(q, side, z):
     return z.searchsorted(1.0 - reach) * top, np.where(top, z.size, z.searchsorted(reach, "right"))
 
 
-def _exp_block(q, side, z, segments) -> np.ndarray:
-    """exp(-q_m zeta) of the rates m of each segment (a, n, l, h), rates a
-    to a + n - 1 on the heights z[l:h], concatenated segment by segment in
-    row-major (rate, height) order: zeta the distance to the wall side_m."""
-    zeta = np.array([z, 1.0 - z])
-    block = np.empty(sum(n * (h - l) for _, n, l, h in segments), dtype=complex)
+def _exp_block(q, z, rates) -> np.ndarray:
+    """exp(-q_m zeta) of the rates (m, side, lo, hi), rate q[m] on the
+    heights z[lo:hi], concatenated rate by rate: zeta the distance to the
+    wall side.  A run of rates on one wall and window takes one product."""
+    block = np.empty(sum(h - l for _, _, l, h in rates), dtype=complex)
     off = 0
-    for a, n, l, h in segments:
-        np.multiply(-q[a:a + n, None], zeta[side[a:a + n], l:h],
-                    out=block[off:off + n * (h - l)].reshape(n, h - l))
-        off += n * (h - l)
+    for (s, l, h), run in itertools.groupby(rates, key=lambda rate: rate[1:]):
+        m = [rate[0] for rate in run]
+        n = len(m) * (h - l)
+        zeta = z[l:h] if s == 0 else 1.0 - z[l:h]
+        np.multiply(-q[m, None], zeta, out=block[off:off + n].reshape(len(m), h - l))
+        off += n
     return np.exp(block, out=block)
 
 
@@ -802,18 +860,32 @@ class ModulatedBL(_Part):
         """Exact L2 norm at time t.  On each column the kept rates of every
         row, times their row's weight, enter one closed-form Gram sum, so
         cross terms between rows count; this needs the column's layers on one
-        wall.  The resonant k_h = 0 layers are added in quadrature: the
-        classical remainder sharing their column carries the orthogonal
-        circular polarisation."""
-        tab = self.table
+        wall.  The columns go through one padded Gram sum, each padded with
+        zero amplitudes to the most kept rates of a column, taken in blocks
+        of columns of about LAYER_BLOCK Gram entries.  The resonant k_h = 0
+        layers are added in quadrature: the classical remainder sharing their
+        column carries the orthogonal circular polarisation."""
+        tab, order = self.table, self._order
+        first = self._index[1][:-1]
         total = 0.0
-        for rows in np.split(self._order, self._index[1][1:-1]):
-            if len(set(tab.side[rows].tolist())) > 1:
-                raise ValueError(f"column {_kh_tuple(tab.k_h[rows[0]])} holds layers of both "
+        if len(order):
+            side = tab.side[order]
+            mixed = np.flatnonzero(np.minimum.reduceat(side, first)
+                                   != np.maximum.reduceat(side, first))
+            if len(mixed):
+                raise ValueError(f"column {self._index[0][mixed[0]]} holds layers of both "
                                  "walls; a modulated layer lives on one wall")
-            keep = tab.keep[rows]
-            amps = (tab.amps[rows] * self._weights(t, rows)[:, None, None])[keep]
-            total += float(_amplitude_l2(amps, tab.q[rows][keep])) ** 2
+            r, j = tab.keep[order].nonzero()
+            column = np.searchsorted(first, r, side="right") - 1
+            count = np.bincount(column)
+            slot = np.arange(len(r)) - (count.cumsum() - count)[column]
+            amps = np.zeros((len(first), count.max(), 3), dtype=complex)
+            q = np.ones(amps.shape[:2], dtype=complex)
+            amps[column, slot] = tab.amps[order[r], j] * self._weights(t, order[r])[:, None]
+            q[column, slot] = tab.q[order[r], j]
+            step = max(1, LAYER_BLOCK // q.shape[1] ** 2)
+            total += float(sum(np.sum(_amplitude_l2(amps[c:c + step], q[c:c + step]) ** 2)
+                               for c in range(0, len(q), step)))
         for layer in self.resonant:
             total += layer.l2_norm_h(t) ** 2
         return math.sqrt(total)

@@ -1,5 +1,6 @@
 """Lifts, small-divisor correctors and assembled approximations."""
 
+import dataclasses
 import inspect
 import math
 
@@ -17,7 +18,8 @@ from rotstrip.spectral import (
     eigenvalue,
     euclidean_norm,
 )
-from rotstrip.layers import BoundaryTrace, ModulatedBL, build_B, build_layers, empty_trace
+from rotstrip.layers import (BoundaryTrace, LayerTable, ModulatedBL, build_B, build_layers,
+                             empty_trace)
 from rotstrip import correctors
 from rotstrip.correctors import (
     ExpSource,
@@ -846,8 +848,15 @@ class TestColumnEvaluation:
         table = {(0.3, (1, 1)): np.array([1.0, 0.5j])}
         both = build_B(BoundaryTrace(0, table), BoundaryTrace(1, table), p).table
         assert both.side.tolist() == [0, 1]
-        with pytest.raises(ValueError, match="both walls"):
+        with pytest.raises(ValueError, match=r"column \(1, 1\) holds layers of both walls"):
             ModulatedBL(p, both, [0.0, 0.5]).l2_norm(0.1)
+        # among other columns, the mixed one is named
+        other = build_B(BoundaryTrace(0, {(0.0, (-1, 0)): np.array([1.0, 0.2j]),
+                                          (0.5, (2, 2)): np.array([0.3, 1.0])}), empty_trace(1), p)
+        joined = LayerTable(*(np.concatenate([getattr(other.table, f.name), getattr(both, f.name)])
+                              for f in dataclasses.fields(LayerTable)))
+        with pytest.raises(ValueError, match=r"column \(1, 1\) holds"):
+            ModulatedBL(p, joined).l2_norm(0.1)
 
 
 def ref_modulated_column(part, k_h, t, z):
@@ -888,6 +897,37 @@ def ref_modulated_l2(part, t):
     for layer in part.resonant:
         total += layer.l2_norm_h(t) ** 2
     return math.sqrt(total)
+
+
+def ref_layer_profiles(part, t, z, columns):
+    """ModulatedBL.profiles of a part with no resonant layers, one row at a
+    time: each column's kept rates, in table order, evaluated one by one on
+    the column's window (the union of its rates' windows) and summed in one
+    product, as the per-column blocks before the distinct-rate blocks did."""
+    from rotstrip import layers
+
+    tab = part.table
+    z = np.asarray(z, dtype=float)
+    zf = z.ravel()
+    out = np.zeros((len(columns), 3) + z.shape, dtype=complex)
+    for c, k_h in enumerate(columns):
+        rows = np.flatnonzero((tab.k_h == k_h).all(axis=1))
+        kept = [(i, j, w) for i, w in zip(rows, part._weights(t, rows))
+                for j in (0, 1) if tab.keep[i, j]]
+        if not kept:
+            continue
+        q = np.array([tab.q[i, j] for i, j, _ in kept])
+        side = np.array([tab.side[i] for i, _, _ in kept])
+        lo, hi = layers._height_windows(q, side, z)
+        l, h = int(lo.min()), int(hi.max())
+        decay = np.array([np.exp(-q_m * (zf if s == 0 else 1.0 - zf)[l:h])
+                          for q_m, s in zip(q, side)])
+        value = np.array([tab.amps[i, j] * w for i, j, w in kept]).T @ decay
+        if z.ndim == 1:
+            out[c][:, l:h] += value
+        else:
+            out[c] += value.reshape((3,) + z.shape)
+    return out
 
 
 class TestModulatedProfiles:
@@ -968,48 +1008,143 @@ class TestModulatedProfiles:
         assert part.frozen_dt_bound() == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
+    def test_distinct_rate_blocks_equal_the_per_row_evaluation(self, monkeypatch):
+        """Bit for bit, whatever the blocks: rows on both walls of one
+        column, quasi-resonant rows and a shell whose columns share rates."""
+        from rotstrip import layers
+
+        rng = np.random.default_rng(11)
+
+        def vec():
+            return rng.standard_normal(2) + 1j * rng.standard_normal(2)
+
+        turn = np.array([[0.0, -1.0], [1.0, 0.0]])  # a quarter turn of k_h
+        bottom, top = {}, {}
+        for mu in (0.0, 1.0, 0.4):
+            v, w = vec(), vec()
+            for k, m in zip(((1, 0), (0, 1), (-1, 0), (0, -1)),
+                            (np.eye(2), turn, -np.eye(2), -turn)):
+                bottom[(mu, k)] = m @ v
+                top[(-mu, k)] = m @ w
+        bottom[(0.3, (1, 1))], top[(2.0, (1, 1))] = vec(), vec()
+        # a shell whose columns share some rates: (2, 1) adds a thick
+        # quasi-resonant layer, so (1, 2) gathers its rows from a wider block
+        top[(-1.0, (2, 1))], top[(0.0, (2, 1))], top[(0.0, (1, 2))] = vec(), vec(), vec()
+        sol = build_B(BoundaryTrace(0, bottom), BoundaryTrace(1, top), self.P)
+        tab = sol.table
+        assert tab.quasi.any() and not tab.quasi.all() and not sol.resonant
+        part = ModulatedBL(self.P, tab, rng.uniform(0.0, 2.0, len(tab)) + 0.5j)
+        columns = sorted(set(tab.columns())) + [(3, 3)]  # (3, 3) is not held
+        assert {tuple(tab.side[(tab.k_h == (1, 0)).all(axis=1)].tolist())} == {(0, 0, 0, 1, 1, 1)}
+        for cap in (layers.LAYER_BLOCK, 700, 1):
+            monkeypatch.setattr(layers, "LAYER_BLOCK", cap)
+            for z in (_norm_grid(self.P, 800), np.linspace(0.0, 1.0, 120).reshape(8, 15)):
+                for t in (0.0, 0.137):
+                    assert np.array_equal(part.profiles(t, z, columns),
+                                          ref_layer_profiles(part, t, z, columns))
+
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
+    def test_norm_is_the_per_column_gram_sum(self, monkeypatch):
+        from rotstrip import layers
+
+        part = self.part()
+        tab = part.table
+        for cap in (layers.LAYER_BLOCK, 1):
+            monkeypatch.setattr(layers, "LAYER_BLOCK", cap)
+            for t in (0.0, 0.3):
+                total = 0.0
+                for k_h in sorted(set(tab.columns())):
+                    rows = np.flatnonzero((tab.k_h == k_h).all(axis=1))
+                    keep = tab.keep[rows]
+                    amps = (tab.amps[rows] * part._weights(t, rows)[:, None, None])[keep]
+                    total += float(layers._amplitude_l2(amps, tab.q[rows][keep])) ** 2
+                total += sum(layer.l2_norm_h(t) ** 2 for layer in part.resonant)
+                assert part.l2_norm(t) == pytest.approx(math.sqrt(total), rel=1e-15)
+
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_exp_blocks_span_columns(self, monkeypatch):
+        """Each distinct (wall, rate) of a profiles call is evaluated once, in
+        blocks spanning columns; a block takes a column that needs a new
+        rate only while it holds fewer than LAYER_BLOCK entries, and the
+        heights past the cut are skipped."""
         from rotstrip import layers
 
         p = Params(1e-4, 1e-4, beta=1.0)
+        # two |k_h|^2 shells, the stress rotated with the column, so that
+        # columns share their rates
         sols = [assemble_wind_approx(BoundaryTrace(1, {(1.0, (1, 0)): np.array([1.0, 0.5j]),
+                                                       (1.0, (0, 1)): np.array([-0.5j, 1.0]),
                                                        (0.0, (0, 2)): np.array([0.2, 0.1]),
+                                                       (0.0, (-2, 0)): np.array([-0.2, -0.1]),
                                                        (1.0, (0, 0)): np.array([1.0, 0.0])}), p),
                 assemble_dirichlet_approx(SpectralField({(1, 0, 1): 1.0, (0, 1, 2): 0.5j,
                                                          (0, 0, 1): 0.3}), p)]
-        blocks = []
-        exp_block = layers._exp_block
+        calls, evaluated = [], []
+        rate_blocks, exp_block = layers._rate_blocks, layers._exp_block
 
-        def counted(q, side, z, segments):
-            blocks.append([(n, n * (h - l)) for _, n, l, h in segments])
-            return exp_block(q, side, z, segments)
+        def counted_blocks(columns):
+            calls.append([])
+            for block, members in rate_blocks(columns):
+                calls[-1].append(list(members))
+                yield block, members
 
-        monkeypatch.setattr(layers, "_exp_block", counted)
+        def counted_exp(q, z, rates):
+            evaluated.append(([(side, complex(q[m])) for m, side, _, _ in rates],
+                              sum(hi - lo for _, _, lo, hi in rates)))
+            return exp_block(q, z, rates)
+
+        def entries(members):
+            """The entries of the distinct rates of some columns, each over
+            the union of the windows of the columns using it."""
+            window = {}
+            for _, ids, _, _, lo, hi in members:
+                for u in ids:
+                    l, h = window.get(u, (lo, hi))
+                    window[u] = (min(l, lo), max(h, hi))
+            return sum(h - l for l, h in window.values())
+
+        def distinct(part):
+            tab = part.table
+            r, j = tab.keep.nonzero()
+            return set(zip(tab.side[r].tolist(), tab.q[r, j].tolist()))
+
+        monkeypatch.setattr(layers, "_rate_blocks", counted_blocks)
+        monkeypatch.setattr(layers, "_exp_block", counted_exp)
+        shared = 0
         for sol in sols:
-            parts = [part for part in sol.parts.values() if isinstance(part, ModulatedBL)]
-            rates = sum(int(part.table.keep.sum()) for part in parts)
-            blocks.clear()
+            parts = [part for part in sol.parts.values()
+                     if isinstance(part, ModulatedBL) and len(part.table)]
+            calls.clear()
+            evaluated.clear()
             norm = sol.total_norm(0.1)
-            # every kept rate once, blocks spanning columns, a new block only
-            # past LAYER_BLOCK entries, the heights past the cut skipped
-            assert sum(n for block in blocks for n, _ in block) == rates
-            assert len(blocks) < sum(len(set(part.table.columns())) for part in parts)
-            assert all(sum(size for _, size in block[:-1]) < layers.LAYER_BLOCK
-                       for block in blocks)
-            assert sum(size for block in blocks for _, size in block) < 800 * rates
-            # with a one-entry cap every column is a block of its own
-            cap = layers.LAYER_BLOCK
-            monkeypatch.setattr(layers, "LAYER_BLOCK", 1)
-            blocks.clear()
-            assert sol.total_norm(0.1) == pytest.approx(norm, rel=1e-15)
-            assert len(blocks) == sum(len(set(part.table.columns())) for part in parts)
-            monkeypatch.setattr(layers, "LAYER_BLOCK", cap)
+            assert len(calls) == len(parts) == len(evaluated)  # one block per call here
+            for part, blocks, (rates, size) in zip(parts, calls, evaluated):
+                # every distinct rate of the part once, on fewer heights than
+                # the grid's wherever a rate falls below the cut
+                assert len(rates) == len(set(rates)) and set(rates) == distinct(part)
+                assert size < 800 * len(rates)
+                shared += int(part.table.keep.sum()) - len(rates)
+                assert len(blocks) == 1 and len(blocks[0]) == len(set(part.table.columns()))
+            # a small cap: several blocks, none taking a column that needs a
+            # new rate once it holds LAYER_BLOCK entries; the values do not
+            # depend on the blocks
+            monkeypatch.setattr(layers, "LAYER_BLOCK", 300)
+            calls.clear()
+            assert sol.total_norm(0.1) == norm
+            assert sum(len(blocks) for blocks in calls) > len(calls)
+            for blocks in calls:
+                for members in blocks:
+                    grows = [k for k, m in enumerate(members)
+                             if not set(m[1]) <= {u for n in members[:k] for u in n[1]}]
+                    assert entries(members[:grows[-1]]) < layers.LAYER_BLOCK
+            monkeypatch.setattr(layers, "LAYER_BLOCK", 4096)
             # a profiles call over some columns: one block for all of them
             part = parts[0]
             columns = part.horizontal_modes()[:2] + [(5, 5)]
-            blocks.clear()
+            calls.clear()
             part.profiles(0.1, np.linspace(0.0, 1.0, 7), columns)
-            assert len(blocks) == 1
+            assert len(calls[0]) == 1 and len(calls[0][0]) == 2
+        assert shared > 0  # fewer evaluations than kept rates
 
     @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_skipped_heights_are_below_the_cut(self):
@@ -1562,6 +1697,12 @@ class TestColumnSlices:
                 want = got
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
+    def test_power_rows_are_the_vandermonde_products(self):
+        for z in (_norm_grid(self.P, 800), np.linspace(0.0, 1.0, 33), np.array([1.0])):
+            for ndeg in (1, 2, 5, 7):
+                assert np.array_equal(correctors._powers(z, ndeg),
+                                      np.vander(z, ndeg, increasing=True).T)
+
     @pytest.mark.parametrize("ncol", [1, 3, 12])
     def test_one_vandermonde_product_per_lift_call(self, monkeypatch, ncol):
         osc = OscillatingPoly(self.P)
@@ -1577,13 +1718,14 @@ class TestColumnSlices:
                                                               - rate * 0.3)
                              for f, mu, rate in osc.entries) for k_h in columns])
         calls = []
-        vander = np.vander
+        powers = correctors._powers
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return vander(*args, **kwargs)
+        def counted(z, ndeg):
+            calls.append(ndeg)
+            return powers(z, ndeg)
 
-        monkeypatch.setattr(np, "vander", counted)
+        # one build of the power rows (the Vandermonde matrix) per call
+        monkeypatch.setattr(correctors, "_powers", counted)
         got = osc.profiles(0.3, z, columns)
         assert len(calls) == 1
         assert_column_close(got, want, rel=1e-13)

@@ -213,16 +213,29 @@ class TestParallelExecution:
         assert not (tmp_path / "out").exists()
 
 
+@pytest.fixture(scope="module")
+def destabilization_checks(tmp_path_factory):
+    """The checks of one destabilization run, shared by the tests below."""
+    spec = ExperimentSpec(kind="destabilization", epsilon=[3e-2], beta=[1.0],
+                          t_end=8.0, Nz=128, dt_factor=10.0, save_every=100,
+                          out=str(tmp_path_factory.mktemp("dest") / "dest"))
+    summary = run(spec)
+    assert not summary["errors"], summary["errors"]
+    return {c["name"]: c for c in summary["checks"]}
+
+
 class TestDestabilizationExperiment:
-    def test_resonant_column_tracks_selfsimilar_profile(self, tmp_path):
-        spec = ExperimentSpec(kind="destabilization", epsilon=[3e-2], beta=[1.0],
-                              t_end=8.0, Nz=128, dt_factor=10.0, save_every=100,
-                              out=str(tmp_path / "dest"))
-        summary = run(spec)
-        assert not summary["errors"], summary["errors"]
-        by_name = {c["name"]: c for c in summary["checks"]}
-        assert by_name["selfsimilar_rel_error_early"]["passed"]
-        assert by_name["strip_response_rel_error"]["passed"]
+    def test_resonant_column_tracks_selfsimilar_profile(self, destabilization_checks):
+        assert destabilization_checks["selfsimilar_rel_error_early"]["passed"]
+        assert destabilization_checks["strip_response_rel_error"]["passed"]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "interior_mass_fraction_final reads 0.0876 against its >= 0.10 at nu t = 0.24; "
+        "the long-time claim on the direct solution is ROADMAP item 6"))
+    def test_interior_mass_fraction_reaches_its_bound(self, destabilization_checks):
+        check = destabilization_checks["interior_mass_fraction_final"]
+        assert check["value"] >= 0.10
+        assert check["passed"]
 
 
 class TestCompare:
@@ -480,6 +493,10 @@ class TestCLI:
         ({"mode": [1, 0]}, "mode=[1, 0] must be 3 integers"),
         ({"mode": [1, 0, 1.5]}, "mode=[1, 0, 1.5] must be 3 integers"),
         ({"k_h": [1, 0, 5]}, "k_h=[1, 0, 5] must be 2 integers"),
+        ({"epsilon": [2.0]}, "epsilon must lie in (0, 1], got 2.0"),
+        ({"epsilon": [1e-2, 5e-3], "nu": [1e-2, 0.0]}, "nu must lie in (0, 1], got 0.0"),
+        ({"t_end": -0.01}, "t_end=-0.01 must be >= 0"),
+        ({"Nz": 8}, "Nz=8 must be an integer >= 32"),
     ])
     def test_bad_sweep_spec_exits_2_before_any_point(self, tmp_path, capsys, entries,
                                                      message):

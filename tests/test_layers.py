@@ -597,6 +597,44 @@ class TestBuildB:
         assert loglog_slope(p.nu * ts, norms) == pytest.approx(0.25, abs=0.05)
 
 
+class TestShellRates:
+    """The rates depend on k_h only through |k_h|^2, and the computed ones
+    do so exactly: LayerTable.profiles evaluates exp(-q zeta) once per
+    distinct value, so the columns of a shell share theirs."""
+
+    @staticmethod
+    def shells():
+        out = {}
+        for k1 in range(-2, 3):
+            for k2 in range(-2, 3):
+                if (k1, k2) != (0, 0):
+                    out.setdefault(k1 * k1 + k2 * k2, []).append((k1, k2))
+        return out
+
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5])
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+    def test_rotated_stress_gives_bit_identical_rates_across_a_shell(self, eps, mu):
+        rng = np.random.default_rng(int(-math.log10(eps)))
+        stress = {}
+        for cols in self.shells().values():
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            ref = math.atan2(cols[0][1], cols[0][0])
+            for k in cols:
+                theta = math.atan2(k[1], k[0]) - ref
+                c, s = math.cos(theta), math.sin(theta)
+                stress[(mu, k)] = np.array([[c, -s], [s, c]]) @ v
+        for nu in (eps, 2 * eps):
+            tab = build_B(empty_trace(0), BoundaryTrace(1, stress), Params(eps, nu)).table
+            assert len(tab) == len(stress)
+            assert bool(tab.quasi.all()) == (mu == 1.0)
+            for cols in self.shells().values():
+                rows = [int(np.flatnonzero((tab.k_h == k).all(axis=1))[0]) for k in cols]
+                bits = tab.q[rows].view(np.int64)
+                assert (bits == bits[0]).all(), (eps, nu, mu, cols)
+                assert (tab.keep[rows] == tab.keep[rows[0]]).all()
+
+
 class TestResonantLayer:
     def test_value_makes_one_profile_per_call(self, monkeypatch):
         p = Params(1e-3, 2e-3)
