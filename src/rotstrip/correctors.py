@@ -11,8 +11,10 @@ problems.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,9 +47,19 @@ def _powers(z, ndeg: int) -> np.ndarray:
 
 def _polyval(coef, z) -> np.ndarray:
     """The power series coef (..., ndeg) on the heights z, of shape (...) +
-    z.shape, through one build of the power rows."""
+    z.shape, through one build of the power rows and one 2-D matrix product."""
     z = np.asarray(z, dtype=float)
-    return (coef @ _powers(z.ravel(), coef.shape[-1])).reshape(coef.shape[:-1] + z.shape)
+    ndeg = coef.shape[-1]
+    values = coef.reshape(-1, ndeg) @ _powers(z.ravel(), ndeg)
+    return values.reshape(coef.shape[:-1] + z.shape)
+
+
+def _column_sq(coef, order: int = 0) -> np.ndarray:
+    """int_0^1 |dz^order w|^2 dz of each column w (3, ndeg) of coef (n, 3,
+    ndeg), by Gauss quadrature, exact for the degrees used here."""
+    z, w = _GAUSS_Z
+    coef = np.polynomial.polynomial.polyder(coef, order, axis=2)
+    return (np.abs(_polyval(coef, z)) ** 2 @ w).sum(axis=1)
 
 
 def _dz(coef) -> np.ndarray:
@@ -60,59 +72,116 @@ def _dz(coef) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class _Columns(MutableMapping):
+    """The live {k_h: (P1, P2, P3)} view of a ZPolyField's coefficient
+    table: reading a column builds its three Polynomials; writing one or
+    deleting one replaces the field's rows, adding a column or raising the
+    degree as needed."""
+
+    def __init__(self, field_):
+        self._field = field_
+
+    def __getitem__(self, k_h):
+        f = self._field
+        return tuple(Polynomial(row) for row in f._coef[f._row(k_h)])
+
+    def __setitem__(self, k_h, polys):
+        rows = [p.coef for p in polys]
+        if len(rows) != 3:
+            raise ValueError(f"column {k_h} needs three profiles, got {len(rows)}")
+        self._field._put({**self._field._rows(), _kh_tuple(k_h): rows})
+
+    def __delitem__(self, k_h):
+        rows = self._field._rows()
+        del rows[_kh_tuple(k_h)]
+        self._field._put(rows)
+
+    def __iter__(self):
+        return iter(list(self._field._keys))
+
+    def __len__(self):
+        return len(self._field._keys)
+
+
 class ZPolyField:
     """Vector field with finitely many horizontal modes and polynomial
     vertical profiles: u = sum_kh (p1(z), p2(z), p3(z)) e^{i k_h . x_h}.
-    Every evaluation reads the coefficients of modes when it is called."""
 
-    def __init__(self, modes=None):
-        # modes: {k_h: (P1, P2, P3)} with Pi numpy Polynomials
-        self.modes = dict(modes) if modes else {}
+    The field holds its distinct columns k_h sorted and one (ncol, 3, ndeg)
+    array of their power-series coefficients.  modes is a live {k_h: (P1, P2,
+    P3)} Polynomial view of that array; a write through it replaces rows and
+    counts up version, and every evaluation reads the array when called."""
+
+    def __init__(self, keys, coef):
+        keys = [_kh_tuple(k) for k in keys]
+        coef = np.asarray(coef, dtype=complex)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        if order != list(range(len(keys))):
+            keys, coef = [keys[i] for i in order], coef[order]
+        self._keys, self._coef = keys, coef
+        self.version = 0  # writes through modes
 
     @classmethod
     def of(cls, keys, coef):
-        """The field whose column keys[i] has the power-series coefficients
-        coef[i], a (3, ndeg) array: one Polynomial per row."""
-        return cls({k_h: tuple(Polynomial(row) for row in c) for k_h, c in zip(keys, coef)})
+        """The field whose column keys[i] (distinct) has the power-series
+        coefficients coef[i], a (3, ndeg) array; coef is stored as given
+        when keys are sorted."""
+        return cls(keys, coef)
+
+    @property
+    def modes(self) -> _Columns:
+        return _Columns(self)
+
+    def _rows(self) -> dict:
+        return dict(zip(self._keys, self._coef))
+
+    def _put(self, rows: dict):
+        """Store the columns {k_h: three coefficient sequences}, zero-padded
+        to the longest, as a write."""
+        keys = sorted(rows)
+        coef = np.zeros((len(keys), 3, max((len(r) for k in keys for r in rows[k]), default=1)),
+                        dtype=complex)
+        for i, k_h in enumerate(keys):
+            for c, r in enumerate(rows[k_h]):
+                coef[i, c, :len(r)] = r
+        self._keys, self._coef = keys, coef
+        self.version += 1
+
+    def _row(self, k_h) -> int:
+        """The row of column k_h; KeyError if the field has none."""
+        k_h = _kh_tuple(k_h)
+        i = bisect.bisect_left(self._keys, k_h)
+        if self._keys[i:i + 1] != [k_h]:
+            raise KeyError(k_h)
+        return i
 
     def items(self):
-        return ((k, self.modes[k]) for k in sorted(self.modes))
+        return ((k, self.modes[k]) for k in list(self._keys))
 
-    def coefficients(self, columns=None):
-        """(keys, their zero-padded (len(keys), 3, ndeg) coefficient array):
-        the listed columns k_h, zero where the field has none, or all the
-        field's columns, sorted, when columns is None."""
-        keys = sorted(self.modes) if columns is None else [_kh_tuple(k) for k in columns]
-        polys = [self.modes.get(k, ()) for k in keys]
-        ndeg = max((len(p.coef) for ps in polys for p in ps), default=1)
-        coef = np.zeros((len(keys), 3, ndeg), dtype=complex)
-        for i, ps in enumerate(polys):
-            for c, p in enumerate(ps):
-                coef[i, c, :len(p.coef)] = p.coef
-        return keys, coef
-
-    def column_sq(self, order: int = 0) -> np.ndarray:
-        """int_0^1 |dz^order w|^2 dz per column, in sorted key order (Gauss
-        quadrature, exact for the degrees used here)."""
-        z, w = _GAUSS_Z
-        coef = np.polynomial.polynomial.polyder(self.coefficients()[1], order, axis=2)
-        return (np.abs(_polyval(coef, z)) ** 2 @ w).sum(axis=1)
+    def coefficients(self):
+        """(the sorted columns, their (ncol, 3, ndeg) coefficient array), the
+        stored array itself."""
+        return list(self._keys), self._coef
 
     def _kh2(self) -> np.ndarray:
-        return np.array([k[0] ** 2 + k[1] ** 2 for k in sorted(self.modes)], dtype=float)
+        return np.array([k[0] ** 2 + k[1] ** 2 for k in self._keys], dtype=float)
 
     def hat_profile(self, k_h, z) -> np.ndarray:
-        return _polyval(self.coefficients([k_h])[1][0], z)
+        try:
+            coef = self._coef[self._row(k_h)]
+        except KeyError:
+            coef = np.zeros((3, 1), dtype=complex)
+        return _polyval(coef, z)
 
     def l2_norm(self) -> float:
-        return 2.0 * math.pi * math.sqrt(float(self.column_sq().sum()))
+        return 2.0 * math.pi * math.sqrt(float(_column_sq(self._coef).sum()))
 
     def h2_norm(self) -> float:
         """H^2(omega) norm: all derivatives up to second order."""
         kh2 = self._kh2()
         # x-derivatives multiply by ik components
-        total = (1.0 + 2.0 * kh2 + kh2 ** 2) @ self.column_sq() \
-            + 2.0 * (1.0 + kh2) @ self.column_sq(1) + self.column_sq(2).sum()
+        total = (1.0 + 2.0 * kh2 + kh2 ** 2) @ _column_sq(self._coef) \
+            + 2.0 * (1.0 + kh2) @ _column_sq(self._coef, 1) + _column_sq(self._coef, 2).sum()
         return 2.0 * math.pi * math.sqrt(float(total))
 
     def divergence_residual(self) -> float:
@@ -147,6 +216,34 @@ def _trace_table(delta: dict, keys) -> np.ndarray:
     return out
 
 
+def _lift_coef(keys, d0, d1, scale) -> np.ndarray:
+    """The (n, 3, 5) coefficients of the stopping lift on the columns keys
+    with traces d0, d1 ((n, 3) arrays of (delta_h, delta_3)); a k_h = 0
+    column must meet the compatibility integral to 1e-12 of its row's scale
+    (n,)."""
+    k = np.array(keys, dtype=float).reshape(-1, 2)
+    kh2 = k[:, 0] ** 2 + k[:, 1] ** 2
+    mean = kh2 == 0
+    gap = d1[:, 2] - d0[:, 2]
+    bad = np.abs(gap) > 1e-12 * np.maximum(scale, 1e-300)
+    if np.any(mean & bad):
+        raise ValueError("stopping lift requires the mean of delta1_3 - delta0_3 to vanish "
+                         f"(got {gap[mean & bad][0]})")
+    ikd0 = 1j * (k[:, 0] * d0[:, 0] + k[:, 1] * d0[:, 1])
+    ikd1 = 1j * (k[:, 0] * d1[:, 0] + k[:, 1] * d1[:, 1])
+    phi = np.where(mean, 0j, 12.0 * (ikd0 + 0.5 * ikd1 + d1[:, 2] - d0[:, 2])
+                   / np.where(mean, 1.0, kh2))
+    coef = np.zeros((len(k), 3, 5), dtype=complex)
+    coef[:, :2, 0] = d0[:, :2]
+    coef[:, :2, 1] = d1[:, :2]
+    coef[:, :2, :4] += (1j * k * phi[:, None])[:, :, None] * _BUMP
+    # w3(z) = d03 - int_0^z div_h w_h
+    div_wh = 1j * k[:, :1] * coef[:, 0, :4] + 1j * k[:, 1:] * coef[:, 1, :4]
+    coef[:, 2, 0] = d0[:, 2]
+    coef[:, 2, 1:] = -(div_wh / np.arange(1.0, 5.0))
+    return coef
+
+
 def stopping_lift(delta0: dict, delta1: dict) -> ZPolyField:
     """Divergence-free lift with exact traces:
 
@@ -163,28 +260,9 @@ def stopping_lift(delta0: dict, delta1: dict) -> ZPolyField:
     """
     keys = sorted(set(delta0) | set(delta1))
     d0, d1 = _trace_table(delta0, keys), _trace_table(delta1, keys)
-    keys = [_kh_tuple(k) for k in keys]
-    k = np.array(keys, dtype=float).reshape(-1, 2)
-    kh2 = k[:, 0] ** 2 + k[:, 1] ** 2
-    mean = kh2 == 0
-    gap = d1[:, 2] - d0[:, 2]
     scale = max(float(np.max(np.abs(d0), initial=0.0)), float(np.max(np.abs(d1), initial=0.0)))
-    if np.any(np.abs(gap[mean]) > 1e-12 * max(scale, 1e-300)):
-        raise ValueError("stopping lift requires the mean of delta1_3 - delta0_3 to vanish "
-                         f"(got {gap[mean][0]})")
-    ikd0 = 1j * (k[:, 0] * d0[:, 0] + k[:, 1] * d0[:, 1])
-    ikd1 = 1j * (k[:, 0] * d1[:, 0] + k[:, 1] * d1[:, 1])
-    phi = np.where(mean, 0j, 12.0 * (ikd0 + 0.5 * ikd1 + d1[:, 2] - d0[:, 2])
-                   / np.where(mean, 1.0, kh2))
-    coef = np.zeros((len(keys), 3, 5), dtype=complex)
-    coef[:, :2, 0] = d0[:, :2]
-    coef[:, :2, 1] = d1[:, :2]
-    coef[:, :2, :4] += (1j * k * phi[:, None])[:, :, None] * _BUMP
-    # w3(z) = d03 - int_0^z div_h w_h
-    div_wh = 1j * k[:, :1] * coef[:, 0, :4] + 1j * k[:, 1:] * coef[:, 1, :4]
-    coef[:, 2, 0] = d0[:, 2]
-    coef[:, 2, 1:] = -(div_wh / np.arange(1.0, 5.0))
-    return ZPolyField.of(keys, coef)
+    keys = [_kh_tuple(k) for k in keys]
+    return ZPolyField.of(keys, _lift_coef(keys, d0, d1, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -477,34 +555,60 @@ def scaling_check(params: Params):
 class OscillatingPoly(_Part):
     """Sum of polynomial lift fields with phases e^{i mu t/eps} e^{-rate t}.
 
-    A call sums the entries' phased power-series coefficients of the listed
-    columns, in entry order, into one (len(columns), 3, ndeg) array and
-    evaluates it through one Vandermonde matrix."""
+    On first evaluation the entries' columns join into one table of rows
+    (column, entry, (3, ndeg) coefficients), stably sorted by column, so
+    that a column's rows are one slice in entry order; it joins again when
+    an entry was added or an entry's field written through its modes.  A
+    call takes one exp over the listed columns' rows, sums each column's
+    phased rows into one (len(columns), 3, ndeg) array and evaluates it
+    through one Vandermonde matrix."""
 
     def __init__(self, params: Params):
         self.params = params
         self.entries = []  # (ZPolyField, mu, rate)
+        self._stamp = None
 
     def add(self, field_, mu, rate=0j):
         if field_.modes:
             self.entries.append((field_, float(mu), complex(rate)))
 
+    def _table(self) -> np.ndarray:
+        """The joined coefficient rows, joining them again first if entries
+        were added or their fields written since."""
+        stamp = [f.version for f, _, _ in self.entries]
+        if stamp != self._stamp:
+            tables = [f.coefficients() for f, _, _ in self.entries]
+            count = [len(keys) for keys, _ in tables]
+            coef = np.zeros((sum(count), 3, max((c.shape[2] for _, c in tables), default=1)),
+                            dtype=complex)
+            for (_, c), a in zip(tables, np.cumsum([0] + count).tolist()):
+                coef[a:a + len(c), :, :c.shape[2]] = c
+            k_h = np.array([k for keys, _ in tables for k in keys], dtype=int).reshape(-1, 2)
+            _, column = np.unique(k_h, axis=0, return_inverse=True)
+            order = np.argsort(column.ravel(), kind="stable")
+            self._coef, self._k_h = coef[order], k_h[order]
+            self._entry = np.repeat(np.arange(len(tables)), count)[order]
+            self._mu = np.array([mu for _, mu, _ in self.entries], dtype=float)[self._entry]
+            self._rate = np.array([r for _, _, r in self.entries], dtype=complex)[self._entry]
+            self._index = _column_index(self._k_h)
+            self._stamp = stamp
+        return self._coef
+
     def _add(self, t, z, columns, out):
-        keys = [_kh_tuple(k_h) for k_h in columns]
-        terms = [(i, polys, mu, rate) for i, k_h in enumerate(keys) for f, mu, rate in self.entries
-                 if (polys := f.modes.get(k_h)) is not None]
-        if not terms:
+        self._table()
+        held = _slices(self._index, columns)
+        if not held:
             return
-        ndeg = max(len(p.coef) for _, polys, _, _ in terms for p in polys)
-        coef = np.zeros((len(keys), 3, ndeg), dtype=complex)
-        for i, polys, mu, rate in terms:
-            phase = np.exp(1j * mu * t / self.params.epsilon - rate * t)
-            for c, p in enumerate(polys):
-                coef[i, c, :len(p.coef)] += phase * p.coef
-        out += _polyval(coef, z)
+        rows = np.concatenate([np.arange(a, b) for _, a, b in held])
+        first = np.cumsum([0] + [b - a for _, a, b in held[:-1]])
+        phase = np.exp(1j * self._mu[rows] * t / self.params.epsilon - self._rate[rows] * t)
+        coef = np.add.reduceat(self._coef[rows] * phase[:, None, None], first, axis=0)
+        for (i, _, _), v in zip(held, _polyval(coef, z)):
+            out[i] += v
 
     def horizontal_modes(self):
-        return sorted({k_h for f, _, _ in self.entries for k_h in f.modes})
+        self._table()
+        return list(self._index[0])
 
     def l2_norm(self, t: float) -> float:
         values = self.profiles(t, _GAUSS_Z[0], self.horizontal_modes())
@@ -673,8 +777,9 @@ class ApproxSolution:
         prof = np.zeros((len(columns), 3, len(z)), dtype=complex)
         for p in parts:
             p.profiles(t, z, columns, prof)
-        total = sum(np.trapezoid(np.sum(np.abs(col) ** 2, axis=0), z) for col in prof)
-        return 2.0 * math.pi * math.sqrt(total)
+        sq = np.abs(prof)
+        np.square(sq, out=sq)  # in place: one real array beside prof
+        return 2.0 * math.pi * math.sqrt(float(np.trapezoid(sq.sum(axis=(0, 1)), z)))
 
     def summary(self, t: float) -> dict:
         return {
@@ -756,32 +861,49 @@ def _vertical_wall_traces(layer: ModulatedBL, walls) -> list:
 def _stopping_lifts(params: Params, rows) -> OscillatingPoly:
     """Stopping lifts cancelling the vertical wall values of `rows`
     (mu, rate, k_h, wall, value): one lift per (mu, rate) family, in order
-    of mu and Re(rate)."""
+    of mu and Re(rate), all families' coefficients formed in one pass."""
     families = {}
     for mu, rate, k_h, wall, value in rows:
         if value == 0:
             continue
         sides = families.setdefault((mu, complex(rate)), ({}, {}))
         sides[wall][k_h] = sides[wall].get(k_h, 0j) - value
+    families = sorted(families.items(), key=lambda kv: (kv[0][0], kv[0][1].real))
     lift = OscillatingPoly(params)
-    zero2 = np.zeros(2, dtype=complex)
-    for (mu, rate), sides in sorted(families.items(), key=lambda kv: (kv[0][0], kv[0][1].real)):
-        d0, d1 = ({k: (zero2, v) for k, v in side.items()} for side in sides)
-        lift.add(stopping_lift(d0, d1), mu, rate)
+    if not families:
+        return lift
+    keys, count, d = [], [], [[], []]
+    for _, sides in families:
+        ks = sorted(set(sides[0]) | set(sides[1]))
+        keys += [_kh_tuple(k) for k in ks]
+        count.append(len(ks))
+        for wall in (0, 1):
+            d[wall] += [sides[wall].get(k, 0j) for k in ks]
+    d0, d1 = np.zeros((2, len(keys), 3), dtype=complex)
+    d0[:, 2], d1[:, 2] = d
+    # each family's scale for the k_h = 0 compatibility check
+    first = np.cumsum(count) - count
+    scale = np.maximum.reduceat(np.maximum(np.abs(d0), np.abs(d1)).max(axis=1), first)
+    coef = _lift_coef(keys, d0, d1, np.repeat(scale, count))
+    for ((mu, rate), _), a, n in zip(families, first.tolist(), count):
+        lift.add(ZPolyField.of(keys[a:a + n], coef[a:a + n]), mu, rate)
     return lift
 
 
 def _lift_equation_bound(lift: OscillatingPoly, params: Params) -> float:
-    """(1/eps)||w|| + ||Lap_h w|| + nu ||dzz w|| + |rate| ||w|| over entries."""
-    total = 0.0
-    for f, mu, rate in lift.entries:
-        col_sq = f.column_sq()
-        norm = 2.0 * math.pi * math.sqrt(float(col_sq.sum()))
-        lap = float(f._kh2() ** 2 @ col_sq)
-        dzz = float(f.column_sq(2).sum())
-        total += norm / params.epsilon + 2.0 * math.pi * math.sqrt(lap) \
-            + params.nu * 2.0 * math.pi * math.sqrt(dzz) + abs(rate) * norm
-    return total
+    """(1/eps)||w|| + ||Lap_h w|| + nu ||dzz w|| + |rate| ||w|| over entries,
+    the column integrals of all entries' rows taken at once and summed per
+    entry."""
+    coef = lift._table()
+    sq, dzz_sq = _column_sq(coef), _column_sq(coef, 2)
+    n = len(lift.entries)
+    kh2 = (lift._k_h ** 2).sum(axis=1).astype(float)
+    col_sq, lap, dzz = (np.bincount(lift._entry, v, minlength=n)
+                        for v in (sq, kh2 ** 2 * sq, dzz_sq))
+    norm = 2.0 * math.pi * np.sqrt(col_sq)
+    rate = np.abs(np.array([r for _, _, r in lift.entries], dtype=complex))
+    return float(np.sum(norm / params.epsilon + 2.0 * math.pi * np.sqrt(lap)
+                        + params.nu * 2.0 * math.pi * np.sqrt(dzz) + rate * norm))
 
 
 # -- wind-driven assembly ----------------------------------------------------

@@ -21,8 +21,8 @@ from .spectral import SpectralField
 from .layers import BoundaryTrace, HeatColumn, build_B, empty_trace
 from .envelope import damping_rate, damping_table, envelope_trajectory
 from .correctors import assemble_dirichlet_approx, assemble_wind_approx
-from .direct import (MIN_WALL_NODES, diagnostics_csv, fit_decay, l2_norm, solve_direct,
-                     solver_modules)
+from .direct import (MIN_WALL_NODES, diagnostics_csv, fit_decay, graded_nodes, l2_norm,
+                     solve_direct, solver_modules)
 
 KINDS = ("bl_scaling", "resonant_growth", "wind_convergence",
          "dirichlet_convergence", "ekman_rate", "destabilization")
@@ -121,6 +121,11 @@ class ExperimentSpec:
         self.mode = check_integers("mode", self.mode, 3)
         self.k_h = check_integers("k_h", self.k_h, 2)
         check_integer("Nz", self.Nz, 4 * MIN_WALL_NODES)
+        for eps, nu, _ in self.solved_points():
+            try:
+                graded_nodes(self.Nz, Params(eps, nu).layer_scale)
+            except ValueError as err:
+                raise ValueError(f"grid point epsilon={eps:g}, nu={nu:g}: {err}") from None
         check_integer("save_every", self.save_every, 1)
         if not float(self.dt_factor) >= 10.0:
             raise ValueError(f"dt_factor={self.dt_factor!r} must be at least 10: the direct "
@@ -135,6 +140,20 @@ class ExperimentSpec:
 
     def grid(self):
         return list(zip(self.epsilon, self.nu, self.beta))
+
+    def solved_points(self) -> list:
+        """The grid points that solve_direct runs on with its default
+        grading: all of ekman_rate and dirichlet_convergence, the smallest-eps
+        one of wind_convergence, none of the other kinds."""
+        grid = self.grid()
+        if self.kind == "wind_convergence":
+            return [grid[_direct_index(grid)]]
+        return grid if self.kind in ("ekman_rate", "dirichlet_convergence") else []
+
+
+def _direct_index(grid) -> int:
+    """The wind_convergence point that is also solved directly: the smallest eps."""
+    return int(np.argmin([eps for eps, _, _ in grid]))
 
 
 def _check(name, value, tolerance, passed):
@@ -313,8 +332,7 @@ def _map_points(worker, jobs, parallel: int):
 
 
 def _ekman_point(job):
-    spec_dict, (eps, nu, _), pointdir = job
-    spec = ExperimentSpec(**spec_dict)
+    spec, (eps, nu, _), pointdir = job
     p = Params(eps, nu)
     gamma = SpectralField({spec.mode: 1.0})
     out = solve_direct(gamma, None, p, t_end=spec.t_end,
@@ -331,7 +349,7 @@ def _ekman_point(job):
 
 def _exp_ekman_rate(spec: ExperimentSpec, outdir, parallel):
     tol = spec.tolerances
-    jobs = [(asdict(spec), pt, _point_dir(outdir, i)) for i, pt in enumerate(spec.grid())]
+    jobs = [(spec, pt, _point_dir(outdir, i)) for i, pt in enumerate(spec.grid())]
     results = _map_points(_ekman_point, jobs, parallel)
     rows = []
     for i, r in enumerate(results):
@@ -346,8 +364,7 @@ def _exp_ekman_rate(spec: ExperimentSpec, outdir, parallel):
 
 
 def _dirichlet_point(job):
-    spec_dict, (eps, nu, _), pointdir = job
-    spec = ExperimentSpec(**spec_dict)
+    spec, (eps, nu, _), pointdir = job
     gamma = SpectralField({spec.mode: 1.0})
     p = Params(eps, nu)
     out = solve_direct(gamma, None, p, t_end=spec.t_end, dt=eps / spec.dt_factor,
@@ -364,7 +381,7 @@ def _dirichlet_point(job):
 def _exp_dirichlet_convergence(spec: ExperimentSpec, outdir, parallel):
     tol = spec.tolerances
     gamma_norm = 1.0  # single unit mode
-    jobs = [(asdict(spec), pt, _point_dir(outdir, i)) for i, pt in enumerate(spec.grid())]
+    jobs = [(spec, pt, _point_dir(outdir, i)) for i, pt in enumerate(spec.grid())]
     results = _map_points(_dirichlet_point, jobs, parallel)
     rows = []
     sups = []
@@ -389,8 +406,7 @@ def _exp_dirichlet_convergence(spec: ExperimentSpec, outdir, parallel):
 
 
 def _wind_point(job):
-    spec_dict, (eps, nu, beta), pointdir, run_direct = job
-    spec = ExperimentSpec(**spec_dict)
+    spec, (eps, nu, beta), pointdir, run_direct = job
     p = Params(eps, nu, beta=beta if beta else 1.0)
     sigma = BoundaryTrace(1, {(spec.mu, spec.k_h): np.array([1.0, 0.0])})
     approx = assemble_wind_approx(sigma, p)
@@ -412,8 +428,8 @@ def _wind_point(job):
 def _exp_wind_convergence(spec: ExperimentSpec, outdir, parallel):
     tol = spec.tolerances
     grid = spec.grid()
-    i_direct = int(np.argmin([eps for eps, _, _ in grid]))
-    jobs = [(asdict(spec), pt, _point_dir(outdir, i), i == i_direct)
+    i_direct = _direct_index(grid)
+    jobs = [(spec, pt, _point_dir(outdir, i), i == i_direct)
             for i, pt in enumerate(grid)]
     results = _map_points(_wind_point, jobs, parallel)
     good = []

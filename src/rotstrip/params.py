@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ class Params:
 
     epsilon : Rossby number, in (0, 1].
     nu      : vertical viscosity, in (0, 1].
-    beta    : surface stress amplitude, >= 0.
+    beta    : surface stress amplitude, finite and >= 0.
     """
 
     epsilon: float
@@ -49,8 +50,8 @@ class Params:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
         if not (0.0 < self.nu <= 1.0):
             raise ValueError(f"nu must lie in (0, 1], got {self.nu}")
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
+        if not (0.0 <= self.beta < math.inf):
+            raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
 
     @property
     def eps_nu(self) -> float:
@@ -65,6 +66,4 @@ class Params:
     @property
     def nu_prime(self) -> float:
         """Vertical diffusion coefficient of the eigenbasis, pi^2 * nu."""
-        import math
-
         return math.pi ** 2 * self.nu

@@ -11,18 +11,24 @@ normalisation choice in the package.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .params import check_integers
+
 Mode = tuple  # (k1, k2, k3) integers, not all zero
 
 
 def _check_mode(k) -> Mode:
-    k = tuple(int(c) for c in k)
-    if len(k) != 3:
-        raise ValueError(f"mode index must have three components, got {k}")
+    """k as a tuple of three python ints; a non-integer component (a bool is
+    not one) or (0, 0, 0) is rejected, not truncated."""
+    try:
+        k = check_integers("mode", k, 3)
+    except ValueError:
+        raise ValueError(f"mode index {k!r} must have three components, each an integer") from None
     if k == (0, 0, 0):
         raise ValueError("mode index (0,0,0) is not part of the eigenbasis")
     return k
@@ -214,7 +220,10 @@ class SpectralField:
         self.coeffs = {}
         if coeffs:
             for k, c in coeffs.items():
-                self.coeffs[_check_mode(k)] = complex(c)
+                k = _check_mode(k)
+                self.coeffs[k] = complex(c)
+                if not cmath.isfinite(self.coeffs[k]):
+                    raise ValueError(f"coefficient of mode {k} must be finite, got {c!r}")
 
     def items(self):
         return ((k, self.coeffs[k]) for k in sorted(self.coeffs))

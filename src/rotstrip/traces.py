@@ -32,7 +32,11 @@ class BoundaryTrace:
         clean = {}
         for (mu, k_h), v in self.table.items():
             key = (float(mu), check_integers("k_h", k_h, 2))
+            if not math.isfinite(key[0]):
+                raise ValueError(f"trace key {(mu, k_h)!r}: mu must be finite")
             clean[key] = np.asarray(v, dtype=complex).reshape(2)
+            if not np.all(np.isfinite(clean[key])):
+                raise ValueError(f"trace value at key {key!r} must be finite, got {v!r}")
         self.table = clean
 
     def entries(self):

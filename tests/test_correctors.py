@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotstrip.params import Params
 from numpy.polynomial import Polynomial
@@ -1317,7 +1319,7 @@ class TestLiftArrays:
             assert _lift_equation_bound(osc, self.P) == pytest.approx(
                 ref_lift_equation_bound(entries, self.P), rel=1e-13)
 
-    def test_stopping_lift_builds_three_polynomials_per_column(self, monkeypatch):
+    def test_no_polynomial_until_modes_is_read(self, monkeypatch):
         calls = {"init": 0, "arithmetic": 0}
 
         class Counting(Polynomial):
@@ -1337,10 +1339,23 @@ class TestLiftArrays:
         monkeypatch.setattr(correctors, "Polynomial", Counting)
         d0, d1 = random_lift_tables(np.random.default_rng(13), vertical_only=False)
         w = stopping_lift(d0, d1)
+        p = Params(1e-3, 1e-3, beta=1.0)
+        sigma = BoundaryTrace(1, {(0.5, (1, 0)): np.array([1.0, 0.5j]),
+                                  (0.0, (0, 2)): np.array([0.2, 0.1])})
+        sols = [assemble_wind_approx(sigma, p),
+                assemble_dirichlet_approx(SpectralField({(1, 0, 1): 1.0, (0, 1, -1): 0.7j}), p)]
+        z = np.linspace(0.0, 1.0, 17)
+        for sol in sols:
+            assert sol.parts["stopping_lift"].entries
+            sol.total_norm(0.1)
+            sol.part_norms(0.1)
+            sol.parts["stopping_lift"].profiles(0.1, z, sol.horizontal_modes())
+        assert calls == {"init": 0, "arithmetic": 0}
+        # reading modes builds three Polynomials per column read
         ncol = len(set(d0) | set(d1))
         assert len(w.modes) == ncol
-        assert calls == {"init": 3 * ncol, "arithmetic": 0}
         assert all(isinstance(p, Counting) for _, polys in w.items() for p in polys)
+        assert calls == {"init": 3 * ncol, "arithmetic": 0}
 
     def test_of_round_trips_through_coefficients(self):
         coef = np.arange(12.0).reshape(2, 3, 2) + 1j
@@ -1348,6 +1363,137 @@ class TestLiftArrays:
         keys, back = f.coefficients()
         assert keys == [(0, 2), (1, 0)]
         assert np.array_equal(back, coef[::-1])
+
+
+# -- the lift table under random fields, columns and edits --------------------
+
+_POOL = [(0, 0), (1, 0), (-1, 2), (2, 1), (0, -3)]  # columns an entry may hold
+_ABSENT = [(5, 5), (-4, 1)]
+_GAUSS_NODES = 0.5 * (np.polynomial.legendre.leggauss(24)[0] + 1.0)
+
+
+@st.composite
+def lift_entries(draw):
+    """[(ref modes {k_h: (P1, P2, P3)}, mu, rate)]: one to four entries on
+    columns of _POOL, so that entries share columns, each column with its
+    own degree 1 .. 5."""
+    entries = []
+    for _ in range(draw(st.integers(1, 4))):
+        keys = draw(st.lists(st.sampled_from(_POOL), min_size=1, max_size=len(_POOL),
+                             unique=True))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        modes = {}
+        for k_h in keys:
+            ndeg = draw(st.integers(1, 5))
+            coef = rng.standard_normal((3, ndeg)) + 1j * rng.standard_normal((3, ndeg))
+            modes[k_h] = tuple(Polynomial(row) for row in coef)
+        mu = draw(st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-2.0, 2.0))
+        rate = complex(draw(st.floats(0.0, 3.0)), draw(st.floats(-1.0, 1.0)))
+        entries.append((modes, mu, rate))
+    return entries
+
+
+def field_of(modes):
+    """A ZPolyField holding the Polynomial columns modes, through coef arrays."""
+    keys = list(modes)
+    ndeg = max((len(p.coef) for polys in modes.values() for p in polys), default=1)
+    coef = np.array([padded(modes[k], ndeg) for k in keys]).reshape(-1, 3, ndeg)
+    return ZPolyField.of(keys, coef)
+
+
+def ref_profiles(entries, t, z, columns, eps):
+    """(sum over entries of phase * P(z) per listed column, the sum of the
+    terms' magnitudes) with numpy Polynomials."""
+    ref = np.zeros((len(columns), 3, len(z)), dtype=complex)
+    scale = np.zeros(len(columns))
+    for modes, mu, rate in entries:
+        phase = np.exp(1j * mu * t / eps - rate * t)
+        for i, k_h in enumerate(columns):
+            if k_h in modes:
+                term = phase * np.array([p(z) for p in modes[k_h]])
+                ref[i] += term
+                scale[i] += float(np.max(np.abs(term)))
+    return ref, scale
+
+
+def assert_lift_matches(osc, entries, t, columns):
+    z = np.linspace(0.0, 1.0, 29)
+    got = osc.profiles(t, z, columns)
+    ref, scale = ref_profiles(entries, t, z, columns, osc.params.epsilon)
+    for g, r, sc in zip(got, ref, scale):
+        assert float(np.max(np.abs(g - r))) <= 1e-13 * sc
+    assert osc.horizontal_modes() == sorted({k for modes, _, _ in entries for k in modes})
+
+
+_COLUMNS = st.lists(st.sampled_from(_POOL + _ABSENT), min_size=1, max_size=8)
+
+
+class TestLiftTable:
+    P = Params(1e-2, 1e-2)
+
+    def oscillating(self, entries):
+        osc = OscillatingPoly(self.P)
+        for modes, mu, rate in entries:
+            osc.add(field_of(modes), mu, rate)
+        return osc
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(entries=lift_entries(), columns=_COLUMNS, t=st.floats(0.0, 0.5))
+    def test_profiles_match_polynomial_sum(self, entries, columns, t):
+        osc = self.oscillating(entries)
+        assert_lift_matches(osc, entries, t, columns)
+        total = 0.0
+        for k_h in osc.horizontal_modes():
+            combined = [Polynomial([0j]) for _ in range(3)]
+            for modes, mu, rate in entries:
+                if k_h in modes:
+                    phase = np.exp(1j * mu * t / self.P.epsilon - rate * t)
+                    combined = [c + phase * p for c, p in zip(combined, modes[k_h])]
+            total += sum(ref_poly_l2_sq(p) for p in combined)
+        assert osc.l2_norm(t) == pytest.approx(2.0 * math.pi * math.sqrt(total), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(entries=lift_entries(), columns=_COLUMNS, t=st.floats(0.0, 0.5),
+           edit=st.sampled_from(["set", "new column", "higher degree", "delete"]),
+           which=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_edits_through_modes_are_read(self, entries, columns, t, edit, which, seed):
+        osc = self.oscillating(entries)
+        osc.profiles(t, np.linspace(0.0, 1.0, 5), columns)  # join the table first
+        modes, _, _ = entries[which % len(entries)]
+        f = osc.entries[which % len(entries)][0]
+        rng = np.random.default_rng(seed)
+        k_h = sorted(modes)[seed % len(modes)]
+        ndeg = {"set": 2, "new column": 3, "higher degree": 7, "delete": 0}[edit]
+        if edit == "new column":
+            k_h = next(k for k in _POOL + _ABSENT if k not in modes)
+        if edit == "delete":
+            del f.modes[k_h]
+            del modes[k_h]
+        else:
+            coef = rng.standard_normal((3, ndeg)) + 1j * rng.standard_normal((3, ndeg))
+            modes[k_h] = tuple(Polynomial(row) for row in coef)
+            f.modes[k_h] = modes[k_h]
+        assert_lift_matches(osc, entries, t, columns + [k_h])
+        keys, coef = f.coefficients()
+        assert keys == sorted(modes)
+        for key, c in zip(keys, coef):
+            assert np.array_equal(c, padded(modes[key], coef.shape[2]))
+        for wall in (0, 1):
+            trace = f.trace(wall)
+            assert sorted(trace) == sorted(modes)
+            for key, polys in modes.items():
+                want = np.array([p(float(wall)) for p in polys])
+                assert np.allclose(trace[key], want, rtol=1e-13, atol=1e-13)
+        div = max((float(np.max(np.abs(1j * k[0] * polys[0](_GAUSS_NODES)
+                                       + 1j * k[1] * polys[1](_GAUSS_NODES)
+                                       + polys[2].deriv()(_GAUSS_NODES))))
+                   for k, polys in modes.items()), default=0.0)
+        assert f.divergence_residual() == pytest.approx(div, rel=1e-12, abs=1e-14)
+        l2 = 2.0 * math.pi * math.sqrt(sum(ref_poly_l2_sq(p) for polys in modes.values()
+                                           for p in polys))
+        assert f.l2_norm() == pytest.approx(l2, rel=1e-12)
+        assert _lift_equation_bound(osc, self.P) == pytest.approx(
+            ref_lift_equation_bound([(m, r) for m, _, r in entries], self.P), rel=1e-12)
 
 
 class TestSpectralPartRows:

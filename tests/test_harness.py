@@ -122,10 +122,17 @@ class TestRun:
         b = (tmp_path / "b" / "bl_scaling.csv").read_bytes()
         assert a == b
 
-    def test_failures_recorded_per_point_and_run_continues(self, tmp_path):
-        # first grid point has an absurd resolution for its layer and must be
-        # rejected by the solver; the second is feasible and must still run
-        spec = ExperimentSpec(kind="ekman_rate", epsilon=[1e-5, 1e-2],
+    def test_failures_recorded_per_point_and_run_continues(self, tmp_path, monkeypatch):
+        # the solver fails on the first grid point; the second must still run
+        from rotstrip import harness
+
+        def failing_first(gamma, sigma, p, **kwargs):
+            if p.epsilon == 2e-2:
+                raise ValueError("solver failure on point 0")
+            return solve_direct(gamma, sigma, p, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_direct", failing_first)
+        spec = ExperimentSpec(kind="ekman_rate", epsilon=[2e-2, 1e-2],
                               Nz=96, t_end=0.05, out=str(tmp_path / "bad"))
         summary = run(spec)
         assert not summary["all_passed"]
@@ -497,6 +504,8 @@ class TestCLI:
         ({"epsilon": [1e-2, 5e-3], "nu": [1e-2, 0.0]}, "nu must lie in (0, 1], got 0.0"),
         ({"t_end": -0.01}, "t_end=-0.01 must be >= 0"),
         ({"Nz": 8}, "Nz=8 must be an integer >= 32"),
+        # point 1's graded grid is refused; point 0 used to run before it failed
+        ({"epsilon": [1e-2, 5e-3]}, "epsilon=0.005, nu=0.005: grading for delta=5.000e-03"),
     ])
     def test_bad_sweep_spec_exits_2_before_any_point(self, tmp_path, capsys, entries,
                                                      message):

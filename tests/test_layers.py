@@ -240,6 +240,12 @@ _MU = st.one_of(
         lambda m: st.floats(-1e-6, 1e-6).map(lambda d: m + d)),  # |mu| = 1 neighbourhoods
 )
 _ENTRY = st.tuples(_MU, st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+#: mu exactly +-1 or within 1e-3 of it
+_NEAR_ONE = st.sampled_from([1.0, -1.0]).flatmap(
+    lambda m: st.just(m) | st.floats(-1e-3, 1e-3).map(lambda d: m + d))
+#: the columns of each |k_h|^2 shell in 1..8 (3, 6 and 7 are no sums of two squares)
+_SHELLS = {n: [(a, b) for a in range(-3, 4) for b in range(-3, 4) if a * a + b * b == n]
+           for n in (1, 2, 4, 5, 8)}
 
 
 class TestRateBatch:
@@ -266,6 +272,28 @@ class TestRateBatch:
             cont = again.row(i)
             assert (cont.s_minus, cont.s_plus) == (row.s_minus, row.s_plus)
             assert _rows_equal(cont, decay_rates(mu[i], k_h[i], p, prev=single))
+
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(log_eps=st.floats(-4, -2), log_nu=st.floats(-4, -2),
+           kh2=st.sampled_from(sorted(_SHELLS)), mus=st.lists(_NEAR_ONE, min_size=1, max_size=4))
+    def test_rates_around_mu_one(self, log_eps, log_nu, kh2, mus):
+        # every column of the |k_h|^2 shell at each mu, in one batch
+        p = Params(10.0 ** log_eps, 10.0 ** log_nu)
+        columns = _SHELLS[kh2]
+        mu = [m for m in mus for _ in columns]
+        k_h = [k for _ in mus for k in columns]
+        batch = L.rate_batch(mu, k_h, p)
+        for i in range(len(mu)):
+            row = batch.row(i)
+            assert _rows_equal(row, decay_rates(mu[i], k_h[i], p))
+            assert row.lambda_minus.real >= 0.0 and row.lambda_plus.real >= 0.0
+            assert row.det_residual(p) <= 1e-10
+        # the columns of one shell share their rates bit for bit
+        for j in range(len(mus)):
+            block = slice(j * len(columns), (j + 1) * len(columns))
+            for values in (batch.s[block], batch.lam[block]):
+                assert (values.view(np.int64) == values[:1].view(np.int64)).all()
 
     def test_one_warning_per_ambiguous_entry(self):
         columns = [(1, 0), (-1, 0), (0, 1), (0, -1)]
@@ -731,6 +759,18 @@ class TestBoundaryTraceKeys:
         # int() used to drop a third entry and floor 1.7 to 1
         with pytest.raises(ValueError, match=r"k_h=.* must be 2 integers"):
             BoundaryTrace(0, {(0.0, k_h): np.array([1.0, 0.0])})
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mu_rejected(self, mu):
+        # (nan, (1, 0)) used to be kept as a key
+        with pytest.raises(ValueError, match=r"trace key \((nan|inf|-inf), \(1, 0\)\): mu"):
+            BoundaryTrace(1, {(mu, (1, 0)): np.array([1.0, 0.0])})
+
+    @pytest.mark.parametrize("v", [[math.nan, 0.0], [1.0, complex(0.0, math.inf)]])
+    def test_non_finite_trace_value_rejected(self, v):
+        # a NaN stress used to assemble to NaN norms
+        with pytest.raises(ValueError, match=r"value at key \(0.5, \(1, 0\)\) must be finite"):
+            BoundaryTrace(1, {(0.5, (1, 0)): np.array(v)})
 
     def test_integer_k_h_kept_as_python_ints(self):
         tr = BoundaryTrace(0, {(0.0, (np.int64(1), -2)): np.array([1.0, 0.0])})

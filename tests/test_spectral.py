@@ -268,6 +268,34 @@ def test_params_validation():
     assert p.nu_prime == pytest.approx(4e-3 * np.pi ** 2)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_non_finite_beta_rejected(beta):
+    # a NaN beta used to pass and assemble to a NaN total_norm
+    with pytest.raises(ValueError, match="beta must be finite"):
+        Params(1e-2, 1e-2, beta=beta)
+
+
+class TestModeChecks:
+    @pytest.mark.parametrize("mode", [(1, 0, 1.5), (True, 0, 1), (1, 0), (1, 0, 1, 2), "101",
+                                      np.array([1.0, 0.0, 1.0])])
+    def test_mode_that_is_not_three_integers_rejected(self, mode):
+        # int() used to floor 1.5 to 1 and read True as 1
+        with pytest.raises(ValueError, match="three components, each an integer"):
+            SpectralField({mode if not isinstance(mode, np.ndarray) else tuple(mode): 1.0})
+        with pytest.raises(ValueError, match="three components, each an integer"):
+            eigenvalue(mode)
+
+    def test_integer_mode_kept_as_python_ints(self):
+        u = SpectralField({(np.int64(1), 0, -2): 1.0})
+        assert u.modes() == [(1, 0, -2)] and all(type(k) is int for k in u.modes()[0])
+        assert u[(1, 0, -2)] == 1.0
+
+    @pytest.mark.parametrize("c", [math.nan, complex(1.0, math.inf), -math.inf])
+    def test_non_finite_coefficient_rejected(self, c):
+        with pytest.raises(ValueError, match=r"coefficient of mode \(1, 0, 1\) must be finite"):
+            SpectralField({(1, 0, 1): c})
+
+
 def test_weighted_norm_matches_eigenvalue_formula():
     for k in [(1, 0, 1), (2, 3, -4)]:
         lam = eigenvalue(k)
