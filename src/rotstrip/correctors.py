@@ -108,9 +108,11 @@ class ZPolyField:
     vertical profiles: u = sum_kh (p1(z), p2(z), p3(z)) e^{i k_h . x_h}.
 
     The field holds its distinct columns k_h sorted and one (ncol, 3, ndeg)
-    array of their power-series coefficients.  modes is a live {k_h: (P1, P2,
-    P3)} Polynomial view of that array; a write through it replaces rows and
-    counts up version, and every evaluation reads the array when called."""
+    array of their power-series coefficients: ZPolyField(keys, coef) gives
+    column keys[i] (distinct) the coefficients coef[i], stored as given when
+    keys are sorted.  modes is a live {k_h: (P1, P2, P3)} Polynomial view of
+    that array; a write through it replaces rows and counts up version, and
+    every evaluation reads the array when called."""
 
     def __init__(self, keys, coef):
         keys = [_kh_tuple(k) for k in keys]
@@ -120,13 +122,6 @@ class ZPolyField:
             keys, coef = [keys[i] for i in order], coef[order]
         self._keys, self._coef = keys, coef
         self.version = 0  # writes through modes
-
-    @classmethod
-    def of(cls, keys, coef):
-        """The field whose column keys[i] (distinct) has the power-series
-        coefficients coef[i], a (3, ndeg) array; coef is stored as given
-        when keys are sorted."""
-        return cls(keys, coef)
 
     @property
     def modes(self) -> _Columns:
@@ -262,7 +257,7 @@ def stopping_lift(delta0: dict, delta1: dict) -> ZPolyField:
     d0, d1 = _trace_table(delta0, keys), _trace_table(delta1, keys)
     scale = max(float(np.max(np.abs(d0), initial=0.0)), float(np.max(np.abs(d1), initial=0.0)))
     keys = [_kh_tuple(k) for k in keys]
-    return ZPolyField.of(keys, _lift_coef(keys, d0, d1, scale))
+    return ZPolyField(keys, _lift_coef(keys, d0, d1, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +280,7 @@ def _flux_lift(keys, d0, d1, root: float, mean_error: str) -> ZPolyField:
     coef[:, :2, 0] = -1j * root * k * (d0 - d1)[:, None] / kh2[:, None]
     coef[:, 2, 0] = root * d0
     coef[:, 2, 1] = root * (d1 - d0)
-    return ZPolyField.of([key for key, m in zip(keys, mean) if not m], coef)
+    return ZPolyField([key for key, m in zip(keys, mean) if not m], coef)
 
 
 def lift_interior_vint0(delta0_3: dict, delta1_3: dict, params: Params) -> ZPolyField:
@@ -886,7 +881,7 @@ def _stopping_lifts(params: Params, rows) -> OscillatingPoly:
     scale = np.maximum.reduceat(np.maximum(np.abs(d0), np.abs(d1)).max(axis=1), first)
     coef = _lift_coef(keys, d0, d1, np.repeat(scale, count))
     for ((mu, rate), _), a, n in zip(families, first.tolist(), count):
-        lift.add(ZPolyField.of(keys[a:a + n], coef[a:a + n]), mu, rate)
+        lift.add(ZPolyField(keys[a:a + n], coef[a:a + n]), mu, rate)
     return lift
 
 

@@ -2,22 +2,29 @@
 
 The linear system decouples exactly over horizontal Fourier modes, so each
 k_h owns an independent z-resolved velocity-pressure differential-algebraic
-system.  Discretisation: graded second-order finite differences in z (tanh
-stretching toward both walls, enforced to put at least eight nodes inside the
-Ekman scale), pressure on a staggered cell grid with the discrete gradient
-chosen adjoint to the divergence (pressure then does no work discretely),
-trapezoidal time stepping (A-stable and free of numerical damping, so any
-measured decay is physical), and a banded LU (LAPACK zgbtrf/zgbtrs) of the
-monolithic saddle system, factorised once per |k_h|^2 shell.  zgbtrf stores
-U with kl + ku superdiagonals to leave room for the pivoting fill; on this
-system the fill reaches superdiagonal 7 (8 at some grids) of those 12, so
-only the rows from the kl-th superdiagonal down (8 of the 12) are kept and
-passed to zgbtrs, and every solve is the same as on the full factor.  A step
-makes one sparse product: one CSR stacks the CN right-hand-side operator
-over the dissipation form Q, so the product of the new state gives the next
+system M x' + L x + C x = g.  Discretisation: graded second-order finite
+differences in z (tanh stretching toward both walls, enforced to put at
+least eight nodes inside the Ekman scale), pressure on a staggered cell
+grid.  M is the identity on the momentum rows.  L holds Coriolis (e3 ^ u),
+the top stress rows and the viscous rows W^{-1} Q, where
+Q = kh2 W + nu Dz^H H Dz is the dissipation form and W the node weights of
+the diagnostics, so the momentum rows take out exactly the dissipation that
+the diagnostics report.  C holds the rows taken fully implicitly: the
+divergence, the wall rows and the pressure gradient, chosen adjoint to the
+divergence (pressure then does no work discretely).  A CN (trapezoidal)
+step on L, A-stable and free of numerical damping so that any measured
+decay is physical, solves
+(M/dt + L/2 + C) x_{n+1} = (M/dt - L/2) x_n + g_{n+1/2} with a banded LU
+(LAPACK zgbtrf/zgbtrs) of the monolithic saddle system, factorised once per
+|k_h|^2 shell.  zgbtrf stores U with kl + ku superdiagonals to leave room
+for the pivoting fill; on this system the fill reaches superdiagonal 7 (8 at
+some grids) of those 12, so only the rows from the kl-th superdiagonal down
+(8 of the 12) are kept and passed to zgbtrs, and every solve is the same as
+on the full factor.  A step makes one sparse product: one CSR stacks
+M/dt - L/2 over 4 pi^2 Q, so the product of the new state gives the next
 step's right-hand side and Q x_{n+1}, and the midpoint dissipation
-(q_n + q_{n+1} + 2 Re x_n^H Q x_{n+1}) / 4 comes from cached terms.  Coriolis
-(e3 ^ u), the Laplacian and the divergence commute with horizontal
+(q_n + q_{n+1} + 2 Re x_n^H Q x_{n+1}) / 4 comes from cached terms.
+Coriolis, the Laplacian and the divergence commute with horizontal
 rotations, so with u_h written in the frame (k_h/|k_h|, k_h^perp/|k_h|) a
 column's system depends on k_h only through |k_h|: the columns of a shell
 share the system assembled at k_h = (|k_h|, 0), and step together as the
@@ -143,10 +150,10 @@ class ModeTrajectory:
     times: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)  # (u: (Nz+1, 3), p: (Nz,))
     diagnostics: list = field(default_factory=list)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @property
-    def weights(self):
-        return node_weights(self.z)
+    def __post_init__(self):
+        self.weights = node_weights(self.z)
 
     def l2_norm(self, index: int) -> float:
         u, _ = self.snapshots[index]
@@ -208,98 +215,104 @@ class _ModeSystem:
         return self.stride * i + c
 
     def _assemble(self):
+        """Form the column's DAE M x' + L x + C x = g as COO triplets and
+        factorise CN's left side M/dt + L/2 + C.  M is the identity on the
+        momentum rows; L holds Coriolis, the viscous rows W^{-1} Q and the
+        top stress rows; C holds the fully implicit rows: the pressure
+        gradient, the divergence and the wall rows."""
         k1, k2 = self.k_h
-        kh2 = self.kh2
-        Nz, n, dt, iu = self.Nz, self.n, self.dt, self._iu
-        eps, nu = self.params.epsilon, self.params.nu
+        Nz, n, dt, iu, stride = self.Nz, self.n, self.dt, self._iu, self.stride
         sp = self._lib.sparse
         h = np.diff(self.z)
-        wn = self.wn
-        lhs, rhs = [], []  # COO triplets (rows, cols, values)
+        u = self.u_index
+        w_full = np.zeros(n)
+        w_full[u] = self.wn[:, None]
 
-        def cn(r, c, v):
-            """Trapezoidal pair: v at the new level, -v at the old one."""
-            lhs.append(np.broadcast_arrays(r, c, v))
-            rhs.append(np.broadcast_arrays(r, c, -v))
+        def coo(*parts):
+            """The (rows, cols, vals) of the parts' entries, joined."""
+            return [np.concatenate([np.ravel(a) for a in arrays])
+                    for arrays in zip(*(np.broadcast_arrays(*p) for p in parts))]
 
-        j = np.arange(Nz)  # cells
-        inner = np.arange(1, Nz)
-        # rows holding a momentum equation, per component (no-slip is not
-        # imposed without viscosity)
-        h_nodes = inner if self.diffusion else np.arange(Nz + 1)
-        momentum = [(0, h_nodes), (1, h_nodes)] + ([] if self.reduced else [(2, inner)])
-        for c, i in momentum:
-            r = iu(i, c)
-            lhs.append(np.broadcast_arrays(r, r, 1.0 / dt))
-            rhs.append(np.broadcast_arrays(r, r, 1.0 / dt))
-            if self.diffusion:
-                hm, hp = h[i - 1], h[i]
-                cn(r, r, 0.5 * kh2)
-                lap = (2.0 / (hm * (hm + hp)), -2.0 / (hm * hp), 2.0 / (hp * (hm + hp)))
-                for off, coef in zip((-1, 0, 1), lap):
-                    cn(r, iu(i + off, c), -0.5 * nu * coef)
-            # Coriolis: e3 ^ u = (-u2, u1, 0)
-            if c == 0:
-                cn(r, iu(i, 1), -0.5 / eps)
-            elif c == 1:
-                cn(r, iu(i, 0), 0.5 / eps)
+        def csr(nrows, *terms):
+            """The sum of f T over the (T, f) terms, f a scalar or one factor
+            per entry of the triplet T."""
+            r, c, v = zip(*((T[0], T[1], f * T[2]) for T, f in terms))
+            return sp.csr_matrix((np.concatenate(v).astype(complex),
+                                  (np.concatenate(r), np.concatenate(c))), shape=(nrows, n))
 
-        D = None
+        # the dissipation form of the diagnostics, Q = kh2 W + nu Dz^H H Dz
+        # (zero without viscosity): per component, kh2 w_i + nu/h_{i-1} +
+        # nu/h_i on the diagonal and -nu/h_i next to it
+        inv = self.params.nu / h
+        diag = self.kh2 * self.wn
+        diag[:-1] += inv
+        diag[1:] += inv
+        Q = coo((u, u, diag[:, None]), (u[:-1], u[1:], -inv[:, None]),
+                (u[1:], u[:-1], -inv[:, None]))
+        if not self.diffusion:
+            Q = [a[:0] for a in Q]
+
+        # every velocity row holds a momentum equation but the wall rows
+        # (u3 = 0 at both walls) and, with viscosity, the rows of u_h at the
+        # walls: no-slip at the bottom, the stress at the top
+        top = iu(Nz, np.arange(2))
+        self.stress_rows = slice(top[0], top[0] + 2)
+        is_momentum = np.zeros(n, dtype=bool)
+        is_momentum[u] = True
+        walls = [] if self.reduced else [iu(0, 2), iu(Nz, 2)]
+        L = []
+        if self.diffusion:
+            walls += [iu(0, 0), iu(0, 1)]
+            is_momentum[top] = False
+            # the stress on u_h by the one-sided second-order derivative at z = 1
+            hm, hp = h[-2], h[-1]
+            d = ((2 * hp + hm) / (hp * (hp + hm)), -(hp + hm) / (hp * hm), hp / (hm * (hp + hm)))
+            L = [(top, top + off * stride, coef) for off, coef in zip((0, -1, -2), d)]
+        walls = np.array(walls, dtype=int)
+        is_momentum[walls] = False
+        mom = np.flatnonzero(is_momentum)
+        M = coo((mom, mom, 1.0))
+
+        # Coriolis e3 ^ u = (-u2, u1, 0) and the viscous rows W^{-1} Q
+        eps = self.params.epsilon
+        r0, r1 = mom[mom % stride == 0], mom[mom % stride == 1]
+        keep = is_momentum[Q[0]]
+        rows = Q[0][keep]
+        L = coo(*L, (r0, r0 + 1, -1.0 / eps), (r1, r1 - 1, 1.0 / eps),
+                (rows, Q[1][keep], Q[2][keep] / w_full[rows]))
+
+        C = [(walls, walls, 1.0)]
+        self.D = None
         if not self.reduced:
             # divergence D: cells x unknowns, the average of u_h and the
             # difference of u3 over each cell
+            j = np.arange(Nz)
             d_cells = np.tile(j, 6)
             d_cols = np.concatenate([iu(j, 0), iu(j + 1, 0), iu(j, 1), iu(j + 1, 1),
                                      iu(j, 2), iu(j + 1, 2)])
             d_vals = np.concatenate([np.full(2 * Nz, 0.5j * k1), np.full(2 * Nz, 0.5j * k2),
                                      -1.0 / h, 1.0 / h])
-            D = sp.csr_matrix((d_vals, (d_cells, d_cols)), shape=(Nz, n))
-            # pressure gradient (fully implicit) adjoint to the divergence:
+            self.D = sp.csr_matrix((d_vals, (d_cells, d_cols)), shape=(Nz, n))
+            # pressure gradient adjoint to the divergence:
             # G = -W_n^{-1} D^H W_c, so the pressure does no work discretely;
             # it enters the momentum rows only
-            is_momentum = np.zeros(n, dtype=bool)
-            for c, i in momentum:
-                is_momentum[iu(i, c)] = True
             keep = is_momentum[d_cols]
-            g_vals = -np.conj(d_vals) * h[d_cells] / wn[d_cols // self.stride]
-            lhs.append((d_cols[keep], iu(d_cells[keep], 3), g_vals[keep]))
-            lhs.append((iu(d_cells, 3), d_cols, d_vals))
-
-        # algebraic rows
-        if self.diffusion:
-            bottom = iu(0, np.arange(self.ncomp))  # no-slip bottom
-            lhs.append((bottom, bottom, np.ones(self.ncomp)))
-            if not self.reduced:  # top: u3 = 0
-                lhs.append(np.broadcast_arrays(iu(Nz, 2), iu(Nz, 2), 1.0))
-            # top: CN-averaged stress on u_h, by the one-sided second-order
-            # derivative at z = 1
-            hm, hp = h[-2], h[-1]
-            top = iu(Nz, np.arange(2))
-            d = ((2 * hp + hm) / (hp * (hp + hm)), -(hp + hm) / (hp * hm), hp / (hm * (hp + hm)))
-            for off, coef in zip((0, -1, -2), d):
-                cn(top, top + off * self.stride, 0.5 * coef)
-            self.stress_rows = slice(top[0], top[0] + 2)
-        else:
-            if not self.reduced:
-                walls = iu(np.array([0, Nz]), 2)
-                lhs.append((walls, walls, np.ones(2)))
-            self.stress_rows = None
-
-        def to_csr(triplets):
-            r, c, v = (np.concatenate([np.ravel(t) for t in a]) for a in zip(*triplets))
-            return sp.csr_matrix((v.astype(complex), (r, c)), shape=(n, n))
+            g_vals = -np.conj(d_vals) * h[d_cells] / w_full[d_cols]
+            C += [(d_cols[keep], iu(d_cells[keep], 3), g_vals[keep]),
+                  (iu(d_cells, 3), d_cols, d_vals)]
+        C = coo(*C)
 
         # scale each row by a power of two (exact) to bring its largest entry
         # into [0.5, 1): momentum rows carry 1/dt, divergence rows 1/h, and
         # partial pivoting within the band needs comparable rows, else the
         # pressure loses about four digits at small dt
-        A = to_csr(lhs)
-        row_scale = sp.diags(np.ldexp(1.0, -np.frexp(abs(A).max(axis=1).toarray().ravel())[1]))
-        A = (row_scale @ A).tocoo()
+        A = csr(n, (M, 1.0 / dt), (L, 0.5), (C, 1.0))
+        scale = np.ldexp(1.0, -np.frexp(abs(A).max(axis=1).toarray().ravel())[1])
+        A = A.tocoo()
         kl = self.kl = int(np.max(A.row - A.col))
         ku = self.ku = int(np.max(A.col - A.row))
         ab = np.zeros((2 * kl + ku + 1, n), dtype=complex)
-        ab[kl + ku + A.row - A.col, A.col] = A.data
+        ab[kl + ku + A.row - A.col, A.col] = A.data * scale[A.row]
         lu, self.piv, info = self._lib.zgbtrf(ab, kl, ku, overwrite_ab=1)
         if info != 0:  # singular saddle system: should not occur for nu > 0
             detail = ("Factor is exactly singular" if info > 0
@@ -319,31 +332,15 @@ class _ModeSystem:
         fill = kl + ku - int(filled[0]) if len(filled) else 0
         self.ku_s = max(0, fill - kl)
         self.lu = np.asfortranarray(lu[ku - self.ku_s:])
-        if self.stress_rows is not None:
-            self.stress_scale = row_scale.diagonal()[self.stress_rows][:, None]
-        self.D = D
+        self.stress_scale = scale[self.stress_rows][:, None]
 
-        # quadratic forms of the diagnostics on the full state (zero on p):
-        # energy = x^H diag(energy_weights) x and
-        # dissipation = m^H Q m with Q = 4 pi^2 (kh2 W + nu Dz^H H Dz)
-        w_full = np.zeros(n)
-        w_full[self.u_index] = wn[:, None]
+        # energy = x^H diag(energy_weights) x and the dissipation m^H Q m
+        # (4 pi^2 from Parseval in x_h), zero on p
         self.energy_weights = 2.0 * math.pi ** 2 * w_full[:, None]
         # one CSR holds the step's two products: rows [0, n) give the CN
-        # right-hand side, rows [n, 2n) (with viscosity) Q times the state
-        blocks = [(row_scale @ to_csr(rhs)).tocsr()]
-        if self.diffusion:
-            rows = np.arange(self.ncomp * Nz)
-            lo = self.u_index[:-1].ravel()
-            dz_vals = np.repeat(1.0 / h, self.ncomp)
-            Dz = sp.csr_matrix((np.concatenate([-dz_vals, dz_vals]),
-                                (np.concatenate([rows, rows]),
-                                 np.concatenate([lo, lo + self.stride]))),
-                               shape=(len(rows), n))
-            H = sp.diags(np.repeat(h, self.ncomp))
-            Q = kh2 * sp.diags(w_full) + nu * (Dz.T @ H @ Dz)
-            blocks.append((4.0 * math.pi ** 2 * Q).astype(complex).tocsr())
-        self.forward = sp.vstack(blocks, format="csr")
+        # right-hand side (M/dt - L/2) x, rows [n, 2n) 4 pi^2 Q x
+        self.forward = csr(2 * n, (M, scale[M[0]] / dt), (L, -0.5 * scale[L[0]]),
+                           ((Q[0] + n, Q[1], Q[2]), 4.0 * math.pi ** 2))
 
     def state(self, u: np.ndarray) -> np.ndarray:
         """Block of the velocities u (ncol, Nz+1, 3) with zero pressure."""
@@ -366,14 +363,14 @@ class _ModeSystem:
 
     def product(self, x: np.ndarray) -> tuple:
         """The one sparse product of a step from the block x: the CN
-        right-hand side b and Q x (None without viscosity)."""
+        right-hand side b and Q x."""
         y = self.forward @ x
-        return y[:self.n], (y[self.n:] if self.diffusion else None)
+        return y[:self.n], y[self.n:]
 
     def solve(self, b: np.ndarray, g_half: np.ndarray | None) -> np.ndarray:
         """The new block from the right-hand side b of product() under the
         midpoint stress g_half (2, ncol), or none; b is overwritten."""
-        if g_half is not None and self.stress_rows is not None:
+        if g_half is not None:
             b[self.stress_rows] += self.stress_scale * g_half
         x_new, _ = self._lib.zgbtrs(self.lu, self.kl, self.ku_s, b, self.piv, overwrite_b=1)
         return x_new
@@ -394,10 +391,7 @@ class _ModeSystem:
         """Viscous dissipation m^H Q m of the midpoint m = (x + x_new)/2 of a
         step, and q_new = x_new^H Q x_new, from q = x^H Q x and
         qx_new = Q x_new.  Q is real symmetric, so
-        m^H Q m = (q + q_new + 2 Re x^H Q x_new) / 4.  Without viscosity
-        (qx_new None) the dissipation is 0 and q_new None."""
-        if qx_new is None:
-            return np.zeros(x.shape[1]), None
+        m^H Q m = (q + q_new + 2 Re x^H Q x_new) / 4."""
         q_new = np.vecdot(x_new, qx_new, axis=0).real
         cross = np.vecdot(x, qx_new, axis=0).real
         return 0.25 * (q + q_new + 2.0 * cross), q_new
@@ -405,7 +399,7 @@ class _ModeSystem:
     def work(self, x, x_new, g_half: np.ndarray | None) -> np.ndarray:
         """Rate of work of the surface stress g_half on the midpoint of the
         step from x to x_new."""
-        if g_half is None or self.stress_rows is None:
+        if g_half is None:
             return np.zeros(x.shape[1])
         rows = self.stress_rows
         return (4.0 * math.pi ** 2 * self.params.nu) * np.vecdot(
@@ -547,7 +541,7 @@ def _solve_shell(kh2, cols, trajs, gamma, stress_table, params, z, dt, nsteps,
     net = np.zeros(ncol)  # sum over the steps of dissipation minus work
     record(0.0, x, E0, E0, net, net, net)
     b, qx = sys_.product(x)
-    q = None if qx is None else np.vecdot(x, qx, axis=0).real
+    q = np.vecdot(x, qx, axis=0).real
     for nstep in range(1, nsteps + 1):
         g_half = None
         if amps is not None:

@@ -475,16 +475,15 @@ def _exp_destabilization(spec: ExperimentSpec, outdir, parallel):
         if t == 0.0 or t < 0.05 * spec.t_end:
             continue
         u = traj.snapshots[i][0]
+        nrm = strip.l2_norm_h(t)
 
         def rel_to(ref):
-            err = 2.0 * math.pi * math.sqrt(float(np.sum(
-                traj.weights * np.sum(np.abs(u.T - ref) ** 2, axis=0))))
-            nrm = strip.l2_norm_h(t)
+            err = l2_norm(u - ref.T, traj.weights)
             return err / nrm if nrm > 0 else math.inf
 
         r_self = rel_to(layer.value(t, traj.z))
         r_strip = rel_to(strip.value(t, traj.z))
-        rows.append((t, nu * t, r_self, r_strip, strip.l2_norm_h(t)))
+        rows.append((t, nu * t, r_self, r_strip, nrm))
         if nu * t <= 0.1:
             rel_self.append(r_self)
         rel_strip.append(r_strip)

@@ -135,11 +135,6 @@ def _cubic_roots(mu, kh2, params: Params) -> np.ndarray:
     return np.linalg.eigvals(C)
 
 
-def _sqrt_nonneg_real(s):
-    """The square root with nonnegative real part: numpy's principal branch."""
-    return np.sqrt(np.asarray(s, dtype=complex))
-
-
 @dataclass
 class DecayRates:
     """The two physical decay rates for one (mu, k_h), plus diagnostics.
@@ -240,7 +235,7 @@ def _tie_break(cand, mu, k_h, params: Params) -> np.ndarray:
     polarisation, |<(1, i mu), w>| / (sqrt(2) |w|), decides when the two
     alignments differ by more than 1e-3 (a candidate at the pole counts -1);
     otherwise the larger Re(lambda)."""
-    lam = _sqrt_nonneg_real(cand)
+    lam = np.sqrt(cand)  # the principal branch: Re(lambda) >= 0
     A, pole = _symbol(lam.reshape(-1), np.repeat(mu, 2), np.repeat(k_h, 2, axis=0), params)
     w = _null_vectors(A)
     sign = np.repeat(np.copysign(1.0, mu), 2)
@@ -317,7 +312,7 @@ def rate_batch(mu, k_h, params: Params, prev: RateBatch | None = None) -> RateBa
         s[h, 1] = roots[rows, i_plus]
         s[h, 2] = roots[rows, i_third]
 
-    return RateBatch(mu=mu, k_h=k_h, s=s, lam=_sqrt_nonneg_real(s[:, :2]),
+    return RateBatch(mu=mu, k_h=k_h, s=s, lam=np.sqrt(s[:, :2]),
                      degenerate=degenerate, ambiguous=ambiguous, candidates=candidates)
 
 

@@ -1359,7 +1359,7 @@ class TestLiftArrays:
 
     def test_of_round_trips_through_coefficients(self):
         coef = np.arange(12.0).reshape(2, 3, 2) + 1j
-        f = ZPolyField.of([(1, 0), (0, 2)], coef)
+        f = ZPolyField([(1, 0), (0, 2)], coef)
         keys, back = f.coefficients()
         assert keys == [(0, 2), (1, 0)]
         assert np.array_equal(back, coef[::-1])
@@ -1398,7 +1398,7 @@ def field_of(modes):
     keys = list(modes)
     ndeg = max((len(p.coef) for polys in modes.values() for p in polys), default=1)
     coef = np.array([padded(modes[k], ndeg) for k in keys]).reshape(-1, 3, ndeg)
-    return ZPolyField.of(keys, coef)
+    return ZPolyField(keys, coef)
 
 
 def ref_profiles(entries, t, z, columns, eps):
@@ -1856,7 +1856,7 @@ class TestColumnSlices:
         rng = np.random.default_rng(ncol)
         for mu in (0.0, 0.4, -1.3):
             coef = rng.standard_normal((12, 3, 5)) + 1j * rng.standard_normal((12, 3, 5))
-            osc.add(ZPolyField.of(keys, coef), mu, 0.2)
+            osc.add(ZPolyField(keys, coef), mu, 0.2)
         osc.add(lift_interior_vint1({(1, 0): 0.3 - 0.2j}), 0.7)
         z = np.linspace(0.0, 1.0, 33)
         columns = keys[:ncol]
