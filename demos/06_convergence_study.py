@@ -9,8 +9,8 @@ attribution of the assembled approximation alongside.
 
 import numpy as np
 
-from rotstrip import (EnvelopeOnly, Params, SpectralField, assemble_dirichlet_approx, compare,
-                      solve_direct)
+from rotstrip import Params, SpectralField, assemble_dirichlet_approx, compare, solve_direct
+from rotstrip.correctors import ApproxSolution
 
 print(__doc__)
 
@@ -23,7 +23,8 @@ for eps in (3e-2, 1e-2, 3e-3):
     p = Params(eps, eps)
     out = solve_direct(gamma, None, p, t_end=0.3, dt=eps / 20, Nz=256, save_every=20)
     approx = assemble_dirichlet_approx(gamma, p)
-    res = compare(out, EnvelopeOnly(approx), np.linspace(0.0, 0.3, 7))
+    envelope = ApproxSolution(p, {"interior_envelope": approx.parts["interior_envelope"]})
+    res = compare(out, envelope, np.linspace(0.0, 0.3, 7))
     print(f"  {eps:7.0e}   {res['sup_error']:.4f}")
 
 print("\nWhat the envelope leaves out, ranked (eps = nu = 3e-3):")

@@ -49,6 +49,6 @@ from .correctors import (
     truncation_choice,
 )
 from .direct import fit_decay, graded_nodes, solve_direct
-from .harness import EnvelopeOnly, ExperimentSpec, compare, regress_loglog, run
+from .harness import ExperimentSpec, compare, regress_loglog, run
 
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ from .params import Params, check_integer
 from .spectral import SpectralField
 from .layers import BoundaryTrace, build_B, trace_residuals
 from .harness import (
-    EnvelopeOnly,
     ExperimentSpec,
     compare,
     envelope_csv,
@@ -31,7 +30,7 @@ from .harness import (
     write_damping_csv,
     _write_csv,
 )
-from .correctors import assemble_dirichlet_approx, assemble_wind_approx
+from .correctors import ApproxSolution, assemble_dirichlet_approx, assemble_wind_approx
 from .direct import diagnostics_csv, snapshot_csv, solve_direct
 
 
@@ -147,7 +146,7 @@ def seedless_guard(enabled: bool):
 
 def cmd_modes(cfg, outdir):
     p = params_from(cfg)
-    kmax = check_integer("kmax", cfg.get("kmax", 3))
+    kmax = check_integer("kmax", cfg.get("kmax", 3), 1)
     modes = cfg.get("modes")
     if modes:
         modes = [tuple(int(c) for c in str(m).split(",")) for m in modes]
@@ -199,7 +198,7 @@ def cmd_envelope(cfg, outdir):
     p = params_from(cfg)
     gamma = parse_gamma(cfg.get("gamma", {"1,0,1": 1.0}))
     t_end = float(cfg.get("t_end", 1.0))
-    nt = check_integer("nt", cfg.get("nt", 21))
+    nt = check_integer("nt", cfg.get("nt", 21), 1)
     envelope_csv(gamma, p, np.linspace(0.0, t_end, nt), os.path.join(outdir, "envelope.csv"))
     write_damping_csv(gamma.modes(), p, os.path.join(outdir, "modes.csv"))
     return []
@@ -229,12 +228,13 @@ def cmd_compare(cfg, outdir):
     p = params_from(cfg)
     case = cfg.get("case", "dirichlet")
     t_end = float(cfg.get("t_end", 0.2))
-    nt = check_integer("nt", cfg.get("nt", 9))
+    nt = check_integer("nt", cfg.get("nt", 9), 1)
     if case == "dirichlet":
         gamma = parse_gamma(cfg.get("gamma", {"1,0,1": 1.0}))
         direct = _solve(cfg, p, gamma, None, t_end)
         approx = assemble_dirichlet_approx(gamma, p)
-        target = approx if cfg.get("full_sum") else EnvelopeOnly(approx)
+        target = approx if cfg.get("full_sum") else ApproxSolution(
+            p, {"interior_envelope": approx.parts["interior_envelope"]})
     elif case == "wind":
         sigma = parse_trace(cfg.get("sigma", {"0.0,1,0": [1.0, 0.0]}), 1)
         direct = _solve(cfg, p, SpectralField({}), sigma, t_end)

@@ -740,33 +740,23 @@ class ApproxSolution:
     def horizontal_modes(self):
         return sorted({k_h for p in self.parts.values() for k_h in p.horizontal_modes()})
 
-    def _selected(self, include) -> list:
-        """The parts named in `include` (all parts when None), in part order;
-        a name that is not a part is rejected."""
-        if include is None:
-            return list(self.parts.values())
-        unknown = [name for name in include if name not in self.parts]
-        if unknown:
-            raise ValueError(f"no part named {unknown[0]!r}; the parts are {list(self.parts)}")
-        return [p for name, p in self.parts.items() if name in include]
-
-    def hat_profile(self, k_h, t, z, include=None):
+    def hat_profile(self, k_h, t, z):
         z = np.asarray(z, dtype=float)
-        return sum((p.hat_profile(k_h, t, z) for p in self._selected(include)),
+        return sum((p.hat_profile(k_h, t, z) for p in self.parts.values()),
                    np.zeros((3,) + z.shape, dtype=complex))
 
     def part_norms(self, t: float) -> dict:
         return {name: p.l2_norm(t) for name, p in self.parts.items()}
 
-    def total_norm(self, t: float, nz: int = 800, include=None) -> float:
-        """L2 norm of the sum of the parts named in `include` (all parts when
-        None) by the trapezoid rule on a wall-refined grid of nz points
-        (_norm_grid); each part adds all its columns into one array in one
-        profiles call.  At nz = 800 the rule is 7e-5 to 6e-4 relative off a
-        Richardson reference from the 6400- and 25600-point grids, as
-        measured on the benchmark's asymptotic_grid inputs (eps = nu from
-        1e-2 to 1e-5, both assemblies, t in {0, 0.1, 0.3})."""
-        parts = self._selected(include)
+    def total_norm(self, t: float, nz: int = 800) -> float:
+        """L2 norm of the sum of the parts by the trapezoid rule on a
+        wall-refined grid of nz points (_norm_grid); each part adds all its
+        columns into one array in one profiles call.  At nz = 800 the rule
+        is 7e-5 to 6e-4 relative off a Richardson reference from the 6400-
+        and 25600-point grids, as measured on the benchmark's asymptotic_grid
+        inputs (eps = nu from 1e-2 to 1e-5, both assemblies, t in {0, 0.1,
+        0.3})."""
+        parts = self.parts.values()
         z = _norm_grid(self.params, nz)
         columns = sorted({k for p in parts for k in p.horizontal_modes()})
         prof = np.zeros((len(columns), 3, len(z)), dtype=complex)
@@ -1125,6 +1115,7 @@ def assemble_dirichlet_approx(gamma: SpectralField, params: Params,
         "frozen_coefficient_dt": bottom.frozen_dt_bound() + secondary.frozen_dt_bound(),
     }
     sol = ApproxSolution(params=params, parts=parts, residuals=residuals, meta=meta)
-    residuals["initial_mismatch"] = sol.total_norm(
-        0.0, 600, include=[name for name in parts if name != "interior_envelope"])
+    residuals["initial_mismatch"] = ApproxSolution(params, {
+        name: part for name, part in parts.items() if name != "interior_envelope"
+    }).total_norm(0.0, 600)
     return sol

@@ -430,7 +430,8 @@ def solve_direct(gamma: SpectralField, sigma, params: Params, t_end: float,
     steps is reached exactly by shortening dt to t_end / ceil(t_end / dt).
     Every save_every-th step is saved, and the last one; save_every must be
     a positive integer: 0 would divide by zero, and a negative or fractional
-    interval would save only the last step, silently.
+    interval would save only the last step, silently.  An input with no
+    column (no mode in gamma, no entry in sigma) raises.
     """
     check_integer("save_every", save_every, 1)
     if dt is None:
@@ -465,6 +466,8 @@ def solve_direct(gamma: SpectralField, sigma, params: Params, t_end: float,
             "without viscosity there is no stress condition to carry it")
 
     columns = sorted(set(gamma.horizontal_modes()) | set(stress_table))
+    if not columns:
+        raise ValueError("no column to solve: gamma and sigma are both empty")
     out = {k_h: ModeTrajectory(k_h=k_h, z=z) for k_h in columns}
     shells = {}
     for k_h in columns:

@@ -20,7 +20,7 @@ from .params import Params, check_integer, check_integers
 from .spectral import SpectralField
 from .layers import BoundaryTrace, HeatColumn, build_B, empty_trace
 from .envelope import damping_rate, damping_table, envelope_trajectory
-from .correctors import assemble_dirichlet_approx, assemble_wind_approx
+from .correctors import ApproxSolution, assemble_dirichlet_approx, assemble_wind_approx
 from .direct import (MIN_WALL_NODES, diagnostics_csv, fit_decay, graded_nodes, l2_norm,
                      solve_direct, solver_modules)
 
@@ -230,18 +230,6 @@ def compare(direct: dict, approx, times):
     }
 
 
-class EnvelopeOnly:
-    """Adapter: the filtered interior alone (rotation group times envelope),
-    the object the convergence statement compares against."""
-
-    def __init__(self, sol):
-        self.part = sol.parts["interior_envelope"]
-        self.parts = {"interior_envelope": self.part}
-
-    def hat_profile(self, k_h, t, z):
-        return self.part.hat_profile(k_h, t, z)
-
-
 # ---------------------------------------------------------------------------
 # the experiments
 # ---------------------------------------------------------------------------
@@ -371,7 +359,8 @@ def _dirichlet_point(job):
                        Nz=spec.Nz, save_every=spec.save_every)
     approx = assemble_dirichlet_approx(gamma, p)
     times = np.linspace(0.0, spec.t_end, 11)
-    res = compare(out, EnvelopeOnly(approx), times)
+    envelope = {"interior_envelope": approx.parts["interior_envelope"]}
+    res = compare(out, ApproxSolution(p, envelope), times)
     _write_csv(os.path.join(pointdir, "error_curve.csv"), ["t", "error"],
                list(zip(res["times"], res["errors"])))
     return {"epsilon": eps, "nu": nu, "sup_error": res["sup_error"],

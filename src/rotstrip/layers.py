@@ -419,18 +419,16 @@ class LayerTable:
         into out[column[i]], out of shape (ncol, 3) + z.shape, and return
         out; column must be nondecreasing.
 
-        exp(-q zeta) is evaluated once per distinct decay rate, not once per
-        row: the call's kept rates are matched by their exact (wall, q)
-        values (the columns of a |k_h|^2 shell share theirs), and each
-        distinct rate is evaluated over the union of the height windows of
-        the columns that use it.  A column's window [lo, hi) is, on a 1-D
-        ascending z, the heights where one of its rates still exceeds
-        e^-LAYER_CUT (see _height_windows), else the whole grid.  The
-        columns go in blocks (see _rate_blocks), so a block holds about
-        LAYER_BLOCK entries unless its columns need more.  Each column
-        gathers its rows on its own window from its block and sums them in
-        one matrix product, so its values do not depend on which columns
-        share the call."""
+        exp(-q zeta) is evaluated in one block, once per distinct decay
+        rate, not once per row: the call's kept rates are matched by their
+        exact (wall, q) values (the columns of a |k_h|^2 shell share theirs),
+        and each distinct rate is evaluated over the union of the height
+        windows of the columns that use it.  A column's window [lo, hi) is,
+        on a 1-D ascending z, the heights where one of its rates still
+        exceeds e^-LAYER_CUT (see _height_windows), else the whole grid.
+        Each column gathers its rows on its own window from the block and
+        sums them in one matrix product, so its values do not depend on
+        which columns share the call."""
         z = np.asarray(z, dtype=float)
         r, j = self.keep[rows].nonzero()
         if not r.size:
@@ -444,32 +442,25 @@ class LayerTable:
         lo, hi = _height_windows(q, side, z)
         lo, hi = np.minimum.reduceat(lo, start), np.maximum.reduceat(hi, start)
         rate, first = _distinct_rates(q, side)
+        lo_u, hi_u = np.full(len(first), z.size), np.zeros(len(first), dtype=int)
+        np.minimum.at(lo_u, rate, np.repeat(lo, count[held]))
+        np.maximum.at(hi_u, rate, np.repeat(hi, count[held]))
+        exp, offset = _exp_block(q[first], side[first], z.ravel(), lo_u, hi_u)
         bounds = start.tolist() + [len(rate)]
-        columns = [(c, rate[a:b], a, b, l, h) for c, a, b, l, h in
-                   zip(held.tolist(), bounds[:-1], bounds[1:], lo.tolist(), hi.tolist())]
-        columns.sort(key=lambda col: col[1][0])  # stable: a shell's columns side by side
-        side_of = side.tolist()
-        for block, members in _rate_blocks(columns):
-            exp = None  # the previous block is freed first
-            exp = _exp_block(q, z.ravel(), [(first[u], side_of[first[u]], l, h)
-                                            for u, (l, h) in block.items()])
-            offset, at = {}, 0  # exp[offset[u] + k] is rate u at height k
-            for u, (l, h) in block.items():
-                offset[u], at = at - l, at + h - l
-            for c, mine, a, b, l, h in members:
-                w = h - l
-                if not w:
-                    continue  # every rate of the column is below the cut on z
-                pos = [offset[u] + l for u in mine]
-                if pos == list(range(pos[0], pos[0] + w * len(pos), w)):
-                    rows_c = exp[pos[0]:pos[0] + w * len(pos)].reshape(len(pos), w)
-                else:
-                    rows_c = exp[np.add.outer(pos, np.arange(w))]
-                value = amps[a:b].T @ rows_c
-                if z.ndim == 1:
-                    out[c][:, l:h] += value
-                else:
-                    out[c] += value.reshape((3,) + z.shape)
+        for c, a, b, l, h in zip(held.tolist(), bounds[:-1], bounds[1:], lo.tolist(), hi.tolist()):
+            w = h - l
+            if not w:
+                continue  # every rate of the column is below the cut on z
+            pos = (offset[rate[a:b]] + l).tolist()
+            if pos == list(range(pos[0], pos[0] + w * len(pos), w)):
+                rows_c = exp[pos[0]:pos[0] + w * len(pos)].reshape(len(pos), w)
+            else:
+                rows_c = exp[np.add.outer(pos, np.arange(w))]
+            value = amps[a:b].T @ rows_c
+            if z.ndim == 1:
+                out[c][:, l:h] += value
+            else:
+                out[c] += value.reshape((3,) + z.shape)
         return out
 
     def wall_traces(self, wall):
@@ -491,11 +482,6 @@ class LayerTable:
 #: exp(-q zeta) is dropped where Re(q) zeta > LAYER_CUT: below e^-40 ~ 4e-18
 #: of the rate's amplitude
 LAYER_CUT = 40.0
-#: entries (64 KiB) of one exp(-q zeta) block of LayerTable.profiles, which
-#: splits a call's columns into blocks of about this size: one block for all
-#: the columns of a large call is a temporary many times a column's, and it
-#: raised the peak RSS of the benchmark's wind_shells workload by 0.8 MiB
-LAYER_BLOCK = 4096
 
 
 def _distinct_rates(q, side):
@@ -512,29 +498,6 @@ def _distinct_rates(q, side):
     return ids, first
 
 
-def _rate_blocks(columns):
-    """Split the columns (c, rate ids, a, b, lo, hi) of a profiles call, in
-    order, into blocks (block, members): block maps each distinct rate of the
-    member columns to the union [lo, hi) of the windows of the members that
-    use it, and its entries are the sum of those widths.  A column whose
-    rates the block already holds joins it; otherwise a new block starts
-    once the block holds LAYER_BLOCK entries."""
-    block, members, size = {}, [], 0
-    for col in columns:
-        _, ids, _, _, lo, hi = col
-        if size >= LAYER_BLOCK and not block.keys() >= set(ids):
-            yield block, members
-            block, members, size = {}, [], 0
-        for u in ids:
-            window = block.setdefault(u, [lo, lo])
-            size -= window[1] - window[0]
-            window[:] = min(window[0], lo), max(window[1], hi)
-            size += window[1] - window[0]
-        members.append(col)
-    if members:
-        yield block, members
-
-
 def _height_windows(q, side, z):
     """Index windows [lo, hi) (each (n,)) of the heights z on which
     Re(q_m) zeta <= LAYER_CUT, zeta the distance to the wall side_m: a
@@ -547,19 +510,27 @@ def _height_windows(q, side, z):
     return z.searchsorted(1.0 - reach) * top, np.where(top, z.size, z.searchsorted(reach, "right"))
 
 
-def _exp_block(q, z, rates) -> np.ndarray:
-    """exp(-q_m zeta) of the rates (m, side, lo, hi), rate q[m] on the
-    heights z[lo:hi], concatenated rate by rate: zeta the distance to the
-    wall side.  A run of rates on one wall and window takes one product."""
-    block = np.empty(sum(h - l for _, _, l, h in rates), dtype=complex)
-    off = 0
-    for (s, l, h), run in itertools.groupby(rates, key=lambda rate: rate[1:]):
-        m = [rate[0] for rate in run]
-        n = len(m) * (h - l)
+def _exp_block(q, side, z, lo, hi):
+    """exp(-q[u] zeta) of n rates in one block, rate u on the heights
+    z[lo[u]:hi[u]] and zeta the distance to its wall side[u]: (block,
+    offset), block[offset[u] + k] the value of rate u at height k.  The
+    rates go in the order of (wall, lo, hi), so a run of rates on one wall
+    and window takes one product."""
+    order = np.lexsort((hi, lo, side))
+    width = (hi - lo)[order]
+    start = width.cumsum() - width
+    offset = np.empty(len(q), dtype=int)
+    offset[order] = start - lo[order]
+    block = np.empty(int(width.sum()), dtype=complex)
+    key = zip(side[order].tolist(), lo[order].tolist(), hi[order].tolist())
+    at = 0
+    for (s, l, h), run in itertools.groupby(key):
+        m = order[at:at + len(list(run))]
         zeta = z[l:h] if s == 0 else 1.0 - z[l:h]
-        np.multiply(-q[m, None], zeta, out=block[off:off + n].reshape(len(m), h - l))
-        off += n
-    return np.exp(block, out=block)
+        a = start[at]
+        np.multiply(-q[m, None], zeta, out=block[a:a + len(m) * (h - l)].reshape(len(m), h - l))
+        at += len(m)
+    return np.exp(block, out=block), offset
 
 
 def _layer_table(side, mu, k_h, lam, w, alpha, keep, pair, params: Params) -> LayerTable:
@@ -856,8 +827,7 @@ class ModulatedBL(_Part):
         row, times their row's weight, enter one closed-form Gram sum, so
         cross terms between rows count; this needs the column's layers on one
         wall.  The columns go through one padded Gram sum, each padded with
-        zero amplitudes to the most kept rates of a column, taken in blocks
-        of columns of about LAYER_BLOCK Gram entries.  The resonant k_h = 0
+        zero amplitudes to the most kept rates of a column.  The resonant k_h = 0
         layers are added in quadrature: the classical remainder sharing their
         column carries the orthogonal circular polarisation."""
         tab, order = self.table, self._order
@@ -878,9 +848,7 @@ class ModulatedBL(_Part):
             q = np.ones(amps.shape[:2], dtype=complex)
             amps[column, slot] = tab.amps[order[r], j] * self._weights(t, order[r])[:, None]
             q[column, slot] = tab.q[order[r], j]
-            step = max(1, LAYER_BLOCK // q.shape[1] ** 2)
-            total += float(sum(np.sum(_amplitude_l2(amps[c:c + step], q[c:c + step]) ** 2)
-                               for c in range(0, len(q), step)))
+            total += float(np.sum(_amplitude_l2(amps, q) ** 2))
         for layer in self.resonant:
             total += layer.l2_norm_h(t) ** 2
         return math.sqrt(total)

@@ -209,8 +209,8 @@ def test_criterion_5_resonant_growth_and_destabilization():
 def test_criterion_6_convergence_at_desk_scale():
     t0 = time.time()
     gamma = SpectralField({(1, 0, 1): 1.0})
-    from rotstrip.correctors import assemble_dirichlet_approx
-    from rotstrip.harness import EnvelopeOnly, compare
+    from rotstrip.correctors import ApproxSolution, assemble_dirichlet_approx
+    from rotstrip.harness import compare
 
     sups = []
     for eps in (1e-2, 3e-3, 1e-3):
@@ -221,7 +221,8 @@ def test_criterion_6_convergence_at_desk_scale():
         out = solve_direct(gamma, None, p, t_end=0.5, dt=eps / 50.0, Nz=512,
                            save_every=50)
         approx = assemble_dirichlet_approx(gamma, p)
-        res = compare(out, EnvelopeOnly(approx), np.linspace(0.0, 0.5, 11))
+        envelope = ApproxSolution(p, {"interior_envelope": approx.parts["interior_envelope"]})
+        res = compare(out, envelope, np.linspace(0.0, 0.5, 11))
         sups.append(res["sup_error"])
     elapsed = time.time() - t0
     decreasing = all(sups[i + 1] < sups[i] for i in range(len(sups) - 1))
@@ -238,8 +239,8 @@ def test_full_dirichlet_hierarchy_against_direct():
     and at t = 0 it equals the ledger's recorded initial mismatch."""
     t0 = time.time()
     gamma = SpectralField({(1, 0, 1): 1.0})
-    from rotstrip.correctors import assemble_dirichlet_approx
-    from rotstrip.harness import EnvelopeOnly, compare
+    from rotstrip.correctors import ApproxSolution, assemble_dirichlet_approx
+    from rotstrip.harness import compare
 
     full_errs, env_errs, start_ratios, flags = [], [], [], 0
     for eps in (1e-2, 3e-3):
@@ -249,7 +250,8 @@ def test_full_dirichlet_hierarchy_against_direct():
         approx = assemble_dirichlet_approx(gamma, p)
         times = np.linspace(0.0, 0.5, 11)
         full = compare(out, approx, times)
-        envelope = compare(out, EnvelopeOnly(approx), times)
+        envelope = compare(out, ApproxSolution(
+            p, {"interior_envelope": approx.parts["interior_envelope"]}), times)
         late = [i for i, t in enumerate(full["times"]) if 0.1 <= t <= 0.5]
         full_errs.append(max(full["errors"][i] for i in late))
         env_errs.append(max(envelope["errors"][i] for i in late))

@@ -692,18 +692,6 @@ class TestDirichletAssembly:
         with pytest.raises(ValueError, match="corrector_variant"):
             assemble_dirichlet_approx(g, p, corrector_variant="nope")
 
-    def test_unknown_part_name_rejected(self):
-        p = Params(1e-2, 1e-2)
-        sol = assemble_dirichlet_approx(SpectralField({(1, 0, 1): 1.0}), p)
-        z = np.linspace(0.0, 1.0, 5)
-        with pytest.raises(ValueError, match="flux_lfit"):
-            sol.hat_profile((1, 0), 0.1, z, include=["flux_lfit"])
-        with pytest.raises(ValueError, match="flux_lfit"):
-            sol.total_norm(0.1, include=["bottom_layer", "flux_lfit"])
-        with pytest.raises(ValueError, match="flux_lfit"):
-            assemble_dirichlet_approx(SpectralField({}), p).total_norm(0.1, include=["flux_lfit"])
-        assert sol.total_norm(0.1, include=[]) == 0.0
-
     def test_summary_serializes_to_json(self):
         import json
 
@@ -1010,11 +998,9 @@ class TestModulatedProfiles:
         assert part.frozen_dt_bound() == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
-    def test_distinct_rate_blocks_equal_the_per_row_evaluation(self, monkeypatch):
-        """Bit for bit, whatever the blocks: rows on both walls of one
-        column, quasi-resonant rows and a shell whose columns share rates."""
-        from rotstrip import layers
-
+    def test_distinct_rate_blocks_equal_the_per_row_evaluation(self):
+        """Bit for bit: rows on both walls of one column, quasi-resonant rows
+        and a shell whose columns share rates."""
         rng = np.random.default_rng(11)
 
         def vec():
@@ -1038,37 +1024,32 @@ class TestModulatedProfiles:
         part = ModulatedBL(self.P, tab, rng.uniform(0.0, 2.0, len(tab)) + 0.5j)
         columns = sorted(set(tab.columns())) + [(3, 3)]  # (3, 3) is not held
         assert {tuple(tab.side[(tab.k_h == (1, 0)).all(axis=1)].tolist())} == {(0, 0, 0, 1, 1, 1)}
-        for cap in (layers.LAYER_BLOCK, 700, 1):
-            monkeypatch.setattr(layers, "LAYER_BLOCK", cap)
-            for z in (_norm_grid(self.P, 800), np.linspace(0.0, 1.0, 120).reshape(8, 15)):
-                for t in (0.0, 0.137):
-                    assert np.array_equal(part.profiles(t, z, columns),
-                                          ref_layer_profiles(part, t, z, columns))
+        for z in (_norm_grid(self.P, 800), np.linspace(0.0, 1.0, 120).reshape(8, 15)):
+            for t in (0.0, 0.137):
+                assert np.array_equal(part.profiles(t, z, columns),
+                                      ref_layer_profiles(part, t, z, columns))
 
     @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
-    def test_norm_is_the_per_column_gram_sum(self, monkeypatch):
+    def test_norm_is_the_per_column_gram_sum(self):
         from rotstrip import layers
 
         part = self.part()
         tab = part.table
-        for cap in (layers.LAYER_BLOCK, 1):
-            monkeypatch.setattr(layers, "LAYER_BLOCK", cap)
-            for t in (0.0, 0.3):
-                total = 0.0
-                for k_h in sorted(set(tab.columns())):
-                    rows = np.flatnonzero((tab.k_h == k_h).all(axis=1))
-                    keep = tab.keep[rows]
-                    amps = (tab.amps[rows] * part._weights(t, rows)[:, None, None])[keep]
-                    total += float(layers._amplitude_l2(amps, tab.q[rows][keep])) ** 2
-                total += sum(layer.l2_norm_h(t) ** 2 for layer in part.resonant)
-                assert part.l2_norm(t) == pytest.approx(math.sqrt(total), rel=1e-15)
+        for t in (0.0, 0.3):
+            total = 0.0
+            for k_h in sorted(set(tab.columns())):
+                rows = np.flatnonzero((tab.k_h == k_h).all(axis=1))
+                keep = tab.keep[rows]
+                amps = (tab.amps[rows] * part._weights(t, rows)[:, None, None])[keep]
+                total += float(layers._amplitude_l2(amps, tab.q[rows][keep])) ** 2
+            total += sum(layer.l2_norm_h(t) ** 2 for layer in part.resonant)
+            assert part.l2_norm(t) == pytest.approx(math.sqrt(total), rel=1e-15)
 
     @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_exp_blocks_span_columns(self, monkeypatch):
-        """Each distinct (wall, rate) of a profiles call is evaluated once, in
-        blocks spanning columns; a block takes a column that needs a new
-        rate only while it holds fewer than LAYER_BLOCK entries, and the
-        heights past the cut are skipped."""
+        """Each profiles call evaluates exp(-q zeta) in one block spanning
+        its columns, each distinct (wall, rate) once, and skips the heights
+        past the cut."""
         from rotstrip import layers
 
         p = Params(1e-4, 1e-4, beta=1.0)
@@ -1081,71 +1062,38 @@ class TestModulatedProfiles:
                                                        (1.0, (0, 0)): np.array([1.0, 0.0])}), p),
                 assemble_dirichlet_approx(SpectralField({(1, 0, 1): 1.0, (0, 1, 2): 0.5j,
                                                          (0, 0, 1): 0.3}), p)]
-        calls, evaluated = [], []
-        rate_blocks, exp_block = layers._rate_blocks, layers._exp_block
+        evaluated = []
+        exp_block = layers._exp_block
 
-        def counted_blocks(columns):
-            calls.append([])
-            for block, members in rate_blocks(columns):
-                calls[-1].append(list(members))
-                yield block, members
-
-        def counted_exp(q, z, rates):
-            evaluated.append(([(side, complex(q[m])) for m, side, _, _ in rates],
-                              sum(hi - lo for _, _, lo, hi in rates)))
-            return exp_block(q, z, rates)
-
-        def entries(members):
-            """The entries of the distinct rates of some columns, each over
-            the union of the windows of the columns using it."""
-            window = {}
-            for _, ids, _, _, lo, hi in members:
-                for u in ids:
-                    l, h = window.get(u, (lo, hi))
-                    window[u] = (min(l, lo), max(h, hi))
-            return sum(h - l for l, h in window.values())
+        def counted_exp(q, side, z, lo, hi):
+            evaluated.append((list(zip(side.tolist(), q.tolist())), int(np.sum(hi - lo))))
+            return exp_block(q, side, z, lo, hi)
 
         def distinct(part):
             tab = part.table
             r, j = tab.keep.nonzero()
             return set(zip(tab.side[r].tolist(), tab.q[r, j].tolist()))
 
-        monkeypatch.setattr(layers, "_rate_blocks", counted_blocks)
         monkeypatch.setattr(layers, "_exp_block", counted_exp)
         shared = 0
         for sol in sols:
             parts = [part for part in sol.parts.values()
                      if isinstance(part, ModulatedBL) and len(part.table)]
-            calls.clear()
             evaluated.clear()
-            norm = sol.total_norm(0.1)
-            assert len(calls) == len(parts) == len(evaluated)  # one block per call here
-            for part, blocks, (rates, size) in zip(parts, calls, evaluated):
+            sol.total_norm(0.1)
+            assert len(evaluated) == len(parts)  # one block per profiles call
+            for part, (rates, size) in zip(parts, evaluated):
                 # every distinct rate of the part once, on fewer heights than
                 # the grid's wherever a rate falls below the cut
                 assert len(rates) == len(set(rates)) and set(rates) == distinct(part)
                 assert size < 800 * len(rates)
                 shared += int(part.table.keep.sum()) - len(rates)
-                assert len(blocks) == 1 and len(blocks[0]) == len(set(part.table.columns()))
-            # a small cap: several blocks, none taking a column that needs a
-            # new rate once it holds LAYER_BLOCK entries; the values do not
-            # depend on the blocks
-            monkeypatch.setattr(layers, "LAYER_BLOCK", 300)
-            calls.clear()
-            assert sol.total_norm(0.1) == norm
-            assert sum(len(blocks) for blocks in calls) > len(calls)
-            for blocks in calls:
-                for members in blocks:
-                    grows = [k for k, m in enumerate(members)
-                             if not set(m[1]) <= {u for n in members[:k] for u in n[1]}]
-                    assert entries(members[:grows[-1]]) < layers.LAYER_BLOCK
-            monkeypatch.setattr(layers, "LAYER_BLOCK", 4096)
             # a profiles call over some columns: one block for all of them
             part = parts[0]
             columns = part.horizontal_modes()[:2] + [(5, 5)]
-            calls.clear()
+            evaluated.clear()
             part.profiles(0.1, np.linspace(0.0, 1.0, 7), columns)
-            assert len(calls[0]) == 1 and len(calls[0][0]) == 2
+            assert len(evaluated) == 1
         assert shared > 0  # fewer evaluations than kept rates
 
     @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")

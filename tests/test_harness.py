@@ -15,7 +15,6 @@ from rotstrip.correctors import ApproxSolution, assemble_dirichlet_approx
 from rotstrip.direct import solve_direct
 from rotstrip.harness import (
     DEFAULT_TOLERANCES,
-    EnvelopeOnly,
     ExperimentSpec,
     compare,
     regress_loglog,
@@ -332,13 +331,14 @@ class TestCompare:
             t = traj.times[idx]
             u = traj.snapshots[idx][0]
 
-            def err_for(include):
-                prof = approx.hat_profile((1, 0), t, traj.z, include=include)
+            def err_for(target):
+                prof = target.hat_profile((1, 0), t, traj.z)
                 return 2 * np.pi * np.sqrt(np.sum(
                     traj.weights * np.sum(np.abs(u.T - prof) ** 2, axis=0)))
 
-            bare = err_for(["surface_layer", "flux_corrector"])
-            full = err_for(None)
+            bare = err_for(ApproxSolution(p, {name: approx.parts[name] for name in
+                                              ("surface_layer", "flux_corrector")}))
+            full = err_for(approx)
             assert full < 0.8 * bare  # the corrector genuinely helps
             errs[eps] = full
         assert errs[1e-3] < 0.6 * errs[1e-2]  # absolute error vanishes
@@ -348,7 +348,8 @@ class TestCompare:
         gamma = SpectralField({(1, 0, 1): 1.0})
         out = solve_direct(gamma, None, p, t_end=0.2, Nz=192, save_every=10)
         approx = assemble_dirichlet_approx(gamma, p)
-        res = compare(out, EnvelopeOnly(approx), np.linspace(0.0, 0.2, 6))
+        envelope = ApproxSolution(p, {"interior_envelope": approx.parts["interior_envelope"]})
+        res = compare(out, envelope, np.linspace(0.0, 0.2, 6))
         assert res["sup_error"] < 0.5 * gamma.norm()
         assert not res["attribution_flags"]
 
@@ -478,6 +479,27 @@ class TestCLI:
             main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, entries, message", [
+        ("envelope", {"nt": 0}, "nt=0 must be an integer >= 1"),
+        ("compare", {"nt": 0}, "nt=0 must be an integer >= 1"),
+        ("modes", {"kmax": 0}, "kmax=0 must be an integer >= 1"),
+        ("modes", {"kmax": -1}, "kmax=-1 must be an integer >= 1"),
+        ("compare", {"gamma": {}}, "no column to solve"),
+        ("compare", {"case": "wind", "sigma": {}}, "no column to solve"),
+        ("direct", {}, "no column to solve"),
+    ])
+    def test_empty_input_exits_2(self, tmp_path, capsys, command, entries, message):
+        # these used to exit 0 with a header-only or empty CSV or nothing
+        # written, or to die on an empty max() or an uncaught StopIteration
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 1e-2, "nu": 1e-2, **entries}))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     @pytest.mark.parametrize("spec, message", [
         ({"kind": "bl_scaling", "epsilon": [1e-2], "t_ned": 0.3},
