@@ -375,11 +375,6 @@ class _ModeSystem:
         x_new, _ = self._lib.zgbtrs(self.lu, self.kl, self.ku_s, b, self.piv, overwrite_b=1)
         return x_new
 
-    def step(self, x: np.ndarray, g_half: np.ndarray | None) -> np.ndarray:
-        """One CN step of the block x under the midpoint stress g_half
-        (2, ncol), or none."""
-        return self.solve(self.product(x)[0], g_half)
-
     # The diagnostics reduce over axis 0 with np.vecdot, which conjugates its
     # first argument: on a one-column block it costs what np.vdot does.
 

@@ -105,41 +105,23 @@ def damping_rate(k, params: Params) -> complex:
     return complex(_envelope_rates([k], pumping([k], params).A, params, True)[0])
 
 
-def evolve_c(gamma_hat: SpectralField, params: Params, t: float,
-             include_vertical: bool = False, limit_coefficients: bool = False) -> SpectralField:
+def evolve_c(gamma_hat: SpectralField, params: Params, t: float) -> SpectralField:
     """Closed-form filtered amplitudes c_k(t) = gamma_k exp(-rate_k t).
 
-    The default rate |k_h|^2 + sqrt(nu/eps) A_k neglects the vertical
-    diffusion nu' k3^2 (the envelope model drops it); include_vertical=True
-    restores it.  limit_coefficients=True replaces A_k by its eps,nu -> 0
-    limit R_k + i I_k.
+    The rate |k_h|^2 + sqrt(nu/eps) A_k neglects the vertical diffusion
+    nu' k3^2 (the envelope model drops it; damping_rate keeps it).
     """
-    return envelope_trajectory(gamma_hat, params, [t], include_vertical, limit_coefficients)[0]
+    return envelope_trajectory(gamma_hat, params, [t])[0]
 
 
-def envelope_trajectory(gamma_hat: SpectralField, params: Params, times,
-                        include_vertical: bool = False,
-                        limit_coefficients: bool = False) -> list:
+def envelope_trajectory(gamma_hat: SpectralField, params: Params, times) -> list:
     """evolve_c at each of `times`, with the rates computed once."""
     times = [float(t) for t in times]
     if any(t < 0.0 for t in times):
         raise ValueError("evolve_c expects t >= 0")
     modes = gamma_hat.modes()
-    rates = dict(zip(modes, envelope_rates(modes, params, include_vertical, limit_coefficients)))
+    rates = dict(zip(modes, pumping(modes, params).envelope_rates()))
     return [gamma_hat.map(lambda k, c: c * np.exp(-rates[k] * t)) for t in times]
-
-
-def envelope_rates(modes, params: Params, include_vertical: bool = False,
-                   limit_coefficients: bool = False) -> np.ndarray:
-    """Rates |k_h|^2 + sqrt(nu/eps) A_k of the envelope, per mode; A_k from
-    one batched pumping call, or its limit with limit_coefficients."""
-    modes = [tuple(int(c) for c in k) for k in modes]
-    if limit_coefficients:
-        A = np.array([0j if k[0] == 0 and k[1] == 0 else complex(*ekman_limit_coefficient(k))
-                      for k in modes], dtype=complex)
-    else:
-        A = pumping(modes, params).A
-    return _envelope_rates(modes, A, params, include_vertical)
 
 
 def _envelope_rates(modes, A, params: Params, include_vertical: bool) -> np.ndarray:
@@ -151,8 +133,7 @@ def _envelope_rates(modes, A, params: Params, include_vertical: bool) -> np.ndar
     return rate + math.sqrt(params.nu / params.epsilon) * A
 
 
-def envelope_solve(gamma: SpectralField, params: Params, times,
-                   include_vertical: bool = False, limit_coefficients: bool = False):
+def envelope_solve(gamma: SpectralField, params: Params, times):
     """Integrate the envelope ODE numerically and return the trajectory.
 
     The system is diagonal so this is purely a cross-check of evolve_c: the
@@ -165,7 +146,7 @@ def envelope_solve(gamma: SpectralField, params: Params, times,
     if times[0] < 0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be nonnegative and strictly increasing")
     modes = gamma.modes()
-    rates = envelope_rates(modes, params, include_vertical, limit_coefficients)
+    rates = pumping(modes, params).envelope_rates()
     y0 = np.array([gamma[k] for k in modes])
 
     def rhs(_, y):
@@ -173,8 +154,7 @@ def envelope_solve(gamma: SpectralField, params: Params, times,
         dc = -rates * c
         return np.concatenate([dc.real, dc.imag])
 
-    t0 = 0.0
-    sol = solve_ivp(rhs, (t0, float(times[-1])), np.concatenate([y0.real, y0.imag]),
+    sol = solve_ivp(rhs, (0.0, float(times[-1])), np.concatenate([y0.real, y0.imag]),
                     t_eval=times, rtol=1e-12, atol=1e-14, method="DOP853")
     if not sol.success:
         raise RuntimeError(f"envelope integration failed: {sol.message}")

@@ -116,8 +116,17 @@ class ExperimentSpec:
             raise ValueError("beta grid must match epsilon grid")
         for eps, nu, beta in self.grid():
             Params(eps, nu, beta)  # every grid point's parameters, checked up front
-        if not float(self.t_end) >= 0.0:
-            raise ValueError(f"t_end={self.t_end!r} must be >= 0")
+        for key in ("mu", "t_end", "dt_factor"):  # stored as the floats they are checked as
+            value = getattr(self, key)
+            try:
+                number = float(value)
+            except (TypeError, ValueError):
+                number = math.nan
+            if not math.isfinite(number):
+                raise ValueError(f"{key}={value!r} must be a finite number")
+            setattr(self, key, number)
+        if not self.t_end >= 0.0:
+            raise ValueError(f"t_end={self.t_end:g} must be >= 0")
         self.mode = check_integers("mode", self.mode, 3)
         self.k_h = check_integers("k_h", self.k_h, 2)
         check_integer("Nz", self.Nz, 4 * MIN_WALL_NODES)
@@ -127,8 +136,8 @@ class ExperimentSpec:
             except ValueError as err:
                 raise ValueError(f"grid point epsilon={eps:g}, nu={nu:g}: {err}") from None
         check_integer("save_every", self.save_every, 1)
-        if not float(self.dt_factor) >= 10.0:
-            raise ValueError(f"dt_factor={self.dt_factor!r} must be at least 10: the direct "
+        if not self.dt_factor >= 10.0:
+            raise ValueError(f"dt_factor={self.dt_factor:g} must be at least 10: the direct "
                              "solver needs dt = epsilon/dt_factor <= epsilon/10")
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
         if unknown:

@@ -200,22 +200,6 @@ class RateBatch:
                              if self.ambiguous[i] else ()),
         )
 
-    @classmethod
-    def of(cls, rows) -> "RateBatch":
-        """The batch holding the given DecayRates as its rows."""
-        return cls(
-            mu=np.array([r.mu for r in rows], dtype=float),
-            k_h=np.array([r.k_h for r in rows], dtype=int).reshape(-1, 2),
-            s=np.array([[r.s_minus, r.s_plus, r.third_root_s] for r in rows],
-                       dtype=complex).reshape(-1, 3),
-            lam=np.array([[r.lambda_minus, r.lambda_plus] for r in rows],
-                         dtype=complex).reshape(-1, 2),
-            degenerate=np.array([r.degenerate_zero for r in rows], dtype=bool),
-            ambiguous=np.array([r.ambiguous for r in rows], dtype=bool),
-            candidates=np.array([r.plus_candidates or (0j, 0j) for r in rows],
-                                dtype=complex).reshape(-1, 2),
-        )
-
 
 # the other two root indices, in order, once one of three is taken
 _OTHERS = np.array([[1, 2], [0, 2], [0, 1]])
@@ -316,12 +300,10 @@ def rate_batch(mu, k_h, params: Params, prev: RateBatch | None = None) -> RateBa
                      degenerate=degenerate, ambiguous=ambiguous, candidates=candidates)
 
 
-def decay_rates(mu: float, k_h, params: Params, prev: DecayRates | None = None) -> DecayRates:
+def decay_rates(mu: float, k_h, params: Params) -> DecayRates:
     """The decay rates of one entry: row 0 of a one-row rate_batch (see
-    there for the selection rule); prev is the DecayRates of a neighbouring
-    parameter point."""
-    return rate_batch([mu], [_kh_tuple(k_h)], params,
-                      None if prev is None else RateBatch.of([prev])).row(0)
+    there for the selection rule)."""
+    return rate_batch([mu], [_kh_tuple(k_h)], params).row(0)
 
 
 # ---------------------------------------------------------------------------

@@ -584,6 +584,27 @@ class TestHeatColumnSeries:
                 stress = (f[0] - 4.0 * f[1] + 3.0 * f[2]) / (2.0 * h)
                 assert stress == pytest.approx(float(side), abs=1e-6), (side, nu_t)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 10: the 400-term series leaves a "
+                       "Gibbs residue of norm 0.132 per unit amplitude at t = 0")
+    def test_norm_is_zero_at_time_zero(self):
+        from rotstrip.layers import HeatColumn
+
+        col = HeatColumn(0, self.P.nu, self.P.epsilon, [(1.0, 1.0)])
+        assert col.l2_norm_h(0.0) == 0.0
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 10: at nu t = 1e-6 the series and its "
+                       "24-node norm give 0.243 (side 0) and 0.113 (side 1) of the layer's norm")
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_norm_is_the_half_space_norm_at_small_nu_t(self, side):
+        # the strip and the half-space differ by image terms of order erfc(500)
+        from rotstrip.layers import HeatColumn, ResonantLayer
+
+        t = 1e-6 / self.P.nu
+        entries = [(1.0, 1.0)]
+        want = ResonantLayer(side, self.P.nu, self.P.epsilon, entries).l2_norm_h(t)
+        got = HeatColumn(side, self.P.nu, self.P.epsilon, entries).l2_norm_h(t)
+        assert got == pytest.approx(want, rel=1e-12)
+
 
 class TestDirichletAssembly:
     def test_zero_data(self):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -541,6 +542,35 @@ class TestCLI:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "point_000").exists()
+
+    @pytest.mark.parametrize("entries, message", [
+        ({"mu": "x"}, "mu='x' must be a finite number"),
+        ({"mu": None}, "mu=None must be a finite number"),
+        ({"mu": math.nan}, "mu=nan must be a finite number"),
+        ({"t_end": math.inf}, "t_end=inf must be a finite number"),
+        ({"dt_factor": math.inf}, "dt_factor=inf must be a finite number"),
+        ({"dt_factor": [20]}, "dt_factor=[20] must be a finite number"),
+    ])
+    def test_spec_numbers_checked_as_stored(self, tmp_path, capsys, entries, message):
+        # these used to pass the spec and fail inside every point (exit 1),
+        # or, for mu, to be accepted unchecked
+        spec = {"kind": "ekman_rate", "epsilon": [1e-2], "t_end": 0.01, "Nz": 64, **entries}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentSpec(**spec)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(spec))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "point_000").exists()
+
+    def test_spec_numbers_stored_as_floats(self):
+        # numeric strings convert as the eps, nu and beta grids do
+        spec = ExperimentSpec(kind="ekman_rate", epsilon=["1e-2"], mu="0.5", t_end="0.01",
+                              dt_factor="20", Nz=64)
+        assert (spec.epsilon, spec.mu, spec.t_end, spec.dt_factor) == ([1e-2], 0.5, 0.01, 20.0)
+        assert all(type(v) is float for v in (spec.mu, spec.t_end, spec.dt_factor))
 
     def test_sweep_keys_are_the_spec_fields(self):
         from rotstrip.cli import CONFIG_KEYS

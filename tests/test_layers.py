@@ -16,7 +16,6 @@ from rotstrip.layers import (
     decay_rates,
     empty_trace,
     filter_resonant,
-    RateBatch,
     layer_basis,
     resonant_profile,
     trace_residuals,
@@ -105,24 +104,23 @@ class TestDecayRates:
     def test_quasi_resonant_rate_window(self):
         # |lambda+(1, k_h)| stays within a fixed window of (eps + sqrt(eps nu))^(1/2)
         ratios = []
-        prev = None
+        batch = None
         for eps in [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]:
             p = Params(eps, eps)
-            r = decay_rates(1.0, (1, 0), p, prev=prev)
+            batch = L.rate_batch([1.0], [(1, 0)], p, prev=batch)
+            r = batch.row(0)
             ratios.append(abs(r.lambda_plus) / (eps + math.sqrt(eps * eps)) ** 0.5)
-            prev = r
         assert max(ratios) / min(ratios) < 10.0
         assert 0.05 < min(ratios) and max(ratios) < 20.0
 
     def test_quasi_resonant_scaling_slope(self):
         xs, ys = [], []
-        prev = None
+        batch = None
         for eps in [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7]:
             p = Params(eps, eps)
-            r = decay_rates(1.0, (1, 0), p, prev=prev)
+            batch = L.rate_batch([1.0], [(1, 0)], p, prev=batch)
             xs.append(eps + math.sqrt(eps * eps))
-            ys.append(abs(r.lambda_plus))
-            prev = r
+            ys.append(abs(batch.row(0).lambda_plus))
         assert loglog_slope(xs, ys) == pytest.approx(0.5, abs=0.05)
 
     def test_ambiguity_reported_with_candidates(self):
@@ -133,10 +131,9 @@ class TestDecayRates:
         assert r.plus_candidates[0] == r.s_plus
 
     def test_continuity_tracking_overrides(self):
-        p1 = Params(1e-4, 1e-4)
-        r1 = decay_rates(1.0, (1, 0), p1)
-        p2 = Params(8e-5, 8e-5)
-        r2 = decay_rates(1.0, (1, 0), p2, prev=r1)
+        b1 = L.rate_batch([1.0], [(1, 0)], Params(1e-4, 1e-4))
+        r1 = b1.row(0)
+        r2 = L.rate_batch([1.0], [(1, 0)], Params(8e-5, 8e-5), prev=b1).row(0)
         assert abs(r2.s_plus - r1.s_plus) < 0.5 * abs(r1.s_plus)
 
     def test_third_root_exposed_but_distinct(self):
@@ -182,8 +179,7 @@ class TestKernelVectors:
 class TestTransitionCoeffs:
     def test_basis_decomposition(self):
         p = Params(1e-4, 1e-4)
-        r = decay_rates(0.0, (1, 0), p)
-        basis = layer_basis(RateBatch.of([r]), p)
+        basis = layer_basis(L.rate_batch([0.0], [(1, 0)], p), p)
         wm, wp = basis.w[0]
         am, ap = basis.solve(wm)[0]
         assert abs(am - 1.0) < 1e-12 and abs(ap) < 1e-12
@@ -198,8 +194,7 @@ class TestTransitionCoeffs:
         devs, scales = [], []
         for eps in [1e-2, 1e-3, 1e-4, 1e-5]:
             p = Params(eps, eps)
-            r = decay_rates(0.0, (1, 0), p)
-            P = layer_basis(RateBatch.of([r]), p).w[0].T  # [w_minus | w_plus]
+            P = layer_basis(L.rate_batch([0.0], [(1, 0)], p), p).w[0].T  # [w_minus | w_plus]
             det = P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]
             devs.append(abs(det - 2j))
             scales.append(eps + math.sqrt(eps * eps))
@@ -263,15 +258,15 @@ class TestRateBatch:
         again = L.rate_batch(mu, k_h, p, prev=batch)
         for i in range(len(order)):
             row = batch.row(i)
-            single = decay_rates(mu[i], k_h[i], p)
-            assert _rows_equal(row, single)
+            assert _rows_equal(row, decay_rates(mu[i], k_h[i], p))
             assert row.lambda_minus.real >= 0.0 and row.lambda_plus.real >= 0.0
             assert row.det_residual(p) <= 1e-10
             # continuation from the batch itself keeps its rates, and the
             # one-entry continuation is the batch's row
             cont = again.row(i)
             assert (cont.s_minus, cont.s_plus) == (row.s_minus, row.s_plus)
-            assert _rows_equal(cont, decay_rates(mu[i], k_h[i], p, prev=single))
+            single = L.rate_batch([mu[i]], [k_h[i]], p)
+            assert _rows_equal(cont, L.rate_batch([mu[i]], [k_h[i]], p, prev=single).row(0))
 
     @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -429,8 +424,9 @@ class TestProfiles:
             sol = single_mode_solution(side, mu, k_h, delta, p)
             tab = sol.table
             assert len(tab) == 1 and tab.quasi[0] == (abs(mu) == 1.0 and k_h != (0, 0))
-            r = decay_rates(mu, k_h, p)
-            alphas = layer_basis(RateBatch.of([r]), p).solve(delta)[0]
+            batch = L.rate_batch([mu], [k_h], p)
+            r = batch.row(0)
+            alphas = layer_basis(batch, p).solve(delta)[0]
             zeta = z if side == 0 else 1.0 - z
             dzeta_dz = 1.0 if side == 0 else -1.0
             ref = np.zeros((3,) + z.shape, dtype=complex)
