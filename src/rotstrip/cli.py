@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .params import Params, check_integer
+from .params import Params, _finite, check_integer
 from .spectral import SpectralField
 from .layers import BoundaryTrace, build_B, trace_residuals
 from .harness import (
@@ -197,7 +197,7 @@ def cmd_bl(cfg, outdir):
 def cmd_envelope(cfg, outdir):
     p = params_from(cfg)
     gamma = parse_gamma(cfg.get("gamma", {"1,0,1": 1.0}))
-    t_end = float(cfg.get("t_end", 1.0))
+    t_end = _finite("t_end", cfg.get("t_end", 1.0), 0.0)
     nt = check_integer("nt", cfg.get("nt", 21), 1)
     envelope_csv(gamma, p, np.linspace(0.0, t_end, nt), os.path.join(outdir, "envelope.csv"))
     write_damping_csv(gamma.modes(), p, os.path.join(outdir, "modes.csv"))

@@ -3,10 +3,10 @@
 The layer profiles of `layers` leave small traces on the walls and small
 defects in the evolution equation; this module builds the correction
 hierarchy that absorbs them: a divergence-free polynomial lift with exact
-traces (the stopping lift), interior flux lifts for the Ekman suction,
-mode-wise Duhamel correctors for fast-oscillating non-resonant sources, and
-the full assembled approximations for the wind-forced and the initial-value
-problems.
+traces (the stopping lift), interior flux lifts for the surface flux and
+the Ekman suction, mode-wise Duhamel correctors for fast-oscillating
+non-resonant sources, and the full assembled approximations for the
+wind-forced and the initial-value problems.
 """
 
 from __future__ import annotations
@@ -827,14 +827,6 @@ def _pairs(a, b) -> np.ndarray:
     return np.column_stack(np.broadcast_arrays(a, b)).ravel()
 
 
-def _complex_product(a, x):
-    """a x for a complex scalar a and array x, rounded as a scalar complex
-    product rounds it: numpy's complex multiply on arrays may fuse its
-    multiply-adds and then differs in the last bit."""
-    a = complex(a)
-    return (a.real * x.real - a.imag * x.imag) + 1j * (a.real * x.imag + a.imag * x.real)
-
-
 def _vertical_wall_traces(layer: ModulatedBL, walls) -> list:
     """[(mu, rate, k_h, wall, vertical value)] of every row of the layer."""
     tab = layer.table
@@ -873,6 +865,51 @@ def _stopping_lifts(params: Params, rows) -> OscillatingPoly:
     for ((mu, rate), _), a, n in zip(families, first.tolist(), count):
         lift.add(ZPolyField(keys[a:a + n], coef[a:a + n]), mu, rate)
     return lift
+
+
+def _flux_correctors(rows, K: int, params: Params, zero_ic: bool):
+    """The flux stage: cancel each row's vertical wall value (mu, rate, k_h,
+    wall, value), k_h != 0, by a flux lift phased e^{i mu t/eps - rate t},
+    with vertical values d0, d1 at z = 0, 1 (-value at the row's wall, 0 at
+    the other), and the eigenmode corrector of the lift's fast defect, |l| <=
+    K: from zero with zero_ic, else the decay-preserving special solution.
+    Modes with mu + lambda_l = 0 are resonant, the envelope's, and skipped.
+    Returns (lift, corrector, {(mu, k_h, rate): negated horizontal value at
+    z = 0}, transients, tail_sq); with zero_ic, transients holds one
+    (-lambda_l, k_h, kappa_l, negated value) per mode started from zero."""
+    eps = params.epsilon
+    lift, osc = OscillatingPoly(params), SpectralPart(params)
+    traces, transients, tail_sq = {}, [], 0.0
+    for mu, rate, k_h, wall, value in rows:
+        d0, d1 = (-complex(value), 0j) if wall == 0 else (0j, -complex(value))
+        lift.add(_flux_lift([k_h], np.array([d0]), np.array([d1]), 1.0,
+                            "interior flux lift cannot carry a mean vertical trace"), mu, rate)
+        kh2 = k_h[0] ** 2 + k_h[1] ** 2
+
+        def source(l3):
+            F1, F2, G, lam = column_forms(k_h, l3)
+            # [a (d0 (F1 - |k_h|^2 G) - d1 F1) + (d0 - d1) F2/eps] / |k_h|^2; F1
+            # and G are imaginary and F2 real, so each product has one term
+            # per part and rounds as the one-mode formula does, fused or not
+            a = kh2 - rate + 1j * mu / eps
+            s = a * d0 / kh2 * (F1 - kh2 * G) - a * d1 / kh2 * F1 + (d0 - d1) / (eps * kh2) * F2
+            return np.where(np.abs(mu + lam) < 1e-12, 0j, s)
+
+        l, s, tail = _truncate(k_h, K, source)
+        tail_sq += tail
+        lam, kappa, w = _duhamel(l, s, mu, rate, params)
+        trace = w[:, None] * basis_normals(l)[:, :2]
+        key = (mu, k_h, rate)
+        traces[key] = _running_sum(traces.get(key, 0) + 1j * np.array(k_h) * (d0 - d1) / kh2,
+                                   -trace)
+        if zero_ic:
+            # minus the homogeneous transient, which decays at the mode's own rate
+            osc.add_rows(np.repeat(l, 2, axis=0), _pairs(w, -w), _pairs(mu + lam, 0.0),
+                         _pairs(rate, kappa))
+            transients += zip((-lam).tolist(), [k_h] * len(l), kappa.tolist(), trace)
+        else:
+            osc.add_rows(l, w, mu + lam, rate)
+    return lift, osc, traces, transients, tail_sq
 
 
 def _lift_equation_bound(lift: OscillatingPoly, params: Params) -> float:
@@ -918,52 +955,24 @@ def assemble_wind_approx(sigma: BoundaryTrace, params: Params) -> ApproxSolution
 
     surface = build_B(empty_trace(0), sigma.scaled(params.beta), params)
 
-    # flux corrector for the quasi-resonant vertical trace at z = 1
-    tab = surface.table
-    top = tab.wall_traces(1)[1]
-    flux = dict(sorted(((float(tab.mu[i]), _kh_tuple(tab.k_h[i])), top[i])
-                       for i in np.flatnonzero(tab.quasi & (top != 0))))
-    v_int = OscillatingPoly(params)
-    for (mu, k_h), tau in flux.items():
-        v_int.add(lift_interior_vint1({k_h: tau}), mu)
+    # flux corrector for the quasi-resonant vertical values at z = 1, and
+    # the oscillating corrector of its fast defect, from zero initial data
+    top = _vertical_wall_traces(surface, (1,))
+    quasi = [q and row[4] != 0 for q, row in zip(surface.table.quasi, top)]
+    v_int, osc, traces, transients, tail_sq = _flux_correctors(
+        [row for row, q in zip(top, quasi) if q], K, params, zero_ic=True)
 
-    # oscillating interior corrector for v_int's fast defect, from zero
-    # initial data; its bottom trace is steady per (mu, k_h), where it joins
-    # v_int's own, plus one piece per mode decaying at the mode's rate
-    osc = SpectralPart(params)
-    tail_sq = 0.0
-    steady = {}
-    decaying = []  # (trace table, rate)
-    for (mu, k_h), tau in flux.items():
-        kh2 = k_h[0] ** 2 + k_h[1] ** 2
-        q = -tau * (1.0 + 1j * mu / (eps * kh2))
-        r = -tau / (eps * kh2)
-
-        def source(l3):
-            F1, F2, _, _ = column_forms(k_h, l3)
-            return -(q * F1 + r * F2)
-
-        l, s, tail = _truncate(k_h, K, source)
-        tail_sq += tail
-        lam, kappa, w = _duhamel(l, s, mu, 0j, params)
-        # zero-initial-data Duhamel: w (e^{i(lam+mu)t/eps} - e^{-kappa t})
-        osc.add_rows(np.repeat(l, 2, axis=0), _pairs(w, -w), _pairs(mu + lam, 0.0),
-                     _pairs(0j, kappa))
-        trace = w[:, None] * basis_normals(l)[:, :2]
-        # minus v_int's value and the modes' traces
-        steady[(mu, k_h)] = _running_sum(1j * np.array(k_h) * tau / kh2, -trace)
-        decaying += [({(-lam_l, k_h): tr}, kap)
-                     for lam_l, tr, kap in zip(lam.tolist(), trace, kappa.tolist())]
-
-    # secondary bottom layer: cancel horizontal traces of v_int and osc at z=0
-    tables = ([(steady, 0j)] if steady else []) + decaying
+    # secondary bottom layer cancelling the horizontal traces of v_int and osc
+    # at z = 0: one steady table, plus one per mode decaying at its own rate
+    steady = {(mu, k_h): vec for (mu, k_h, _), vec in traces.items()}
+    tables = ([(steady, 0j)] if steady else []) + [
+        ({(mu, k_h): vec}, kappa) for mu, k_h, kappa, vec in transients]
     secondary = _bottom_layers([t for t, _ in tables], [r for _, r in tables], params)
 
-    # stopping lift for the remaining vertical traces; v_int carries the
-    # quasi-resonant flux at z = 1
-    rows = [r for r in _vertical_wall_traces(surface, (0, 1))
-            if r[3] == 0 or (r[0], r[2]) not in flux]
-    lift = _stopping_lifts(params, rows + _vertical_wall_traces(secondary, (0, 1)))
+    # stopping lift for the remaining vertical traces
+    rows = [row for row, q in zip(top, quasi) if not q]
+    lift = _stopping_lifts(params, _vertical_wall_traces(surface, (0,)) + rows
+                           + _vertical_wall_traces(secondary, (0, 1)))
 
     parts = {
         "surface_layer": surface,
@@ -1029,59 +1038,19 @@ def assemble_dirichlet_approx(gamma: SpectralField, params: Params,
             column.project(-eigenvalue(k), -gamma[k] * basis_normal(k)[:2])
     resonant_col = ModulatedBL(params, build_layers([], params)[0], 0j,
                                [column] if column.entries else [])
-    # the Ekman suction gamma_k S_k (delta3_hat amplitude) is what the layer
-    # leaves at z = 0, read off its vertical trace there
     layered = [modes[i] for i in pump.layered]
     amplitude = np.array([gamma[k] for k in layered], dtype=complex)
     table = wall_layers(0, pump.basis, -amplitude[:, None] * basis_normals(layered)[:, :2], params)
     bottom = ModulatedBL(params, table,
                          np.array([rates[k] for k in layered], dtype=complex)[table.pair])
-    wall_value = np.zeros(len(layered), dtype=complex)
-    wall_value[table.pair] = table.wall_traces(0)[1]
-    suction = {k: -v / params.layer_scale for k, v in zip(layered, wall_value.tolist())}
 
-    # interior flux lift v_int0 for the Ekman suction (delta1_3 = 0)
-    v_int0 = OscillatingPoly(params)
-    for k in sorted(suction):
-        v_int0.add(lift_interior_vint0({k[:2]: suction[k]}, {}, params), -eigenvalue(k), rates[k])
-
-    # oscillating interior corrector for v_int0's off-diagonal fast defect;
-    # rows collect the horizontal bottom traces per (mu, k_h, rate)
-    osc = SpectralPart(params)
-    tail_sq = 0.0
-    rows = {}
-    for k in sorted(suction):
-        k_h = k[:2]
-        kh2 = k_h[0] ** 2 + k_h[1] ** 2
-        mu = -eigenvalue(k)
-        a_k = rates[k]
-        c0 = -1j * params.layer_scale * suction[k] / kh2
-
-        def source(l3):
-            F1, F2, G, lam = column_forms(k_h, l3)
-            s = _complex_product(-c0, (1j * (a_k - kh2) + mu / eps) * (F1 - kh2 * G)
-                                 - 1j * (F2.real / eps))
-            # the diagonal term is already in the envelope equation
-            return np.where((l3 == k[2]) | (np.abs(mu + lam) < 1e-12), 0j, s)
-
-        l, s, tail = _truncate(k_h, K, source)
-        tail_sq += tail
-        lam, kappa, w = _duhamel(l, s, mu, a_k, params)
-        trace = w[:, None] * basis_normals(l)[:, :2]
-        # minus v_int0's own wall value and the modes' traces
-        key = (mu, k_h, a_k)
-        rows[key] = _running_sum(rows.get(key, 0) + -c0 * np.array(k_h), -trace)
-        if corrector_variant == "special":
-            # decay-preserving special solution (keeps the envelope's decay)
-            osc.add_rows(l, w, mu + lam, a_k)
-        else:
-            # minus the homogeneous transient, so the corrector starts from
-            # zero; its trace decays at the mode's own rate
-            osc.add_rows(np.repeat(l, 2, axis=0), _pairs(w, -w), _pairs(mu + lam, 0.0),
-                         _pairs(a_k, kappa))
-            for lam_l, tr, kap in zip(lam.tolist(), trace, kappa.tolist()):
-                key = (-lam_l, k_h, complex(kap))
-                rows[key] = rows.get(key, 0) + tr
+    # interior flux lift for the layer's Ekman suction at z = 0, and the
+    # oscillating corrector of its off-diagonal fast defect
+    v_int0, osc, rows, transients, tail_sq = _flux_correctors(
+        _vertical_wall_traces(bottom, (0,)), K, params, corrector_variant == "zero_ic")
+    for mu, k_h, kappa, vec in transients:
+        key = (mu, k_h, complex(kappa))
+        rows[key] = rows.get(key, 0) + vec
 
     # secondary bottom layer for those traces, one layer per rate
     by_rate = {}

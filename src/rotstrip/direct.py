@@ -48,7 +48,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .params import Params, check_integer
+from .params import Params, _finite, check_integer
 from .spectral import SpectralField, basis_profile
 from .traces import BoundaryTrace
 
@@ -437,8 +437,7 @@ def solve_direct(gamma: SpectralField, sigma, params: Params, t_end: float,
         raise ValueError(
             f"dt={dt} too coarse for the rotation period: need dt <= eps/10 = "
             f"{params.epsilon / 10.0:.3e}")
-    if not t_end >= 0.0:
-        raise ValueError(f"t_end={t_end} must be >= 0")
+    t_end = _finite("t_end", t_end, 0.0)
     nsteps = int(round(t_end / dt))
     if abs(nsteps * dt - t_end) > 1e-9 * dt:
         nsteps = int(math.ceil(t_end / dt))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Params
+from .params import Params, _finite
 from .spectral import (
     SpectralField,
     basis_normals,
@@ -116,9 +116,7 @@ def evolve_c(gamma_hat: SpectralField, params: Params, t: float) -> SpectralFiel
 
 def envelope_trajectory(gamma_hat: SpectralField, params: Params, times) -> list:
     """evolve_c at each of `times`, with the rates computed once."""
-    times = [float(t) for t in times]
-    if any(t < 0.0 for t in times):
-        raise ValueError("evolve_c expects t >= 0")
+    times = [_finite("t", t, 0.0) for t in times]
     modes = gamma_hat.modes()
     rates = dict(zip(modes, pumping(modes, params).envelope_rates()))
     return [gamma_hat.map(lambda k, c: c * np.exp(-rates[k] * t)) for t in times]

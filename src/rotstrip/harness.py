@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .params import Params, check_integer, check_integers
+from .params import Params, _finite, check_integer, check_integers
 from .spectral import SpectralField
 from .layers import BoundaryTrace, HeatColumn, build_B, empty_trace
 from .envelope import damping_rate, damping_table, envelope_trajectory
@@ -103,13 +104,19 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
-        self.epsilon = [float(e) for e in self.epsilon]
+        for key in ("epsilon", "nu", "beta"):
+            grid = getattr(self, key)
+            if grid is None and key != "epsilon":
+                continue  # the defaults below
+            if not isinstance(grid, (list, tuple)):
+                raise ValueError(f"{key}={grid!r} must be a list of finite numbers")
+            setattr(self, key, [_finite(key, v) for v in grid])
         if not self.epsilon:
             raise ValueError("parameter grid is empty")
-        self.nu = [float(n) for n in self.nu] if self.nu is not None else list(self.epsilon)
+        self.nu = list(self.epsilon) if self.nu is None else self.nu
         if len(self.nu) != len(self.epsilon):
             raise ValueError("nu grid must match epsilon grid")
-        self.beta = [float(b) for b in (self.beta if self.beta is not None else [0.0] * len(self.epsilon))]
+        self.beta = [0.0] * len(self.epsilon) if self.beta is None else self.beta
         if len(self.beta) == 1 and len(self.epsilon) > 1:
             self.beta = self.beta * len(self.epsilon)
         if len(self.beta) != len(self.epsilon):
@@ -117,14 +124,7 @@ class ExperimentSpec:
         for eps, nu, beta in self.grid():
             Params(eps, nu, beta)  # every grid point's parameters, checked up front
         for key in ("mu", "t_end", "dt_factor"):  # stored as the floats they are checked as
-            value = getattr(self, key)
-            try:
-                number = float(value)
-            except (TypeError, ValueError):
-                number = math.nan
-            if not math.isfinite(number):
-                raise ValueError(f"{key}={value!r} must be a finite number")
-            setattr(self, key, number)
+            setattr(self, key, _finite(key, getattr(self, key)))
         if not self.t_end >= 0.0:
             raise ValueError(f"t_end={self.t_end:g} must be >= 0")
         self.mode = check_integers("mode", self.mode, 3)
@@ -139,12 +139,16 @@ class ExperimentSpec:
         if not self.dt_factor >= 10.0:
             raise ValueError(f"dt_factor={self.dt_factor:g} must be at least 10: the direct "
                              "solver needs dt = epsilon/dt_factor <= epsilon/10")
+        if not isinstance(self.tolerances, Mapping):
+            raise ValueError(f"tolerances={self.tolerances!r} must be a mapping of finite "
+                             "numbers >= 0")
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ValueError(f"unknown tolerance key(s) {unknown}; "
                              f"choose from {sorted(DEFAULT_TOLERANCES)}")
         tol = dict(DEFAULT_TOLERANCES)
-        tol.update(self.tolerances)
+        for name, value in self.tolerances.items():
+            tol[name] = _finite(f"tolerances[{name!r}]", value, 0.0)
         self.tolerances = tol
 
     def grid(self):

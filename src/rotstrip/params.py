@@ -1,4 +1,4 @@
-"""Run parameters shared by every module, and the integer checks of options."""
+"""Run parameters shared by every module, and the number checks of options."""
 
 from __future__ import annotations
 
@@ -6,6 +6,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _finite(key: str, value, least: float = -math.inf) -> float:
+    """float(value), if that is a finite number >= least; anything else
+    raises ValueError naming key."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not (math.isfinite(number) and number >= least):
+        bound = "" if least == -math.inf else f" >= {least:g}"
+        raise ValueError(f"{key}={value!r} must be a finite number{bound}")
+    return number
 
 
 def _is_integer(value) -> bool:

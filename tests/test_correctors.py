@@ -18,6 +18,7 @@ from rotstrip.spectral import (
     basis_normal,
     basis_profile,
     eigenvalue,
+    eigenvalues,
     euclidean_norm,
 )
 from rotstrip.layers import (BoundaryTrace, LayerTable, ModulatedBL, build_B, build_layers,
@@ -1572,20 +1573,17 @@ def ref_truncate(k_h, K, source):
     return kept, tail_sq
 
 
-def ref_wind_source(q, r):
+def ref_flux_source(mu, rate, kh2, d0, d1, eps):
+    """The flux stage's source on one mode: zero where mu + lambda_l
+    vanishes, else [(|k_h|^2 - rate + i mu/eps)(d0 (F1 - |k_h|^2 G) - d1 F1)
+    + (d0 - d1) F2/eps] / |k_h|^2."""
     def source(l):
-        F1, F2 = ref_scalar_product_forms(l)
-        return -(q * F1 + r * F2)
-    return source
-
-
-def ref_dirichlet_source(k, mu, a_k, kh2, c0, eps):
-    def source(l):
-        if l == k or abs(mu + eigenvalue(l)) < 1e-12:
+        if abs(mu + eigenvalue(l)) < 1e-12:
             return 0j
         F1, F2 = ref_scalar_product_forms(l)
-        F1G = F1 - kh2 * ref_vertical_unit_product(l)
-        return -c0 * ((1j * (a_k - kh2) + mu / eps) * F1G - 1j * F2 / eps)
+        G = ref_vertical_unit_product(l)
+        a = kh2 - rate + 1j * mu / eps
+        return a * d0 / kh2 * (F1 - kh2 * G) - a * d1 / kh2 * F1 + (d0 - d1) / (eps * kh2) * F2
     return source
 
 
@@ -1728,6 +1726,10 @@ class TestTruncation:
         build()
         return calls
 
+    @staticmethod
+    def flux_reference(v):
+        return ref_flux_source(v["mu"], v["rate"], v["kh2"], v["d0"], v["d1"], v["eps"])
+
     @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_wind_sources(self, monkeypatch):
         # |l| = K falls on modes of the (6, 0) column: l3 = 0 at K = 6 (eps
@@ -1737,8 +1739,7 @@ class TestTruncation:
         for eps in (1e-3, 1e-4, 1e-5):
             p = Params(eps, eps, beta=1.0)
             calls = self.assert_matches_reference(
-                monkeypatch, lambda: assemble_wind_approx(sigma, p),
-                lambda v: ref_wind_source(v["q"], v["r"]))
+                monkeypatch, lambda: assemble_wind_approx(sigma, p), self.flux_reference)
             assert len(calls) == 2 and min(calls) > 0
 
     def test_dirichlet_sources(self, monkeypatch):
@@ -1747,10 +1748,64 @@ class TestTruncation:
         for eps in (1e-4, 1e-5):
             p = Params(eps, eps)
             calls = self.assert_matches_reference(
-                monkeypatch, lambda: assemble_dirichlet_approx(gamma, p),
-                lambda v: ref_dirichlet_source(v["k"], v["mu"], v["a_k"], v["kh2"], v["c0"],
-                                               v["eps"]))
+                monkeypatch, lambda: assemble_dirichlet_approx(gamma, p), self.flux_reference)
             assert len(calls) == 3 and min(calls) > 0
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(k_h=st.sampled_from([(1, 0), (0, -1), (1, 1), (-2, 0), (2, 1), (-1, -2), (2, -2)]),
+           log_eps=st.floats(-5.0, -2.0), mu=st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, None]),
+           k3=st.integers(-30, 30), rate=st.complex_numbers(max_magnitude=20.0),
+           value=st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0))
+    def test_flux_source_equals_the_wind_and_dirichlet_sources(self, k_h, log_eps, mu, k3,
+                                                               rate, value):
+        # the two formulas the assemblies had before they shared the flux
+        # stage: the surface flux tau (d1 = -tau, rate 0) and the Ekman
+        # suction (d0, c0 = -i d0/|k_h|^2), on the modes the resonance rule
+        # keeps; mu = None is the Dirichlet frequency -lambda_k of
+        # k = (k_h, k3), whose own l3 = k3 the envelope carries
+        eps, kh2 = 10.0 ** log_eps, k_h[0] ** 2 + k_h[1] ** 2
+        k = (k_h[0], k_h[1], k3) if mu is None else None
+        mu = -eigenvalue(k) if mu is None else mu
+        q, r = -value * (1.0 + 1j * mu / (eps * kh2)), -value / (eps * kh2)
+        c0 = -1j * value / kh2
+
+        def wind(l):
+            F1, F2 = ref_scalar_product_forms(l)
+            return -(q * F1 + r * F2)
+
+        def dirichlet(l):
+            if l == k:
+                return 0j
+            F1, F2 = ref_scalar_product_forms(l)
+            F1G = F1 - kh2 * ref_vertical_unit_product(l)
+            return -c0 * ((1j * (rate - kh2) + mu / eps) * F1G - 1j * F2 / eps)
+
+        modes = [(k_h[0], k_h[1], l3) for l3 in range(-130, 131)]
+        resonant = [abs(mu + eigenvalue(l)) < 1e-12 for l in modes]
+        for old, new in ((wind, ref_flux_source(mu, 0j, kh2, 0j, -value, eps)),
+                         (dirichlet, ref_flux_source(mu, rate, kh2, value, 0j, eps))):
+            want = np.array([0j if res else old(l) for l, res in zip(modes, resonant)])
+            got = np.array([new(l) for l in modes])
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_resonance_rule_is_the_dirichlet_diagonal(self):
+        # the flux stage skips the modes with |mu + lambda_l| < 1e-12; at the
+        # Dirichlet frequency mu = -lambda_k these are exactly l3 = k3
+        l3 = np.arange(-130, 131)
+        k3 = np.arange(-30, 31)
+        gaps = []
+        for k1 in range(-6, 7):
+            for k2 in range(-6, 7):
+                if (k1, k2) == (0, 0):
+                    continue
+                lam = column_forms((k1, k2), l3)[3]
+                mu = -eigenvalues(np.column_stack([np.full(len(k3), k1), np.full(len(k3), k2),
+                                                   k3]))
+                gap = np.abs(mu[:, None] + lam)
+                diagonal = k3[:, None] == l3
+                assert np.array_equal(gap < 1e-12, diagonal), (k1, k2)
+                gaps.append(gap[~diagonal].min())
+        assert len(gaps) * len(k3) == 10248 and min(gaps) > 1e-6
 
 
 # -- a column is one slice of a part's sorted rows ----------------------------

@@ -554,6 +554,12 @@ class TestCLI:
     def test_spec_numbers_checked_as_stored(self, tmp_path, capsys, entries, message):
         # these used to pass the spec and fail inside every point (exit 1),
         # or, for mu, to be accepted unchecked
+        self.assert_spec_rejected(tmp_path, capsys, entries, message)
+
+    @staticmethod
+    def assert_spec_rejected(tmp_path, capsys, entries, message):
+        """ExperimentSpec raises message, and rotstrip sweep exits 2 with it
+        before any point runs."""
         spec = {"kind": "ekman_rate", "epsilon": [1e-2], "t_end": 0.01, "Nz": 64, **entries}
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentSpec(**spec)
@@ -564,6 +570,45 @@ class TestCLI:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "point_000").exists()
+
+    @pytest.mark.parametrize("entries, message", [
+        ({"epsilon": 0.01}, "epsilon=0.01 must be a list of finite numbers"),
+        ({"epsilon": [0.01, None]}, "epsilon=None must be a finite number"),
+        ({"epsilon": "1"}, "epsilon='1' must be a list of finite numbers"),
+        ({"epsilon": ["x"]}, "epsilon='x' must be a finite number"),
+        ({"epsilon": [1e-2, 2e-2], "beta": "12"}, "beta='12' must be a list of finite numbers"),
+        ({"nu": 0.01}, "nu=0.01 must be a list of finite numbers"),
+        ({"beta": [math.inf]}, "beta=inf must be a finite number"),
+        ({"tolerances": {"ekman_rate_rel": "x"}},
+         "tolerances['ekman_rate_rel']='x' must be a finite number >= 0"),
+        ({"tolerances": {"ekman_rate_rel": None}},
+         "tolerances['ekman_rate_rel']=None must be a finite number >= 0"),
+        ({"tolerances": {"ekman_rate_rel": -0.1}},
+         "tolerances['ekman_rate_rel']=-0.1 must be a finite number >= 0"),
+        ({"tolerances": {"ekman_rate_rel": math.nan}},
+         "tolerances['ekman_rate_rel']=nan must be a finite number >= 0"),
+        ({"tolerances": ["ekman_rate_rel"]},
+         "tolerances=['ekman_rate_rel'] must be a mapping of finite numbers >= 0"),
+    ])
+    def test_spec_grids_and_tolerances_checked(self, tmp_path, capsys, entries, message):
+        # these used to raise TypeError (a traceback, exit 1), read a string
+        # grid by character, run every point before failing, or exit 2 with a
+        # message that did not name the key
+        self.assert_spec_rejected(tmp_path, capsys, entries, message)
+
+    @pytest.mark.parametrize("command", ["direct", "compare", "envelope"])
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan, -1.0])
+    def test_time_must_be_finite(self, tmp_path, capsys, command, t_end):
+        # an infinite t_end used to die in solve_direct with OverflowError
+        # (exit 1), and the envelope blamed a coefficient of the mode
+        cfg = tmp_path / "cfg.json"
+        grid = {} if command == "envelope" else {"Nz": 64}
+        cfg.write_text(json.dumps({"epsilon": 1e-2, "nu": 1e-2, "gamma": {"1,0,1": 1.0},
+                                   "t_end": t_end, **grid}))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"t_end={t_end!r} must be a finite number >= 0" in capsys.readouterr().err
 
     def test_spec_numbers_stored_as_floats(self):
         # numeric strings convert as the eps, nu and beta grids do
