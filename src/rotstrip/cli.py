@@ -108,9 +108,9 @@ REQUIRED_KEYS = {"sweep": {f.name for f in dataclasses.fields(ExperimentSpec)
 
 def params_from(cfg: dict) -> Params:
     return Params(
-        epsilon=float(cfg.get("epsilon", 1e-3)),
-        nu=float(cfg.get("nu", 1e-3)),
-        beta=float(cfg.get("beta", 0.0)),
+        epsilon=_finite("epsilon", cfg.get("epsilon", 1e-3)),
+        nu=_finite("nu", cfg.get("nu", 1e-3)),
+        beta=_finite("beta", cfg.get("beta", 0.0)),
     )
 
 
@@ -159,6 +159,7 @@ def cmd_modes(cfg, outdir):
 
 def cmd_bl(cfg, outdir):
     p = params_from(cfg)
+    t = _finite("t", cfg.get("t", 0.1), 0.0)
     delta0 = parse_trace(cfg.get("delta0", {}), 0)
     delta1 = parse_trace(cfg.get("delta1", {}), 1)
     sol = build_B(delta0, delta1, p)
@@ -177,7 +178,7 @@ def cmd_bl(cfg, outdir):
     _write_csv(os.path.join(outdir, "bl_modes.csv"),
                ["kind", "side", "mu", "k1", "k2", "sigma",
                 "re_lambda", "im_lambda", "re_alpha", "im_alpha"], rows)
-    res = trace_residuals(sol, p, t=float(cfg.get("t", 0.1)))
+    res = trace_residuals(sol, p, t=t)
     rrows = []
     for name in ("classical_bottom_at_top", "classical_top_at_bottom",
                  "quasi_bottom_at_top", "quasi_top_at_bottom"):
@@ -187,7 +188,7 @@ def cmd_bl(cfg, outdir):
         rrows.append(("resonant", 0.0, 0, 0, r["magnitude"]))
     _write_csv(os.path.join(outdir, "bl_traces.csv"),
                ["part", "mu", "k1", "k2", "magnitude"], rrows)
-    norms = {part: sol.part_norm_h(part, float(cfg.get("t", 0.1)))
+    norms = {part: sol.part_norm_h(part, t)
              for part in ("classical", "quasi_resonant", "resonant")}
     with open(os.path.join(outdir, "bl_summary.json"), "w") as f:
         json.dump({"norms_h": norms}, f, indent=2)
@@ -206,8 +207,10 @@ def cmd_envelope(cfg, outdir):
 
 def _solve(cfg, p, gamma, sigma, t_end):
     """solve_direct with the config's dt = epsilon / dt_factor, Nz and save_every."""
-    return solve_direct(gamma, sigma, p, t_end=t_end,
-                        dt=p.epsilon / float(cfg.get("dt_factor", 10.0)),
+    dt_factor = _finite("dt_factor", cfg.get("dt_factor", 10.0))
+    if dt_factor <= 0.0:
+        raise ValueError(f"dt_factor={dt_factor:g} must be positive")
+    return solve_direct(gamma, sigma, p, t_end=t_end, dt=p.epsilon / dt_factor,
                         Nz=check_integer("Nz", cfg.get("Nz", 256)),
                         save_every=cfg.get("save_every", 10))
 
@@ -216,7 +219,7 @@ def cmd_direct(cfg, outdir):
     p = params_from(cfg)
     gamma = parse_gamma(cfg.get("gamma", {}))
     sigma = parse_trace(cfg.get("sigma", {}), 1) if cfg.get("sigma") else None
-    out = _solve(cfg, p, gamma, sigma, float(cfg.get("t_end", 0.1)))
+    out = _solve(cfg, p, gamma, sigma, _finite("t_end", cfg.get("t_end", 0.1), 0.0))
     for k_h, traj in sorted(out.items()):
         stem = f"mode_{k_h[0]}_{k_h[1]}"
         snapshot_csv(traj, os.path.join(outdir, f"{stem}_snapshots.csv"))
@@ -227,7 +230,7 @@ def cmd_direct(cfg, outdir):
 def cmd_compare(cfg, outdir):
     p = params_from(cfg)
     case = cfg.get("case", "dirichlet")
-    t_end = float(cfg.get("t_end", 0.2))
+    t_end = _finite("t_end", cfg.get("t_end", 0.2), 0.0)
     nt = check_integer("nt", cfg.get("nt", 9), 1)
     if case == "dirichlet":
         gamma = parse_gamma(cfg.get("gamma", {"1,0,1": 1.0}))

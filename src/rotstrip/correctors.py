@@ -29,9 +29,12 @@ from .spectral import (
     eigenvalues,
     euclidean_norm,
 )
-from .layers import (_GAUSS_Z, BoundaryTrace, HeatColumn, ModulatedBL, _column_index, _kh_tuple,
-                     _Part, _slices, build_B, build_layers, empty_trace, wall_layers)
+from .layers import (BoundaryTrace, HeatColumn, ModulatedBL, _column_index, _kh_tuple, _Part,
+                     _slices, build_B, build_layers, empty_trace, wall_layers)
 from .envelope import pumping
+
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
+_GAUSS_Z = 0.5 * (_GAUSS_X + 1.0), 0.5 * _GAUSS_W  # nodes and weights on [0, 1]
 
 
 def _powers(z, ndeg: int) -> np.ndarray:

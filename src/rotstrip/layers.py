@@ -14,7 +14,6 @@ width sqrt(nu t).
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import warnings
@@ -593,13 +592,6 @@ def resonant_profile(side: int, delta_res, nu: float, t: float, z):
     return np.multiply.outer(delta, base) if delta.ndim else delta * base
 
 
-@functools.cache
-def _erfc_sq_nodes():
-    """The 200-node Gauss-Legendre rule of ResonantLayer._shape_sq, built on
-    first use rather than at import."""
-    return np.polynomial.legendre.leggauss(200)
-
-
 #: the resonant layers' interior mass lies beyond this distance from their wall
 INTERIOR_SPLIT = 0.5
 
@@ -637,18 +629,19 @@ class ResonantLayer:
         return resonant_profile(self.side, 1.0, self.nu, t, z)
 
     def _shape_sq(self, t: float) -> float:
-        """int_0^1 shape(t, z)^2 dz."""
+        """int_0^1 shape^2 dz = w^(1 + 2 side) [F(1/w) - F(0)] with w = 2 sqrt(nu t)."""
         if t <= 0.0:
             return 0.0
-        w = math.sqrt(self.nu * t)
-        X = min(1.0 / (2.0 * w), 10.0)
-        xg, wg = _erfc_sq_nodes()
-        u = 0.5 * X * (xg + 1.0)
-        du = 0.5 * X * wg
+        w = 2.0 * math.sqrt(self.nu * t)
+        return w ** (1 + 2 * self.side) * (self._primitive(1.0 / w) - self._primitive(0.0))
+
+    def _primitive(self, u: float) -> float:
+        """F(u), an antiderivative of erfc(u)^2 (side 0) or ierfc(u)^2 (side 1)."""
+        e, g, r, s = math.erfc(u), math.exp(-u * u), math.sqrt(math.pi), math.sqrt(2.0)
         if self.side == 0:
-            return 2.0 * w * float(np.sum(erfc(u) ** 2 * du))
-        # side 1: the shape is 2 sqrt(nu t) ierfc((1-z)/(2 sqrt(nu t)))
-        return 4.0 * self.nu * t * 2.0 * w * float(np.sum(_ierfc(u) ** 2 * du))
+            return u * e * e - 2.0 * g * e / r + s * math.erfc(s * u) / r
+        return (u ** 3 * e * e + (1.0 - 2.0 * u * u) * g * e / r + u * g * g / math.pi
+                - s * math.erfc(s * u) / r) / 3.0
 
     def value(self, t: float, z) -> np.ndarray:
         """The sum over entries of the phased polarisation times the shape."""
@@ -675,8 +668,8 @@ class ResonantLayer:
         return float(inner / total) if total else 0.0
 
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
-_GAUSS_Z = 0.5 * (_GAUSS_X + 1.0), 0.5 * _GAUSS_W  # nodes and weights on [0, 1]
+#: HeatColumn adds the erfc image of its profile below this nu t, sums its sine series from it up
+_IMAGE_NU_T = 0.01
 
 
 class HeatColumn(ResonantLayer):
@@ -692,32 +685,38 @@ class HeatColumn(ResonantLayer):
     exact at both walls at every t (sin(0) = cos(w_m) = 0).  Side 0 stays
     bounded by |g| uniformly in time; side 1 grows from 0 toward the linear
     shear g z on the 1/nu time scale, the destabilization of the whole
-    column.  For nu t << 1 each matches its wall's half-space self-similar
-    profile up to exponentially small terms.
+    column.  With p the half-space profile of ResonantLayer, the same
+    solution is the image sum (Carslaw & Jaeger, Conduction of Heat in Solids, ch. 3)
+
+        side 0:  v(t, z) = g sum_n (-1)^n [p(2n + z) + p(2n + 2 - z)],
+        side 1:  v(t, z) = g sum_n (-1)^n [p(z - 2n) - p(-z - 2n)].
+
+    Below nu t = _IMAGE_NU_T the pair n = 0 (w = 2 sqrt(nu t) <= 0.2 puts n >= 1
+    below erfc(10) of the sup) and the half-space norm (its image adds < 1e-22
+    relative); from there up the series of _series and its Parseval norm.
     """
 
-    M_MODES = 400
-    BLOCK = 20  # the series runs over m = BLOCK j + i, i < BLOCK
-
     def _shape(self, t, z):
-        """The series at time t on the heights z, factorised: w_m = B pi j +
-        w_i for m = B j + i, so sin(w_m z) = sin(B pi j z) cos(w_i z) +
-        cos(B pi j z) sin(w_i z), and the sum is two (M/B, B) @ (B, len(z))
-        products over 2 (M/B + B) trig rows instead of M sine rows."""
         z = np.asarray(z, dtype=float)
-        B, m = self.BLOCK, np.arange(self.M_MODES)
-        freqs = (m + 0.5) * math.pi
-        coeffs = 2.0 / freqs if self.side == 0 else 2.0 * (-1.0) ** m / freqs ** 2
-        a = (coeffs * np.exp(-self.nu * freqs ** 2 * t)).reshape(-1, B)
-        inner = np.multiply.outer(freqs[:B], z.ravel())
-        outer = np.multiply.outer(B * math.pi * np.arange(len(a)), z.ravel())
-        theta = np.einsum("jz,jz->z", np.sin(outer), a @ np.cos(inner)) \
-            + np.einsum("jz,jz->z", np.cos(outer), a @ np.sin(inner))
-        return (1.0 if self.side == 0 else z) - theta.reshape(z.shape)
+        if self.nu * t < _IMAGE_NU_T:
+            far = 2.0 - z if self.side == 0 else -z
+            return super()._shape(t, z) + (1 - 2 * self.side) * super()._shape(t, far)
+        w, c, signs = self._series(t)
+        return (1.0 if self.side == 0 else z) - np.sin(np.multiply.outer(z, w)) @ (signs * c)
 
     def _shape_sq(self, t):
-        z, w = _GAUSS_Z
-        return float(np.sum(w * self._shape(t, z) ** 2))
+        if self.nu * t < _IMAGE_NU_T:
+            return super()._shape_sq(t)
+        w, c, _ = self._series(t)
+        return 1.0 / (1 + 2 * self.side) + float(np.sum(c * (0.5 * c - 2.0 / w ** (1 + self.side))))
+
+    def _series(self, t):
+        """w_m, the coefficients up to sign, 2 e^{-nu w_m^2 t} / w_m^(1 + side), and
+        their signs, m < 25 (from nu t = _IMAGE_NU_T up, nu w_25^2 t > 64)."""
+        m = np.arange(25)
+        w = (m + 0.5) * math.pi
+        c = 2.0 * np.exp(-self.nu * w ** 2 * t) / w ** (1 + self.side)
+        return w, c, (-1.0) ** (self.side * m)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,13 @@ and each part's column profile at 9 heights on up to 6 columns.  It was
 written by this file's `main` from the code as it stood before the wind and
 Dirichlet assemblers were merged into one pipeline.  The layer parts'
 norms are not frozen: `ModulatedBL.l2_norm` became the exact norm then.
+The Dirichlet cases' `resonant_column` norms and profiles, their total
+norm at t = 0 and their `initial_mismatch` were rewritten when `HeatColumn`
+became exact at every nu t (erfc images below nu t = 0.01, a 25-term sine
+series above, closed-form norms): its former 400-term series left a Gibbs
+residue at t = 0 and a 24-node norm off by up to 4.1e-4 relative at these
+inputs.  The new values match a 4000-term series and adaptive quadrature
+to 1e-15 relative; no wind entry moved.
 
 `data/golden_pumping.json` holds the Ekman pumping answers for the 124
 modes with |k_i| <= 2 at eps = nu in {1e-2, 1e-3, 1e-4, 1e-5}: every

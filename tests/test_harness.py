@@ -482,6 +482,31 @@ class TestCLI:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, entries, message", [
+        ("direct", {"epsilon": None}, "epsilon=None must be a finite number"),
+        ("direct", {"t_end": None}, "t_end=None must be a finite number >= 0"),
+        ("direct", {"dt_factor": None}, "dt_factor=None must be a finite number"),
+        ("direct", {"dt_factor": 0}, "dt_factor=0 must be positive"),
+        ("compare", {"t_end": None}, "t_end=None must be a finite number >= 0"),
+        ("compare", {"beta": "x"}, "beta='x' must be a finite number"),
+        ("bl", {"t": None}, "t=None must be a finite number >= 0"),
+        ("modes", {"epsilon": "x"}, "epsilon='x' must be a finite number"),
+        ("modes", {"epsilon": [0.01]}, "epsilon=[0.01] must be a finite number"),
+        ("envelope", {"nu": math.nan}, "nu=nan must be a finite number"),
+    ])
+    def test_numeric_keys_checked(self, tmp_path, capsys, command, entries, message):
+        # these used to raise TypeError (a traceback, exit 1), divide by zero,
+        # or exit 2 with float()'s message, which does not name the key
+        solve = {"gamma": {"1,0,1": 1.0}, "t_end": 0.01, "Nz": 64}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 1e-2, "nu": 1e-2,
+                                   **(solve if command in ("direct", "compare") else {}),
+                                   **entries}))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, entries, message", [
         ("envelope", {"nt": 0}, "nt=0 must be an integer >= 1"),
         ("compare", {"nt": 0}, "nt=0 must be an integer >= 1"),
         ("modes", {"kmax": 0}, "kmax=0 must be an integer >= 1"),

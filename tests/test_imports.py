@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import rotstrip
 from rotstrip import BoundaryTrace, Params, build_B, empty_trace, resonant_profile
-from rotstrip import assemble_wind_approx
+from rotstrip import SpectralField, assemble_dirichlet_approx, assemble_wind_approx
 
 p = Params(1e-2, 1e-2, beta=1.0)
 z = np.linspace(0.0, 1.0, 65)
@@ -26,6 +26,9 @@ for side in (0, 1):
     assert np.all(np.isfinite(resonant_profile(side, 1.0, p.nu, 0.3, z)))
 approx = assemble_wind_approx(trace, p)
 assert approx.total_norm(0.3) > 0.0
+column = assemble_dirichlet_approx(SpectralField({(0, 0, 1): 1.0}), p)
+for t in (0.3, 2.0):  # the heat column's image sum, then its sine series
+    assert column.total_norm(t) > 0.0 and column.parts["resonant_column"].l2_norm(t) > 0.0
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
