@@ -5,38 +5,58 @@ k_h owns an independent z-resolved velocity-pressure differential-algebraic
 system M x' + L x + C x = g.  Discretisation: graded second-order finite
 differences in z (tanh stretching toward both walls, enforced to put at
 least eight nodes inside the Ekman scale), pressure on a staggered cell
-grid.  M is the identity on the momentum rows.  L holds Coriolis (e3 ^ u),
-the top stress rows and the viscous rows W^{-1} Q, where
-Q = kh2 W + nu Dz^H H Dz is the dissipation form and W the node weights of
-the diagnostics, so the momentum rows take out exactly the dissipation that
-the diagnostics report.  C holds the rows taken fully implicitly: the
-divergence, the wall rows and the pressure gradient, chosen adjoint to the
-divergence (pressure then does no work discretely).  A CN (trapezoidal)
-step on L, A-stable and free of numerical damping so that any measured
-decay is physical, solves
-(M/dt + L/2 + C) x_{n+1} = (M/dt - L/2) x_n + g_{n+1/2} with a banded LU
-(LAPACK zgbtrf/zgbtrs) of the monolithic saddle system, factorised once per
-|k_h|^2 shell.  zgbtrf stores U with kl + ku superdiagonals to leave room
-for the pivoting fill; on this system the fill reaches superdiagonal 7 (8 at
-some grids) of those 12, so only the rows from the kl-th superdiagonal down
-(8 of the 12) are kept and passed to zgbtrs, and every solve is the same as
-on the full factor.  A step makes one sparse product: one CSR stacks
-M/dt - L/2 over 4 pi^2 Q, so the product of the new state gives the next
-step's right-hand side and Q x_{n+1}, and the midpoint dissipation
-(q_n + q_{n+1} + 2 Re x_n^H Q x_{n+1}) / 4 comes from cached terms.
-Coriolis, the Laplacian and the divergence commute with horizontal
-rotations, so with u_h written in the frame (k_h/|k_h|, k_h^perp/|k_h|) a
-column's system depends on k_h only through |k_h|: the columns of a shell
-share the system assembled at k_h = (|k_h|, 0), and step together as the
-columns of one block (one zgbtrs call per step).  The unknowns are
-interleaved node by node, [u1_i, u2_i, u3_i, p_i] with p_i on the cell
-[z_i, z_{i+1}]: every stencil (second differences, the two-node divergence of
-a cell, the adjoint gradient, the one-sided stress derivative at the top)
-then couples unknowns at most two nodes apart, so the band has the same width
-(kl = 8, ku = 4) at every Nz.  With the pressure block after the velocities,
-the divergence rows would reach O(Nz) columns back.  Splitting the pressure
-would be fatal here: the 1/eps Coriolis-pressure balance amplifies any
-projection error.
+grid.  M is the identity on the momentum rows.  L holds Coriolis (e3 ^ u)
+and the viscous rows W^{-1} Q, where Q = kh2 W + nu Dz^H H Dz is the
+dissipation form and W the node weights of the diagnostics, so the momentum
+rows take out exactly the dissipation that the diagnostics report.  The top
+u_h node is a half-cell momentum row,
+w_N u_N' = -(Q u)_N + nu g - w_N (e3 ^ u)_N - w_N (G p)_N (the
+summation-by-parts closure): the stress enters g as nu g / w_N on its two
+rows, and under a stress the energy balance closes to rounding.  C holds
+the rows taken fully implicitly: the divergence, the wall rows and the
+pressure gradient G, chosen adjoint to the divergence (pressure then does
+no work discretely).
+
+The CN (trapezoidal) step
+(M/dt + L/2 + C) x_{n+1} = (M/dt - L/2) x_n + g_{n+1/2} is made as one
+midpoint solve, m = A^{-1} (M x_n / dt + g_{n+1/2} / 2) with
+A = M/dt + L/2 + C.  Once x_n meets the wall and divergence rows, m's
+velocity is the midpoint (u_n + u_{n+1})/2 and its pressure p_{n+1}/2, so
+u_{n+1} = 2 m_u - u_n and p_{n+1} = 2 m_p.  The right-hand side is x_n
+scaled elementwise, so a step makes no sparse product but Q m, for the
+dissipation m^H Q m.  CN (R(inf) = -1) damps nothing, so any decay measured
+after the start is physical; but a datum that violates the walls (the
+eigenmodes N_k violate no-slip) would keep an undamped mismatch that costs
+CN its second order.  The first step is therefore a start rule:
+- with diffusion, two implicit-Euler half steps (Rannacher's damped start),
+  each with the stress at its end.  A is half the implicit-Euler matrix at
+  dt/2 up to the scale of the pressure, so a half step is the same solve
+  with x <- m.  Its numerical dissipation and the datum's dropped wall
+  values are the diagnostics' start_energy_loss;
+- without diffusion, CN's own first step, which projects the datum onto the
+  wall and divergence rows and damps nothing:
+  x_1 = 2 m - x_0 + A^{-1} c_0, c_0 the datum's (row-scaled) wall-row and
+  divergence-row residual, folded into the one solve.  Its start loss is
+  0; a datum's residual on those rows shows in step 1's energy balance.
+
+A is factorised once per |k_h|^2 shell with a banded LU (LAPACK
+zgbtrf/zgbtrs) of the monolithic saddle system.  Coriolis, the Laplacian
+and the divergence commute with horizontal rotations, so with u_h written
+in the frame (k_h/|k_h|, k_h^perp/|k_h|) a column's system depends on k_h
+only through |k_h|: the columns of a shell share the system assembled at
+k_h = (|k_h|, 0), and step together as the columns of one block (one
+zgbtrs call per step).  The unknowns are interleaved node by node,
+[u1_i, u2_i, u3_i, p_i] with p_i on the cell [z_i, z_{i+1}]: every stencil
+(second differences, the two-node divergence of a cell, the adjoint
+gradient) then couples unknowns at most one node apart, so the band has
+the same width (kl = ku = 4; 2 and 2 on the reduced k_h = 0 column) at
+every Nz.  zgbtrf stores U with kl + ku superdiagonals to leave room for
+the pivoting fill; only the rows from the highest filled one down are kept
+and passed to zgbtrs (the fill reaches superdiagonal 7 of the 8 on most
+shells), and every solve is the same as on the full factor.  With the
+pressure block after the velocities, the divergence rows would reach O(Nz)
+columns back.  Splitting the pressure would be fatal here: the 1/eps
+Coriolis-pressure balance amplifies any projection error.
 """
 
 from __future__ import annotations
@@ -183,7 +203,8 @@ def l2_norm(u: np.ndarray, weights: np.ndarray) -> float:
 
 
 class _ModeSystem:
-    """CN-discretised DAE for one real k_h != 0 (full) or k_h = 0 (reduced).
+    """The DAE of one real k_h != 0 (full) or k_h = 0 (reduced) column, with
+    its midpoint solve.
 
     Unknowns are interleaved node by node: [u1_i, u2_i, u3_i, p_i] with p_i
     on the cell [z_i, z_{i+1}] (the top node has no cell), and [u1_i, u2_i]
@@ -216,10 +237,10 @@ class _ModeSystem:
 
     def _assemble(self):
         """Form the column's DAE M x' + L x + C x = g as COO triplets and
-        factorise CN's left side M/dt + L/2 + C.  M is the identity on the
-        momentum rows; L holds Coriolis, the viscous rows W^{-1} Q and the
-        top stress rows; C holds the fully implicit rows: the pressure
-        gradient, the divergence and the wall rows."""
+        factorise A = M/dt + L/2 + C.  M is the identity on the momentum
+        rows; L holds Coriolis and the viscous rows W^{-1} Q; C holds the
+        fully implicit rows: the pressure gradient, the divergence and the
+        wall rows."""
         k1, k2 = self.k_h
         Nz, n, dt, iu, stride = self.Nz, self.n, self.dt, self._iu, self.stride
         sp = self._lib.sparse
@@ -233,12 +254,12 @@ class _ModeSystem:
             return [np.concatenate([np.ravel(a) for a in arrays])
                     for arrays in zip(*(np.broadcast_arrays(*p) for p in parts))]
 
-        def csr(nrows, *terms):
-            """The sum of f T over the (T, f) terms, f a scalar or one factor
-            per entry of the triplet T."""
+        def csr(*terms):
+            """The n x n sum of f T over the (T, f) terms, f a scalar or one
+            factor per entry of the triplet T."""
             r, c, v = zip(*((T[0], T[1], f * T[2]) for T, f in terms))
             return sp.csr_matrix((np.concatenate(v).astype(complex),
-                                  (np.concatenate(r), np.concatenate(c))), shape=(nrows, n))
+                                  (np.concatenate(r), np.concatenate(c))), shape=(n, n))
 
         # the dissipation form of the diagnostics, Q = kh2 W + nu Dz^H H Dz
         # (zero without viscosity): per component, kh2 w_i + nu/h_{i-1} +
@@ -252,24 +273,19 @@ class _ModeSystem:
         if not self.diffusion:
             Q = [a[:0] for a in Q]
 
-        # every velocity row holds a momentum equation but the wall rows
-        # (u3 = 0 at both walls) and, with viscosity, the rows of u_h at the
-        # walls: no-slip at the bottom, the stress at the top
+        # every velocity row holds a momentum equation but the wall rows:
+        # u3 = 0 at both walls and, with viscosity, no-slip on u_h at the
+        # bottom; the top u_h rows are half-cell momentum rows, which take
+        # the stress on their right-hand side
         top = iu(Nz, np.arange(2))
         self.stress_rows = slice(top[0], top[0] + 2)
         is_momentum = np.zeros(n, dtype=bool)
         is_momentum[u] = True
         walls = [] if self.reduced else [iu(0, 2), iu(Nz, 2)]
-        L = []
         if self.diffusion:
             walls += [iu(0, 0), iu(0, 1)]
-            is_momentum[top] = False
-            # the stress on u_h by the one-sided second-order derivative at z = 1
-            hm, hp = h[-2], h[-1]
-            d = ((2 * hp + hm) / (hp * (hp + hm)), -(hp + hm) / (hp * hm), hp / (hm * (hp + hm)))
-            L = [(top, top + off * stride, coef) for off, coef in zip((0, -1, -2), d)]
-        walls = np.array(walls, dtype=int)
-        is_momentum[walls] = False
+        self.walls = np.array(walls, dtype=int)
+        is_momentum[self.walls] = False
         mom = np.flatnonzero(is_momentum)
         M = coo((mom, mom, 1.0))
 
@@ -278,10 +294,10 @@ class _ModeSystem:
         r0, r1 = mom[mom % stride == 0], mom[mom % stride == 1]
         keep = is_momentum[Q[0]]
         rows = Q[0][keep]
-        L = coo(*L, (r0, r0 + 1, -1.0 / eps), (r1, r1 - 1, 1.0 / eps),
+        L = coo((r0, r0 + 1, -1.0 / eps), (r1, r1 - 1, 1.0 / eps),
                 (rows, Q[1][keep], Q[2][keep] / w_full[rows]))
 
-        C = [(walls, walls, 1.0)]
+        C = [(self.walls, self.walls, 1.0)]
         self.D = None
         if not self.reduced:
             # divergence D: cells x unknowns, the average of u_h and the
@@ -306,7 +322,7 @@ class _ModeSystem:
         # into [0.5, 1): momentum rows carry 1/dt, divergence rows 1/h, and
         # partial pivoting within the band needs comparable rows, else the
         # pressure loses about four digits at small dt
-        A = csr(n, (M, 1.0 / dt), (L, 0.5), (C, 1.0))
+        A = csr((M, 1.0 / dt), (L, 0.5), (C, 1.0))
         scale = np.ldexp(1.0, -np.frexp(abs(A).max(axis=1).toarray().ravel())[1])
         A = A.tocoo()
         kl = self.kl = int(np.max(A.row - A.col))
@@ -322,25 +338,29 @@ class _ModeSystem:
                 f"(Nz={self.Nz}, dt={self.dt}, eps={self.params.epsilon}, "
                 f"nu={self.params.nu}, diffusion={self.diffusion}): {detail}")
         # zgbtrf stores U with kl + ku superdiagonals (row kl + ku - d holds
-        # superdiagonal d) to leave room for the pivoting fill, but on this
-        # system the fill stops short of that.  zgbtrs reads kl + ku_s
-        # superdiagonals above the diagonal and the kl multipliers of L
-        # below it, so keep the rows from the highest filled superdiagonal
-        # (or the kl-th, whichever is higher) down.  The rows dropped are
-        # exact zeros: every solve equals the one on the full factor.
+        # superdiagonal d) to leave room for the pivoting fill, which may
+        # stop short of that.  zgbtrs reads kl + ku_s superdiagonals above
+        # the diagonal and the kl multipliers of L below it, so keep the
+        # rows from the highest filled superdiagonal (or the kl-th,
+        # whichever is higher) down.  The rows dropped are exact zeros:
+        # every solve equals the one on the full factor.
         filled = np.flatnonzero(np.any(lu[:kl + ku] != 0, axis=1))
         fill = kl + ku - int(filled[0]) if len(filled) else 0
         self.ku_s = max(0, fill - kl)
         self.lu = np.asfortranarray(lu[ku - self.ku_s:])
-        self.stress_scale = scale[self.stress_rows][:, None]
 
+        # the midpoint solve's right-hand side M x / dt + g / 2, row-scaled:
+        # x scaled elementwise, plus nu g / (2 w_N) on the stress rows
+        self.row_scale = scale[:, None]
+        self.rhs_scale = (scale * is_momentum / dt)[:, None]
+        self.stress_scale = (0.5 * self.params.nu / self.wn[-1]) * self.row_scale[self.stress_rows]
+        # 1 on the velocity entries, 0 on the pressures
+        self.is_velocity = np.zeros((n, 1))
+        self.is_velocity[u] = 1.0
         # energy = x^H diag(energy_weights) x and the dissipation m^H Q m
         # (4 pi^2 from Parseval in x_h), zero on p
         self.energy_weights = 2.0 * math.pi ** 2 * w_full[:, None]
-        # one CSR holds the step's two products: rows [0, n) give the CN
-        # right-hand side (M/dt - L/2) x, rows [n, 2n) 4 pi^2 Q x
-        self.forward = csr(2 * n, (M, scale[M[0]] / dt), (L, -0.5 * scale[L[0]]),
-                           ((Q[0] + n, Q[1], Q[2]), 4.0 * math.pi ** 2))
+        self.Q = csr((Q, 4.0 * math.pi ** 2))
 
     def state(self, u: np.ndarray) -> np.ndarray:
         """Block of the velocities u (ncol, Nz+1, 3) with zero pressure."""
@@ -361,19 +381,57 @@ class _ModeSystem:
             return np.zeros((x.shape[1], self.Nz), dtype=complex)
         return x.T[:, 3::4].copy()
 
-    def product(self, x: np.ndarray) -> tuple:
-        """The one sparse product of a step from the block x: the CN
-        right-hand side b and Q x."""
-        y = self.forward @ x
-        return y[:self.n], y[self.n:]
+    def midpoint(self, x: np.ndarray, g: np.ndarray | None,
+                 c: np.ndarray | None = None) -> np.ndarray:
+        """The one solve, m = A^{-1} (M x / dt + g / 2 + c / 2), of the block
+        x under the stress g (2, ncol), or none; c is a row-scaled extra
+        right-hand side (the datum's residual of CN's start)."""
+        b = self.rhs_scale * x
+        if g is not None:
+            b[self.stress_rows] += self.stress_scale * g
+        if c is not None:
+            b += 0.5 * c
+        m, _ = self._lib.zgbtrs(self.lu, self.kl, self.ku_s, b, self.piv, overwrite_b=1)
+        return m
 
-    def solve(self, b: np.ndarray, g_half: np.ndarray | None) -> np.ndarray:
-        """The new block from the right-hand side b of product() under the
-        midpoint stress g_half (2, ncol), or none; b is overwritten."""
-        if g_half is not None:
-            b[self.stress_rows] += self.stress_scale * g_half
-        x_new, _ = self._lib.zgbtrs(self.lu, self.kl, self.ku_s, b, self.piv, overwrite_b=1)
-        return x_new
+    def step(self, x: np.ndarray, g: np.ndarray | None,
+             c: np.ndarray | None = None) -> tuple:
+        """The CN step from x under the midpoint stress g (c as in
+        midpoint): the new block, the step's dissipation and the stress's
+        work."""
+        m = self.midpoint(x, g, c)
+        diss, work = self.dissipation(m), self.work(m, g)
+        m *= 2.0  # u_{n+1} = 2 m_u - u_n, p_{n+1} = 2 m_p
+        m -= self.is_velocity * x
+        return m, diss, work
+
+    def start(self, x: np.ndarray, stress) -> tuple:
+        """The first step from the datum x, stress(t) giving the stress
+        (2, ncol) at t, or None: the new block, the step's dissipation and
+        work, and the energy the start took out beyond them (the module's
+        start rule)."""
+        if not self.diffusion:  # then there is no stress and no dissipation
+            return *self.step(x, None, self.residual(x)), np.zeros(x.shape[1])
+        # two implicit-Euler half steps; a half step's solution has the
+        # velocity of m and the pressure 2 m_p
+        diss = work = loss = 0.0
+        for t in (0.5 * self.dt, self.dt):
+            g = stress(t)
+            m = self.midpoint(x, g)
+            diss = diss + 0.5 * self.dissipation(m)
+            work = work + 0.5 * self.work(m, g)
+            loss = loss + self.energy(m - x)
+            x = m
+        return (2.0 - self.is_velocity) * x, diss, work, loss
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """The row-scaled residual of the block x on the wall and divergence
+        rows (C x for a block with zero pressure)."""
+        c = np.zeros_like(x)
+        c[self.walls] = x[self.walls]
+        if self.D is not None:
+            c[3::4] = self.D @ x
+        return self.row_scale * c
 
     # The diagnostics reduce over axis 0 with np.vecdot, which conjugates its
     # first argument: on a one-column block it costs what np.vdot does.
@@ -382,23 +440,16 @@ class _ModeSystem:
         """Kinetic energy of the block x."""
         return np.vecdot(x, self.energy_weights * x, axis=0).real
 
-    def step_dissipation(self, x, x_new, q, qx_new) -> tuple:
-        """Viscous dissipation m^H Q m of the midpoint m = (x + x_new)/2 of a
-        step, and q_new = x_new^H Q x_new, from q = x^H Q x and
-        qx_new = Q x_new.  Q is real symmetric, so
-        m^H Q m = (q + q_new + 2 Re x^H Q x_new) / 4."""
-        q_new = np.vecdot(x_new, qx_new, axis=0).real
-        cross = np.vecdot(x, qx_new, axis=0).real
-        return 0.25 * (q + q_new + 2.0 * cross), q_new
+    def dissipation(self, m: np.ndarray) -> np.ndarray:
+        """Viscous dissipation m^H Q m of the block m."""
+        return np.vecdot(m, self.Q @ m, axis=0).real
 
-    def work(self, x, x_new, g_half: np.ndarray | None) -> np.ndarray:
-        """Rate of work of the surface stress g_half on the midpoint of the
-        step from x to x_new."""
-        if g_half is None:
-            return np.zeros(x.shape[1])
-        rows = self.stress_rows
+    def work(self, m: np.ndarray, g: np.ndarray | None) -> np.ndarray:
+        """Rate of work of the surface stress g on the block m."""
+        if g is None:
+            return np.zeros(m.shape[1])
         return (4.0 * math.pi ** 2 * self.params.nu) * np.vecdot(
-            0.5 * (x[rows] + x_new[rows]), g_half, axis=0).real
+            m[self.stress_rows], g, axis=0).real
 
     def divergence(self, x: np.ndarray) -> np.ndarray:
         """max |div u| over the cells, per column."""
@@ -499,7 +550,7 @@ def _solve_shell(kh2, cols, trajs, gamma, stress_table, params, z, dt, nsteps,
     u0 = np.ascontiguousarray([gamma.profile(k, z).T for k in cols], dtype=complex)
     x = sys_.state((u0.view(float) @ to_frame).view(complex))
 
-    # the stress in the frame, summed per frequency: g_half = phases @ amps
+    # the stress in the frame, summed per frequency: stress(t) = phases @ amps
     entries = [(mu, j, v) for j, k in enumerate(cols) for mu, v in stress_table.get(k, [])]
     mus = np.array(sorted({mu for mu, _, _ in entries}))
     amps = None
@@ -509,51 +560,55 @@ def _solve_shell(kh2, cols, trajs, gamma, stress_table, params, z, dt, nsteps,
             amps[np.searchsorted(mus, mu), :, j] += params.beta * (R[j, :2, :2].T @ v)
         amps = amps.reshape(len(mus), 2 * ncol)
 
-    def record(t, x, energy, energy_before, diss, work, net):
+    def stress(t):
+        """The stress (2, ncol) in the frame at time t, or None."""
+        if amps is None:
+            return None
+        return (np.exp(1j * mus * t / params.epsilon) @ amps).reshape(2, ncol)
+
+    def record(t, x, energy, energy_before, diss, work, lost):
         """Save the block x at time t; energy_before is the energy one step
-        earlier, diss and work are the step's, net the running sum of
-        diss - work."""
+        earlier, diss and work are the step's, lost the energy its start
+        took out beyond them (zero but on the first step)."""
         u = (sys_.velocity(x).view(float) @ to_physical).view(complex)
         p = sys_.pressure(x)
         # the scale is the physical velocity's: |u_h| components are not
         # invariant under the rotation
         scales = np.abs(u.reshape(ncol, -1)).max(axis=1)
         columns = zip(trajs, u, p, sys_.divergence(x).tolist(), scales.tolist(),
-                      *(a.tolist() for a in (energy, energy_before, E0, diss, work, net)))
-        for traj, u_j, p_j, div, scale, e, e_before, e0, d, w, nt in columns:
+                      *(a.tolist() for a in (energy, energy_before, E0, diss, work, lost,
+                                             net, loss)))
+        for traj, u_j, p_j, div, scale, e, e_before, e0, d, w, lo, nt, ls in columns:
             traj.times.append(t)
             traj.snapshots.append((u_j, p_j))
             # the cumulative residual, the sum over the steps of
-            # (E_n - E_{n-1}) + dt (diss_n - work_n), telescopes
+            # (E_n - E_{n-1}) + dt (diss_n - work_n) and the start loss,
+            # telescopes
             traj.diagnostics.append({
                 "t": t,
                 "energy": e,
                 "divergence_residual": div / max(1.0, scale),
-                "energy_balance_residual": (e - e_before) / dt + d - w,
+                "energy_balance_residual": (e - e_before + lo) / dt + d - w,
                 "dissipation": d,
-                "cumulative_energy_residual": e - e0 + dt * nt,
+                "start_energy_loss": ls,
+                "cumulative_energy_residual": e - e0 + ls + dt * nt,
             })
 
     E0 = sys_.energy(x)
+    zero = np.zeros(ncol)
     net = np.zeros(ncol)  # sum over the steps of dissipation minus work
-    record(0.0, x, E0, E0, net, net, net)
-    b, qx = sys_.product(x)
-    q = np.vecdot(x, qx, axis=0).real
+    loss = zero  # the start's energy loss
+    record(0.0, x, E0, E0, zero, zero, zero)
     for nstep in range(1, nsteps + 1):
-        g_half = None
-        if amps is not None:
-            g_half = (np.exp(1j * mus * ((nstep - 0.5) * dt) / params.epsilon)
-                      @ amps).reshape(2, ncol)
-        x_new = sys_.solve(b, g_half)
-        # one product gives the next step's right-hand side and Q x_new;
-        # the energy balance across the step uses the midpoint state, the
-        # energy itself is needed only at the saves
-        b, qx = sys_.product(x_new)
-        diss, q = sys_.step_dissipation(x, x_new, q, qx)
-        work = sys_.work(x, x_new, g_half)
+        if nstep == 1:
+            x_new, diss, work, loss = sys_.start(x, stress)
+        else:
+            x_new, diss, work = sys_.step(x, stress((nstep - 0.5) * dt))
         net += diss - work
+        # the energy itself is needed only at the saves
         if nstep % save_every == 0 or nstep == nsteps:
-            record(nstep * dt, x_new, sys_.energy(x_new), sys_.energy(x), diss, work, net)
+            record(nstep * dt, x_new, sys_.energy(x_new), sys_.energy(x), diss, work,
+                   loss if nstep == 1 else zero)
         x = x_new
 
 
