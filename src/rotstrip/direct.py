@@ -471,9 +471,12 @@ def solve_direct(gamma: SpectralField, sigma, params: Params, t_end: float,
     gamma supplies the initial data (finite eigenmode sum), sigma the surface
     stress table (side-1 BoundaryTrace or None; it needs diffusion, which
     carries the stress condition).  Resolution preconditions are enforced up
-    front: 0 < dt <= eps/10 and a grid with MIN_WALL_NODES nodes inside
-    sqrt(eps nu) of each wall.  A t_end >= 0 that is not a whole number of
-    steps is reached exactly by shortening dt to t_end / ceil(t_end / dt).
+    front: 0 < dt <= eps/10, and the grid built when grading is None has
+    MIN_WALL_NODES nodes inside sqrt(eps nu) of each wall.  A given grading
+    is used as it is, without that rule: it must be Nz + 1 finite nodes in
+    one dimension, strictly increasing from exactly 0 to exactly 1.  A
+    t_end >= 0 that is not a whole number of steps is reached exactly by
+    shortening dt to t_end / ceil(t_end / dt).
     Every save_every-th step is saved, and the last one; save_every must be
     a positive integer: 0 would divide by zero, and a negative or fractional
     interval would save only the last step, silently.  An input with no
@@ -494,8 +497,19 @@ def solve_direct(gamma: SpectralField, sigma, params: Params, t_end: float,
         nsteps = int(math.ceil(t_end / dt))
         dt = t_end / nsteps
     if grading is None:
-        grading = graded_nodes(Nz, params.layer_scale if diffusion else 1.0)
-    z = np.asarray(grading, dtype=float)
+        z = graded_nodes(Nz, params.layer_scale if diffusion else 1.0)
+    else:
+        z = np.asarray(grading, dtype=float)
+        if z.shape != (Nz + 1,):
+            raise ValueError(f"grading has shape {z.shape}: need Nz + 1 = {Nz + 1} nodes "
+                             "in one dimension")
+        if not np.all(np.isfinite(z)):
+            raise ValueError("grading has a node that is not a finite number")
+        if not np.all(np.diff(z) > 0.0):
+            raise ValueError("grading must be strictly increasing")
+        if z[0] != 0.0 or z[-1] != 1.0:
+            raise ValueError(f"grading runs from {float(z[0])!r} to {float(z[-1])!r}: it "
+                             "must run from exactly 0 to exactly 1, the walls")
 
     stress_table = {}
     if sigma is not None:

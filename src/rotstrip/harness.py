@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,14 +25,6 @@ from .envelope import damping_rate, damping_table, envelope_trajectory
 from .correctors import ApproxSolution, assemble_dirichlet_approx, assemble_wind_approx
 from .direct import (MIN_WALL_NODES, diagnostics_csv, fit_decay, graded_nodes, l2_norm,
                      solve_direct, solver_modules)
-
-KINDS = ("bl_scaling", "resonant_growth", "wind_convergence",
-         "dirichlet_convergence", "ekman_rate", "destabilization")
-#: the kinds that run their grid points through a pool when parallel > 1;
-#: the others run in the calling process
-POOLED_KINDS = ("wind_convergence", "dirichlet_convergence", "ekman_rate")
-#: the kinds that run one grid point
-SINGLE_POINT_KINDS = ("resonant_growth", "destabilization")
 
 #: default tolerances, mirroring the acceptance thresholds
 DEFAULT_TOLERANCES = {
@@ -102,8 +95,9 @@ class ExperimentSpec:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
+        kinds = tuple(_EXPERIMENTS)
+        if self.kind not in kinds:
+            raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {kinds}")
         for key in ("epsilon", "nu", "beta"):
             grid = getattr(self, key)
             if grid is None and key != "epsilon":
@@ -116,12 +110,13 @@ class ExperimentSpec:
         self.nu = list(self.epsilon) if self.nu is None else self.nu
         if len(self.nu) != len(self.epsilon):
             raise ValueError("nu grid must match epsilon grid")
-        self.beta = [0.0] * len(self.epsilon) if self.beta is None else self.beta
+        self.beta = [1.0] * len(self.epsilon) if self.beta is None else self.beta
         if len(self.beta) == 1 and len(self.epsilon) > 1:
             self.beta = self.beta * len(self.epsilon)
         if len(self.beta) != len(self.epsilon):
             raise ValueError("beta grid must match epsilon grid")
-        for eps, nu, beta in self.grid():
+        grid = self.grid()
+        for eps, nu, beta in grid:
             Params(eps, nu, beta)  # every grid point's parameters, checked up front
         for key in ("mu", "t_end", "dt_factor"):  # stored as the floats they are checked as
             setattr(self, key, _finite(key, getattr(self, key)))
@@ -130,9 +125,12 @@ class ExperimentSpec:
         self.mode = check_integers("mode", self.mode, 3)
         self.k_h = check_integers("k_h", self.k_h, 2)
         check_integer("Nz", self.Nz, 4 * MIN_WALL_NODES)
-        for eps, nu, _ in self.solved_points():
+        # built once for the solves; not a field, so that asdict(spec) omits it
+        self.gradings = [None] * len(grid)
+        for i in _EXPERIMENTS[self.kind].solved(grid):
+            eps, nu, _ = grid[i]
             try:
-                graded_nodes(self.Nz, Params(eps, nu).layer_scale)
+                self.gradings[i] = graded_nodes(self.Nz, Params(eps, nu).layer_scale)
             except ValueError as err:
                 raise ValueError(f"grid point epsilon={eps:g}, nu={nu:g}: {err}") from None
         check_integer("save_every", self.save_every, 1)
@@ -153,20 +151,6 @@ class ExperimentSpec:
 
     def grid(self):
         return list(zip(self.epsilon, self.nu, self.beta))
-
-    def solved_points(self) -> list:
-        """The grid points that solve_direct runs on with its default
-        grading: all of ekman_rate and dirichlet_convergence, the smallest-eps
-        one of wind_convergence, none of the other kinds."""
-        grid = self.grid()
-        if self.kind == "wind_convergence":
-            return [grid[_direct_index(grid)]]
-        return grid if self.kind in ("ekman_rate", "dirichlet_convergence") else []
-
-
-def _direct_index(grid) -> int:
-    """The wind_convergence point that is also solved directly: the smallest eps."""
-    return int(np.argmin([eps for eps, _, _ in grid]))
 
 
 def _check(name, value, tolerance, passed):
@@ -248,7 +232,7 @@ def compare(direct: dict, approx, times):
 # ---------------------------------------------------------------------------
 
 
-def _exp_bl_scaling(spec: ExperimentSpec, outdir, parallel):
+def _exp_bl_scaling(spec: ExperimentSpec, outdir):
     tol = spec.tolerances
     rows = []
     for j, side in ((0, 0), (1, 1)):
@@ -276,7 +260,7 @@ def _exp_bl_scaling(spec: ExperimentSpec, outdir, parallel):
                ["kind", "side", "epsilon", "nu", "x", "norm_h"], rows)
 
 
-def _exp_resonant_growth(spec: ExperimentSpec, outdir, parallel):
+def _exp_resonant_growth(spec: ExperimentSpec, outdir):
     tol = spec.tolerances
     eps, nu, _ = spec.grid()[0]
     p = Params(eps, nu)
@@ -292,12 +276,6 @@ def _exp_resonant_growth(spec: ExperimentSpec, outdir, parallel):
     frac = layer.interior_mass_fraction(1.0 / nu)
     yield _check("interior_mass_fraction_at_nut1", frac,
                  f">={tol['interior_fraction_min']}", frac >= tol["interior_fraction_min"])
-
-
-def _point_dir(outdir, i):
-    d = os.path.join(outdir, f"point_{i:03d}")
-    os.makedirs(d, exist_ok=True)
-    return d
 
 
 def _safe_call(worker, job):
@@ -332,14 +310,16 @@ def _map_points(worker, jobs, parallel: int):
     return results
 
 
+def _solve(spec: ExperimentSpec, gamma, sigma, p: Params, grading):
+    """solve_direct at the spec's end time, step, Nz and save interval."""
+    return solve_direct(gamma, sigma, p, t_end=spec.t_end, dt=p.epsilon / spec.dt_factor,
+                        Nz=spec.Nz, grading=grading, save_every=spec.save_every)
+
+
 def _ekman_point(job):
-    spec, (eps, nu, _), pointdir = job
+    spec, (eps, nu, _), pointdir, grading = job
     p = Params(eps, nu)
-    gamma = SpectralField({spec.mode: 1.0})
-    out = solve_direct(gamma, None, p, t_end=spec.t_end,
-                       dt=eps / spec.dt_factor, Nz=spec.Nz,
-                       save_every=spec.save_every)
-    traj = out[(spec.mode[0], spec.mode[1])]
+    traj = _solve(spec, SpectralField({spec.mode: 1.0}), None, p, grading)[spec.mode[:2]]
     diagnostics_csv(traj, os.path.join(pointdir, "diagnostics.csv"))
     fit = fit_decay(traj, (0.2 * spec.t_end, spec.t_end), spec.mode)
     pred = damping_rate(spec.mode, p)
@@ -348,15 +328,10 @@ def _ekman_point(job):
             "rel_error": abs(fit.rate.real - pred.real) / pred.real}
 
 
-def _exp_ekman_rate(spec: ExperimentSpec, outdir, parallel):
+def _exp_ekman_rate(spec: ExperimentSpec, outdir, ran):
     tol = spec.tolerances
-    jobs = [(spec, pt, _point_dir(outdir, i)) for i, pt in enumerate(spec.grid())]
-    results = _map_points(_ekman_point, jobs, parallel)
     rows = []
-    for i, r in enumerate(results):
-        if "error" in r:
-            yield _check(f"ekman_rate_point{i}", r["error"], "point must run", False)
-            continue
+    for i, r in ran.items():
         rows.append((r["epsilon"], r["nu"], r["fitted"], r["predicted"], r["rel_error"]))
         yield _check(f"ekman_rate_point{i}", r["rel_error"], f"<={tol['ekman_rate_rel']}",
                      r["rel_error"] <= tol["ekman_rate_rel"])
@@ -365,111 +340,82 @@ def _exp_ekman_rate(spec: ExperimentSpec, outdir, parallel):
 
 
 def _dirichlet_point(job):
-    spec, (eps, nu, _), pointdir = job
+    spec, (eps, nu, _), pointdir, grading = job
     gamma = SpectralField({spec.mode: 1.0})
     p = Params(eps, nu)
-    out = solve_direct(gamma, None, p, t_end=spec.t_end, dt=eps / spec.dt_factor,
-                       Nz=spec.Nz, save_every=spec.save_every)
-    approx = assemble_dirichlet_approx(gamma, p)
-    times = np.linspace(0.0, spec.t_end, 11)
-    envelope = {"interior_envelope": approx.parts["interior_envelope"]}
-    res = compare(out, ApproxSolution(p, envelope), times)
+    out = _solve(spec, gamma, None, p, grading)
+    envelope = assemble_dirichlet_approx(gamma, p).parts["interior_envelope"]
+    res = compare(out, ApproxSolution(p, {"interior_envelope": envelope}),
+                  np.linspace(0.0, spec.t_end, 11))
     _write_csv(os.path.join(pointdir, "error_curve.csv"), ["t", "error"],
                list(zip(res["times"], res["errors"])))
     return {"epsilon": eps, "nu": nu, "sup_error": res["sup_error"],
             "times": res["times"], "errors": res["errors"]}
 
 
-def _exp_dirichlet_convergence(spec: ExperimentSpec, outdir, parallel):
+def _exp_dirichlet_convergence(spec: ExperimentSpec, outdir, ran):
     tol = spec.tolerances
-    gamma_norm = 1.0  # single unit mode
-    jobs = [(spec, pt, _point_dir(outdir, i)) for i, pt in enumerate(spec.grid())]
-    results = _map_points(_dirichlet_point, jobs, parallel)
-    rows = []
-    sups = []
-    failed = False
-    for i, r in enumerate(results):
-        if "error" in r:
-            failed = True
-            yield _check(f"dirichlet_point{i}", r["error"], "point must run", False)
-            continue
-        sups.append(r["sup_error"])
-        for t, e in zip(r["times"], r["errors"]):
-            rows.append((r["epsilon"], r["nu"], t, e))
+    rows = [(r["epsilon"], r["nu"], t, e)
+            for r in ran.values() for t, e in zip(r["times"], r["errors"])]
     _write_csv(os.path.join(outdir, "dirichlet_convergence.csv"),
                ["epsilon", "nu", "t", "error"], rows)
+    sups = [r["sup_error"] for r in ran.values()]
     if not sups:
         return
-    decreasing = (not failed) and all(sups[i + 1] < sups[i] for i in range(len(sups) - 1))
+    decreasing = (len(sups) == len(spec.epsilon)
+                  and all(sups[i + 1] < sups[i] for i in range(len(sups) - 1)))
     yield _check("error_strictly_decreasing", sups, "decreasing", decreasing)
-    yield _check("final_error_fraction", sups[-1] / gamma_norm,
-                 f"<{tol['dirichlet_final_rel']}",
-                 sups[-1] < tol["dirichlet_final_rel"] * gamma_norm)
+    # the error as a fraction of the datum's norm, 1 for the single unit mode
+    yield _check("final_error_fraction", sups[-1], f"<{tol['dirichlet_final_rel']}",
+                 sups[-1] < tol["dirichlet_final_rel"])
 
 
 def _wind_point(job):
-    spec, (eps, nu, beta), pointdir, run_direct = job
-    p = Params(eps, nu, beta=beta if beta else 1.0)
+    spec, (eps, nu, beta), pointdir, grading = job
+    p = Params(eps, nu, beta)
     sigma = BoundaryTrace(1, {(spec.mu, spec.k_h): np.array([1.0, 0.0])})
     approx = assemble_wind_approx(sigma, p)
     sup_app = max(approx.total_norm(t) for t in np.linspace(0.0, spec.t_end, 6))
     with open(os.path.join(pointdir, "part_norms.json"), "w") as f:
         json.dump(approx.summary(spec.t_end / 2), f, indent=2, default=str)
     sup_direct = None
-    if run_direct:
-        out = solve_direct(SpectralField({}), sigma, p, t_end=spec.t_end,
-                           dt=eps / spec.dt_factor, Nz=spec.Nz,
-                           save_every=spec.save_every)
+    if grading is not None:  # the one point solved directly
+        out = _solve(spec, SpectralField({}), sigma, p, grading)
         sup_direct = max(l2_norm(u, traj.weights)
-                         for traj in out.values()
-                         for (u, _) in traj.snapshots)
-    return {"epsilon": eps, "nu": nu, "beta": p.beta,
+                         for traj in out.values() for (u, _) in traj.snapshots)
+    return {"epsilon": eps, "nu": nu, "beta": beta,
             "sup_approx": sup_app, "sup_direct": sup_direct}
 
 
-def _exp_wind_convergence(spec: ExperimentSpec, outdir, parallel):
+def _exp_wind_convergence(spec: ExperimentSpec, outdir, ran):
     tol = spec.tolerances
-    grid = spec.grid()
-    i_direct = _direct_index(grid)
-    jobs = [(spec, pt, _point_dir(outdir, i), i == i_direct)
-            for i, pt in enumerate(grid)]
-    results = _map_points(_wind_point, jobs, parallel)
-    good = []
-    for i, r in enumerate(results):
-        if "error" in r:
-            yield _check(f"wind_point{i}", r["error"], "point must run", False)
-        else:
-            good.append(r)
-    rows = [(r["epsilon"], r["nu"], r["beta"], r["sup_approx"]) for r in good]
+    rows = [(r["epsilon"], r["nu"], r["beta"], r["sup_approx"]) for r in ran.values()]
     _write_csv(os.path.join(outdir, "wind_convergence.csv"),
                ["epsilon", "nu", "beta", "sup_norm"], rows)
-    r = results[i_direct]
-    if "error" not in r and r["sup_direct"] is not None and r["sup_approx"] > 0:
-        factor = r["sup_direct"] / r["sup_approx"]
-        yield _check("direct_vs_approx_factor", factor,
-                     f"<{tol['wind_direct_factor']}",
-                     factor < tol["wind_direct_factor"])
-    if len(good) >= 3:
-        reg = regress_loglog([(r["epsilon"] * r["nu"], r["sup_approx"]) for r in good])
+    for r in ran.values():
+        if r["sup_direct"] is not None and r["sup_approx"] > 0:
+            factor = r["sup_direct"] / r["sup_approx"]
+            yield _check("direct_vs_approx_factor", factor,
+                         f"<{tol['wind_direct_factor']}",
+                         factor < tol["wind_direct_factor"])
+    if len(ran) >= 3:
+        reg = regress_loglog([(r["epsilon"] * r["nu"], r["sup_approx"]) for r in ran.values()])
         yield _check("wind_norm_slope", reg.slope, f"0.75+-{tol['wind_norm_slope']}",
                      abs(reg.slope - 0.75) <= tol["wind_norm_slope"])
 
 
-def _exp_destabilization(spec: ExperimentSpec, outdir, parallel):
+def _exp_destabilization(spec: ExperimentSpec, outdir):
     """Resonant k_h = 0 stress run toward nu*t = O(1): the response fills the
     column.  Two references: the half-space self-similar profile (valid while
     the layer is clear of the bottom, nu*t <~ 0.1) and the strip heat response
     with no-slip bottom, valid on the whole window."""
     eps, nu, beta = spec.grid()[0]
-    p = Params(eps, nu, beta=beta if beta else 1.0)
+    p = Params(eps, nu, beta)
     sigma = BoundaryTrace(1, {(1.0, (0, 0)): np.array([1.0, 1j])})
     bl = build_B(empty_trace(0), sigma.scaled(p.beta), p)
     (layer,) = bl.resonant
     strip = HeatColumn(layer.side, layer.nu, layer.epsilon, layer.entries)
-    Nz = spec.Nz
-    out = solve_direct(SpectralField({}), sigma, p, t_end=spec.t_end,
-                       dt=eps / spec.dt_factor, Nz=Nz, save_every=spec.save_every,
-                       grading=np.linspace(0.0, 1.0, Nz + 1))
+    out = _solve(spec, SpectralField({}), sigma, p, np.linspace(0.0, 1.0, spec.Nz + 1))
     traj = out[(0, 0)]
     rows = []
     rel_self, rel_strip = [], []
@@ -503,16 +449,51 @@ def _exp_destabilization(spec: ExperimentSpec, outdir, parallel):
                  frac >= spec.tolerances["interior_fraction_min"])
 
 
-#: each experiment is a generator of checks taking (spec, outdir, parallel);
-#: only the POOLED_KINDS read parallel
+class _Kind(NamedTuple):
+    """One sweep kind.  experiment yields checks from (spec, outdir), or on a
+    pooled kind, whose points run through _map_points as point(job), from
+    (spec, outdir, {index: result of a point that ran}); a failed point i is
+    the check f"{point_check}{i}".  solved(grid): the indices of the points
+    solve_direct runs on with a graded grid."""
+    experiment: Callable
+    point: Callable | None = None
+    point_check: str = ""
+    single_point: bool = False
+    solved: Callable = lambda grid: ()
+
+
+#: the sweep kinds, in the order error messages list them
 _EXPERIMENTS = {
-    "bl_scaling": _exp_bl_scaling,
-    "resonant_growth": _exp_resonant_growth,
-    "ekman_rate": _exp_ekman_rate,
-    "dirichlet_convergence": _exp_dirichlet_convergence,
-    "wind_convergence": _exp_wind_convergence,
-    "destabilization": _exp_destabilization,
+    "bl_scaling": _Kind(_exp_bl_scaling),
+    "resonant_growth": _Kind(_exp_resonant_growth, single_point=True),
+    # wind_convergence solves its smallest-eps point directly, and only that
+    "wind_convergence": _Kind(_exp_wind_convergence, _wind_point, "wind_point",
+                              solved=lambda grid: [int(np.argmin([g[0] for g in grid]))]),
+    "dirichlet_convergence": _Kind(_exp_dirichlet_convergence, _dirichlet_point,
+                                   "dirichlet_point", solved=lambda grid: range(len(grid))),
+    "ekman_rate": _Kind(_exp_ekman_rate, _ekman_point, "ekman_rate_point",
+                        solved=lambda grid: range(len(grid))),
+    "destabilization": _Kind(_exp_destabilization, single_point=True),
 }
+
+
+def _run_points(kind: _Kind, spec: ExperimentSpec, outdir, parallel):
+    """A pooled kind's grid points: job i is (spec, point i, its point_NNN
+    directory, its graded grid or None) through _map_points.  A failed
+    point becomes its "point must run" check; the points that ran go to the
+    kind's experiment."""
+    jobs = []
+    for i, (pt, grading) in enumerate(zip(spec.grid(), spec.gradings)):
+        pointdir = os.path.join(outdir, f"point_{i:03d}")
+        os.makedirs(pointdir, exist_ok=True)
+        jobs.append((spec, pt, pointdir, grading))
+    ran = {}
+    for i, r in enumerate(_map_points(kind.point, jobs, parallel)):
+        if "error" in r:
+            yield _check(f"{kind.point_check}{i}", r["error"], "point must run", False)
+        else:
+            ran[i] = r
+    yield from kind.experiment(spec, outdir, ran)
 
 
 def run(spec: ExperimentSpec, parallel: int = 1) -> dict:
@@ -523,13 +504,15 @@ def run(spec: ExperimentSpec, parallel: int = 1) -> dict:
     parallel > 1 on a kind that runs in the calling process, or a grid of
     more than one point on a single-point kind, is rejected: neither would
     be honoured."""
+    kind = _EXPERIMENTS[spec.kind]
     if parallel < 1:
         raise ValueError(f"parallel={parallel} must be at least 1")
-    if parallel != 1 and spec.kind not in POOLED_KINDS:
+    if parallel != 1 and kind.point is None:
         raise ValueError(
             f"parallel={parallel}: {spec.kind} runs in the calling process; only "
-            f"{', '.join(POOLED_KINDS)} run their grid points in a pool")
-    if spec.kind in SINGLE_POINT_KINDS and len(spec.epsilon) != 1:
+            f"{', '.join(n for n, k in _EXPERIMENTS.items() if k.point)} run their grid "
+            "points in a pool")
+    if kind.single_point and len(spec.epsilon) != 1:
         raise ValueError(
             f"{spec.kind} runs one grid point, got {len(spec.epsilon)} "
             f"(epsilon={spec.epsilon})")
@@ -538,7 +521,8 @@ def run(spec: ExperimentSpec, parallel: int = 1) -> dict:
     checks = []
     errors = []
     try:
-        for check in _EXPERIMENTS[spec.kind](spec, outdir, parallel):
+        for check in (_run_points(kind, spec, outdir, parallel) if kind.point
+                      else kind.experiment(spec, outdir)):
             checks.append(check)
     except Exception as exc:  # partial failures are recorded, not fatal
         errors.append(f"{type(exc).__name__}: {exc}")

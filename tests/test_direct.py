@@ -3,6 +3,7 @@
 import ast
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,26 @@ class TestGrid:
         z = graded_nodes(Nz, delta)
         assert z[0] == 0.0 and z[-1] == 1.0
         assert np.all(np.diff(z) > 0)
+
+    @pytest.mark.parametrize("grading, Nz, message", [
+        # a reversed grid used to run to a final energy of -0.47
+        (np.linspace(1.0, 0.0, 65), 64, "grading must be strictly increasing"),
+        # a grid of [0, 0.5] used to solve that strip without complaint
+        (np.linspace(0.0, 0.5, 65), 64, "grading runs from 0.0 to 0.5"),
+        # a NaN node used to fail in the LU as "exactly singular"
+        (np.where(np.arange(65) == 10, np.nan, np.linspace(0.0, 1.0, 65)), 64,
+         "grading has a node that is not a finite number"),
+        # Nz used to be ignored when a grid was given
+        (np.linspace(0.0, 1.0, 65), 128, "grading has shape (65,): need Nz + 1 = 129"),
+        (np.linspace(0.0, 1.0, 65)[None], 64, "grading has shape (1, 65)"),
+    ])
+    def test_given_grading_checked(self, grading, Nz, message):
+        p = Params(1e-2, 1e-2)
+        gamma = SpectralField({(1, 0, 1): 1.0})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve_direct(gamma, None, p, t_end=0.01, Nz=Nz, grading=grading)
+        # the same grid, consistent, runs
+        solve_direct(gamma, None, p, t_end=0.01, Nz=64, grading=np.linspace(0.0, 1.0, 65))
 
     def test_weights_sum_to_one(self):
         z = graded_nodes(128, 1e-3)

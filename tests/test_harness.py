@@ -13,7 +13,7 @@ from rotstrip.params import Params
 from rotstrip.spectral import SpectralField
 from rotstrip.layers import BoundaryTrace
 from rotstrip.correctors import ApproxSolution, assemble_dirichlet_approx
-from rotstrip.direct import solve_direct
+from rotstrip.direct import graded_nodes, solve_direct
 from rotstrip.harness import (
     DEFAULT_TOLERANCES,
     ExperimentSpec,
@@ -92,6 +92,39 @@ def test_wind_norm_slope_tolerance_read_from_spec(tmp_path):
     assert checks["zero"]["value"] == checks["default"]["value"] != 0.75
     assert checks["zero"]["tolerance"] == "0.75+-0.0"
     assert not checks["zero"]["passed"]
+
+
+def test_summary_beta_is_the_beta_run(tmp_path):
+    # the default beta grid used to read [0, 0, 0] in the summary while the
+    # points ran (and the CSV reported) beta = 1
+    spec = ExperimentSpec(kind="wind_convergence", epsilon=[4e-2, 2e-2, 1e-2], t_end=0.01,
+                          Nz=64, out=str(tmp_path / "wind"))
+    summary = run(spec)
+    assert not summary["errors"], summary["errors"]
+    rows = (tmp_path / "wind" / "wind_convergence.csv").read_text().splitlines()
+    assert rows[0].split(",")[2] == "beta"
+    assert summary["spec"]["beta"] == [float(r.split(",")[2]) for r in rows[1:]] == [1.0] * 3
+
+
+def test_each_solved_grid_built_once(tmp_path, monkeypatch):
+    # the spec builds each solved point's graded grid and the point's solve
+    # takes it; the solve used to build the same grid again
+    from rotstrip import direct, harness
+
+    calls = []
+
+    def counting(Nz, delta):
+        calls.append((Nz, delta))
+        return graded_nodes(Nz, delta)
+
+    monkeypatch.setattr(harness, "graded_nodes", counting)
+    monkeypatch.setattr(direct, "graded_nodes", counting)
+    spec = ExperimentSpec(kind="ekman_rate", epsilon=[2e-2, 1.5e-2, 1e-2], Nz=96,
+                          t_end=0.05, out=str(tmp_path / "ekman"))
+    summary = run(spec, parallel=1)
+    assert not summary["errors"], summary["errors"]
+    assert [c["name"] for c in summary["checks"]] == [f"ekman_rate_point{i}" for i in range(3)]
+    assert calls == [(96, Params(eps, eps).layer_scale) for eps in spec.epsilon]
 
 
 class TestRun:
