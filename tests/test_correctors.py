@@ -32,7 +32,6 @@ from rotstrip.correctors import (
     SpectralPart,
     ZPolyField,
     _lift_equation_bound,
-    _norm_grid,
     assemble_dirichlet_approx,
     assemble_wind_approx,
     column_forms,
@@ -45,6 +44,7 @@ from rotstrip.correctors import (
     stopping_lift,
     truncation_choice,
 )
+from norm_grid import norm_grid
 
 
 def loglog_slope(x, y):
@@ -590,7 +590,7 @@ class TestHeatColumnSeries:
     def test_matches_the_half_space_profile(self):
         from rotstrip.layers import HeatColumn, resonant_profile
 
-        z = _norm_grid(self.P, 800)
+        z = norm_grid(self.P, 800)
         for side in (0, 1):
             col = HeatColumn(side, self.P.nu, self.P.epsilon)
             for nu_t in [v for v in self.NU_T if v <= 3e-3]:
@@ -602,7 +602,7 @@ class TestHeatColumnSeries:
     def test_matches_a_4000_term_series(self):
         from rotstrip.layers import HeatColumn
 
-        z = _norm_grid(self.P, 800)
+        z = norm_grid(self.P, 800)
         for side in (0, 1):
             col = HeatColumn(side, self.P.nu, self.P.epsilon)
             for nu_t in [v for v in self.NU_T if v >= 3e-5]:
@@ -643,7 +643,7 @@ class TestHeatColumnSeries:
         # the image sum just below nu t = 0.01, the sine series at it
         from rotstrip.layers import HeatColumn
 
-        z = _norm_grid(self.P, 800)
+        z = norm_grid(self.P, 800)
         col = HeatColumn(side, self.P.nu, self.P.epsilon)
         below, at = np.nextafter(0.01, 0.0) / self.P.nu, 0.01 / self.P.nu
         assert self.P.nu * below < 0.01 <= self.P.nu * at
@@ -850,7 +850,7 @@ class TestColumnEvaluation:
         l3s = [l3 for l3 in range(-80, 81) if l3 != 0]
         assert len(l3s) > 2 * SpectralPart.CHUNK + 1  # several blocks and a partial tail
         part = self.spectral_part(p, (1, 0), l3s, seed=3)
-        z = _norm_grid(p, 800)
+        z = norm_grid(p, 800)
         for t in (0.0, 0.137, 0.5):
             assert_column_close(part.hat_profile((1, 0), t, z),
                                 spectral_reference(part, (1, 0), t, z))
@@ -875,7 +875,7 @@ class TestColumnEvaluation:
         p = Params(1e-4, 1e-4)
         sol = assemble_dirichlet_approx(
             SpectralField({(1, 0, 1): 1.0, (0, 1, -1): 0.7j, (1, 1, 2): 0.5}), p)
-        z = _norm_grid(p, 800)
+        z = norm_grid(p, 800)
         for name in ("interior_envelope", "oscillating_corrector"):
             part = sol.parts[name]
             for k_h in part.horizontal_modes():
@@ -902,7 +902,7 @@ class TestColumnEvaluation:
         p = Params(1e-3, 1e-3)
         sol = assemble_dirichlet_approx(
             SpectralField({(1, 0, 1): 1.0, (1, 0, 2): 0.5j, (0, 1, 2): 0.3}), p)
-        z = _norm_grid(p, 400)
+        z = norm_grid(p, 400)
         for name in ("bottom_layer", "secondary_layer"):
             part = sol.parts[name]
             assert isinstance(part, ModulatedBL)
@@ -1035,7 +1035,7 @@ class TestModulatedProfiles:
         assert part.table.quasi.any() and not part.table.quasi.all()
         assert np.sum((part.table.k_h == (2, -1)).all(axis=1)) >= 70
         columns = [(0, 1), (3, 3), (2, -1), (0, 0), (1, 0), (1, 1)]  # (3, 3) is not held
-        for z in (_norm_grid(self.P, 800), np.linspace(0.0, 1.0, 120).reshape(8, 15)):
+        for z in (norm_grid(self.P, 800), np.linspace(0.0, 1.0, 120).reshape(8, 15)):
             for t in (0.0, 0.137):
                 got = part.profiles(t, z, columns)
                 assert got.shape == (len(columns), 3) + z.shape
@@ -1109,7 +1109,7 @@ class TestModulatedProfiles:
         part = ModulatedBL(self.P, tab, rng.uniform(0.0, 2.0, len(tab)) + 0.5j)
         columns = sorted(set(tab.columns())) + [(3, 3)]  # (3, 3) is not held
         assert {tuple(tab.side[(tab.k_h == (1, 0)).all(axis=1)].tolist())} == {(0, 0, 0, 1, 1, 1)}
-        for z in (_norm_grid(self.P, 800), np.linspace(0.0, 1.0, 120).reshape(8, 15)):
+        for z in (norm_grid(self.P, 800), np.linspace(0.0, 1.0, 120).reshape(8, 15)):
             for t in (0.0, 0.137):
                 assert np.array_equal(part.profiles(t, z, columns),
                                       ref_layer_profiles(part, t, z, columns))
@@ -1187,7 +1187,7 @@ class TestModulatedProfiles:
         exp(-q zeta) is below e^-40 ~ 4.2e-18, so a column moves by at most
         that times its summed amplitudes."""
         part = self.part()
-        z = _norm_grid(self.P, 800)
+        z = norm_grid(self.P, 800)
         columns = part.horizontal_modes()
         got = part.profiles(0.137, z, columns)
         shuffled = np.random.default_rng(0).permutation(len(z))
@@ -1680,15 +1680,81 @@ class TestColumnForms:
 class TestNormGrid:
     def test_bad_sizes_rejected(self):
         p = Params(1e-2, 1e-2)
-        sol = assemble_dirichlet_approx(SpectralField({(1, 0, 1): 1.0}), p)
         for nz in (0, 2, 5, -800, 800.0, "800", True):
             with pytest.raises(ValueError, match="nz"):
-                _norm_grid(p, nz)
-            with pytest.raises(ValueError, match="nz"):
-                sol.total_norm(0.1, nz)
-        z = _norm_grid(p, 6)  # the walls, and two geometric points at each
+                norm_grid(p, nz)
+        z = norm_grid(p, 6)  # the walls, and two geometric points at each
         assert len(z) == 6 and z[1] < 1e-3 < 1.0 - 1e-3 < z[-2]
-        assert sol.total_norm(0.1, np.int64(800)) == sol.total_norm(0.1)
+        assert np.array_equal(norm_grid(p, np.int64(800)), norm_grid(p, 800))
+
+
+def finer_rule(params, nodes=20, panels=100):
+    """A composite Gauss rule finer than total_norm's: `nodes` points on
+    each of one panel [0, d], d = layer_scale / 1e4, and `panels` - 1
+    geometric panels from d to 1/2; [1/2, 1] is the mirror image.  On the
+    inputs below it is within 8e-11 relative of 30 nodes on 200 panels."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.concatenate([[0.0], np.geomspace(params.layer_scale * 1e-4, 0.5, panels)])
+    half = 0.5 * np.diff(edges)[:, None]
+    z = (edges[:-1, None] + half * (1.0 + x)).ravel()
+    w = (half * w).ravel()
+    return np.concatenate([z, 1.0 - z[::-1]]), np.concatenate([w, w[::-1]])
+
+
+class TestNormRule:
+    """total_norm's composite Gauss rule, correctors._norm_rule."""
+
+    def test_nodes_and_weights(self):
+        for p in (Params(1.0, 1.0), Params(1e-2, 1e-3), Params(1e-5, 1e-6)):
+            z, w = correctors._norm_rule(p)
+            assert len(z) == len(w) == 360
+            assert 0.0 < z[0] and z[-1] < 1.0 and np.all(np.diff(z) > 0) and np.all(w > 0)
+            assert np.array_equal(z[180:], 1.0 - z[179::-1])
+            assert np.array_equal(w, w[::-1])
+            assert z[9] < p.layer_scale / 100 < z[10]  # the first panel is [0, d]
+            for k in (0, 1, 7, 19):  # exact on every panel up to degree 19
+                assert w @ z ** k == pytest.approx(1.0 / (k + 1), rel=1e-13), k
+
+    def test_bad_times_rejected(self):
+        sol = assemble_dirichlet_approx(SpectralField({(1, 0, 1): 1.0, (0, 0, 1): 0.5}),
+                                        Params(1e-2, 1e-2))
+        for t in (math.nan, math.inf, -math.inf, -1.0, "abc", None, [0.1]):
+            for entry in (sol.total_norm, sol.part_norms, sol.summary):
+                with pytest.raises(ValueError, match="t="):
+                    entry(t)
+        summary = sol.summary(np.float64(0.1))
+        assert summary["time"] == 0.1 and type(summary["time"]) is float
+        assert summary["total_norm"] == sol.total_norm(0.1)
+        assert summary["part_norms"] == sol.part_norms(0.1)
+
+    @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
+    def test_total_norm_against_a_finer_rule(self):
+        """Both assemblies at eps from 1e-2 to 1e-5, nu/eps in {0.1, 1, 10}
+        and t from 0 to 1, within 1e-5 relative of the finer rule.  The wind
+        stress has a resonant column (k_h = 0, mu = 1) and a quasi-resonant
+        one; the datum has a k_h = 0 mode."""
+        sigma = BoundaryTrace(1, {(1.0, (0, 0)): np.array([1.0, 0.5j]),
+                                  (1.0, (1, 0)): np.array([1.0, 0.5j]),
+                                  (0.5, (1, 1)): np.array([0.3, -0.8j]),
+                                  (0.0, (0, 1)): np.array([0.6, 0.2])})
+        gamma = SpectralField({(1, 0, 1): 1.0, (0, 1, -1): 0.7j, (1, 1, 2): 0.5 - 0.2j,
+                               (0, 0, 1): 0.8})
+        for eps in (1e-2, 1e-3, 1e-4, 1e-5):
+            for ratio in (0.1, 1.0, 10.0):
+                p = Params(eps, ratio * eps, beta=1.0)
+                z, w = finer_rule(p)
+                wind, dirichlet = assemble_wind_approx(sigma, p), assemble_dirichlet_approx(gamma, p)
+                assert wind.parts["surface_layer"].resonant
+                assert dirichlet.parts["resonant_column"].horizontal_modes() == [(0, 0)]
+                for sol in (wind, dirichlet):
+                    columns = sol.horizontal_modes()
+                    for t in (0.0, 0.01, 0.1, 0.3, 1.0):
+                        prof = np.zeros((len(columns), 3, len(z)), dtype=complex)
+                        for part in sol.parts.values():
+                            part.profiles(t, z, columns, prof)
+                        sq = np.sum(np.abs(prof) ** 2, axis=(0, 1))
+                        want = 2.0 * math.pi * math.sqrt(float(sq @ w))
+                        assert sol.total_norm(t) == pytest.approx(want, rel=1e-5), (eps, ratio, t)
 
 
 class TestBatchedProfiles:
@@ -1711,7 +1777,7 @@ class TestBatchedProfiles:
     def test_columns_match_the_chunked_reference(self):
         part = self.part()
         columns = [(2, 1), (3, 3), (1, 0), (0, 1)]  # (3, 3) is not held
-        for z in (_norm_grid(self.P, 800), np.linspace(0.0, 1.0, 120).reshape(8, 15)):
+        for z in (norm_grid(self.P, 800), np.linspace(0.0, 1.0, 120).reshape(8, 15)):
             for t in (0.0, 0.137):
                 got = part.profiles(t, z, columns)
                 assert got.shape == (4, 3) + z.shape
@@ -1739,9 +1805,9 @@ class TestBatchedProfiles:
                 want = 1.0 + np.array([part.hat_profile(k, 0.2, z) for k in columns])
                 assert_column_close(got, want, rel=1e-15)
             # the per-column sum of the parts, integrated column by column
-            zn = _norm_grid(p, 800)
+            zn, wn = correctors._norm_rule(p)
             want = 2.0 * math.pi * math.sqrt(sum(
-                np.trapezoid(np.sum(np.abs(sol.hat_profile(k, 0.2, zn)) ** 2, axis=0), zn)
+                np.sum(np.abs(sol.hat_profile(k, 0.2, zn)) ** 2, axis=0) @ wn
                 for k in sol.horizontal_modes()))
             assert sol.total_norm(0.2) == pytest.approx(want, rel=1e-14)
 
@@ -1890,7 +1956,7 @@ class TestColumnSlices:
     @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_a_column_alone_equals_it_among_others(self):
         kinds = (SpectralPart, ModulatedBL, OscillatingPoly)
-        z = _norm_grid(self.P, 400)
+        z = norm_grid(self.P, 400)
         seen = set()
         for sol in self.approximations():
             columns = sol.horizontal_modes() + [(5, 5)]  # (5, 5) is not held
@@ -1931,7 +1997,7 @@ class TestColumnSlices:
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_power_rows_are_the_vandermonde_products(self):
-        for z in (_norm_grid(self.P, 800), np.linspace(0.0, 1.0, 33), np.array([1.0])):
+        for z in (norm_grid(self.P, 800), np.linspace(0.0, 1.0, 33), np.array([1.0])):
             for ndeg in (1, 2, 5, 7):
                 assert np.array_equal(correctors._powers(z, ndeg),
                                       np.vander(z, ndeg, increasing=True).T)

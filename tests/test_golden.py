@@ -14,7 +14,11 @@ became exact at every nu t (erfc images below nu t = 0.01, a 25-term sine
 series above, closed-form norms): its former 400-term series left a Gibbs
 residue at t = 0 and a 24-node norm off by up to 4.1e-4 relative at these
 inputs.  The new values match a 4000-term series and adaptive quadrature
-to 1e-15 relative; no wind entry moved.
+to 1e-15 relative; no wind entry moved.  Every case's total norms and
+`initial_mismatch` were rewritten when `total_norm` moved from an 800-point
+trapezoid to a 360-node composite Gauss rule: against a converged 24-point
+Gauss rule on 140 geometric panels a half, the old entries were off by up
+to 3.8e-4 relative and the new ones are within 1.8e-11; nothing else moved.
 
 `data/golden_pumping.json` holds the Ekman pumping answers for the 124
 modes with |k_i| <= 2 at eps = nu in {1e-2, 1e-3, 1e-4, 1e-5}: every
@@ -35,12 +39,13 @@ import sys
 import numpy as np
 import pytest
 
-from rotstrip.correctors import (_norm_grid, assemble_dirichlet_approx,
-                                 assemble_wind_approx)
+from rotstrip.correctors import assemble_dirichlet_approx, assemble_wind_approx
 from rotstrip.envelope import damping_table, pumping
 from rotstrip.layers import BoundaryTrace
 from rotstrip.params import Params
 from rotstrip.spectral import SpectralField
+
+from norm_grid import norm_grid
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "golden_correctors.json")
 PUMPING_DATA = os.path.join(os.path.dirname(__file__), "data", "golden_pumping.json")
@@ -160,7 +165,7 @@ def test_matches_frozen_values(golden, case, eps):
 
 def quadrature_norm(part, params, t):
     """L2 norm of a part from its column profiles on a 4000-point grid."""
-    z = _norm_grid(params, 4000)
+    z = norm_grid(params, 4000)
     total = sum(np.trapezoid(np.sum(np.abs(part.hat_profile(k, t, z)) ** 2, axis=0), z)
                 for k in part.horizontal_modes())
     return 2.0 * math.pi * math.sqrt(total)
