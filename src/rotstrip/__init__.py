@@ -24,28 +24,18 @@ from .layers import (
     HeatColumn,
     build_B,
     decay_rates,
-    filter_resonant,
     resonant_profile,
     trace_residuals,
 )
 from .envelope import (
     damping_rate,
     ekman_limit_coefficient,
-    envelope_solve,
     evolve_c,
-    trace_bounds,
 )
 from .correctors import (
-    ExpSource,
-    SourceTable,
     assemble_dirichlet_approx,
     assemble_wind_approx,
-    divisor_bounds,
-    lift_interior_vint0,
-    lift_interior_vint1,
     scaling_check,
-    small_divisor_corrector,
-    stopping_lift,
     truncation_choice,
 )
 from .direct import fit_decay, graded_nodes, solve_direct

@@ -55,21 +55,50 @@ def load_config(path) -> dict:
     return out
 
 
-def _as_complex(v) -> complex:
-    if isinstance(v, (list, tuple)):
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _as_complex(key, v) -> complex:
+    """v, a number or exactly a [re, im] pair of numbers, as a complex; any
+    other v is a ValueError naming the table key it came from."""
+    if _is_number(v):
+        return complex(v)
+    if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)):
         return complex(v[0], v[1])
-    return complex(v)
+    raise ValueError(f"key {key!r}: a coefficient must be a number or a [re, im] pair "
+                     f"of numbers, got {v!r}")
+
+
+def _items(table, form: str):
+    """The (key, value) pairs of a config table keyed "form"; anything but a
+    mapping is a ValueError."""
+    if not isinstance(table, dict):
+        raise ValueError(f"expected a table {{\"{form}\": ...}}, got {table!r}")
+    return table.items()
+
+
+def _fields(key, form: str, types) -> tuple:
+    """The three comma-separated fields of a table key, converted by types;
+    a key that does not read form is a ValueError naming it."""
+    parts = str(key).split(",")
+    try:
+        if len(parts) != 3:
+            raise ValueError
+        return tuple(t(p) for t, p in zip(types, parts))
+    except ValueError:
+        raise ValueError(f"key {key!r} must have three components {form}") from None
 
 
 def parse_gamma(table: dict) -> SpectralField:
     """{"k1,k2,k3": amplitude} with amplitude a number or [re, im]; two keys
     naming one mode are rejected."""
     coeffs = {}
-    for key, v in table.items():
-        k = tuple(int(c) for c in str(key).split(","))
+    for key, v in _items(table, "k1,k2,k3"):
+        k = _fields(key, "k1,k2,k3, each an integer", (int, int, int))
         if k in coeffs:
             raise ValueError(f"gamma key {key!r} names mode {k} again")
-        coeffs[k] = _as_complex(v)
+        coeffs[k] = _as_complex(key, v)
     return SpectralField(coeffs)
 
 
@@ -77,14 +106,14 @@ def parse_trace(table: dict, side: int) -> BoundaryTrace:
     """{"mu,k1,k2": [v1, v2]} with entries numbers or [re, im] pairs; a value
     that is not two entries, and two keys naming one entry, are rejected."""
     out = {}
-    for key, v in table.items():
-        mu_s, k1, k2 = str(key).split(",")
-        entry = (float(mu_s), (int(k1), int(k2)))
+    for key, v in _items(table, "mu,k1,k2"):
+        mu, k1, k2 = _fields(key, "mu,k1,k2: a number and two integers", (float, int, int))
+        entry = (mu, (k1, k2))
         if entry in out:
             raise ValueError(f"trace key {key!r} names entry {entry} again")
         if not isinstance(v, (list, tuple)) or len(v) != 2:
             raise ValueError(f"trace value of key {key!r} must be two entries [v1, v2], got {v!r}")
-        out[entry] = np.array([_as_complex(v[0]), _as_complex(v[1])])
+        out[entry] = np.array([_as_complex(key, v[0]), _as_complex(key, v[1])])
     return BoundaryTrace(side, out)
 
 

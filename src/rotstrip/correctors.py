@@ -2,11 +2,13 @@
 
 The layer profiles of `layers` leave small traces on the walls and small
 defects in the evolution equation; this module builds the correction
-hierarchy that absorbs them: a divergence-free polynomial lift with exact
-traces (the stopping lift), interior flux lifts for the surface flux and
-the Ekman suction, mode-wise Duhamel correctors for fast-oscillating
-non-resonant sources, and the full assembled approximations for the
-wind-forced and the initial-value problems.
+hierarchy that absorbs them and assembles the full approximations of the
+wind-forced and the initial-value problems.  Three private kernels build the
+hierarchy, and both assemblies call them: `_lift_coef`, the divergence-free
+polynomial lift with exact traces (the stopping lift); `_flux_lift`, the
+interior flux lift for the surface flux and the Ekman suction; and
+`_duhamel`, the mode-wise Duhamel amplitudes of the correctors of
+fast-oscillating non-resonant sources.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .spectral import (
     basis_normals,
     eigenvalue,
     eigenvalues,
-    euclidean_norm,
 )
 from .layers import (BoundaryTrace, HeatColumn, ModulatedBL, _column_index, _kh_tuple, _Part,
                      _slices, build_B, build_layers, empty_trace, wall_layers)
@@ -161,9 +162,6 @@ class ZPolyField:
         stored array itself."""
         return list(self._keys), self._coef
 
-    def _kh2(self) -> np.ndarray:
-        return np.array([k[0] ** 2 + k[1] ** 2 for k in self._keys], dtype=float)
-
     def hat_profile(self, k_h, z) -> np.ndarray:
         try:
             coef = self._coef[self._row(k_h)]
@@ -174,28 +172,12 @@ class ZPolyField:
     def l2_norm(self) -> float:
         return 2.0 * math.pi * math.sqrt(float(_column_sq(self._coef).sum()))
 
-    def h2_norm(self) -> float:
-        """H^2(omega) norm: all derivatives up to second order."""
-        kh2 = self._kh2()
-        # x-derivatives multiply by ik components
-        total = (1.0 + 2.0 * kh2 + kh2 ** 2) @ _column_sq(self._coef) \
-            + 2.0 * (1.0 + kh2) @ _column_sq(self._coef, 1) + _column_sq(self._coef, 2).sum()
-        return 2.0 * math.pi * math.sqrt(float(total))
-
     def divergence_residual(self) -> float:
         keys, coef = self.coefficients()
         k = np.array(keys, dtype=float).reshape(-1, 2)
         div = 1j * k[:, :1] * coef[:, 0] + 1j * k[:, 1:] * coef[:, 1]
         div[:, :-1] += _dz(coef[:, 2])
         return float(np.max(np.abs(_polyval(div, _GAUSS_Z[0])), initial=0.0))
-
-    def trace(self, wall: int) -> dict:
-        keys, coef = self.coefficients()
-        return dict(zip(keys, _polyval(coef, float(wall))))
-
-    def dz_horizontal_trace(self, wall: int) -> dict:
-        keys, coef = self.coefficients()
-        return dict(zip(keys, _polyval(_dz(coef[:, :2]), float(wall))))
 
 
 # ---------------------------------------------------------------------------
@@ -205,20 +187,16 @@ class ZPolyField:
 _BUMP = np.array([0.0, 1.0, -2.0, 1.0])  # z(1-z)^2
 
 
-def _trace_table(delta: dict, keys) -> np.ndarray:
-    """(n, 3) array of (delta_h, delta_3) over keys, zero where delta has no entry."""
-    out = np.zeros((len(keys), 3), dtype=complex)
-    for i, k in enumerate(keys):
-        if k in delta:
-            out[i, :2], out[i, 2] = delta[k]
-    return out
-
-
 def _lift_coef(keys, d0, d1, scale) -> np.ndarray:
     """The (n, 3, 5) coefficients of the stopping lift on the columns keys
-    with traces d0, d1 ((n, 3) arrays of (delta_h, delta_3)); a k_h = 0
-    column must meet the compatibility integral to 1e-12 of its row's scale
-    (n,)."""
+    with traces d0, d1 ((n, 3) arrays of (delta_h, delta_3)): the
+    divergence-free w with w|_{z=0} = delta0, w3|_{z=1} = delta1_3 and
+    dz w_h|_{z=1} = delta1_h.  Its horizontal part is delta0_h + delta1_h z +
+    grad_h(phi) z(1-z)^2, phi solving the mode-wise elliptic balance
+        (1/12) Lap_h phi = -div_h delta0_h - (1/2) div_h delta1_h - delta1_3 + delta0_3
+    (zero gauge at k_h = 0), and its vertical part integrates the divergence
+    from delta0_3.  A k_h = 0 column must meet the compatibility integral
+    delta1_3 = delta0_3 to 1e-12 of its row's scale (n,)."""
     k = np.array(keys, dtype=float).reshape(-1, 2)
     kh2 = k[:, 0] ** 2 + k[:, 1] ** 2
     mean = kh2 == 0
@@ -242,74 +220,21 @@ def _lift_coef(keys, d0, d1, scale) -> np.ndarray:
     return coef
 
 
-def stopping_lift(delta0: dict, delta1: dict) -> ZPolyField:
-    """Divergence-free lift with exact traces:
-
-        w|_{z=0} = delta0,  w3|_{z=1} = delta1_3,  dz w_h|_{z=1} = delta1_h.
-
-    Inputs are mode tables {k_h: (delta_h 2-vector, delta_3 scalar)}.  The
-    horizontal part is delta0_h + delta1_h z + grad_h(phi) z(1-z)^2 with phi
-    solving the mode-wise elliptic balance
-        (1/12) Lap_h phi = -div_h delta0_h - (1/2) div_h delta1_h - delta1_3 + delta0_3,
-    and the vertical part integrates the divergence from delta0_3.  The
-    k_h = 0 mode requires the compatibility integral delta1_3 - delta0_3 = 0
-    (tolerance 1e-12 relative); phi's k_h = 0 gauge is zero.  All columns
-    are formed at once as one (ncol, 3, 5) coefficient array.
-    """
-    keys = sorted(set(delta0) | set(delta1))
-    d0, d1 = _trace_table(delta0, keys), _trace_table(delta1, keys)
-    scale = max(float(np.max(np.abs(d0), initial=0.0)), float(np.max(np.abs(d1), initial=0.0)))
-    keys = [_kh_tuple(k) for k in keys]
-    return ZPolyField(keys, _lift_coef(keys, d0, d1, scale))
-
-
 # ---------------------------------------------------------------------------
 # interior flux lifts
 # ---------------------------------------------------------------------------
 
 
-def _flux_lift(keys, d0, d1, root: float, mean_error: str) -> ZPolyField:
-    """v3 = root [d1 z + d0 (1-z)], v_h = root grad_h Lap_h^{-1} (d0 - d1) on
-    columns keys with vertical traces d0, d1 (arrays); a k_h = 0 column is
-    dropped when its traces vanish and rejected otherwise."""
-    keys = [_kh_tuple(k) for k in keys]
+def _flux_lift(keys, d0, d1) -> ZPolyField:
+    """v3 = d1 z + d0 (1-z), v_h = grad_h Lap_h^{-1} (d0 - d1) on the columns
+    keys, all k_h != 0, with vertical traces d0, d1 (arrays)."""
     k = np.array(keys, dtype=float).reshape(-1, 2)
     kh2 = k[:, 0] ** 2 + k[:, 1] ** 2
-    mean = kh2 == 0
-    if np.any(d0[mean] != 0) or np.any(d1[mean] != 0):
-        raise ValueError(mean_error)
-    k, kh2, d0, d1 = k[~mean], kh2[~mean], d0[~mean], d1[~mean]
     coef = np.zeros((len(k), 3, 2), dtype=complex)
-    coef[:, :2, 0] = -1j * root * k * (d0 - d1)[:, None] / kh2[:, None]
-    coef[:, 2, 0] = root * d0
-    coef[:, 2, 1] = root * (d1 - d0)
-    return ZPolyField([key for key, m in zip(keys, mean) if not m], coef)
-
-
-def lift_interior_vint0(delta0_3: dict, delta1_3: dict, params: Params) -> ZPolyField:
-    """Divergence-free interior field realising the Ekman suction traces:
-
-        v3 = sqrt(eps nu) [delta1_3 z + delta0_3 (1-z)],
-        v_h = sqrt(eps nu) grad_h Lap_h^{-1} [delta0_3 - delta1_3].
-
-    Inputs are mode tables {k_h: scalar}; any nonzero k_h = 0 entry is
-    rejected since Lap_h cannot be inverted on means.
-    """
-    keys = sorted(set(delta0_3) | set(delta1_3))
-    d0, d1 = (np.array([complex(d.get(k, 0j)) for k in keys], dtype=complex)
-              for d in (delta0_3, delta1_3))
-    return _flux_lift(keys, d0, d1, params.layer_scale,
-                      "interior flux lift cannot carry a mean vertical trace")
-
-
-def lift_interior_vint1(trace: dict) -> ZPolyField:
-    """Corrector restoring the zero-flux condition at the surface:
-    v3 = -trace * z and v_h = grad_h Lap_h^{-1} trace.  A nonzero mean
-    (k_h = 0 entry) is rejected; the lift is identically zero there."""
-    keys = sorted(trace)
-    tau = np.array([complex(trace[k]) for k in keys], dtype=complex)
-    return _flux_lift(keys, np.zeros_like(tau), -tau, 1.0,
-                      "surface flux corrector requires a mean-zero trace")
+    coef[:, :2, 0] = -1j * k * (d0 - d1)[:, None] / kh2[:, None]
+    coef[:, 2, 0] = d0
+    coef[:, 2, 1] = d1 - d0
+    return ZPolyField(keys, coef)
 
 
 # ---------------------------------------------------------------------------
@@ -350,88 +275,6 @@ def column_forms(k_h, l3) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExpSource:
-    """Source coefficient s(t) = s0 * exp(-c t), Re(c) >= 0."""
-
-    s0: complex
-    c: complex = 0j
-
-    def __post_init__(self):
-        if complex(self.c).real < -1e-14:
-            raise ValueError("exponential source must not grow")
-
-    def __call__(self, t):
-        return self.s0 * np.exp(-self.c * t)
-
-
-@dataclass
-class SourceTable:
-    """Non-resonant oscillating sources: entries {(mu, l): ExpSource | callable}.
-
-    Each (mu, l) drives the mode ODE
-        dt w_l + (|l_h|^2 + pi^2 nu l3^2) w_l = s(mu, l, t) e^{i(mu+lambda_l) t/eps}
-    and must satisfy mu != -lambda_l.
-    """
-
-    entries: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for (mu, l), s in self.entries.items():
-            l = tuple(int(c) for c in l)
-            if abs(float(mu) + eigenvalue(l)) < 1e-12:
-                raise ValueError(f"resonant source entry mu = -lambda_l at (mu={mu}, l={l})")
-            clean[(float(mu), l)] = s
-        self.entries = clean
-
-    def items(self):
-        return ((key, self.entries[key]) for key in sorted(self.entries))
-
-
-def divisor_bounds(l, mu: float) -> float:
-    """|lambda_l + mu|^{-1}, the small divisor of one source entry."""
-    l = tuple(int(c) for c in l)
-    d = abs(eigenvalue(l) + float(mu))
-    if d == 0.0:
-        raise ValueError(f"resonant pair: mu = -lambda_l at l={l}")
-    return 1.0 / d
-
-
-def divisor_case_bound(l, mu: float) -> float:
-    """Structural majorant of |lambda_l + mu|^{-1} for the frequency classes
-    arising in the constructions: 1/(|mu|-1) outside the eigenvalue band;
-    |l|/|l3| at mu = 0; |l|^2/|l_h|^2 at |mu| = 1.  Frequencies strictly
-    inside (-1, 1) other than 0 admit no l-uniform bound; when they are
-    eigenvalue frequencies mu = -lambda_k use eigenvalue_divisor_bound."""
-    l = tuple(int(c) for c in l)
-    mu = float(mu)
-    lE = euclidean_norm(l)
-    if abs(mu) < 1e-12:
-        return lE / max(abs(l[2]), 1)
-    if abs(abs(mu) - 1.0) < 1e-12:
-        kh2 = l[0] ** 2 + l[1] ** 2
-        if kh2 == 0:
-            raise ValueError("resonant class requires l_h != 0")
-        return lE ** 2 / kh2
-    if abs(mu) > 1.0:
-        return 1.0 / (abs(mu) - 1.0)
-    raise ValueError(
-        f"no l-uniform divisor bound for generic mu = {mu} inside (-1, 1)")
-
-
-def eigenvalue_divisor_bound(l, k) -> float:
-    """Majorant of |lambda_l - lambda_k|^{-1} for distinct columns of the same
-    horizontal mode: |k|^3 / |l_h|^2 (lambda is monotone in the vertical
-    index, so the gap is smallest at neighbouring k3)."""
-    l = tuple(int(c) for c in l)
-    k = tuple(int(c) for c in k)
-    kh2 = l[0] ** 2 + l[1] ** 2
-    if kh2 == 0:
-        raise ValueError("bound requires l_h != 0")
-    return euclidean_norm(k) ** 3 / kh2
-
-
 def mode_decay_constant(l, params: Params):
     """kappa_l = |l_h|^2 + pi^2 nu l3^2 of a mode l, or of each row of an
     (n, 3) integer array of modes."""
@@ -441,63 +284,14 @@ def mode_decay_constant(l, params: Params):
 
 def _duhamel(l, s, mu: float, rate, params: Params):
     """(lambda_l, kappa_l, w) of the modes l (n, 3): w e^{i(lambda_l + mu)t/eps - rate t}
-    solves the mode ODE of SourceTable driven by s e^{i(lambda_l + mu)t/eps - rate t},
-    w = s / (kappa_l - rate + i(lambda_l + mu)/eps)."""
+    solves the mode ODE dt w_l + kappa_l w_l = s e^{i(lambda_l + mu)t/eps - rate t},
+    w = s / (kappa_l - rate + i(lambda_l + mu)/eps), for mu != -lambda_l.
+    This is the decay-preserving special solution; the one from zero data
+    subtracts w e^{-kappa_l t}."""
     lam = eigenvalues(l)
     kappa = mode_decay_constant(l, params)
     w = s / ((kappa - rate.real) + 1j * ((lam + mu) / params.epsilon - rate.imag))
     return lam, kappa, w
-
-
-def small_divisor_corrector(source: SourceTable, K: int, params: Params, t: float,
-                            variant: str = "special", method: str = "closed") -> SpectralField:
-    """Envelope coefficients w_l(t) of the corrector driven by `source`,
-    truncated to |l| <= K (Euclidean).
-
-    variant 'special' uses the decay-preserving particular solution
-        w_l = sum_mu s0 exp(i(lambda_l+mu)t/eps - c t) / (i(lambda_l+mu)/eps - c + kappa_l),
-    variant 'zero_ic' the Duhamel solution with w_l(0) = 0.  method
-    'quadrature' evaluates the Duhamel integral numerically instead (the
-    independent cross-check; only valid with variant 'zero_ic' or for
-    reproducing the special solution's inhomogeneous part).
-
-    The physical corrector field is sum_l w_l(t) e^{-i lambda_l t/eps} N_l.
-    """
-    if variant not in ("special", "zero_ic"):
-        raise ValueError(f"unknown variant {variant!r}")
-    eps = params.epsilon
-    out = {}
-    for (mu, l), s in source.items():
-        if euclidean_norm(l) > K:
-            continue
-        if method == "closed":
-            if not isinstance(s, ExpSource):
-                raise ValueError("closed form requires exponential sources")
-            (lam_l,), (kappa,), (w0,) = _duhamel([l], s.s0, mu, s.c, params)
-            w = w0 * np.exp((1j * ((lam_l + mu) / eps) - s.c) * t)
-            if variant == "zero_ic":
-                w = w - w0 * np.exp(-kappa * t)
-        elif method == "quadrature":
-            from scipy.integrate import quad
-
-            omega = (eigenvalue(l) + mu) / eps
-            kappa = mode_decay_constant(l, params)
-            def integrand(u, part):
-                val = s(u) * np.exp(1j * omega * u) * np.exp(-kappa * (t - u))
-                return val.real if part == 0 else val.imag
-            lim = int(max(200, 40 * abs(omega) * t / (2.0 * math.pi)))  # 40 per cycle
-            re, _ = quad(integrand, 0.0, t, args=(0,), limit=lim, epsabs=1e-13, epsrel=1e-12)
-            im, _ = quad(integrand, 0.0, t, args=(1,), limit=lim, epsabs=1e-13, epsrel=1e-12)
-            w = re + 1j * im
-            if variant == "special" and isinstance(s, ExpSource):
-                # add the homogeneous piece that turns zero-IC Duhamel into
-                # the decay-preserving particular solution
-                delta = 1j * omega - s.c + kappa
-                w = w + s.s0 * np.exp(-kappa * t) / delta
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        out[l] = out.get(l, 0j) + w
-    return SpectralField(out)
 
 
 #: the regularity s0 of the stress that the wind truncations assume
@@ -883,10 +677,11 @@ def _flux_correctors(rows, K: int, params: Params, zero_ic: bool):
     lift, osc = OscillatingPoly(params), SpectralPart(params)
     traces, transients, tail_sq = {}, [], 0.0
     for mu, rate, k_h, wall, value in rows:
-        d0, d1 = (-complex(value), 0j) if wall == 0 else (0j, -complex(value))
-        lift.add(_flux_lift([k_h], np.array([d0]), np.array([d1]), 1.0,
-                            "interior flux lift cannot carry a mean vertical trace"), mu, rate)
         kh2 = k_h[0] ** 2 + k_h[1] ** 2
+        if kh2 == 0:
+            raise ValueError("interior flux lift cannot carry a mean vertical trace")
+        d0, d1 = (-complex(value), 0j) if wall == 0 else (0j, -complex(value))
+        lift.add(_flux_lift([k_h], np.array([d0]), np.array([d1])), mu, rate)
 
         def source(l3):
             F1, F2, G, lam = column_forms(k_h, l3)

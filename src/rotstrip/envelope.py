@@ -5,7 +5,9 @@ vertical suction of order sqrt(eps nu) back into the interior, which damps
 the filtered amplitude c_k at rate sqrt(nu/eps) * A_k on top of horizontal
 diffusion.  A_k is computed from the exact decay rates and kernel vectors at
 frequency mu = -lambda_k; its eps, nu -> 0 limit is the closed-form pair
-(R_k, I_k).
+(R_k, I_k).  The envelope ODE is diagonal, so its solution is closed form,
+c_k(t) = gamma_k exp(-rate_k t) (evolve_c, envelope_trajectory); the test
+suite checks it against a numerical integration of the ODE.
 
 Normalisation note: all inner products here are taken in plain L^2 of
 T^2 x [0,1] (the measure in which the eigenbasis is orthonormal, enforced by
@@ -129,52 +131,6 @@ def _envelope_rates(modes, A, params: Params, include_vertical: bool) -> np.ndar
     if include_vertical:
         rate = rate + params.nu_prime * k[:, 2] ** 2
     return rate + math.sqrt(params.nu / params.epsilon) * A
-
-
-def envelope_solve(gamma: SpectralField, params: Params, times):
-    """Integrate the envelope ODE numerically and return the trajectory.
-
-    The system is diagonal so this is purely a cross-check of evolve_c: the
-    two code paths must agree to 1e-10.  Uses an adaptive Runge-Kutta on the
-    real/imaginary split.
-    """
-    from scipy.integrate import solve_ivp
-
-    times = np.asarray(times, dtype=float)
-    if times[0] < 0 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be nonnegative and strictly increasing")
-    modes = gamma.modes()
-    rates = pumping(modes, params).envelope_rates()
-    y0 = np.array([gamma[k] for k in modes])
-
-    def rhs(_, y):
-        c = y[: len(modes)] + 1j * y[len(modes):]
-        dc = -rates * c
-        return np.concatenate([dc.real, dc.imag])
-
-    sol = solve_ivp(rhs, (0.0, float(times[-1])), np.concatenate([y0.real, y0.imag]),
-                    t_eval=times, rtol=1e-12, atol=1e-14, method="DOP853")
-    if not sol.success:
-        raise RuntimeError(f"envelope integration failed: {sol.message}")
-    out = []
-    for j in range(len(times)):
-        c = sol.y[: len(modes), j] + 1j * sol.y[len(modes):, j]
-        out.append(SpectralField(dict(zip(modes, c))))
-    return out
-
-
-TRACE_BOUND_C = 1.0  # the constant C of trace_bounds
-
-
-def trace_bounds(gamma: SpectralField, s: float) -> tuple:
-    """Majorants for the boundary-trace norms fed by gamma's envelope:
-    (C ||gamma||_{H^{s+1}}, C ||gamma||_{H^{s+2}}), C = TRACE_BOUND_C."""
-    return TRACE_BOUND_C * gamma.sobolev_norm(s + 1.0), TRACE_BOUND_C * gamma.sobolev_norm(s + 2.0)
-
-
-def trace_s_norm(values: dict, s: float) -> float:
-    """The |k3|^s-weighted norm of a trace table {(mode k) -> coefficient}."""
-    return math.sqrt(sum(abs(k[2]) ** (2 * s) * abs(v) ** 2 for k, v in values.items()))
 
 
 def damping_table(modes, params: Params):

@@ -54,13 +54,17 @@ class RegressionResult:
 
 
 def regress_loglog(points) -> RegressionResult:
-    """Ordinary least squares on (log x, log y).  Requires >= 3 strictly
-    positive points."""
+    """Ordinary least squares on (log x, log y).  Requires >= 3 finite,
+    strictly positive points at >= 2 distinct x."""
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points for a regression, got {len(pts)}")
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
+        raise ValueError(f"log-log regression requires finite data, got {pts}")
     if any(x <= 0 or y <= 0 for x, y in pts):
         raise ValueError("log-log regression requires positive data")
+    if len({x for x, _ in pts}) < 2:
+        raise ValueError(f"log-log regression requires at least 2 distinct x, got {pts}")
     lx = np.log([x for x, _ in pts])
     ly = np.log([y for _, y in pts])
     A = np.column_stack([lx, np.ones_like(lx)])
@@ -116,6 +120,8 @@ class ExperimentSpec:
         if len(self.beta) != len(self.epsilon):
             raise ValueError("beta grid must match epsilon grid")
         grid = self.grid()
+        if len(set(grid)) != len(grid):
+            raise ValueError(f"grid points (epsilon, nu, beta) repeat: {grid}")
         for eps, nu, beta in grid:
             Params(eps, nu, beta)  # every grid point's parameters, checked up front
         for key in ("mu", "t_end", "dt_factor"):  # stored as the floats they are checked as

@@ -987,24 +987,3 @@ def trace_residuals(sol: ModulatedBL, params: Params, t: float = 0.0) -> TraceRe
         quasi_top_at_bottom=buckets[(True, 1)],
         resonant_traces=res_rows,
     )
-
-
-# ---------------------------------------------------------------------------
-# filtering of the resonant column
-# ---------------------------------------------------------------------------
-
-
-def filter_resonant(u, epsilon: float, t: float) -> np.ndarray:
-    """Remove the fast rotation from a (t, z)-dependent horizontal column.
-
-    v = 1/2 <(1,i,0)|u> (1,i,0) e^{-it/eps} + 1/2 <(1,-i,0)|u> (1,-i,0) e^{+it/eps},
-    pointwise in z.  If u solves the rotating column equation, v solves the
-    plain heat equation with conductivity nu.
-    """
-    u = np.asarray(u, dtype=complex)
-    out = 0
-    for m in (1.0, -1.0):
-        pol = np.array([1.0, 1j * m, 0.0])
-        coef = 0.5 * np.tensordot(np.conj(pol), u, axes=(0, 0))
-        out = out + np.multiply.outer(pol, coef) * np.exp(-1j * m * t / epsilon)
-    return out

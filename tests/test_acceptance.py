@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
+from references import duhamel_quad, dz_horizontal_trace, h2_norm, trace
 
 from rotstrip.params import Params
 from rotstrip.spectral import (
@@ -31,12 +32,11 @@ from rotstrip.layers import (
 )
 from rotstrip.envelope import damping_rate
 from rotstrip.correctors import (
-    ExpSource,
-    SourceTable,
+    ZPolyField,
+    _duhamel,
+    _lift_coef,
     assemble_wind_approx,
     column_forms,
-    small_divisor_corrector,
-    stopping_lift,
 )
 from rotstrip.direct import fit_decay, l2_norm, solve_direct
 from rotstrip.harness import regress_loglog
@@ -292,50 +292,49 @@ def test_criterion_7_ekman_pumping_rate():
 def test_criterion_8_stopping_lemma():
     t0 = time.time()
     rng = np.random.default_rng(2024)
+    keys = [(0, 0), (1, 0), (0, 1), (2, -1), (1, 2), (3, 1)]
+    kh2 = np.array([k[0] ** 2 + k[1] ** 2 for k in keys], dtype=float)
 
-    def random_data():
-        d0, d1 = {}, {}
-        for k_h in [(0, 0), (1, 0), (0, 1), (2, -1), (1, 2), (3, 1)]:
-            c0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            c1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            v0 = complex(rng.standard_normal() + 1j * rng.standard_normal())
-            v1 = v0 if k_h == (0, 0) else complex(rng.standard_normal())
-            d0[k_h] = (c0, v0)
-            d1[k_h] = (c1, v1)
-        return d0, d1
+    def random_lift():
+        """Random traces d0, d1 (rows (delta_h, delta_3)), compatible at k_h = 0,
+        and the stopping lift the assemblies build from them."""
+        d0, d1 = np.zeros((2, len(keys), 3), dtype=complex)
+        for i, k_h in enumerate(keys):
+            d0[i, :2] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            d1[i, :2] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            d0[i, 2] = complex(rng.standard_normal() + 1j * rng.standard_normal())
+            d1[i, 2] = d0[i, 2] if k_h == (0, 0) else complex(rng.standard_normal())
+        scale = max(np.abs(d0).max(), np.abs(d1).max())
+        return d0, d1, ZPolyField(keys, _lift_coef(keys, d0, d1, scale))
 
     def h3(d):
-        return math.sqrt(sum((1.0 + k[0] ** 2 + k[1] ** 2) ** 3
-                             * (np.sum(np.abs(ch) ** 2) + abs(c3) ** 2)
-                             for k, (ch, c3) in d.items()))
+        return math.sqrt(float((1.0 + kh2) ** 3 @ (np.abs(d) ** 2).sum(axis=1)))
 
     # fit the constant once
     ratios = []
     for _ in range(20):
-        d0, d1 = random_data()
-        w = stopping_lift(d0, d1)
-        ratios.append(w.h2_norm() / (h3(d0) + h3(d1)))
+        d0, d1, w = random_lift()
+        ratios.append(h2_norm(w) / (h3(d0) + h3(d1)))
     C = 1.3 * max(ratios)
 
     worst_div = 0.0
     worst_trace = 0.0
     bound_ok = True
     for _ in range(100):
-        d0, d1 = random_data()
-        w = stopping_lift(d0, d1)
+        d0, d1, w = random_lift()
         worst_div = max(worst_div, w.divergence_residual())
-        tr0 = w.trace(0)
-        tr1 = w.trace(1)
-        dzh1 = w.dz_horizontal_trace(1)
-        for k_h in d0:
+        tr0 = trace(w, 0)
+        tr1 = trace(w, 1)
+        dzh1 = dz_horizontal_trace(w, 1)
+        for k_h, a, b in zip(keys, d0, d1):
             worst_trace = max(
                 worst_trace,
-                float(np.max(np.abs(tr0[k_h][:2] - d0[k_h][0]))),
-                abs(tr0[k_h][2] - d0[k_h][1]),
-                abs(tr1[k_h][2] - d1[k_h][1]),
-                float(np.max(np.abs(dzh1[k_h] - d1[k_h][0]))),
+                float(np.max(np.abs(tr0[k_h][:2] - a[:2]))),
+                abs(tr0[k_h][2] - a[2]),
+                abs(tr1[k_h][2] - b[2]),
+                float(np.max(np.abs(dzh1[k_h] - b[:2]))),
             )
-        bound_ok &= w.h2_norm() <= C * (h3(d0) + h3(d1))
+        bound_ok &= h2_norm(w) <= C * (h3(d0) + h3(d1))
     elapsed = time.time() - t0
     passed = worst_div < 1e-12 and worst_trace < 1e-11 and bound_ok and elapsed < 5.0
     record_acceptance("criterion 8 (stopping lemma)", passed,
@@ -347,30 +346,42 @@ def test_criterion_8_stopping_lemma():
 
 def test_criterion_9_small_divisor_bound():
     t0 = time.time()
-    entries = {
-        (0.5, (1, 0, 1)): ExpSource(1.0 + 0.3j, 0.2),
-        (2.0, (2, 1, -1)): ExpSource(0.5j, 0.0),
-        (0.0, (1, 1, 2)): ExpSource(0.8, 0.1),
-    }
-    src = SourceTable(entries)
+    # (mu, mode l, s0, c): sources s0 e^{-c t} e^{i(lambda_l + mu) t/eps}
+    entries = [
+        (0.0, (1, 1, 2), 0.8, 0.1),
+        (0.5, (1, 0, 1), 1.0 + 0.3j, 0.2),
+        (2.0, (2, 1, -1), 0.5j, 0.0),
+    ]
     t_eval = 0.7
+
+    def correctors(p, zero_ic=False):
+        """{l: w_l(t_eval)} from the kernel: the special solution, or from zero."""
+        out = {}
+        for mu, l, s0, c in entries:
+            (lam,), (kappa,), (w0,) = _duhamel([l], s0, mu, c, p)
+            out[l] = w0 * np.exp((1j * ((lam + mu) / p.epsilon) - c) * t_eval)
+            if zero_ic:
+                out[l] -= w0 * np.exp(-kappa * t_eval)
+        return out
+
     norms, epss = [], []
     for expo in range(2, 7):
         eps = 10.0 ** -expo
-        p = Params(eps, eps)
-        out = small_divisor_corrector(src, 5, p, t_eval)
-        norms.append(out.norm())
+        norms.append(SpectralField(correctors(Params(eps, eps))).norm())
         epss.append(eps)
     reg = regress_loglog(zip(epss, norms))
 
     p = Params(1e-2, 1e-2)
     agree = 0.0
-    for variant in ("special", "zero_ic"):
-        closed = small_divisor_corrector(src, 5, p, t_eval, variant=variant)
-        quad = small_divisor_corrector(src, 5, p, t_eval, variant=variant,
-                                       method="quadrature")
-        agree = max(agree, max(abs(closed[l] - quad[l]) /
-                               max(abs(closed[l]), 1e-12) for l in closed.modes()))
+    for zero_ic in (False, True):
+        closed = correctors(p, zero_ic)
+        for mu, l, s0, c in entries:
+            omega = (eigenvalue(l) + mu) / p.epsilon
+            kappa = l[0] ** 2 + l[1] ** 2 + p.nu_prime * l[2] ** 2
+            quad = duhamel_quad(s0, c, omega, kappa, t_eval)
+            if not zero_ic:  # plus the homogeneous piece of the special solution
+                quad += s0 * np.exp(-kappa * t_eval) / (1j * omega - c + kappa)
+            agree = max(agree, abs(closed[l] - quad) / max(abs(closed[l]), 1e-12))
     elapsed = time.time() - t0
     passed = abs(reg.slope - 1.0) <= 0.05 and agree < 1e-10 and elapsed < 5.0
     record_acceptance("criterion 9 (small-divisor bound)", passed,

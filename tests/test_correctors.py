@@ -26,42 +26,52 @@ from rotstrip.layers import (BoundaryTrace, LayerTable, ModulatedBL, build_B, bu
                              empty_trace)
 from rotstrip import correctors
 from rotstrip.correctors import (
-    ExpSource,
     OscillatingPoly,
-    SourceTable,
     SpectralPart,
     ZPolyField,
+    _duhamel,
+    _flux_lift,
     _lift_equation_bound,
     assemble_dirichlet_approx,
     assemble_wind_approx,
     column_forms,
-    divisor_bounds,
-    divisor_case_bound,
-    lift_interior_vint0,
-    lift_interior_vint1,
     scaling_check,
-    small_divisor_corrector,
-    stopping_lift,
     truncation_choice,
 )
 from norm_grid import norm_grid
+from references import duhamel_quad, dz_horizontal_trace, h2_norm, trace
 
 
 def loglog_slope(x, y):
     return np.polyfit(np.log(np.asarray(x, float)), np.log(np.asarray(y, float)), 1)[0]
 
 
-ZERO2 = np.zeros(2, dtype=complex)
+def stopping(keys, d0, d1) -> ZPolyField:
+    """The stopping lift the assemblies build on the columns keys from the
+    trace rows d0, d1, each row (delta_h, delta_3)."""
+    d0, d1 = (np.asarray(d, dtype=complex).reshape(len(keys), 3) for d in (d0, d1))
+    scale = max(np.abs(d0).max(initial=0.0), np.abs(d1).max(initial=0.0))
+    return ZPolyField(keys, correctors._lift_coef(keys, d0, d1, scale))
+
+
+def random_traces(rng, keys):
+    """Random trace rows d0, d1 on the columns keys, compatible at k_h = 0."""
+    d0, d1 = np.zeros((2, len(keys), 3), dtype=complex)
+    for i, k_h in enumerate(keys):
+        d0[i, :2] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        d1[i, :2] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        d0[i, 2] = complex(rng.standard_normal() + 1j * rng.standard_normal())
+        d1[i, 2] = d0[i, 2] if k_h == (0, 0) else complex(rng.standard_normal())
+    return d0, d1
 
 
 class TestStoppingLift:
     def test_zero_data_zero_lift(self):
-        w = stopping_lift({}, {})
-        assert not w.modes
+        assert not stopping([], [], []).modes
 
     def test_constant_vertical_flux(self):
         c = 0.8 - 0.3j
-        w = stopping_lift({(0, 0): (ZERO2, c)}, {(0, 0): (ZERO2, c)})
+        w = stopping([(0, 0)], [0, 0, c], [0, 0, c])
         z = np.linspace(0, 1, 7)
         prof = w.hat_profile((0, 0), z)
         assert np.allclose(prof[0], 0) and np.allclose(prof[1], 0)
@@ -69,118 +79,101 @@ class TestStoppingLift:
 
     def test_incompatible_mean_rejected(self):
         with pytest.raises(ValueError, match="mean"):
-            stopping_lift({(0, 0): (ZERO2, 1.0)}, {(0, 0): (ZERO2, 0.0)})
+            stopping([(0, 0)], [0, 0, 1.0], [0, 0, 0])
 
     def test_single_mode_elliptic_solve(self):
         # delta0_3 = e^{i x1}: phi from the elliptic balance, divergence exact
-        w = stopping_lift({(1, 0): (ZERO2, 1.0 + 0j)}, {})
+        w = stopping([(1, 0)], [0, 0, 1.0], [0, 0, 0])
         assert w.divergence_residual() < 1e-12
-        tr = w.trace(0)[(1, 0)]
-        assert tr[2] == pytest.approx(1.0, abs=1e-14)
-        assert w.trace(1)[(1, 0)][2] == pytest.approx(0.0, abs=1e-13)
+        assert trace(w, 0)[(1, 0)][2] == pytest.approx(1.0, abs=1e-14)
+        assert trace(w, 1)[(1, 0)][2] == pytest.approx(0.0, abs=1e-13)
 
     def test_exact_traces_random(self):
         rng = np.random.default_rng(0)
+        keys = [(0, 0), (1, 0), (2, -1), (1, 3)]
         for _ in range(20):
-            d0, d1 = {}, {}
-            for k_h in [(0, 0), (1, 0), (2, -1), (1, 3)]:
-                c0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                c1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                v0 = complex(rng.standard_normal() + 1j * rng.standard_normal())
-                v1 = complex(rng.standard_normal() + 1j * rng.standard_normal())
-                if k_h == (0, 0):
-                    v1 = v0  # compatibility
-                d0[k_h] = (c0, v0)
-                d1[k_h] = (c1, v1)
-            w = stopping_lift(d0, d1)
+            d0, d1 = random_traces(rng, keys)
+            w = stopping(keys, d0, d1)
             assert w.divergence_residual() < 1e-12
-            for k_h in d0:
-                tr0 = w.trace(0)[k_h]
-                assert np.allclose(tr0[:2], d0[k_h][0], atol=1e-12)
-                assert abs(tr0[2] - d0[k_h][1]) < 1e-12
-                assert abs(w.trace(1)[k_h][2] - d1[k_h][1]) < 1e-12
-                assert np.allclose(w.dz_horizontal_trace(1)[k_h], d1[k_h][0], atol=1e-12)
+            for k_h, a, b in zip(keys, d0, d1):
+                tr0 = trace(w, 0)[k_h]
+                assert np.allclose(tr0[:2], a[:2], atol=1e-12)
+                assert abs(tr0[2] - a[2]) < 1e-12
+                assert abs(trace(w, 1)[k_h][2] - b[2]) < 1e-12
+                assert np.allclose(dz_horizontal_trace(w, 1)[k_h], b[:2], atol=1e-12)
 
     def test_h2_bound_single_constant(self):
         # fit C once, then honor it over a fresh batch of random trace sets
         rng = np.random.default_rng(42)
-
-        def random_data(rng):
-            d0, d1 = {}, {}
-            for k_h in [(0, 0), (1, 0), (0, 2), (2, 1), (3, -2)]:
-                c0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                c1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                v0 = complex(rng.standard_normal() + 1j * rng.standard_normal())
-                v1 = v0 if k_h == (0, 0) else complex(rng.standard_normal())
-                d0[k_h] = (c0, v0)
-                d1[k_h] = (c1, v1)
-            return d0, d1
+        keys = [(0, 0), (1, 0), (0, 2), (2, 1), (3, -2)]
+        weight = np.array([(1.0 + k[0] ** 2 + k[1] ** 2) ** 3 for k in keys])
 
         def h3_data_norm(d):
-            total = 0.0
-            for k_h, (ch, c3) in d.items():
-                wt = (1.0 + k_h[0] ** 2 + k_h[1] ** 2) ** 3
-                total += wt * (np.sum(np.abs(ch) ** 2) + abs(c3) ** 2)
-            return math.sqrt(total)
+            return math.sqrt(float(weight @ (np.abs(d) ** 2).sum(axis=1)))
 
         ratios = []
         for _ in range(20):
-            d0, d1 = random_data(rng)
-            w = stopping_lift(d0, d1)
-            ratios.append(w.h2_norm() / (h3_data_norm(d0) + h3_data_norm(d1)))
+            d0, d1 = random_traces(rng, keys)
+            ratios.append(h2_norm(stopping(keys, d0, d1))
+                          / (h3_data_norm(d0) + h3_data_norm(d1)))
         C = 1.05 * max(ratios)
         for _ in range(100):
-            d0, d1 = random_data(rng)
-            w = stopping_lift(d0, d1)
-            assert w.h2_norm() <= C * (h3_data_norm(d0) + h3_data_norm(d1))
+            d0, d1 = random_traces(rng, keys)
+            assert h2_norm(stopping(keys, d0, d1)) <= C * (h3_data_norm(d0) + h3_data_norm(d1))
 
 
 class TestInteriorLifts:
+    """The flux lift v_int0 (the Ekman suction's) and v_int1 (the surface
+    flux's) are _flux_lift columns; the flux stage builds them per row."""
+
+    P = Params(1e-3, 1e-3)
+
     def test_vint0_zero(self):
-        assert not lift_interior_vint0({}, {}, Params(1e-3, 1e-3)).modes
+        lift, osc, traces, transients, tail_sq = correctors._flux_correctors([], 5, self.P, True)
+        assert not lift.entries and not osc.modes()
+        assert traces == {} and transients == [] and tail_sq == 0.0
 
     def test_vint0_single_mode_sign(self):
-        p = Params(1e-4, 1e-4)
-        f = lift_interior_vint0({(1, 0): 1.0 + 0j}, {}, p)
+        f = _flux_lift([(1, 0)], np.array([1.0 + 0j]), np.array([0j]))
         prof = f.hat_profile((1, 0), np.array([0.37]))
-        root = p.layer_scale
-        # v_h = -i sqrt(eps nu) e^{i x1} e_1, from Lap^{-1} = -1/|k_h|^2
-        assert prof[0, 0] == pytest.approx(-1j * root, abs=1e-15)
+        # v_h = -i e^{i x1} e_1, from Lap^{-1} = -1/|k_h|^2
+        assert prof[0, 0] == pytest.approx(-1j, abs=1e-15)
         assert prof[1, 0] == 0
-        assert f.divergence_residual() < 1e-12 * root
+        assert f.divergence_residual() < 1e-12
 
     def test_vint0_realises_suction_traces(self):
-        p = Params(1e-4, 2e-3)
-        f = lift_interior_vint0({(2, 1): 0.3 - 1j}, {(2, 1): 0.7j}, p)
-        root = p.layer_scale
-        assert f.trace(0)[(2, 1)][2] == pytest.approx(root * (0.3 - 1j), abs=1e-16)
-        assert f.trace(1)[(2, 1)][2] == pytest.approx(root * 0.7j, abs=1e-16)
+        f = _flux_lift([(2, 1)], np.array([0.3 - 1j]), np.array([0.7j]))
+        assert trace(f, 0)[(2, 1)][2] == pytest.approx(0.3 - 1j, abs=1e-16)
+        assert trace(f, 1)[(2, 1)][2] == pytest.approx(0.7j, abs=1e-16)
         assert f.divergence_residual() < 1e-12
 
     def test_vint0_norm_scaling(self):
+        # the Dirichlet flux lift carries the Ekman suction, of order sqrt(eps nu)
         norms, scales = [], []
         for eps in [1e-2, 1e-4, 1e-6]:
             p = Params(eps, eps)
-            f = lift_interior_vint0({(1, 0): 1.0 + 0j}, {}, p)
-            norms.append(f.l2_norm())
+            sol = assemble_dirichlet_approx(SpectralField({(1, 0, 1): 1.0}), p)
+            norms.append(sol.parts["flux_lift"].l2_norm(0.0))
             scales.append(p.layer_scale)
-        assert loglog_slope(scales, norms) == pytest.approx(1.0, abs=1e-6)
+        assert loglog_slope(scales, norms) == pytest.approx(1.0, abs=0.01)
 
     def test_vint0_rejects_mean(self):
+        rows = [(0.5, 0j, (1, 0), 0, 1.0 + 0j), (0.5, 0j, (0, 0), 0, 1.0 + 0j)]
         with pytest.raises(ValueError, match="mean"):
-            lift_interior_vint0({(0, 0): 1.0}, {}, Params(1e-3, 1e-3))
+            correctors._flux_correctors(rows, 5, self.P, zero_ic=False)
 
     def test_vint1_zero_and_mean(self):
-        assert not lift_interior_vint1({}).modes
-        assert not lift_interior_vint1({(0, 0): 0.0}).modes
-        with pytest.raises(ValueError, match="mean"):
-            lift_interior_vint1({(0, 0): 1.0})
+        # a k_h = 0 row is rejected whatever its value, before any source is formed
+        for value in (0j, 1.0 + 0j):
+            with pytest.raises(ValueError, match="mean"):
+                correctors._flux_correctors([(1.0, 0j, (0, 0), 1, value)], 5, self.P,
+                                            zero_ic=True)
 
     def test_vint1_divergence_and_trace(self):
-        f = lift_interior_vint1({(1, -2): 2.0 + 1j})
+        f = _flux_lift([(1, -2)], np.array([0j]), np.array([-2.0 - 1j]))
         assert f.divergence_residual() < 1e-12
-        assert f.trace(1)[(1, -2)][2] == pytest.approx(-(2.0 + 1j), abs=1e-15)
-        assert f.trace(0)[(1, -2)][2] == 0
+        assert trace(f, 1)[(1, -2)][2] == pytest.approx(-(2.0 + 1j), abs=1e-15)
+        assert trace(f, 0)[(1, -2)][2] == 0
 
 
 class TestScalarProductForms:
@@ -216,52 +209,59 @@ class TestScalarProductForms:
 
 
 class TestSmallDivisor:
+    """The Duhamel kernel of both assemblies: w0 e^{(i(lambda_l + mu)/eps - c) t}
+    solves dt w + kappa_l w = s0 e^{(i(lambda_l + mu)/eps - c) t}; from zero
+    data it loses w0 e^{-kappa_l t}."""
+
     def test_zero_source(self):
-        out = small_divisor_corrector(SourceTable({}), 5, Params(1e-3, 1e-3), 1.0)
-        assert len(out) == 0
+        lam, kappa, w = _duhamel(np.zeros((0, 3), dtype=int), np.zeros(0), 1.0, 0j,
+                                 Params(1e-3, 1e-3))
+        assert len(lam) == len(kappa) == len(w) == 0
+
+    def flux_modes(self, mu):
+        """The corrector modes of one flux row on column (1, 0) at frequency mu."""
+        rows = [(mu, 0j, (1, 0), 0, 1.0 + 0j)]
+        _, osc, _, _, _ = correctors._flux_correctors(rows, 5, Params(1e-3, 1e-3), False)
+        return osc.modes()
 
     def test_resonant_entry_rejected(self):
-        l = (1, 0, 1)
-        with pytest.raises(ValueError, match="resonant"):
-            SourceTable({(-eigenvalue(l), l): ExpSource(1.0)})
+        # the flux stage skips the mode with mu + lambda_l = 0, and no other
+        modes = self.flux_modes(-eigenvalue((1, 0, 1)))
+        assert (1, 0, 1) not in modes and len(modes) == len(self.flux_modes(2.0)) - 1
 
     def test_near_resonant_entry_rejected(self):
-        l = (1, 0, 1)
-        with pytest.raises(ValueError, match="resonant"):
-            SourceTable({(-eigenvalue(l) + 1e-13, l): ExpSource(1.0)})
+        # within 1e-12 it is skipped too; a gap of 1e-6 is a small divisor and stays
+        assert (1, 0, 1) not in self.flux_modes(-eigenvalue((1, 0, 1)) + 1e-13)
+        assert (1, 0, 1) in self.flux_modes(-eigenvalue((1, 0, 1)) + 1e-6)
 
     def test_closed_matches_quadrature(self):
         p = Params(1e-2, 1e-2)
-        l = (1, 0, 1)
-        src = SourceTable({(1.0, l): ExpSource(0.7 - 0.2j, 0.5 + 0.1j)})
-        t = 0.8
-        for variant in ("special", "zero_ic"):
-            closed = small_divisor_corrector(src, 5, p, t, variant=variant)
-            quad = small_divisor_corrector(src, 5, p, t, variant=variant, method="quadrature")
-            assert abs(closed[l] - quad[l]) < 1e-10 * max(abs(closed[l]), 1e-12)
+        l, mu, s0, c, t = (1, 0, 1), 1.0, 0.7 - 0.2j, 0.5 + 0.1j, 0.8
+        (lam,), (kappa,), (w0,) = _duhamel([l], s0, mu, c, p)
+        omega = (lam + mu) / p.epsilon
+        special = w0 * np.exp((1j * omega - c) * t)
+        zero_ic = special - w0 * np.exp(-kappa * t)
+        quad = duhamel_quad(s0, c, omega, kappa, t)
+        assert abs(zero_ic - quad) < 1e-10 * abs(zero_ic)
+        quad += s0 * np.exp(-kappa * t) / (1j * omega - c + kappa)
+        assert abs(special - quad) < 1e-10 * abs(special)
 
     def test_linear_in_epsilon(self):
-        l = (1, 0, 2)
-        t = 0.5
         norms, epss = [], []
         for eps in [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]:
-            p = Params(eps, eps)
-            src = SourceTable({(1.0, l): ExpSource(1.0, 0.3)})
-            out = small_divisor_corrector(src, 5, p, t)
-            norms.append(out.norm())
+            _, _, (w0,) = _duhamel([(1, 0, 2)], 1.0, 1.0, 0.3, Params(eps, eps))
+            norms.append(abs(w0))
             epss.append(eps)
         assert loglog_slope(epss, norms) == pytest.approx(1.0, abs=0.05)
 
     def test_truncation_drops_high_modes(self):
-        p = Params(1e-3, 1e-3)
-        src = SourceTable({(2.0, (1, 0, 9)): ExpSource(1.0), (2.0, (1, 0, 1)): ExpSource(1.0)})
-        out = small_divisor_corrector(src, 3, p, 0.1)
-        assert (1, 0, 9) not in out.coeffs and (1, 0, 1) in out.coeffs
+        kept, values, tail_sq = correctors._truncate((1, 0), 3, lambda l3: np.ones(len(l3)) + 0j)
+        assert [tuple(l) for l in kept.tolist()] == [(1, 0, l3) for l3 in (-2, -1, 0, 1, 2)]
+        assert len(values) == 5 and tail_sq == 25 - 5  # |l3| <= 12, minus the kept five
 
 
 class TestDuhamelKernel:
-    """One kernel, _duhamel, forms the Duhamel amplitudes of both assemblies
-    and of the closed-form small-divisor corrector."""
+    """One kernel, _duhamel, forms the Duhamel amplitudes of both assemblies."""
 
     def counted(self, monkeypatch):
         calls = []  # rows per call
@@ -294,23 +294,46 @@ class TestDuhamelKernel:
         assert len(calls) == 3  # the modes with k_h != 0
         assert sum(calls) == len(sol.parts["oscillating_corrector"].modes())
 
-    def test_one_call_per_closed_form_entry(self, monkeypatch):
-        src = SourceTable({(1.0, (1, 0, 1)): ExpSource(0.7 - 0.2j, 0.5 + 0.1j),
-                           (2.0, (1, 0, 1)): ExpSource(1.0),
-                           (0.5, (0, 2, -1)): ExpSource(0.3j, 0.2)})
-        calls = self.counted(monkeypatch)
-        for variant in ("special", "zero_ic"):
-            calls.clear()
-            small_divisor_corrector(src, 5, Params(1e-2, 1e-2), 0.8, variant=variant)
-            assert calls == [1, 1, 1]
+
+def divisor_case_bound(l, mu: float) -> float:
+    """Structural majorant of |lambda_l + mu|^{-1} for the frequency classes
+    arising in the constructions: 1/(|mu|-1) outside the eigenvalue band;
+    |l|/|l3| at mu = 0; |l|^2/|l_h|^2 at |mu| = 1.  Frequencies strictly
+    inside (-1, 1) other than 0 admit no l-uniform bound; when they are
+    eigenvalue frequencies mu = -lambda_k use eigenvalue_divisor_bound."""
+    lE = euclidean_norm(l)
+    if abs(mu) < 1e-12:
+        return lE / max(abs(l[2]), 1)
+    if abs(abs(mu) - 1.0) < 1e-12:
+        kh2 = l[0] ** 2 + l[1] ** 2
+        if kh2 == 0:
+            raise ValueError("resonant class requires l_h != 0")
+        return lE ** 2 / kh2
+    if abs(mu) > 1.0:
+        return 1.0 / (abs(mu) - 1.0)
+    raise ValueError(
+        f"no l-uniform divisor bound for generic mu = {mu} inside (-1, 1)")
+
+
+def eigenvalue_divisor_bound(l, k) -> float:
+    """Majorant of |lambda_l - lambda_k|^{-1} for distinct columns of the same
+    horizontal mode: |k|^3 / |l_h|^2 (lambda is monotone in the vertical
+    index, so the gap is smallest at neighbouring k3)."""
+    return euclidean_norm(k) ** 3 / (l[0] ** 2 + l[1] ** 2)
 
 
 class TestDivisorBounds:
     def test_far_frequency_bounded(self):
-        assert divisor_bounds((5, 2, -7), 2.0) <= 1.0
+        # |w| <= eps |s| / |lambda_l + mu|, and |lambda_l + mu| >= 1 at mu = 2
+        eps = 1e-3
+        _, _, (w0,) = _duhamel([(5, 2, -7)], 1.0, 2.0, 0j, Params(eps, eps))
+        assert abs(w0) <= eps
 
     def test_resonant_pair_value(self):
-        assert divisor_bounds((1, 0, 1), 1.0) == pytest.approx(21.227147325697068, rel=1e-12)
+        # at eps -> 0 the amplitude is eps times the small divisor 1/|lambda_l + mu|
+        eps = 1e-8
+        _, _, (w0,) = _duhamel([(1, 0, 1)], 1.0, 1.0, 0j, Params(eps, eps))
+        assert abs(w0) / eps == pytest.approx(21.227147325697068, rel=1e-12)
 
     def test_case_bound_scan(self):
         worst = 0.0
@@ -325,7 +348,8 @@ class TestDivisorBounds:
                     for mu in (0.0, 1.0, -1.0, 2.0):
                         if abs(eigenvalue(l) + mu) < 1e-12:
                             continue
-                        worst = max(worst, divisor_bounds(l, mu) / divisor_case_bound(l, mu))
+                        worst = max(worst, 1.0 / abs(eigenvalue(l) + mu)
+                                    / divisor_case_bound(l, mu))
         # bounded by a fixed O(1) constant (~2 pi^2 for the resonant class)
         assert worst < 25.0
 
@@ -334,8 +358,6 @@ class TestDivisorBounds:
             divisor_case_bound((1, 0, 1), 0.5)
 
     def test_eigenvalue_pair_bound_scan(self):
-        from rotstrip.correctors import eigenvalue_divisor_bound
-
         worst = 0.0
         for l_h in [(1, 0), (2, 1), (3, -2)]:
             for l3 in range(-6, 7):
@@ -886,10 +908,10 @@ class TestColumnEvaluation:
         p = Params(1e-3, 1e-3)
         osc = OscillatingPoly(p)
         # mixed degrees on one column: 2-, 4- and 5-term coefficient arrays
-        osc.add(lift_interior_vint1({(1, 0): 0.3 - 0.2j, (0, 2): 1.0}), 0.4, 0.2)
-        osc.add(stopping_lift({(1, 0): (np.array([1.0, 2j]), 0.5)},
-                              {(1, 0): (np.array([0.1, 0.0]), -0.25j)}), -0.7, 1.5)
-        osc.add(lift_interior_vint0({(1, 0): 0.2j}, {(1, 0): 0.1}, p), 0.0)
+        osc.add(_flux_lift([(0, 2), (1, 0)], np.zeros(2), np.array([-1.0, 0.2j - 0.3])),
+                0.4, 0.2)
+        osc.add(stopping([(1, 0)], [1.0, 2j, 0.5], [0.1, 0.0, -0.25j]), -0.7, 1.5)
+        osc.add(_flux_lift([(1, 0)], np.array([0.2j]), np.array([0.1])), 0.0)
         z = np.linspace(0.0, 1.0, 201)
         for t in (0.0, 0.05, 0.3):
             assert osc.l2_norm(t) == pytest.approx(poly_reference_l2(osc, t), rel=1e-12)
@@ -1213,52 +1235,27 @@ def ref_poly_l2_sq(p):
     return float(np.sum(0.5 * wg * np.abs(p(z)) ** 2))
 
 
-def ref_stopping_lift(delta0, delta1):
-    keys = sorted(set(delta0) | set(delta1))
-    zero2 = np.zeros(2, dtype=complex)
+def ref_stopping_lift(keys, d0, d1):
     modes = {}
-    for k_h in keys:
-        d0h, d03 = delta0.get(k_h, (zero2, 0j))
-        d1h, d13 = delta1.get(k_h, (zero2, 0j))
-        d0h = np.asarray(d0h, dtype=complex)
-        d1h = np.asarray(d1h, dtype=complex)
+    for k_h, (d0h1, d0h2, d03), (d1h1, d1h2, d13) in zip(keys, d0, d1):
         kh2 = k_h[0] ** 2 + k_h[1] ** 2
-        ikd0 = 1j * (k_h[0] * d0h[0] + k_h[1] * d0h[1])
-        ikd1 = 1j * (k_h[0] * d1h[0] + k_h[1] * d1h[1])
+        ikd0 = 1j * (k_h[0] * d0h1 + k_h[1] * d0h2)
+        ikd1 = 1j * (k_h[0] * d1h1 + k_h[1] * d1h2)
         phi = 0j if kh2 == 0 else 12.0 * (ikd0 + 0.5 * ikd1 + d13 - d03) / kh2
         bump = Polynomial([0.0, 1.0, -2.0, 1.0])
-        p1 = Polynomial([d0h[0], d1h[0]]) + (1j * k_h[0] * phi) * bump
-        p2 = Polynomial([d0h[1], d1h[1]]) + (1j * k_h[1] * phi) * bump
+        p1 = Polynomial([d0h1, d1h1]) + (1j * k_h[0] * phi) * bump
+        p2 = Polynomial([d0h2, d1h2]) + (1j * k_h[1] * phi) * bump
         div_wh = 1j * k_h[0] * p1 + 1j * k_h[1] * p2
         p3 = Polynomial([complex(d03)]) - div_wh.integ(lbnd=0.0)
         modes[k_h] = (p1, p2, p3)
     return modes
 
 
-def ref_vint0(delta0_3, delta1_3, params):
-    root = params.layer_scale
+def ref_flux_lift(keys, d0, d1):
     modes = {}
-    for k_h in sorted(set(delta0_3) | set(delta1_3)):
-        d0 = complex(delta0_3.get(k_h, 0j))
-        d1 = complex(delta1_3.get(k_h, 0j))
-        kh2 = k_h[0] ** 2 + k_h[1] ** 2
-        if kh2 == 0:
-            continue
-        vh = -1j * root * np.array(k_h) * (d0 - d1) / kh2
-        p3 = Polynomial([root * d0, root * (d1 - d0)])
-        modes[k_h] = (Polynomial([vh[0]]), Polynomial([vh[1]]), p3)
-    return modes
-
-
-def ref_vint1(trace):
-    modes = {}
-    for k_h in sorted(trace):
-        tau = complex(trace[k_h])
-        kh2 = k_h[0] ** 2 + k_h[1] ** 2
-        if kh2 == 0:
-            continue
-        vh = -1j * np.array(k_h) * tau / kh2
-        modes[k_h] = (Polynomial([vh[0]]), Polynomial([vh[1]]), Polynomial([0.0, -tau]))
+    for k_h, a, b in zip(keys, d0, d1):
+        vh = -1j * np.array(k_h) * (a - b) / (k_h[0] ** 2 + k_h[1] ** 2)
+        modes[k_h] = (Polynomial([vh[0]]), Polynomial([vh[1]]), Polynomial([a, b - a]))
     return modes
 
 
@@ -1293,19 +1290,23 @@ def padded(polys, ndeg=6):
 
 
 def random_lift_tables(rng, vertical_only):
-    """Stopping-lift data whose delta0 and delta1 hold different columns, with a
-    compatible k_h = 0 column; vertical-only data has zero horizontal parts."""
+    """Stopping-lift traces whose d0 and d1 are zero on different columns,
+    with a compatible k_h = 0 column; vertical-only data has zero horizontal
+    parts.  Returns the columns and their (n, 3) rows d0, d1."""
     def value(size):
         return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
-    d0, d1 = {}, {}
-    for table, keys in ((d0, [(1, 0), (2, -1), (0, 3)]), (d1, [(1, 0), (-1, 2), (3, 1)])):
-        for k_h in keys:
-            table[k_h] = (np.zeros(2) if vertical_only else value(2), complex(value(())))
-    mean = complex(value(()))
-    d0[(0, 0)] = (np.zeros(2) if vertical_only else value(2), mean)
-    d1[(0, 0)] = (np.zeros(2) if vertical_only else value(2), mean)
-    return d0, d1
+    keys = [(1, 0), (2, -1), (0, 3), (-1, 2), (3, 1), (0, 0)]
+    d0, d1 = np.zeros((2, len(keys), 3), dtype=complex)
+    for d, held in ((d0, [(1, 0), (2, -1), (0, 3)]), (d1, [(1, 0), (-1, 2), (3, 1)])):
+        for k_h in held:
+            i = keys.index(k_h)
+            d[i, :2] = 0.0 if vertical_only else value(2)
+            d[i, 2] = value(())
+    d0[-1, 2] = d1[-1, 2] = value(())
+    for d in (d0, d1):
+        d[-1, :2] = 0.0 if vertical_only else value(2)
+    return keys, d0, d1
 
 
 class TestLiftArrays:
@@ -1315,14 +1316,12 @@ class TestLiftArrays:
         """[(ZPolyField, reference modes)] of one draw of every lift."""
         lifts = []
         for vertical_only in (False, True):
-            d0, d1 = random_lift_tables(rng, vertical_only)
-            lifts.append((stopping_lift(d0, d1), ref_stopping_lift(d0, d1)))
-        s0 = {k: complex(rng.standard_normal(), rng.standard_normal()) for k in [(1, 0), (2, 2)]}
-        s1 = {k: complex(rng.standard_normal(), rng.standard_normal()) for k in [(2, 2), (0, -1)]}
-        s0[(0, 0)] = 0j
-        lifts.append((lift_interior_vint0(s0, s1, self.P), ref_vint0(s0, s1, self.P)))
-        tau = {**s1, (0, 0): 0.0, (3, -1): 0.5 - 2j}
-        lifts.append((lift_interior_vint1(tau), ref_vint1(tau)))
+            keys, d0, d1 = random_lift_tables(rng, vertical_only)
+            lifts.append((stopping(keys, d0, d1), ref_stopping_lift(keys, d0, d1)))
+        keys = [(1, 0), (2, 2), (0, -1), (3, -1)]
+        d0, d1 = (rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(2))
+        d0[2] = d1[0] = 0.0
+        lifts.append((_flux_lift(keys, d0, d1), ref_flux_lift(keys, d0, d1)))
         return lifts
 
     def test_coefficients_match_polynomial_algebra(self):
@@ -1345,7 +1344,7 @@ class TestLiftArrays:
                 l2 = 2.0 * math.pi * math.sqrt(sum(ref_poly_l2_sq(p) for polys in ref.values()
                                                    for p in polys))
                 assert field_.l2_norm() == pytest.approx(l2, rel=1e-13)
-                assert field_.h2_norm() == pytest.approx(ref_h2_norm(ref), rel=1e-13)
+                assert h2_norm(field_) == pytest.approx(ref_h2_norm(ref), rel=1e-13)
                 rate = 0.3 * i + 0.1j
                 osc.add(field_, 0.5 * i, rate)
                 entries.append((ref, rate))
@@ -1370,8 +1369,8 @@ class TestLiftArrays:
                      "__truediv__", "__neg__", "__pow__", "integ", "deriv"):
             setattr(Counting, name, counted(name))
         monkeypatch.setattr(correctors, "Polynomial", Counting)
-        d0, d1 = random_lift_tables(np.random.default_rng(13), vertical_only=False)
-        w = stopping_lift(d0, d1)
+        keys, d0, d1 = random_lift_tables(np.random.default_rng(13), vertical_only=False)
+        w = stopping(keys, d0, d1)
         p = Params(1e-3, 1e-3, beta=1.0)
         sigma = BoundaryTrace(1, {(0.5, (1, 0)): np.array([1.0, 0.5j]),
                                   (0.0, (0, 2)): np.array([0.2, 0.1])})
@@ -1385,7 +1384,7 @@ class TestLiftArrays:
             sol.parts["stopping_lift"].profiles(0.1, z, sol.horizontal_modes())
         assert calls == {"init": 0, "arithmetic": 0}
         # reading modes builds three Polynomials per column read
-        ncol = len(set(d0) | set(d1))
+        ncol = len(keys)
         assert len(w.modes) == ncol
         assert all(isinstance(p, Counting) for _, polys in w.items() for p in polys)
         assert calls == {"init": 3 * ncol, "arithmetic": 0}
@@ -1512,11 +1511,11 @@ class TestLiftTable:
         for key, c in zip(keys, coef):
             assert np.array_equal(c, padded(modes[key], coef.shape[2]))
         for wall in (0, 1):
-            trace = f.trace(wall)
-            assert sorted(trace) == sorted(modes)
+            values = trace(f, wall)
+            assert sorted(values) == sorted(modes)
             for key, polys in modes.items():
                 want = np.array([p(float(wall)) for p in polys])
-                assert np.allclose(trace[key], want, rtol=1e-13, atol=1e-13)
+                assert np.allclose(values[key], want, rtol=1e-13, atol=1e-13)
         div = max((float(np.max(np.abs(1j * k[0] * polys[0](_GAUSS_NODES)
                                        + 1j * k[1] * polys[1](_GAUSS_NODES)
                                        + polys[2].deriv()(_GAUSS_NODES))))
@@ -2010,7 +2009,7 @@ class TestColumnSlices:
         for mu in (0.0, 0.4, -1.3):
             coef = rng.standard_normal((12, 3, 5)) + 1j * rng.standard_normal((12, 3, 5))
             osc.add(ZPolyField(keys, coef), mu, 0.2)
-        osc.add(lift_interior_vint1({(1, 0): 0.3 - 0.2j}), 0.7)
+        osc.add(_flux_lift([(1, 0)], np.zeros(1), np.array([0.2j - 0.3])), 0.7)
         z = np.linspace(0.0, 1.0, 33)
         columns = keys[:ncol]
         want = np.array([sum(f.hat_profile(k_h, z) * np.exp(1j * mu * 0.3 / self.P.epsilon
@@ -2030,8 +2029,7 @@ class TestColumnSlices:
         assert_column_close(got, want, rel=1e-13)
 
     def test_lifts_read_modes_at_call_time(self):
-        f = stopping_lift({(1, 0): (np.array([1.0, 2j]), 0.5)},
-                          {(1, 0): (np.array([0.1, 0.0]), -0.25j)})
+        f = stopping([(1, 0)], [1.0, 2j, 0.5], [0.1, 0.0, -0.25j])
         osc = OscillatingPoly(self.P)
         osc.add(f, 0.0)
         z = np.linspace(0.0, 1.0, 9)
@@ -2042,10 +2040,10 @@ class TestColumnSlices:
         # dz of z^2 on the Gauss nodes, largest at the top node
         top = 0.5 * (np.polynomial.legendre.leggauss(24)[0].max() + 1.0)
         assert f.divergence_residual() == pytest.approx(2.0 * top, rel=1e-12)
-        assert f.trace(1)[(1, 0)][2] == pytest.approx(p3(1.0) + 1.0, rel=1e-14)
+        assert trace(f, 1)[(1, 0)][2] == pytest.approx(p3(1.0) + 1.0, rel=1e-14)
         assert_column_close(osc.hat_profile((1, 0), 0.0, z)[2], before[2] + z ** 2, rel=1e-14)
         for k_h, (q1, q2, q3) in f.items():
             assert_column_close(f.hat_profile(k_h, z), np.array([q1(z), q2(z), q3(z)]),
                                 rel=1e-14)
-            assert np.allclose(f.dz_horizontal_trace(0)[k_h],
+            assert np.allclose(dz_horizontal_trace(f, 0)[k_h],
                                [q1.deriv()(0.0), q2.deriv()(0.0)], rtol=1e-14, atol=0.0)

@@ -11,7 +11,7 @@ import pytest
 import rotstrip.direct as direct
 from rotstrip.params import Params
 from rotstrip.spectral import SpectralField, basis_profile, semigroup
-from rotstrip.layers import BoundaryTrace, filter_resonant
+from rotstrip.layers import BoundaryTrace
 from rotstrip.direct import (
     DecayFit,
     _ModeSystem,
@@ -24,6 +24,7 @@ from rotstrip.direct import (
     snapshot_csv,
     solve_direct,
 )
+from references import filter_resonant
 
 
 def l2_difference(u: np.ndarray, analytic: np.ndarray, weights: np.ndarray) -> float:

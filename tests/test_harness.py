@@ -46,6 +46,20 @@ class TestRegression:
         with pytest.raises(ValueError, match="positive"):
             regress_loglog([(1.0, 1.0), (2.0, -2.0), (3.0, 3.0)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_nonfinite_rejected(self, bad, axis):
+        # a NaN fit would report slope nan with r_squared 1.0
+        pts = [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
+        pts[1][axis] = bad
+        with pytest.raises(ValueError, match="finite"):
+            regress_loglog(pts)
+
+    def test_one_distinct_x_rejected(self):
+        # three points at one x have no slope; lstsq would report one anyway
+        with pytest.raises(ValueError, match="2 distinct x"):
+            regress_loglog([(0.01, 1.0), (0.01, 2.0), (0.01, 3.0)])
+
 
 class TestSpecValidation:
     def test_empty_grid_rejected(self):
@@ -55,6 +69,13 @@ class TestSpecValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown experiment kind"):
             ExperimentSpec(kind="nope", epsilon=[1e-3])
+
+    def test_repeated_grid_points_rejected(self):
+        with pytest.raises(ValueError, match="repeat"):
+            ExperimentSpec(kind="bl_scaling", epsilon=[1e-2, 1e-2, 1e-2])
+        # one epsilon at distinct nu is three points
+        assert len(ExperimentSpec(kind="bl_scaling", epsilon=[1e-2] * 3,
+                                  nu=[1e-2, 1e-3, 1e-4]).grid()) == 3
 
     def test_mismatched_grids_rejected(self):
         with pytest.raises(ValueError, match="nu grid"):
@@ -539,6 +560,40 @@ class TestCLI:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["envelope", "direct"])
+    @pytest.mark.parametrize("entries, message", [
+        ({"gamma": {"1,0,1": [1.0]}}, "key '1,0,1': a coefficient must be"),
+        ({"gamma": {"1,0,1": None}}, "key '1,0,1': a coefficient must be"),
+        ({"gamma": {"1,0,1": [1.0, 0.0, 5.0]}}, "key '1,0,1': a coefficient must be"),
+        ({"gamma": {"1,0,1": [1.0, None]}}, "key '1,0,1': a coefficient must be"),
+        ({"gamma": {"1,0,1": True}}, "key '1,0,1': a coefficient must be"),
+        ({"gamma": {"1,x,1": 1.0}}, "key '1,x,1' must have three components"),
+        ({"gamma": [1, 0, 1]}, "expected a table"),
+    ])
+    def test_bad_coefficients_exit_2(self, tmp_path, capsys, command, entries, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 1e-2, "nu": 1e-2, "t_end": 0.01, **entries}))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma, message", [
+        ({"1,0": [1.0, 0.0]}, "key '1,0' must have three components"),
+        ({"0.5,1,0": [[1.0], 0.0]}, "key '0.5,1,0': a coefficient must be"),
+        ({"0.5,1,0": [None, 0.0]}, "key '0.5,1,0': a coefficient must be"),
+        ({"0.5,1,0": [[1.0, 0.0, 5.0], 0.0]}, "key '0.5,1,0': a coefficient must be"),
+        ([1, 0, 1], "expected a table"),
+    ])
+    def test_bad_trace_exits_2(self, tmp_path, capsys, sigma, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 1e-2, "nu": 1e-2, "t_end": 0.01, "Nz": 64,
+                                   "sigma": sigma}))
+        with pytest.raises(SystemExit) as exc:
+            main(["direct", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, entries, message", [
         ("envelope", {"nt": 0}, "nt=0 must be an integer >= 1"),
         ("compare", {"nt": 0}, "nt=0 must be an integer >= 1"),
@@ -725,6 +780,7 @@ class TestCLI:
          "bl_scaling runs in the calling process"),
         ({"kind": "resonant_growth", "epsilon": [1e-3, 1e-4]}, "1",
          "resonant_growth runs one grid point, got 2"),
+        ({"kind": "bl_scaling", "epsilon": [1e-2, 1e-2, 1e-2]}, "1", "repeat"),
     ])
     def test_sweep_the_run_cannot_honour_rejected(self, tmp_path, capsys, spec,
                                                   parallel, message):

@@ -1,5 +1,6 @@
 """The asymptotic half runs without scipy; the direct solver loads it on use."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -42,6 +43,22 @@ def test_asymptotic_half_loads_no_scipy():
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr[-2000:]
     assert run.stdout.strip() == "", f"scipy modules loaded: {run.stdout.strip()}"
+
+
+def test_only_direct_imports_scipy():
+    # every import statement of the package, lazy ones inside functions too
+    importers = set()
+    for path in sorted((ROOT / "src" / "rotstrip").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.name)
+    assert importers == {"direct.py"}
 
 
 def test_erfc_matches_scipy():

@@ -15,11 +15,11 @@ from rotstrip.layers import (
     build_B,
     decay_rates,
     empty_trace,
-    filter_resonant,
     layer_basis,
     resonant_profile,
     trace_residuals,
 )
+from references import filter_resonant
 
 
 def loglog_slope(x, y):
