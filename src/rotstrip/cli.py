@@ -177,8 +177,10 @@ def cmd_modes(cfg, outdir):
     p = params_from(cfg)
     kmax = check_integer("kmax", cfg.get("kmax", 3), 1)
     modes = cfg.get("modes")
+    if modes is not None and not isinstance(modes, list):
+        raise ValueError(f"modes={modes!r} must be a list of \"k1,k2,k3\" entries")
     if modes:
-        modes = [tuple(int(c) for c in str(m).split(",")) for m in modes]
+        modes = [_fields(m, "k1,k2,k3, each an integer", (int, int, int)) for m in modes]
     else:
         modes = [k for k in itertools.product(range(-kmax, kmax + 1), repeat=3)
                  if k != (0, 0, 0)]

@@ -44,8 +44,7 @@ zgbtrf/zgbtrs) of the monolithic saddle system.  Coriolis, the Laplacian
 and the divergence commute with horizontal rotations, so with u_h written
 in the frame (k_h/|k_h|, k_h^perp/|k_h|) a column's system depends on k_h
 only through |k_h|: the columns of a shell share the system assembled at
-k_h = (|k_h|, 0), and step together as the columns of one block (one
-zgbtrs call per step).  The unknowns are interleaved node by node,
+k_h = (|k_h|, 0).  The unknowns are interleaved node by node,
 [u1_i, u2_i, u3_i, p_i] with p_i on the cell [z_i, z_{i+1}]: every stencil
 (second differences, the two-node divergence of a cell, the adjoint
 gradient) then couples unknowns at most one node apart, so the band has
@@ -57,6 +56,19 @@ shells), and every solve is the same as on the full factor.  With the
 pressure block after the velocities, the divergence rows would reach O(Nz)
 columns back.  Splitting the pressure would be fatal here: the 1/eps
 Coriolis-pressure balance amplifies any projection error.
+
+A shell's system is linear, so each column's trajectory is a combination
+of the shell's responses to a basis of its inputs: each column with a
+nonzero datum, and one unit stress e^{i mu t/eps} per (frequency mu, u_h
+component).  A shell steps one block, one zgbtrs call per step: the basis
+when it is smaller, (#datum columns) + 2 (#frequencies) < ncol, else the
+columns themselves.  On the basis X, column j is X @ coef[:, j], coef the
+(nb, ncol) matrix of datum indicators and frame-rotated stress amplitudes:
+exact linear algebra, with no rank decision.  Per column, the dissipation
+is Re(coef_j^H (Y^H Q Y) coef_j) from the basis midpoints Y, the start's
+loss the same Gram form with the energy weights, and the work is linear in
+Y's stress rows @ coef; the columns are formed only at the saves.  An
+unforced or datum-driven shell steps its columns.
 """
 
 from __future__ import annotations
@@ -211,7 +223,8 @@ class _ModeSystem:
     on the reduced column.  The saddle matrix is then banded with a width
     independent of Nz and is factorised once with LAPACK zgbtrf.  States
     are (n, ncol) blocks, one column per horizontal mode stepped with this
-    system; every diagnostic returns one value per column."""
+    system; every diagnostic returns one value per column, or per column of
+    block @ coef when it is given one (the block is then a basis)."""
 
     def __init__(self, k_h, params: Params, z: np.ndarray, dt: float,
                  diffusion: bool = True):
@@ -394,33 +407,35 @@ class _ModeSystem:
         m, _ = self._lib.zgbtrs(self.lu, self.kl, self.ku_s, b, self.piv, overwrite_b=1)
         return m
 
-    def step(self, x: np.ndarray, g: np.ndarray | None,
-             c: np.ndarray | None = None) -> tuple:
+    def step(self, x: np.ndarray, g: np.ndarray | None, c: np.ndarray | None = None,
+             coef: np.ndarray | None = None) -> tuple:
         """The CN step from x under the midpoint stress g (c as in
         midpoint): the new block, the step's dissipation and the stress's
-        work."""
+        work.  Given coef (nb, ncol), x is a basis and the diagnostics are
+        those of the columns x @ coef."""
         m = self.midpoint(x, g, c)
-        diss, work = self.dissipation(m), self.work(m, g)
+        diss, work = self.dissipation(m, coef), self.work(m, g, coef)
         m *= 2.0  # u_{n+1} = 2 m_u - u_n, p_{n+1} = 2 m_p
         m -= self.is_velocity * x
         return m, diss, work
 
-    def start(self, x: np.ndarray, stress) -> tuple:
+    def start(self, x: np.ndarray, stress, coef: np.ndarray | None = None) -> tuple:
         """The first step from the datum x, stress(t) giving the stress
         (2, ncol) at t, or None: the new block, the step's dissipation and
         work, and the energy the start took out beyond them (the module's
-        start rule)."""
+        start rule); coef as in step."""
         if not self.diffusion:  # then there is no stress and no dissipation
-            return *self.step(x, None, self.residual(x)), np.zeros(x.shape[1])
+            return (*self.step(x, None, self.residual(x), coef),
+                    np.zeros((x if coef is None else coef).shape[1]))
         # two implicit-Euler half steps; a half step's solution has the
         # velocity of m and the pressure 2 m_p
         diss = work = loss = 0.0
         for t in (0.5 * self.dt, self.dt):
             g = stress(t)
             m = self.midpoint(x, g)
-            diss = diss + 0.5 * self.dissipation(m)
-            work = work + 0.5 * self.work(m, g)
-            loss = loss + self.energy(m - x)
+            diss = diss + 0.5 * self.dissipation(m, coef)
+            work = work + 0.5 * self.work(m, g, coef)
+            loss = loss + self.energy(m - x, coef)
             x = m
         return (2.0 - self.is_velocity) * x, diss, work, loss
 
@@ -435,21 +450,34 @@ class _ModeSystem:
 
     # The diagnostics reduce over axis 0 with np.vecdot, which conjugates its
     # first argument: on a one-column block it costs what np.vdot does.
+    # Given coef, the block is a basis and each reads the columns
+    # block @ coef: a form through the basis Gram, the work through the
+    # columns' stress rows and stresses.
 
-    def energy(self, x: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _form(a: np.ndarray, Ba: np.ndarray, coef: np.ndarray | None) -> np.ndarray:
+        """Re(a_j^H B a_j) per column a_j of a, or of a @ coef."""
+        if coef is None:
+            return np.vecdot(a, Ba, axis=0).real
+        return np.vecdot(coef, (a.conj().T @ Ba) @ coef, axis=0).real
+
+    def energy(self, x: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
         """Kinetic energy of the block x."""
-        return np.vecdot(x, self.energy_weights * x, axis=0).real
+        return self._form(x, self.energy_weights * x, coef)
 
-    def dissipation(self, m: np.ndarray) -> np.ndarray:
+    def dissipation(self, m: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
         """Viscous dissipation m^H Q m of the block m."""
-        return np.vecdot(m, self.Q @ m, axis=0).real
+        return self._form(m, self.Q @ m, coef)
 
-    def work(self, m: np.ndarray, g: np.ndarray | None) -> np.ndarray:
+    def work(self, m: np.ndarray, g: np.ndarray | None,
+             coef: np.ndarray | None = None) -> np.ndarray:
         """Rate of work of the surface stress g on the block m."""
         if g is None:
-            return np.zeros(m.shape[1])
-        return (4.0 * math.pi ** 2 * self.params.nu) * np.vecdot(
-            m[self.stress_rows], g, axis=0).real
+            return np.zeros((m if coef is None else coef).shape[1])
+        top = m[self.stress_rows]
+        if coef is not None:
+            top, g = top @ coef, g @ coef
+        return (4.0 * math.pi ** 2 * self.params.nu) * np.vecdot(top, g, axis=0).real
 
     def divergence(self, x: np.ndarray) -> np.ndarray:
         """max |div u| over the cells, per column."""
@@ -479,9 +507,11 @@ def solve_direct(gamma: SpectralField, sigma, params: Params, t_end: float,
     shortening dt to t_end / ceil(t_end / dt).
     Every save_every-th step is saved, and the last one; save_every must be
     a positive integer: 0 would divide by zero, and a negative or fractional
-    interval would save only the last step, silently.  An input with no
-    column (no mode in gamma, no entry in sigma) raises.
+    interval would save only the last step, silently.  Nz must be an
+    integer (a bool is not one).  An input with no column (no mode in gamma,
+    no entry in sigma) raises.
     """
+    check_integer("Nz", Nz, 1)
     check_integer("save_every", save_every, 1)
     if dt is None:
         dt = params.epsilon / 10.0
@@ -539,8 +569,9 @@ def solve_direct(gamma: SpectralField, sigma, params: Params, t_end: float,
 
 def _solve_shell(kh2, cols, trajs, gamma, stress_table, params, z, dt, nsteps,
                  save_every, diffusion):
-    """Step the columns of one |k_h|^2 shell as one block in the frame
-    (k_h/|k_h|, k_h^perp/|k_h|), in which they share one system."""
+    """Step one |k_h|^2 shell in the frame (k_h/|k_h|, k_h^perp/|k_h|), in
+    which its columns share one system: as the block of its columns, or of
+    a basis of its inputs when that is smaller (the module's shell rule)."""
     r = math.sqrt(kh2)
     sys_ = _ModeSystem((r, 0.0), params, z, dt, diffusion=diffusion)
     ncol = len(cols)
@@ -564,21 +595,40 @@ def _solve_shell(kh2, cols, trajs, gamma, stress_table, params, z, dt, nsteps,
     u0 = np.ascontiguousarray([gamma.profile(k, z).T for k in cols], dtype=complex)
     x = sys_.state((u0.view(float) @ to_frame).view(complex))
 
-    # the stress in the frame, summed per frequency: stress(t) = phases @ amps
+    # the stress in the frame, per frequency: amps[f, :, j] is column j's at mus[f]
     entries = [(mu, j, v) for j, k in enumerate(cols) for mu, v in stress_table.get(k, [])]
     mus = np.array(sorted({mu for mu, _, _ in entries}))
-    amps = None
-    if entries:
-        amps = np.zeros((len(mus), 2, ncol), dtype=complex)
-        for mu, j, v in entries:
-            amps[np.searchsorted(mus, mu), :, j] += params.beta * (R[j, :2, :2].T @ v)
-        amps = amps.reshape(len(mus), 2 * ncol)
+    amps = np.zeros((len(mus), 2, ncol), dtype=complex)
+    for mu, j, v in entries:
+        amps[np.searchsorted(mus, mu), :, j] += params.beta * (R[j, :2, :2].T @ v)
+
+    # the basis: each column with a datum, then one unit stress per
+    # (frequency, u_h component); column j is then X @ coef[:, j].  Stepped
+    # only when it is smaller than the shell
+    datum = np.flatnonzero(np.any(u0.reshape(ncol, -1), axis=1))
+    nd = len(datum)
+    nb = nd + 2 * len(mus)
+    coef = None
+    if nb < ncol:
+        coef = np.zeros((nb, ncol), dtype=complex)
+        coef[np.arange(nd), datum] = 1.0
+        coef[nd:] = amps.reshape(2 * len(mus), ncol)
+        basis = np.zeros((sys_.n, nb), dtype=complex, order="F")
+        basis[:, :nd] = x[:, datum]
+        x = basis
+        amps = np.eye(2 * len(mus), nb, nd).reshape(len(mus), 2, nb)
+    width = x.shape[1]  # the columns stepped
+    amps = amps.reshape(len(mus), 2 * width) if entries else None
 
     def stress(t):
-        """The stress (2, ncol) in the frame at time t, or None."""
+        """The stress (2, width) of the stepped columns at time t, or None."""
         if amps is None:
             return None
-        return (np.exp(1j * mus * t / params.epsilon) @ amps).reshape(2, ncol)
+        return (np.exp(1j * mus * t / params.epsilon) @ amps).reshape(2, width)
+
+    def expand(x):
+        """The shell's columns of the stepped block x."""
+        return x if coef is None else x @ coef
 
     def record(t, x, energy, energy_before, diss, work, lost):
         """Save the block x at time t; energy_before is the energy one step
@@ -608,20 +658,22 @@ def _solve_shell(kh2, cols, trajs, gamma, stress_table, params, z, dt, nsteps,
                 "cumulative_energy_residual": e - e0 + ls + dt * nt,
             })
 
-    E0 = sys_.energy(x)
+    x0 = expand(x)
+    E0 = sys_.energy(x0)
     zero = np.zeros(ncol)
     net = np.zeros(ncol)  # sum over the steps of dissipation minus work
     loss = zero  # the start's energy loss
-    record(0.0, x, E0, E0, zero, zero, zero)
+    record(0.0, x0, E0, E0, zero, zero, zero)
     for nstep in range(1, nsteps + 1):
         if nstep == 1:
-            x_new, diss, work, loss = sys_.start(x, stress)
+            x_new, diss, work, loss = sys_.start(x, stress, coef)
         else:
-            x_new, diss, work = sys_.step(x, stress((nstep - 0.5) * dt))
+            x_new, diss, work = sys_.step(x, stress((nstep - 0.5) * dt), coef=coef)
         net += diss - work
-        # the energy itself is needed only at the saves
+        # the columns and their energy are needed only at the saves
         if nstep % save_every == 0 or nstep == nsteps:
-            record(nstep * dt, x_new, sys_.energy(x_new), sys_.energy(x), diss, work,
+            saved = expand(x_new)
+            record(nstep * dt, saved, sys_.energy(saved), sys_.energy(expand(x)), diss, work,
                    loss if nstep == 1 else zero)
         x = x_new
 

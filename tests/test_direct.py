@@ -215,6 +215,14 @@ class TestSolveDirect:
             solve_direct(SpectralField({(1, 0, 1): 1.0}), None, p, t_end=0.01, Nz=64,
                          save_every=save_every)
 
+    @pytest.mark.parametrize("Nz", [64.0, "64", True])
+    def test_rejects_nz_not_an_integer(self, Nz):
+        # a float or a string used to raise an unrelated TypeError, and True
+        # was read as 1 and reported as too small
+        p = Params(1e-2, 1e-2)
+        with pytest.raises(ValueError, match=f"Nz={Nz!r} must be an integer"):
+            solve_direct(SpectralField({(1, 0, 1): 1.0}), None, p, t_end=0.01, Nz=Nz)
+
     def test_rejects_sigma_that_is_not_a_boundary_trace(self):
         # a {(mu, k_h): vector} dict was once taken as a stress table
         p = Params(1e-2, 1e-2, beta=1.0)
@@ -749,17 +757,28 @@ class TestShellBatching:
     """solve_direct steps all columns of a |k_h|^2 shell as one block, with
     u_h written in the frame (k_h/|k_h|, k_h^perp/|k_h|)."""
 
-    def test_columns_match_physical_frame_systems(self):
-        # one shell (|k_h|^2 = 5): stress at two frequencies on one column,
-        # one more on another, initial data on the third
+    @staticmethod
+    def _check_columns(monkeypatch, stress, gamma, nrhs, nsteps=30, Nz=96):
+        """solve_direct's columns (snapshots, energy, dissipation and start
+        loss) against per-column physical-frame systems stepped with
+        _ModeSystem.start/step, stress {k_h: [(mu, vector)]};
+        every zgbtrs call of the solve must take nrhs right-hand sides."""
+        lib = direct.solver_modules()
+        calls = []
+
+        def counting_zgbtrs(ab, kl, ku, b, *args, **kwargs):
+            calls.append(b.shape[1])
+            return lib.zgbtrs(ab, kl, ku, b, *args, **kwargs)
+
+        monkeypatch.setattr(direct, "solver_modules",
+                            lambda: lib._replace(zgbtrs=counting_zgbtrs))
         p = Params(1e-2, 1e-2, beta=1.0)
-        dt, nsteps, Nz = p.epsilon / 10, 30, 96
-        stress = {(1, 2): [(0.0, np.array([1.0, 0.5j])), (0.5, np.array([-0.3, 0.8]))],
-                  (2, 1): [(0.5, np.array([0.2j, 1.0]))]}
+        dt = p.epsilon / 10
         sigma = BoundaryTrace(1, {(mu, k): v for k, e in stress.items() for mu, v in e})
-        gamma = SpectralField({(-2, 1, 1): 1.0, (-2, 1, -2): 0.3j})
         out = solve_direct(gamma, sigma, p, t_end=nsteps * dt, dt=dt, Nz=Nz, save_every=1)
-        assert set(out) == {(1, 2), (2, 1), (-2, 1)}
+        # one shell: the start's two half steps, then one solve per step
+        assert calls == [nrhs] * (nsteps + 1)
+        assert set(out) == set(stress) | set(gamma.horizontal_modes())
         for k_h, traj in out.items():
             ref = _ModeSystem(k_h, p, traj.z, dt)
             x = ref.state(gamma.profile(k_h, traj.z).T[None])
@@ -770,19 +789,52 @@ class TestShellBatching:
                 return _stress_at(stress[k_h], p, t)[:, None]
 
             for n, (u, pr) in enumerate(traj.snapshots):
+                row = traj.diagnostics[n]
                 if n == 1:
-                    x = ref.start(x, g)[0]
+                    x, diss, _, loss = ref.start(x, g)
+                    assert row["start_energy_loss"] == pytest.approx(loss[0], rel=1e-12)
                 elif n > 1:
-                    x = ref.step(x, g((n - 0.5) * dt))[0]
-                if n == 0 and k_h in stress:  # zero initial data
+                    x, diss, _ = ref.step(x, g((n - 0.5) * dt))
+                if n > 0:
+                    assert row["dissipation"] == pytest.approx(diss[0], rel=1e-12), (k_h, n)
+                if n == 0 and k_h not in gamma.horizontal_modes():  # zero initial data
                     assert not np.any(u) and not np.any(pr)
                     continue
                 u_ref = ref.velocity(x)[0]
                 assert _sup_rel(u, u_ref) < 1e-12, (k_h, n)
                 if n > 0:
-                    assert _sup_rel(pr, ref.pressure(x)[0]) < 1e-10, (k_h, n)
-                assert traj.diagnostics[n]["energy"] == pytest.approx(
-                    ref.energy(x)[0], rel=1e-12)
+                    assert _sup_rel(pr, ref.pressure(x)[0]) < 1e-12, (k_h, n)
+                assert row["energy"] == pytest.approx(ref.energy(x)[0], rel=1e-12)
+
+    def test_columns_match_physical_frame_systems(self, monkeypatch):
+        # one shell (|k_h|^2 = 5): stress at two frequencies on one column,
+        # one more on another, initial data on the third; the basis (a
+        # datum and four unit stresses) is larger, so the columns step
+        stress = {(1, 2): [(0.0, np.array([1.0, 0.5j])), (0.5, np.array([-0.3, 0.8]))],
+                  (2, 1): [(0.5, np.array([0.2j, 1.0]))]}
+        gamma = SpectralField({(-2, 1, 1): 1.0, (-2, 1, -2): 0.3j})
+        self._check_columns(monkeypatch, stress, gamma, nrhs=3)
+
+    @pytest.mark.parametrize("kh2, mus, datum, nb", [
+        # a datum on one column, distinct stresses on the other three: a
+        # datum and two unit stresses (3 < 4)
+        (1, (0.5,), 1, 3),
+        # two frequencies on all eight columns: four unit stresses (4 < 8)
+        (5, (0.0, 0.5), 0, 4),
+        # two frequencies on all four columns: the basis is not smaller
+        (2, (0.0, 0.5), 0, 4),
+    ], ids=["datum_and_one_frequency", "two_frequencies", "basis_not_smaller"])
+    def test_basis_columns_match_physical_frame_systems(self, monkeypatch, kh2, mus, datum, nb):
+        # the shell steps the smaller of its columns and its basis: the
+        # columns with a datum and one unit stress per (frequency, component)
+        rng = np.random.default_rng(kh2)
+        cols = [(k1, k2) for k1 in range(-2, 3) for k2 in range(-2, 3)
+                if k1 * k1 + k2 * k2 == kh2]
+        gamma = SpectralField({(*k, m): complex(rng.standard_normal(), rng.standard_normal())
+                               for k in cols[:datum] for m in (1, -2)})
+        stress = {k: [(mu, rng.standard_normal(2) + 1j * rng.standard_normal(2)) for mu in mus]
+                  for k in cols[datum:]}
+        self._check_columns(monkeypatch, stress, gamma, nrhs=min(len(cols), nb))
 
     def test_one_factorisation_per_shell(self, monkeypatch):
         calls = []
@@ -898,10 +950,11 @@ class TestTrimmedBand:
         out = solve_direct(SpectralField({}), sigma, p, t_end=nsteps * p.epsilon / 10,
                            Nz=64, save_every=3)
         assert len(out) == 25
-        # columns per shell: |k_h|^2 = 0, 1, 2, 4, 5, 8; the start's two
-        # half steps are two solves
+        # one shell per |k_h|^2 = 0, 1, 2, 4, 5, 8; the start's two half
+        # steps are two solves.  One frequency stresses every column, so a
+        # shell steps its two unit-stress responses; k_h = 0 has one column
         assert sorted(c[3] for c in calls) == sorted(
-            ncol for ncol in (1, 4, 4, 4, 8, 4) for _ in range(nsteps + 1))
+            nrhs for nrhs in (1, 2, 2, 2, 2, 2) for _ in range(nsteps + 1))
         for rows, kl, ku, _ in calls:
             assert rows == 2 * kl + ku + 1  # the band passed is the trimmed one
         # the reduced (k_h = 0) and the full system

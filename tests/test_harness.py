@@ -615,6 +615,21 @@ class TestCLI:
         assert message in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("modes, message", [
+        (["1,x,1"], "key '1,x,1' must have three components"),
+        (["1,0"], "key '1,0' must have three components"),
+        ("1,0,1", "modes='1,0,1' must be a list"),
+    ])
+    def test_bad_modes_exit_2(self, tmp_path, capsys, modes, message):
+        # these used to exit 2 with a message from int() or from a reshape
+        # deep in the damping table, naming neither the entry nor the key
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 1e-2, "nu": 1e-2, "modes": modes}))
+        with pytest.raises(SystemExit) as exc:
+            main(["modes", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec, message", [
         ({"kind": "bl_scaling", "epsilon": [1e-2], "t_ned": 0.3},
          "unknown config key(s) for sweep: t_ned"),
