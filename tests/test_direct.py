@@ -754,8 +754,9 @@ def _sup_rel(a, b):
 
 
 class TestShellBatching:
-    """solve_direct steps all columns of a |k_h|^2 shell as one block, with
-    u_h written in the frame (k_h/|k_h|, k_h^perp/|k_h|)."""
+    """solve_direct steps each |k_h|^2 shell as one block, of its columns or
+    of a basis of its inputs, with u_h written in the frame
+    (k_h/|k_h|, k_h^perp/|k_h|)."""
 
     @staticmethod
     def _check_columns(monkeypatch, stress, gamma, nrhs, nsteps=30, Nz=96):
