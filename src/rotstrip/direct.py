@@ -23,11 +23,12 @@ midpoint solve, m = A^{-1} (M x_n / dt + g_{n+1/2} / 2) with
 A = M/dt + L/2 + C.  Once x_n meets the wall and divergence rows, m's
 velocity is the midpoint (u_n + u_{n+1})/2 and its pressure p_{n+1}/2, so
 u_{n+1} = 2 m_u - u_n and p_{n+1} = 2 m_p.  The right-hand side is x_n
-scaled elementwise, so a step makes no sparse product but Q m, for the
-dissipation m^H Q m.  CN (R(inf) = -1) damps nothing, so any decay measured
-after the start is physical; but a datum that violates the walls (the
-eigenmodes N_k violate no-slip) would keep an undamped mismatch that costs
-CN its second order.  The first step is therefore a start rule:
+scaled elementwise and the dissipation m^H Q m is |R m|^2, R = Q^(1/2) two
+bands (on the velocities and on their differences one node up), so a step
+makes no sparse product.  CN (R(inf) = -1) damps nothing, so any decay
+measured after the start is physical; but a datum that violates the walls
+(the eigenmodes N_k violate no-slip) would keep an undamped mismatch that
+costs CN its second order.  The first step is therefore a start rule:
 - with diffusion, two implicit-Euler half steps (Rannacher's damped start),
   each with the stress at its end.  A is half the implicit-Euler matrix at
   dt/2 up to the scale of the pressure, so a half step is the same solve
@@ -49,13 +50,12 @@ k_h = (|k_h|, 0).  The unknowns are interleaved node by node,
 (second differences, the two-node divergence of a cell, the adjoint
 gradient) then couples unknowns at most one node apart, so the band has
 the same width (kl = ku = 4; 2 and 2 on the reduced k_h = 0 column) at
-every Nz.  zgbtrf stores U with kl + ku superdiagonals to leave room for
-the pivoting fill; only the rows from the highest filled one down are kept
-and passed to zgbtrs (the fill reaches superdiagonal 7 of the 8 on most
-shells), and every solve is the same as on the full factor.  With the
-pressure block after the velocities, the divergence rows would reach O(Nz)
-columns back.  Splitting the pressure would be fatal here: the 1/eps
-Coriolis-pressure balance amplifies any projection error.
+every Nz.  zgbtrs gets only the rows of zgbtrf's band factor that the
+pivoting fill reaches (7 of the 8 superdiagonals on most shells), and
+every solve equals the one on the full factor.  With the pressure block
+after the velocities, the divergence rows would reach O(Nz) columns back.
+Splitting the pressure would be fatal here: the 1/eps Coriolis-pressure
+balance amplifies any projection error.
 
 A shell's system is linear, so each column's trajectory is a combination
 of the shell's responses to a basis of its inputs: each column with a
@@ -64,11 +64,11 @@ component).  A shell steps one block, one zgbtrs call per step: the basis
 when it is smaller, (#datum columns) + 2 (#frequencies) < ncol, else the
 columns themselves.  On the basis X, column j is X @ coef[:, j], coef the
 (nb, ncol) matrix of datum indicators and frame-rotated stress amplitudes:
-exact linear algebra, with no rank decision.  Per column, the dissipation
-is Re(coef_j^H (Y^H Q Y) coef_j) from the basis midpoints Y, the start's
-loss the same Gram form with the energy weights, and the work is linear in
-Y's stress rows @ coef; the columns are formed only at the saves.  An
-unforced or datum-driven shell steps its columns.
+exact linear algebra, with no rank decision.  A basis step's dissipation
+and work are nb x nb Grams of the basis midpoints, summed into one running
+Gram N; column j's Re(coef_j^H N coef_j) is linear in N, so the Grams, as
+the columns, are expanded with coef only at the saves.  An unforced or
+datum-driven shell steps its columns.
 """
 
 from __future__ import annotations
@@ -196,12 +196,9 @@ class ModeTrajectory:
         k = tuple(int(c) for c in k)
         if (k[0], k[1]) != tuple(self.k_h):
             raise ValueError(f"mode {k} does not belong to column k_h={self.k_h}")
-        prof = basis_profile(k, self.z)  # (3, Nz+1)
-        w = self.weights
-        out = np.empty(len(self.snapshots), dtype=complex)
-        for i, (u, _) in enumerate(self.snapshots):
-            out[i] = 4.0 * math.pi ** 2 * np.sum(w * np.sum(np.conj(prof) * u.T, axis=0))
-        return out
+        # one dot product per snapshot: stacking them would copy them all
+        weighted = (self.weights * basis_profile(k, self.z)).T.copy()
+        return (4.0 * math.pi ** 2) * np.array([np.vdot(weighted, u) for u, _ in self.snapshots])
 
 
 def l2_norm(u: np.ndarray, weights: np.ndarray) -> float:
@@ -223,8 +220,8 @@ class _ModeSystem:
     on the reduced column.  The saddle matrix is then banded with a width
     independent of Nz and is factorised once with LAPACK zgbtrf.  States
     are (n, ncol) blocks, one column per horizontal mode stepped with this
-    system; every diagnostic returns one value per column, or per column of
-    block @ coef when it is given one (the block is then a basis)."""
+    system; every diagnostic returns one value per column, or given coef
+    the nb x nb Gram of the block, then a basis (see columns)."""
 
     def __init__(self, k_h, params: Params, z: np.ndarray, dt: float,
                  diffusion: bool = True):
@@ -267,14 +264,7 @@ class _ModeSystem:
             return [np.concatenate([np.ravel(a) for a in arrays])
                     for arrays in zip(*(np.broadcast_arrays(*p) for p in parts))]
 
-        def csr(*terms):
-            """The n x n sum of f T over the (T, f) terms, f a scalar or one
-            factor per entry of the triplet T."""
-            r, c, v = zip(*((T[0], T[1], f * T[2]) for T, f in terms))
-            return sp.csr_matrix((np.concatenate(v).astype(complex),
-                                  (np.concatenate(r), np.concatenate(c))), shape=(n, n))
-
-        # the dissipation form of the diagnostics, Q = kh2 W + nu Dz^H H Dz
+        # the dissipation form of the viscous rows, Q = kh2 W + nu Dz^H H Dz
         # (zero without viscosity): per component, kh2 w_i + nu/h_{i-1} +
         # nu/h_i on the diagonal and -nu/h_i next to it
         inv = self.params.nu / h
@@ -335,7 +325,9 @@ class _ModeSystem:
         # into [0.5, 1): momentum rows carry 1/dt, divergence rows 1/h, and
         # partial pivoting within the band needs comparable rows, else the
         # pressure loses about four digits at small dt
-        A = csr((M, 1.0 / dt), (L, 0.5), (C, 1.0))
+        r, c, v = zip(*((T[0], T[1], f * T[2]) for T, f in ((M, 1.0 / dt), (L, 0.5), (C, 1.0))))
+        A = sp.csr_matrix((np.concatenate(v).astype(complex),
+                           (np.concatenate(r), np.concatenate(c))), shape=(n, n))
         scale = np.ldexp(1.0, -np.frexp(abs(A).max(axis=1).toarray().ravel())[1])
         A = A.tocoo()
         kl = self.kl = int(np.max(A.row - A.col))
@@ -363,17 +355,20 @@ class _ModeSystem:
         self.lu = np.asfortranarray(lu[ku - self.ku_s:])
 
         # the midpoint solve's right-hand side M x / dt + g / 2, row-scaled:
-        # x scaled elementwise, plus nu g / (2 w_N) on the stress rows
+        # x scaled elementwise (by complex factors, twice as fast on a
+        # complex block as real ones), plus nu g / (2 w_N) on the stress rows
         self.row_scale = scale[:, None]
-        self.rhs_scale = (scale * is_momentum / dt)[:, None]
+        self.rhs_scale = (scale * is_momentum / dt)[:, None].astype(complex)
         self.stress_scale = (0.5 * self.params.nu / self.wn[-1]) * self.row_scale[self.stress_rows]
-        # 1 on the velocity entries, 0 on the pressures
-        self.is_velocity = np.zeros((n, 1))
+        self.is_velocity = np.zeros((n, 1), dtype=complex)  # 1 on the velocities, 0 on p
         self.is_velocity[u] = 1.0
-        # energy = x^H diag(energy_weights) x and the dissipation m^H Q m
-        # (4 pi^2 from Parseval in x_h), zero on p
+        # energy x^H diag(energy_weights) x and dissipation |R m|^2 (4 pi^2
+        # from Parseval), R 2 pi sqrt(kh2 w_i) on each velocity (root) and
+        # 2 pi sqrt(nu/h_i) on its difference one node up (root_up); 0 on p
         self.energy_weights = 2.0 * math.pi ** 2 * w_full[:, None]
-        self.Q = csr((Q, 4.0 * math.pi ** 2))
+        self.root, self.root_up = np.zeros((n, 1), complex), np.zeros((n - stride, 1), complex)
+        self.root[u, 0] = 2.0 * math.pi * np.sqrt(self.kh2 * self.wn)[:, None]
+        self.root_up[u[:-1], 0] = 2.0 * math.pi * np.sqrt(inv)[:, None]
 
     def state(self, u: np.ndarray) -> np.ndarray:
         """Block of the velocities u (ncol, Nz+1, 3) with zero pressure."""
@@ -411,8 +406,8 @@ class _ModeSystem:
              coef: np.ndarray | None = None) -> tuple:
         """The CN step from x under the midpoint stress g (c as in
         midpoint): the new block, the step's dissipation and the stress's
-        work.  Given coef (nb, ncol), x is a basis and the diagnostics are
-        those of the columns x @ coef."""
+        work, as forms.  Given coef (nb, ncol), x is a basis and the forms
+        are its Grams, of the columns x @ coef."""
         m = self.midpoint(x, g, c)
         diss, work = self.dissipation(m, coef), self.work(m, g, coef)
         m *= 2.0  # u_{n+1} = 2 m_u - u_n, p_{n+1} = 2 m_p
@@ -425,8 +420,7 @@ class _ModeSystem:
         work, and the energy the start took out beyond them (the module's
         start rule); coef as in step."""
         if not self.diffusion:  # then there is no stress and no dissipation
-            return (*self.step(x, None, self.residual(x), coef),
-                    np.zeros((x if coef is None else coef).shape[1]))
+            return (*self.step(x, None, self.residual(x), coef), 0.0)
         # two implicit-Euler half steps; a half step's solution has the
         # velocity of m and the pressure 2 m_p
         diss = work = loss = 0.0
@@ -449,35 +443,42 @@ class _ModeSystem:
         return self.row_scale * c
 
     # The diagnostics reduce over axis 0 with np.vecdot, which conjugates its
-    # first argument: on a one-column block it costs what np.vdot does.
-    # Given coef, the block is a basis and each reads the columns
-    # block @ coef: a form through the basis Gram, the work through the
-    # columns' stress rows and stresses.
+    # first argument: on a one-column block it costs what np.vdot does.  The
+    # dissipation is |R m|^2 on Q's square-root bands.  Given coef, a form
+    # is the basis's nb x nb Gram, which the shell sums over the steps and
+    # expands into the columns block @ coef only at the saves (columns).
 
     @staticmethod
-    def _form(a: np.ndarray, Ba: np.ndarray, coef: np.ndarray | None) -> np.ndarray:
-        """Re(a_j^H B a_j) per column a_j of a, or of a @ coef."""
+    def _form(a: np.ndarray, b: np.ndarray, coef: np.ndarray | None) -> np.ndarray:
+        """Re(a_j^H b_j) per column of a and b, or the Gram a^H b of a basis."""
         if coef is None:
-            return np.vecdot(a, Ba, axis=0).real
-        return np.vecdot(coef, (a.conj().T @ Ba) @ coef, axis=0).real
+            return np.vecdot(a, b, axis=0).real
+        return a.conj().T @ b
+
+    @staticmethod
+    def columns(form, coef: np.ndarray | None, ncol: int) -> np.ndarray:
+        """The ncol columns' values of a form: 0.0, or a basis Gram expanded."""
+        if coef is not None and np.ndim(form):
+            form = np.vecdot(coef, form @ coef, axis=0).real
+        return np.broadcast_to(form, ncol)
 
     def energy(self, x: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
         """Kinetic energy of the block x."""
         return self._form(x, self.energy_weights * x, coef)
 
-    def dissipation(self, m: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
-        """Viscous dissipation m^H Q m of the block m."""
-        return self._form(m, self.Q @ m, coef)
+    def dissipation(self, m: np.ndarray, coef: np.ndarray | None = None):
+        """Viscous dissipation |R m|^2 = m^H Q m of the block m, 0.0 inviscid."""
+        if not self.diffusion:
+            return 0.0
+        a, d = self.root * m, m[self.stride:] - m[:-self.stride]
+        d *= self.root_up
+        return self._form(a, a, coef) + self._form(d, d, coef)
 
-    def work(self, m: np.ndarray, g: np.ndarray | None,
-             coef: np.ndarray | None = None) -> np.ndarray:
-        """Rate of work of the surface stress g on the block m."""
+    def work(self, m: np.ndarray, g: np.ndarray | None, coef: np.ndarray | None = None):
+        """Rate of work of the surface stress g on the block m, 0.0 under none."""
         if g is None:
-            return np.zeros((m if coef is None else coef).shape[1])
-        top = m[self.stress_rows]
-        if coef is not None:
-            top, g = top @ coef, g @ coef
-        return (4.0 * math.pi ** 2 * self.params.nu) * np.vecdot(top, g, axis=0).real
+            return 0.0
+        return (4.0 * math.pi ** 2 * self.params.nu) * self._form(m[self.stress_rows], g, coef)
 
     def divergence(self, x: np.ndarray) -> np.ndarray:
         """max |div u| over the cells, per column."""
@@ -632,16 +633,17 @@ def _solve_shell(kh2, cols, trajs, gamma, stress_table, params, z, dt, nsteps,
 
     def record(t, x, energy, energy_before, diss, work, lost):
         """Save the block x at time t; energy_before is the energy one step
-        earlier, diss and work are the step's, lost the energy its start
-        took out beyond them (zero but on the first step)."""
+        earlier, diss and work are the step's forms, lost the energy its
+        start took out beyond them (zero but on the first step)."""
         u = (sys_.velocity(x).view(float) @ to_physical).view(complex)
         p = sys_.pressure(x)
         # the scale is the physical velocity's: |u_h| components are not
         # invariant under the rotation
         scales = np.abs(u.reshape(ncol, -1)).max(axis=1)
         columns = zip(trajs, u, p, sys_.divergence(x).tolist(), scales.tolist(),
-                      *(a.tolist() for a in (energy, energy_before, E0, diss, work, lost,
-                                             net, loss)))
+                      *(a.tolist() for a in (energy, energy_before, E0)),
+                      *(sys_.columns(f, coef, ncol).tolist()
+                        for f in (diss, work, lost, net, loss)))
         for traj, u_j, p_j, div, scale, e, e_before, e0, d, w, lo, nt, ls in columns:
             traj.times.append(t)
             traj.snapshots.append((u_j, p_j))
@@ -660,21 +662,19 @@ def _solve_shell(kh2, cols, trajs, gamma, stress_table, params, z, dt, nsteps,
 
     x0 = expand(x)
     E0 = sys_.energy(x0)
-    zero = np.zeros(ncol)
-    net = np.zeros(ncol)  # sum over the steps of dissipation minus work
-    loss = zero  # the start's energy loss
-    record(0.0, x0, E0, E0, zero, zero, zero)
+    net = loss = 0.0  # the forms of dissipation minus work summed, of the start's loss
+    record(0.0, x0, E0, E0, 0.0, 0.0, 0.0)
     for nstep in range(1, nsteps + 1):
         if nstep == 1:
             x_new, diss, work, loss = sys_.start(x, stress, coef)
         else:
             x_new, diss, work = sys_.step(x, stress((nstep - 0.5) * dt), coef=coef)
         net += diss - work
-        # the columns and their energy are needed only at the saves
+        # the columns, their energy and forms are needed only at the saves
         if nstep % save_every == 0 or nstep == nsteps:
             saved = expand(x_new)
             record(nstep * dt, saved, sys_.energy(saved), sys_.energy(expand(x)), diss, work,
-                   loss if nstep == 1 else zero)
+                   loss if nstep == 1 else 0.0)
         x = x_new
 
 

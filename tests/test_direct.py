@@ -509,6 +509,51 @@ class TestStepDiagnostics:
         self._check(out, p, dt, {}, diffusion=False)
 
 
+class TestDiagnosticForms:
+    """The dissipation |R m|^2, from the square-root bands of Q, and the
+    stress's work against the nodal formulas, on random blocks (pressures
+    included) of one column, several columns and a basis read through
+    coef."""
+
+    @staticmethod
+    def _grid(Nz, uniform):
+        """Nz + 1 nodes on [0, 1]: uniform, or tanh-clustered at both walls
+        (spacing ratio about 100)."""
+        xi = np.linspace(0.0, 1.0, Nz + 1)
+        return xi if uniform else 0.5 * (1.0 + np.tanh(3.0 * (2.0 * xi - 1.0)) / math.tanh(3.0))
+
+    @pytest.mark.parametrize("eps", [3e-2, 1e-3])
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("Nz", [32, 96, 512])
+    @pytest.mark.parametrize("kh2", [0, 1, 2, 5, 8])
+    def test_forms_match_nodal_formulas(self, kh2, Nz, uniform, eps):
+        p = Params(eps, eps)
+        z = self._grid(Nz, uniform)
+        sys_ = _ModeSystem((math.sqrt(kh2), 0.0), p, z, eps / 10)
+        rng = np.random.default_rng(Nz + kh2)
+
+        def block(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        scale = 4.0 * math.pi ** 2 * p.nu  # the work's factor
+        for ncol, nb in ((1, None), (3, None), (5, 2)):
+            m, coef = np.asfortranarray(block(sys_.n, nb or ncol)), None
+            g = block(2, nb or ncol)
+            cols, g_cols = m, g
+            if nb:
+                coef = block(nb, ncol)
+                cols, g_cols = m @ coef, g @ coef
+            diss = sys_.columns(sys_.dissipation(m, coef), coef, ncol)
+            work = sys_.columns(sys_.work(m, g, coef), coef, ncol)
+            for j, u in enumerate(sys_.velocity(cols)):
+                assert diss[j] == pytest.approx(_nodal_dissipation(u, z, kh2, p.nu), rel=1e-12)
+                terms = scale * np.abs(u[-1, :2]) @ np.abs(g_cols[:, j])
+                assert abs(work[j] - _nodal_work(u, g_cols[:, j], p.nu)) <= 1e-12 * terms
+            assert sys_.work(m, None, coef) == 0.0
+            inviscid = _ModeSystem((math.sqrt(kh2), 0.0), p, z, eps / 10, diffusion=False)
+            assert not np.any(inviscid.columns(inviscid.dissipation(m, coef), coef, ncol))
+
+
 def test_cn_is_second_order_in_time_on_forced_columns():
     # a forced column from zero data at dt = eps/10, /20, /40 against
     # dt = eps/640, compared at the saves every eps: the sup-over-time error
@@ -760,10 +805,11 @@ class TestShellBatching:
 
     @staticmethod
     def _check_columns(monkeypatch, stress, gamma, nrhs, nsteps=30, Nz=96):
-        """solve_direct's columns (snapshots, energy, dissipation and start
-        loss) against per-column physical-frame systems stepped with
-        _ModeSystem.start/step, stress {k_h: [(mu, vector)]};
-        every zgbtrs call of the solve must take nrhs right-hand sides."""
+        """solve_direct's columns (snapshots, energy, dissipation, start
+        loss and both energy residuals) against per-column physical-frame
+        systems stepped with _ModeSystem.start/step, stress
+        {k_h: [(mu, vector)]}; every zgbtrs call of the solve must take nrhs
+        right-hand sides."""
         lib = direct.solver_modules()
         calls = []
 
@@ -789,15 +835,28 @@ class TestShellBatching:
                     return None
                 return _stress_at(stress[k_h], p, t)[:, None]
 
+            e0 = e_before = ref.energy(x)[0]
+            net, loss = 0.0, [0.0]
             for n, (u, pr) in enumerate(traj.snapshots):
                 row = traj.diagnostics[n]
                 if n == 1:
-                    x, diss, _, loss = ref.start(x, g)
+                    x, diss, work, loss = ref.start(x, g)
                     assert row["start_energy_loss"] == pytest.approx(loss[0], rel=1e-12)
                 elif n > 1:
-                    x, diss, _ = ref.step(x, g((n - 0.5) * dt))
+                    x, diss, work = ref.step(x, g((n - 0.5) * dt))
                 if n > 0:
                     assert row["dissipation"] == pytest.approx(diss[0], rel=1e-12), (k_h, n)
+                    # the ledger from the reference's own running sums; its
+                    # energies agree to 1e-12, so the residuals to 1e-12 of
+                    # the energy over dt and of the energy
+                    e, d_w = ref.energy(x)[0], diss[0] - (work[0] if k_h in stress else 0.0)
+                    net += d_w
+                    lost = loss[0] if n == 1 else 0.0
+                    assert row["energy_balance_residual"] == pytest.approx(
+                        (e - e_before + lost) / dt + d_w, rel=0.0, abs=1e-12 * e / dt), (k_h, n)
+                    assert row["cumulative_energy_residual"] == pytest.approx(
+                        e - e0 + loss[0] + dt * net, rel=0.0, abs=1e-12 * max(e, e0)), (k_h, n)
+                    e_before = e
                 if n == 0 and k_h not in gamma.horizontal_modes():  # zero initial data
                     assert not np.any(u) and not np.any(pr)
                     continue
