@@ -23,9 +23,9 @@ midpoint solve, m = A^{-1} (M x_n / dt + g_{n+1/2} / 2) with
 A = M/dt + L/2 + C.  Once x_n meets the wall and divergence rows, m's
 velocity is the midpoint (u_n + u_{n+1})/2 and its pressure p_{n+1}/2, so
 u_{n+1} = 2 m_u - u_n and p_{n+1} = 2 m_p.  The right-hand side is x_n
-scaled elementwise and the dissipation m^H Q m is |R m|^2, R = Q^(1/2) two
-bands (on the velocities and on their differences one node up), so a step
-makes no sparse product.  CN (R(inf) = -1) damps nothing, so any decay
+scaled elementwise and the dissipation m^H Q m is |R m|^2, R^H R = Q with R
+two bands (on the velocities and on their differences one node up), so a
+step makes no sparse product.  CN (R(inf) = -1) damps nothing, so any decay
 measured after the start is physical; but a datum that violates the walls
 (the eigenmodes N_k violate no-slip) would keep an undamped mismatch that
 costs CN its second order.  The first step is therefore a start rule:
