@@ -26,8 +26,18 @@ modes with |k_i| <= 2 at eps = nu in {1e-2, 1e-3, 1e-4, 1e-5}: every
 written from the code as it stood before the layer operator and the pumping
 shared one transition step.
 
+`data/golden_direct.json` holds the direct solver's answers on three small
+inputs at eps = nu = 1e-2, Nz = 64, 50 steps of eps/10 saved every 10th:
+one datum column, the |k_h|^2 <= 2 shells of the shell stress (the k_h = 0
+column steps its column, the |k_h|^2 = 1 and 2 shells a basis of two unit
+stresses), and a datum on the four columns of |k_h|^2 = 1 (a block of four
+columns).  Per column: every diagnostics key of every save, and u and p at
+7 nodes and 7 cells on 4 saves.  It was written from the code as it stood
+before a shell's stepped block became always a basis (its columns being
+the identity basis).
+
 Regenerate a data set only from code whose answers are known good:
-    PYTHONPATH=src python tests/test_golden.py [correctors] [pumping]
+    PYTHONPATH=src python tests/test_golden.py [correctors] [pumping] [direct]
 """
 
 import itertools
@@ -40,6 +50,7 @@ import numpy as np
 import pytest
 
 from rotstrip.correctors import assemble_dirichlet_approx, assemble_wind_approx
+from rotstrip.direct import solve_direct
 from rotstrip.envelope import damping_table, pumping
 from rotstrip.layers import BoundaryTrace
 from rotstrip.params import Params
@@ -231,14 +242,91 @@ def test_pumping_matches_frozen_values(golden_pumping, eps):
         assert all(_within(g, w, scale) for g, w in zip(new, ref)), (k, new, ref)
 
 
+DIRECT_DATA = os.path.join(os.path.dirname(__file__), "data", "golden_direct.json")
+DIRECT_CASES = ("datum_column", "wind_shells_kh2_le_2", "datum_four_columns")
+DIRECT_NZ, DIRECT_STEPS, DIRECT_SAVE_EVERY = 64, 50, 10
+#: the node (and cell) indices and the save indices of the frozen snapshots
+DIRECT_NODES = (0, 1, 4, 16, 32, 62, 63)
+DIRECT_SAVES = (0, 1, 3, 5)
+#: the energy-like diagnostics, compared relative to themselves
+DIRECT_ENERGIES = ("t", "energy", "dissipation", "start_energy_loss")
+
+
+def solve_direct_case(case):
+    """The direct solve of one named input at eps = nu = 1e-2."""
+    params = Params(1e-2, 1e-2, beta=1.0)
+    gamma, sigma = SpectralField({}), None
+    if case == "datum_column":
+        gamma = SpectralField({(1, 0, 1): 1.0, (1, 0, -2): 0.3j})
+    elif case == "wind_shells_kh2_le_2":
+        sigma = BoundaryTrace(1, {(mu, k): v for (mu, k), v in shell_stress().items()
+                                  if k[0] ** 2 + k[1] ** 2 <= 2})
+    else:
+        rng = np.random.default_rng(4)
+        gamma = SpectralField({(*k, m): complex(rng.standard_normal(), rng.standard_normal())
+                               for k in ((1, 0), (0, 1), (-1, 0), (0, -1)) for m in (1, -2)})
+    return solve_direct(gamma, sigma, params, t_end=DIRECT_STEPS * params.epsilon / 10,
+                        Nz=DIRECT_NZ, save_every=DIRECT_SAVE_EVERY)
+
+
+def measure_direct(case) -> dict:
+    """Per column "k1,k2": every save's diagnostics and, on DIRECT_SAVES,
+    [re, im] of u at DIRECT_NODES and of p on those cells."""
+    out = {}
+    for k_h, traj in solve_direct_case(case).items():
+        u = np.array([traj.snapshots[n][0][list(DIRECT_NODES)] for n in DIRECT_SAVES])
+        p = np.array([traj.snapshots[n][1][list(DIRECT_NODES)] for n in DIRECT_SAVES])
+        out[f"{k_h[0]},{k_h[1]}"] = {
+            "diagnostics": traj.diagnostics,
+            "u": [u.real.tolist(), u.imag.tolist()],
+            "p": [p.real.tolist(), p.imag.tolist()],
+        }
+    return out
+
+
+@pytest.fixture(scope="module")
+def golden_direct():
+    with open(DIRECT_DATA) as f:
+        return json.load(f)
+
+
+@pytest.mark.parametrize("case", DIRECT_CASES)
+def test_direct_matches_frozen_values(golden_direct, case):
+    """Snapshots within 1e-12 of the column's largest frozen |u| (|p| for
+    p), the energy-like diagnostics within 1e-12 relative, the energy
+    residuals within 1e-12 of E/dt and of E, E = max(energy, initial
+    energy), and the divergence residual (relative to the velocity scale
+    already) within 1e-12."""
+    want, got = golden_direct[case], measure_direct(case)
+    assert set(got) == set(want)
+    dt = 1e-2 / 10
+    for col, ref in want.items():
+        new = got[col]
+        for name in ("u", "p"):
+            r = np.array(ref[name][0]) + 1j * np.array(ref[name][1])
+            g = np.array(new[name][0]) + 1j * np.array(new[name][1])
+            assert float(np.max(np.abs(g - r))) <= TOL * float(np.max(np.abs(r))), (col, name)
+        assert len(new["diagnostics"]) == len(ref["diagnostics"])
+        e0 = ref["diagnostics"][0]["energy"]
+        for n, (g, r) in enumerate(zip(new["diagnostics"], ref["diagnostics"])):
+            assert set(g) == set(r)
+            E = max(r["energy"], e0)
+            bounds = {"energy_balance_residual": TOL * E / dt,
+                      "cumulative_energy_residual": TOL * E, "divergence_residual": TOL}
+            bounds.update({k: TOL * abs(r[k]) for k in DIRECT_ENERGIES})
+            bad = [(k, g[k], r[k]) for k in r if abs(g[k] - r[k]) > bounds[k]]
+            assert not bad, (col, n, bad)
+
+
 def main(names):
-    """Write the named data sets, `correctors` and/or `pumping` (both when
-    none is named)."""
+    """Write the named data sets, `correctors`, `pumping` and/or `direct`
+    (all when none is named)."""
     data_sets = {
         "correctors": (DATA, lambda: {f"{case}@{eps:g}": measure(build(case, eps))
                                       for case, eps in CASES}),
         "pumping": (PUMPING_DATA, lambda: {f"{eps:g}": measure_pumping(eps)
                                            for eps in PUMPING_EPSILONS}),
+        "direct": (DIRECT_DATA, lambda: {case: measure_direct(case) for case in DIRECT_CASES}),
     }
     for name in names or data_sets:
         path, make = data_sets[name]
