@@ -23,6 +23,7 @@ from .params import Params, _finite, check_integer
 from .spectral import SpectralField
 from .layers import BoundaryTrace, build_B, trace_residuals
 from .harness import (
+    DEFAULT_BETA,
     ExperimentSpec,
     compare,
     envelope_csv,
@@ -139,7 +140,7 @@ def params_from(cfg: dict) -> Params:
     return Params(
         epsilon=_finite("epsilon", cfg.get("epsilon", 1e-3)),
         nu=_finite("nu", cfg.get("nu", 1e-3)),
-        beta=_finite("beta", cfg.get("beta", 0.0)),
+        beta=_finite("beta", cfg.get("beta", DEFAULT_BETA)),
     )
 
 

@@ -60,15 +60,16 @@ balance amplifies any projection error.
 A shell's system is linear, so each column's trajectory is a combination
 of the shell's responses to a basis of its inputs: each column with a
 nonzero datum, and one unit stress e^{i mu t/eps} per (frequency mu, u_h
-component).  A shell steps one block, one zgbtrs call per step: the basis
-when it is smaller, (#datum columns) + 2 (#frequencies) < ncol, else the
-columns themselves.  On the basis X, column j is X @ coef[:, j], coef the
-(nb, ncol) matrix of datum indicators and frame-rotated stress amplitudes:
-exact linear algebra, with no rank decision.  A basis step's dissipation
-and work are nb x nb Grams of the basis midpoints, summed into one running
-Gram N; column j's Re(coef_j^H N coef_j) is linear in N, so the Grams, as
-the columns, are expanded with coef only at the saves.  An unforced or
-datum-driven shell steps its columns.
+component).  A shell steps one block X, one zgbtrs call per step, whose
+column j is X @ coef[:, j]: the basis when it is smaller,
+(#datum columns) + 2 (#frequencies) < ncol, with coef the (nb, ncol)
+matrix of datum indicators and frame-rotated stress amplitudes (exact
+linear algebra, with no rank decision); else the columns themselves, with
+coef the identity.  Every diagnostic of X is an nb x nb Gram form: its
+energy, the start's loss, and a step's dissipation and work of the
+midpoints, which the shell sums into one running Gram N.  Column j's
+Re(coef_j^H N coef_j) is linear in N, so the Grams, as the columns, are
+expanded with coef only at the saves.
 """
 
 from __future__ import annotations
@@ -219,9 +220,10 @@ class _ModeSystem:
     on the cell [z_i, z_{i+1}] (the top node has no cell), and [u1_i, u2_i]
     on the reduced column.  The saddle matrix is then banded with a width
     independent of Nz and is factorised once with LAPACK zgbtrf.  States
-    are (n, ncol) blocks, one column per horizontal mode stepped with this
-    system; every diagnostic returns one value per column, or given coef
-    the nb x nb Gram of the block, then a basis (see columns)."""
+    are (n, nb) blocks, the columns of the horizontal modes stepped with
+    this system or a basis of their inputs; every diagnostic returns the
+    block's nb x nb Gram form, which columns expands into the modes'
+    values."""
 
     def __init__(self, k_h, params: Params, z: np.ndarray, dt: float,
                  diffusion: bool = True):
@@ -402,34 +404,32 @@ class _ModeSystem:
         m, _ = self._lib.zgbtrs(self.lu, self.kl, self.ku_s, b, self.piv, overwrite_b=1)
         return m
 
-    def step(self, x: np.ndarray, g: np.ndarray | None, c: np.ndarray | None = None,
-             coef: np.ndarray | None = None) -> tuple:
+    def step(self, x: np.ndarray, g: np.ndarray | None, c: np.ndarray | None = None) -> tuple:
         """The CN step from x under the midpoint stress g (c as in
         midpoint): the new block, the step's dissipation and the stress's
-        work, as forms.  Given coef (nb, ncol), x is a basis and the forms
-        are its Grams, of the columns x @ coef."""
+        work, as forms."""
         m = self.midpoint(x, g, c)
-        diss, work = self.dissipation(m, coef), self.work(m, g, coef)
+        diss, work = self.dissipation(m), self.work(m, g)
         m *= 2.0  # u_{n+1} = 2 m_u - u_n, p_{n+1} = 2 m_p
         m -= self.is_velocity * x
         return m, diss, work
 
-    def start(self, x: np.ndarray, stress, coef: np.ndarray | None = None) -> tuple:
+    def start(self, x: np.ndarray, stress) -> tuple:
         """The first step from the datum x, stress(t) giving the stress
-        (2, ncol) at t, or None: the new block, the step's dissipation and
-        work, and the energy the start took out beyond them (the module's
-        start rule); coef as in step."""
+        (2, nb) at t, or None: the new block, and the step's dissipation,
+        work and the energy the start took out beyond them (the module's
+        start rule), as forms."""
         if not self.diffusion:  # then there is no stress and no dissipation
-            return (*self.step(x, None, self.residual(x), coef), 0.0)
+            return (*self.step(x, None, self.residual(x)), 0.0)
         # two implicit-Euler half steps; a half step's solution has the
         # velocity of m and the pressure 2 m_p
         diss = work = loss = 0.0
         for t in (0.5 * self.dt, self.dt):
             g = stress(t)
             m = self.midpoint(x, g)
-            diss = diss + 0.5 * self.dissipation(m, coef)
-            work = work + 0.5 * self.work(m, g, coef)
-            loss = loss + self.energy(m - x, coef)
+            diss = diss + 0.5 * self.dissipation(m)
+            work = work + 0.5 * self.work(m, g)
+            loss = loss + self.energy(m - x)
             x = m
         return (2.0 - self.is_velocity) * x, diss, work, loss
 
@@ -442,43 +442,44 @@ class _ModeSystem:
             c[3::4] = self.D @ x
         return self.row_scale * c
 
-    # The diagnostics reduce over axis 0 with np.vecdot, which conjugates its
-    # first argument: on a one-column block it costs what np.vdot does.  The
-    # dissipation is |R m|^2 on Q's square-root bands.  Given coef, a form
-    # is the basis's nb x nb Gram, which the shell sums over the steps and
-    # expands into the columns block @ coef only at the saves (columns).
+    # A form is the block's nb x nb Gram a^H b, which the shell sums over the
+    # steps and expands into the columns block @ coef only at the saves
+    # (columns).  The Gram reduces the rows with np.vecdot, which conjugates
+    # its first argument: up to nb = 4 it costs less than a.conj().T @ b,
+    # and reducing the last axis of the transposes (contiguous on the
+    # Fortran-ordered blocks) less than axis=0.  The dissipation is |R m|^2
+    # on Q's square-root bands.
 
     @staticmethod
-    def _form(a: np.ndarray, b: np.ndarray, coef: np.ndarray | None) -> np.ndarray:
-        """Re(a_j^H b_j) per column of a and b, or the Gram a^H b of a basis."""
-        if coef is None:
-            return np.vecdot(a, b, axis=0).real
-        return a.conj().T @ b
+    def _form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The Gram a^H b of the blocks a and b."""
+        return np.vecdot(a.T[:, None], b.T)
 
     @staticmethod
-    def columns(form, coef: np.ndarray | None, ncol: int) -> np.ndarray:
-        """The ncol columns' values of a form: 0.0, or a basis Gram expanded."""
-        if coef is not None and np.ndim(form):
-            form = np.vecdot(coef, form @ coef, axis=0).real
-        return np.broadcast_to(form, ncol)
+    def columns(form, coef: np.ndarray) -> np.ndarray:
+        """The values Re(coef_j^H form coef_j) of the columns block @ coef:
+        a Gram form expanded, or zeros for the form 0.0."""
+        if not np.ndim(form):
+            return np.zeros(coef.shape[1])
+        return np.vecdot(coef, form @ coef, axis=0).real
 
-    def energy(self, x: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
+    def energy(self, x: np.ndarray) -> np.ndarray:
         """Kinetic energy of the block x."""
-        return self._form(x, self.energy_weights * x, coef)
+        return self._form(x, self.energy_weights * x)
 
-    def dissipation(self, m: np.ndarray, coef: np.ndarray | None = None):
+    def dissipation(self, m: np.ndarray):
         """Viscous dissipation |R m|^2 = m^H Q m of the block m, 0.0 inviscid."""
         if not self.diffusion:
             return 0.0
         a, d = self.root * m, m[self.stride:] - m[:-self.stride]
         d *= self.root_up
-        return self._form(a, a, coef) + self._form(d, d, coef)
+        return self._form(a, a) + self._form(d, d)
 
-    def work(self, m: np.ndarray, g: np.ndarray | None, coef: np.ndarray | None = None):
+    def work(self, m: np.ndarray, g: np.ndarray | None):
         """Rate of work of the surface stress g on the block m, 0.0 under none."""
         if g is None:
             return 0.0
-        return (4.0 * math.pi ** 2 * self.params.nu) * self._form(m[self.stress_rows], g, coef)
+        return (4.0 * math.pi ** 2 * self.params.nu) * self._form(m[self.stress_rows], g)
 
     def divergence(self, x: np.ndarray) -> np.ndarray:
         """max |div u| over the cells, per column."""
@@ -605,11 +606,11 @@ def _solve_shell(kh2, cols, trajs, gamma, stress_table, params, z, dt, nsteps,
 
     # the basis: each column with a datum, then one unit stress per
     # (frequency, u_h component); column j is then X @ coef[:, j].  Stepped
-    # only when it is smaller than the shell
+    # only when it is smaller than the shell, else the columns are the basis
     datum = np.flatnonzero(np.any(u0.reshape(ncol, -1), axis=1))
     nd = len(datum)
     nb = nd + 2 * len(mus)
-    coef = None
+    coef = np.eye(ncol)
     if nb < ncol:
         coef = np.zeros((nb, ncol), dtype=complex)
         coef[np.arange(nd), datum] = 1.0
@@ -627,23 +628,20 @@ def _solve_shell(kh2, cols, trajs, gamma, stress_table, params, z, dt, nsteps,
             return None
         return (np.exp(1j * mus * t / params.epsilon) @ amps).reshape(2, width)
 
-    def expand(x):
-        """The shell's columns of the stepped block x."""
-        return x if coef is None else x @ coef
-
     def record(t, x, energy, energy_before, diss, work, lost):
-        """Save the block x at time t; energy_before is the energy one step
-        earlier, diss and work are the step's forms, lost the energy its
-        start took out beyond them (zero but on the first step)."""
+        """Save the block x at time t, with the forms of its energy and of
+        the energy one step earlier, of the step's dissipation and work and
+        of the energy its start took out beyond them (0.0 but on the first
+        step)."""
+        x = x @ coef
         u = (sys_.velocity(x).view(float) @ to_physical).view(complex)
         p = sys_.pressure(x)
         # the scale is the physical velocity's: |u_h| components are not
         # invariant under the rotation
         scales = np.abs(u.reshape(ncol, -1)).max(axis=1)
         columns = zip(trajs, u, p, sys_.divergence(x).tolist(), scales.tolist(),
-                      *(a.tolist() for a in (energy, energy_before, E0)),
-                      *(sys_.columns(f, coef, ncol).tolist()
-                        for f in (diss, work, lost, net, loss)))
+                      *(sys_.columns(f, coef).tolist()
+                        for f in (energy, energy_before, E0, diss, work, lost, net, loss)))
         for traj, u_j, p_j, div, scale, e, e_before, e0, d, w, lo, nt, ls in columns:
             traj.times.append(t)
             traj.snapshots.append((u_j, p_j))
@@ -660,20 +658,18 @@ def _solve_shell(kh2, cols, trajs, gamma, stress_table, params, z, dt, nsteps,
                 "cumulative_energy_residual": e - e0 + ls + dt * nt,
             })
 
-    x0 = expand(x)
-    E0 = sys_.energy(x0)
+    E0 = sys_.energy(x)
     net = loss = 0.0  # the forms of dissipation minus work summed, of the start's loss
-    record(0.0, x0, E0, E0, 0.0, 0.0, 0.0)
+    record(0.0, x, E0, E0, 0.0, 0.0, 0.0)
     for nstep in range(1, nsteps + 1):
         if nstep == 1:
-            x_new, diss, work, loss = sys_.start(x, stress, coef)
+            x_new, diss, work, loss = sys_.start(x, stress)
         else:
-            x_new, diss, work = sys_.step(x, stress((nstep - 0.5) * dt), coef=coef)
+            x_new, diss, work = sys_.step(x, stress((nstep - 0.5) * dt))
         net += diss - work
         # the columns, their energy and forms are needed only at the saves
         if nstep % save_every == 0 or nstep == nsteps:
-            saved = expand(x_new)
-            record(nstep * dt, saved, sys_.energy(saved), sys_.energy(expand(x)), diss, work,
+            record(nstep * dt, x_new, sys_.energy(x_new), sys_.energy(x), diss, work,
                    loss if nstep == 1 else 0.0)
         x = x_new
 
@@ -737,8 +733,7 @@ def snapshot_csv(traj: ModeTrajectory, path):
         f.write("t,z,re_u1,im_u1,re_u2,im_u2,re_u3,im_u3,re_p,im_p\n")
         zc = 0.5 * (traj.z[:-1] + traj.z[1:])
         for t, (u, p) in zip(traj.times, traj.snapshots):
-            pn = np.interp(traj.z, zc, p.real) + 1j * np.interp(traj.z, zc, p.imag) \
-                if len(p) else np.zeros_like(traj.z, dtype=complex)
+            pn = np.interp(traj.z, zc, p.real) + 1j * np.interp(traj.z, zc, p.imag)
             for i, zz in enumerate(traj.z):
                 f.write(f"{t:.12g},{zz:.12g},"
                         f"{u[i, 0].real:.12g},{u[i, 0].imag:.12g},"

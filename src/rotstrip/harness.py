@@ -81,6 +81,9 @@ def regress_loglog(points) -> RegressionResult:
 # experiment specification
 # ---------------------------------------------------------------------------
 
+#: the stress amplitude of a sweep grid or a CLI config that states no beta
+DEFAULT_BETA = 1.0
+
 
 @dataclass
 class ExperimentSpec:
@@ -114,7 +117,7 @@ class ExperimentSpec:
         self.nu = list(self.epsilon) if self.nu is None else self.nu
         if len(self.nu) != len(self.epsilon):
             raise ValueError("nu grid must match epsilon grid")
-        self.beta = [1.0] * len(self.epsilon) if self.beta is None else self.beta
+        self.beta = [DEFAULT_BETA] * len(self.epsilon) if self.beta is None else self.beta
         if len(self.beta) == 1 and len(self.epsilon) > 1:
             self.beta = self.beta * len(self.epsilon)
         if len(self.beta) != len(self.epsilon):

@@ -512,8 +512,8 @@ class TestStepDiagnostics:
 class TestDiagnosticForms:
     """The dissipation |R m|^2, from the square-root bands of Q, and the
     stress's work against the nodal formulas, on random blocks (pressures
-    included) of one column, several columns and a basis read through
-    coef."""
+    included) of one column and several columns, read through the identity
+    coef, and of a basis read through its coef."""
 
     @staticmethod
     def _grid(Nz, uniform):
@@ -536,22 +536,19 @@ class TestDiagnosticForms:
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
         scale = 4.0 * math.pi ** 2 * p.nu  # the work's factor
-        for ncol, nb in ((1, None), (3, None), (5, 2)):
-            m, coef = np.asfortranarray(block(sys_.n, nb or ncol)), None
-            g = block(2, nb or ncol)
-            cols, g_cols = m, g
-            if nb:
-                coef = block(nb, ncol)
-                cols, g_cols = m @ coef, g @ coef
-            diss = sys_.columns(sys_.dissipation(m, coef), coef, ncol)
-            work = sys_.columns(sys_.work(m, g, coef), coef, ncol)
+        for ncol, nb in ((1, 1), (3, 3), (5, 2)):
+            m, g = np.asfortranarray(block(sys_.n, nb)), block(2, nb)
+            coef = block(nb, ncol) if nb < ncol else np.eye(ncol)
+            cols, g_cols = m @ coef, g @ coef
+            diss = sys_.columns(sys_.dissipation(m), coef)
+            work = sys_.columns(sys_.work(m, g), coef)
             for j, u in enumerate(sys_.velocity(cols)):
                 assert diss[j] == pytest.approx(_nodal_dissipation(u, z, kh2, p.nu), rel=1e-12)
                 terms = scale * np.abs(u[-1, :2]) @ np.abs(g_cols[:, j])
                 assert abs(work[j] - _nodal_work(u, g_cols[:, j], p.nu)) <= 1e-12 * terms
-            assert sys_.work(m, None, coef) == 0.0
+            assert sys_.work(m, None) == 0.0
             inviscid = _ModeSystem((math.sqrt(kh2), 0.0), p, z, eps / 10, diffusion=False)
-            assert not np.any(inviscid.columns(inviscid.dissipation(m, coef), coef, ncol))
+            assert not np.any(inviscid.columns(inviscid.dissipation(m), coef))
 
 
 def test_cn_is_second_order_in_time_on_forced_columns():
@@ -638,7 +635,8 @@ class TestStartRule:
         def stress(t):
             return (p.beta * v * np.exp(1j * t / p.epsilon))[:, None]
 
-        x1, diss, work, loss = sys_.start(x0, stress)
+        x1, *forms = sys_.start(x0, stress)
+        diss, work, loss = (f[0, 0].real for f in forms)  # the one column's (1, 1) Grams
         m_a = sys_.midpoint(x0, stress(0.5 * dt))
         m_b = sys_.midpoint(m_a, stress(dt))
         u0, u_a, u_b = (sys_.velocity(x)[0] for x in (x0, m_a, m_b))
@@ -658,15 +656,15 @@ class TestStartRule:
         w = node_weights(z)
         nu = p.nu
         kh2 = k_h[0] ** 2 + k_h[1] ** 2
-        assert diss[0] == pytest.approx(0.5 * (_nodal_dissipation(u_a, z, kh2, nu)
-                                               + _nodal_dissipation(u_b, z, kh2, nu)), rel=1e-10)
-        assert work[0] == pytest.approx(0.5 * (_nodal_work(u_a, stress(0.5 * dt)[:, 0], nu)
-                                               + _nodal_work(u_b, stress(dt)[:, 0], nu)), rel=1e-10)
+        assert diss == pytest.approx(0.5 * (_nodal_dissipation(u_a, z, kh2, nu)
+                                            + _nodal_dissipation(u_b, z, kh2, nu)), rel=1e-10)
+        assert work == pytest.approx(0.5 * (_nodal_work(u_a, stress(0.5 * dt)[:, 0], nu)
+                                            + _nodal_work(u_b, stress(dt)[:, 0], nu)), rel=1e-10)
         # the loss: the half steps' numerical damping and the datum's
         # dropped wall values
-        assert loss[0] == pytest.approx(_nodal_energy(u_a - u0, w) + _nodal_energy(u_b - u_a, w),
-                                        rel=1e-12)
-        assert loss[0] > 2.0 * math.pi ** 2 * w[0] * np.sum(np.abs(u0[0, :2]) ** 2) > 0.0
+        assert loss == pytest.approx(_nodal_energy(u_a - u0, w) + _nodal_energy(u_b - u_a, w),
+                                     rel=1e-12)
+        assert loss > 2.0 * math.pi ** 2 * w[0] * np.sum(np.abs(u0[0, :2]) ** 2) > 0.0
 
     def test_cn_start_without_diffusion(self):
         p = Params(1e-2, 1e-2)
@@ -835,27 +833,33 @@ class TestShellBatching:
                     return None
                 return _stress_at(stress[k_h], p, t)[:, None]
 
-            e0 = e_before = ref.energy(x)[0]
-            net, loss = 0.0, [0.0]
+            def value(form):
+                """The one column's value of a form: its (1, 1) Gram, or 0.0."""
+                return form[0, 0].real if np.ndim(form) else form
+
+            e0 = e_before = value(ref.energy(x))
+            net = loss = 0.0
             for n, (u, pr) in enumerate(traj.snapshots):
                 row = traj.diagnostics[n]
                 if n == 1:
-                    x, diss, work, loss = ref.start(x, g)
-                    assert row["start_energy_loss"] == pytest.approx(loss[0], rel=1e-12)
+                    x, *forms = ref.start(x, g)
+                    diss, work, loss = map(value, forms)
+                    assert row["start_energy_loss"] == pytest.approx(loss, rel=1e-12)
                 elif n > 1:
-                    x, diss, work = ref.step(x, g((n - 0.5) * dt))
+                    x, *forms = ref.step(x, g((n - 0.5) * dt))
+                    diss, work = map(value, forms)
                 if n > 0:
-                    assert row["dissipation"] == pytest.approx(diss[0], rel=1e-12), (k_h, n)
+                    assert row["dissipation"] == pytest.approx(diss, rel=1e-12), (k_h, n)
                     # the ledger from the reference's own running sums; its
                     # energies agree to 1e-12, so the residuals to 1e-12 of
                     # the energy over dt and of the energy
-                    e, d_w = ref.energy(x)[0], diss[0] - (work[0] if k_h in stress else 0.0)
+                    e, d_w = value(ref.energy(x)), diss - work
                     net += d_w
-                    lost = loss[0] if n == 1 else 0.0
+                    lost = loss if n == 1 else 0.0
                     assert row["energy_balance_residual"] == pytest.approx(
                         (e - e_before + lost) / dt + d_w, rel=0.0, abs=1e-12 * e / dt), (k_h, n)
                     assert row["cumulative_energy_residual"] == pytest.approx(
-                        e - e0 + loss[0] + dt * net, rel=0.0, abs=1e-12 * max(e, e0)), (k_h, n)
+                        e - e0 + loss + dt * net, rel=0.0, abs=1e-12 * max(e, e0)), (k_h, n)
                     e_before = e
                 if n == 0 and k_h not in gamma.horizontal_modes():  # zero initial data
                     assert not np.any(u) and not np.any(pr)
@@ -864,7 +868,7 @@ class TestShellBatching:
                 assert _sup_rel(u, u_ref) < 1e-12, (k_h, n)
                 if n > 0:
                     assert _sup_rel(pr, ref.pressure(x)[0]) < 1e-12, (k_h, n)
-                assert row["energy"] == pytest.approx(ref.energy(x)[0], rel=1e-12)
+                assert row["energy"] == pytest.approx(value(ref.energy(x)), rel=1e-12)
 
     def test_columns_match_physical_frame_systems(self, monkeypatch):
         # one shell (|k_h|^2 = 5): stress at two frequencies on one column,

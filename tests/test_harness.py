@@ -496,6 +496,20 @@ class TestCLI:
         assert (out / "mode_1_0_snapshots.csv").exists()
         assert (out / "mode_1_0_diagnostics.csv").exists()
 
+    def test_direct_command_defaults_beta_to_the_sweeps(self, tmp_path):
+        # a config with a stress and no beta drives the flow with beta = 1,
+        # as a sweep does; at beta = 0 every value written was 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 1e-2, "nu": 1e-2,
+                                   "sigma": {"0.5,1,0": [1.0, 0.0]},
+                                   "t_end": 0.01, "Nz": 64, "save_every": 5}))
+        out = tmp_path / "out"
+        assert main(["direct", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "mode_1_0_snapshots.csv").read_text().splitlines()[1:]
+        assert max(abs(float(v)) for row in rows for v in row.split(",")[2:]) > 0.0
+        head, *lines = (out / "mode_1_0_diagnostics.csv").read_text().splitlines()
+        assert float(lines[-1].split(",")[head.split(",").index("energy")]) > 0.0
+
     def test_direct_command_passes_save_every_unconverted(self, tmp_path, capsys):
         # int() would turn 2.5 into 2 and true into 1, and the run would save
         # at an interval the config does not state
@@ -768,6 +782,17 @@ class TestCLI:
         out = tmp_path / "out"
         assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "error_curve.csv").exists()
+
+    def test_compare_wind_defaults_beta_to_the_sweeps(self, tmp_path):
+        # at beta = 0 the check passed on a zero error with every part norm 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"case": "wind", "epsilon": 1e-2, "nu": 1e-2,
+                                   "t_end": 0.02, "Nz": 64, "nt": 3}))
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "compare_summary.json").read_text())
+        assert summary["sup_error"] > 0.0
+        assert min(summary["part_norms"]["surface_layer"]) > 0.0
 
     @pytest.mark.filterwarnings("ignore::rotstrip.layers.AmbiguousSelectionWarning")
     def test_sweep_command_exit_codes(self, tmp_path):
