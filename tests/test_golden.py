@@ -34,7 +34,13 @@ stresses), and a datum on the four columns of |k_h|^2 = 1 (a block of four
 columns).  Per column: every diagnostics key of every save, and u and p at
 7 nodes and 7 cells on 4 saves.  It was written from the code as it stood
 before a shell's stepped block became always a basis (its columns being
-the identity basis).
+the identity basis).  A fourth input, the eight columns of |k_h|^2 = 5
+with a datum on two of them (one k3 each, complex amplitudes), a stress
+at mu = 0 and 0.5 on four others (a distinct complex vector per entry) and
+a zero datum on the last two, steps a basis of six with a complex coef and turns data and stresses by
+angles that are not multiples of 90 degrees; it was added from the code
+as it stood before the shell's frame turn, stress phases and save
+expansion became plain arrays, the three cases above unchanged.
 
 Regenerate a data set only from code whose answers are known good:
     PYTHONPATH=src python tests/test_golden.py [correctors] [pumping] [direct]
@@ -243,7 +249,8 @@ def test_pumping_matches_frozen_values(golden_pumping, eps):
 
 
 DIRECT_DATA = os.path.join(os.path.dirname(__file__), "data", "golden_direct.json")
-DIRECT_CASES = ("datum_column", "wind_shells_kh2_le_2", "datum_four_columns")
+DIRECT_CASES = ("datum_column", "wind_shells_kh2_le_2", "datum_four_columns",
+                "datum_and_stress_kh2_5")
 DIRECT_NZ, DIRECT_STEPS, DIRECT_SAVE_EVERY = 64, 50, 10
 #: the node (and cell) indices and the save indices of the frozen snapshots
 DIRECT_NODES = (0, 1, 4, 16, 32, 62, 63)
@@ -261,6 +268,14 @@ def solve_direct_case(case):
     elif case == "wind_shells_kh2_le_2":
         sigma = BoundaryTrace(1, {(mu, k): v for (mu, k), v in shell_stress().items()
                                   if k[0] ** 2 + k[1] ** 2 <= 2})
+    elif case == "datum_and_stress_kh2_5":
+        rng = np.random.default_rng(5)
+        # the zero coefficients put the last two columns of the shell in the solve
+        gamma = SpectralField({(1, 2, 1): 0.9 - 0.4j, (-2, 1, -2): 0.3 + 0.6j,
+                               (-1, 2, 1): 0.0, (-2, -1, 1): 0.0})
+        sigma = BoundaryTrace(1, {(mu, k): rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                                  for k in ((2, 1), (2, -1), (-1, -2), (1, -2))
+                                  for mu in (0.0, 0.5)})
     else:
         rng = np.random.default_rng(4)
         gamma = SpectralField({(*k, m): complex(rng.standard_normal(), rng.standard_normal())
