@@ -36,6 +36,7 @@ from .envelope import pumping
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
 _GAUSS_Z = 0.5 * (_GAUSS_X + 1.0), 0.5 * _GAUSS_W  # nodes and weights on [0, 1]
+_NORM_GAUSS_X, _NORM_GAUSS_W = np.polynomial.legendre.leggauss(10)  # _norm_rule's panel rule
 
 
 def _powers(z, ndeg: int) -> np.ndarray:
@@ -575,7 +576,7 @@ def _norm_rule(params: Params):
     panels from d to 1/4 and 4 uniform ones to 1/2; [1/2, 1] mirrors it.
     360 nodes, within 4.8e-6 relative of a converged rule on the benchmark's
     asymptotic_grid inputs at eps 1e-2 to 1e-5, nu/eps 0.1 to 10, t <= 1."""
-    x, w = np.polynomial.legendre.leggauss(10)
+    x, w = _NORM_GAUSS_X, _NORM_GAUSS_W
     edges = np.concatenate([[0.0], np.geomspace(params.layer_scale / 100, 0.25, 14),
                             np.linspace(0.25, 0.5, 5)[1:]])
     half = 0.5 * np.diff(edges)[:, None]

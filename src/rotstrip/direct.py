@@ -45,14 +45,15 @@ zgbtrf/zgbtrs) of the monolithic saddle system.  Coriolis, the Laplacian
 and the divergence commute with horizontal rotations, so with u_h written
 in the frame (k_h/|k_h|, k_h^perp/|k_h|) a column's system depends on k_h
 only through |k_h|: the columns of a shell share the system assembled at
-k_h = (|k_h|, 0).  The unknowns are interleaved node by node,
-[u1_i, u2_i, u3_i, p_i] with p_i on the cell [z_i, z_{i+1}]: every stencil
-(second differences, the two-node divergence of a cell, the adjoint
-gradient) then couples unknowns at most one node apart, so the band has
-the same width (kl = ku = 4; 2 and 2 on the reduced k_h = 0 column) at
-every Nz.  zgbtrs gets only the rows of zgbtrf's band factor that the
-pivoting fill reaches (7 of the 8 superdiagonals on most shells), and
-every solve equals the one on the full factor.  With the pressure block
+k_h = (|k_h|, 0), and _turn takes the data and stresses into each column's
+frame and the saved velocities back.  The unknowns are interleaved node by
+node, [u1_i, u2_i, u3_i, p_i] with p_i on the cell [z_i, z_{i+1}]: every
+stencil (second differences, the two-node divergence of a cell, the
+adjoint gradient) then couples unknowns at most one node apart, so the
+band has the same width (kl = ku = 4; 2 and 2 on the reduced k_h = 0
+column) at every Nz.  zgbtrs gets only the rows of zgbtrf's band factor
+that the pivoting fill reaches (7 of the 8 superdiagonals on most shells),
+and every solve equals the one on the full factor.  With the pressure block
 after the velocities, the divergence rows would reach O(Nz) columns back.
 Splitting the pressure would be fatal here: the 1/eps Coriolis-pressure
 balance amplifies any projection error.
@@ -69,12 +70,15 @@ coef the identity.  Every diagnostic of X is an nb x nb Gram form: its
 energy, the start's loss, and a step's dissipation and work of the
 midpoints, which the shell sums into one running Gram N.  Column j's
 Re(coef_j^H N coef_j) is linear in N, so the Grams, as the columns, are
-expanded with coef only at the saves.
+expanded with coef only at the saves, all of a save's in one product.  The
+block's stress at a step is its row of one table of phases e^{i mu t/eps}
+(at the start's dt/2 and dt, then at each midpoint) times its amplitudes.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
@@ -414,18 +418,17 @@ class _ModeSystem:
         m -= self.is_velocity * x
         return m, diss, work
 
-    def start(self, x: np.ndarray, stress) -> tuple:
-        """The first step from the datum x, stress(t) giving the stress
-        (2, nb) at t, or None: the new block, and the step's dissipation,
+    def start(self, x: np.ndarray, g_half, g_end) -> tuple:
+        """The first step from the datum x under the stresses (2, nb) at
+        dt/2 and at dt, or None: the new block, and the step's dissipation,
         work and the energy the start took out beyond them (the module's
         start rule), as forms."""
         if not self.diffusion:  # then there is no stress and no dissipation
             return (*self.step(x, None, self.residual(x)), 0.0)
-        # two implicit-Euler half steps; a half step's solution has the
-        # velocity of m and the pressure 2 m_p
+        # two implicit-Euler half steps, each with the stress at its end; a
+        # half step's solution has the velocity of m and the pressure 2 m_p
         diss = work = loss = 0.0
-        for t in (0.5 * self.dt, self.dt):
-            g = stress(t)
+        for g in (g_half, g_end):
             m = self.midpoint(x, g)
             diss = diss + 0.5 * self.dissipation(m)
             work = work + 0.5 * self.work(m, g)
@@ -456,12 +459,10 @@ class _ModeSystem:
         return np.vecdot(a.T[:, None], b.T)
 
     @staticmethod
-    def columns(form, coef: np.ndarray) -> np.ndarray:
-        """The values Re(coef_j^H form coef_j) of the columns block @ coef:
-        a Gram form expanded, or zeros for the form 0.0."""
-        if not np.ndim(form):
-            return np.zeros(coef.shape[1])
-        return np.vecdot(coef, form @ coef, axis=0).real
+    def columns(forms: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """The values Re(coef_j^H form coef_j) of the columns block @ coef,
+        for each Gram form of the stack forms (..., nb, nb): (..., ncol)."""
+        return np.vecdot(coef, forms @ coef, axis=-2).real
 
     def energy(self, x: np.ndarray) -> np.ndarray:
         """Kinetic energy of the block x."""
@@ -569,40 +570,36 @@ def solve_direct(gamma: SpectralField, sigma, params: Params, t_end: float,
     return out
 
 
+def _turn(u: np.ndarray, c, s) -> np.ndarray:
+    """u (..., >= 2) with its first two components turned by the angle of
+    cosine c and sine s, broadcast against u[..., 0]: from a column's frame
+    to physical coordinates at c = k1/|k_h|, s = k2/|k_h| (1, 0 at k_h = 0)."""
+    out = u.copy()
+    out[..., 0] = c * u[..., 0] - s * u[..., 1]
+    out[..., 1] = s * u[..., 0] + c * u[..., 1]
+    return out
+
+
 def _solve_shell(kh2, cols, trajs, gamma, stress_table, params, z, dt, nsteps,
                  save_every, diffusion):
     """Step one |k_h|^2 shell in the frame (k_h/|k_h|, k_h^perp/|k_h|), in
     which its columns share one system: as the block of its columns, or of
-    a basis of its inputs when that is smaller (the module's shell rule)."""
+    a basis of its inputs when that is smaller (the module's shell rule);
+    _turn takes data and stresses to the frame and the saves back."""
     r = math.sqrt(kh2)
     sys_ = _ModeSystem((r, 0.0), params, z, dt, diffusion=diffusion)
     ncol = len(cols)
-    # R[j] takes column j's frame coordinates to its physical ones
-    R = np.zeros((ncol, 3, 3))
-    R[:, 2, 2] = 1.0
-    R[:, :2, :2] = (np.array([[[k[0], -k[1]], [k[1], k[0]]] for k in cols]) / r if r
-                    else np.eye(2))
-
-    def on_floats(A):
-        """A (ncol, 3, 3) acting alike on the real and imaginary parts: for
-        a stack u (ncol, Nz+1, 3), u @ A is (u.view(float) @ on_floats(A))
-        .view(complex), a real product; a complex matmul with so small a
-        factor costs several times more."""
-        M = np.zeros((ncol, 3, 2, 3, 2))
-        M[:, :, 0, :, 0] = M[:, :, 1, :, 1] = A
-        return M.reshape(ncol, 6, 6)
-
-    # a stack turns row by row: u @ R to the frame, u @ R^T back
-    to_frame, to_physical = on_floats(R), on_floats(R.transpose(0, 2, 1))
-    u0 = np.ascontiguousarray([gamma.profile(k, z).T for k in cols], dtype=complex)
-    x = sys_.state((u0.view(float) @ to_frame).view(complex))
+    # the cosine and sine (ncol, 1) of each column's angle, to broadcast over its nodes
+    c, s = (np.array(cols, dtype=float).T / r if r else np.eye(2, 1))[:, :, None]
+    u0 = np.array([gamma.profile(k, z).T for k in cols], dtype=complex)
+    x = sys_.state(_turn(u0, c, -s))
 
     # the stress in the frame, per frequency: amps[f, :, j] is column j's at mus[f]
     entries = [(mu, j, v) for j, k in enumerate(cols) for mu, v in stress_table.get(k, [])]
     mus = np.array(sorted({mu for mu, _, _ in entries}))
     amps = np.zeros((len(mus), 2, ncol), dtype=complex)
     for mu, j, v in entries:
-        amps[np.searchsorted(mus, mu), :, j] += params.beta * (R[j, :2, :2].T @ v)
+        amps[np.searchsorted(mus, mu), :, j] += params.beta * _turn(v, c[j, 0], -s[j, 0])
 
     # the basis: each column with a datum, then one unit stress per
     # (frequency, u_h component); column j is then X @ coef[:, j].  Stepped
@@ -618,31 +615,33 @@ def _solve_shell(kh2, cols, trajs, gamma, stress_table, params, z, dt, nsteps,
         basis = np.zeros((sys_.n, nb), dtype=complex, order="F")
         basis[:, :nd] = x[:, datum]
         x = basis
-        amps = np.eye(2 * len(mus), nb, nd).reshape(len(mus), 2, nb)
+        amps = np.eye(2 * len(mus), nb, nd)  # the unit stresses
     width = x.shape[1]  # the columns stepped
-    amps = amps.reshape(len(mus), 2 * width) if entries else None
 
-    def stress(t):
-        """The stress (2, width) of the stepped columns at time t, or None."""
-        if amps is None:
-            return None
-        return (np.exp(1j * mus * t / params.epsilon) @ amps).reshape(2, width)
+    # the stresses (2, width) in step order, the start's half steps at dt/2
+    # and dt, then each midpoint (n - 1/2) dt: a row of phases times amps
+    t = np.r_[0.5, 1.0, np.arange(2, nsteps + 1) - 0.5] * dt
+    phases = np.exp(1j * mus * t[:, None] / params.epsilon)
+    amps = amps.reshape(len(mus), 2 * width)
+    g = ((row @ amps).reshape(2, width) for row in phases) if entries else itertools.repeat(None)
 
-    def record(t, x, energy, energy_before, diss, work, lost):
+    def record(t, x, *forms):
         """Save the block x at time t, with the forms of its energy and of
         the energy one step earlier, of the step's dissipation and work and
         of the energy its start took out beyond them (0.0 but on the first
         step)."""
         x = x @ coef
-        u = (sys_.velocity(x).view(float) @ to_physical).view(complex)
+        u = _turn(sys_.velocity(x), c, s)
         p = sys_.pressure(x)
         # the scale is the physical velocity's: |u_h| components are not
         # invariant under the rotation
         scales = np.abs(u.reshape(ncol, -1)).max(axis=1)
+        stack = np.empty((8, *E0.shape), dtype=complex)  # a 0.0 form fills a zero Gram
+        for i, f in enumerate((*forms, E0, net, loss)):
+            stack[i] = f
         columns = zip(trajs, u, p, sys_.divergence(x).tolist(), scales.tolist(),
-                      *(sys_.columns(f, coef).tolist()
-                        for f in (energy, energy_before, E0, diss, work, lost, net, loss)))
-        for traj, u_j, p_j, div, scale, e, e_before, e0, d, w, lo, nt, ls in columns:
+                      sys_.columns(stack, coef).T.tolist())
+        for traj, u_j, p_j, div, scale, (e, e_before, d, w, lo, e0, nt, ls) in columns:
             traj.times.append(t)
             traj.snapshots.append((u_j, p_j))
             # the cumulative residual, the sum over the steps of
@@ -663,9 +662,9 @@ def _solve_shell(kh2, cols, trajs, gamma, stress_table, params, z, dt, nsteps,
     record(0.0, x, E0, E0, 0.0, 0.0, 0.0)
     for nstep in range(1, nsteps + 1):
         if nstep == 1:
-            x_new, diss, work, loss = sys_.start(x, stress)
+            x_new, diss, work, loss = sys_.start(x, next(g), next(g))
         else:
-            x_new, diss, work = sys_.step(x, stress((nstep - 0.5) * dt))
+            x_new, diss, work = sys_.step(x, next(g))
         net += diss - work
         # the columns, their energy and forms are needed only at the saves
         if nstep % save_every == 0 or nstep == nsteps:

@@ -81,16 +81,12 @@ def regress_loglog(points) -> RegressionResult:
 # experiment specification
 # ---------------------------------------------------------------------------
 
-#: the stress amplitude of a sweep grid or a CLI config that states no beta
-DEFAULT_BETA = 1.0
-
-
 @dataclass
 class ExperimentSpec:
     kind: str
     epsilon: list
     nu: list | None = None  # None: nu = epsilon pointwise
-    beta: list | None = None
+    beta: list | None = None  # None: Params.beta pointwise
     mode: tuple = (1, 0, 1)
     k_h: tuple = (1, 0)
     mu: float = 0.0
@@ -117,7 +113,7 @@ class ExperimentSpec:
         self.nu = list(self.epsilon) if self.nu is None else self.nu
         if len(self.nu) != len(self.epsilon):
             raise ValueError("nu grid must match epsilon grid")
-        self.beta = [DEFAULT_BETA] * len(self.epsilon) if self.beta is None else self.beta
+        self.beta = [Params.beta] * len(self.epsilon) if self.beta is None else self.beta
         if len(self.beta) == 1 and len(self.epsilon) > 1:
             self.beta = self.beta * len(self.epsilon)
         if len(self.beta) != len(self.epsilon):

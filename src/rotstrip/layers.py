@@ -422,7 +422,10 @@ class LayerTable:
         start = (count.cumsum() - count)[held]
         lo, hi = _height_windows(q, side, z)
         lo, hi = np.minimum.reduceat(lo, start), np.maximum.reduceat(hi, start)
-        rate, first = _distinct_rates(q, side)
+        # the distinct (wall, q), matched by the exact bits of q (each row
+        # one 24-byte key): row m has rate[m], first[u] is the first of rate u
+        key = np.column_stack([side, q.view(np.int64).reshape(-1, 2)]).view("V24").ravel()
+        _, first, rate = np.unique(key, return_index=True, return_inverse=True)
         lo_u, hi_u = np.full(len(first), z.size), np.zeros(len(first), dtype=int)
         np.minimum.at(lo_u, rate, np.repeat(lo, count[held]))
         np.maximum.at(hi_u, rate, np.repeat(hi, count[held]))
@@ -463,20 +466,6 @@ class LayerTable:
 #: exp(-q zeta) is dropped where Re(q) zeta > LAYER_CUT: below e^-40 ~ 4e-18
 #: of the rate's amplitude
 LAYER_CUT = 40.0
-
-
-def _distinct_rates(q, side):
-    """The distinct (side, q) among n rates, matched by the exact bits of
-    their values: (ids, first), ids (n,) a list numbering them in order of
-    first appearance and first[u] the index of the first rate of id u."""
-    bits = q.view(np.int64).reshape(-1, 2).tolist()
-    seen, first, ids = {}, [], []
-    for m, key in enumerate(zip(side.tolist(), *zip(*bits))):
-        u = seen.setdefault(key, len(seen))
-        if u == len(first):
-            first.append(m)
-        ids.append(u)
-    return ids, first
 
 
 def _height_windows(q, side, z):

@@ -51,12 +51,13 @@ class Params:
 
     epsilon : Rossby number, in (0, 1].
     nu      : vertical viscosity, in (0, 1].
-    beta    : surface stress amplitude, finite and >= 0.
+    beta    : surface stress amplitude, finite and >= 0; 1 unless given, the
+              default of the CLI and of a sweep grid too.
     """
 
     epsilon: float
     nu: float
-    beta: float = 0.0
+    beta: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.epsilon <= 1.0):

@@ -406,6 +406,15 @@ class TestScalingCheck:
 
 
 class TestWindAssembly:
+    def test_stress_drives_the_approximation_at_the_default_beta(self):
+        # Params' beta defaults to 1, as the CLI's and a sweep's do; at 0
+        # a stress given without beta assembled a zero approximation
+        sigma = BoundaryTrace(1, {(0.5, (1, 0)): np.array([1.0, 0.5j])})
+        sol = assemble_wind_approx(sigma, Params(1e-2, 1e-2))
+        assert sol.total_norm(0.1) > 0.0
+        assert sol.total_norm(0.1) == assemble_wind_approx(
+            sigma, Params(1e-2, 1e-2, beta=1.0)).total_norm(0.1)
+
     def test_zero_stress(self):
         p = Params(1e-3, 1e-3, beta=1.0)
         sol = assemble_wind_approx(BoundaryTrace(1, {}), p)

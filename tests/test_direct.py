@@ -183,6 +183,16 @@ class TestNorms:
 
 
 class TestSolveDirect:
+    def test_stress_drives_the_flow_at_the_default_beta(self):
+        # Params' beta defaults to 1, as the CLI's and a sweep's do; at 0
+        # a stress given without beta solved the unforced problem, all zeros
+        p = Params(1e-2, 1e-2)
+        sigma = BoundaryTrace(1, {(0.5, (1, 0)): np.array([1.0, 0.5j])})
+        traj = solve_direct(SpectralField({}), sigma, p, t_end=p.epsilon, Nz=64,
+                            save_every=5)[(1, 0)]
+        assert max(np.abs(u).max() for u, _ in traj.snapshots) > 0.0
+        assert traj.diagnostics[-1]["energy"] > 0.0
+
     def test_zero_data_zero_trajectory(self):
         p = Params(1e-2, 1e-2)
         out = solve_direct(SpectralField({(1, 0, 1): 0.0}), None, p,
@@ -548,7 +558,7 @@ class TestDiagnosticForms:
                 assert abs(work[j] - _nodal_work(u, g_cols[:, j], p.nu)) <= 1e-12 * terms
             assert sys_.work(m, None) == 0.0
             inviscid = _ModeSystem((math.sqrt(kh2), 0.0), p, z, eps / 10, diffusion=False)
-            assert not np.any(inviscid.columns(inviscid.dissipation(m), coef))
+            assert inviscid.dissipation(m) == 0.0
 
 
 def test_cn_is_second_order_in_time_on_forced_columns():
@@ -635,7 +645,7 @@ class TestStartRule:
         def stress(t):
             return (p.beta * v * np.exp(1j * t / p.epsilon))[:, None]
 
-        x1, *forms = sys_.start(x0, stress)
+        x1, *forms = sys_.start(x0, stress(0.5 * dt), stress(dt))
         diss, work, loss = (f[0, 0].real for f in forms)  # the one column's (1, 1) Grams
         m_a = sys_.midpoint(x0, stress(0.5 * dt))
         m_b = sys_.midpoint(m_a, stress(dt))
@@ -671,7 +681,7 @@ class TestStartRule:
         dt = p.epsilon / 50
         sys_, z, x0 = self._system((1, 0), p, dt, {(1, 0, 1): 1.0, (1, 0, -2): 0.5j},
                                    diffusion=False)
-        x1, diss, work, loss = sys_.start(x0, lambda t: None)
+        x1, diss, work, loss = sys_.start(x0, None, None)
         assert not np.any(diss) and not np.any(work) and not np.any(loss)
         u0, u1 = sys_.velocity(x0)[0], sys_.velocity(x1)[0]
         # CN's step, (u1 - u0)/dt from the midpoint and the new pressure,
@@ -682,7 +692,7 @@ class TestStartRule:
         assert defect < 1e-12 and constraints < 1e-12, (defect, constraints)
         # on a state that meets the rows, the start is the plain step
         x2, _, _ = sys_.step(x1, None)
-        x2_start = sys_.start(x1, lambda t: None)[0]
+        x2_start = sys_.start(x1, None, None)[0]
         assert _sup_rel(sys_.velocity(x2_start), sys_.velocity(x2)) < 1e-12
         assert _sup_rel(sys_.pressure(x2_start), sys_.pressure(x2)) < 1e-10
 
@@ -842,7 +852,7 @@ class TestShellBatching:
             for n, (u, pr) in enumerate(traj.snapshots):
                 row = traj.diagnostics[n]
                 if n == 1:
-                    x, *forms = ref.start(x, g)
+                    x, *forms = ref.start(x, g(0.5 * dt), g(dt))
                     diss, work, loss = map(value, forms)
                     assert row["start_energy_loss"] == pytest.approx(loss, rel=1e-12)
                 elif n > 1:

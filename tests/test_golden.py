@@ -36,11 +36,12 @@ columns).  Per column: every diagnostics key of every save, and u and p at
 before a shell's stepped block became always a basis (its columns being
 the identity basis).  A fourth input, the eight columns of |k_h|^2 = 5
 with a datum on two of them (one k3 each, complex amplitudes), a stress
-at mu = 0 and 0.5 on four others (a distinct complex vector per entry) and
-a zero datum on the last two, steps a basis of six with a complex coef and turns data and stresses by
-angles that are not multiples of 90 degrees; it was added from the code
-as it stood before the shell's frame turn, stress phases and save
-expansion became plain arrays, the three cases above unchanged.
+at mu = 0 and 0.5 on four others (a distinct complex vector per entry)
+and a zero datum on the last two, steps a basis of six with a complex
+coef and turns data and stresses by angles that are not multiples of 90
+degrees; it was added from the code as it stood before the shell's frame
+turn, stress phases and save expansion became plain arrays, the three
+cases above unchanged.
 
 Regenerate a data set only from code whose answers are known good:
     PYTHONPATH=src python tests/test_golden.py [correctors] [pumping] [direct]
