@@ -25,10 +25,10 @@ velocity is the midpoint (u_n + u_{n+1})/2 and its pressure p_{n+1}/2, so
 u_{n+1} = 2 m_u - u_n and p_{n+1} = 2 m_p.  The right-hand side is x_n
 scaled elementwise and the dissipation m^H Q m is |R m|^2, R^H R = Q with R
 two bands (on the velocities and on their differences one node up), so a
-step makes no sparse product.  CN (R(inf) = -1) damps nothing, so any decay
-measured after the start is physical; but a datum that violates the walls
-(the eigenmodes N_k violate no-slip) would keep an undamped mismatch that
-costs CN its second order.  The first step is therefore a start rule:
+step makes no matrix product beside the solve.  CN (R(inf) = -1) damps
+nothing, so any decay measured after the start is physical; but a datum
+that violates the walls (the eigenmodes N_k violate no-slip) would keep an
+undamped mismatch that costs CN its second order.  The first step is therefore a start rule:
 - with diffusion, two implicit-Euler half steps (Rannacher's damped start),
   each with the stress at its end.  A is half the implicit-Euler matrix at
   dt/2 up to the scale of the pressure, so a half step is the same solve
@@ -41,7 +41,8 @@ costs CN its second order.  The first step is therefore a start rule:
   0; a datum's residual on those rows shows in step 1's energy balance.
 
 A is factorised once per |k_h|^2 shell with a banded LU (LAPACK
-zgbtrf/zgbtrs) of the monolithic saddle system.  Coriolis, the Laplacian
+zgbtrf/zgbtrs) of the monolithic saddle system, its band filled straight
+from the row-scaled triplets of M/dt, L/2 and C.  Coriolis, the Laplacian
 and the divergence commute with horizontal rotations, so with u_h written
 in the frame (k_h/|k_h|, k_h^perp/|k_h|) a column's system depends on k_h
 only through |k_h|: the columns of a shell share the system assembled at
@@ -91,26 +92,24 @@ from .traces import BoundaryTrace
 
 
 class SolverModules(NamedTuple):
-    """The scipy pieces the solver uses: scipy.sparse for the assembly and
-    LAPACK's banded LU pair for the factorisation and the steps."""
+    """LAPACK's banded LU pair, for the factorisation and the steps: the
+    only scipy the solver uses."""
 
-    sparse: Any
     zgbtrf: Any
     zgbtrs: Any
 
 
 @functools.cache
 def solver_modules() -> SolverModules:
-    """Import the solver's scipy modules on the first call.
+    """Import LAPACK's zgbtrf and zgbtrs from scipy on the first call.
 
     scipy is the slowest import of the package, and only the direct solver
     needs it, so `import rotstrip` and the asymptotic half run without it.
     The first _ModeSystem pays for the import; a parent that forks workers
     calls this first, so that they inherit the modules."""
-    import scipy.sparse
     from scipy.linalg.lapack import zgbtrf, zgbtrs
 
-    return SolverModules(scipy.sparse, zgbtrf, zgbtrs)
+    return SolverModules(zgbtrf, zgbtrs)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +215,23 @@ def l2_norm(u: np.ndarray, weights: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _band(rows, cols, vals, n):
+    """LAPACK's band of the n x n matrix with the complex entries vals at
+    (rows, cols), summed in their order where they meet, each row scaled by
+    the power of two (exact) that brings its largest entry into [0.5, 1):
+    (ab, kl, ku, scale), with kl rows above the matrix's kl + ku + 1 for
+    zgbtrf's fill.  Explicit zeros count in kl and ku."""
+    kl, ku = int(np.max(rows - cols)), int(np.max(cols - rows))
+    at = (kl + ku + rows - cols, cols)
+    ab = np.zeros((2 * kl + ku + 1, n), dtype=complex)
+    np.add.at(ab, at, vals)
+    largest = np.zeros(n)
+    np.maximum.at(largest, rows, np.abs(ab[at]))
+    scale = np.ldexp(1.0, -np.frexp(largest)[1])
+    ab[at] *= scale[rows]
+    return ab, kl, ku, scale
+
+
 class _ModeSystem:
     """The DAE of one real k_h != 0 (full) or k_h = 0 (reduced) column, with
     its midpoint solve.
@@ -259,7 +275,6 @@ class _ModeSystem:
         wall rows."""
         k1, k2 = self.k_h
         Nz, n, dt, iu, stride = self.Nz, self.n, self.dt, self._iu, self.stride
-        sp = self._lib.sparse
         h = np.diff(self.z)
         u = self.u_index
         w_full = np.zeros(n)
@@ -307,17 +322,18 @@ class _ModeSystem:
                 (rows, Q[1][keep], Q[2][keep] / w_full[rows]))
 
         C = [(self.walls, self.walls, 1.0)]
-        self.D = None
         if not self.reduced:
             # divergence D: cells x unknowns, the average of u_h and the
-            # difference of u3 over each cell
+            # difference of u3 over each cell.  Six stencil bands, in
+            # ascending column order: u1, u2, u3 at node j, then at j + 1
+            # (offsets from u1_j), with their coefficients on the cells
+            self.div_offsets = (0, 1, 2, stride, stride + 1, stride + 2)
+            ah1, ah2 = np.full(Nz, 0.5j * k1), np.full(Nz, 0.5j * k2)
+            self.div_coef = np.stack([ah1, ah2, -1.0 / h, ah1, ah2, 1.0 / h])
             j = np.arange(Nz)
             d_cells = np.tile(j, 6)
-            d_cols = np.concatenate([iu(j, 0), iu(j + 1, 0), iu(j, 1), iu(j + 1, 1),
-                                     iu(j, 2), iu(j + 1, 2)])
-            d_vals = np.concatenate([np.full(2 * Nz, 0.5j * k1), np.full(2 * Nz, 0.5j * k2),
-                                     -1.0 / h, 1.0 / h])
-            self.D = sp.csr_matrix((d_vals, (d_cells, d_cols)), shape=(Nz, n))
+            d_cols = np.concatenate([iu(j, 0) + o for o in self.div_offsets])
+            d_vals = self.div_coef.ravel()
             # pressure gradient adjoint to the divergence:
             # G = -W_n^{-1} D^H W_c, so the pressure does no work discretely;
             # it enters the momentum rows only
@@ -327,19 +343,16 @@ class _ModeSystem:
                   (iu(d_cells, 3), d_cols, d_vals)]
         C = coo(*C)
 
-        # scale each row by a power of two (exact) to bring its largest entry
-        # into [0.5, 1): momentum rows carry 1/dt, divergence rows 1/h, and
-        # partial pivoting within the band needs comparable rows, else the
-        # pressure loses about four digits at small dt
-        r, c, v = zip(*((T[0], T[1], f * T[2]) for T, f in ((M, 1.0 / dt), (L, 0.5), (C, 1.0))))
-        A = sp.csr_matrix((np.concatenate(v).astype(complex),
-                           (np.concatenate(r), np.concatenate(c))), shape=(n, n))
-        scale = np.ldexp(1.0, -np.frexp(abs(A).max(axis=1).toarray().ravel())[1])
-        A = A.tocoo()
-        kl = self.kl = int(np.max(A.row - A.col))
-        ku = self.ku = int(np.max(A.col - A.row))
-        ab = np.zeros((2 * kl + ku + 1, n), dtype=complex)
-        ab[kl + ku + A.row - A.col, A.col] = A.data * scale[A.row]
+        # A's band from the scaled triplets.  Each row is scaled by a power
+        # of two: momentum rows carry 1/dt, divergence rows 1/h, and partial
+        # pivoting within the band needs comparable rows, else the pressure
+        # loses about four digits at small dt.  Only a momentum row's
+        # diagonal takes two entries (M's and Q's), and a sum of two does
+        # not depend on their order
+        r, c, v = (np.concatenate(a) for a in zip(
+            *((T[0], T[1], f * T[2]) for T, f in ((M, 1.0 / dt), (L, 0.5), (C, 1.0)))))
+        ab, kl, ku, scale = _band(r, c, v.astype(complex), n)
+        self.kl, self.ku = kl, ku
         lu, self.piv, info = self._lib.zgbtrf(ab, kl, ku, overwrite_ab=1)
         if info != 0:  # singular saddle system: should not occur for nu > 0
             detail = ("Factor is exactly singular" if info > 0
@@ -441,9 +454,18 @@ class _ModeSystem:
         rows (C x for a block with zero pressure)."""
         c = np.zeros_like(x)
         c[self.walls] = x[self.walls]
-        if self.D is not None:
-            c[3::4] = self.D @ x
+        if not self.reduced:
+            c[3::4] = self._divergence(x)
         return self.row_scale * c
+
+    def _divergence(self, x: np.ndarray) -> np.ndarray:
+        """D x, the (Nz, nb) divergence of the block x over the cells,
+        summed over the stencil bands in their column order (on the
+        transposes, contiguous on the Fortran-ordered blocks)."""
+        d = np.zeros((x.shape[1], self.Nz), dtype=complex)
+        for o, a in zip(self.div_offsets, self.div_coef):
+            d += a * x.T[:, o:o + self.stride * self.Nz:self.stride]
+        return d.T
 
     # A form is the block's nb x nb Gram a^H b, which the shell sums over the
     # steps and expands into the columns block @ coef only at the saves
@@ -486,7 +508,7 @@ class _ModeSystem:
         """max |div u| over the cells, per column."""
         if self.reduced:
             return np.zeros(x.shape[1])
-        return np.max(np.abs(self.D @ x), axis=0)
+        return np.max(np.abs(self._divergence(x)), axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -618,10 +618,34 @@ def _momentum_defect(k_h, params, z, u_old, u_new, u_mid, p, dt_step, g, diffusi
     if diffusion:
         rows[0, :2] = False
     defect = np.abs(sum(terms)[rows]).max() / max(np.abs(t[rows]).max() for t in terms)
-    div = (0.5j * k1 * (u_new[:-1, 0] + u_new[1:, 0]) + 0.5j * k2 * (u_new[:-1, 1] + u_new[1:, 1])
-           + np.diff(u_new[:, 2]) / h)
+    div = _nodal_divergence(k_h, z, u_new)
     constraints = max(np.abs(div).max(), np.abs(u_new[~rows]).max()) / np.abs(u_new).max()
     return defect, constraints
+
+
+def _nodal_divergence(k_h, z, u):
+    """The divergence of the nodal velocity u (Nz+1, 3) over each cell: the
+    average of i k_h . u_h and the difference quotient of u3."""
+    k1, k2 = k_h
+    return (0.5j * k1 * (u[:-1, 0] + u[1:, 0]) + 0.5j * k2 * (u[:-1, 1] + u[1:, 1])
+            + np.diff(u[:, 2]) / np.diff(z))
+
+
+@pytest.mark.parametrize("k_h", [(1, 1), (2, -1)])
+def test_divergence_matches_nodal_formula(k_h):
+    # the shells assemble at (|k_h|, 0), so k2 != 0 is reached only here
+    p = Params(1e-2, 1e-2)
+    z = graded_nodes(96, p.layer_scale)
+    sys_ = _ModeSystem(k_h, p, z, p.epsilon / 10)
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal((3, len(z), 3)) + 1j * rng.standard_normal((3, len(z), 3))
+    x = sys_.state(u)
+    div = np.stack([_nodal_divergence(k_h, z, u_j) for u_j in u], axis=1)  # (Nz, 3)
+    scale = np.abs(div).max()
+    assert np.max(np.abs(sys_.divergence(x) - np.abs(div).max(axis=0))) <= 1e-14 * scale
+    # the residual's divergence rows are D x, row-scaled
+    rows = sys_.residual(x)[3::4] / sys_.row_scale[3::4]
+    assert np.max(np.abs(rows - div)) <= 1e-14 * scale
 
 
 class TestStartRule:
@@ -1047,6 +1071,29 @@ def test_band_width_independent_of_nz():
         for Nz in (128, 512):
             s = _ModeSystem(k_h, p, graded_nodes(Nz, p.layer_scale), p.epsilon / 10)
             assert (s.kl, s.ku) == (band, band), (k_h, Nz)
+
+
+def test_band_positions_take_at_most_two_entries(monkeypatch):
+    # _band sums the entries that meet in their order; with at most two, on
+    # the momentum rows' diagonals (M's and Q's), the order does not matter
+    seen = []
+    band = direct._band
+
+    def recording_band(rows, cols, vals, n):
+        seen.append((rows, cols))
+        return band(rows, cols, vals, n)
+
+    monkeypatch.setattr(direct, "_band", recording_band)
+    p = Params(1e-2, 1e-2)
+    for diffusion in (True, False):
+        z = graded_nodes(64, p.layer_scale if diffusion else 1.0)
+        for k_h in ((0, 0), (1, 0), (2, -1)):
+            _ModeSystem(k_h, p, z, p.epsilon / 10, diffusion=diffusion)
+    assert len(seen) == 6
+    for rows, cols in seen:
+        pos, counts = np.unique(np.stack([rows, cols]), axis=1, return_counts=True)
+        assert counts.max() <= 2
+        assert np.array_equal(pos[0, counts == 2], pos[1, counts == 2])
 
 
 class TestFitDecay:

@@ -43,8 +43,10 @@ degrees; it was added from the code as it stood before the shell's frame
 turn, stress phases and save expansion became plain arrays, the three
 cases above unchanged.
 
-Regenerate a data set only from code whose answers are known good:
-    PYTHONPATH=src python tests/test_golden.py [correctors] [pumping] [direct]
+Regenerate a data set, or one entry of it as set:key (the case name with
+`@eps` for correctors, the eps for pumping), only from code whose answers
+are known good:
+    PYTHONPATH=src python tests/test_golden.py [correctors] [pumping] [direct] [set:key]
 """
 
 import itertools
@@ -334,19 +336,54 @@ def test_direct_matches_frozen_values(golden_direct, case):
             assert not bad, (col, n, bad)
 
 
+@pytest.mark.parametrize("path", [DATA, PUMPING_DATA, DIRECT_DATA])
+def test_data_sets_read_back_to_their_bytes(path):
+    # what main's set:key relies on to leave the other entries as they were
+    with open(path) as f:
+        text = f.read()
+    assert json.dumps(json.loads(text), separators=(",", ":")) == text
+
+
+def test_main_writes_only_the_named_entry(tmp_path, monkeypatch):
+    path = tmp_path / "golden_direct.json"
+    with open(DIRECT_DATA) as f:
+        text = f.read()
+    path.write_text(text)
+    monkeypatch.setitem(globals(), "DIRECT_DATA", str(path))
+    monkeypatch.setitem(globals(), "measure_direct", lambda case: {"new": case})
+    main(["direct:datum_column"])
+    entry = json.dumps(json.loads(text)["datum_column"], separators=(",", ":"))
+    assert text.count(entry) == 1
+    assert path.read_text() == text.replace(entry, '{"new":"datum_column"}')
+
+
 def main(names):
     """Write the named data sets, `correctors`, `pumping` and/or `direct`
-    (all when none is named)."""
+    (all when none is named).  A name `set:key` writes only the entry key
+    of its set (`direct:datum_column`, `correctors:wind_quasi@0.001`,
+    `pumping:1e-05`), a new key at the end, and leaves the other entries'
+    bytes as they were."""
     data_sets = {
-        "correctors": (DATA, lambda: {f"{case}@{eps:g}": measure(build(case, eps))
-                                      for case, eps in CASES}),
-        "pumping": (PUMPING_DATA, lambda: {f"{eps:g}": measure_pumping(eps)
-                                           for eps in PUMPING_EPSILONS}),
-        "direct": (DIRECT_DATA, lambda: {case: measure_direct(case) for case in DIRECT_CASES}),
+        "correctors": (DATA, {f"{case}@{eps:g}": (lambda c=case, e=eps: measure(build(c, e)))
+                              for case, eps in CASES}),
+        "pumping": (PUMPING_DATA, {f"{eps:g}": (lambda e=eps: measure_pumping(e))
+                                   for eps in PUMPING_EPSILONS}),
+        "direct": (DIRECT_DATA, {case: (lambda c=case: measure_direct(c))
+                                 for case in DIRECT_CASES}),
     }
+    chosen = {}  # set -> the keys to write
     for name in names or data_sets:
-        path, make = data_sets[name]
-        out = make()
+        name, _, key = name.partition(":")
+        if name not in data_sets or key and key not in data_sets[name][1]:
+            sys.exit(f"unknown data set or entry {name}:{key}; sets {sorted(data_sets)}")
+        chosen.setdefault(name, set()).update([key] if key else data_sets[name][1])
+    for name, keys in chosen.items():
+        path, makers = data_sets[name]
+        out = {}
+        if keys < set(makers):
+            with open(path) as f:
+                out = json.load(f)  # json.dump writes back the bytes read
+        out.update({key: make() for key, make in makers.items() if key in keys})
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w") as f:
             json.dump(out, f, separators=(",", ":"))
